@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-smoke transport-bench obs-bench obs-cluster-bench gw-bench peer-bench locate-bench repair-bench storage-bench stream-bench write-bench figures examples cover clean
+.PHONY: all build vet test race bench bench-smoke bench-e2e transport-bench obs-bench obs-cluster-bench gw-bench peer-bench locate-bench repair-bench storage-bench stream-bench write-bench figures examples cover clean
 
 all: build vet test
 
@@ -22,9 +22,19 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # One-iteration pass over every benchmark — catches bit-rotted bench code
-# without measuring anything; CI runs this on every push.
+# without measuring anything — plus the data path's allocation budgets
+# (docs/PIPELINE.md "Buffer ownership"), which do measure: a reintroduced
+# payload copy fails them. CI runs this on every push.
 bench-smoke:
+	$(GO) test -count 1 -run 'TestLargeFrameAllocBudget|TestSmallFrameAllocsUnchanged|TestLyingPrefixAllocationBound|TestChunkPlaneAllocBudget|TestAppendAllocatesNothing' ./internal/msg/ ./internal/netnode/ ./internal/wal/
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
+
+# The end-to-end perf ledger (bench/README.md): the four closed-loop
+# workloads against one in-process fabric, one run record each appended to
+# bench/out/run.jsonl; `bash bench/run.sh -compare a.jsonl b.jsonl` says
+# whether two sets of runs agree.
+bench-e2e:
+	bash bench/run.sh --workload all --seed 1 --seconds 20 --trace 0 --out bench/out/run.jsonl
 
 # Pooled vs dial-per-call RPC throughput; the recorded run lives in
 # results/transport_bench.txt.

@@ -71,19 +71,33 @@ type FetchResp struct {
 	Chunk     []byte
 }
 
-// AppendFetchResp encodes a KindFetch response payload onto b.
-func AppendFetchResp(b []byte, r *FetchResp) ([]byte, error) {
+// AppendFetchRespHeader encodes the fixed part of a KindFetch response
+// payload onto b — everything before the chunk's bytes, its length prefix
+// included. A sender puts it in Response.Data and points Response.Tail at
+// r.Chunk where the bytes already live (a sub-slice of the stored body),
+// so the chunk reaches the socket without an intermediate copy.
+func AppendFetchRespHeader(b []byte, r *FetchResp) ([]byte, error) {
 	if r.TotalSize > MaxFileSize || len(r.Chunk) > MaxChunkBytes {
 		return nil, ErrFrameTooLarge
 	}
 	b = binary.BigEndian.AppendUint64(b, r.TotalSize)
 	b = binary.BigEndian.AppendUint32(b, r.FileCRC)
 	b = binary.BigEndian.AppendUint32(b, r.ChunkCRC)
-	b = appendBytes(b, r.Chunk)
-	return b, nil
+	return binary.BigEndian.AppendUint32(b, uint32(len(r.Chunk))), nil
 }
 
-// DecodeFetchResp parses a KindFetch response payload.
+// AppendFetchResp encodes a whole KindFetch response payload onto b:
+// AppendFetchRespHeader, then the chunk.
+func AppendFetchResp(b []byte, r *FetchResp) ([]byte, error) {
+	b, err := AppendFetchRespHeader(b, r)
+	if err != nil {
+		return nil, err
+	}
+	return append(b, r.Chunk...), nil
+}
+
+// DecodeFetchResp parses a KindFetch response payload. Chunk points into
+// b — the Response.Data it was decoded from — and lives exactly as long.
 func DecodeFetchResp(b []byte) (*FetchResp, error) {
 	r := &FetchResp{}
 	var err error
@@ -96,7 +110,7 @@ func DecodeFetchResp(b []byte) (*FetchResp, error) {
 	if r.ChunkCRC, b, err = takeUint32(b); err != nil {
 		return nil, err
 	}
-	if r.Chunk, b, err = takeBytes(b, MaxChunkBytes); err != nil {
+	if r.Chunk, b, err = aliasBytes(b, MaxChunkBytes); err != nil {
 		return nil, err
 	}
 	if len(b) != 0 || r.TotalSize > MaxFileSize || uint64(len(r.Chunk)) > r.TotalSize {

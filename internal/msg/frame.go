@@ -1,0 +1,152 @@
+package msg
+
+// Buffer ownership of large frames (docs/PIPELINE.md "Buffer ownership"):
+// a frame longer than readChunk is read into one buffer of its own, the
+// decoded message's Data points into that buffer instead of being copied
+// out of it, and the message owns the buffer from then on. A consumer that
+// copies the payload to its destination and is done with it hands the
+// buffer back with Release; everyone else just drops the message and the
+// collector reclaims the buffer — which is what a handler that keeps Data
+// in the store relies on.
+
+import (
+	"io"
+	"sync"
+)
+
+// frameAlign rounds a frame buffer's capacity up, so frames that differ by
+// a few header bytes (a longer name, a trace tail) recycle each other's
+// buffers. One runtime page: the allocator rounds a large object up to
+// whole pages anyway, so the slack costs nothing.
+const frameAlign = 8 << 10
+
+// maxFreeFrameBytes bounds the free list — enough for the chunks two
+// default-window transfers keep in flight, so a steady chunk stream
+// allocates nothing, and little enough that an idle process does not sit
+// on a second cache.
+const maxFreeFrameBytes = 32 << 20
+
+// frameList is the bounded free list released frame buffers wait in. A
+// buffer serves a frame it fits with at most an eighth to spare, so a
+// recycled buffer that ends up kept (Data retained in the store) wastes
+// little; when the list is full the oldest buffer makes room, so the list
+// follows a change of chunk size instead of filling up with the old one.
+type frameList struct {
+	mu    sync.Mutex
+	bufs  [][]byte
+	bytes int
+}
+
+var frames frameList
+
+// get returns a listed buffer fit for an n-byte frame, newest first, or nil.
+func (l *frameList) get(n int) []byte {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for i := len(l.bufs) - 1; i >= 0; i-- {
+		if c := cap(l.bufs[i]); c >= n && c-n <= n/8 {
+			return l.take(i)[:n]
+		}
+	}
+	return nil
+}
+
+// take unlists buffer i. Caller holds mu.
+func (l *frameList) take(i int) []byte {
+	buf := l.bufs[i]
+	last := len(l.bufs) - 1
+	copy(l.bufs[i:], l.bufs[i+1:])
+	l.bufs[last] = nil
+	l.bufs = l.bufs[:last]
+	l.bytes -= cap(buf)
+	return buf
+}
+
+// put lists buf for reuse. Under the race detector it is first overwritten
+// with 0xDB, so a use after Release shows as garbage, not as the next
+// frame's bytes.
+func (l *frameList) put(buf []byte) {
+	buf = buf[:cap(buf)]
+	if len(buf) > maxFreeFrameBytes {
+		return
+	}
+	if poisonReleased {
+		for i := range buf {
+			buf[i] = 0xDB
+		}
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for l.bytes+len(buf) > maxFreeFrameBytes {
+		l.take(0)
+	}
+	l.bufs = append(l.bufs, buf)
+	l.bytes += len(buf)
+}
+
+// readLargeFrame reads an n-byte payload, n > readChunk, into one buffer
+// of its own: a recycled one when the free list has a fit, otherwise one
+// allocation of the frame's size — made only once half the frame has
+// arrived. Until then the bytes are staged in pooled readChunk pieces, so
+// a lying length prefix still cannot force a frame-sized allocation: what
+// a read allocates is at most twice what it has received plus one
+// readChunk, never what the prefix declared (a recycled buffer is memory
+// the process already holds).
+func readLargeFrame(r io.Reader, n int) ([]byte, error) {
+	if buf := frames.get(n); buf != nil {
+		if _, err := io.ReadFull(r, buf); err != nil {
+			frames.put(buf)
+			return nil, err
+		}
+		return buf, nil
+	}
+	half := n / 2
+	staged := make([]*[]byte, 0, half/readChunk+1)
+	defer func() {
+		for _, bp := range staged {
+			putBuf(bp)
+		}
+	}()
+	for got := 0; got < half; {
+		bp := getBuf()
+		staged = append(staged, bp)
+		*bp = (*bp)[:min(cap(*bp), half-got)]
+		if _, err := io.ReadFull(r, *bp); err != nil {
+			return nil, err
+		}
+		got += len(*bp)
+	}
+	buf := make([]byte, (n+frameAlign-1)/frameAlign*frameAlign)[:n]
+	got := 0
+	for _, bp := range staged {
+		got += copy(buf[got:], *bp)
+	}
+	if _, err := io.ReadFull(r, buf[got:]); err != nil {
+		return nil, err
+	}
+	return buf, nil
+}
+
+// Release hands the frame buffer r.Data aliases back for reuse and clears
+// Data. Only the consumer that is done with the payload — it copied the
+// bytes to their destination, or never wanted them — may call it, and
+// nothing that points into Data (a PutReq.Chunk decoded from it, a slice
+// of it) may be used afterwards. Never calling it is always safe: the
+// collector reclaims the buffer with the message. A no-op on a request
+// that owns no frame buffer (built locally, or read off a frame of at most
+// readChunk bytes, whose Data is a private copy).
+func (r *Request) Release() {
+	if r.frame != nil {
+		frames.put(r.frame)
+		r.frame, r.Data = nil, nil
+	}
+}
+
+// Release is Request.Release for a response: FetchResp.Chunk decoded from
+// Data dies with it.
+func (resp *Response) Release() {
+	if resp.frame != nil {
+		frames.put(resp.frame)
+		resp.frame, resp.Data = nil, nil
+	}
+}

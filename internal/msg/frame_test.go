@@ -1,0 +1,523 @@
+package msg
+
+import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"io"
+	"net"
+	"reflect"
+	"runtime"
+	"testing"
+)
+
+// The ownership rules of large frames (docs/PIPELINE.md "Buffer
+// ownership"): what a frame costs to move, that a released buffer is
+// really gone, that the aliasing decode reads what the copying one does,
+// and that the segmented writer puts the same bytes on the wire.
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// chunkFrames builds the two frames the chunk plane moves: a KindFetch
+// response and a KindPut request, each carrying one chunk of n bytes the
+// way handleFetch and the Uploader send it — fixed header in Data, the
+// chunk as Tail.
+func chunkFrames(tb testing.TB, n int) (*Request, *Response) {
+	tb.Helper()
+	chunk := bytes.Repeat([]byte{0xA5}, n)
+	crc := crc32.Checksum(chunk, castagnoli)
+	fh, err := AppendFetchRespHeader(nil, &FetchResp{TotalSize: uint64(n), FileCRC: crc, ChunkCRC: crc, Chunk: chunk})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ph, err := AppendPutReqHeader(nil, &PutReq{Op: PutData, TotalSize: uint64(n), FileCRC: crc, ChunkCRC: crc, Chunk: chunk})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return &Request{Kind: KindPut, Name: "file-000001", Data: ph, Tail: chunk},
+		&Response{OK: true, ServedBy: 3, Version: 9, Data: fh, Tail: chunk}
+}
+
+// drainFrameList empties the free list, so a test starts from "nothing to
+// recycle" whatever ran before it.
+func drainFrameList() {
+	frames.mu.Lock()
+	frames.bufs, frames.bytes = nil, 0
+	frames.mu.Unlock()
+}
+
+// bytesPerRun is testing.AllocsPerRun for heap bytes.
+func bytesPerRun(runs int, f func()) float64 {
+	f() // warm pools and the free list, as AllocsPerRun does
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// TestLargeFrameAllocBudget is the copy budget of the chunk plane: a 1 MiB
+// chunk frame written and read back costs one frame-sized buffer at the
+// receiver when nobody releases it, and nothing once its consumer does —
+// the sender never allocates for the payload either way. A reintroduced
+// copy (an encode buffer, a takeBytes) shows here as a whole extra MiB.
+func TestLargeFrameAllocBudget(t *testing.T) {
+	if poisonReleased {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const chunk = 1 << 20
+	req, resp := chunkFrames(t, chunk)
+	var wire bytes.Buffer
+	wire.Grow(2 * chunk)
+	roundTrips := map[string]func(release bool){
+		"fetch response": func(release bool) {
+			wire.Reset()
+			if err := WriteResponseID(&wire, resp, 7); err != nil {
+				t.Fatal(err)
+			}
+			got, _, _, err := ReadResponseID(&wire)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fr, err := DecodeFetchResp(got.Data)
+			if err != nil || len(fr.Chunk) != chunk {
+				t.Fatalf("decode: %v, %d chunk bytes", err, len(fr.Chunk))
+			}
+			if release {
+				got.Release()
+			}
+		},
+		"put request": func(release bool) {
+			wire.Reset()
+			if err := WriteRequestID(&wire, req, 7); err != nil {
+				t.Fatal(err)
+			}
+			got, _, _, err := ReadRequestID(&wire)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pr, err := DecodePutReq(got.Data)
+			if err != nil || len(pr.Chunk) != chunk {
+				t.Fatalf("decode: %v, %d chunk bytes", err, len(pr.Chunk))
+			}
+			if release {
+				got.Release()
+			}
+		},
+	}
+	for name, trip := range roundTrips {
+		drainFrameList()
+		kept := bytesPerRun(20, func() { trip(false) })
+		if lo, hi := float64(chunk), float64(chunk+frameAlign+4<<10); kept < lo || kept > hi {
+			t.Errorf("%s, never released: %.0f B/op, want one frame-sized buffer (%v..%v)", name, kept, lo, hi)
+		}
+		released := bytesPerRun(20, func() { trip(true) })
+		if released > 4<<10 {
+			t.Errorf("%s, released: %.0f B/op, want ~0 (the buffer is recycled)", name, released)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { trip(true) }); allocs > 12 {
+			t.Errorf("%s, released: %.0f allocs/op, want a handful of small ones", name, allocs)
+		}
+	}
+}
+
+// TestSmallFrameAllocsUnchanged pins the path frames of at most readChunk
+// bytes take: pooled read, every field copied out — exactly the
+// allocations it made before large frames got a path of their own.
+func TestSmallFrameAllocsUnchanged(t *testing.T) {
+	if poisonReleased {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	body := bytes.Repeat([]byte{7}, 4<<10)
+	req := &Request{Kind: KindUpdate, Name: "file-000001", Data: body}
+	resp := &Response{OK: true, ServedBy: 3, Version: 9, Data: body}
+	var wire bytes.Buffer
+	wire.Grow(1 << 20)
+	// The header word, the ID word, the message, its name (requests only)
+	// and its Data.
+	if got := testing.AllocsPerRun(200, func() {
+		wire.Reset()
+		WriteRequestID(&wire, req, 1)
+		if r, _, _, err := ReadRequestID(&wire); err != nil || r.frame != nil {
+			t.Fatalf("small request: err %v, owns a frame: %v", err, r.frame != nil)
+		}
+	}); got != 5 {
+		t.Errorf("4 KiB request round trip: %v allocs, want 5", got)
+	}
+	if got := testing.AllocsPerRun(200, func() {
+		wire.Reset()
+		WriteResponseID(&wire, resp, 1)
+		if r, _, _, err := ReadResponseID(&wire); err != nil || r.frame != nil {
+			t.Fatalf("small response: err %v, owns a frame: %v", err, r.frame != nil)
+		}
+	}); got != 4 {
+		t.Errorf("4 KiB response round trip: %v allocs, want 4", got)
+	}
+}
+
+// TestLyingPrefixAllocationBound asserts the bound readLargeFrame states:
+// what a frame read allocates is at most twice what it received plus one
+// readChunk, whatever its prefix declared.
+func TestLyingPrefixAllocationBound(t *testing.T) {
+	if poisonReleased {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	for _, tc := range []struct {
+		name           string
+		declared, sent int
+	}{
+		{"MaxFrame declared, 64 bytes sent", MaxFrame, 64},
+		{"MaxFrame declared, 1 MiB sent", MaxFrame, 1 << 20},
+		{"1 MiB declared, just under half sent", 1 << 20, 1<<19 - 1},
+		{"1 MiB declared, just over half sent", 1 << 20, 1<<19 + 1},
+	} {
+		drainFrameList()
+		stream := append(binary.BigEndian.AppendUint32(nil, uint32(tc.declared)), make([]byte, tc.sent)...)
+		got := bytesPerRun(5, func() {
+			if _, err := ReadRequest(bytes.NewReader(stream)); err == nil {
+				t.Fatalf("%s: truncated frame accepted", tc.name)
+			}
+		})
+		if bound := float64(2*tc.sent + readChunk); got > bound {
+			t.Errorf("%s: read allocated %.0f B, bound is %.0f", tc.name, got, bound)
+		}
+	}
+}
+
+// TestReleaseRecyclesAndPoisons: a released buffer serves the next frame
+// of its size, and under the race detector the bytes a stale slice still
+// sees are 0xDB — a use after Release fails checksums instead of reading
+// the next frame's payload.
+func TestReleaseRecyclesAndPoisons(t *testing.T) {
+	drainFrameList()
+	_, resp := chunkFrames(t, 256<<10)
+	var wire bytes.Buffer
+	read := func() *Response {
+		wire.Reset()
+		if err := WriteResponse(&wire, resp); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadResponse(&wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	first := read()
+	stale := first.Data
+	buf := &first.frame[:1][0]
+	first.Release()
+	if first.Data != nil {
+		t.Fatal("Release left Data set")
+	}
+	first.Release() // idempotent: the buffer must not be listed twice
+	if poisonReleased {
+		for i, b := range stale {
+			if b != 0xDB {
+				t.Fatalf("released buffer not poisoned: byte %d is %#x", i, b)
+			}
+		}
+	}
+	second := read()
+	if &second.frame[:1][0] != buf {
+		t.Error("a released buffer was not reused for the next frame of its size")
+	}
+	if third := read(); &third.frame[:1][0] == buf {
+		t.Error("one buffer serves two live frames")
+	}
+	fr, err := DecodeFetchResp(second.Data)
+	if err != nil || crc32.Checksum(fr.Chunk, castagnoli) != fr.ChunkCRC {
+		t.Fatalf("frame read into a recycled buffer is damaged: %v", err)
+	}
+}
+
+// TestFrameListBounded: the free list never holds more than its cap, and
+// makes room for the newest buffer by dropping the oldest.
+func TestFrameListBounded(t *testing.T) {
+	drainFrameList()
+	defer drainFrameList()
+	const each = 4 << 20
+	n := maxFreeFrameBytes/each + 3
+	for i := 0; i < n; i++ {
+		frames.put(make([]byte, each+i)) // distinct capacities tell them apart
+	}
+	frames.mu.Lock()
+	defer frames.mu.Unlock()
+	if frames.bytes > maxFreeFrameBytes {
+		t.Fatalf("free list holds %d bytes, cap %d", frames.bytes, maxFreeFrameBytes)
+	}
+	if newest := cap(frames.bufs[len(frames.bufs)-1]); newest != each+n-1 {
+		t.Fatalf("newest buffer is cap %d, want %d", newest, each+n-1)
+	}
+	if oldest := cap(frames.bufs[0]); oldest == each {
+		t.Fatal("the oldest buffer was kept over newer ones")
+	}
+}
+
+// goldenMessages is one request and one response per kind, at a payload
+// small enough to take the single-Write path and one large enough to be
+// written in segments, each with Data whole and with Data split into
+// Data‖Tail at several points.
+func goldenMessages() (reqs []*Request, resps []*Response) {
+	path := []Hop{{PID: 8, Parent: NoParent, Action: HopForward, Dur: 120}, {PID: 4, Parent: 8, Action: HopServe, Dur: 50}}
+	for k := KindInsert; int(k) < KindCount; k++ {
+		for _, n := range []int{0, 9, 4 << 10, readChunk, readChunk + 1, 200<<10 + 37} {
+			body := make([]byte, n)
+			for i := range body {
+				body[i] = byte(i*31 + int(k))
+			}
+			for _, cut := range []int{n, 0, n / 3, n - n/7} {
+				reqs = append(reqs, &Request{
+					Kind: k, Flags: FlagTrace, Origin: 7, Hops: 2, Subtree: 1, Version: 99,
+					Name: "golden/" + k.String(), Data: body[:cut:cut], Tail: body[cut:],
+					TraceID: 0xDEADBEEF, Path: path,
+				})
+				resps = append(resps, &Response{
+					OK: true, ServedBy: 4, Hops: 3, Version: 7, Err: "golden " + k.String(),
+					Data: body[:cut:cut], Tail: body[cut:], Path: path,
+				})
+			}
+		}
+	}
+	return reqs, resps
+}
+
+// joined is m with Tail folded into Data: what a receiver decodes, and
+// what the contiguous encoders are given in the golden comparison.
+func joinedRequest(r *Request) *Request {
+	j := *r
+	j.Data, j.Tail = append(append([]byte{}, r.Data...), r.Tail...), nil
+	return &j
+}
+
+func joinedResponse(r *Response) *Response {
+	j := *r
+	j.Data, j.Tail = append(append([]byte{}, r.Data...), r.Tail...), nil
+	return &j
+}
+
+// legacyFrame is the frame the pre-segment writer produced: header word,
+// ID, then the contiguous AppendRequest/AppendResponse encoding.
+func legacyFrame(tb testing.TB, payload []byte, err error, id uint64, hasID bool) []byte {
+	tb.Helper()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	word := uint32(len(payload))
+	if hasID {
+		word |= FrameIDBit
+	}
+	frame := binary.BigEndian.AppendUint32(nil, word)
+	if hasID {
+		frame = binary.BigEndian.AppendUint64(frame, id)
+	}
+	return append(frame, payload...)
+}
+
+// TestGoldenWireFrames: for every kind, the segmented writer puts on the
+// wire exactly the bytes the contiguous encoders produce, whether the
+// payload is whole or split into Data‖Tail and whether it goes out in one
+// Write or in segments — through a plain io.Writer here, through a real
+// socket's writev in TestGoldenWireFramesOverTCP.
+func TestGoldenWireFrames(t *testing.T) {
+	reqs, resps := goldenMessages()
+	var wire bytes.Buffer
+	for _, r := range reqs {
+		payload, err := AppendRequest(nil, joinedRequest(r))
+		for _, hasID := range []bool{false, true} {
+			want := legacyFrame(t, payload, err, 42, hasID)
+			wire.Reset()
+			if hasID {
+				err = WriteRequestID(&wire, r, 42)
+			} else {
+				err = WriteRequest(&wire, r)
+			}
+			if err != nil || !bytes.Equal(wire.Bytes(), want) {
+				t.Fatalf("request %v, %d+%d payload bytes, id=%v: err %v, frame differs from AppendRequest's",
+					r.Kind, len(r.Data), len(r.Tail), hasID, err)
+			}
+			split, err := AppendRequest(nil, r)
+			if err != nil || !bytes.Equal(split, payload) {
+				t.Fatalf("request %v: AppendRequest of Data‖Tail differs from the joined encoding", r.Kind)
+			}
+			got, id, gotID, err := ReadRequestID(&wire)
+			if err != nil || gotID != hasID || (hasID && id != 42) {
+				t.Fatalf("request %v: read back err %v id %d hasID %v", r.Kind, err, id, gotID)
+			}
+			sameRequest(t, got, joinedRequest(r))
+		}
+	}
+	for _, r := range resps {
+		payload, err := AppendResponse(nil, joinedResponse(r))
+		for _, hasID := range []bool{false, true} {
+			want := legacyFrame(t, payload, err, 42, hasID)
+			wire.Reset()
+			if hasID {
+				err = WriteResponseID(&wire, r, 42)
+			} else {
+				err = WriteResponse(&wire, r)
+			}
+			if err != nil || !bytes.Equal(wire.Bytes(), want) {
+				t.Fatalf("response %q, %d+%d payload bytes, id=%v: err %v, frame differs from AppendResponse's",
+					r.Err, len(r.Data), len(r.Tail), hasID, err)
+			}
+			got, _, _, err := ReadResponseID(&wire)
+			if err != nil {
+				t.Fatalf("response %q: read back: %v", r.Err, err)
+			}
+			sameResponse(t, got, joinedResponse(r))
+		}
+	}
+}
+
+// TestGoldenWireFramesOverTCP sends the golden messages through a loopback
+// socket, where a segmented frame is one writev, and checks the byte stream
+// the other end receives against the contiguous encoders'.
+func TestGoldenWireFramesOverTCP(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	received := make(chan []byte, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			received <- nil
+			return
+		}
+		defer conn.Close()
+		all, _ := io.ReadAll(conn)
+		received <- all
+	}()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs, resps := goldenMessages()
+	var want []byte
+	for i, r := range reqs {
+		if len(r.Data)+len(r.Tail) <= readChunk && i%4 != 0 {
+			continue // the single-Write path needs no socket to show its bytes
+		}
+		payload, err := AppendRequest(nil, joinedRequest(r))
+		want = append(want, legacyFrame(t, payload, err, uint64(i), true)...)
+		if err := WriteRequestID(conn, r, uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+		resp := resps[i]
+		payload, err = AppendResponse(nil, joinedResponse(resp))
+		want = append(want, legacyFrame(t, payload, err, uint64(i), true)...)
+		if err := WriteResponseID(conn, resp, uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	conn.Close()
+	if got := <-received; !bytes.Equal(got, want) {
+		t.Fatalf("socket received %d bytes that differ from the %d the contiguous encoders produce", len(got), len(want))
+	}
+}
+
+func sameRequest(tb testing.TB, got, want *Request) {
+	tb.Helper()
+	g, w := *got, *want
+	g.frame, w.frame = nil, nil
+	if len(g.Data) == 0 && len(w.Data) == 0 {
+		g.Data, w.Data = nil, nil
+	}
+	if !reflect.DeepEqual(&g, &w) {
+		tb.Fatalf("request differs:\n got %+v\nwant %+v", summary(g.Data, g), summary(w.Data, w))
+	}
+}
+
+func sameResponse(tb testing.TB, got, want *Response) {
+	tb.Helper()
+	g, w := *got, *want
+	g.frame, w.frame = nil, nil
+	if len(g.Data) == 0 && len(w.Data) == 0 {
+		g.Data, w.Data = nil, nil
+	}
+	if !reflect.DeepEqual(&g, &w) {
+		tb.Fatalf("response differs:\n got %+v\nwant %+v", summary(g.Data, g), summary(w.Data, w))
+	}
+}
+
+// summary keeps a failing comparison's output to a line.
+func summary(data []byte, m any) any {
+	if len(data) <= 64 {
+		return m
+	}
+	return struct {
+		DataLen int
+		DataCRC uint32
+	}{len(data), crc32.Checksum(data, castagnoli)}
+}
+
+// FuzzAliasingDecodeMatchesCopying is the differential check on the
+// ownership change: whatever bytes arrive, the aliasing decoders accept
+// exactly what the copying ones accept and produce the same message field
+// for field, and a frame read off a stream — pooled-and-copied below
+// readChunk, aliased above — decodes to that same message too.
+func FuzzAliasingDecodeMatchesCopying(f *testing.F) {
+	small, _ := AppendRequest(nil, &Request{Kind: KindGet, Flags: FlagTrace, Name: "file", Data: []byte("payload"),
+		TraceID: 5, Path: []Hop{{PID: 8, Action: HopForward, Dur: 100}}})
+	f.Add(small, false)
+	smallResp, _ := AppendResponse(nil, &Response{OK: true, ServedBy: 4, Err: "e", Data: []byte("x")})
+	f.Add(smallResp, true)
+	req, resp := chunkFrames(f, readChunk+100)
+	large, _ := AppendRequest(nil, req)
+	f.Add(large, false)
+	largeResp, _ := AppendResponse(nil, resp)
+	f.Add(largeResp, true)
+	f.Add(bytes.Repeat([]byte{0xFF}, readChunk+9), false)
+	f.Add([]byte{}, true)
+	f.Fuzz(func(t *testing.T, payload []byte, asResponse bool) {
+		if len(payload) > MaxFrame {
+			return
+		}
+		framed := append(binary.BigEndian.AppendUint32(nil, uint32(len(payload))), payload...)
+		pristine := append([]byte{}, payload...)
+		if asResponse {
+			want, wantErr := DecodeResponse(payload)
+			got, gotErr := decodeResponse(payload, true)
+			read, readErr := ReadResponse(bytes.NewReader(framed))
+			if (wantErr == nil) != (gotErr == nil) || (wantErr == nil) != (readErr == nil) {
+				t.Fatalf("acceptance differs: copying %v, aliasing %v, stream %v", wantErr, gotErr, readErr)
+			}
+			if wantErr != nil {
+				return
+			}
+			sameResponse(t, got, want)
+			sameResponse(t, read, want)
+			if fr, err := DecodeFetchResp(got.Data); err == nil {
+				ref, err := DecodeFetchResp(want.Data)
+				if err != nil || !reflect.DeepEqual(fr, ref) {
+					t.Fatalf("nested fetch decode differs over aliased Data: %v", err)
+				}
+			}
+		} else {
+			want, wantErr := DecodeRequest(payload)
+			got, gotErr := decodeRequest(payload, true)
+			read, readErr := ReadRequest(bytes.NewReader(framed))
+			if (wantErr == nil) != (gotErr == nil) || (wantErr == nil) != (readErr == nil) {
+				t.Fatalf("acceptance differs: copying %v, aliasing %v, stream %v", wantErr, gotErr, readErr)
+			}
+			if wantErr != nil {
+				return
+			}
+			sameRequest(t, got, want)
+			sameRequest(t, read, want)
+			if pr, err := DecodePutReq(got.Data); err == nil {
+				ref, err := DecodePutReq(want.Data)
+				if err != nil || !reflect.DeepEqual(pr, ref) {
+					t.Fatalf("nested put decode differs over aliased Data: %v", err)
+				}
+			}
+		}
+		if !bytes.Equal(payload, pristine) {
+			t.Fatal("decoding wrote to its input")
+		}
+	})
+}

@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"strings"
 	"sync"
 	"time"
@@ -414,6 +415,12 @@ type Request struct {
 	Version uint64 // update/store version
 	Name    string
 	Data    []byte
+	// Tail, when set, is sent as the closing bytes of the data field without
+	// being copied into it: the wire carries Data‖Tail under one length
+	// prefix. Chunk senders put the fixed chunk header in Data and point
+	// Tail at the bytes where they already live (AppendPutReqHeader).
+	// Decoders never set it — a received message has everything in Data.
+	Tail []byte
 	// TraceID identifies a traced request (FlagTrace); hops propagate it so
 	// multi-peer logs of one route can be correlated. 0 when untraced.
 	TraceID uint64
@@ -421,6 +428,10 @@ type Request struct {
 	// appends its own record before forwarding, so the request carries its
 	// route history to the serving node.
 	Path []Hop
+
+	// frame is the read buffer Data aliases — set only on requests read off
+	// a frame longer than readChunk (see Release).
+	frame []byte
 }
 
 // Response answers a Request.
@@ -431,10 +442,18 @@ type Response struct {
 	Version  uint64
 	Err      string
 	Data     []byte
+	// Tail is the scatter-write twin of Request.Tail: the wire carries
+	// Data‖Tail under one length prefix (AppendFetchRespHeader), and
+	// decoders never set it.
+	Tail []byte
 	// Path is the completed route of a traced request: the request's
 	// accumulated hops plus the serving node's own record. Intermediate
 	// peers relay it back unchanged.
 	Path []Hop
+
+	// frame is the read buffer Data aliases — set only on responses read
+	// off a frame longer than readChunk (see Release).
+	frame []byte
 }
 
 // Encoding errors.
@@ -448,11 +467,6 @@ var (
 func appendString(b []byte, s string) []byte {
 	b = binary.BigEndian.AppendUint32(b, uint32(len(s)))
 	return append(b, s...)
-}
-
-func appendBytes(b []byte, d []byte) []byte {
-	b = binary.BigEndian.AppendUint32(b, uint32(len(d)))
-	return append(b, d...)
 }
 
 func takeUint32(b []byte) (uint32, []byte, error) {
@@ -481,6 +495,18 @@ func takeString(b []byte, max int) (string, []byte, error) {
 }
 
 func takeBytes(b []byte, max int) ([]byte, []byte, error) {
+	field, b, err := aliasBytes(b, max)
+	if err != nil {
+		return nil, nil, err
+	}
+	out := make([]byte, len(field))
+	copy(out, field)
+	return out, b, nil
+}
+
+// aliasBytes is takeBytes without the copy: the returned field points into
+// b (capacity clipped, so an append cannot scribble over what follows).
+func aliasBytes(b []byte, max int) ([]byte, []byte, error) {
 	n, b, err := takeUint32(b)
 	if err != nil {
 		return nil, nil, err
@@ -488,31 +514,57 @@ func takeBytes(b []byte, max int) ([]byte, []byte, error) {
 	if int(n) > max || int(n) > len(b) {
 		return nil, nil, ErrCorrupt
 	}
-	out := make([]byte, n)
-	copy(out, b[:n])
-	return out, b[n:], nil
+	return b[:n:n], b[n:], nil
 }
 
-// AppendRequest encodes r onto b. The trace section (TraceID + Path)
-// rides at the tail so the fixed 22-byte header layout predates it.
-func AppendRequest(b []byte, r *Request) ([]byte, error) {
-	if len(r.Name) > MaxName || len(r.Data) > MaxData || len(r.Path) > MaxHops {
-		return nil, ErrFrameTooLarge
+// The encoders below are split where the data field's contents sit —
+// check, appendHead (every byte before them, length prefix included) and
+// appendTrailer (every byte after) — so the frame writer can send a large
+// payload from where it lives instead of through an encode buffer.
+
+func (r *Request) check() error {
+	if len(r.Name) > MaxName || len(r.Data)+len(r.Tail) > MaxData || len(r.Path) > MaxHops {
+		return ErrFrameTooLarge
 	}
+	return nil
+}
+
+func (r *Request) appendHead(b []byte) []byte {
 	b = append(b, byte(r.Kind), r.Flags)
 	b = binary.BigEndian.AppendUint32(b, r.Origin)
 	b = binary.BigEndian.AppendUint32(b, r.Hops)
 	b = binary.BigEndian.AppendUint32(b, r.Subtree)
 	b = binary.BigEndian.AppendUint64(b, r.Version)
 	b = appendString(b, r.Name)
-	b = appendBytes(b, r.Data)
-	b = binary.BigEndian.AppendUint64(b, r.TraceID)
-	b = appendHops(b, r.Path)
-	return b, nil
+	return binary.BigEndian.AppendUint32(b, uint32(len(r.Data)+len(r.Tail)))
 }
 
-// DecodeRequest parses a request payload.
-func DecodeRequest(b []byte) (*Request, error) {
+func (r *Request) payload() (data, tail []byte) { return r.Data, r.Tail }
+
+func (r *Request) appendTrailer(b []byte) []byte {
+	b = binary.BigEndian.AppendUint64(b, r.TraceID)
+	return appendHops(b, r.Path)
+}
+
+// AppendRequest encodes r onto b. The trace section (TraceID + Path)
+// rides at the tail so the fixed 22-byte header layout predates it.
+func AppendRequest(b []byte, r *Request) ([]byte, error) {
+	if err := r.check(); err != nil {
+		return nil, err
+	}
+	b = r.appendHead(b)
+	b = append(b, r.Data...)
+	b = append(b, r.Tail...)
+	return r.appendTrailer(b), nil
+}
+
+// DecodeRequest parses a request payload. Every field is copied out of b.
+func DecodeRequest(b []byte) (*Request, error) { return decodeRequest(b, false) }
+
+// decodeRequest parses a request payload; with alias set, Data points into
+// b instead of being copied out of it (the frame readers' large-frame
+// path, where b is a buffer the message then owns).
+func decodeRequest(b []byte, alias bool) (*Request, error) {
 	if len(b) < 2 {
 		return nil, ErrCorrupt
 	}
@@ -534,7 +586,7 @@ func DecodeRequest(b []byte) (*Request, error) {
 	if r.Name, b, err = takeString(b, MaxName); err != nil {
 		return nil, err
 	}
-	if r.Data, b, err = takeBytes(b, MaxData); err != nil {
+	if r.Data, b, err = takeData(b, alias); err != nil {
 		return nil, err
 	}
 	if r.TraceID, b, err = takeUint64(b); err != nil {
@@ -549,11 +601,22 @@ func DecodeRequest(b []byte) (*Request, error) {
 	return r, nil
 }
 
-// AppendResponse encodes resp onto b.
-func AppendResponse(b []byte, resp *Response) ([]byte, error) {
-	if len(resp.Err) > MaxName || len(resp.Data) > MaxData || len(resp.Path) > MaxHops {
-		return nil, ErrFrameTooLarge
+// takeData takes a message's data field, aliased or copied.
+func takeData(b []byte, alias bool) ([]byte, []byte, error) {
+	if alias {
+		return aliasBytes(b, MaxData)
 	}
+	return takeBytes(b, MaxData)
+}
+
+func (resp *Response) check() error {
+	if len(resp.Err) > MaxName || len(resp.Data)+len(resp.Tail) > MaxData || len(resp.Path) > MaxHops {
+		return ErrFrameTooLarge
+	}
+	return nil
+}
+
+func (resp *Response) appendHead(b []byte) []byte {
 	ok := byte(0)
 	if resp.OK {
 		ok = 1
@@ -563,13 +626,29 @@ func AppendResponse(b []byte, resp *Response) ([]byte, error) {
 	b = binary.BigEndian.AppendUint32(b, resp.Hops)
 	b = binary.BigEndian.AppendUint64(b, resp.Version)
 	b = appendString(b, resp.Err)
-	b = appendBytes(b, resp.Data)
-	b = appendHops(b, resp.Path)
-	return b, nil
+	return binary.BigEndian.AppendUint32(b, uint32(len(resp.Data)+len(resp.Tail)))
 }
 
-// DecodeResponse parses a response payload.
-func DecodeResponse(b []byte) (*Response, error) {
+func (resp *Response) payload() (data, tail []byte) { return resp.Data, resp.Tail }
+
+func (resp *Response) appendTrailer(b []byte) []byte { return appendHops(b, resp.Path) }
+
+// AppendResponse encodes resp onto b.
+func AppendResponse(b []byte, resp *Response) ([]byte, error) {
+	if err := resp.check(); err != nil {
+		return nil, err
+	}
+	b = resp.appendHead(b)
+	b = append(b, resp.Data...)
+	b = append(b, resp.Tail...)
+	return resp.appendTrailer(b), nil
+}
+
+// DecodeResponse parses a response payload. Every field is copied out of b.
+func DecodeResponse(b []byte) (*Response, error) { return decodeResponse(b, false) }
+
+// decodeResponse is decodeRequest's twin.
+func decodeResponse(b []byte, alias bool) (*Response, error) {
 	if len(b) < 1 {
 		return nil, ErrCorrupt
 	}
@@ -588,7 +667,7 @@ func DecodeResponse(b []byte) (*Response, error) {
 	if resp.Err, b, err = takeString(b, MaxName); err != nil {
 		return nil, err
 	}
-	if resp.Data, b, err = takeBytes(b, MaxData); err != nil {
+	if resp.Data, b, err = takeData(b, alias); err != nil {
 		return nil, err
 	}
 	if resp.Path, b, err = takeHops(b); err != nil {
@@ -628,24 +707,26 @@ func WriteFrame(w io.Writer, payload []byte) error {
 	return err
 }
 
-// readChunk bounds how much a frame read allocates ahead of the bytes
-// that actually arrive. A frame's declared length is attacker-controlled:
-// a malicious or corrupt peer can claim MaxFrame (16 MiB) and send
-// nothing, so allocating the declared size up front would let cheap lies
-// pin real memory. Pooled read buffers carry readChunk capacity, so every
-// frame up to 64 KiB is a single io.ReadFull with no allocation; larger
-// frames grow chunk-by-chunk as payload bytes arrive, capping the damage
-// of a lying prefix at one chunk.
+// readChunk splits the frame codec in two. A frame of at most readChunk
+// bytes is read into a pooled buffer of that capacity with one
+// io.ReadFull, every field is copied out, and the buffer goes straight
+// back to the pool; its payload, when small enough, is likewise copied
+// into a pooled buffer to be written. A longer frame gets a buffer of its
+// own that the decoded message keeps (readLargeFrame), and its payload is
+// written from where it lives (writeFramed). The split is also what bounds
+// a lying length prefix: a frame's declared length is attacker-controlled
+// — a malicious or corrupt peer can claim MaxFrame (16 MiB) and send
+// nothing — so nothing is ever allocated for bytes that have not arrived.
 const readChunk = 64 << 10
 
-// maxPooledBuf bounds the codec buffers kept in the pool, so one oversize
-// frame does not pin megabytes behind the pool forever.
-const maxPooledBuf = 1 << 20
-
-// bufPool recycles encode and decode buffers across exchanges — the frame
-// codec's per-request allocations were the hottest constant cost on the
-// wire path. Buffers are returned only by this package: the decode paths
-// copy every field out of the raw frame, so pooled memory never escapes.
+// bufPool recycles the codec's small buffers across exchanges: encode
+// buffers (a whole small frame, or the head and trailer around a large
+// payload), read buffers of frames up to readChunk, and the staging pieces
+// of readLargeFrame — none of which outgrows readChunk plus a frame's head
+// and trailer, so the pool needs no size cap. Buffers are returned only by
+// this package, and no decoded field points into one: the small-frame
+// decode copies every field out, and a large frame's aliased Data lives in
+// a buffer of its own.
 var bufPool = sync.Pool{
 	New: func() any {
 		b := make([]byte, 0, readChunk)
@@ -656,9 +737,6 @@ var bufPool = sync.Pool{
 func getBuf() *[]byte { return bufPool.Get().(*[]byte) }
 
 func putBuf(b *[]byte) {
-	if cap(*b) > maxPooledBuf {
-		return
-	}
 	*b = (*b)[:0]
 	bufPool.Put(b)
 }
@@ -686,49 +764,44 @@ func readFrameHeader(r io.Reader) (n int, id uint64, hasID bool, err error) {
 	return n, id, hasID, nil
 }
 
-// readFrameInto reads n payload bytes into buf, reusing its capacity. A
-// frame within cap(buf) is one io.ReadFull; a larger one grows chunk by
-// chunk so a lying length prefix cannot force a frame-sized allocation.
-func readFrameInto(r io.Reader, buf []byte, n int) ([]byte, error) {
-	if n <= cap(buf) {
-		buf = buf[:n]
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, err
-		}
-		return buf, nil
-	}
-	buf = buf[:0]
-	for len(buf) < n {
-		chunk := n - len(buf)
-		if chunk > readChunk {
-			chunk = readChunk
-		}
-		start := len(buf)
-		buf = append(buf, make([]byte, chunk)...)
-		if _, err := io.ReadFull(r, buf[start:]); err != nil {
-			return nil, err
-		}
-	}
-	return buf, nil
-}
-
 // ReadFrame reads one length-prefixed payload, legacy or pipelined (a
 // pipelined frame's request ID is discarded; use ReadRequestID /
-// ReadResponseID to keep it). The returned slice is freshly allocated and
-// owned by the caller.
+// ReadResponseID to keep it). The returned slice is owned by the caller.
 func ReadFrame(r io.Reader) ([]byte, error) {
 	n, _, _, err := readFrameHeader(r)
 	if err != nil {
 		return nil, err
 	}
-	return readFrameInto(r, nil, n)
+	if n > readChunk {
+		return readLargeFrame(r, n)
+	}
+	buf := make([]byte, n)
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return nil, err
+	}
+	return buf, nil
 }
 
-// writeFramed encodes the header (ID'd when hasID), appends the payload
-// via encode, and writes the whole frame with a single Write — one
-// syscall, and no interleaving risk for concurrent writers that already
-// serialize on a higher-level lock.
-func writeFramed(w io.Writer, id uint64, hasID bool, encode func([]byte) ([]byte, error)) error {
+// wireMsg is what the frame writer needs of a Request or Response.
+type wireMsg interface {
+	check() error
+	appendHead(b []byte) []byte
+	payload() (data, tail []byte)
+	appendTrailer(b []byte) []byte
+}
+
+// writeFramed encodes the header (ID'd when hasID) and m into a pooled
+// buffer. A payload of at most readChunk bytes is copied in with the rest
+// and the whole frame goes out in a single Write — one syscall, and no
+// interleaving risk for concurrent writers that already serialize on a
+// higher-level lock. A larger payload stays where it is: the frame goes
+// out as head, Data, Tail and trailer segments — one writev when w is a
+// socket (net.Buffers), consecutive Writes otherwise, which a bufio.Writer
+// passes through without buffering the large ones. Same bytes either way.
+func writeFramed(w io.Writer, id uint64, hasID bool, m wireMsg) error {
+	if err := m.check(); err != nil {
+		return err
+	}
 	bp := getBuf()
 	defer putBuf(bp)
 	hdrLen := 4
@@ -736,35 +809,48 @@ func writeFramed(w io.Writer, id uint64, hasID bool, encode func([]byte) ([]byte
 		hdrLen += frameIDWire
 	}
 	buf := append((*bp)[:0], make([]byte, hdrLen)...)
-	buf, err := encode(buf)
-	if err != nil {
-		return err
+	buf = m.appendHead(buf)
+	data, tail := m.payload()
+	vectored := len(data)+len(tail) > readChunk
+	if !vectored {
+		buf = append(append(buf, data...), tail...)
 	}
-	payload := len(buf) - hdrLen
-	if payload > MaxFrame {
+	split := len(buf)
+	buf = m.appendTrailer(buf)
+	*bp = buf
+	n := len(buf) - hdrLen
+	if vectored {
+		n += len(data) + len(tail)
+	}
+	if n > MaxFrame {
 		return ErrFrameTooLarge
 	}
-	word := uint32(payload)
+	word := uint32(n)
 	if hasID {
 		word |= FrameIDBit
 		binary.BigEndian.PutUint64(buf[4:], id)
 	}
 	binary.BigEndian.PutUint32(buf[:4], word)
-	_, err = w.Write(buf)
-	*bp = buf
+	if !vectored {
+		_, err := w.Write(buf)
+		return err
+	}
+	segs := make(net.Buffers, 0, 4)
+	for _, s := range [...][]byte{buf[:split], data, tail, buf[split:]} {
+		if len(s) > 0 {
+			segs = append(segs, s)
+		}
+	}
+	_, err := segs.WriteTo(w)
 	return err
 }
 
 // WriteRequest frames and writes one request in the legacy framing.
-func WriteRequest(w io.Writer, r *Request) error {
-	return writeFramed(w, 0, false, func(b []byte) ([]byte, error) { return AppendRequest(b, r) })
-}
+func WriteRequest(w io.Writer, r *Request) error { return writeFramed(w, 0, false, r) }
 
 // WriteRequestID frames and writes one request in the pipelined framing,
 // carrying id for out-of-order response correlation.
-func WriteRequestID(w io.Writer, r *Request, id uint64) error {
-	return writeFramed(w, id, true, func(b []byte) ([]byte, error) { return AppendRequest(b, r) })
-}
+func WriteRequestID(w io.Writer, r *Request, id uint64) error { return writeFramed(w, id, true, r) }
 
 // ReadRequest reads and decodes one request, legacy or pipelined (the
 // request ID of a pipelined frame is discarded).
@@ -775,19 +861,32 @@ func ReadRequest(r io.Reader) (*Request, error) {
 
 // ReadRequestID reads and decodes one request and reports the request ID
 // of a pipelined frame (hasID false means a legacy frame: the sender
-// expects responses in request order).
+// expects responses in request order). The Data of a request read off a
+// frame longer than readChunk aliases the frame's buffer; see Release.
 func ReadRequestID(r io.Reader) (*Request, uint64, bool, error) {
 	n, id, hasID, err := readFrameHeader(r)
 	if err != nil {
 		return nil, 0, false, err
 	}
+	if n > readChunk {
+		buf, err := readLargeFrame(r, n)
+		if err != nil {
+			return nil, 0, false, err
+		}
+		req, err := decodeRequest(buf, true)
+		if err != nil {
+			frames.put(buf)
+			return nil, 0, false, err
+		}
+		req.frame = buf
+		return req, id, hasID, nil
+	}
 	bp := getBuf()
 	defer putBuf(bp)
-	buf, err := readFrameInto(r, *bp, n)
-	if err != nil {
+	buf := (*bp)[:n]
+	if _, err := io.ReadFull(r, buf); err != nil {
 		return nil, 0, false, err
 	}
-	*bp = buf[:0]
 	req, err := DecodeRequest(buf)
 	if err != nil {
 		return nil, 0, false, err
@@ -796,14 +895,12 @@ func ReadRequestID(r io.Reader) (*Request, uint64, bool, error) {
 }
 
 // WriteResponse frames and writes one response in the legacy framing.
-func WriteResponse(w io.Writer, resp *Response) error {
-	return writeFramed(w, 0, false, func(b []byte) ([]byte, error) { return AppendResponse(b, resp) })
-}
+func WriteResponse(w io.Writer, resp *Response) error { return writeFramed(w, 0, false, resp) }
 
 // WriteResponseID frames and writes one response in the pipelined
 // framing, echoing the request's id.
 func WriteResponseID(w io.Writer, resp *Response, id uint64) error {
-	return writeFramed(w, id, true, func(b []byte) ([]byte, error) { return AppendResponse(b, resp) })
+	return writeFramed(w, id, true, resp)
 }
 
 // ReadResponse reads and decodes one response, legacy or pipelined (the
@@ -814,19 +911,32 @@ func ReadResponse(r io.Reader) (*Response, error) {
 }
 
 // ReadResponseID reads and decodes one response and reports the echoed
-// request ID of a pipelined frame.
+// request ID of a pipelined frame. The Data of a response read off a frame
+// longer than readChunk aliases the frame's buffer; see Release.
 func ReadResponseID(r io.Reader) (*Response, uint64, bool, error) {
 	n, id, hasID, err := readFrameHeader(r)
 	if err != nil {
 		return nil, 0, false, err
 	}
+	if n > readChunk {
+		buf, err := readLargeFrame(r, n)
+		if err != nil {
+			return nil, 0, false, err
+		}
+		resp, err := decodeResponse(buf, true)
+		if err != nil {
+			frames.put(buf)
+			return nil, 0, false, err
+		}
+		resp.frame = buf
+		return resp, id, hasID, nil
+	}
 	bp := getBuf()
 	defer putBuf(bp)
-	buf, err := readFrameInto(r, *bp, n)
-	if err != nil {
+	buf := (*bp)[:n]
+	if _, err := io.ReadFull(r, buf); err != nil {
 		return nil, 0, false, err
 	}
-	*bp = buf[:0]
 	resp, err := DecodeResponse(buf)
 	if err != nil {
 		return nil, 0, false, err

@@ -72,8 +72,12 @@ func putReqSane(r *PutReq) bool {
 	}
 }
 
-// AppendPutReq encodes a KindPut request payload onto b.
-func AppendPutReq(b []byte, r *PutReq) ([]byte, error) {
+// AppendPutReqHeader encodes the fixed part of a KindPut request payload
+// onto b — everything before the chunk's bytes, its length prefix included.
+// A sender puts it in Request.Data and points Request.Tail at r.Chunk where
+// the bytes already live (a range of the payload being uploaded), so the
+// chunk reaches the socket without an intermediate copy.
+func AppendPutReqHeader(b []byte, r *PutReq) ([]byte, error) {
 	if !putReqSane(r) {
 		return nil, ErrFrameTooLarge
 	}
@@ -83,11 +87,21 @@ func AppendPutReq(b []byte, r *PutReq) ([]byte, error) {
 	b = binary.BigEndian.AppendUint64(b, r.TotalSize)
 	b = binary.BigEndian.AppendUint32(b, r.FileCRC)
 	b = binary.BigEndian.AppendUint32(b, r.ChunkCRC)
-	b = appendBytes(b, r.Chunk)
-	return b, nil
+	return binary.BigEndian.AppendUint32(b, uint32(len(r.Chunk))), nil
 }
 
-// DecodePutReq parses a KindPut request payload.
+// AppendPutReq encodes a whole KindPut request payload onto b:
+// AppendPutReqHeader, then the chunk.
+func AppendPutReq(b []byte, r *PutReq) ([]byte, error) {
+	b, err := AppendPutReqHeader(b, r)
+	if err != nil {
+		return nil, err
+	}
+	return append(b, r.Chunk...), nil
+}
+
+// DecodePutReq parses a KindPut request payload. Chunk points into b — the
+// Request.Data it was decoded from — and lives exactly as long.
 func DecodePutReq(b []byte) (*PutReq, error) {
 	if len(b) < 1 {
 		return nil, ErrCorrupt
@@ -110,7 +124,7 @@ func DecodePutReq(b []byte) (*PutReq, error) {
 	if r.ChunkCRC, b, err = takeUint32(b); err != nil {
 		return nil, err
 	}
-	if r.Chunk, b, err = takeBytes(b, MaxPutChunkBytes); err != nil {
+	if r.Chunk, b, err = aliasBytes(b, MaxPutChunkBytes); err != nil {
 		return nil, err
 	}
 	if len(b) != 0 || !putReqSane(r) {

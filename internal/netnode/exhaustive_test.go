@@ -86,6 +86,7 @@ var peerFamilyJSON = map[string]string{
 	"lesslog_repair_total":                "repaired",
 	"lesslog_repair_probes_total":         "repair_probes",
 	"lesslog_digest_bytes_total":          "digest_bytes",
+	"lesslog_wal_persist_errors_total":    "persist_errors",
 	"lesslog_traces_total":                "trace_recorded",
 	"lesslog_transport_events_total":      "transport",
 	"lesslog_live_peers":                  "live_peers",

@@ -40,8 +40,8 @@ const ErrWrongVersion = msg.WrongVersionError
 // propagation: it peeks even at offset 0 (replication is not popularity),
 // and on a store miss or pin mismatch it may be served from the write
 // outbox — the origin of a pull-based broadcast keeps the new version
-// there until the tree has had time to pull, even if its own store copy
-// is superseded again meanwhile.
+// there until the broadcast returns, even if its own store copy is
+// superseded again meanwhile.
 func (p *Peer) handleFetch(req *msg.Request) *msg.Response {
 	fr, err := msg.DecodeFetchReq(req.Data)
 	if err != nil {
@@ -90,13 +90,20 @@ func (p *Peer) handleFetch(req *msg.Request) *msg.Response {
 		ChunkCRC:  crc32.Checksum(chunk, castagnoli),
 		Chunk:     chunk,
 	}
-	if fr.Offset == 0 {
+	switch {
+	case fr.Offset != 0:
 		// The whole-file CRC is O(total); computing it per chunk would make
 		// an N-chunk transfer O(N·total). Only the head chunk carries it,
 		// and the client always requests the head first to pin the shape.
+	case end == total:
+		fresp.FileCRC = fresp.ChunkCRC // one chunk is the whole file: one pass
+	default:
 		fresp.FileCRC = crc32.Checksum(f.Data, castagnoli)
 	}
-	data, err := msg.AppendFetchResp(nil, fresp)
+	// Only the fixed header is encoded; the chunk rides as the response's
+	// Tail, a sub-slice of the stored body (stored bodies are replaced,
+	// never rewritten in place), so it reaches the socket without a copy.
+	hdr, err := msg.AppendFetchRespHeader(nil, fresp)
 	if err != nil {
 		return &msg.Response{Err: fmt.Sprintf("netnode: fetch encode: %v", err)}
 	}
@@ -104,7 +111,7 @@ func (p *Peer) handleFetch(req *msg.Request) *msg.Response {
 	p.stats.ChunkBytes.Add(uint64(len(chunk)))
 	p.stats.DirectServed.Add(1)
 	return &msg.Response{OK: true, ServedBy: uint32(p.cfg.PID), Hops: req.Hops,
-		Version: f.Version, Data: data}
+		Version: f.Version, Data: hdr, Tail: chunk}
 }
 
 // handleLocateSet resolves a name to its replica set: the same lookup-tree

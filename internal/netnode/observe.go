@@ -157,6 +157,12 @@ type StatSnapshot struct {
 	Tombstones   int     `json:"tombstones"`
 	RepairTTFRMS float64 `json:"repair_ttfr_ms"`
 
+	// PersistErrors counts store mutations the durable log did not take —
+	// applied in memory, lost on restart (docs/STORAGE.md: every body over
+	// the 16 MiB record cap, and everything after a write failure). Always
+	// 0 on a peer without a data directory.
+	PersistErrors uint64 `json:"persist_errors"`
+
 	// Trace plane (docs/OBSERVABILITY.md): entry requests and repair
 	// rounds recorded into the trace ring, and how many of those were
 	// retained as notable (slow or errored).
@@ -273,6 +279,9 @@ func (p *Peer) statSnapshot(withInventory bool) StatSnapshot {
 		s.HandlerLatencyMS[msg.Kind(i).String()] = distStat(snap, nsToMS)
 		s.HandlerLatencyHist[msg.Kind(i).String()] = snap
 	}
+	if p.eng != nil {
+		s.PersistErrors = p.eng.Stats().PersistErrors.Load()
+	}
 	records := p.store.Records()
 	s.HotNames = hotNames(records, hotNamesTopK)
 	if withInventory {
@@ -366,6 +375,8 @@ func (p *Peer) WritePrometheus(w io.Writer) {
 		metrics.LabeledValue{Labels: self, Value: float64(s.RepairProbes)})
 	metrics.PrometheusFamily(w, "lesslog_digest_bytes_total", "counter",
 		metrics.LabeledValue{Labels: self, Value: float64(s.DigestBytes)})
+	metrics.PrometheusFamily(w, "lesslog_wal_persist_errors_total", "counter",
+		metrics.LabeledValue{Labels: self, Value: float64(s.PersistErrors)})
 	metrics.PrometheusFamily(w, "lesslog_traces_total", "counter",
 		metrics.LabeledValue{Labels: mergePromLabels(self, `class="recorded"`), Value: float64(s.TraceRecorded)},
 		metrics.LabeledValue{Labels: mergePromLabels(self, `class="noted"`), Value: float64(s.TraceNoted)})

@@ -1,0 +1,368 @@
+package netnode
+
+// Tests for the buffer-ownership rules of the chunk plane (docs/PIPELINE.md
+// "Buffer ownership"): what a chunked transfer may allocate, that frames
+// from the contiguous encoders and the segmented writer interoperate in
+// both directions, that the outbox lets go of a body when its broadcast
+// returns, and that one chunk covering the whole file is checksummed once.
+// The sha256/no-splice end-to-end tests in write_test.go and chunk_test.go
+// run with release-poisoning on under -race, which is what makes an early
+// Release anywhere on those paths fail loudly.
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"hash/crc32"
+	"net"
+	"runtime"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"lesslog/internal/bitops"
+	"lesslog/internal/hashring"
+	"lesslog/internal/msg"
+	"lesslog/internal/stream"
+	"lesslog/internal/transport"
+)
+
+// TestChunkPlaneAllocBudget is the end-to-end copy budget: a multi-chunk
+// striped fetch allocates its reassembly buffer and an over-frame staged
+// update its staging buffer plus the other holder's pull — the destination
+// buffers — and nothing per chunk, because both chunk consumers release
+// the frame they copied out of. A missed Release, or a reintroduced encode
+// or decode copy, adds the payload's size again and fails this.
+func TestChunkPlaneAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const size = 24 << 20 // over one frame: only the chunk plane carries it
+	peers := startSystem(t, 3, 1, allPIDs(8), hashring.Fixed(2))
+	data := chunkPayload(size, 90)
+	if err := NewClient(peers[5].Addr()).Insert("own/bulk", data); err != nil {
+		t.Fatal(err)
+	}
+	tr := transport.New(transport.Config{}, nil)
+	t.Cleanup(func() { tr.Close() })
+	cl := NewLocateClientWith(peers[5].Addr(), tr, LocateOptions{})
+
+	perOp := func(runs int, op func()) float64 {
+		op() // warm the connections, the hint and the free list
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			op()
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+	}
+	get := perOp(3, func() {
+		res, err := cl.Get("own/bulk")
+		if err != nil || len(res.Data) != size {
+			t.Fatalf("get: %d bytes, %v", len(res.Data), err)
+		}
+	})
+	t.Logf("get %.1f MiB, size %d MiB", get/(1<<20), size>>20)
+	if limit := 1.25 * size; get > limit {
+		t.Errorf("striped get of %d MiB allocated %.1f MiB, want the reassembly buffer alone (≤ %.1f MiB)",
+			size>>20, get/(1<<20), limit/(1<<20))
+	}
+	update := perOp(3, func() {
+		if _, err := cl.Update("own/bulk", data); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// Two holders (B=1): the entry holder stages the body, the other pulls it.
+	t.Logf("update %.1f MiB", update/(1<<20))
+	if limit := 2.25 * size; update > limit {
+		t.Errorf("staged update of %d MiB allocated %.1f MiB, want staging + one pull (≤ %.1f MiB)",
+			size>>20, update/(1<<20), limit/(1<<20))
+	}
+}
+
+// rawConn speaks the protocol the way a build from before the segmented
+// writer did: every frame encoded contiguously by AppendRequest and written
+// with WriteFrame (legacy un-ID framing), every response read whole with
+// ReadFrame and decoded by the copying DecodeResponse.
+type rawConn struct {
+	t    *testing.T
+	conn net.Conn
+}
+
+func dialRaw(t *testing.T, addr string) *rawConn {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	return &rawConn{t: t, conn: conn}
+}
+
+func (c *rawConn) call(req *msg.Request) *msg.Response {
+	c.t.Helper()
+	frame, err := msg.AppendRequest(nil, req)
+	if err != nil {
+		c.t.Fatal(err)
+	}
+	if err := msg.WriteFrame(c.conn, frame); err != nil {
+		c.t.Fatal(err)
+	}
+	raw, err := msg.ReadFrame(c.conn)
+	if err != nil {
+		c.t.Fatal(err)
+	}
+	resp, err := msg.DecodeResponse(raw)
+	if err != nil {
+		c.t.Fatal(err)
+	}
+	return resp
+}
+
+// put uploads data as a staged chunked put, contiguous frames only.
+func (c *rawConn) put(name string, data []byte, op msg.PutOp) *msg.Response {
+	c.t.Helper()
+	const chunk = 1 << 20
+	fileCRC := crc32.Checksum(data, castagnoli)
+	var token uint64
+	for off := 0; off < len(data); off += chunk {
+		part := data[off:min(off+chunk, len(data))]
+		body, err := msg.AppendPutReq(nil, &msg.PutReq{
+			Op: msg.PutData, Token: token, Offset: uint64(off), TotalSize: uint64(len(data)),
+			FileCRC: fileCRC, ChunkCRC: crc32.Checksum(part, castagnoli), Chunk: part,
+		})
+		if err != nil {
+			c.t.Fatal(err)
+		}
+		resp := c.call(&msg.Request{Kind: msg.KindPut, Name: name, Data: body})
+		if !resp.OK {
+			c.t.Fatalf("put chunk at %d: %s", off, resp.Err)
+		}
+		token = resp.Version
+	}
+	body, err := msg.AppendPutReq(nil, &msg.PutReq{Op: op, Token: token, TotalSize: uint64(len(data)), FileCRC: fileCRC})
+	if err != nil {
+		c.t.Fatal(err)
+	}
+	return c.call(&msg.Request{Kind: msg.KindPut, Name: name, Data: body})
+}
+
+// get reads name back chunk by chunk, copying decode only.
+func (c *rawConn) get(name string) []byte {
+	c.t.Helper()
+	var out []byte
+	for total := uint64(1); uint64(len(out)) < total; {
+		rng, err := msg.AppendFetchReq(nil, msg.FetchReq{Offset: uint64(len(out)), Length: 1 << 20})
+		if err != nil {
+			c.t.Fatal(err)
+		}
+		resp := c.call(&msg.Request{Kind: msg.KindFetch, Name: name, Data: rng})
+		if !resp.OK {
+			c.t.Fatalf("fetch at %d: %s", len(out), resp.Err)
+		}
+		fr, err := msg.DecodeFetchResp(resp.Data)
+		if err != nil || crc32.Checksum(fr.Chunk, castagnoli) != fr.ChunkCRC {
+			c.t.Fatalf("fetch at %d: decode %v or chunk CRC mismatch", len(out), err)
+		}
+		total = fr.TotalSize
+		out = append(out, fr.Chunk...)
+	}
+	return out
+}
+
+// TestContiguousAndSegmentedFramesInterop moves a 32 MiB body both ways
+// across the encoder change: written by contiguous frames and read through
+// the segmented writer + aliasing reader (a striped get), then written by
+// the segmented Uploader and read back by the contiguous/copying side. The
+// wire format did not change, so every combination must be sha256-identical.
+func TestContiguousAndSegmentedFramesInterop(t *testing.T) {
+	if testing.Short() {
+		t.Skip("moves 32 MiB bodies through the fabric four times")
+	}
+	peers := startSystem(t, 3, 1, allPIDs(8), hashring.Fixed(2))
+	var holder *Peer
+	old := dialRaw(t, peers[6].Addr())
+
+	v1 := chunkPayload(32<<20, 91)
+	if resp := old.put("own/interop", v1, msg.PutInsert); !resp.OK {
+		t.Fatalf("contiguous chunked insert: %s", resp.Err)
+	}
+	holders := 0
+	for _, p := range peers {
+		if f, ok := p.store.Peek("own/interop"); ok {
+			holders++
+			holder = p
+			if sha256.Sum256(f.Data) != sha256.Sum256(v1) {
+				t.Fatalf("copy at P(%d) differs from what the contiguous frames carried", p.PID())
+			}
+		}
+	}
+	if holders != 2 {
+		t.Fatalf("%d holders, want one per subtree", holders)
+	}
+	cl := NewLocateClient(peers[1].Addr())
+	res, err := cl.Get("own/interop")
+	if err != nil || sha256.Sum256(res.Data) != sha256.Sum256(v1) {
+		t.Fatalf("striped get of the contiguous insert: %d bytes, %v", len(res.Data), err)
+	}
+	if got := cl.LocateStats().ChunkedGets.Load(); got != 1 {
+		t.Fatalf("chunked gets = %d, want 1", got)
+	}
+
+	v2 := chunkPayload(32<<20, 92)
+	if _, err := cl.Update("own/interop", v2); err != nil {
+		t.Fatal(err)
+	}
+	if got := dialRaw(t, holder.Addr()).get("own/interop"); sha256.Sum256(got) != sha256.Sum256(v2) {
+		t.Fatalf("contiguous readback of the segmented update: %d bytes differ", len(got))
+	}
+}
+
+// TestOutboxEmptyAfterBroadcast: the origin of a pull-propagated update
+// parks the body only while its broadcast runs. A non-holder origin serves
+// every chunk of a deliberately slow multi-chunk pull from the outbox —
+// present for as long as any leg is pulling — and holds nothing once the
+// update has returned.
+func TestOutboxEmptyAfterBroadcast(t *testing.T) {
+	const origin, holderPID = bitops.PID(3), bitops.PID(4)
+	peers := map[bitops.PID]*Peer{}
+	addrs := map[bitops.PID]string{}
+	for _, pid := range allPIDs(16) {
+		cfg := Config{PID: pid, M: 4, B: 0, Hasher: hashring.Fixed(4)}
+		if pid == origin {
+			cfg.ServeDelay = 20 * time.Millisecond // every chunk it serves is slow
+		}
+		p, err := Listen(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { p.Close() })
+		peers[pid], addrs[pid] = p, p.Addr()
+	}
+	for _, p := range peers {
+		p.SetAddrs(addrs)
+	}
+	if err := NewClient(peers[2].Addr()).Insert("own/box", []byte("v1")); err != nil {
+		t.Fatal(err)
+	}
+	if !peers[holderPID].store.Has("own/box") || peers[origin].store.Has("own/box") {
+		t.Fatal("setup: want P(4) holding and P(3) not")
+	}
+
+	parked := func() uint64 {
+		ob := &peers[origin].outbox
+		ob.mu.Lock()
+		defer ob.mu.Unlock()
+		if ob.bytes == 0 && len(ob.entries) != 0 {
+			t.Error("outbox byte count and entries disagree")
+		}
+		return ob.bytes
+	}
+	var sawParked atomic.Bool
+	done := make(chan struct{})
+	go func() {
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if parked() > 0 {
+				sawParked.Store(true)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}()
+
+	v2 := chunkPayload(3<<20+17, 93) // four chunks: a head and three ranges
+	n, err := NewClient(peers[origin].Addr()).Update("own/box", v2)
+	close(done)
+	if err != nil || n != 1 {
+		t.Fatalf("update: %d copies, %v", n, err)
+	}
+	if f, _ := peers[holderPID].store.Peek("own/box"); !bytes.Equal(f.Data, v2) {
+		t.Fatalf("holder has %d bytes, not the update: a slow pull was cut off", len(f.Data))
+	}
+	if served := peers[origin].Stats().ChunksServed.Load(); served != 4 {
+		t.Fatalf("origin served %d chunks from its outbox, want 4", served)
+	}
+	if !sawParked.Load() {
+		t.Error("the body was never seen parked while the broadcast ran")
+	}
+	if left := parked(); left != 0 {
+		t.Fatalf("outbox still parks %d bytes after the broadcast returned", left)
+	}
+}
+
+// TestOutboxRemoveIsVersionExact: removing a finished broadcast's entry
+// never takes a newer write's, and a fetch already holding the body keeps
+// it.
+func TestOutboxRemoveIsVersionExact(t *testing.T) {
+	var ob outbox
+	v5 := []byte("version five")
+	ob.put("n", 5, 0, v5)
+	held, _, ok := ob.get("n", 5)
+	if !ok {
+		t.Fatal("parked body not found")
+	}
+	ob.put("n", 6, 0, []byte("version six"))
+	ob.remove("n", 5) // the version-5 broadcast returns late
+	if _, ver, ok := ob.get("n", 0); !ok || ver != 6 {
+		t.Fatalf("the newer write's entry was removed (ok=%v ver=%d)", ok, ver)
+	}
+	ob.remove("n", 6)
+	if _, _, ok := ob.get("n", 0); ok || ob.bytes != 0 || len(ob.entries) != 0 {
+		t.Fatalf("entry survived its own removal (%d bytes)", ob.bytes)
+	}
+	if !bytes.Equal(held, v5) {
+		t.Fatal("a body already handed to a fetch changed under it")
+	}
+}
+
+// TestFetchWholeFileHeadChecksummedOnce: when the head chunk is the whole
+// file, its file CRC is the chunk CRC (one pass over the body, not two),
+// and a one-chunk fetch verifies end to end on that single checksum.
+func TestFetchWholeFileHeadChecksummedOnce(t *testing.T) {
+	peers := startSystem(t, 3, 0, allPIDs(4), hashring.Fixed(2))
+	data := chunkPayload(100_000, 94)
+	peers[2].SeedLocal("own/one", data, 3)
+	rng, _ := msg.AppendFetchReq(nil, msg.FetchReq{Length: stream.DefaultChunkSize})
+	resp, err := Call(peers[2].Addr(), &msg.Request{Kind: msg.KindFetch, Name: "own/one", Data: rng})
+	if err != nil || !resp.OK {
+		t.Fatalf("fetch: %+v, %v", resp, err)
+	}
+	fr, err := msg.DecodeFetchResp(resp.Data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := crc32.Checksum(data, castagnoli); fr.ChunkCRC != want || fr.FileCRC != want || !bytes.Equal(fr.Chunk, data) {
+		t.Fatalf("whole-file head: chunk CRC %#x, file CRC %#x, want both %#x", fr.ChunkCRC, fr.FileCRC, want)
+	}
+	res, err := NewLocateClient(peers[0].Addr()).Get("own/one")
+	if err != nil || !bytes.Equal(res.Data, data) {
+		t.Fatalf("one-chunk get: %d bytes, %v", len(res.Data), err)
+	}
+}
+
+// TestPersistErrorsSurfaced: a body over the log's record cap is stored in
+// memory but not logged, and the peer says so in its stat snapshot and on
+// /metrics instead of dropping the error on the floor.
+func TestPersistErrorsSurfaced(t *testing.T) {
+	peers := startDurableSystem(t, 2, 0, 4, hashring.Fixed(0), t.TempDir())
+	p := peers[0]
+	if got := p.StatSnapshot().PersistErrors; got != 0 {
+		t.Fatalf("persist_errors = %d before any write", got)
+	}
+	p.SeedLocal("own/overcap", make([]byte, msg.MaxData+1), 1)
+	if !p.store.Has("own/overcap") {
+		t.Fatal("over-cap body not stored in memory")
+	}
+	if got := p.StatSnapshot().PersistErrors; got != 1 {
+		t.Fatalf("persist_errors = %d after one over-cap put, want 1", got)
+	}
+	var prom bytes.Buffer
+	p.WritePrometheus(&prom)
+	if !bytes.Contains(prom.Bytes(), []byte("lesslog_wal_persist_errors_total{pid=\"0\"} 1")) {
+		t.Fatal("/metrics does not carry lesslog_wal_persist_errors_total 1")
+	}
+}

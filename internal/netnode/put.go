@@ -30,7 +30,7 @@ import (
 // staging at the worst case of maxUploadSessions full-size transfers, the
 // outbox at the committed payloads still being pulled by in-flight
 // broadcasts. The TTLs reclaim sessions whose uploader died mid-transfer
-// and outbox entries every pull has had ample time to fetch.
+// and outbox entries whose initiating handler died before removing them.
 const (
 	maxUploadSessions = 64
 	maxStagedBytes    = 256 << 20
@@ -178,9 +178,12 @@ type outEntry struct {
 // outbox parks the bytes of a pull-propagated write at its origin until
 // the broadcast tree has pulled them — the origin may not be a holder
 // itself, and even a holder's store copy can be superseded again while
-// slow legs are still fetching this version. Bounded by evicting the
-// entries closest to expiry; a pull that misses falls back to the other
-// listed sources and, past those, to the repair plane.
+// slow legs are still fetching this version. The initiator removes its
+// entry when the broadcast returns, which is after every leg has pulled or
+// failed; the TTL only bounds an entry whose initiator never got there.
+// Bounded by evicting the entries closest to expiry; a pull that misses
+// falls back to the other listed sources and, past those, to the repair
+// plane.
 type outbox struct {
 	mu      sync.Mutex
 	entries map[string]*outEntry
@@ -214,6 +217,19 @@ func (o *outbox) put(name string, version uint64, crc uint32, data []byte) {
 	}
 	o.entries[name] = &outEntry{version: version, crc: crc, data: data, expires: now.Add(outboxTTL)}
 	o.bytes += uint64(len(data))
+}
+
+// remove drops name's entry if it still parks exactly this version — a
+// newer write of the same name has replaced it otherwise, and that entry
+// is its own initiator's to remove. A fetch handler already serving from
+// the entry keeps its slice; only later lookups miss.
+func (o *outbox) remove(name string, version uint64) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if e, ok := o.entries[name]; ok && e.version == version {
+		o.bytes -= uint64(len(e.data))
+		delete(o.entries, name)
+	}
 }
 
 // get answers name's parked payload when it matches the pin (0 accepts
@@ -253,8 +269,11 @@ func (p *Peer) handlePut(req *msg.Request) *msg.Response {
 // putStage verifies and stages one chunk. The chunk CRC check happens
 // before the table touch so a corrupted frame leaves the session intact
 // for the uploader's retry. The session token rides the response Version
-// field.
+// field. Staging copies the chunk into the session buffer, so this handler
+// is the last user of the request's frame buffer (pr.Chunk points into it)
+// and releases it for the next chunk to be read into.
 func (p *Peer) putStage(req *msg.Request, pr *msg.PutReq) *msg.Response {
+	defer req.Release()
 	if crc32.Checksum(pr.Chunk, castagnoli) != pr.ChunkCRC {
 		return &msg.Response{Err: "netnode: put chunk failed CRC"}
 	}
@@ -334,8 +353,9 @@ func (p *Peer) notifyEligible(n int) bool {
 }
 
 // initNotifyUpdate initiates an update broadcast in pull form: stamp the
-// version exactly like handleUpdate, park the payload in the outbox, and
-// fan out a payload-free notify naming this peer as the pull source.
+// version exactly like handleUpdate, park the payload in the outbox for as
+// long as the broadcast runs, and fan out a payload-free notify naming
+// this peer as the pull source.
 // When the payload fits one frame, the whole-frame propagate request
 // rides along as the per-leg fallback for children that predate the
 // notify plane.
@@ -346,6 +366,9 @@ func (p *Peer) initNotifyUpdate(req *msg.Request, v ptree.View, start time.Time,
 	version := p.clock.Add(1)
 	crc := crc32.Checksum(req.Data, castagnoli)
 	p.outbox.put(req.Name, version, crc, req.Data)
+	// broadcast returns once every leg has pulled or failed (failed legs
+	// converge through repair), so the body has no reader left.
+	defer p.outbox.remove(req.Name, version)
 	body, err := msg.AppendNotifyReq(nil, &msg.NotifyReq{
 		TotalSize: uint64(len(req.Data)), FileCRC: crc,
 		Sources: []msg.Holder{{PID: uint32(p.cfg.PID), Addr: p.Addr(), Version: version}},
@@ -591,6 +614,7 @@ func (p *Peer) insertPull(req *msg.Request) *msg.Response {
 			}(h, sreq)
 		}
 		wg.Wait()
+		p.outbox.remove(req.Name, version) // every placement leg has pulled or failed
 		if tombV < version {
 			break
 		}

@@ -171,11 +171,14 @@ func (t *transfer) evict(i int, hard bool) {
 }
 
 // fetchRange performs one ranged request against source i, returning the
-// decoded chunk and the version the holder served it at.
-func (t *transfer) fetchRange(i int, offset uint64, length uint32) (*msg.FetchResp, uint64, error) {
+// decoded, CRC-verified chunk and the response that owns its bytes: Chunk
+// points into resp.Data, so the caller releases resp once the chunk has
+// been copied to its destination (resp.Version is the version the holder
+// served). A failed range releases its own response.
+func (t *transfer) fetchRange(i int, offset uint64, length uint32) (*msg.FetchResp, *msg.Response, error) {
 	data, err := msg.AppendFetchReq(nil, msg.FetchReq{Offset: offset, Length: length})
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, err
 	}
 	var flags uint8
 	if t.f.cfg.Replica {
@@ -185,19 +188,21 @@ func (t *transfer) fetchRange(i int, offset uint64, length uint32) (*msg.FetchRe
 		Kind: msg.KindFetch, Name: t.name, Version: t.version, Flags: flags, Data: data,
 	})
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, err
 	}
 	if !resp.OK {
-		return nil, 0, errors.New(resp.Err)
+		resp.Release()
+		return nil, nil, errors.New(resp.Err)
 	}
 	fr, err := msg.DecodeFetchResp(resp.Data)
+	if err == nil && crc32.Checksum(fr.Chunk, castagnoli) != fr.ChunkCRC {
+		err = fmt.Errorf("stream: chunk at %d failed CRC", offset)
+	}
 	if err != nil {
-		return nil, 0, err
+		resp.Release()
+		return nil, nil, err
 	}
-	if crc32.Checksum(fr.Chunk, castagnoli) != fr.ChunkCRC {
-		return nil, 0, fmt.Errorf("stream: chunk at %d failed CRC", offset)
-	}
-	return fr, resp.Version, nil
+	return fr, resp, nil
 }
 
 // runRange fetches one range with retry-on-other-replica: starting at the
@@ -205,7 +210,8 @@ func (t *transfer) fetchRange(i int, offset uint64, length uint32) (*msg.FetchRe
 // wrong-version refusal poisons the whole transfer (the pin is gone there;
 // if it is gone everywhere the transfer fails version-gone) but still
 // retries elsewhere — a lagging replica may simply not have caught up.
-func (t *transfer) runRange(offset uint64, length uint32) (*msg.FetchResp, error) {
+// The returned response owns the chunk's bytes, as in fetchRange.
+func (t *transfer) runRange(offset uint64, length uint32) (*msg.FetchResp, *msg.Response, error) {
 	n := len(t.sources)
 	start := int(t.next.Add(1)-1) % n
 	var lastErr error
@@ -217,11 +223,11 @@ func (t *transfer) runRange(offset uint64, length uint32) (*msg.FetchResp, error
 		if k > 0 {
 			t.f.stats.ChunkRetries.Add(1)
 		}
-		fr, _, err := t.fetchRange(i, offset, length)
+		fr, resp, err := t.fetchRange(i, offset, length)
 		if err == nil {
 			t.used[i].Store(true)
 			t.f.stats.ChunksFetched.Add(1)
-			return fr, nil
+			return fr, resp, nil
 		}
 		lastErr = err
 		switch {
@@ -239,7 +245,7 @@ func (t *transfer) runRange(offset uint64, length uint32) (*msg.FetchResp, error
 	if lastErr == nil {
 		lastErr = ErrVersionGone
 	}
-	return nil, lastErr
+	return nil, nil, lastErr
 }
 
 // Fetch retrieves name from the replica set in sources, chunking and
@@ -251,6 +257,11 @@ func (t *transfer) runRange(offset uint64, length uint32) (*msg.FetchResp, error
 // whole-frame fetches), ErrNotFound (stale hint set; re-locate),
 // ErrVersionGone (concurrent write; re-locate and retry), ErrChecksum, or
 // the last transport error when every replica failed.
+//
+// A multi-chunk transfer copies each chunk into the reassembly buffer and
+// releases the chunk's frame buffer for the next one; a single-chunk
+// transfer hands the caller the chunk where it was read — the returned
+// slice points into that frame's buffer, which the caller now owns.
 func (f *Fetcher) Fetch(name string, pin uint64, sources []Source) ([]byte, uint64, error) {
 	if len(sources) == 0 {
 		return nil, 0, ErrNotFound
@@ -265,15 +276,16 @@ func (f *Fetcher) Fetch(name string, pin uint64, sources []Source) ([]byte, uint
 
 	// Head chunk first, alone: it pins the version, total size and
 	// whole-file CRC the rest of the transfer is verified against.
-	head, err := t.headChunk()
+	head, headResp, err := t.headChunk()
 	if err != nil {
 		return nil, 0, err
 	}
 	total := head.TotalSize
 	if uint64(len(head.Chunk)) == total {
-		// Single-chunk transfer: the chunk CRC already covered every byte;
-		// the file CRC re-checks the same range.
-		if crc32.Checksum(head.Chunk, castagnoli) != head.FileCRC {
+		// Single-chunk transfer: the chunk CRC fetchRange verified covered
+		// every byte of the file, so the file CRC must simply equal it.
+		if head.ChunkCRC != head.FileCRC {
+			headResp.Release()
 			return nil, 0, ErrChecksum
 		}
 		f.noteDone(t)
@@ -281,14 +293,16 @@ func (f *Fetcher) Fetch(name string, pin uint64, sources []Source) ([]byte, uint
 	}
 
 	buf := make([]byte, total)
-	copy(buf, head.Chunk)
+	headLen := copy(buf, head.Chunk)
+	fileCRC := head.FileCRC
+	headResp.Release()
 	chunk := uint64(f.cfg.ChunkSize)
 	type rng struct {
 		off uint64
 		ln  uint32
 	}
 	var ranges []rng
-	for off := uint64(len(head.Chunk)); off < total; off += chunk {
+	for off := uint64(headLen); off < total; off += chunk {
 		ln := chunk
 		if off+ln > total {
 			ln = total - off
@@ -318,7 +332,18 @@ func (f *Fetcher) Fetch(name string, pin uint64, sources []Source) ([]byte, uint
 				if i >= len(ranges) {
 					return
 				}
-				fr, err := t.runRange(ranges[i].off, ranges[i].ln)
+				fr, resp, err := t.runRange(ranges[i].off, ranges[i].ln)
+				if err == nil {
+					if fr.TotalSize != total || uint64(len(fr.Chunk)) != uint64(ranges[i].ln) {
+						err = fmt.Errorf("stream: range at %d answered %d bytes of total %d, want %d of %d",
+							ranges[i].off, len(fr.Chunk), fr.TotalSize, ranges[i].ln, total)
+					} else {
+						copy(buf[ranges[i].off:], fr.Chunk)
+					}
+					// The chunk is in the reassembly buffer (or unwanted):
+					// its frame buffer goes back for the next range.
+					resp.Release()
+				}
 				if err != nil {
 					failMu.Lock()
 					if failErr == nil {
@@ -328,17 +353,6 @@ func (f *Fetcher) Fetch(name string, pin uint64, sources []Source) ([]byte, uint
 					failed.Store(true)
 					return
 				}
-				if fr.TotalSize != total || uint64(len(fr.Chunk)) != uint64(ranges[i].ln) {
-					failMu.Lock()
-					if failErr == nil {
-						failErr = fmt.Errorf("stream: range at %d answered %d bytes of total %d, want %d of %d",
-							ranges[i].off, len(fr.Chunk), fr.TotalSize, ranges[i].ln, total)
-					}
-					failMu.Unlock()
-					failed.Store(true)
-					return
-				}
-				copy(buf[ranges[i].off:], fr.Chunk)
 			}
 		}()
 	}
@@ -349,7 +363,7 @@ func (f *Fetcher) Fetch(name string, pin uint64, sources []Source) ([]byte, uint
 		}
 		return nil, 0, failErr
 	}
-	if crc32.Checksum(buf, castagnoli) != head.FileCRC {
+	if crc32.Checksum(buf, castagnoli) != fileCRC {
 		return nil, 0, ErrChecksum
 	}
 	f.noteDone(t)
@@ -360,8 +374,9 @@ func (f *Fetcher) Fetch(name string, pin uint64, sources []Source) ([]byte, uint
 // transfer's version. Classification differs from body ranges: a fleet
 // that is entirely unknown-kind is ErrUnsupported (downgrade), entirely
 // not-holder is ErrNotFound (re-locate); a wrong-version refusal under a
-// caller pin is ErrVersionGone.
-func (t *transfer) headChunk() (*msg.FetchResp, error) {
+// caller pin is ErrVersionGone. The returned response owns the chunk's
+// bytes, as in fetchRange.
+func (t *transfer) headChunk() (*msg.FetchResp, *msg.Response, error) {
 	n := len(t.sources)
 	start := int(t.next.Add(1)-1) % n
 	var sawHolderErr, sawMiss bool
@@ -369,17 +384,17 @@ func (t *transfer) headChunk() (*msg.FetchResp, error) {
 	legacy := 0
 	for k := 0; k < n; k++ {
 		i := (start + k) % n
-		fr, ver, err := t.fetchRange(i, 0, uint32(t.f.cfg.ChunkSize))
+		fr, resp, err := t.fetchRange(i, 0, uint32(t.f.cfg.ChunkSize))
 		if err == nil {
 			// Pin: zero-pin callers adopt the head's version; every body
 			// range (and head retries against other replicas under a caller
 			// pin) must match it exactly.
 			if t.version == 0 {
-				t.version = ver
+				t.version = resp.Version
 			}
 			t.used[i].Store(true)
 			t.f.stats.ChunksFetched.Add(1)
-			return fr, nil
+			return fr, resp, nil
 		}
 		if k > 0 {
 			t.f.stats.ChunkRetries.Add(1)
@@ -403,13 +418,13 @@ func (t *transfer) headChunk() (*msg.FetchResp, error) {
 	}
 	switch {
 	case legacy == n:
-		return nil, ErrUnsupported
+		return nil, nil, ErrUnsupported
 	case t.gone.Load():
-		return nil, ErrVersionGone
+		return nil, nil, ErrVersionGone
 	case sawMiss && !sawHolderErr:
-		return nil, ErrNotFound
+		return nil, nil, ErrNotFound
 	}
-	return nil, fmt.Errorf("stream: head chunk failed at every replica: %w", lastErr)
+	return nil, nil, fmt.Errorf("stream: head chunk failed at every replica: %w", lastErr)
 }
 
 // allDead reports whether every source was marked dead this transfer.

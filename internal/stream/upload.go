@@ -64,13 +64,15 @@ func (u *Uploader) Stats() *UploadStats { return &u.stats }
 // stretches the exchange deadline when the transport supports it: data
 // frames scale it with the chunk they carry, and the commit frame with
 // the whole payload — its handler drives every subtree holder's pull of
-// the assembled body before answering.
+// the assembled body before answering. Only the fixed put header is
+// encoded here; the chunk rides as the request's Tail, so it goes from the
+// caller's payload to the socket without a copy.
 func (u *Uploader) putFrame(addr, name string, pr *msg.PutReq, rpcTO time.Duration) (*msg.Response, error) {
-	data, err := msg.AppendPutReq(nil, pr)
+	hdr, err := msg.AppendPutReqHeader(nil, pr)
 	if err != nil {
 		return nil, err
 	}
-	req := &msg.Request{Kind: msg.KindPut, Name: name, Data: data}
+	req := &msg.Request{Kind: msg.KindPut, Name: name, Data: hdr, Tail: pr.Chunk}
 	var resp *msg.Response
 	if td, ok := u.tr.(TimeoutDoer); ok && rpcTO > 0 {
 		resp, err = td.DoTimeout(addr, req, rpcTO)

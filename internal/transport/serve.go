@@ -47,8 +47,11 @@ type ServeLoopOptions struct {
 // response order a pre-pipelining client relies on.
 //
 // handle must be safe for concurrent use and must return a non-nil
-// response. ServeLoop returns when the connection dies and every accepted
-// request has been handled; the caller owns closing conn.
+// response. It owns the request it is given: one read off a large frame
+// holds that frame's buffer (msg.Request.Release), which a handler that has
+// copied the payload out may release and ServeLoop never does — nor may the
+// response then point into it. ServeLoop returns when the connection dies
+// and every accepted request has been handled; the caller owns closing conn.
 func ServeLoop(conn net.Conn, handle func(*msg.Request) *msg.Response, opts ServeLoopOptions) {
 	workers := opts.Workers
 	if workers <= 0 {

@@ -243,7 +243,9 @@ func Idempotent(k msg.Kind) bool {
 // pooled connection) under DialTimeout, write the request and read the
 // response under RPCTimeout, and — for idempotent kinds — retry up to
 // cfg.Retries times with capped exponential backoff and jitter. Injected
-// faults for (addr, kind) apply to every attempt.
+// faults for (addr, kind) apply to every attempt. The caller owns the
+// response, including the frame buffer a large one holds
+// (msg.Response.Release).
 func (t *Transport) Do(addr string, req *msg.Request) (*msg.Response, error) {
 	return t.DoTimeout(addr, req, 0)
 }

@@ -84,16 +84,32 @@ type record struct {
 // errCorrupt marks a record replay must stop at.
 var errCorrupt = errors.New("wal: corrupt record")
 
-// appendRecord encodes r (header + crc + body) onto b and returns the
-// extended slice. Oversize names or payloads are a caller bug surfaced as
-// an error, never a silently truncated record.
-func appendRecord(b []byte, r record) ([]byte, error) {
+// check enforces the record size limits: an oversize name or payload is
+// surfaced as an error, never written as a silently truncated record.
+func (r record) check() error {
 	if len(r.name) > maxName {
-		return nil, fmt.Errorf("wal: name %.40q... exceeds %d bytes", r.name, maxName)
+		return fmt.Errorf("wal: name %.40q... exceeds %d bytes", r.name, maxName)
 	}
 	if len(r.data) > maxData {
-		return nil, fmt.Errorf("wal: payload of %q exceeds %d bytes", r.name, maxData)
+		return fmt.Errorf("wal: payload of %q is %d bytes, over the %d-byte record cap", r.name, len(r.data), maxData)
 	}
+	return nil
+}
+
+// payload is the data a record carries on disk: a put's, nothing otherwise.
+func (r record) payload() []byte {
+	if r.op == opPut {
+		return r.data
+	}
+	return nil
+}
+
+// appendRecordHead encodes everything of a checked record that precedes
+// its payload onto b — length, crc (which already covers the payload), and
+// the body up to and including dataLen — and returns the extended slice.
+// The record is complete once r.payload() follows, so a large payload can
+// go to the file from where it lives instead of through the encode buffer.
+func appendRecordHead(b []byte, r record) []byte {
 	bodyLen := bodyHeader + len(r.name)
 	if r.op == opPut {
 		bodyLen += 4 + len(r.data)
@@ -109,14 +125,23 @@ func appendRecord(b []byte, r record) ([]byte, error) {
 	b = append(b, r.name...)
 	if r.op == opPut {
 		b = binary.BigEndian.AppendUint32(b, uint32(len(r.data)))
-		b = append(b, r.data...)
 	}
-	crc := crc32.Checksum(b[bodyStart:], castagnoli)
+	crc := crc32.Update(crc32.Checksum(b[bodyStart:], castagnoli), castagnoli, r.payload())
 	binary.BigEndian.PutUint32(b[start+4:], crc)
-	return b, nil
+	return b
 }
 
-// decodeBody parses one record body (already CRC-verified).
+// appendRecord encodes r whole (header + crc + body) onto b.
+func appendRecord(b []byte, r record) ([]byte, error) {
+	if err := r.check(); err != nil {
+		return nil, err
+	}
+	return append(appendRecordHead(b, r), r.payload()...), nil
+}
+
+// decodeBody parses one record body (already CRC-verified). The record's
+// data points into body — replay reads every record into a buffer of its
+// own, so the replayed store keeps that buffer instead of a copy of it.
 func decodeBody(body []byte) (record, error) {
 	if len(body) < bodyHeader {
 		return record{}, errCorrupt
@@ -147,8 +172,7 @@ func decodeBody(body []byte) (record, error) {
 		if dataLen > maxData || dataLen != len(rest) {
 			return record{}, errCorrupt
 		}
-		r.data = make([]byte, dataLen)
-		copy(r.data, rest)
+		r.data = rest[:dataLen:dataLen]
 	case opTombstone, opDelete:
 		if len(rest) != 0 {
 			return record{}, errCorrupt

@@ -134,6 +134,11 @@ type Stats struct {
 	Compactions atomic.Uint64 // completed compactions
 	Recovered   atomic.Uint64 // records replayed at Open
 	Truncated   atomic.Uint64 // bytes cut from a torn tail at Open
+	// PersistErrors counts store mutations the log refused or failed to
+	// take (Persist* has no error return): each is applied in memory but
+	// will not survive a restart. Today that is every body over the 16 MiB
+	// record cap, and every mutation after the engine went degraded.
+	PersistErrors atomic.Uint64
 }
 
 // Engine is one peer's write-ahead log. Safe for concurrent use.
@@ -148,6 +153,12 @@ type Engine struct {
 	sealed     []uint64 // sealed segment numbers, ascending
 	closed     bool
 	failed     error // sticky first write/sync failure; engine is degraded
+	// enc is the encode buffer appends share under mu: a record's head,
+	// plus its payload when that is at most inlineData bytes — so it never
+	// outgrows one small record, whatever sizes pass through.
+	enc []byte
+
+	lastPersistWarn atomic.Int64 // unix nanoseconds; spaces persist's warnings
 
 	// Group commit: syncedSeq is the highest writeSeq known durable;
 	// one flusher at a time syncs on behalf of every waiter behind it.
@@ -426,15 +437,21 @@ func replayFile(path string, apply func(record)) (valid int64, torn bool, err er
 	}
 }
 
+// inlineData is the largest payload an append copies into the engine's
+// encode buffer to write the record with one Write. A larger payload is
+// written from where it lives, right after the record's head: one more
+// write syscall, against a payload-sized copy and an encode buffer that
+// would have to be either reallocated per record or pinned at 16 MiB.
+const inlineData = 64 << 10
+
 // append encodes and writes one record, rotating segments as needed, and
 // honors the fsync policy before acknowledging. It is the single funnel
 // every Persist* method feeds. A failed write or sync marks the engine
 // degraded: the error is returned now and by every later append, so the
 // owner can surface it rather than silently running volatile.
 func (e *Engine) append(r record) error {
-	buf, err := appendRecord(nil, r)
-	if err != nil {
-		return err
+	if err := r.check(); err != nil {
+		return err // refused before it can hold up the other appenders
 	}
 	e.mu.Lock()
 	if e.closed {
@@ -446,6 +463,11 @@ func (e *Engine) append(r record) error {
 		e.mu.Unlock()
 		return err
 	}
+	head, payload := appendRecordHead(e.enc[:0], r), r.payload()
+	if len(payload) <= inlineData {
+		head, payload = append(head, payload...), nil
+	}
+	e.enc = head
 	if e.activeSize >= e.opts.SegmentSize {
 		if err := e.rotateLocked(); err != nil {
 			e.failed = err
@@ -453,14 +475,20 @@ func (e *Engine) append(r record) error {
 			return err
 		}
 	}
-	if _, err := e.active.Write(buf); err != nil {
+	_, err := e.active.Write(head)
+	if err == nil && payload != nil {
+		// A crash between the two writes leaves a torn record, which
+		// recovery truncates exactly like a torn single write.
+		_, err = e.active.Write(payload)
+	}
+	if err != nil {
 		e.failed = fmt.Errorf("wal: append: %w", err)
 		err := e.failed
 		e.mu.Unlock()
 		e.log.Error("append failed; engine degraded", "err", err)
 		return err
 	}
-	e.activeSize += int64(len(buf))
+	e.activeSize += int64(len(head) + len(payload))
 	e.writeSeq++
 	seq := e.writeSeq
 	e.mu.Unlock()
@@ -835,22 +863,47 @@ func (e *Engine) Dir() string { return e.opts.Dir }
 // applies is appended here before the shard lock is released, so the log
 // order matches the apply order per name, and — under FsyncAlways — a
 // handler that has the mutation applied also has it durable before it
-// can acknowledge. Errors are sticky in the engine (Err, Close) rather
-// than propagated through the store's void-returning mutators.
+// can acknowledge. The store's mutators return nothing, so an append that
+// fails is counted and warned about (persist) rather than propagated; write
+// and sync failures are also sticky in the engine (Err, Close).
 
 // PersistPut logs a copy placement or overwrite.
 func (e *Engine) PersistPut(f store.File, kind store.Kind) {
-	_ = e.append(record{op: opPut, kind: kind, version: f.Version, name: f.Name, data: f.Data})
+	e.persist(record{op: opPut, kind: kind, version: f.Version, name: f.Name, data: f.Data})
 }
 
 // PersistTombstone logs a versioned deletion marker.
 func (e *Engine) PersistTombstone(name string, version uint64, at time.Time) {
-	_ = e.append(record{op: opTombstone, version: version, at: at.UnixNano(), name: name})
+	e.persist(record{op: opTombstone, version: version, at: at.UnixNano(), name: name})
 }
 
 // PersistDelete logs a local-only removal (no tombstone).
 func (e *Engine) PersistDelete(name string) {
-	_ = e.append(record{op: opDelete, name: name})
+	e.persist(record{op: opDelete, name: name})
+}
+
+// persistWarnEvery spaces the warnings about unlogged mutations: the
+// counter carries the volume, the log line says what and why.
+const persistWarnEvery = 10 * time.Second
+
+// persist appends r for a Persist* caller, which has no way to return an
+// error: a failure is counted (Stats.PersistErrors, surfaced in the peer's
+// stat snapshot and /metrics) and warned about at most once per
+// persistWarnEvery, instead of being dropped on the floor.
+func (e *Engine) persist(r record) {
+	err := e.append(r)
+	if err == nil {
+		return
+	}
+	n := e.stats.PersistErrors.Add(1)
+	now := time.Now().UnixNano()
+	if last := e.lastPersistWarn.Load(); (last != 0 && now-last < int64(persistWarnEvery)) ||
+		!e.lastPersistWarn.CompareAndSwap(last, now) {
+		return
+	}
+	e.log.Warn("mutation applied in memory but not logged; it will not survive a restart",
+		"name", r.name, "payload_bytes", len(r.data), "payload_cap", maxData,
+		"persist_errors", n, "err", err)
 }
 
 // Retire appends the departure barrier (§5.2): one record marking every
