@@ -23,10 +23,11 @@ bench:
 
 # One-iteration pass over every benchmark — catches bit-rotted bench code
 # without measuring anything — plus the data path's allocation budgets
-# (docs/PIPELINE.md "Buffer ownership"), which do measure: a reintroduced
-# payload copy fails them. CI runs this on every push.
+# (docs/PIPELINE.md "Buffer ownership") and compaction's (docs/STORAGE.md),
+# which do measure: a reintroduced payload copy fails them. CI runs this on
+# every push.
 bench-smoke:
-	$(GO) test -count 1 -run 'TestLargeFrameAllocBudget|TestSmallFrameAllocsUnchanged|TestLyingPrefixAllocationBound|TestChunkPlaneAllocBudget|TestAppendAllocatesNothing' ./internal/msg/ ./internal/netnode/ ./internal/wal/
+	$(GO) test -count 1 -run 'TestLargeFrameAllocBudget|TestSmallFrameAllocsUnchanged|TestLyingPrefixAllocationBound|TestChunkPlaneAllocBudget|TestAppendAllocatesNothing|TestCompactionAllocBudget' ./internal/msg/ ./internal/netnode/ ./internal/wal/
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
 # The end-to-end perf ledger (bench/README.md): the four closed-loop

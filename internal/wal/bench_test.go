@@ -36,6 +36,32 @@ func BenchmarkAppend(b *testing.B) {
 	}
 }
 
+// BenchmarkCompact times one compaction pass over four sealed 8 MiB
+// segments of 1 MiB records, a quarter of them live: MB/s is over the bytes
+// scanned, B/op is what the pass allocates (TestCompactionAllocBudget holds
+// it under 2 MiB whatever the record size).
+func BenchmarkCompact(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		e, segs := sealRecords(b, 32, 1<<20, 8, 8<<20)
+		var in uint64
+		for _, n := range segs {
+			in += segSize(segPath(e.Dir(), n))
+		}
+		b.SetBytes(int64(in))
+		b.StartTimer()
+		err := e.compact(segs)
+		b.StopTimer()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := e.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // writeBurst drives writers concurrent appenders until total records are
 // in, returning the wall time — group commit means FsyncAlways batches
 // across them the way a pipelined peer's handler pool would.

@@ -64,9 +64,13 @@ const bodyHeader = 1 + 1 + 8 + 8 + 2
 // recHeader is the length + crc prefix before every body.
 const recHeader = 4 + 4
 
+// maxHead is the longest a record body runs before its payload: the fixed
+// prefix, the largest name, and a put's dataLen.
+const maxHead = bodyHeader + maxName + 4
+
 // maxBody bounds a plausible record body; replay treats anything larger
 // as corruption rather than attempting the allocation.
-const maxBody = bodyHeader + maxName + 4 + maxData
+const maxBody = maxHead + maxData
 
 // castagnoli is the CRC32C table; hardware-accelerated on amd64/arm64.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -139,52 +143,53 @@ func appendRecord(b []byte, r record) ([]byte, error) {
 	return append(appendRecordHead(b, r), r.payload()...), nil
 }
 
-// decodeBody parses one record body (already CRC-verified). The record's
-// data points into body — replay reads every record into a buffer of its
-// own, so the replayed store keeps that buffer instead of a copy of it.
-func decodeBody(body []byte) (record, error) {
-	if len(body) < bodyHeader {
-		return record{}, errCorrupt
+// decodeHead parses a record body up to its payload — the fixed prefix, the
+// name and, for a put, the payload length — from head, the first
+// min(bodyLen, maxHead) bytes of a body bodyLen long, and checks that the
+// fields account for exactly bodyLen bytes. The payload is the body's last
+// dataLen bytes; the caller checksums it and loads or skips it (readRecord).
+func decodeHead(head []byte, bodyLen int) (r record, dataLen int, err error) {
+	if len(head) < bodyHeader {
+		return record{}, 0, errCorrupt
 	}
-	r := record{
-		op:      op(body[0]),
-		kind:    store.Kind(body[1]),
-		version: binary.BigEndian.Uint64(body[2:10]),
-		at:      int64(binary.BigEndian.Uint64(body[10:18])),
+	r = record{
+		op:      op(head[0]),
+		kind:    store.Kind(head[1]),
+		version: binary.BigEndian.Uint64(head[2:10]),
+		at:      int64(binary.BigEndian.Uint64(head[10:18])),
 	}
-	nameLen := int(binary.BigEndian.Uint16(body[18:20]))
-	rest := body[bodyHeader:]
+	nameLen := int(binary.BigEndian.Uint16(head[18:20]))
+	rest := head[bodyHeader:]
 	if nameLen > maxName || nameLen > len(rest) {
-		return record{}, errCorrupt
+		return record{}, 0, errCorrupt
 	}
 	r.name = string(rest[:nameLen])
 	rest = rest[nameLen:]
+	after := bodyLen - bodyHeader - nameLen // body bytes past the name
 	switch r.op {
 	case opPut:
 		if r.kind != store.Inserted && r.kind != store.Replica {
-			return record{}, errCorrupt
+			return record{}, 0, errCorrupt
 		}
 		if len(rest) < 4 {
-			return record{}, errCorrupt
+			return record{}, 0, errCorrupt
 		}
-		dataLen := int(binary.BigEndian.Uint32(rest[:4]))
-		rest = rest[4:]
-		if dataLen > maxData || dataLen != len(rest) {
-			return record{}, errCorrupt
+		dataLen = int(binary.BigEndian.Uint32(rest[:4]))
+		if dataLen > maxData || dataLen != after-4 {
+			return record{}, 0, errCorrupt
 		}
-		r.data = rest[:dataLen:dataLen]
 	case opTombstone, opDelete:
-		if len(rest) != 0 {
-			return record{}, errCorrupt
+		if after != 0 {
+			return record{}, 0, errCorrupt
 		}
 	case opRetire:
-		if nameLen != 0 || len(rest) != 0 {
-			return record{}, errCorrupt
+		if nameLen != 0 || after != 0 {
+			return record{}, 0, errCorrupt
 		}
 	default:
-		return record{}, errCorrupt
+		return record{}, 0, errCorrupt
 	}
-	return r, nil
+	return r, dataLen, nil
 }
 
 // apply replays one record into st — the recovery half of the engine.

@@ -2,9 +2,10 @@
 // sharded store (docs/STORAGE.md): segmented append-only files of
 // CRC32C-checksummed records, an in-memory index rebuilt by crash-recovery
 // replay that truncates at the first torn or corrupt record, checkpoint
-// compaction that rewrites the live state and drops superseded versions
-// and GC'd tombstones, and group-commit fsync batching so the pipelined
-// write hot path keeps its throughput under `-fsync always`.
+// compaction that scans sealed segments and copies the live records file
+// to file — dropping superseded versions and GC'd tombstones without ever
+// loading a body — and group-commit fsync batching so the pipelined write
+// hot path keeps its throughput under `-fsync always`.
 //
 // "Logless" in the paper's sense (§1) means no client-access log; it does
 // not mean volatile peers. This engine is what turns the §7 rejoin path
@@ -168,9 +169,9 @@ type Engine struct {
 	syncErr   error
 	syncing   bool
 
-	compacting atomic.Bool
-	wg         sync.WaitGroup
-	quit       chan struct{}
+	compactMu sync.Mutex // held by whoever compacts: at most one pass at a time
+	wg        sync.WaitGroup
+	quit      chan struct{}
 
 	stats Stats
 	log   *slog.Logger
@@ -397,44 +398,98 @@ func (e *Engine) syncDir() error {
 	return nil
 }
 
-// replayFile streams path's records through apply. It returns the byte
-// offset of the last valid record boundary and whether the file was torn
-// there (CRC mismatch, impossible length, truncated read — anything that
-// says "the log ends here").
-func replayFile(path string, apply func(record)) (valid int64, torn bool, err error) {
+// scanBuf sizes the reader a segment is streamed through: all a scan holds
+// of the file at a time, whatever the size of its records. It must hold a
+// whole record head (recHeader + maxHead bytes).
+const scanBuf = 256 << 10
+
+// scanFile is the log's one record iterator: it streams path's records
+// through br to visit, each with its offset and size in the file, and
+// returns the offset of the last valid record boundary and whether the file
+// was torn there. With load (Open's replay, whose store keeps the bodies) a
+// put's payload is read into a buffer of its own; without (compaction's
+// scan) it is only checksummed and r.data stays nil.
+func scanFile(path string, br *bufio.Reader, load bool, visit func(r record, off, n int64)) (valid int64, torn bool, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, false, fmt.Errorf("wal: %w", err)
 	}
 	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<20)
-	var off int64
-	header := make([]byte, recHeader)
+	br.Reset(f)
 	for {
-		if _, err := io.ReadFull(br, header); err != nil {
-			// Clean EOF at a record boundary ends the segment; a partial
-			// header is a torn write.
-			return off, !errors.Is(err, io.EOF), nil
-		}
-		length := int(binary.BigEndian.Uint32(header[:4]))
-		crc := binary.BigEndian.Uint32(header[4:8])
-		if length < bodyHeader || length > maxBody {
-			return off, true, nil
-		}
-		body := make([]byte, length)
-		if _, err := io.ReadFull(br, body); err != nil {
-			return off, true, nil
-		}
-		if crc32.Checksum(body, castagnoli) != crc {
-			return off, true, nil
-		}
-		rec, err := decodeBody(body)
+		r, n, err := readRecord(br, load)
 		if err != nil {
-			return off, true, nil
+			return valid, err != io.EOF, nil
 		}
-		apply(rec)
-		off += int64(recHeader + length)
+		visit(r, valid, n)
+		valid += n
 	}
+}
+
+// replayFile streams path's records, payloads loaded, through apply.
+func replayFile(path string, apply func(record)) (valid int64, torn bool, err error) {
+	return scanFile(path, bufio.NewReaderSize(nil, scanBuf), true, func(r record, _, _ int64) { apply(r) })
+}
+
+// readRecord reads the next record off br, verifies its CRC, and returns it
+// with its size on disk. Head and name are parsed out of br's own buffer,
+// and so, unless load is set, is the payload checksummed: nothing is
+// allocated but the name. io.EOF means br ended cleanly on a record
+// boundary; errCorrupt means the log is torn here (CRC mismatch, impossible
+// length, truncated read — anything that says "the log ends here").
+func readRecord(br *bufio.Reader, load bool) (record, int64, error) {
+	hdr, err := br.Peek(recHeader)
+	if err != nil {
+		// Clean EOF at a record boundary ends the segment; a partial
+		// header is a torn write.
+		if len(hdr) == 0 && errors.Is(err, io.EOF) {
+			return record{}, 0, io.EOF
+		}
+		return record{}, 0, errCorrupt
+	}
+	length := int(binary.BigEndian.Uint32(hdr[:4]))
+	crc := binary.BigEndian.Uint32(hdr[4:8])
+	if length < bodyHeader || length > maxBody {
+		return record{}, 0, errCorrupt
+	}
+	head, err := br.Peek(recHeader + min(length, maxHead))
+	if err != nil {
+		return record{}, 0, errCorrupt
+	}
+	r, dataLen, err := decodeHead(head[recHeader:], length)
+	if err != nil {
+		return record{}, 0, errCorrupt
+	}
+	sum := crc32.Checksum(head[recHeader:recHeader+length-dataLen], castagnoli)
+	br.Discard(recHeader + length - dataLen) // buffered: cannot fail
+	if load && r.op == opPut {
+		r.data = make([]byte, dataLen)
+		_, err = io.ReadFull(br, r.data)
+		sum = crc32.Update(sum, castagnoli, r.data)
+	} else {
+		sum, err = discardSum(br, sum, dataLen)
+	}
+	if err != nil || sum != crc {
+		return record{}, 0, errCorrupt
+	}
+	return r, int64(recHeader + length), nil
+}
+
+// discardSum consumes the next n bytes of br through br's own buffer,
+// folding them into the running CRC-32C sum.
+func discardSum(br *bufio.Reader, sum uint32, n int) (uint32, error) {
+	for n > 0 {
+		if br.Buffered() == 0 {
+			if _, err := br.Peek(1); err != nil { // refills with one read
+				return sum, err
+			}
+		}
+		chunk, _ := br.Peek(min(n, br.Buffered()))
+		sum = crc32.Update(sum, castagnoli, chunk)
+		br.Discard(len(chunk))
+		n -= len(chunk)
+	}
+	return sum, nil
 }
 
 // inlineData is the largest payload an append copies into the engine's
@@ -625,51 +680,53 @@ func (e *Engine) Sync() error {
 // startCompaction spawns the background compactor over the given sealed
 // segments, at most one at a time. Callers hold e.mu.
 func (e *Engine) startCompaction(segs []uint64) {
-	if len(segs) == 0 || !e.compacting.CompareAndSwap(false, true) {
+	if len(segs) == 0 || !e.compactMu.TryLock() {
 		return
 	}
 	e.wg.Add(1)
 	go func() {
 		defer e.wg.Done()
-		defer e.compacting.Store(false)
+		defer e.compactMu.Unlock()
 		if err := e.compact(segs); err != nil {
 			e.log.Warn("compaction failed; segments kept", "err", err)
 		}
 	}()
 }
 
+// span locates one put record inside a sealed segment.
+type span struct {
+	seg    uint64
+	off, n int64
+}
+
 // compact rewrites sealed segments into one checkpoint segment holding
 // only live state: the latest version of every name (superseded versions
-// drop out) and tombstones younger than the GC horizon. Only immutable
-// sealed files are touched, so appends continue concurrently. The dance
-// is crash-safe at every step:
+// drop out) and tombstones younger than the GC horizon. No record body is
+// ever loaded: memory is O(live names) plus one scanBuf reader, whatever
+// the records' size. Only immutable sealed files are touched, so appends
+// continue concurrently. Callers hold e.compactMu. The dance is crash-safe
+// at every step:
 //
-//  1. replay the sealed segments offline into a scratch store
-//  2. write the compacted records to <top>.cpt.tmp, fsync, rename to
+//  1. scan the sealed segments (scanSealed): every record is CRC-verified
+//     and replayed, without its payload, into a scratch store that says
+//     which names and tombstones are live, while the position of each
+//     name's latest put is remembered
+//  2. copy the live puts, byte for byte and file to file, to <top>.cpt.tmp
+//     (copyLive), append the surviving tombstones, fsync, rename to
 //     <top>.cpt, fsync dir    — the checkpoint now exists durably
 //  3. remove the sealed segments (the .cpt supersedes them)
 //  4. rename <top>.cpt → <top>.seg, fsync dir
 //
-// A crash inside 2 leaves a .tmp that Open deletes; inside 3 or 4, Open
-// finds the .cpt and finishes the promotion itself (cleanupDir). Replay
-// order is preserved because the checkpoint takes the highest compacted
-// segment number, sorting exactly where the data it replaces ended.
+// A failure before the .cpt exists removes the .tmp (a crash there leaves
+// it for Open to delete); inside 3 or 4, Open finds the .cpt and finishes
+// the promotion itself (cleanupDir). Replay order is preserved because the
+// checkpoint takes the highest compacted segment number, sorting exactly
+// where the data it replaces ended.
 func (e *Engine) compact(segs []uint64) error {
-	st := store.New()
-	var replayed uint64
-	for _, n := range segs {
-		_, torn, err := replayFile(segPath(e.opts.Dir, n), func(r record) {
-			r.apply(st)
-			replayed++
-		})
-		if err != nil {
-			return err
-		}
-		if torn {
-			// Sealed segments are synced whole; a torn one means outside
-			// interference. Leave the log alone rather than compact a lie.
-			return fmt.Errorf("wal: sealed segment %d is corrupt", n)
-		}
+	start := time.Now()
+	st, puts, scanned, bytesIn, err := e.scanSealed(segs)
+	if err != nil {
+		return err
 	}
 	top := segs[len(segs)-1]
 	tmp := cptPath(e.opts.Dir, top) + ".tmp"
@@ -677,46 +734,34 @@ func (e *Engine) compact(segs []uint64) error {
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	bw := bufio.NewWriterSize(f, 1<<20)
-	var kept uint64
-	var buf []byte
-	writeRec := func(r record) error {
-		buf, err = appendRecord(buf[:0], r)
-		if err != nil {
-			return err
+	committed := false
+	defer func() {
+		if !committed {
+			f.Close()
+			os.Remove(tmp)
 		}
-		_, err = bw.Write(buf)
+	}()
+	if err := e.copyLive(f, puts); err != nil {
 		return err
 	}
-	for _, name := range st.AllNames() {
-		fl, _ := st.Peek(name)
-		kind, _ := st.KindOf(name)
-		if err := writeRec(record{op: opPut, kind: kind, version: fl.Version, name: fl.Name, data: fl.Data}); err != nil {
-			f.Close()
-			return err
-		}
-		kept++
-	}
+	kept := len(puts)
 	horizon := time.Time{}
 	if e.opts.TombstoneGC > 0 {
 		horizon = time.Now().Add(-e.opts.TombstoneGC)
 	}
+	var tombs []byte
 	for _, t := range st.Tombstones() {
 		if !horizon.IsZero() && t.At.Before(horizon) {
 			continue // the deletion has reached every replica by now
 		}
-		if err := writeRec(record{op: opTombstone, version: t.Version, at: t.At.UnixNano(), name: t.Name}); err != nil {
-			f.Close()
-			return err
-		}
+		tombs = appendRecordHead(tombs, record{op: opTombstone, version: t.Version, at: t.At.UnixNano(), name: t.Name})
 		kept++
 	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
+	if _, err := f.Write(tombs); err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
+	bytesOut, _ := f.Seek(0, io.SeekCurrent) // for the log line only
 	if err := f.Sync(); err != nil {
-		f.Close()
 		return fmt.Errorf("wal: %w", err)
 	}
 	if err := f.Close(); err != nil {
@@ -725,6 +770,7 @@ func (e *Engine) compact(segs []uint64) error {
 	if err := os.Rename(tmp, cptPath(e.opts.Dir, top)); err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
+	committed = true
 	if err := e.syncDir(); err != nil {
 		return err
 	}
@@ -751,7 +797,92 @@ func (e *Engine) compact(segs []uint64) error {
 	e.mu.Unlock()
 	e.stats.Compactions.Add(1)
 	e.log.Info("compacted segments",
-		"segments", len(segs), "records_in", replayed, "records_out", kept)
+		"segments", len(segs), "records_in", scanned, "records_out", kept,
+		"bytes_in", bytesIn, "bytes_out", bytesOut, "elapsed", time.Since(start))
+	return nil
+}
+
+// scanSealed is compaction's first pass. It streams every record of segs,
+// CRC-verified but without its payload, into a scratch store — so what is
+// live afterwards is decided by record.apply, exactly as at Open — and
+// returns that store with the spans of the live puts in log order, plus the
+// records and bytes scanned. The dead records' payloads are checksummed too:
+// a sealed segment that fails anywhere aborts the pass.
+func (e *Engine) scanSealed(segs []uint64) (st *store.Store, puts []span, records uint64, size int64, err error) {
+	st = store.New()
+	latest := make(map[string]span) // name → its last put, for the names st holds
+	br := bufio.NewReaderSize(nil, scanBuf)
+	for _, seg := range segs {
+		valid, torn, err := scanFile(segPath(e.opts.Dir, seg), br, false, func(r record, off, n int64) {
+			r.apply(st)
+			records++
+			switch r.op {
+			case opPut:
+				latest[r.name] = span{seg: seg, off: off, n: n}
+			case opRetire:
+				clear(latest)
+			default:
+				delete(latest, r.name)
+			}
+		})
+		if err != nil {
+			return nil, nil, 0, 0, err
+		}
+		if torn {
+			// Sealed segments are synced whole; a torn one means outside
+			// interference. Leave the log alone rather than compact a lie.
+			return nil, nil, 0, 0, fmt.Errorf("wal: sealed segment %d is corrupt", seg)
+		}
+		size += valid
+	}
+	puts = make([]span, 0, st.Len())
+	for _, name := range st.AllNames() {
+		puts = append(puts, latest[name])
+	}
+	sort.Slice(puts, func(i, j int) bool {
+		if puts[i].seg != puts[j].seg {
+			return puts[i].seg < puts[j].seg
+		}
+		return puts[i].off < puts[j].off
+	})
+	return st, puts, records, size, nil
+}
+
+// copyLive is compaction's second pass: the records at puts, sorted in log
+// order, go to dst verbatim — a logged put already carries the kind the
+// store decided on, so the bytes a checkpoint needs are the bytes on disk.
+// Both ends are plain files, so io.CopyN hands each run of adjacent records
+// to the kernel (copy_file_range on Linux) and no payload enters the heap.
+func (e *Engine) copyLive(dst *os.File, puts []span) error {
+	var src *os.File // sealed segment number open, nil before the first
+	var open uint64
+	defer func() {
+		if src != nil {
+			src.Close()
+		}
+	}()
+	for i := 0; i < len(puts); {
+		run := puts[i]
+		for i++; i < len(puts) && puts[i].seg == run.seg && puts[i].off == run.off+run.n; i++ {
+			run.n += puts[i].n
+		}
+		if src == nil || run.seg != open {
+			if src != nil {
+				src.Close()
+			}
+			var err error
+			if src, err = os.Open(segPath(e.opts.Dir, run.seg)); err != nil {
+				return fmt.Errorf("wal: %w", err)
+			}
+			open = run.seg
+		}
+		if _, err := src.Seek(run.off, io.SeekStart); err != nil {
+			return fmt.Errorf("wal: %w", err)
+		}
+		if _, err := io.CopyN(dst, src, run.n); err != nil {
+			return fmt.Errorf("wal: copy from segment %d: %w", run.seg, err)
+		}
+	}
 	return nil
 }
 
@@ -776,18 +907,13 @@ func (e *Engine) Checkpoint() error {
 			return err
 		}
 	}
-	segs := append([]uint64(nil), e.sealed...)
 	e.mu.Unlock()
-	if len(segs) == 0 {
-		return nil
-	}
-	// Serialize with any background compaction the rotation spawned.
-	for !e.compacting.CompareAndSwap(false, true) {
-		time.Sleep(time.Millisecond)
-	}
-	defer e.compacting.Store(false)
+	// Serialize with any background compaction the rotation spawned, then
+	// take whatever is sealed once it is done.
+	e.compactMu.Lock()
+	defer e.compactMu.Unlock()
 	e.mu.Lock()
-	segs = append(segs[:0], e.sealed...)
+	segs := append([]uint64(nil), e.sealed...)
 	e.mu.Unlock()
 	if len(segs) == 0 {
 		return nil
