@@ -12,9 +12,9 @@
 //	    -cache-size 8192 -cache-ttl 2s -max-inflight 1024 -queue-timeout 100ms \
 //	    -hint-size 8192 -hint-ttl 10s -admin 127.0.0.1:9200
 //
-// Cache misses resolve through the locate-then-fetch data plane (route
-// hints plus one-hop direct fetches, docs/ROUTING.md); `-locate=false`
-// relays payloads through the lookup path as pre-locate gateways did.
+// Cache misses and writes run the shared client ladder (route hints,
+// locate-set walks, ranged fetches straight from the holders;
+// docs/ROUTING.md "The ladder").
 //
 // Load generator (the §6 80/20 hot-key workload against any msg-speaking
 // endpoint — a gateway to measure the edge, a bare peer for a baseline):
@@ -46,10 +46,8 @@ func main() {
 		peers    = flag.String("peers", "", "gateway: comma-separated fabric entry peer addresses")
 		cacheSz  = flag.Int("cache-size", gateway.DefaultCacheSize, "gateway: read cache capacity in entries (-1 disables)")
 		cacheTTL = flag.Duration("cache-ttl", gateway.DefaultCacheTTL, "gateway: max age served without revisiting the fabric")
-		locate   = flag.Bool("locate", true, "gateway: serve misses through the locate-then-fetch data plane (false relays payloads)")
 		hintSz   = flag.Int("hint-size", 0, "gateway: route-hint cache capacity in entries (0 selects the default)")
 		hintTTL  = flag.Duration("hint-ttl", 0, "gateway: max age a route hint steers direct fetches (0 selects the default)")
-		downTTL  = flag.Duration("downgrade-ttl", 0, "gateway: how long to stay on the relay path after an unknown-kind locate answer (0 selects the default)")
 		maxInFl  = flag.Int("max-inflight", gateway.DefaultMaxInFlight, "gateway: admitted request cap (-1 unlimited)")
 		queueTO  = flag.Duration("queue-timeout", gateway.DefaultQueueTimeout, "gateway: max wait for an admission slot before shedding")
 		admin    = flag.String("admin", "", "gateway: admin HTTP address for /metrics, /healthz, /traces, /debug/pprof ('' disables)")
@@ -91,10 +89,8 @@ func main() {
 		Peers:            entry,
 		CacheSize:        *cacheSz,
 		CacheTTL:         *cacheTTL,
-		DisableLocate:    !*locate,
 		HintSize:         *hintSz,
 		HintTTL:          *hintTTL,
-		DowngradeTTL:     *downTTL,
 		MaxInFlight:      *maxInFl,
 		QueueTimeout:     *queueTO,
 		PipelineWorkers:  *pipeWk,

@@ -21,11 +21,11 @@
 //	lesslogd -connect 127.0.0.1:7100 -op stat -json               # structured snapshot
 //	lesslogd -connect 127.0.0.1:7100 -op traces                   # the peer's sampled trace ring
 //
-// With -locate, gets resolve the holder through a payload-free locate walk
-// and fetch the file in one direct hop, caching the route hint for later
-// gets in the same process; `-serve-locate=false` runs the server as a
-// pre-locate build (clients downgrade to the relay path automatically).
-// See docs/ROUTING.md.
+// With -locate, gets resolve the file's replica set through a payload-free
+// locate walk and fetch it in ranged chunks straight from the holders,
+// caching the route hint for later gets in the same process — the only
+// read that can carry a body over one frame (a plain get of one reports
+// the typed over-frame error). See docs/ROUTING.md.
 //
 // Observability: `-admin addr` exposes /metrics (Prometheus text),
 // /healthz, /trees, /traces and /debug/pprof/* over HTTP, and
@@ -43,9 +43,7 @@
 //
 // Background replica repair (the anti-entropy loop of docs/REPAIR.md) is
 // enabled with -repair-interval; -repair-budget bounds its bandwidth in
-// bytes/sec and -repair-tomb-ttl sets the delete-tombstone GC horizon. A
-// locate client that hits a pre-locate fabric downgrades to the relay
-// path for -downgrade-ttl before probing again.
+// bytes/sec and -repair-tomb-ttl sets the delete-tombstone GC horizon.
 //
 // Update broadcasts past -notify-threshold bytes propagate payload-free:
 // the tree carries a notify (name, version, checksum, sources) and each
@@ -109,7 +107,6 @@ func main() {
 		fanWk     = flag.Int("fanout-workers", netnode.DefaultFanoutWorkers, "server: concurrent broadcast RPC legs per update/delete")
 		admin     = flag.String("admin", "", "server: admin HTTP address for /metrics, /healthz, /trees, /debug/pprof ('' disables)")
 		logLevel  = flag.String("log-level", "info", "server: structured log threshold: debug, info, warn or error")
-		srvLocate = flag.Bool("serve-locate", true, "server: answer locate and local-only gets (false emulates a pre-locate build)")
 		notifyTh  = flag.Int("notify-threshold", 0, "server: update size in bytes past which broadcasts propagate by notify/pull instead of carrying the payload (0 selects the default, -1 disables)")
 		trEvery   = flag.Int("trace-every", 0, "server: head-sample 1-in-N entry requests into the trace ring (0 selects the default, -1 disables tracing)")
 		trSlow    = flag.Duration("trace-slow", 0, "server: latency past which unsampled requests are tail-retained anyway (0 selects the default)")
@@ -120,13 +117,12 @@ func main() {
 		data      = flag.String("data", "", "client: file contents")
 		traced    = flag.Bool("trace", false, "client: with -op get, locate, update or delete, record and print the wire-level route")
 		locate    = flag.Bool("locate", false, "client: serve gets through the locate-then-fetch data plane")
-		downTTL   = flag.Duration("downgrade-ttl", 0, "client: with -locate, how long to stay on the relay path after an unknown-kind answer (0 selects the default)")
 		asJSON    = flag.Bool("json", false, "client: with -op stat, print the structured snapshot as JSON")
 	)
 	flag.Parse()
 
 	if *connect != "" {
-		runClient(*connect, *op, *name, *data, *traced, *locate, *downTTL, *asJSON)
+		runClient(*connect, *op, *name, *data, *traced, *locate, *asJSON)
 		return
 	}
 
@@ -143,7 +139,6 @@ func main() {
 		PID: bitops.PID(*pid), M: *m, B: *b, Addr: *listen, DataDir: *dataDir,
 		SegmentSize: *segSize, Fsync: policy, FsyncEvery: *fsyncIv,
 		PipelineWorkers: *pipeWk, FanoutWorkers: *fanWk,
-		DisableLocate:    !*srvLocate,
 		NotifyThreshold:  *notifyTh,
 		TraceSampleEvery: *trEvery, TraceSlow: *trSlow, TraceRingSize: *trRing,
 		Logger: logger,
@@ -250,11 +245,10 @@ func waitForSignal(peer *netnode.Peer, log *slog.Logger) {
 	}
 }
 
-func runClient(addr, op, name, data string, traced, locate bool, downTTL time.Duration, asJSON bool) {
+func runClient(addr, op, name, data string, traced, locate, asJSON bool) {
 	cl := netnode.NewClient(addr)
 	if locate {
-		cl = netnode.NewLocateClientWith(addr, transport.New(transport.Config{}, nil),
-			netnode.LocateOptions{RetryAfter: downTTL})
+		cl = netnode.NewLocateClientWith(addr, transport.New(transport.Config{}, nil), netnode.LocateOptions{})
 	}
 	switch op {
 	case "insert":
@@ -367,8 +361,8 @@ func runClient(addr, op, name, data string, traced, locate bool, downTTL time.Du
 	}
 	if locate {
 		st := cl.LocateStats()
-		fmt.Printf("data plane: %d locates, %d hint hits, %d relays, %d downgrades\n",
-			st.Locates.Load(), st.HintHits.Load(), st.Relays.Load(), st.Downgrades.Load())
+		fmt.Printf("data plane: %d locates, %d hint hits, %d relays\n",
+			st.Locates.Load(), st.HintHits.Load(), st.Relays.Load())
 	}
 }
 

@@ -130,17 +130,16 @@ type Cluster struct {
 	LocateSets    uint64 `json:"locate_sets"`
 
 	// Write plane totals (docs/ROUTING.md): staged upload chunks and
-	// bytes, abandoned staging sessions, notify-driven replica pulls and
-	// whole-frame fallbacks, hint-guided write entries, and the payload
-	// bytes broadcast trees actually carried.
-	WriteChunks     uint64 `json:"write_chunks"`
-	WriteBytes      uint64 `json:"write_bytes"`
-	StagedAborts    uint64 `json:"staged_aborts"`
-	NotifyPulls     uint64 `json:"notify_pulls"`
-	NotifyFallbacks uint64 `json:"notify_fallbacks"`
-	WritesAtHolder  uint64 `json:"writes_at_holder"`
-	WritesRemote    uint64 `json:"writes_remote"`
-	FanoutBytes     uint64 `json:"fanout_bytes"`
+	// bytes, abandoned staging sessions, notify-driven replica pulls,
+	// hint-guided write entries, and the payload bytes broadcast trees
+	// actually carried.
+	WriteChunks    uint64 `json:"write_chunks"`
+	WriteBytes     uint64 `json:"write_bytes"`
+	StagedAborts   uint64 `json:"staged_aborts"`
+	NotifyPulls    uint64 `json:"notify_pulls"`
+	WritesAtHolder uint64 `json:"writes_at_holder"`
+	WritesRemote   uint64 `json:"writes_remote"`
+	FanoutBytes    uint64 `json:"fanout_bytes"`
 
 	// Trace plane totals.
 	TraceRecorded uint64 `json:"trace_recorded"`
@@ -211,7 +210,6 @@ func Aggregate(stats []PeerStat, topK int) Cluster {
 		c.WriteBytes += s.WriteBytes
 		c.StagedAborts += s.StagedAborts
 		c.NotifyPulls += s.NotifyPulls
-		c.NotifyFallbacks += s.NotifyFallbacks
 		c.WritesAtHolder += s.WritesAtHolder
 		c.WritesRemote += s.WritesRemote
 		c.FanoutBytes += s.FanoutBytes
@@ -325,9 +323,9 @@ func Render(w io.Writer, c Cluster) {
 		c.RepairDeficit, c.Tombstones, c.RepairTTFRMSMax)
 	fmt.Fprintf(w, "chunks: served=%d bytes=%d refused=%d locate-sets=%d\n",
 		c.ChunksServed, c.ChunkBytes, c.ChunkRefusals, c.LocateSets)
-	fmt.Fprintf(w, "writes: chunks=%d bytes=%d aborts=%d at-holder=%d remote=%d notify-pulls=%d fallbacks=%d fanout-bytes=%d\n",
+	fmt.Fprintf(w, "writes: chunks=%d bytes=%d aborts=%d at-holder=%d remote=%d notify-pulls=%d fanout-bytes=%d\n",
 		c.WriteChunks, c.WriteBytes, c.StagedAborts, c.WritesAtHolder, c.WritesRemote,
-		c.NotifyPulls, c.NotifyFallbacks, c.FanoutBytes)
+		c.NotifyPulls, c.FanoutBytes)
 	fmt.Fprintf(w, "traces: recorded=%d noted=%d   pipeline depth: min=%d mean=%.1f max=%d   fanout legs: min=%d mean=%.1f max=%d\n",
 		c.TraceRecorded, c.TraceNoted,
 		c.PipelineDepth.Min, c.PipelineDepth.Mean, c.PipelineDepth.Max,

@@ -12,6 +12,8 @@ import (
 	"testing"
 
 	"lesslog/internal/msg"
+	"lesslog/internal/netnode"
+	"lesslog/internal/transport"
 )
 
 func chunkPayload(n int, seed int64) []byte {
@@ -26,7 +28,7 @@ func chunkPayload(n int, seed int64) []byte {
 // layer verifies per-chunk and whole-file CRC-32C before the fill is
 // admitted).
 func TestGatewayChunkedMiss(t *testing.T) {
-	addrs, _ := startLocateFabric(t, 4, 1, 16, false) // B=1: two replicas
+	addrs, _ := startLocateFabric(t, 4, 1, 16) // B=1: two replicas
 	g := newGateway(t, Config{Peers: addrs[:3], CacheSize: -1, ChunkSize: 4 << 10})
 	data := chunkPayload(64<<10, 21) // 16 chunks
 	if _, err := g.Insert("g/chunky", data); err != nil {
@@ -40,8 +42,8 @@ func TestGatewayChunkedMiss(t *testing.T) {
 		t.Fatalf("chunked fill returned %d bytes, payload mismatch", len(res.Data))
 	}
 	c := g.Counters()
-	if c.ChunkedFills.Value() != 1 {
-		t.Fatalf("chunked fills = %d, want 1", c.ChunkedFills.Value())
+	if c.ChunkedGets.Value() != 1 {
+		t.Fatalf("chunked fills = %d, want 1", c.ChunkedGets.Value())
 	}
 	if s := g.countersSnapshot(); s.ChunksFetched < 16 {
 		t.Fatalf("chunks fetched = %d, want >= 16", s.ChunksFetched)
@@ -66,7 +68,7 @@ func TestGatewayOverFrameRead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("seeds a >16 MiB payload per holder")
 	}
-	addrs, peers := startLocateFabric(t, 3, 0, 4, false)
+	addrs, peers := startLocateFabric(t, 3, 0, 4)
 	g := newGateway(t, Config{Peers: addrs[:2], CacheSize: -1})
 	data := chunkPayload(msg.MaxData+(1<<20), 22) // 17 MiB
 	// Seed every peer: the lookup walk routes by name hash, so wherever it
@@ -83,6 +85,59 @@ func TestGatewayOverFrameRead(t *testing.T) {
 	}
 }
 
+// TestGatewayOverFrameIsNotAFault: a body over one frame that the gateway
+// can only be offered whole is reported as such, never as "not found" — a
+// miss whose chunk plane fails transiently re-resolves and serves it, and a
+// batched get (whole-frame sub-gets by construction) names the typed error.
+func TestGatewayOverFrameIsNotAFault(t *testing.T) {
+	if testing.Short() {
+		t.Skip("seeds a >16 MiB payload per holder")
+	}
+	addrs, peers := startLocateFabric(t, 3, 1, 4)
+	data := chunkPayload(msg.MaxData+(1<<20), 26) // 17 MiB
+	// Place the name where an insert would, then swap the over-frame body
+	// in at exactly those holders: every locate-set answers the two
+	// primaries and nothing else.
+	if err := netnode.NewClient(addrs[0]).Insert("g/huge", []byte("placeholder")); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range peers {
+		if p.HasFile("g/huge") {
+			p.SeedLocal("g/huge", data, 1<<40)
+		}
+	}
+	// Both sources of the first locate-set's transfer are dropped (one
+	// attempt each): the miss reaches the relay rung, which answers
+	// over-frame, and resolves once more.
+	faults := transport.NewFaults().Add(transport.Rule{Kind: msg.KindFetch, Drop: true, Times: 2})
+	g := newGateway(t, Config{
+		Peers: addrs[:2], CacheSize: -1,
+		Transport: transport.Config{Retries: -1}, Faults: faults,
+	})
+	res, err := g.Get("g/huge")
+	if err != nil {
+		t.Fatalf("get behind a flaky chunk plane: %v", err)
+	}
+	if !bytes.Equal(res.Data, data) {
+		t.Fatalf("served %d bytes, want the %d-byte body intact", len(res.Data), len(data))
+	}
+	if c := g.Counters(); c.Relays.Value() != 1 || c.Locates.Value() != 2 {
+		t.Fatalf("relays=%d locates=%d, want 1/2 (relay refused over-frame, re-resolved)",
+			c.Relays.Value(), c.Locates.Value())
+	}
+
+	got, err := g.GetMany([]string{"g/huge", "g/absent"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(got[0].Err, ErrOverFrame) || errors.Is(got[0].Err, ErrFault) {
+		t.Fatalf("batched over-frame get: err = %v, want ErrOverFrame and not ErrFault", got[0].Err)
+	}
+	if !errors.Is(got[1].Err, ErrFault) {
+		t.Fatalf("batched absent get: err = %v, want ErrFault", got[1].Err)
+	}
+}
+
 // TestGatewayChunkedPutEndToEnd is the write half of the acceptance
 // path: a payload at the full file-size cap — four times the frame cap —
 // inserts through the gateway's streaming upload plane and reads back
@@ -92,7 +147,7 @@ func TestGatewayChunkedPutEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("streams a 64 MiB payload through the edge")
 	}
-	addrs, _ := startLocateFabric(t, 3, 0, 4, false)
+	addrs, _ := startLocateFabric(t, 3, 0, 4)
 	g := newGateway(t, Config{Peers: addrs[:2], CacheSize: -1})
 	data := chunkPayload(msg.MaxFileSize, 25)
 	want := sha256.Sum256(data)
@@ -122,7 +177,7 @@ func TestGatewayChunkedPutEndToEnd(t *testing.T) {
 // the fabric. (Writes between one frame and the cap stream through the
 // chunked put plane instead of being refused.)
 func TestGatewayOversizeWriteRejected(t *testing.T) {
-	addrs, _ := startLocateFabric(t, 3, 0, 4, false)
+	addrs, _ := startLocateFabric(t, 3, 0, 4)
 	g := newGateway(t, Config{Peers: addrs[:1]})
 	big := make([]byte, msg.MaxFileSize+1)
 	if _, err := g.Insert("g/big", big); !errors.Is(err, ErrTooLarge) {
@@ -132,8 +187,8 @@ func TestGatewayOversizeWriteRejected(t *testing.T) {
 		t.Fatalf("oversize update err = %v, want ErrTooLarge", err)
 	}
 	c := g.Counters()
-	if c.OversizeRejected.Value() != 2 {
-		t.Fatalf("oversize counter = %d, want 2", c.OversizeRejected.Value())
+	if c.OversizeRejects.Value() != 2 {
+		t.Fatalf("oversize counter = %d, want 2", c.OversizeRejects.Value())
 	}
 	if c.Inserts.Value() != 0 || c.Updates.Value() != 0 {
 		t.Fatal("oversize write was acknowledged")
@@ -144,7 +199,7 @@ func TestGatewayOversizeWriteRejected(t *testing.T) {
 // the version floor — after the gateway acknowledges an update, a chunked
 // miss can never fill with the older version.
 func TestGatewayChunkedFloor(t *testing.T) {
-	addrs, _ := startLocateFabric(t, 4, 1, 16, false)
+	addrs, _ := startLocateFabric(t, 4, 1, 16)
 	g := newGateway(t, Config{Peers: addrs[:3], CacheSize: -1, ChunkSize: 1 << 10})
 	v1 := chunkPayload(8<<10, 23)
 	v2 := chunkPayload(8<<10, 24)

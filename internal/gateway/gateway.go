@@ -4,12 +4,12 @@
 // replication. REPLICATEFILE absorbs sustained skew by spreading copies;
 // the gateway absorbs the *instantaneous* duplicate load a hot file
 // generates before replication can react (§6's 80/20 workload), and
-// shields the overlay from client bursts. It owns four mechanisms:
+// shields the overlay from client bursts. It reaches the fabric only
+// through one shared netnode.Client — the read and write ladders
+// (docs/ROUTING.md "The ladder") live there, once — spread round-robin
+// over a set of entry peers with a failure detector steering traffic away
+// from peers that stop answering, and wraps it with what is the edge's own:
 //
-//   - entry-peer selection: requests round-robin over a set of entry
-//     peers through one pooled internal/transport (deadlines, retries,
-//     idle-connection reuse), with a failure detector steering traffic
-//     away from peers that stop answering and probing them back in;
 //   - coalescing: concurrent gets of one name cost one overlay lookup
 //     (singleflight), so a flash crowd of identical reads arrives at the
 //     fabric as a single request;
@@ -38,8 +38,8 @@ import (
 
 	"lesslog/internal/metrics"
 	"lesslog/internal/msg"
+	"lesslog/internal/netnode"
 	"lesslog/internal/routehint"
-	"lesslog/internal/stream"
 	"lesslog/internal/tracering"
 	"lesslog/internal/transport"
 )
@@ -50,30 +50,26 @@ const (
 	DefaultCacheTTL     = 2 * time.Second
 	DefaultMaxInFlight  = 1024
 	DefaultQueueTimeout = 100 * time.Millisecond
-	DefaultDowngradeTTL = 30 * time.Second
 )
 
-// maxFetchAttempts bounds how many distinct entry peers one read tries
-// before giving up.
-const maxFetchAttempts = 4
-
 // Errors surfaced by gateway operations (ErrOverloaded lives in
-// admission.go beside the gate that produces it).
+// admission.go beside the gate that produces it). The ladder's outcomes are
+// the shared client's own errors, not copies of them.
 var (
-	// ErrFault mirrors the fabric's "file not found" outcome.
-	ErrFault = errors.New("gateway: file not found (fault)")
-	// ErrStaleRead reports that every entry peer answered with data older
-	// than a write this gateway already acknowledged and no cached copy
-	// could bridge the gap.
-	ErrStaleRead = errors.New("gateway: fabric behind acknowledged writes")
+	// ErrFault is the fabric's "file not found" outcome.
+	ErrFault = netnode.ErrFault
+	// ErrOverFrame reports a copy that exists but could only be offered as
+	// one whole frame it does not fit (a batched get, or a relay after the
+	// chunk plane failed) — never a fault.
+	ErrOverFrame = netnode.ErrOverFrame
 	// ErrTooLarge rejects a write whose payload exceeds the fabric's file
-	// size cap (msg.MaxFileSize), at the edge, before any bytes move — a
-	// typed answer instead of a mid-stream failure. Payloads between
-	// msg.MaxData and the cap stream through the staged put plane; only a
-	// fabric predating chunked writes still bounds them at one frame.
-	ErrTooLarge = errors.New("gateway: payload exceeds the write size cap")
-	// errNoPeers reports an empty or fully-failed entry-peer set.
-	errNoPeers = errors.New("gateway: no entry peer reachable")
+	// size cap (msg.MaxFileSize) before any bytes move. Payloads between
+	// msg.MaxData and the cap stream through the staged put plane.
+	ErrTooLarge = netnode.ErrTooLarge
+	// ErrStaleRead reports that the fabric answered with data older than a
+	// write this gateway already acknowledged and no cached copy could
+	// bridge the gap.
+	ErrStaleRead = errors.New("gateway: fabric behind acknowledged writes")
 )
 
 // Config parameterizes a Gateway.
@@ -103,35 +99,17 @@ type Config struct {
 	// PipelineWorkers caps concurrently handled pipelined requests per
 	// client connection; 0 selects transport.DefaultPipelineWorkers.
 	PipelineWorkers int
-	// DisableLocate turns the locate-then-fetch data plane off: every
-	// cache miss relays the payload through the lookup path, as pre-locate
-	// gateways did. With it on (the default), misses resolve the holder —
-	// route-hint cache first, then a locate walk — and fetch the payload
-	// in one direct hop; fabrics that answer locate with unknown-kind
-	// downgrade automatically. See docs/ROUTING.md.
-	DisableLocate bool
 	// HintSize bounds the route-hint cache in entries; 0 selects
 	// routehint.DefaultCapacity.
 	HintSize int
 	// HintTTL bounds how long a route hint may steer direct fetches
 	// without being re-learned; 0 selects routehint.DefaultTTL.
 	HintTTL time.Duration
-	// DowngradeTTL is how long the gateway stays downgraded to the relay
-	// path after the fabric answers locate with unknown-kind, before
-	// probing again; 0 selects DefaultDowngradeTTL. Mixed-version fleets
-	// that upgrade quickly can shorten it so the gateway re-probes sooner
-	// (see the -downgrade-ttl flag on lesslog-gw and lesslogd). The same
-	// TTL governs the chunk plane's independent downgrade latch.
-	DowngradeTTL time.Duration
 	// ChunkSize and ChunkWindow tune the striped chunk plane on the miss
 	// path (bytes per ranged fetch, in-flight chunks per transfer); <= 0
 	// selects the stream package defaults.
 	ChunkSize   int
 	ChunkWindow int
-	// DisableChunks turns the chunked data plane off: every miss fetches
-	// whole frames from a single holder, as pre-chunking gateways did.
-	// Implied by DisableLocate (the chunk plane rides the locate plane).
-	DisableChunks bool
 	// TraceSampleEvery head-samples 1-in-N admitted client requests into
 	// the edge trace ring (docs/OBSERVABILITY.md); 0 selects
 	// tracering.DefaultSampleEvery, 1 samples everything, < 0 disables
@@ -163,9 +141,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.PipelineWorkers == 0 {
 		c.PipelineWorkers = transport.DefaultPipelineWorkers
-	}
-	if c.DowngradeTTL == 0 {
-		c.DowngradeTTL = DefaultDowngradeTTL
 	}
 	return c
 }
@@ -220,31 +195,18 @@ type Lookup struct {
 
 // Gateway is the client edge. Safe for concurrent use.
 type Gateway struct {
-	cfg    Config
-	peers  []string
-	tr     *transport.Transport
-	det    *transport.Detector
-	cursor atomic.Uint64
+	cfg   Config
+	peers []string
+	tr    *transport.Transport
+	det   *transport.Detector
+
+	// client is the gateway's one way into the fabric: the shared read and
+	// write ladder over the entry peers, reporting to det.
+	client *netnode.Client
 
 	cache   *versionCache
 	flights *flightGroup
 	adm     *admission
-
-	// hints is the data plane's name → holder-set cache; locateDown latches
-	// the relay fallback (unix-nanos until which the fabric is assumed not
-	// to speak locate). hints is nil iff Config.DisableLocate. fetcher is
-	// the chunked striped transfer engine with its own downgrade latch
-	// chunkDown — nil when chunking (or locate) is disabled.
-	hints      *routehint.Cache
-	locateDown atomic.Int64
-	fetcher    *stream.Fetcher
-	chunkDown  atomic.Int64
-
-	// uploader streams over-frame writes to a peer in staged chunks;
-	// putDown latches that path off (relaying ErrTooLarge at one frame's
-	// cap) after the fabric answers put with unknown-kind.
-	uploader *stream.Uploader
-	putDown  atomic.Int64
 
 	counters Counters
 	obs      gwObs
@@ -282,28 +244,6 @@ func New(cfg Config) (*Gateway, error) {
 		adm:     newAdmission(cfg.MaxInFlight, cfg.QueueTimeout),
 		log:     logger.With("component", "gateway"),
 	}
-	if !cfg.DisableLocate {
-		g.hints = routehint.New(cfg.HintSize, cfg.HintTTL)
-		if !cfg.DisableChunks {
-			g.fetcher = stream.New(g.tr, stream.Config{
-				ChunkSize: cfg.ChunkSize,
-				Window:    cfg.ChunkWindow,
-				// A transport-dead holder loses every hint pointing at it;
-				// a not-holder refusal only loses this name's hint there.
-				Evict: func(name, addr string, hard bool) {
-					if hard {
-						g.hints.PurgeHolder(addr)
-					} else {
-						g.hints.PurgeFrom(name, addr)
-					}
-				},
-			})
-		}
-	}
-	g.uploader = stream.NewUploader(g.tr, stream.Config{
-		ChunkSize: cfg.ChunkSize,
-		Window:    cfg.ChunkWindow,
-	})
 	if cfg.TraceSampleEvery >= 0 {
 		slow := cfg.TraceSlow
 		if slow <= 0 {
@@ -314,6 +254,12 @@ func New(cfg Config) (*Gateway, error) {
 		g.traceSeq.Store(uint64(time.Now().UnixNano()) ^ uint64(msg.GatewayPID)<<32)
 	}
 	g.det = transport.NewDetector(g.tr.Config().FailThreshold, g.peerDown, g.peerUp)
+	g.client = netnode.NewLocateClientOver(g.peers, g.det, g.tr, netnode.LocateOptions{
+		Hints:       routehint.New(cfg.HintSize, cfg.HintTTL),
+		ChunkSize:   cfg.ChunkSize,
+		ChunkWindow: cfg.ChunkWindow,
+	})
+	g.counters.LocateStats = g.client.LocateStats()
 	return g, nil
 }
 
@@ -325,11 +271,9 @@ func (g *Gateway) peerDown(idx uint32) {
 	if int(idx) < len(g.peers) {
 		addr = g.peers[idx]
 		g.tr.DropIdle(addr)
-		if g.hints != nil {
-			// Every route hint pointing at the dead peer reroutes now,
-			// instead of each paying its own failed direct fetch.
-			g.hints.PurgeHolder(addr)
-		}
+		// Every route hint pointing at the dead peer reroutes now, instead
+		// of each paying its own failed direct fetch.
+		g.client.PurgeHolder(addr)
 	}
 	g.log.Warn("entry peer declared down", "peer", addr)
 }
@@ -351,21 +295,6 @@ func (g *Gateway) Transport() *transport.Transport { return g.tr }
 
 // Detector exposes the entry-peer failure detector.
 func (g *Gateway) Detector() *transport.Detector { return g.det }
-
-// pickPeer selects the next entry peer round-robin, skipping peers the
-// detector currently marks down. With every peer down it fails open — the
-// attempt doubles as the recovery probe that lets the detector heal.
-func (g *Gateway) pickPeer() int {
-	n := len(g.peers)
-	start := int(g.cursor.Add(1) % uint64(n))
-	for i := 0; i < n; i++ {
-		idx := (start + i) % n
-		if !g.det.Down(uint32(idx)) {
-			return idx
-		}
-	}
-	return start
-}
 
 // admit takes an admission slot, counting a shed on timeout.
 func (g *Gateway) admit() (func(), error) {
@@ -410,259 +339,46 @@ func (g *Gateway) Get(name string) (Result, error) {
 	return res, err
 }
 
-// fetch performs the fabric read behind a cache miss. The data plane
-// degrades one level at a time: chunked striped fetch across the hinted
-// replica set → locate-set walk + chunked fetch → whole-frame direct fetch
-// off a single hint → locate walk + direct fetch → the payload-relaying
-// lookup path. Every path funnels through the admitFill floor check, so
-// the version-floor guarantee is identical however the bytes arrive.
+// maxFillAttempts bounds how often one miss re-reads because a write was
+// acknowledged while its fill was in flight.
+const maxFillAttempts = 4
+
+// fetch performs the fabric read behind a cache miss: the shared client's
+// read ladder, told the name's floor so a rung that answers below it is
+// purged and re-resolved like any stale hint, then the one atomic floor
+// check on the way into the cache — the version-floor guarantee is
+// identical however the bytes arrive. A fill that met the floor it was
+// asked for but lost to a write acknowledged meanwhile reads again: the
+// fabric already holds the newer version. One that came back below the
+// floor it was asked for is the fabric running behind, and is final.
 func (g *Gateway) fetch(name string) (Result, error) {
 	g.counters.Misses.Inc()
-	if g.hints != nil {
-		chunked := g.chunksUp()
-		if chunked {
-			if set, ok := g.hints.GetSet(name); ok {
-				if res, err, ok := g.chunkFill(name, set); ok {
-					g.counters.HintHits.Inc()
-					return res, err
-				}
-				g.counters.HintStale.Inc()
-				chunked = g.chunksUp() // an all-legacy set latches mid-flight
-			}
-		} else if h, ok := g.hints.Get(name); ok {
-			if res, err, ok := g.fetchAt(name, h); ok {
-				g.counters.HintHits.Inc()
-				return res, err
-			}
-			g.counters.HintStale.Inc()
-		}
-		if chunked {
-			if res, err, ok := g.fetchViaLocateSet(name); ok {
-				return res, err
-			}
-		}
-		if res, err, ok := g.fetchViaLocate(name); ok {
-			return res, err
-		}
-	}
-	return g.fetchRelay(name)
-}
-
-// chunksUp reports whether the chunked data plane is currently usable.
-func (g *Gateway) chunksUp() bool {
-	return g.fetcher != nil && time.Now().UnixNano() >= g.chunkDown.Load()
-}
-
-// chunkFill runs one striped chunked transfer across set and admits the
-// reassembled payload through the version floor. ok=false means "resolve
-// another way": the set was stale or raced a write (re-locate), the fabric
-// does not speak chunked fetch (downgrade latched), or the fill ran behind
-// the floor.
-func (g *Gateway) chunkFill(name string, set []routehint.Hint) (Result, error, bool) {
-	srcs := make([]stream.Source, len(set))
-	for i, h := range set {
-		srcs[i] = stream.Source{PID: h.PID, Addr: h.Addr}
-	}
-	data, ver, err := g.fetcher.Fetch(name, 0, srcs)
-	if err != nil {
-		switch {
-		case errors.Is(err, stream.ErrUnsupported):
-			g.counters.ChunkDowngrades.Inc()
-			g.chunkDown.Store(time.Now().Add(g.cfg.DowngradeTTL).UnixNano())
-			g.log.Info("fabric does not speak chunked fetch; downgrading",
-				"retry_after", g.cfg.DowngradeTTL)
-		case errors.Is(err, stream.ErrNotFound), errors.Is(err, stream.ErrVersionGone):
-			// Stale set or a write raced the transfer: re-resolve.
-		default:
-			g.counters.FetchErrors.Inc()
-		}
-		return Result{}, nil, false
-	}
-	g.counters.ChunkedFills.Inc()
-	res, ferr := g.admitFillData(name, data, ver, set[0].PID, 0)
-	if ferr != nil && !errors.Is(ferr, ErrFault) {
-		// The whole set runs behind a write this gateway acknowledged.
-		g.hints.Purge(name)
-		return Result{}, nil, false
-	}
-	return res, ferr, true
-}
-
-// fetchViaLocateSet resolves name's replica set through a locate-set walk,
-// caches it, and fills via a chunked striped transfer. ok=false falls one
-// level down (single-holder locate, then relay): the fabric answered
-// unknown-kind (latching the chunk downgrade) or the chain could not
-// settle. A clean fault is final, exactly like fetchViaLocate's.
-func (g *Gateway) fetchViaLocateSet(name string) (Result, error, bool) {
-	attempts := len(g.peers)
-	if attempts > maxFetchAttempts {
-		attempts = maxFetchAttempts
-	}
-	for i := 0; i < attempts; i++ {
-		idx := g.pickPeer()
-		g.counters.Locates.Inc()
-		resp, err := g.tr.Do(g.peers[idx], &msg.Request{Kind: msg.KindLocateSet, Name: name})
+	for attempt := 1; ; attempt++ {
+		floor := g.cache.floor(name)
+		res, err := g.client.GetAtLeast(name, floor)
 		if err != nil {
-			g.det.Fail(uint32(idx))
-			g.counters.FetchErrors.Inc()
-			continue
+			return Result{}, err
 		}
-		g.det.Ok(uint32(idx))
-		if !resp.OK {
-			if msg.IsUnknownKind(resp.Err) {
-				g.counters.ChunkDowngrades.Inc()
-				g.chunkDown.Store(time.Now().Add(g.cfg.DowngradeTTL).UnixNano())
-				g.log.Info("fabric does not speak locate-set; downgrading",
-					"peer", g.peers[idx], "retry_after", g.cfg.DowngradeTTL)
-				return Result{}, nil, false
-			}
-			return Result{}, fmt.Errorf("%w: %s", ErrFault, name), true
+		out, err := g.admitFillData(name, res.Data, res.Version, res.ServedBy, uint32(res.Hops))
+		if !errors.Is(err, ErrStaleRead) || res.Version < floor || attempt == maxFillAttempts {
+			return out, err
 		}
-		hs, derr := msg.DecodeHolders(resp.Data)
-		if derr != nil {
-			g.counters.FetchErrors.Inc()
-			continue
-		}
-		set := make([]routehint.Hint, len(hs))
-		for j, h := range hs {
-			set[j] = routehint.Hint{PID: h.PID, Addr: h.Addr, Version: h.Version}
-		}
-		g.hints.PutSet(name, set)
-		if res, ferr, ok := g.chunkFill(name, set); ok {
-			return res, ferr, true
-		}
-		if !g.chunksUp() {
-			return Result{}, nil, false
-		}
-		// The set went stale between locate and transfer (churn, or a
-		// concurrent write moved the pinned version); locate again.
 	}
-	return Result{}, nil, false
 }
 
-// fetchAt is the one-hop data-plane fetch: a local-only get at h's
-// address, admitted through the version floor. ok=false means "resolve
-// again" — the holder refused (stale hint), was unreachable (hints at that
-// address are purged wholesale), or answered behind the floor.
-func (g *Gateway) fetchAt(name string, h routehint.Hint) (Result, error, bool) {
-	resp, rpcErr := g.tr.Do(h.Addr, &msg.Request{
-		Kind: msg.KindGet, Flags: msg.FlagLocalOnly, Name: name,
-	})
-	if rpcErr != nil {
-		// The holder itself is unreachable — the same evidence the failure
-		// detector acts on, one deadline earlier. Reroute every name
-		// hinted there at once.
-		g.hints.PurgeHolder(h.Addr)
-		g.counters.FetchErrors.Inc()
-		return Result{}, nil, false
-	}
-	if !resp.OK {
-		g.hints.Purge(name)
-		return Result{}, nil, false
-	}
-	if resp.ServedBy != h.PID {
-		// Served, but not by the hinted holder: a pre-locate peer ignored
-		// the local-only bit and relayed. Data is good; the hint is not.
-		g.hints.Purge(name)
-	} else {
-		g.hints.Put(name, routehint.Hint{PID: h.PID, Addr: h.Addr, Version: resp.Version})
-	}
-	res, err := g.admitFill(name, resp)
-	if err != nil && !errors.Is(err, ErrFault) {
-		// The holder runs behind a write this gateway acknowledged; its
-		// hint cannot serve this floor generation.
-		g.hints.Purge(name)
-		return Result{}, nil, false
-	}
-	return res, err, true
-}
-
-// fetchViaLocate resolves name's holder through a locate walk and fetches
-// directly there. ok=false falls back to the relay path: the fabric
-// answered locate with unknown-kind (latching the downgrade), or the
-// locate/fetch chain could not settle. A clean locate fault is final —
-// the relay walk would visit the same tree and find the same nothing.
-func (g *Gateway) fetchViaLocate(name string) (Result, error, bool) {
-	if time.Now().UnixNano() < g.locateDown.Load() {
-		return Result{}, nil, false
-	}
-	attempts := len(g.peers)
-	if attempts > maxFetchAttempts {
-		attempts = maxFetchAttempts
-	}
-	for i := 0; i < attempts; i++ {
-		idx := g.pickPeer()
-		g.counters.Locates.Inc()
-		resp, err := g.tr.Do(g.peers[idx], &msg.Request{Kind: msg.KindLocate, Name: name})
-		if err != nil {
-			g.det.Fail(uint32(idx))
-			g.counters.FetchErrors.Inc()
-			continue
-		}
-		g.det.Ok(uint32(idx))
-		if !resp.OK {
-			if msg.IsUnknownKind(resp.Err) {
-				g.counters.LocateFallbacks.Inc()
-				g.locateDown.Store(time.Now().Add(g.cfg.DowngradeTTL).UnixNano())
-				g.log.Info("fabric does not speak locate; relaying",
-					"peer", g.peers[idx], "retry_after", g.cfg.DowngradeTTL)
-				return Result{}, nil, false
-			}
-			return Result{}, fmt.Errorf("%w: %s", ErrFault, name), true
-		}
-		h := routehint.Hint{PID: resp.ServedBy, Addr: string(resp.Data), Version: resp.Version}
-		if res, ferr, ok := g.fetchAt(name, h); ok {
-			return res, ferr, true
-		}
-		// Holder vanished between locate and fetch; locate again.
-	}
-	return Result{}, nil, false
-}
-
-// fetchRelay is the pre-locate read path: the payload relays back through
-// the lookup walk, trying distinct entry peers on transport failure and
-// refusing to return data older than an acknowledged write.
-func (g *Gateway) fetchRelay(name string) (Result, error) {
-	attempts := len(g.peers)
-	if attempts > maxFetchAttempts {
-		attempts = maxFetchAttempts
-	}
-	var lastErr error
-	for i := 0; i < attempts; i++ {
-		idx := g.pickPeer()
-		resp, err := g.tr.Do(g.peers[idx], &msg.Request{Kind: msg.KindGet, Name: name})
-		if err != nil {
-			g.det.Fail(uint32(idx))
-			g.counters.FetchErrors.Inc()
-			lastErr = err
-			continue
-		}
-		g.det.Ok(uint32(idx))
-		res, err := g.admitFill(name, resp)
-		if err == nil || errors.Is(err, ErrFault) {
-			return res, err
-		}
-		lastErr = err
-	}
-	if lastErr == nil {
-		lastErr = errNoPeers
-	}
-	return Result{}, lastErr
-}
-
-// admitFill turns one fabric get response into a Result, enforcing the
-// version floor: a fill older than an acknowledged write is refused, and
-// a retained cache entry that still satisfies the floor is served in its
-// place (counted as StaleServed — the fabric, not the cache, was stale).
+// admitFill turns one batched get sub-response into a Result through the
+// same floor gate.
 func (g *Gateway) admitFill(name string, resp *msg.Response) (Result, error) {
 	if !resp.OK {
-		return Result{}, fmt.Errorf("%w: %s", ErrFault, name)
+		return Result{}, netnode.ReadError(name, resp)
 	}
 	return g.admitFillData(name, resp.Data, resp.Version, resp.ServedBy, uint32(resp.Hops))
 }
 
-// admitFillData is admitFill below the response envelope — the shared
-// floor gate for whole-frame and chunk-reassembled fills alike.
+// admitFillData enforces the version floor on a fill: one older than an
+// acknowledged write is refused, and a retained cache entry that still
+// satisfies the floor is served in its place (counted as StaleServed — the
+// fabric, not the cache, was stale).
 func (g *Gateway) admitFillData(name string, data []byte, version uint64, servedBy, hops uint32) (Result, error) {
 	if g.cache.put(name, data, version, servedBy, hops) {
 		return Result{
@@ -731,41 +447,25 @@ func (g *Gateway) GetMany(names []string) ([]Lookup, error) {
 	return out, nil
 }
 
-// sendBatch performs one batch exchange, retrying across entry peers on
-// transport failure (batched gets are read-only, so the manual retry is
-// safe even though KindBatch itself is not transport-idempotent).
+// sendBatch performs one batch exchange, failing over across entry peers
+// on transport failure (batched gets are read-only, so repeating the frame
+// is safe even though KindBatch itself is not transport-idempotent).
 func (g *Gateway) sendBatch(data []byte, want int) ([]*msg.Response, error) {
-	attempts := len(g.peers)
-	if attempts > maxFetchAttempts {
-		attempts = maxFetchAttempts
+	resp, err := g.client.Do(&msg.Request{Kind: msg.KindBatch, Data: data}, true)
+	if err != nil {
+		return nil, err
 	}
-	var lastErr error
-	for i := 0; i < attempts; i++ {
-		idx := g.pickPeer()
-		resp, err := g.tr.Do(g.peers[idx], &msg.Request{Kind: msg.KindBatch, Data: data})
-		if err != nil {
-			g.det.Fail(uint32(idx))
-			g.counters.FetchErrors.Inc()
-			lastErr = err
-			continue
-		}
-		g.det.Ok(uint32(idx))
-		if !resp.OK {
-			return nil, fmt.Errorf("gateway: batch rejected: %s", resp.Err)
-		}
-		resps, err := msg.DecodeBatchResponses(resp.Data)
-		if err != nil {
-			return nil, fmt.Errorf("gateway: batch decode: %w", err)
-		}
-		if len(resps) != want {
-			return nil, fmt.Errorf("gateway: batch answered %d of %d sub-requests", len(resps), want)
-		}
-		return resps, nil
+	if !resp.OK {
+		return nil, fmt.Errorf("gateway: batch rejected: %s", resp.Err)
 	}
-	if lastErr == nil {
-		lastErr = errNoPeers
+	resps, err := msg.DecodeBatchResponses(resp.Data)
+	if err != nil {
+		return nil, fmt.Errorf("gateway: batch decode: %w", err)
 	}
-	return nil, lastErr
+	if len(resps) != want {
+		return nil, fmt.Errorf("gateway: batch answered %d of %d sub-requests", len(resps), want)
+	}
+	return resps, nil
 }
 
 // Insert stores a new file through the gateway. The acknowledged version
@@ -801,19 +501,11 @@ func (g *Gateway) write(kind msg.Kind, name string, data []byte) (WriteResult, e
 // writeTraced is write carrying the trace section: with a non-zero
 // traceID the mutation goes out traced over the given root path
 // (typically the gateway's edge hop), and the fan-out tree the fabric
-// assembled comes back as hops. The floor bookkeeping is identical —
-// tracing is additive, never a separate write path.
+// assembled comes back as hops. The mutation runs the shared client's write
+// ladder (size cap, hint-guided entry, staged upload over one frame); the
+// edge adds admission, latency, and — once acknowledged — the write-through
+// cache and floor.
 func (g *Gateway) writeTraced(kind msg.Kind, name string, data []byte, traceID uint64, path []msg.Hop) (WriteResult, []msg.Hop, error) {
-	if len(data) > msg.MaxFileSize {
-		// Refused before admission: no slot, no fabric round-trip, no
-		// partially-staged upload on the wire.
-		g.counters.OversizeRejected.Inc()
-		return WriteResult{}, nil, fmt.Errorf("%w: %v %q is %d bytes, cap %d",
-			ErrTooLarge, kind, name, len(data), msg.MaxFileSize)
-	}
-	if len(data) > msg.MaxData {
-		return g.chunkedWrite(kind, name, data)
-	}
 	release, err := g.admit()
 	if err != nil {
 		return WriteResult{}, nil, err
@@ -828,160 +520,13 @@ func (g *Gateway) writeTraced(kind msg.Kind, name string, data []byte, traceID u
 		req.TraceID = traceID
 		req.Path = path
 	}
-	addr, idx, hint := g.writeEntry(kind, name)
-	resp, err := g.tr.Do(addr, req)
-	if err != nil && hint != nil {
-		// The hinted holder is unreachable — reroute every hint pointing
-		// there and give the mutation its one entry-peer attempt.
-		g.hints.PurgeHolder(addr)
-		hint = nil
-		idx = g.pickPeer()
-		addr = g.peers[idx]
-		resp, err = g.tr.Do(addr, req)
-	}
+	resp, err := g.client.Write(req)
 	if err != nil {
-		if idx >= 0 {
-			g.det.Fail(uint32(idx))
+		if resp != nil {
+			return WriteResult{}, resp.Path, err
 		}
-		return WriteResult{}, nil, fmt.Errorf("gateway: %v %q: %w", kind, name, err)
-	}
-	if idx >= 0 {
-		g.det.Ok(uint32(idx))
-	}
-	if !resp.OK {
-		if hint != nil {
-			g.hints.Purge(name)
-		}
-		return WriteResult{}, resp.Path, fmt.Errorf("gateway: %v %q: %s", kind, name, resp.Err)
-	}
-	g.ackWrite(kind, name, data, resp, hint)
-	return WriteResult{Copies: int(resp.Hops), Version: resp.Version}, resp.Path, nil
-}
-
-// chunkedWrite moves an over-frame mutation through the staged put
-// plane: the payload streams to one peer in ranged chunks, commits
-// atomically there, and enters the fabric as a normal insert or update.
-// A fabric that answers put with unknown-kind latches the path off for
-// DowngradeTTL; while latched, over-frame writes fail fast with the
-// one-frame cap spelled out.
-func (g *Gateway) chunkedWrite(kind msg.Kind, name string, data []byte) (WriteResult, []msg.Hop, error) {
-	op := msg.PutInsert
-	if kind == msg.KindUpdate {
-		op = msg.PutUpdate
-	}
-	if time.Now().UnixNano() < g.putDown.Load() {
-		g.counters.OversizeRejected.Inc()
-		return WriteResult{}, nil, fmt.Errorf("%w: %v %q is %d bytes, frame cap %d on a fabric predating chunked writes",
-			ErrTooLarge, kind, name, len(data), msg.MaxData)
-	}
-	release, err := g.admit()
-	if err != nil {
 		return WriteResult{}, nil, err
 	}
-	defer release()
-	start := time.Now()
-	defer func() { g.obs.write.ObserveDuration(time.Since(start)) }()
-
-	addr, idx, hint := g.writeEntry(kind, name)
-	resp, err := g.uploader.Put(addr, name, data, op)
-	if err != nil && hint != nil && !errors.Is(err, stream.ErrUnsupported) {
-		// The hinted holder failed mid-upload; its staged session times out
-		// server-side. Reroute and restart the upload at an entry peer.
-		g.hints.PurgeHolder(addr)
-		hint = nil
-		idx = g.pickPeer()
-		addr = g.peers[idx]
-		resp, err = g.uploader.Put(addr, name, data, op)
-	}
-	if err != nil {
-		if errors.Is(err, stream.ErrUnsupported) {
-			g.counters.PutDowngrades.Inc()
-			g.counters.OversizeRejected.Inc()
-			g.putDown.Store(time.Now().Add(g.cfg.DowngradeTTL).UnixNano())
-			g.log.Info("fabric does not speak chunked put; rejecting over-frame writes",
-				"retry_after", g.cfg.DowngradeTTL)
-			return WriteResult{}, nil, fmt.Errorf("%w: %v %q is %d bytes, frame cap %d on a fabric predating chunked writes",
-				ErrTooLarge, kind, name, len(data), msg.MaxData)
-		}
-		if idx >= 0 {
-			g.det.Fail(uint32(idx))
-		}
-		return WriteResult{}, nil, fmt.Errorf("gateway: %v %q: %w", kind, name, err)
-	}
-	if idx >= 0 {
-		g.det.Ok(uint32(idx))
-	}
-	g.counters.ChunkedPuts.Inc()
-	g.ackWrite(kind, name, data, resp, hint)
-	return WriteResult{Copies: int(resp.Hops), Version: resp.Version}, resp.Path, nil
-}
-
-// writeEntry resolves where a mutation enters the fabric. Updates and
-// deletes start at a copy when one is known — the cached route hint
-// first, then one locate walk — so the fabric's broadcast begins at a
-// holder instead of paying the entry walk. Inserts (and hint misses)
-// round-robin over the entry peers. idx is -1 when addr is not an entry
-// peer; detector bookkeeping only applies otherwise.
-func (g *Gateway) writeEntry(kind msg.Kind, name string) (addr string, idx int, hint *routehint.Hint) {
-	if g.hints != nil && kind != msg.KindInsert {
-		if h, ok := g.hints.Get(name); ok {
-			return h.Addr, -1, &h
-		}
-		if h, ok := g.resolveHolder(name); ok {
-			return h.Addr, -1, &h
-		}
-	}
-	idx = g.pickPeer()
-	return g.peers[idx], idx, nil
-}
-
-// resolveHolder runs one locate walk to find a write's entry holder,
-// caching the answer. ok=false — the fabric cannot locate (latching the
-// downgrade), the walk failed, or the name is unknown — sends the write
-// through an entry peer instead.
-func (g *Gateway) resolveHolder(name string) (routehint.Hint, bool) {
-	if time.Now().UnixNano() < g.locateDown.Load() {
-		return routehint.Hint{}, false
-	}
-	attempts := len(g.peers)
-	if attempts > maxFetchAttempts {
-		attempts = maxFetchAttempts
-	}
-	for i := 0; i < attempts; i++ {
-		idx := g.pickPeer()
-		g.counters.Locates.Inc()
-		resp, err := g.tr.Do(g.peers[idx], &msg.Request{Kind: msg.KindLocate, Name: name})
-		if err != nil {
-			g.det.Fail(uint32(idx))
-			g.counters.FetchErrors.Inc()
-			continue
-		}
-		g.det.Ok(uint32(idx))
-		if !resp.OK {
-			if msg.IsUnknownKind(resp.Err) {
-				g.counters.LocateFallbacks.Inc()
-				g.locateDown.Store(time.Now().Add(g.cfg.DowngradeTTL).UnixNano())
-				g.log.Info("fabric does not speak locate; writes enter at entry peers",
-					"peer", g.peers[idx], "retry_after", g.cfg.DowngradeTTL)
-			}
-			// A clean locate fault: the name has no copy to start at. The
-			// entry walk answers authoritatively either way.
-			return routehint.Hint{}, false
-		}
-		h := routehint.Hint{PID: resp.ServedBy, Addr: string(resp.Data), Version: resp.Version}
-		g.hints.Put(name, h)
-		return h, true
-	}
-	return routehint.Hint{}, false
-}
-
-// ackWrite applies one acknowledged mutation's edge bookkeeping: the
-// write-through cache and floor, the per-kind counter, and the route
-// hint. An acked update that entered at a hinted holder proves the
-// holder still carries the name — now at the stamped version — so the
-// hint is refreshed rather than dropped; inserts place fresh copies and
-// deletes tombstone them, so their hints are purged.
-func (g *Gateway) ackWrite(kind msg.Kind, name string, data []byte, resp *msg.Response, hint *routehint.Hint) {
 	switch kind {
 	case msg.KindInsert:
 		g.cache.ackInsert(name, data, resp.Version)
@@ -993,15 +538,7 @@ func (g *Gateway) ackWrite(kind msg.Kind, name string, data []byte, resp *msg.Re
 		g.cache.ackDelete(name)
 		g.counters.Deletes.Inc()
 	}
-	if g.hints == nil {
-		return
-	}
-	if kind == msg.KindUpdate && hint != nil {
-		g.hints.Put(name, routehint.Hint{PID: hint.PID, Addr: hint.Addr, Version: resp.Version})
-		g.counters.HintRefreshes.Inc()
-		return
-	}
-	g.hints.Purge(name)
+	return WriteResult{Copies: int(resp.Hops), Version: resp.Version}, resp.Path, nil
 }
 
 // Forward passes an arbitrary request through to an entry peer, bypassing
@@ -1015,26 +552,7 @@ func (g *Gateway) Forward(req *msg.Request) (*msg.Response, error) {
 	}
 	defer release()
 	g.counters.Passthrough.Inc()
-	attempts := 1
-	if transport.Idempotent(req.Kind) && len(g.peers) > 1 {
-		attempts = len(g.peers)
-		if attempts > maxFetchAttempts {
-			attempts = maxFetchAttempts
-		}
-	}
-	var lastErr error
-	for i := 0; i < attempts; i++ {
-		idx := g.pickPeer()
-		resp, err := g.tr.Do(g.peers[idx], req)
-		if err != nil {
-			g.det.Fail(uint32(idx))
-			lastErr = err
-			continue
-		}
-		g.det.Ok(uint32(idx))
-		return resp, nil
-	}
-	return nil, lastErr
+	return g.client.Do(req, transport.Idempotent(req.Kind))
 }
 
 // resultOf converts a cache entry.
@@ -1048,14 +566,8 @@ func resultOf(e entry, src Source) Result {
 // CacheLen returns the number of currently cached entries.
 func (g *Gateway) CacheLen() int { return g.cache.len() }
 
-// HintLen returns the number of cached route hints (0 with the locate
-// data plane disabled).
-func (g *Gateway) HintLen() int {
-	if g.hints == nil {
-		return 0
-	}
-	return g.hints.Len()
-}
+// HintLen returns the number of cached route hints.
+func (g *Gateway) HintLen() int { return g.client.HintLen() }
 
 // Counters returns the gateway's counter set for inspection.
 func (g *Gateway) Counters() *Counters { return &g.counters }

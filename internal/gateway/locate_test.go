@@ -1,9 +1,8 @@
 package gateway
 
 // Tests for the gateway's locate-then-fetch data plane: hint reuse and
-// write invalidation, the legacy relay downgrade latch, entry-peer-down
-// hint purging, and the version-floor guarantee under concurrent reads
-// and writes.
+// write invalidation, entry-peer-down hint purging, and the version-floor
+// guarantee under concurrent reads and writes.
 
 import (
 	"bytes"
@@ -11,22 +10,20 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"lesslog/internal/bitops"
 	"lesslog/internal/netnode"
 )
 
-// startLocateFabric boots an n-peer fabric with B replication bits and
-// optional legacy (pre-locate) emulation, returning addresses PID-order
-// plus the peers themselves.
-func startLocateFabric(t testing.TB, m, b, n int, legacy bool) ([]string, []*netnode.Peer) {
+// startLocateFabric boots an n-peer fabric with B replication bits,
+// returning addresses PID-order plus the peers themselves.
+func startLocateFabric(t testing.TB, m, b, n int) ([]string, []*netnode.Peer) {
 	t.Helper()
 	addrs := make(map[bitops.PID]string, n)
 	peers := make([]*netnode.Peer, 0, n)
 	for i := 0; i < n; i++ {
 		p, err := netnode.Listen(netnode.Config{
-			PID: bitops.PID(i), M: m, B: b, DisableLocate: legacy,
+			PID: bitops.PID(i), M: m, B: b,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -44,7 +41,7 @@ func startLocateFabric(t testing.TB, m, b, n int, legacy bool) ([]string, []*net
 }
 
 func TestGatewayLocateDataPlane(t *testing.T) {
-	addrs, _ := startLocateFabric(t, 4, 0, 16, false)
+	addrs, _ := startLocateFabric(t, 4, 0, 16)
 	// Cache disabled: every Get walks the data plane, so the hint counters
 	// are observable per request. Floors stay enforced.
 	g := newGateway(t, Config{Peers: addrs[:3], CacheSize: -1})
@@ -109,52 +106,12 @@ func TestGatewayLocateDataPlane(t *testing.T) {
 	}
 }
 
-func TestGatewayLegacyFallbackLatch(t *testing.T) {
-	addrs, _ := startLocateFabric(t, 4, 0, 16, true) // pre-locate fabric
-	g := newGateway(t, Config{Peers: addrs[:3], CacheSize: -1, DowngradeTTL: 50 * time.Millisecond})
-	if _, err := g.Insert("g/legacy", []byte("old")); err != nil {
-		t.Fatal(err)
-	}
-
-	// First miss probes locate, hits unknown-kind, latches, and relays.
-	res, err := g.Get("g/legacy")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(res.Data, []byte("old")) {
-		t.Fatalf("get against legacy fabric = %+v", res)
-	}
-	c := g.Counters()
-	// The cold miss probes both planes top-down — locate-set for the
-	// chunked path, then locate — and each latches its own downgrade.
-	if c.Locates.Value() != 2 || c.LocateFallbacks.Value() != 1 || c.ChunkDowngrades.Value() != 1 {
-		t.Fatalf("downgrade counters: locates=%d fallbacks=%d chunk-downgrades=%d, want 2/1/1",
-			c.Locates.Value(), c.LocateFallbacks.Value(), c.ChunkDowngrades.Value())
-	}
-	// Latched: the next miss relays without re-probing either plane.
-	if _, err := g.Get("g/legacy"); err != nil {
-		t.Fatal(err)
-	}
-	if c.Locates.Value() != 2 {
-		t.Fatalf("latched miss re-probed locate (locates=%d)", c.Locates.Value())
-	}
-	// After the latches expire the gateway probes again (and re-latches).
-	time.Sleep(60 * time.Millisecond)
-	if _, err := g.Get("g/legacy"); err != nil {
-		t.Fatal(err)
-	}
-	if c.Locates.Value() != 4 || c.LocateFallbacks.Value() != 2 || c.ChunkDowngrades.Value() != 2 {
-		t.Fatalf("post-latch counters: locates=%d fallbacks=%d chunk-downgrades=%d, want 4/2/2",
-			c.Locates.Value(), c.LocateFallbacks.Value(), c.ChunkDowngrades.Value())
-	}
-}
-
 // TestGatewayHintPurgeOnPeerDown covers the reroute bound: when the entry
 // detector declares a peer dead, every route hint pointing at it is purged
 // at once, and the next read resolves the surviving replica instead of
 // burning a failed direct fetch per hinted name.
 func TestGatewayHintPurgeOnPeerDown(t *testing.T) {
-	addrs, peers := startLocateFabric(t, 4, 1, 16, false) // B=1: two copies
+	addrs, peers := startLocateFabric(t, 4, 1, 16) // B=1: two copies
 	g := newGateway(t, Config{Peers: addrs, CacheSize: -1})
 	if _, err := g.Insert("g/ha", []byte("survives")); err != nil {
 		t.Fatal(err)
@@ -207,7 +164,7 @@ func TestGatewayHintPurgeOnPeerDown(t *testing.T) {
 // and asserts the gateway's guarantee: no read returns data older than a
 // write the gateway had already acknowledged when the read began.
 func TestGatewayFloorUnderConcurrentWrites(t *testing.T) {
-	addrs, _ := startLocateFabric(t, 4, 0, 8, false)
+	addrs, _ := startLocateFabric(t, 4, 0, 8)
 	g := newGateway(t, Config{Peers: addrs[:2], CacheSize: -1})
 	if _, err := g.Insert("g/floor", []byte("v0")); err != nil {
 		t.Fatal(err)

@@ -16,18 +16,22 @@ import (
 	"time"
 
 	"lesslog/internal/metrics"
-	"lesslog/internal/stream"
+	"lesslog/internal/netnode"
 	"lesslog/internal/transport"
 )
 
-// Counters is the gateway's observable behavior.
+// Counters is the gateway's observable behavior: the edge's own events,
+// plus the ladder's — counted once, in the shared client, and read here
+// through the embedded pointer (hint hits and staleness, locates, relays,
+// chunked gets and puts, hint refreshes, oversize rejects, fetch errors).
 type Counters struct {
+	*netnode.LocateStats
+
 	Hits        metrics.AtomicCounter // gets served from a fresh cache entry
 	Misses      metrics.AtomicCounter // gets that needed a fabric fetch
 	Coalesced   metrics.AtomicCounter // gets that rode another request's fetch
 	StaleServed metrics.AtomicCounter // floor-satisfying cache entries served over a stale fabric answer
 	Shed        metrics.AtomicCounter // requests refused by admission control
-	FetchErrors metrics.AtomicCounter // fabric exchanges that failed or were refused
 	Inserts     metrics.AtomicCounter // acknowledged inserts
 	Updates     metrics.AtomicCounter // acknowledged updates
 	Deletes     metrics.AtomicCounter // acknowledged deletes
@@ -36,22 +40,6 @@ type Counters struct {
 	PeersDown   metrics.AtomicCounter // entry peers declared down
 	PeersUp     metrics.AtomicCounter // entry peers restored
 	ProtoErrors metrics.AtomicCounter // client-connection decode/write failures
-
-	// Locate-then-fetch data plane (docs/ROUTING.md).
-	HintHits        metrics.AtomicCounter // misses served by a direct fetch off a cached hint
-	HintStale       metrics.AtomicCounter // cached hints that failed and were invalidated
-	Locates         metrics.AtomicCounter // locate RPCs issued
-	LocateFallbacks metrics.AtomicCounter // unknown-kind answers that latched the relay path
-
-	// Chunked data plane (docs/ROUTING.md).
-	ChunkedFills     metrics.AtomicCounter // misses filled by a striped chunked transfer
-	ChunkDowngrades  metrics.AtomicCounter // unknown-kind answers that latched chunking off
-	OversizeRejected metrics.AtomicCounter // writes refused at the edge for exceeding the size cap
-
-	// Chunked write plane (docs/ROUTING.md "The write plane").
-	ChunkedPuts   metrics.AtomicCounter // over-frame writes committed through staged puts
-	PutDowngrades metrics.AtomicCounter // unknown-kind put answers that latched chunked writes off
-	HintRefreshes metrics.AtomicCounter // update acks that refreshed the entry hint in place
 }
 
 // CountersSnapshot is the plain-value copy of Counters plus the cache's
@@ -75,19 +63,17 @@ type CountersSnapshot struct {
 	Invalidations uint64 `json:"cache_invalidations"`
 	StaleRejected uint64 `json:"cache_stale_rejected"`
 
-	HintHits        uint64 `json:"hint_hits"`
-	HintStale       uint64 `json:"hint_stale"`
-	Locates         uint64 `json:"locates"`
-	LocateFallbacks uint64 `json:"locate_fallbacks"`
+	HintHits  uint64 `json:"hint_hits"`
+	HintStale uint64 `json:"hint_stale"`
+	Locates   uint64 `json:"locates"`
+	Relays    uint64 `json:"relays"`
 
 	ChunkedFills     uint64 `json:"chunked_fills"`
-	ChunkDowngrades  uint64 `json:"chunk_downgrades"`
 	OversizeRejected uint64 `json:"oversize_rejected"`
 	ChunksFetched    uint64 `json:"chunks_fetched"`
 	ChunkRetries     uint64 `json:"chunk_retries"`
 
 	ChunkedPuts   uint64 `json:"chunked_puts"`
-	PutDowngrades uint64 `json:"put_downgrades"`
 	HintRefreshes uint64 `json:"hint_refreshes"`
 	ChunksPut     uint64 `json:"chunks_put"`
 	PutAborts     uint64 `json:"put_aborts"`
@@ -157,64 +143,50 @@ func distStat(s metrics.HistogramSnapshot, scale float64) DistStat {
 	}
 }
 
-// Snapshot copies the counters' current values.
+// countersSnapshot copies the counters' current values: the edge's own,
+// the ladder's (under the names the edge has always published them by), and
+// the chunk planes' transfer counters.
 func (g *Gateway) countersSnapshot() CountersSnapshot {
+	c, fetch, put := &g.counters, g.client.StreamStats(), g.client.UploadStats()
 	return CountersSnapshot{
-		Hits:          g.counters.Hits.Value(),
-		Misses:        g.counters.Misses.Value(),
-		Coalesced:     g.counters.Coalesced.Value(),
-		StaleServed:   g.counters.StaleServed.Value(),
-		Shed:          g.counters.Shed.Value(),
-		FetchErrors:   g.counters.FetchErrors.Value(),
-		Inserts:       g.counters.Inserts.Value(),
-		Updates:       g.counters.Updates.Value(),
-		Deletes:       g.counters.Deletes.Value(),
-		Batches:       g.counters.Batches.Value(),
-		Passthrough:   g.counters.Passthrough.Value(),
-		PeersDown:     g.counters.PeersDown.Value(),
-		PeersUp:       g.counters.PeersUp.Value(),
-		ProtoErrors:   g.counters.ProtoErrors.Value(),
+		Hits:          c.Hits.Value(),
+		Misses:        c.Misses.Value(),
+		Coalesced:     c.Coalesced.Value(),
+		StaleServed:   c.StaleServed.Value(),
+		Shed:          c.Shed.Value(),
+		FetchErrors:   c.FetchErrors.Value(),
+		Inserts:       c.Inserts.Value(),
+		Updates:       c.Updates.Value(),
+		Deletes:       c.Deletes.Value(),
+		Batches:       c.Batches.Value(),
+		Passthrough:   c.Passthrough.Value(),
+		PeersDown:     c.PeersDown.Value(),
+		PeersUp:       c.PeersUp.Value(),
+		ProtoErrors:   c.ProtoErrors.Value(),
 		Evictions:     g.cache.c.evictions.Value(),
 		Invalidations: g.cache.c.invalidations.Value(),
 		StaleRejected: g.cache.c.staleRejected.Value(),
 
-		HintHits:        g.counters.HintHits.Value(),
-		HintStale:       g.counters.HintStale.Value(),
-		Locates:         g.counters.Locates.Value(),
-		LocateFallbacks: g.counters.LocateFallbacks.Value(),
+		HintHits:  c.HintHits.Value(),
+		HintStale: c.HintStale.Value(),
+		Locates:   c.Locates.Value(),
+		Relays:    c.Relays.Value(),
 
-		ChunkedFills:     g.counters.ChunkedFills.Value(),
-		ChunkDowngrades:  g.counters.ChunkDowngrades.Value(),
-		OversizeRejected: g.counters.OversizeRejected.Value(),
-		ChunksFetched:    g.streamStat(func(s *stream.Stats) uint64 { return s.ChunksFetched.Load() }),
-		ChunkRetries:     g.streamStat(func(s *stream.Stats) uint64 { return s.ChunkRetries.Load() }),
+		ChunkedFills:     c.ChunkedGets.Value(),
+		OversizeRejected: c.OversizeRejects.Value(),
+		ChunksFetched:    fetch.ChunksFetched.Load(),
+		ChunkRetries:     fetch.ChunkRetries.Load(),
 
-		ChunkedPuts:   g.counters.ChunkedPuts.Value(),
-		PutDowngrades: g.counters.PutDowngrades.Value(),
-		HintRefreshes: g.counters.HintRefreshes.Value(),
-		ChunksPut:     g.uploader.Stats().ChunksSent.Load(),
-		PutAborts:     g.uploader.Stats().Aborts.Load(),
+		ChunkedPuts:   c.ChunkedPuts.Value(),
+		HintRefreshes: c.HintRefreshes.Value(),
+		ChunksPut:     put.ChunksSent.Load(),
+		PutAborts:     put.Aborts.Load(),
 	}
-}
-
-// streamStat reads one fetcher counter, zero when chunking is disabled.
-func (g *Gateway) streamStat(read func(*stream.Stats) uint64) uint64 {
-	if g.fetcher == nil {
-		return 0
-	}
-	return read(g.fetcher.Stats())
-}
-
-// streamGauge reads one fetcher gauge, zero when chunking is disabled.
-func (g *Gateway) streamGauge(read func(*stream.Stats) int64) int64 {
-	if g.fetcher == nil {
-		return 0
-	}
-	return read(g.fetcher.Stats())
 }
 
 // StatSnapshot captures the gateway's current observable state.
 func (g *Gateway) StatSnapshot() StatSnapshot {
+	fetch := g.client.StreamStats()
 	s := StatSnapshot{
 		Peers:             append([]string(nil), g.peers...),
 		PeersDown:         g.det.DownIDs(),
@@ -225,8 +197,8 @@ func (g *Gateway) StatSnapshot() StatSnapshot {
 		MaxInFlight:       g.cfg.MaxInFlight,
 		InFlight:          g.adm.inFlight(),
 		PipelineDepth:     g.pipelineDepth.Load(),
-		TransfersInFlight: g.streamGauge(func(s *stream.Stats) int64 { return s.InFlight.Load() }),
-		StripeWidth:       g.streamGauge(func(s *stream.Stats) int64 { return s.StripeWidth.Load() }),
+		TransfersInFlight: fetch.InFlight.Load(),
+		StripeWidth:       fetch.StripeWidth.Load(),
 		TraceRecorded:     g.ring.Recorded(),
 		TraceNoted:        g.ring.Noted(),
 		Counters:          g.countersSnapshot(),
@@ -290,19 +262,17 @@ func (g *Gateway) WritePrometheus(w io.Writer) {
 		metrics.LabeledValue{Labels: `event="hint_hit"`, Value: float64(c.HintHits)},
 		metrics.LabeledValue{Labels: `event="hint_stale"`, Value: float64(c.HintStale)},
 		metrics.LabeledValue{Labels: `event="locate"`, Value: float64(c.Locates)},
-		metrics.LabeledValue{Labels: `event="fallback"`, Value: float64(c.LocateFallbacks)})
+		metrics.LabeledValue{Labels: `event="relay"`, Value: float64(c.Relays)})
 	metrics.PrometheusFamily(w, "lesslog_gateway_chunk_events_total", "counter",
 		metrics.LabeledValue{Labels: `event="fill"`, Value: float64(c.ChunkedFills)},
 		metrics.LabeledValue{Labels: `event="chunk"`, Value: float64(c.ChunksFetched)},
-		metrics.LabeledValue{Labels: `event="retry"`, Value: float64(c.ChunkRetries)},
-		metrics.LabeledValue{Labels: `event="downgrade"`, Value: float64(c.ChunkDowngrades)})
+		metrics.LabeledValue{Labels: `event="retry"`, Value: float64(c.ChunkRetries)})
 	metrics.PrometheusFamily(w, "lesslog_gateway_oversize_rejected_total", "counter",
 		metrics.LabeledValue{Value: float64(c.OversizeRejected)})
 	metrics.PrometheusFamily(w, "lesslog_gateway_write_plane_total", "counter",
 		metrics.LabeledValue{Labels: `event="chunked_put"`, Value: float64(c.ChunkedPuts)},
 		metrics.LabeledValue{Labels: `event="chunk"`, Value: float64(c.ChunksPut)},
 		metrics.LabeledValue{Labels: `event="abort"`, Value: float64(c.PutAborts)},
-		metrics.LabeledValue{Labels: `event="downgrade"`, Value: float64(c.PutDowngrades)},
 		metrics.LabeledValue{Labels: `event="hint_refresh"`, Value: float64(c.HintRefreshes)})
 
 	metrics.PrometheusFamily(w, "lesslog_gateway_cache_entries", "gauge",
@@ -315,10 +285,11 @@ func (g *Gateway) WritePrometheus(w io.Writer) {
 		metrics.LabeledValue{Value: float64(g.pipelineDepth.Load())})
 	metrics.PrometheusFamily(w, "lesslog_gateway_entry_peers_down", "gauge",
 		metrics.LabeledValue{Value: float64(g.det.DownCount())})
+	fetch := g.client.StreamStats()
 	metrics.PrometheusFamily(w, "lesslog_gateway_transfers_in_flight", "gauge",
-		metrics.LabeledValue{Value: float64(g.streamGauge(func(s *stream.Stats) int64 { return s.InFlight.Load() }))})
+		metrics.LabeledValue{Value: float64(fetch.InFlight.Load())})
 	metrics.PrometheusFamily(w, "lesslog_gateway_stripe_width", "gauge",
-		metrics.LabeledValue{Value: float64(g.streamGauge(func(s *stream.Stats) int64 { return s.StripeWidth.Load() }))})
+		metrics.LabeledValue{Value: float64(fetch.StripeWidth.Load())})
 
 	metrics.PrometheusHistogram(w, "lesslog_gateway_get_latency_seconds", 1e-9,
 		metrics.LabeledHistogram{Snap: g.obs.get.Snapshot()})

@@ -40,20 +40,18 @@ func (c *Counter) Reset() { c.n = 0 }
 
 // AtomicCounter is a monotonic event counter safe for concurrent use — the
 // form the networked transport needs, where many RPC goroutines bump the
-// same counter.
-type AtomicCounter struct{ n atomic.Uint64 }
+// same counter. It is an atomic.Uint64 (Add, Load) with the Counter
+// spellings on top, so one variable serves readers of either.
+type AtomicCounter struct{ atomic.Uint64 }
 
 // Inc adds one.
-func (c *AtomicCounter) Inc() { c.n.Add(1) }
-
-// Add adds d.
-func (c *AtomicCounter) Add(d uint64) { c.n.Add(d) }
+func (c *AtomicCounter) Inc() { c.Add(1) }
 
 // Value returns the current count.
-func (c *AtomicCounter) Value() uint64 { return c.n.Load() }
+func (c *AtomicCounter) Value() uint64 { return c.Load() }
 
 // Reset zeroes the counter.
-func (c *AtomicCounter) Reset() { c.n.Store(0) }
+func (c *AtomicCounter) Reset() { c.Store(0) }
 
 // Summary accumulates a stream of float64 observations and reports count,
 // sum, mean, min and max without retaining the samples.

@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"strings"
 	"sync"
 	"time"
 )
@@ -70,9 +69,7 @@ const (
 	// serving holder answers with a tiny metadata frame — its PID in
 	// ServedBy, its listen address in Data, the copy's version in Version —
 	// never the file payload. Clients then fetch the data in one hop with a
-	// FlagLocalOnly get. Version-gated like the FrameIDBit precedent: a
-	// legacy peer answers with the unknown-kind error (IsUnknownKind), and
-	// the caller falls back to the relay path.
+	// FlagLocalOnly get.
 	KindLocate
 	// KindDigest is the anti-entropy synchronization probe of the replica
 	// repair subsystem (docs/REPAIR.md): Data carries a bounds-checked
@@ -81,14 +78,10 @@ const (
 	// holdings that belong on the sender and answers with the (name,
 	// version) entries falling into differing buckets (AppendDigestEntries)
 	// — so synchronization cost scales with divergence, not inventory.
-	// Version-gated like KindLocate: a pre-repair peer answers unknown-kind
-	// and the caller skips digest synchronization against it.
 	KindDigest
 	// KindTraces asks a node for its sampled-trace ring (docs/
 	// OBSERVABILITY.md): the response's Data carries the ring snapshot as
-	// JSON — recent traces plus the retained slow/error tail. Version-gated
-	// like KindLocate: a pre-telemetry peer answers unknown-kind and the
-	// caller reports the node as trace-less rather than failing.
+	// JSON — recent traces plus the retained slow/error tail.
 	KindTraces
 	// KindFetch is the ranged read of the chunked data plane
 	// (docs/ROUTING.md): a direct client↔holder request for Length bytes at
@@ -98,9 +91,7 @@ const (
 	// across replicas can never splice bytes from two versions. The
 	// response's Data carries the chunk with its CRC-32C plus the file's
 	// total size and whole-file CRC (AppendFetchResp); the response Version
-	// reports the version actually served. Version-gated like KindLocate: a
-	// pre-chunking peer answers unknown-kind and the caller falls back to
-	// whole-frame fetches.
+	// reports the version actually served.
 	KindFetch
 	// KindLocateSet is the replica-set locate: forwarded along the lookup
 	// tree exactly like KindLocate, but the serving holder answers with the
@@ -108,7 +99,7 @@ const (
 	// then the other required primary holders of the name's subtree
 	// placements — encoded as AppendHolders in the response's Data. Clients
 	// stripe chunk fetches round-robin across the set and cache it as a
-	// multi-holder route hint. Version-gated like KindLocate.
+	// multi-holder route hint.
 	KindLocateSet
 	// KindPut is the ranged write of the chunked data plane — the upload
 	// twin of KindFetch (docs/ROUTING.md "write plane"). A direct
@@ -119,8 +110,7 @@ const (
 	// commit restates the shape and applies the assembled payload through
 	// the normal write path (insert placement or update broadcast), so a
 	// partial upload is never visible or durable. Never forwarded; bounds-
-	// checked per chunk. Version-gated like KindLocate: a pre-chunking peer
-	// answers unknown-kind and the caller falls back to whole-frame writes.
+	// checked per chunk.
 	KindPut
 	// KindNotify is the pull-based propagation leg of an over-threshold
 	// update broadcast: a payload-free KindUpdate twin carrying only the
@@ -130,9 +120,7 @@ const (
 	// broadcast tree exactly like a FlagPropagate update, but each holder
 	// pulls the body via KindFetch from a listed source instead of
 	// receiving it on the tree, so tree bytes stay O(copies), not
-	// O(copies × size). Version-gated like KindLocate: a pre-chunking child
-	// answers unknown-kind and the deliverer falls back to a whole-frame
-	// update leg.
+	// O(copies × size).
 	KindNotify
 )
 
@@ -181,30 +169,16 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
-// unknownKindPrefix is the wire phrasing every peer build has used for a
-// kind its dispatch does not know. It is part of the de-facto protocol:
-// locate-speaking callers detect a legacy relay-only peer by this prefix
-// and downgrade to the relay path, so the string must stay stable.
-const unknownKindPrefix = "netnode: unknown kind"
-
-// UnknownKindError renders the canonical unknown-kind response error for
-// k. Dispatchers answer requests they cannot serve with exactly this
-// string so IsUnknownKind recognizes them across versions.
+// UnknownKindError renders the response error a dispatcher gives a kind
+// it does not serve. It is input validation, not a protocol mode: there is
+// one protocol version, so the caller sees an ordinary failed request.
 func UnknownKindError(k Kind) string {
-	return fmt.Sprintf("%s %v", unknownKindPrefix, k)
+	return fmt.Sprintf("netnode: unknown kind %v", k)
 }
 
-// IsUnknownKind reports whether a response error says the peer does not
-// speak the request's kind — the version gate the locate-then-fetch path
-// uses to fall back to relay gets against legacy peers.
-func IsUnknownKind(errStr string) bool {
-	return strings.HasPrefix(errStr, unknownKindPrefix)
-}
-
-// Like unknownKindPrefix, these response strings are de-facto protocol:
-// data-plane clients match them verbatim to classify a refused direct
-// fetch, so the phrasing must stay stable across builds. netnode re-exports
-// them as ErrNotHolder / ErrWrongVersion.
+// These response strings are de-facto protocol: data-plane clients match
+// them verbatim to classify a refused direct fetch or whole-frame get.
+// netnode re-exports them as ErrNotHolder / ErrWrongVersion / ErrOverFrame.
 const (
 	// NotHolderError answers a local-only get or ranged fetch at a peer not
 	// holding the file — the "your route hint is stale" signal.
@@ -212,6 +186,10 @@ const (
 	// WrongVersionError answers a version-pinned fetch whose pin no longer
 	// matches the held copy — the splice guard of chunked transfers.
 	WrongVersionError = "netnode: version no longer held"
+	// OverFrameError answers a whole-frame get of a body larger than one
+	// wire frame (MaxData): the copy exists, but only ranged fetches can
+	// carry it.
+	OverFrameError = "netnode: body exceeds one frame; fetch it through the chunked plane"
 )
 
 // Limits protecting decoders.
@@ -267,15 +245,14 @@ const (
 	// store or with not-found — never forwarded. It is the fetch half of
 	// locate-then-fetch: the client already resolved the holder, so a stale
 	// route hint degrades into one cheap miss instead of re-amplifying into
-	// a relayed tree walk. Legacy peers ignore the bit (unknown flags were
-	// never rejected) and forward as usual, which is safe — just slower.
+	// a relayed tree walk.
 	FlagLocalOnly
 	// FlagInventory asks KindStat (with FlagJSON) to include the node's
 	// full per-name inventory — name, version, kind, §6 serve count — in
 	// the snapshot, so a fleet scraper can compute replica-count
 	// distributions and exact top-K hot names. Off by default because the
 	// inventory scales with the store while the rest of the snapshot is
-	// O(1); legacy peers ignore the bit and answer the plain snapshot.
+	// O(1).
 	FlagInventory
 )
 

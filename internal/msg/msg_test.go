@@ -220,26 +220,13 @@ func TestKindString(t *testing.T) {
 }
 
 func TestUnknownKindError(t *testing.T) {
-	// The exact phrasing is the version gate legacy peers already emit:
-	// their dispatch answers `netnode: unknown kind kind(N)`. A locate
-	// caller must classify both that historical string and the one
-	// UnknownKindError renders today.
+	// The phrasing an operator sees when a peer is sent a kind it does not
+	// serve: an ordinary request error naming the kind.
 	if got := UnknownKindError(KindLocate); got != "netnode: unknown kind locate" {
 		t.Fatalf("UnknownKindError = %q", got)
 	}
-	for _, e := range []string{
-		UnknownKindError(KindLocate),
-		UnknownKindError(Kind(42)),
-		"netnode: unknown kind kind(11)", // a legacy build's verbatim answer
-	} {
-		if !IsUnknownKind(e) {
-			t.Fatalf("IsUnknownKind(%q) = false", e)
-		}
-	}
-	for _, e := range []string{"", "netnode: file not found (fault)", "gateway: overloaded"} {
-		if IsUnknownKind(e) {
-			t.Fatalf("IsUnknownKind(%q) = true", e)
-		}
+	if got := UnknownKindError(Kind(42)); got != "netnode: unknown kind kind(42)" {
+		t.Fatalf("UnknownKindError = %q", got)
 	}
 }
 

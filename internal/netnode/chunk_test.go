@@ -2,7 +2,7 @@ package netnode
 
 // E2E tests for the chunked data plane: ranged fetches, locate-set replica
 // resolution, striping across holders, anti-splice under concurrent
-// updates, the over-frame read ceiling, and legacy whole-frame fallback.
+// updates, and the over-frame read ceiling.
 
 import (
 	"bytes"
@@ -199,33 +199,6 @@ func TestChunkedNoSpliceUnderUpdate(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-}
-
-// TestChunkedLegacyFallback: a fabric that predates the chunk plane
-// triggers the unknown-kind downgrade and the get falls back to the
-// whole-frame relay path — data still served, latch held.
-func TestChunkedLegacyFallback(t *testing.T) {
-	peers := startMixedSystem(t, 4, 0, allPIDs(16), hashring.Fixed(4),
-		func(bitops.PID) bool { return true })
-	cl := NewLocateClientWith(peers[8].Addr(), peers[8].Transport(), LocateOptions{})
-	if err := cl.Insert("f", []byte("legacy bytes")); err != nil {
-		t.Fatal(err)
-	}
-	res, err := cl.Get("f")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(res.Data, []byte("legacy bytes")) {
-		t.Fatalf("legacy fallback get = %q", res.Data)
-	}
-	st := cl.LocateStats()
-	if st.ChunkDowngrades.Load() != 1 || st.Downgrades.Load() != 1 {
-		t.Fatalf("chunk-downgrades=%d locate-downgrades=%d, want 1/1",
-			st.ChunkDowngrades.Load(), st.Downgrades.Load())
-	}
-	if st.ChunkedGets.Load() != 0 {
-		t.Fatal("chunked get against a legacy fabric")
-	}
 }
 
 // TestFetchWireSemantics exercises the raw KindFetch handler: range math,

@@ -5,9 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"strings"
 	"sync/atomic"
-	"time"
 
+	"lesslog/internal/metrics"
 	"lesslog/internal/msg"
 	"lesslog/internal/routehint"
 	"lesslog/internal/stream"
@@ -19,68 +20,67 @@ import (
 // be located — the paper's "fault".
 var ErrFault = errors.New("netnode: file not found (fault)")
 
+// ErrOverFrame is returned by a read that found the file but had only a
+// whole-frame get to carry it, and the body exceeds one wire frame
+// (msg.MaxData): a plain client's get, or a locate client's relay rung when
+// the chunk plane could not be reached. The copy exists — it is not a
+// fault — and a locate-mode read (ranged fetches) can serve it.
+var ErrOverFrame = errors.New(msg.OverFrameError)
+
 // ErrTooLarge rejects a write whose payload exceeds the system-wide file
-// size cap (msg.MaxFileSize, 64 MiB) — or, against a fabric that predates
-// the chunked write plane, the single wire frame's data cap (msg.MaxData).
-// Caught at the client edge so the caller gets a typed, actionable error
-// instead of a mid-stream failure after the bytes already started moving.
+// size cap (msg.MaxFileSize, 64 MiB). Caught at the client edge so the
+// caller gets a typed, actionable error instead of a mid-stream failure
+// after the bytes already started moving.
 var ErrTooLarge = errors.New("netnode: payload exceeds the write size cap")
 
-// DefaultLocateRetryAfter is how long a locate-mode client stays
-// downgraded to the relay path after a peer answers locate with the
-// unknown-kind error, before probing again — bounds the per-get cost of a
-// mixed-version fabric without freezing the downgrade across a rolling
-// upgrade.
-const DefaultLocateRetryAfter = 30 * time.Second
+// errNextRung is a read rung's "resolve another way": the set it tried was
+// stale, dead, raced a write, or answered below the caller's floor.
+var errNextRung = errors.New("netnode: rung could not serve the read")
 
-// Client issues file operations against any peer of a networked LessLog
-// system. The zero value is unusable; construct with NewClient or
-// NewClientWith — or NewLocateClient for the locate-then-fetch data plane.
+// maxEntryAttempts bounds how many entry peers one exchange tries.
+const maxEntryAttempts = 4
+
+// Client issues file operations against a networked LessLog system: the
+// one implementation of the read and write ladders (docs/ROUTING.md "The
+// ladder"), used bare by tools and wrapped by gateway.Gateway. The zero
+// value is unusable; construct with NewClient or NewClientWith — or
+// NewLocateClient for the locate-then-fetch data plane.
 type Client struct {
-	addr string
-	tr   *transport.Transport
+	tr *transport.Transport
 
-	// Locate mode (docs/ROUTING.md): gets resolve the holder through the
-	// hint cache or a locate RPC and fetch the payload in one direct hop;
-	// locateDown latches the relay fallback (unix-nanos until which locate
-	// is considered unsupported by the fabric). The chunk plane stacks on
-	// top: fetcher stripes ranged chunk fetches across the hinted replica
-	// set, and chunkDown latches its own downgrade independently — a fabric
-	// that speaks locate but not chunked fetch degrades one level (to
-	// whole-frame direct fetches), not two (to relays).
-	locate     bool
-	hints      *routehint.Cache
-	retryAfter time.Duration
-	locateDown atomic.Int64
-	fetcher    *stream.Fetcher
-	chunkDown  atomic.Int64
-	lstats     LocateStats
+	// Entry peers: requests that enter the fabric through the lookup tree
+	// (locates, relay gets, hint-less writes, pass-through kinds) go to the
+	// next one round-robin, skipping peers det marks down, and report their
+	// outcome to det. One address and a nil det for a plain tool client.
+	peers  []string
+	det    *transport.Detector
+	cursor atomic.Uint64
 
-	// Chunked write plane (docs/ROUTING.md "write plane"): payloads over
-	// one frame stream to the entry peer as a staged upload and commit
-	// into the normal insert/update path there. Every client carries an
-	// uploader — unlike the read-side chunk plane it needs no locate
-	// support, just a put-speaking entry peer; putDown latches the
-	// whole-frame fallback when the fabric answers unknown-kind.
+	// Locate mode: hints caches name → replica set, fetcher stripes ranged
+	// chunk fetches across a set. Both nil for a plain (relay-only) client.
+	hints   *routehint.Cache
+	fetcher *stream.Fetcher
+	// uploader streams payloads over one frame to a peer as a staged
+	// upload that commits into the normal insert/update path there.
 	uploader *stream.Uploader
-	putDown  atomic.Int64
+	stats    LocateStats
 }
 
-// LocateStats counts a locate-mode client's data-plane outcomes.
+// LocateStats counts the ladder's events — once, here, for every consumer
+// (the gateway's snapshot and /metrics read these same variables).
 type LocateStats struct {
-	HintHits   atomic.Uint64 // gets served by a direct fetch off a cached hint
-	HintStale  atomic.Uint64 // cached hints that failed and were invalidated
-	Locates    atomic.Uint64 // locate RPCs issued
-	Relays     atomic.Uint64 // gets that fell back to the relay path
-	Downgrades atomic.Uint64 // unknown-kind answers that latched locate off
+	HintHits  metrics.AtomicCounter // gets served off a cached replica-set hint
+	HintStale metrics.AtomicCounter // cached hints that failed and were invalidated
+	Locates   metrics.AtomicCounter // locate and locate-set RPCs issued
+	Relays    metrics.AtomicCounter // gets that fell to the relay rung
 
-	ChunkedGets     atomic.Uint64 // gets served by the striped chunk plane
-	ChunkDowngrades atomic.Uint64 // unknown-kind answers that latched chunking off
-	OversizeRejects atomic.Uint64 // writes rejected at the edge for exceeding the size cap
+	ChunkedGets     metrics.AtomicCounter // striped chunk transfers completed
+	OversizeRejects metrics.AtomicCounter // writes rejected at the edge for exceeding the size cap
 
-	HintRefreshes atomic.Uint64 // write acks that refreshed the entry hint in place
-	ChunkedPuts   atomic.Uint64 // writes streamed through the staged put plane
-	PutDowngrades atomic.Uint64 // unknown-kind answers that latched chunked puts off
+	HintRefreshes metrics.AtomicCounter // update acks that refreshed the entry hint in place
+	ChunkedPuts   metrics.AtomicCounter // writes streamed through the staged put plane
+
+	FetchErrors metrics.AtomicCounter // entry exchanges and chunk transfers that failed outright
 }
 
 // LocateOptions configure a locate-mode client.
@@ -89,18 +89,11 @@ type LocateOptions struct {
 	// with routehint defaults. Pass a shared cache to pool hints across
 	// clients of the same fabric.
 	Hints *routehint.Cache
-	// RetryAfter bounds how long the client stays downgraded after an
-	// unknown-kind answer; <= 0 selects DefaultLocateRetryAfter. Covers
-	// both latches: locate→relay and chunked→whole-frame.
-	RetryAfter time.Duration
 	// ChunkSize and ChunkWindow tune the striped chunk plane (bytes per
 	// ranged fetch, in-flight chunks per transfer); <= 0 selects the
 	// stream package defaults.
 	ChunkSize   int
 	ChunkWindow int
-	// DisableChunks turns the chunk plane off entirely: every get uses
-	// single-holder whole-frame fetches, as before PR 9.
-	DisableChunks bool
 }
 
 // NewClient returns a client that contacts the peer at addr through the
@@ -111,7 +104,7 @@ func NewClient(addr string) *Client { return NewClientWith(addr, defaultTranspor
 // tr — e.g. a pooled transport shared across many clients, or one with a
 // fault-injection table for tests.
 func NewClientWith(addr string, tr *transport.Transport) *Client {
-	return &Client{addr: addr, tr: tr, uploader: stream.NewUploader(tr, stream.Config{})}
+	return &Client{tr: tr, peers: []string{addr}, uploader: stream.NewUploader(tr, stream.Config{})}
 }
 
 // NewLocateClient returns a client whose gets use the locate-then-fetch
@@ -120,48 +113,46 @@ func NewLocateClient(addr string) *Client {
 	return NewLocateClientWith(addr, defaultTransport(), LocateOptions{})
 }
 
-// NewLocateClientWith returns a locate-mode client over tr. Gets consult
-// the route-hint cache and fetch directly at the holder; misses pay one
-// locate walk; fabrics that answer locate with unknown-kind downgrade to
-// the relay path for RetryAfter.
+// NewLocateClientWith returns a locate-mode client entering the fabric at
+// addr over tr. Gets consult the route-hint cache and fetch ranged chunks
+// directly at the holders; misses pay one locate-set walk.
 func NewLocateClientWith(addr string, tr *transport.Transport, opts LocateOptions) *Client {
+	return NewLocateClientOver([]string{addr}, nil, tr, opts)
+}
+
+// NewLocateClientOver returns a locate-mode client entering the fabric
+// through a set of entry peers: entry exchanges round-robin over peers,
+// skip the ones det marks down, and report every outcome to det by peer
+// index (det may be nil: every peer is always tried).
+func NewLocateClientOver(peers []string, det *transport.Detector, tr *transport.Transport, opts LocateOptions) *Client {
 	hints := opts.Hints
 	if hints == nil {
 		hints = routehint.New(0, 0)
 	}
-	retry := opts.RetryAfter
-	if retry <= 0 {
-		retry = DefaultLocateRetryAfter
+	scfg := stream.Config{ChunkSize: opts.ChunkSize, Window: opts.ChunkWindow}
+	c := &Client{
+		tr: tr, peers: peers, det: det, hints: hints,
+		uploader: stream.NewUploader(tr, scfg),
 	}
-	c := &Client{addr: addr, tr: tr, locate: true, hints: hints, retryAfter: retry}
-	c.uploader = stream.NewUploader(tr, stream.Config{
-		ChunkSize: opts.ChunkSize,
-		Window:    opts.ChunkWindow,
-	})
-	if !opts.DisableChunks {
-		c.fetcher = stream.New(tr, stream.Config{
-			ChunkSize: opts.ChunkSize,
-			Window:    opts.ChunkWindow,
-			// A transport-dead holder loses every hint it appears in; a
-			// not-holder refusal only loses this name's hint there.
-			Evict: func(name, addr string, hard bool) {
-				if hard {
-					hints.PurgeHolder(addr)
-				} else {
-					hints.PurgeFrom(name, addr)
-				}
-			},
-		})
+	// A transport-dead holder loses every hint it appears in; a
+	// not-holder refusal only loses this name's hint there.
+	scfg.Evict = func(name, addr string, hard bool) {
+		if hard {
+			hints.PurgeHolder(addr)
+		} else {
+			hints.PurgeFrom(name, addr)
+		}
 	}
+	c.fetcher = stream.New(tr, scfg)
 	return c
 }
 
-// LocateStats returns the client's data-plane counters; zero-valued (and
+// LocateStats returns the client's ladder counters; zero-valued (and
 // static) unless the client is in locate mode.
-func (c *Client) LocateStats() *LocateStats { return &c.lstats }
+func (c *Client) LocateStats() *LocateStats { return &c.stats }
 
 // StreamStats exposes the chunk plane's transfer counters; nil when the
-// client is not in locate mode or chunking is disabled.
+// client is not in locate mode.
 func (c *Client) StreamStats() *stream.Stats {
 	if c.fetcher == nil {
 		return nil
@@ -169,38 +160,78 @@ func (c *Client) StreamStats() *stream.Stats {
 	return c.fetcher.Stats()
 }
 
-// Insert stores a file in the system. Payloads over one wire frame
-// (msg.MaxData) stream to the entry peer as a staged chunked upload and
-// commit into the normal insert path there; the hard cap is
-// msg.MaxFileSize.
-func (c *Client) Insert(name string, data []byte) error {
-	if len(data) > msg.MaxFileSize {
-		c.lstats.OversizeRejects.Add(1)
-		return fmt.Errorf("%w: insert %q is %d bytes, cap %d", ErrTooLarge, name, len(data), msg.MaxFileSize)
+// UploadStats exposes the staged put plane's counters.
+func (c *Client) UploadStats() *stream.UploadStats { return c.uploader.Stats() }
+
+// HintLen returns the number of cached route hints (0 outside locate mode).
+func (c *Client) HintLen() int {
+	if c.hints == nil {
+		return 0
 	}
-	if len(data) > msg.MaxData {
-		_, _, err := c.chunkedWrite(msg.KindInsert, name, data)
-		return err
-	}
-	resp, err := c.tr.Do(c.addr, &msg.Request{Kind: msg.KindInsert, Name: name, Data: data})
-	c.purgeHint(name)
-	if err != nil {
-		return err
-	}
-	if !resp.OK {
-		return fmt.Errorf("netnode: insert %q: %s", name, resp.Err)
-	}
-	return nil
+	return c.hints.Len()
 }
 
-// purgeHint invalidates name's route hint after any write attempt — the
-// holder set or version may have moved, and a later get must not serve an
-// older copy off a hint than the acknowledged write produced. No-op
-// outside locate mode.
-func (c *Client) purgeHint(name string) {
+// PurgeHolder drops every route hint pointing at addr — for a caller whose
+// failure detector learns a peer is dead before the ladder trips over it.
+func (c *Client) PurgeHolder(addr string) {
 	if c.hints != nil {
-		c.hints.Purge(name)
+		c.hints.PurgeHolder(addr)
 	}
+}
+
+// pick selects the next entry peer round-robin, skipping peers the
+// detector currently marks down. With every peer down it fails open — the
+// attempt doubles as the recovery probe that lets the detector heal.
+func (c *Client) pick() int {
+	n := len(c.peers)
+	if n == 1 {
+		return 0
+	}
+	start := int(c.cursor.Add(1) % uint64(n))
+	for i := 0; i < n; i++ {
+		idx := (start + i) % n
+		if c.det == nil || !c.det.Down(uint32(idx)) {
+			return idx
+		}
+	}
+	return start
+}
+
+// report feeds one entry exchange's transport outcome to the detector.
+func (c *Client) report(idx int, err error) {
+	if err != nil {
+		c.stats.FetchErrors.Inc()
+	}
+	if c.det == nil {
+		return
+	}
+	if err != nil {
+		c.det.Fail(uint32(idx))
+	} else {
+		c.det.Ok(uint32(idx))
+	}
+}
+
+// Do passes req to an entry peer and returns its answer untouched — the
+// ladder's own entry exchanges, and the pass-through for kinds it does not
+// interpose. With failover a transport failure moves on to the next entry
+// peer; set it only for requests that are safe to repeat.
+func (c *Client) Do(req *msg.Request, failover bool) (*msg.Response, error) {
+	attempts := 1
+	if failover {
+		attempts = min(len(c.peers), maxEntryAttempts)
+	}
+	var lastErr error
+	for i := 0; i < attempts; i++ {
+		idx := c.pick()
+		resp, err := c.tr.Do(c.peers[idx], req)
+		c.report(idx, err)
+		if err == nil {
+			return resp, nil
+		}
+		lastErr = err
+	}
+	return nil, lastErr
 }
 
 // GetResult reports how a networked get was served.
@@ -215,15 +246,20 @@ type GetResult struct {
 }
 
 // Get fetches a file, reporting which peer served it and the hop count.
-// In locate mode the payload travels one direct hop from the holder
-// whenever a hint or locate resolves it; otherwise it relays back through
-// the lookup path.
-func (c *Client) Get(name string) (GetResult, error) {
-	req := &msg.Request{Kind: msg.KindGet, Name: name}
-	if c.locate {
-		return c.getLocate(req)
+// In locate mode the payload travels direct hops from the holders whenever
+// a hint or locate-set resolves them; otherwise it relays back through the
+// lookup path.
+func (c *Client) Get(name string) (GetResult, error) { return c.GetAtLeast(name, 0) }
+
+// GetAtLeast is Get for a caller that has seen version minVer
+// acknowledged: a rung that answers below it is treated like a stale hint —
+// purged, and the next rung tried. Only the last rung's answer can come
+// back older than minVer; the caller owns that final check.
+func (c *Client) GetAtLeast(name string, minVer uint64) (GetResult, error) {
+	if c.hints == nil {
+		return c.relay(&msg.Request{Kind: msg.KindGet, Name: name})
 	}
-	return c.get(req)
+	return c.read(name, minVer)
 }
 
 // GetTraced fetches a file with route tracing: every peer the request
@@ -237,14 +273,136 @@ func (c *Client) GetTraced(name string) (GetResult, error) {
 		Kind: msg.KindGet, Flags: msg.FlagTrace,
 		Name: name, TraceID: rand.Uint64(),
 	}
-	if c.locate {
-		return c.getLocate(req)
+	if c.hints == nil {
+		return c.relay(req)
 	}
-	return c.get(req)
+	return c.readTraced(req)
 }
 
-func (c *Client) get(req *msg.Request) (GetResult, error) {
-	resp, err := c.tr.Do(c.addr, req)
+// read is the read ladder, top rung first:
+//
+//  1. hinted replica set → striped chunk fetch;
+//  2. locate-set walk → chunk fetch, re-locating once when a concurrent
+//     write moves the pinned version mid-transfer;
+//  3. relay get through the lookup tree.
+//
+// A clean locate fault is final — the relay walk would visit the same tree
+// and find the same nothing.
+func (c *Client) read(name string, minVer uint64) (GetResult, error) {
+	if set, ok := c.hints.GetSet(name); ok {
+		if res, err := c.chunkFetch(name, set, minVer); err == nil {
+			c.stats.HintHits.Inc()
+			return res, nil
+		}
+		c.stats.HintStale.Inc()
+	}
+	res, err := c.locateFetch(name, minVer)
+	if !errors.Is(err, errNextRung) {
+		return res, err
+	}
+	// The set resolved but no replica could serve the transfer (churn,
+	// faults mid-stripe): relay this get and let the next one re-locate.
+	c.stats.Relays.Inc()
+	res, err = c.relay(&msg.Request{Kind: msg.KindGet, Name: name})
+	if errors.Is(err, ErrOverFrame) {
+		// Only ranged fetches can carry this body, and the chunk plane's
+		// failure above may have been transient: resolve once more rather
+		// than report a copy that exists as unreadable.
+		if again, aerr := c.locateFetch(name, minVer); aerr == nil {
+			return again, nil
+		}
+	}
+	return res, err
+}
+
+// locateFetch is the ladder's cold rung: one locate-set walk resolves the
+// name to its replica set, the set is cached, and the payload is fetched
+// chunked and striped. errNextRung means the set resolved but could not
+// serve the read.
+func (c *Client) locateFetch(name string, minVer uint64) (GetResult, error) {
+	for attempt := 0; attempt < 2; attempt++ {
+		c.stats.Locates.Inc()
+		resp, err := c.Do(&msg.Request{Kind: msg.KindLocateSet, Name: name}, true)
+		if err != nil {
+			return GetResult{}, err
+		}
+		if !resp.OK {
+			return GetResult{Hops: int(resp.Hops)}, fmt.Errorf("%w: %s", ErrFault, name)
+		}
+		hs, err := msg.DecodeHolders(resp.Data)
+		if err != nil {
+			c.stats.FetchErrors.Inc()
+			break
+		}
+		set := make([]routehint.Hint, len(hs))
+		for i, h := range hs {
+			set[i] = routehint.Hint{PID: h.PID, Addr: h.Addr, Version: h.Version}
+		}
+		c.hints.PutSet(name, set)
+		res, err := c.chunkFetch(name, set, minVer)
+		if err == nil {
+			return res, nil
+		}
+		if !errors.Is(err, stream.ErrVersionGone) {
+			break
+		}
+		// A write raced the transfer; the new version's set may differ.
+	}
+	return GetResult{}, errNextRung
+}
+
+// chunkFetch runs one striped chunked transfer across a replica set.
+// Holders that refuse or are unreachable were already purged by the
+// fetcher's evict callback; a transfer that completes below minVer purges
+// the name's whole set — every holder in it runs behind a write the caller
+// has seen acknowledged.
+func (c *Client) chunkFetch(name string, set []routehint.Hint, minVer uint64) (GetResult, error) {
+	srcs := make([]stream.Source, len(set))
+	for i, h := range set {
+		srcs[i] = stream.Source{PID: h.PID, Addr: h.Addr}
+	}
+	data, ver, err := c.fetcher.Fetch(name, 0, srcs)
+	if err != nil {
+		if !errors.Is(err, stream.ErrNotFound) && !errors.Is(err, stream.ErrVersionGone) {
+			c.stats.FetchErrors.Inc()
+		}
+		return GetResult{}, err
+	}
+	c.stats.ChunkedGets.Inc()
+	if ver < minVer {
+		c.hints.Purge(name)
+		return GetResult{}, errNextRung
+	}
+	// A striped transfer has no single server; report the set's primary
+	// (the holder the locate walk reached) as the representative.
+	return GetResult{Data: data, Version: ver, ServedBy: set[0].PID}, nil
+}
+
+// readTraced is the traced read: a traced locate walk, then a local-only
+// get at the located holder that continues the same path — whole-frame, so
+// the hop path stays one coherent walk. A holder that cannot serve (lost
+// the file, died, body over one frame) sends the get to the relay rung.
+func (c *Client) readTraced(req *msg.Request) (GetResult, error) {
+	loc, err := c.locateReq(&msg.Request{
+		Kind: msg.KindLocate, Flags: msg.FlagTrace, Name: req.Name, TraceID: req.TraceID,
+	})
+	if err != nil {
+		return GetResult{Hops: loc.Hops, Path: loc.Path}, err
+	}
+	freq := *req
+	freq.Flags |= msg.FlagLocalOnly
+	freq.Path = loc.Path // the fetch trace continues where the locate ended
+	if resp, err := c.tr.Do(loc.Addr, &freq); err == nil && resp.OK {
+		return getResult(resp), nil
+	}
+	c.stats.Relays.Inc()
+	return c.relay(req)
+}
+
+// relay is the whole-frame get through the lookup tree — a plain client's
+// only read, and the ladder's last rung.
+func (c *Client) relay(req *msg.Request) (GetResult, error) {
+	resp, err := c.Do(req, true)
 	if err != nil {
 		return GetResult{}, err
 	}
@@ -252,195 +410,25 @@ func (c *Client) get(req *msg.Request) (GetResult, error) {
 		// A traced fault still carries the route walked so far — hand the
 		// partial path back with the error so the operator sees where
 		// routing died.
-		return GetResult{Hops: int(resp.Hops), Path: resp.Path},
-			fmt.Errorf("%w: %s", ErrFault, req.Name)
+		return GetResult{Hops: int(resp.Hops), Path: resp.Path}, ReadError(req.Name, resp)
 	}
+	return getResult(resp), nil
+}
+
+func getResult(resp *msg.Response) GetResult {
 	return GetResult{
 		Data: resp.Data, Version: resp.Version,
 		ServedBy: resp.ServedBy, Hops: int(resp.Hops), Path: resp.Path,
-	}, nil
+	}
 }
 
-// getLocate is the locate-then-fetch get: warm hints go straight to the
-// holder(s); cold names pay one locate walk, then fetch directly; fabrics
-// that do not speak locate downgrade to the relay path. When the chunk
-// plane is up, fetches are ranged and striped across the hinted replica
-// set (getLocateChunked); traced gets stay on the whole-frame plane so the
-// hop path remains a single coherent walk.
-func (c *Client) getLocate(req *msg.Request) (GetResult, error) {
-	chunked := c.fetcher != nil && req.Flags&msg.FlagTrace == 0 &&
-		time.Now().UnixNano() >= c.chunkDown.Load()
-	if chunked {
-		if set, ok := c.hints.GetSet(req.Name); ok {
-			if res, err := c.chunkFetch(req, set); err == nil {
-				c.lstats.HintHits.Add(1)
-				return res, nil
-			}
-			c.lstats.HintStale.Add(1)
-			// A fully-legacy hint set latches the downgrade mid-flight.
-			chunked = time.Now().UnixNano() >= c.chunkDown.Load()
-		}
-	} else if h, ok := c.hints.Get(req.Name); ok {
-		if res, ok := c.directFetch(req, h); ok {
-			c.lstats.HintHits.Add(1)
-			return res, nil
-		}
-		c.lstats.HintStale.Add(1)
+// ReadError classifies a refused whole-frame get: ErrOverFrame when a
+// holder has the file but cannot frame it, ErrFault otherwise.
+func ReadError(name string, resp *msg.Response) error {
+	if strings.HasPrefix(resp.Err, msg.OverFrameError) {
+		return fmt.Errorf("%w: %s", ErrOverFrame, name)
 	}
-	if time.Now().UnixNano() < c.locateDown.Load() {
-		c.lstats.Relays.Add(1)
-		return c.get(req)
-	}
-	if chunked {
-		if res, handled, err := c.getLocateChunked(req); handled {
-			return res, err
-		}
-		// Not handled: the fabric answered unknown-kind for the chunk
-		// plane. The downgrade is latched; fall through to the
-		// single-holder locate below — one level down, not two.
-	}
-	c.lstats.Locates.Add(1)
-	resp, err := c.tr.Do(c.addr, &msg.Request{
-		Kind: msg.KindLocate, Name: req.Name,
-		Flags: req.Flags & msg.FlagTrace, TraceID: req.TraceID,
-	})
-	if err != nil {
-		return GetResult{}, err
-	}
-	if !resp.OK {
-		if msg.IsUnknownKind(resp.Err) {
-			// The entry peer (or a hop on the walk) predates locate:
-			// latch the relay path instead of paying a wasted RPC per
-			// get, and re-probe after the latch expires.
-			c.lstats.Downgrades.Add(1)
-			c.locateDown.Store(time.Now().Add(c.retryAfter).UnixNano())
-			c.lstats.Relays.Add(1)
-			return c.get(req)
-		}
-		return GetResult{Hops: int(resp.Hops), Path: resp.Path},
-			fmt.Errorf("%w: %s", ErrFault, req.Name)
-	}
-	h := routehint.Hint{PID: resp.ServedBy, Addr: string(resp.Data), Version: resp.Version}
-	freq := req
-	if req.Flags&msg.FlagTrace != 0 {
-		fr := *req
-		fr.Path = resp.Path // the fetch trace continues where the locate ended
-		freq = &fr
-	}
-	if res, ok := c.directFetch(freq, h); ok {
-		return res, nil
-	}
-	// The located holder lost the file — or died — between locate and
-	// fetch; serve this get through the relay path and let the next one
-	// re-locate.
-	c.lstats.Relays.Add(1)
-	return c.get(req)
-}
-
-// directFetch is the one-hop data-plane fetch: a local-only get at h's
-// address. On success the hint is refreshed; on refusal or transport
-// failure the stale hint state is invalidated — per name, or per holder
-// when the holder itself is unreachable — and ok is false so the caller
-// re-resolves.
-func (c *Client) directFetch(req *msg.Request, h routehint.Hint) (GetResult, bool) {
-	freq := *req
-	freq.Kind = msg.KindGet
-	freq.Flags |= msg.FlagLocalOnly
-	resp, err := c.tr.Do(h.Addr, &freq)
-	if err != nil {
-		c.hints.PurgeHolder(h.Addr)
-		return GetResult{}, false
-	}
-	if !resp.OK {
-		c.hints.Purge(req.Name)
-		return GetResult{}, false
-	}
-	res := GetResult{
-		Data: resp.Data, Version: resp.Version,
-		ServedBy: resp.ServedBy, Hops: int(resp.Hops), Path: resp.Path,
-	}
-	if resp.ServedBy != h.PID {
-		// Served, but not by the hinted holder: a pre-locate peer ignored
-		// the local-only bit and relayed. The data is good; the hint is not.
-		c.hints.Purge(req.Name)
-		return res, true
-	}
-	c.hints.Put(req.Name, routehint.Hint{PID: h.PID, Addr: h.Addr, Version: resp.Version})
-	return res, true
-}
-
-// chunkFetch runs one striped chunked transfer across the hinted replica
-// set. An all-legacy set latches the chunk-plane downgrade; every other
-// failure is just reported (stale hints were already purged by the
-// fetcher's evict callback).
-func (c *Client) chunkFetch(req *msg.Request, set []routehint.Hint) (GetResult, error) {
-	srcs := make([]stream.Source, len(set))
-	for i, h := range set {
-		srcs[i] = stream.Source{PID: h.PID, Addr: h.Addr}
-	}
-	data, ver, err := c.fetcher.Fetch(req.Name, 0, srcs)
-	if err != nil {
-		if errors.Is(err, stream.ErrUnsupported) {
-			c.lstats.ChunkDowngrades.Add(1)
-			c.chunkDown.Store(time.Now().Add(c.retryAfter).UnixNano())
-		}
-		return GetResult{}, err
-	}
-	c.lstats.ChunkedGets.Add(1)
-	// A striped transfer has no single server; report the set's primary
-	// (the holder the locate walk reached) as the representative.
-	return GetResult{Data: data, Version: ver, ServedBy: set[0].PID}, nil
-}
-
-// getLocateChunked is the chunk plane's cold path: one locate-set walk
-// resolves the name to its replica set, the set is cached, and the payload
-// is fetched chunked and striped. handled=false means the entry peer
-// answered unknown-kind — the chunk downgrade is latched and the caller
-// should fall back to the single-holder locate plane. A transfer that
-// loses its pinned version to a concurrent write re-locates once (the new
-// version's set may differ) before giving up to the relay path.
-func (c *Client) getLocateChunked(req *msg.Request) (res GetResult, handled bool, err error) {
-	for attempt := 0; attempt < 2; attempt++ {
-		c.lstats.Locates.Add(1)
-		resp, err := c.tr.Do(c.addr, &msg.Request{Kind: msg.KindLocateSet, Name: req.Name})
-		if err != nil {
-			return GetResult{}, true, err
-		}
-		if !resp.OK {
-			if msg.IsUnknownKind(resp.Err) {
-				c.lstats.ChunkDowngrades.Add(1)
-				c.chunkDown.Store(time.Now().Add(c.retryAfter).UnixNano())
-				return GetResult{}, false, nil
-			}
-			return GetResult{Hops: int(resp.Hops)}, true,
-				fmt.Errorf("%w: %s", ErrFault, req.Name)
-		}
-		hs, derr := msg.DecodeHolders(resp.Data)
-		if derr != nil {
-			return GetResult{}, true, fmt.Errorf("netnode: locate-set %q: %v", req.Name, derr)
-		}
-		set := make([]routehint.Hint, len(hs))
-		for i, h := range hs {
-			set[i] = routehint.Hint{PID: h.PID, Addr: h.Addr, Version: h.Version}
-		}
-		c.hints.PutSet(req.Name, set)
-		res, ferr := c.chunkFetch(req, set)
-		if ferr == nil {
-			return res, true, nil
-		}
-		if errors.Is(ferr, stream.ErrVersionGone) && attempt == 0 {
-			continue
-		}
-		if errors.Is(ferr, stream.ErrUnsupported) {
-			return GetResult{}, false, nil
-		}
-		break
-	}
-	// The set resolved but no replica could serve the transfer (churn,
-	// faults mid-stripe): relay this get and let the next one re-locate.
-	c.lstats.Relays.Add(1)
-	res, err = c.get(req)
-	return res, true, err
+	return fmt.Errorf("%w: %s", ErrFault, name)
 }
 
 // LocateResult reports where a file lives: the serving holder's identity
@@ -470,14 +458,12 @@ func (c *Client) LocateTraced(name string) (LocateResult, error) {
 }
 
 func (c *Client) locateReq(req *msg.Request) (LocateResult, error) {
-	resp, err := c.tr.Do(c.addr, req)
+	c.stats.Locates.Inc()
+	resp, err := c.Do(req, true)
 	if err != nil {
 		return LocateResult{}, err
 	}
 	if !resp.OK {
-		if msg.IsUnknownKind(resp.Err) {
-			return LocateResult{}, fmt.Errorf("netnode: locate %q: %s", req.Name, resp.Err)
-		}
 		return LocateResult{Hops: int(resp.Hops), Path: resp.Path},
 			fmt.Errorf("%w: %s", ErrFault, req.Name)
 	}
@@ -487,10 +473,19 @@ func (c *Client) locateReq(req *msg.Request) (LocateResult, error) {
 	}, nil
 }
 
+// Insert stores a file in the system. Payloads over one wire frame
+// (msg.MaxData) stream to the entry peer as a staged chunked upload and
+// commit into the normal insert path there; the hard cap is
+// msg.MaxFileSize.
+func (c *Client) Insert(name string, data []byte) error {
+	_, err := c.Write(&msg.Request{Kind: msg.KindInsert, Name: name, Data: data})
+	return err
+}
+
 // Update rewrites a file everywhere it is replicated. The returned count
 // is the number of copies rewritten.
 func (c *Client) Update(name string, data []byte) (int, error) {
-	n, _, err := c.write(msg.KindUpdate, name, data, false)
+	n, _, err := ack(c.Write(&msg.Request{Kind: msg.KindUpdate, Name: name, Data: data}))
 	return n, err
 }
 
@@ -499,145 +494,137 @@ func (c *Client) Update(name string, data []byte) (int, error) {
 // HopFanout root, one HopDeliver per holder reached, each hop carrying
 // its parent's PID.
 func (c *Client) UpdateTraced(name string, data []byte) (int, []msg.Hop, error) {
-	return c.write(msg.KindUpdate, name, data, true)
+	return ack(c.Write(&msg.Request{
+		Kind: msg.KindUpdate, Flags: msg.FlagTrace, TraceID: rand.Uint64(), Name: name, Data: data,
+	}))
 }
 
 // Delete erases a file everywhere. The returned count is the number of
 // copies removed.
 func (c *Client) Delete(name string) (int, error) {
-	n, _, err := c.write(msg.KindDelete, name, nil, false)
+	n, _, err := ack(c.Write(&msg.Request{Kind: msg.KindDelete, Name: name}))
 	return n, err
 }
 
 // DeleteTraced erases a file everywhere with route tracing; the returned
 // path is the delete broadcast's fan-out tree, like UpdateTraced's.
 func (c *Client) DeleteTraced(name string) (int, []msg.Hop, error) {
-	return c.write(msg.KindDelete, name, nil, true)
+	return ack(c.Write(&msg.Request{
+		Kind: msg.KindDelete, Flags: msg.FlagTrace, TraceID: rand.Uint64(), Name: name,
+	}))
 }
 
-func (c *Client) write(kind msg.Kind, name string, data []byte, traced bool) (int, []msg.Hop, error) {
-	if len(data) > msg.MaxFileSize {
-		c.lstats.OversizeRejects.Add(1)
-		return 0, nil, fmt.Errorf("%w: %s %q is %d bytes, cap %d", ErrTooLarge, kind, name, len(data), msg.MaxFileSize)
-	}
-	if len(data) > msg.MaxData {
-		return c.chunkedWrite(kind, name, data)
-	}
-	// Hint-guided entry: start the broadcast at a holder when the hint
-	// cache (or one locate walk) can name one, so initiation skips the
-	// lookup hops the read path already eliminated.
-	addr, hint := c.writeEntry(name)
-	req := &msg.Request{Kind: kind, Name: name, Data: data}
-	if traced {
-		req.Flags = msg.FlagTrace
-		req.TraceID = rand.Uint64()
-	}
-	resp, err := c.tr.Do(addr, req)
-	if err != nil && hint != nil {
-		// The hinted holder is unreachable: purge everything it hinted at
-		// and retry once at the home peer, like a stale-hint read.
-		c.hints.PurgeHolder(addr)
-		hint = nil
-		resp, err = c.tr.Do(c.addr, req)
+// ack unpacks a Write outcome into copies touched and the traced path (a
+// refused traced write still carries the path walked).
+func ack(resp *msg.Response, err error) (int, []msg.Hop, error) {
+	if resp == nil {
+		return 0, nil, err
 	}
 	if err != nil {
-		c.purgeHint(name)
-		return 0, nil, err
+		return 0, resp.Path, err
+	}
+	return int(resp.Hops), resp.Path, nil
+}
+
+// Write is the write ladder: it runs one mutation — req.Kind insert,
+// update or delete, with whatever trace section req carries — and returns
+// the fabric's acknowledgement (Version stamped, Hops = copies touched).
+// Updates and deletes enter at a holder when the hint cache, or one locate
+// walk, can name one, so the broadcast skips the lookup hops the read path
+// already eliminated; inserts, and a hinted holder that turns out
+// unreachable, enter at an entry peer. Mutations are never blindly
+// retried: a transport error from the entry peer means "outcome unknown".
+// A refused write returns the refusal alongside the error.
+func (c *Client) Write(req *msg.Request) (*msg.Response, error) {
+	if len(req.Data) > msg.MaxFileSize {
+		c.stats.OversizeRejects.Inc()
+		return nil, fmt.Errorf("%w: %s %q is %d bytes, cap %d",
+			ErrTooLarge, req.Kind, req.Name, len(req.Data), msg.MaxFileSize)
+	}
+	var resp *msg.Response
+	var err error
+	hint := c.writeHint(req)
+	if hint != nil {
+		if resp, err = c.send(hint.Addr, req); err != nil {
+			// The hinted holder is unreachable (a staged upload it held
+			// times out server-side): purge everything it hinted at and
+			// give the mutation its one entry-peer attempt.
+			c.hints.PurgeHolder(hint.Addr)
+			hint = nil
+		}
+	}
+	if hint == nil {
+		idx := c.pick()
+		resp, err = c.send(c.peers[idx], req)
+		c.report(idx, err)
+	}
+	if err != nil {
+		c.purgeHint(req.Name)
+		return nil, err
 	}
 	if !resp.OK {
-		c.purgeHint(name)
-		return 0, resp.Path, fmt.Errorf("netnode: %s %q: %s", kind, name, resp.Err)
+		c.purgeHint(req.Name)
+		return resp, fmt.Errorf("netnode: %s %q: %s", req.Kind, req.Name, resp.Err)
 	}
-	c.noteWriteAck(kind, name, hint, resp.Version)
-	return int(resp.Hops), resp.Path, nil
+	// An acked update that entered at a hinted holder refreshes that hint
+	// in place with the acked version — the holder just applied the
+	// broadcast, so the read-after-write path skips a locate. Every other
+	// ack invalidates: the holder set or version moved in a way the client
+	// cannot name, and a later get must not serve an older copy off a hint
+	// than the acknowledged write produced.
+	if req.Kind == msg.KindUpdate && hint != nil {
+		c.hints.Put(req.Name, routehint.Hint{PID: hint.PID, Addr: hint.Addr, Version: resp.Version})
+		c.stats.HintRefreshes.Inc()
+	} else {
+		c.purgeHint(req.Name)
+	}
+	return resp, nil
 }
 
-// writeEntry resolves where a broadcast write should enter the fabric: the
-// hinted holder when the cache has one, else one locate walk (cached for
-// the next write or read), else the home peer. Outside locate mode — or
-// while the locate downgrade latch is set — writes enter at the home peer
-// exactly as before the write plane.
-func (c *Client) writeEntry(name string) (string, *routehint.Hint) {
-	if !c.locate || time.Now().UnixNano() < c.locateDown.Load() {
-		return c.addr, nil
+// send performs one write exchange at addr: a single frame, or — for a
+// payload over one frame — a staged chunked upload committing into the
+// kind's write path (a refused upload is an error, never a !OK answer).
+func (c *Client) send(addr string, req *msg.Request) (*msg.Response, error) {
+	if len(req.Data) <= msg.MaxData {
+		return c.tr.Do(addr, req)
 	}
-	if h, ok := c.hints.Get(name); ok {
-		return h.Addr, &h
-	}
-	c.lstats.Locates.Add(1)
-	resp, err := c.tr.Do(c.addr, &msg.Request{Kind: msg.KindLocate, Name: name})
-	if err != nil || !resp.OK {
-		if err == nil && msg.IsUnknownKind(resp.Err) {
-			c.lstats.Downgrades.Add(1)
-			c.locateDown.Store(time.Now().Add(c.retryAfter).UnixNano())
-		}
-		// Unlocatable (e.g. a first write racing the insert): enter at the
-		// home peer; the write path handles the miss like it always has.
-		return c.addr, nil
-	}
-	h := routehint.Hint{PID: resp.ServedBy, Addr: string(resp.Data), Version: resp.Version}
-	c.hints.Put(name, h)
-	return h.Addr, &h
-}
-
-// noteWriteAck settles the hint state after an acknowledged write. An
-// update that entered at a hinted holder refreshes that entry in place
-// with the acked version — the holder just applied the broadcast, so the
-// read-after-write path skips a locate instead of paying one to
-// rediscover the same holder. Every other ack invalidates, as before:
-// the holder set or version moved in a way the client cannot name.
-func (c *Client) noteWriteAck(kind msg.Kind, name string, hint *routehint.Hint, version uint64) {
-	if c.hints == nil {
-		return
-	}
-	if kind != msg.KindUpdate || hint == nil {
-		c.hints.Purge(name)
-		return
-	}
-	c.hints.Put(name, routehint.Hint{PID: hint.PID, Addr: hint.Addr, Version: version})
-	c.lstats.HintRefreshes.Add(1)
-}
-
-// chunkedWrite streams an over-frame payload to the entry peer as a
-// staged upload committing into kind's write path. A fabric that answers
-// the opening frame unknown-kind predates the put plane: the downgrade
-// latch pins later over-frame writes to the typed edge rejection (the
-// pre-chunking behavior) until RetryAfter expires.
-func (c *Client) chunkedWrite(kind msg.Kind, name string, data []byte) (int, []msg.Hop, error) {
 	op := msg.PutInsert
-	if kind == msg.KindUpdate {
+	if req.Kind == msg.KindUpdate {
 		op = msg.PutUpdate
 	}
-	if time.Now().UnixNano() < c.putDown.Load() {
-		c.lstats.OversizeRejects.Add(1)
-		return 0, nil, fmt.Errorf("%w: %s %q is %d bytes, frame cap %d on a fabric predating chunked writes",
-			ErrTooLarge, kind, name, len(data), msg.MaxData)
+	resp, err := c.uploader.Put(addr, req.Name, req.Data, op)
+	if err == nil {
+		c.stats.ChunkedPuts.Inc()
 	}
-	addr := c.addr
-	var hint *routehint.Hint
-	if kind == msg.KindUpdate {
-		addr, hint = c.writeEntry(name)
+	return resp, err
+}
+
+// writeHint names a holder for an update or delete to enter at: the cached
+// hint, else one locate walk (cached for the next write or read). nil —
+// inserts, plain clients, unlocatable names (e.g. a first write racing the
+// insert) — enters at an entry peer, where the write path resolves the
+// name as it always has.
+func (c *Client) writeHint(req *msg.Request) *routehint.Hint {
+	if c.hints == nil || req.Kind == msg.KindInsert {
+		return nil
 	}
-	resp, err := c.uploader.Put(addr, name, data, op)
-	if err != nil && hint != nil && !errors.Is(err, stream.ErrUnsupported) {
-		c.hints.PurgeHolder(addr)
-		hint = nil
-		resp, err = c.uploader.Put(c.addr, name, data, op)
+	if h, ok := c.hints.Get(req.Name); ok {
+		return &h
 	}
+	loc, err := c.locateReq(&msg.Request{Kind: msg.KindLocate, Name: req.Name})
 	if err != nil {
-		c.purgeHint(name)
-		if errors.Is(err, stream.ErrUnsupported) {
-			c.lstats.PutDowngrades.Add(1)
-			c.lstats.OversizeRejects.Add(1)
-			c.putDown.Store(time.Now().Add(c.retryAfter).UnixNano())
-			return 0, nil, fmt.Errorf("%w: %s %q is %d bytes, frame cap %d on a fabric predating chunked writes",
-				ErrTooLarge, kind, name, len(data), msg.MaxData)
-		}
-		return 0, nil, err
+		return nil
 	}
-	c.lstats.ChunkedPuts.Add(1)
-	c.noteWriteAck(kind, name, hint, resp.Version)
-	return int(resp.Hops), resp.Path, nil
+	h := routehint.Hint{PID: loc.PID, Addr: loc.Addr, Version: loc.Version}
+	c.hints.Put(req.Name, h)
+	return &h
+}
+
+// purgeHint invalidates name's route hint. No-op outside locate mode.
+func (c *Client) purgeHint(name string) {
+	if c.hints != nil {
+		c.hints.Purge(name)
+	}
 }
 
 // Store places a copy directly on the contacted peer; test and tooling
@@ -647,9 +634,9 @@ func (c *Client) Store(name string, data []byte, version uint64, replica bool) e
 	if replica {
 		flags |= msg.FlagReplica
 	}
-	resp, err := c.tr.Do(c.addr, &msg.Request{
+	resp, err := c.Do(&msg.Request{
 		Kind: msg.KindStore, Flags: flags, Name: name, Data: data, Version: version,
-	})
+	}, false)
 	c.purgeHint(name)
 	if err != nil {
 		return err
@@ -662,7 +649,7 @@ func (c *Client) Store(name string, data []byte, version uint64, replica bool) e
 
 // Stat returns the contacted peer's one-line status summary.
 func (c *Client) Stat() (string, error) {
-	resp, err := c.tr.Do(c.addr, &msg.Request{Kind: msg.KindStat})
+	resp, err := c.Do(&msg.Request{Kind: msg.KindStat}, false)
 	if err != nil {
 		return "", err
 	}
@@ -683,7 +670,7 @@ func (c *Client) StatSnapshotFull() (StatSnapshot, error) {
 }
 
 func (c *Client) statSnapshot(flags uint8) (StatSnapshot, error) {
-	resp, err := c.tr.Do(c.addr, &msg.Request{Kind: msg.KindStat, Flags: flags})
+	resp, err := c.Do(&msg.Request{Kind: msg.KindStat, Flags: flags}, false)
 	if err != nil {
 		return StatSnapshot{}, err
 	}
@@ -698,10 +685,9 @@ func (c *Client) statSnapshot(flags uint8) (StatSnapshot, error) {
 }
 
 // Traces returns the contacted peer's sampled trace ring — the wire form
-// of the admin endpoint's /traces page. Peers predating the trace plane
-// answer unknown-kind, surfaced as an error.
+// of the admin endpoint's /traces page.
 func (c *Client) Traces() (tracering.Snapshot, error) {
-	resp, err := c.tr.Do(c.addr, &msg.Request{Kind: msg.KindTraces})
+	resp, err := c.Do(&msg.Request{Kind: msg.KindTraces}, false)
 	if err != nil {
 		return tracering.Snapshot{}, err
 	}

@@ -1,7 +1,7 @@
 package netnode
 
 // Tests for the locate-then-fetch data plane: locate walks, local-only
-// fetches, route-hint reuse, legacy interop/downgrade, traced fault paths,
+// fetches, route-hint reuse, traced fault paths,
 // and the full nextHop fallback chain exercised through both the relay and
 // the locate lookup.
 
@@ -17,27 +17,6 @@ import (
 	"lesslog/internal/hashring"
 	"lesslog/internal/msg"
 )
-
-// startMixedSystem boots a fabric where legacy(pid) selects the peers that
-// emulate a pre-locate build (Config.DisableLocate).
-func startMixedSystem(t testing.TB, m, b int, pids []bitops.PID, hasher hashring.Hasher, legacy func(bitops.PID) bool) map[bitops.PID]*Peer {
-	t.Helper()
-	peers := make(map[bitops.PID]*Peer, len(pids))
-	addrs := make(map[bitops.PID]string, len(pids))
-	for _, pid := range pids {
-		p, err := Listen(Config{PID: pid, M: m, B: b, Hasher: hasher, DisableLocate: legacy(pid)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { p.Close() })
-		peers[pid] = p
-		addrs[pid] = p.Addr()
-	}
-	for _, p := range peers {
-		p.SetAddrs(addrs)
-	}
-	return peers
-}
 
 // markDeadEverywhere clears victim's liveness bit on every peer through
 // the failure detector — routing routes around it immediately, with no
@@ -200,78 +179,6 @@ func TestHintInvalidatedByWrites(t *testing.T) {
 	}
 	if _, err := cl.Get("f"); !errors.Is(err, ErrFault) {
 		t.Fatalf("get after delete: %v", err)
-	}
-}
-
-func TestLocateLegacyInterop(t *testing.T) {
-	// Every peer emulates a pre-locate build: locate answers unknown-kind
-	// and the client downgrades to the relay path, latched.
-	peers := startMixedSystem(t, 4, 0, allPIDs(16), hashring.Fixed(4),
-		func(bitops.PID) bool { return true })
-	cl := NewLocateClient(peers[8].Addr())
-	if err := cl.Insert("f", []byte("legacy")); err != nil {
-		t.Fatal(err)
-	}
-	res, err := cl.Get("f")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.ServedBy != 4 || !bytes.Equal(res.Data, []byte("legacy")) {
-		t.Fatalf("get against legacy fabric = %+v", res)
-	}
-	st := cl.LocateStats()
-	// Two probe RPCs on the first cold get — locate-set for the chunk
-	// plane, then locate one level down — and both downgrades latch.
-	if st.Locates.Load() != 2 || st.Downgrades.Load() != 1 || st.ChunkDowngrades.Load() != 1 || st.Relays.Load() != 1 {
-		t.Fatalf("downgrade counters: locates=%d downgrades=%d chunk-downgrades=%d relays=%d, want 2/1/1/1",
-			st.Locates.Load(), st.Downgrades.Load(), st.ChunkDowngrades.Load(), st.Relays.Load())
-	}
-	// The latches hold: the next get relays without probing either plane.
-	if _, err := cl.Get("f"); err != nil {
-		t.Fatal(err)
-	}
-	if st.Locates.Load() != 2 || st.Relays.Load() != 2 {
-		t.Fatalf("latched counters: locates=%d relays=%d, want 2/2",
-			st.Locates.Load(), st.Relays.Load())
-	}
-	// Peer-side: nothing located, nothing served directly — pure relay.
-	for pid, p := range peers {
-		if p.Stats().Located.Load() != 0 || p.Stats().DirectServed.Load() != 0 {
-			t.Fatalf("legacy P(%d) touched the locate data plane", pid)
-		}
-	}
-	// A legacy peer ignores the local-only bit and relays, exactly like a
-	// build that predates the flag.
-	resp, err := Call(peers[8].Addr(), &msg.Request{Kind: msg.KindGet, Flags: msg.FlagLocalOnly, Name: "f"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resp.OK || resp.ServedBy != 4 {
-		t.Fatalf("legacy local-only get = %+v, want relayed serve from P(4)", resp)
-	}
-}
-
-func TestLocateMixedFabricDowngrade(t *testing.T) {
-	// Only the middle hop P(0) of the P(8) → P(0) → P(4) walk is legacy:
-	// the forwarded locate dies there with unknown-kind, the client
-	// downgrades, and the relay get still resolves through P(0).
-	peers := startMixedSystem(t, 4, 0, allPIDs(16), hashring.Fixed(4),
-		func(pid bitops.PID) bool { return pid == 0 })
-	if err := NewClient(peers[9].Addr()).Insert("f", []byte("mixed")); err != nil {
-		t.Fatal(err)
-	}
-	cl := NewLocateClient(peers[8].Addr())
-	res, err := cl.Get("f")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.ServedBy != 4 || !bytes.Equal(res.Data, []byte("mixed")) {
-		t.Fatalf("get across mixed fabric = %+v", res)
-	}
-	st := cl.LocateStats()
-	if st.Downgrades.Load() != 1 || st.Relays.Load() != 1 {
-		t.Fatalf("mixed-fabric counters: downgrades=%d relays=%d, want 1/1",
-			st.Downgrades.Load(), st.Relays.Load())
 	}
 }
 

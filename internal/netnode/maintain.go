@@ -46,20 +46,13 @@ func (c netCtx) Rand() *xrand.Rand                            { return c.rng }
 // handleHas answers copy-existence probes. The response carries the held
 // copy's version (Peek — a probe must not count as an access), so the
 // anti-entropy repair loop distinguishes "missing" from "stale" with the
-// same frame REPLICATEFILE always used; pre-repair callers ignore the
-// field. A missing name that carries a tombstone answers !OK with the
-// tombstone's version — "deleted at v", not merely "absent" — which is
-// what lets repair push the deletion instead of the stale copy. Version 0
-// is the version-less sentinel (a pre-repair build never set the field,
-// and live versions start at 1), so repair callers treat it as "cannot
-// compare" rather than "older than everything"; a DisableLocate peer
-// emulates that legacy shape.
+// same frame REPLICATEFILE always used. A missing name that carries a
+// tombstone answers !OK with the tombstone's version — "deleted at v", not
+// merely "absent" — which is what lets repair push the deletion instead of
+// the stale copy.
 func (p *Peer) handleHas(req *msg.Request) *msg.Response {
 	start := time.Now()
 	f, ok := p.store.Peek(req.Name)
-	if p.cfg.DisableLocate {
-		return &msg.Response{OK: ok, ServedBy: uint32(p.cfg.PID)}
-	}
 	version := f.Version
 	if !ok {
 		if tv, dead := p.store.TombVersion(req.Name); dead {

@@ -82,12 +82,6 @@ type Config struct {
 	// (each leg's subtree recursion runs on the remote peers, so the
 	// effective parallelism cascades); <= 0 selects DefaultFanoutWorkers.
 	FanoutWorkers int
-	// DisableLocate makes the peer behave like a pre-locate build: KindLocate
-	// is answered with the unknown-kind error and FlagLocalOnly is ignored
-	// (legacy peers never rejected unknown flag bits, so a local-only get
-	// forwards as an ordinary relay get). The version gate for rolling
-	// upgrades, and the legacy end of the interop tests; see docs/ROUTING.md.
-	DisableLocate bool
 	// NotifyThreshold switches update broadcasts at or above this payload
 	// size to pull-based propagation: the tree carries a payload-free
 	// KindNotify and each holder pulls the body off the origin (or an
@@ -163,14 +157,11 @@ type Stats struct {
 	// bytes; StagedAborts counts staging sessions discarded without a
 	// commit (explicit abort, TTL expiry, or a failed commit check — every
 	// path where staged bytes die unseen); NotifyPulls counts bodies this
-	// peer pulled in response to a propagation notify; NotifyFallbacks
-	// counts notify legs downgraded to a whole-frame update for a child
-	// that predates the notify plane.
-	WriteChunks     atomic.Uint64
-	WriteBytes      atomic.Uint64
-	StagedAborts    atomic.Uint64
-	NotifyPulls     atomic.Uint64
-	NotifyFallbacks atomic.Uint64
+	// peer pulled in response to a propagation notify.
+	WriteChunks  atomic.Uint64
+	WriteBytes   atomic.Uint64
+	StagedAborts atomic.Uint64
+	NotifyPulls  atomic.Uint64
 	// WritesAtHolder / WritesRemote split update and delete initiations by
 	// whether the initiating peer already held a copy — the hint-guided
 	// write entry's success measure: an initiation at a holder probes the
@@ -193,8 +184,7 @@ type Stats struct {
 	// RepairPulled counts copies pulled in through a digest delta;
 	// RepairErased counts local copies erased because a probe found the
 	// name tombstoned (deleted) at a required holder; RepairSkipped
-	// counts work deferred by the bandwidth budget or a legacy partner
-	// (unknown-kind digest answer, version-less has answer). DigestBytes
+	// counts work deferred by the bandwidth budget. DigestBytes
 	// counts digest frame bytes in both directions; RepairDeficit gauges
 	// the byte shortfall at the budget's most recent denial (0 when
 	// repair is keeping up).
@@ -537,7 +527,7 @@ func (p *Peer) acceptLoop() {
 // serveConn serves one accepted connection through the pipelined serve
 // loop: pipelined requests dispatch to a bounded worker pool and respond
 // out of order, so one slow forwarded get no longer stalls the stream;
-// legacy un-ID'd frames keep their strict FIFO ordering. Decode and write
+// un-ID'd frames keep their strict FIFO ordering. Decode and write
 // failures — previously silent connection drops — land in ProtoErrors.
 func (p *Peer) serveConn(conn net.Conn) {
 	transport.ServeLoop(conn, func(req *msg.Request) *msg.Response {
@@ -621,39 +611,18 @@ func (p *Peer) dispatch(req *msg.Request) *msg.Response {
 	case msg.KindBatch:
 		return p.handleBatch(req)
 	case msg.KindLocate:
-		if p.cfg.DisableLocate {
-			break // legacy emulation: answer unknown-kind like a pre-locate build
-		}
 		return p.handleLocate(req)
 	case msg.KindDigest:
-		if p.cfg.DisableLocate {
-			break // legacy emulation: a pre-repair build answers unknown-kind
-		}
 		return p.handleDigest(req)
 	case msg.KindTraces:
-		if p.cfg.DisableLocate {
-			break // legacy emulation: a pre-trace-plane build answers unknown-kind
-		}
 		return p.handleTraces()
 	case msg.KindFetch:
-		if p.cfg.DisableLocate {
-			break // legacy emulation: a pre-chunking build answers unknown-kind
-		}
 		return p.handleFetch(req)
 	case msg.KindLocateSet:
-		if p.cfg.DisableLocate {
-			break // legacy emulation: a pre-chunking build answers unknown-kind
-		}
 		return p.handleLocateSet(req)
 	case msg.KindPut:
-		if p.cfg.DisableLocate {
-			break // legacy emulation: a pre-chunking build answers unknown-kind
-		}
 		return p.handlePut(req)
 	case msg.KindNotify:
-		if p.cfg.DisableLocate {
-			break // legacy emulation: a pre-chunking build answers unknown-kind
-		}
 		return p.handleNotify(req)
 	}
 	return &msg.Response{Err: msg.UnknownKindError(req.Kind)}
@@ -823,19 +792,17 @@ func (p *Peer) handleInsert(req *msg.Request) *msg.Response {
 // signal. Clients match it to purge the hint and fall back to a locate.
 const ErrNotHolder = msg.NotHolderError
 
-// ErrOverFrame is the answer to a whole-frame get of a body larger than
-// one wire frame (msg.MaxData): framing it would fail response encoding
-// and tear down the pipelined connection under every other request in
-// flight on it. Chunk-capable readers never see this — they fetch ranged
-// — so it reaches only plain/relay gets and the repair pull, which
-// retries through the chunk plane.
-const ErrOverFrame = "netnode: body exceeds one frame; fetch it through the chunked plane"
-
 func (p *Peer) handleGet(req *msg.Request) *msg.Response {
 	start := time.Now()
 	f, ok := p.store.Get(req.Name)
 	if ok && len(f.Data) > msg.MaxData {
-		resp := &msg.Response{Hops: req.Hops, Version: f.Version, Err: ErrOverFrame}
+		// Framing the body would fail response encoding and tear down the
+		// pipelined connection under every other request in flight on it.
+		// Chunk-capable readers never get here — they fetch ranged — so the
+		// refusal reaches only plain/relay gets (Client surfaces it as
+		// ErrOverFrame) and the repair pull, which retries through the
+		// chunk plane.
+		resp := &msg.Response{Hops: req.Hops, Version: f.Version, Err: msg.OverFrameError}
 		if req.Flags&msg.FlagTrace != 0 {
 			resp.Path = appendHop(req.Path, uint32(p.cfg.PID), msg.HopFault, time.Since(start))
 		}
@@ -843,7 +810,7 @@ func (p *Peer) handleGet(req *msg.Request) *msg.Response {
 	}
 	if ok {
 		p.stats.Served.Add(1)
-		if req.Flags&msg.FlagLocalOnly != 0 && !p.cfg.DisableLocate {
+		if req.Flags&msg.FlagLocalOnly != 0 {
 			p.stats.DirectServed.Add(1)
 		}
 		resp := &msg.Response{
@@ -857,12 +824,11 @@ func (p *Peer) handleGet(req *msg.Request) *msg.Response {
 		}
 		return resp
 	}
-	if req.Flags&msg.FlagLocalOnly != 0 && !p.cfg.DisableLocate {
+	if req.Flags&msg.FlagLocalOnly != 0 {
 		// Direct fetch against a route hint: the holder either has the
 		// file or the hint is stale. Forwarding here would silently turn
 		// a one-hop data-plane fetch back into a payload relay, so refuse
-		// and let the caller re-locate. (A DisableLocate peer ignores the
-		// flag, exactly as a pre-locate build would, and relays.)
+		// and let the caller re-locate.
 		p.stats.DirectMisses.Add(1)
 		resp := &msg.Response{Hops: req.Hops, Err: ErrNotHolder}
 		if req.Flags&msg.FlagTrace != 0 {
@@ -1044,7 +1010,7 @@ func (p *Peer) handleUpdate(req *msg.Request) *msg.Response {
 	if col != nil {
 		prop.Path = appendHop(req.Path, uint32(p.cfg.PID), msg.HopFanout, 0)
 	}
-	updated := p.broadcast(v, &prop, nil, col)
+	updated := p.broadcast(v, &prop, col)
 	if updated == 0 {
 		p.stats.Faults.Add(1)
 		resp := &msg.Response{Err: "netnode: update found no copy"}
@@ -1063,20 +1029,10 @@ func (p *Peer) handleUpdate(req *msg.Request) *msg.Response {
 }
 
 // probeVersion learns name's current version for the Lamport stamp on an
-// update. The locate path resolves it without relaying the payload back
-// through every hop; when any hop is a pre-locate build (unknown-kind
-// answer) — or this peer emulates one — it falls back to a full relay get.
+// update: a locate walk resolves it without relaying the payload back
+// through every hop.
 func (p *Peer) probeVersion(name string) (uint64, bool) {
-	if !p.cfg.DisableLocate {
-		resp := p.handleLocate(&msg.Request{Kind: msg.KindLocate, Name: name})
-		if resp.OK {
-			return resp.Version, true
-		}
-		if !msg.IsUnknownKind(resp.Err) {
-			return 0, false
-		}
-	}
-	resp := p.handleGet(&msg.Request{Kind: msg.KindGet, Name: name})
+	resp := p.handleLocate(&msg.Request{Kind: msg.KindLocate, Name: name})
 	return resp.Version, resp.OK
 }
 
@@ -1102,11 +1058,8 @@ func (p *Peer) fanoutSem(legs int) chan struct{} {
 // semaphore, and each remote delivery recurses in parallel on its own
 // peer, so broadcast latency tracks the tree depth instead of the copy
 // count. Update and delete share this path exactly, so neither can loop
-// by delivering to itself over the wire where the other would not. fb is
-// the optional whole-frame fallback leg for children that predate the
-// notify plane (nil for whole-frame propagations, or when the payload is
-// over one frame and no fallback exists).
-func (p *Peer) broadcast(v ptree.View, prop *msg.Request, fb *msg.Request, col *hopCollector) int {
+// by delivering to itself over the wire where the other would not.
+func (p *Peer) broadcast(v ptree.View, prop *msg.Request, col *hopCollector) int {
 	// One immutable liveness snapshot covers every subtree-root check.
 	live := p.rt().live
 	var starts []bitops.PID
@@ -1119,18 +1072,18 @@ func (p *Peer) broadcast(v ptree.View, prop *msg.Request, fb *msg.Request, col *
 		}
 	}
 	p.obs.fanout.Observe(uint64(len(starts)))
-	return p.deliverAll(v, starts, prop, fb, p.fanoutSem(len(starts)), col)
+	return p.deliverAll(v, starts, prop, p.fanoutSem(len(starts)), col)
 }
 
 // deliverAll delivers a propagation message to every target concurrently
 // and returns the exact sum of copies touched. A single target is
 // delivered inline — no goroutine for the common narrow case.
-func (p *Peer) deliverAll(v ptree.View, targets []bitops.PID, prop *msg.Request, fb *msg.Request, sem chan struct{}, col *hopCollector) int {
+func (p *Peer) deliverAll(v ptree.View, targets []bitops.PID, prop *msg.Request, sem chan struct{}, col *hopCollector) int {
 	switch len(targets) {
 	case 0:
 		return 0
 	case 1:
-		return p.deliver(v, targets[0], prop, fb, sem, col)
+		return p.deliver(v, targets[0], prop, sem, col)
 	}
 	var total atomic.Int64
 	var wg sync.WaitGroup
@@ -1138,7 +1091,7 @@ func (p *Peer) deliverAll(v ptree.View, targets []bitops.PID, prop *msg.Request,
 		wg.Add(1)
 		go func(t bitops.PID) {
 			defer wg.Done()
-			total.Add(int64(p.deliver(v, t, prop, fb, sem, col)))
+			total.Add(int64(p.deliver(v, t, prop, sem, col)))
 		}(t)
 	}
 	wg.Wait()
@@ -1151,12 +1104,8 @@ func (p *Peer) deliverAll(v ptree.View, targets []bitops.PID, prop *msg.Request,
 // outright — the peer crashed without a register-dead — the broadcast
 // would silently lose pid's whole branch, so it degrades by routing
 // through pid's expanded children list (§3) instead; the failed call has
-// already fed the detector, so the liveness bit catches up. A child that
-// answers a notify leg with unknown-kind predates the notify plane; when
-// fb carries the whole-frame form of the same propagation, the leg
-// retries with it, so a mixed-version fabric converges on the broadcast
-// instead of waiting for repair.
-func (p *Peer) deliver(v ptree.View, pid bitops.PID, prop *msg.Request, fb *msg.Request, sem chan struct{}, col *hopCollector) int {
+// already fed the detector, so the liveness bit catches up.
+func (p *Peer) deliver(v ptree.View, pid bitops.PID, prop *msg.Request, sem chan struct{}, col *hopCollector) int {
 	if pid == p.cfg.PID {
 		return p.propagateLocal(v, prop, sem, col)
 	}
@@ -1167,15 +1116,6 @@ func (p *Peer) deliver(v ptree.View, pid bitops.PID, prop *msg.Request, fb *msg.
 	resp, err := p.callTimeout(pid, prop, notifyDeadline(prop))
 	p.stats.FanoutActive.Add(-1)
 	<-sem
-	if err == nil && !resp.OK && fb != nil && msg.IsUnknownKind(resp.Err) {
-		p.stats.NotifyFallbacks.Add(1)
-		p.stats.FanoutBytes.Add(uint64(len(fb.Data)))
-		sem <- struct{}{}
-		p.stats.FanoutActive.Add(1)
-		resp, err = p.call(pid, fb)
-		p.stats.FanoutActive.Add(-1)
-		<-sem
-	}
 	if err == nil {
 		if !resp.OK {
 			return 0
@@ -1191,7 +1131,7 @@ func (p *Peer) deliver(v ptree.View, pid bitops.PID, prop *msg.Request, fb *msg.
 			kids = append(kids, c)
 		}
 	}
-	return p.deliverAll(v, kids, prop, fb, sem, col)
+	return p.deliverAll(v, kids, prop, sem, col)
 }
 
 // propagateLocal applies a propagation message at this peer.
@@ -1252,7 +1192,7 @@ func (p *Peer) propagateUpdate(v ptree.View, req *msg.Request, sem chan struct{}
 	if applied {
 		n = 1
 	}
-	return n + p.deliverAll(v, kids, req, nil, sem, col)
+	return n + p.deliverAll(v, kids, req, sem, col)
 }
 
 // childTargets is this peer's expanded children list minus itself — the
@@ -1281,8 +1221,7 @@ func (p *Peer) handleDelete(req *msg.Request) *msg.Response {
 	// version, Lamport-style like an update, so every erased copy leaves a
 	// tombstone that dominates it — the version anti-entropy compares
 	// against before re-propagating a copy a partitioned peer brings back
-	// (docs/REPAIR.md). Legacy initiators send Version 0; propagateDelete
-	// then tombstones at the erased copy's own version instead.
+	// (docs/REPAIR.md).
 	if p.store.Has(req.Name) {
 		p.stats.WritesAtHolder.Add(1)
 	} else {
@@ -1298,7 +1237,7 @@ func (p *Peer) handleDelete(req *msg.Request) *msg.Response {
 	if col != nil {
 		prop.Path = appendHop(req.Path, uint32(p.cfg.PID), msg.HopFanout, 0)
 	}
-	removed := p.broadcast(v, &prop, nil, col)
+	removed := p.broadcast(v, &prop, col)
 	if removed == 0 {
 		p.stats.Faults.Add(1)
 		resp := &msg.Response{Err: "netnode: delete found no copy"}
@@ -1344,10 +1283,10 @@ func (p *Peer) propagateDelete(v ptree.View, req *msg.Request, sem chan struct{}
 		}
 		req = &fwd
 	}
-	return 1 + p.deliverAll(v, kids, req, nil, sem, col)
+	return 1 + p.deliverAll(v, kids, req, sem, col)
 }
 
-// handleStat serves the status snapshot: the legacy one-line "k=v" text by
+// handleStat serves the status snapshot: the one-line "k=v" text by
 // default, or — with FlagJSON — the structured StatSnapshot as JSON.
 // FlagInventory additionally includes the full per-name inventory (the
 // fleet scraper's replica-count and hot-name substrate), which is too

@@ -117,19 +117,17 @@ type StatSnapshot struct {
 	// Chunked write plane (docs/ROUTING.md "write plane"): upload chunks
 	// staged and their payload bytes, staging sessions aborted (client
 	// abort, TTL expiry, or a failed commit check), bodies pulled for a
-	// notify delivery, notify legs retried whole-frame for pre-notify
-	// children, broadcast initiations split by whether this peer already
+	// notify delivery, broadcast initiations split by whether this peer already
 	// held the name (the hint-guided entry measure), and request payload
 	// bytes this peer pushed onto broadcast-tree legs (the bytes-on-tree
 	// measure pull propagation keeps flat as copies grow).
-	WriteChunks     uint64 `json:"write_chunks"`
-	WriteBytes      uint64 `json:"write_bytes"`
-	StagedAborts    uint64 `json:"staged_aborts"`
-	NotifyPulls     uint64 `json:"notify_pulls"`
-	NotifyFallbacks uint64 `json:"notify_fallbacks"`
-	WritesAtHolder  uint64 `json:"writes_at_holder"`
-	WritesRemote    uint64 `json:"writes_remote"`
-	FanoutBytes     uint64 `json:"fanout_bytes"`
+	WriteChunks    uint64 `json:"write_chunks"`
+	WriteBytes     uint64 `json:"write_bytes"`
+	StagedAborts   uint64 `json:"staged_aborts"`
+	NotifyPulls    uint64 `json:"notify_pulls"`
+	WritesAtHolder uint64 `json:"writes_at_holder"`
+	WritesRemote   uint64 `json:"writes_remote"`
+	FanoutBytes    uint64 `json:"fanout_bytes"`
 
 	// PipelineDepth is the number of pipelined requests currently being
 	// handled across this peer's connections; FanoutActive is the number of
@@ -139,9 +137,9 @@ type StatSnapshot struct {
 
 	// Anti-entropy repair (docs/REPAIR.md): probes issued, copies pushed
 	// back / pulled in, local copies erased after a tombstone answer
-	// (deletion propagated by repair), work deferred by the budget or a
-	// legacy partner, digest frame bytes, and the budget's current byte
-	// shortfall (gauge; 0 = keeping up).
+	// (deletion propagated by repair), work deferred by the budget, digest
+	// frame bytes, and the budget's current byte shortfall (gauge; 0 =
+	// keeping up).
 	RepairProbes  uint64 `json:"repair_probes"`
 	Repaired      uint64 `json:"repaired"`
 	RepairPulled  uint64 `json:"repair_pulled"`
@@ -237,14 +235,13 @@ func (p *Peer) statSnapshot(withInventory bool) StatSnapshot {
 		ChunkRefusals: p.stats.ChunkRefusals.Load(),
 		LocateSets:    p.stats.LocateSets.Load(),
 
-		WriteChunks:     p.stats.WriteChunks.Load(),
-		WriteBytes:      p.stats.WriteBytes.Load(),
-		StagedAborts:    p.stats.StagedAborts.Load(),
-		NotifyPulls:     p.stats.NotifyPulls.Load(),
-		NotifyFallbacks: p.stats.NotifyFallbacks.Load(),
-		WritesAtHolder:  p.stats.WritesAtHolder.Load(),
-		WritesRemote:    p.stats.WritesRemote.Load(),
-		FanoutBytes:     p.stats.FanoutBytes.Load(),
+		WriteChunks:    p.stats.WriteChunks.Load(),
+		WriteBytes:     p.stats.WriteBytes.Load(),
+		StagedAborts:   p.stats.StagedAborts.Load(),
+		NotifyPulls:    p.stats.NotifyPulls.Load(),
+		WritesAtHolder: p.stats.WritesAtHolder.Load(),
+		WritesRemote:   p.stats.WritesRemote.Load(),
+		FanoutBytes:    p.stats.FanoutBytes.Load(),
 
 		PipelineDepth: p.stats.PipelineDepth.Load(),
 		FanoutActive:  p.stats.FanoutActive.Load(),
@@ -359,8 +356,7 @@ func (p *Peer) WritePrometheus(w io.Writer) {
 	metrics.PrometheusFamily(w, "lesslog_staged_aborts_total", "counter",
 		metrics.LabeledValue{Labels: self, Value: float64(s.StagedAborts)})
 	metrics.PrometheusFamily(w, "lesslog_notify_propagation_total", "counter",
-		metrics.LabeledValue{Labels: mergePromLabels(self, `outcome="pulled"`), Value: float64(s.NotifyPulls)},
-		metrics.LabeledValue{Labels: mergePromLabels(self, `outcome="fallback"`), Value: float64(s.NotifyFallbacks)})
+		metrics.LabeledValue{Labels: mergePromLabels(self, `outcome="pulled"`), Value: float64(s.NotifyPulls)})
 	metrics.PrometheusFamily(w, "lesslog_write_entries_total", "counter",
 		metrics.LabeledValue{Labels: mergePromLabels(self, `entry="holder"`), Value: float64(s.WritesAtHolder)},
 		metrics.LabeledValue{Labels: mergePromLabels(self, `entry="remote"`), Value: float64(s.WritesRemote)})

@@ -336,12 +336,8 @@ func (p *Peer) putCommit(req *msg.Request, pr *msg.PutReq) *msg.Response {
 // Over-frame payloads always do — no single frame can carry them; under
 // that, the configured threshold governs (NotifyThreshold 0 selects
 // DefaultNotifyThreshold, negative pins every in-frame update to the
-// whole-frame push). A DisableLocate peer predates the chunked planes
-// the pulls ride on.
+// whole-frame push).
 func (p *Peer) notifyEligible(n int) bool {
-	if p.cfg.DisableLocate {
-		return false
-	}
 	if n > msg.MaxData {
 		return true
 	}
@@ -356,9 +352,6 @@ func (p *Peer) notifyEligible(n int) bool {
 // version exactly like handleUpdate, park the payload in the outbox for as
 // long as the broadcast runs, and fan out a payload-free notify naming
 // this peer as the pull source.
-// When the payload fits one frame, the whole-frame propagate request
-// rides along as the per-leg fallback for children that predate the
-// notify plane.
 func (p *Peer) initNotifyUpdate(req *msg.Request, v ptree.View, start time.Time, target bitops.PID) *msg.Response {
 	if version, ok := p.probeVersion(req.Name); ok {
 		p.mergeClock(version)
@@ -381,21 +374,11 @@ func (p *Peer) initNotifyUpdate(req *msg.Request, v ptree.View, start time.Time,
 		Version: version, Flags: req.Flags | msg.FlagPropagate,
 		TraceID: req.TraceID, Data: body,
 	}
-	var fb *msg.Request
-	if len(req.Data) <= msg.MaxData {
-		f := *req
-		f.Flags |= msg.FlagPropagate
-		f.Version = version
-		fb = &f
-	}
 	col := newHopCollector(req)
 	if col != nil {
 		prop.Path = appendHop(req.Path, uint32(p.cfg.PID), msg.HopFanout, 0)
-		if fb != nil {
-			fb.Path = prop.Path
-		}
 	}
-	updated := p.broadcast(v, prop, fb, col)
+	updated := p.broadcast(v, prop, col)
 	if updated == 0 {
 		p.stats.Faults.Add(1)
 		resp := &msg.Response{Err: "netnode: update found no copy"}
@@ -448,7 +431,6 @@ func (p *Peer) propagateNotify(v ptree.View, req *msg.Request, nr *msg.NotifyReq
 	}
 	applied := false
 	fwd := *req
-	var fb *msg.Request
 	if f.Version < req.Version {
 		if data, err := p.pullBody(req.Name, req.Version, nr); err == nil {
 			// Same propMu discipline as propagateUpdate: the lock is held
@@ -469,13 +451,6 @@ func (p *Peer) propagateNotify(v ptree.View, req *msg.Request, nr *msg.NotifyReq
 					fwd.Data = body
 				}
 			}
-			if len(data) <= msg.MaxData {
-				fb = &msg.Request{
-					Kind: msg.KindUpdate, Origin: req.Origin, Name: req.Name,
-					Version: req.Version, Flags: req.Flags, TraceID: req.TraceID,
-					Data: data,
-				}
-			}
 		}
 	} else {
 		p.mergeClock(req.Version)
@@ -489,15 +464,12 @@ func (p *Peer) propagateNotify(v ptree.View, req *msg.Request, nr *msg.NotifyReq
 		if len(fwd.Path) > len(req.Path) {
 			col.add(fwd.Path[len(fwd.Path)-1])
 		}
-		if fb != nil {
-			fb.Path = fwd.Path
-		}
 	}
 	n := 0
 	if applied {
 		n = 1
 	}
-	return n + p.deliverAll(v, kids, &fwd, fb, sem, col)
+	return n + p.deliverAll(v, kids, &fwd, sem, col)
 }
 
 // notifyStore applies a direct placement pull: the over-frame insert's
@@ -537,9 +509,7 @@ func (p *Peer) notifyStore(req *msg.Request, nr *msg.NotifyReq) *msg.Response {
 // insertPull places an over-frame insert: handleInsert's per-subtree
 // placement and tombstone-restamp loop, with each leg a payload-free
 // KindNotify the holder answers by pulling the body from this peer's
-// outbox. A remote holder that predates the notify plane refuses
-// unknown-kind and its subtree is skipped — over one frame there is no
-// whole-frame form to fall back to.
+// outbox.
 func (p *Peer) insertPull(req *msg.Request) *msg.Response {
 	start := time.Now()
 	target := p.hasher.Target(req.Name, p.cfg.M)

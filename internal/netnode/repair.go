@@ -43,9 +43,7 @@ func requiredHolder(v ptree.View, q bitops.PID) bool {
 // missing or stale at the holder pushes our copy; newer at the holder
 // pulls; tombstoned at the holder (deleted at a version our copy does
 // not supersede) erases our copy, so a peer that slept through a delete
-// broadcast propagates the deletion instead of resurrecting the name. A
-// version-less has answer (a pre-repair responder) proves existence but
-// cannot be compared, so only the existence half is enforced against it.
+// broadcast propagates the deletion instead of resurrecting the name.
 // Probes and pushes spend from budget; denied work is deferred to a
 // later round. Returns the number of copies repaired (pushed, pulled or
 // erased). Exposed for tests and tooling; StartRepair drives it.
@@ -90,7 +88,7 @@ func (p *Peer) RepairOnce(sampler *repair.Sampler, budget *repair.Budget, sample
 					repaired++
 				}
 				break subtrees // the name is gone locally; stop probing its subtrees
-			case !resp.OK, resp.Version > 0 && resp.Version < f.Version:
+			case !resp.OK, resp.Version < f.Version:
 				// Missing at its required holder (or tombstoned older than
 				// our copy — a re-insert the holder missed), or versioned
 				// stale: push our copy. The holder re-gates the apply
@@ -113,12 +111,6 @@ func (p *Peer) RepairOnce(sampler *repair.Sampler, budget *repair.Budget, sample
 						p.log.Info("repair: re-established copy", "name", name, "on", uint32(h))
 					}
 				}
-			case resp.OK && resp.Version == 0:
-				// A pre-repair responder: the copy exists but carries no
-				// version to compare. Pushing would re-push every round
-				// (the answer never changes), so leave staleness to the
-				// update broadcast and count the deferred comparison.
-				p.stats.RepairSkipped.Add(1)
 			case resp.Version > f.Version:
 				// The holder is newer than us — we missed an update
 				// broadcast. Pull rather than clobber.
@@ -141,9 +133,7 @@ func (p *Peer) RepairOnce(sampler *repair.Sampler, budget *repair.Budget, sample
 // rides the write plane's direct-notify form instead: a payload-free
 // KindNotify naming this peer as the only source, which the holder
 // answers by pulling the body in chunks and applying it under the same
-// version/tombstone gating as a store (notifyStore). A holder predating
-// the notify plane refuses unknown-kind, exactly like a pre-repair
-// holder refuses a probe — the copy stays deferred, never corrupted.
+// version/tombstone gating as a store (notifyStore).
 func (p *Peer) pushFrame(f store.File) (*msg.Request, error) {
 	if len(f.Data) <= msg.MaxData {
 		return &msg.Request{Kind: msg.KindStore, Name: f.Name, Data: f.Data, Version: f.Version}, nil
@@ -197,10 +187,10 @@ func (p *Peer) pullCopy(name string, h bitops.PID, budget *repair.Budget) bool {
 	}
 	if !resp.OK {
 		// A body over the frame cap cannot ride a whole-frame get
-		// (ErrOverFrame): pull it through the chunk plane instead, pinned
-		// to the version the refusal reported so a mid-pull update cannot
-		// splice.
-		if resp.Err != ErrOverFrame {
+		// (msg.OverFrameError): pull it through the chunk plane instead,
+		// pinned to the version the refusal reported so a mid-pull update
+		// cannot splice.
+		if resp.Err != msg.OverFrameError {
 			return false
 		}
 		addr, ok := p.rt().addrs[h]
@@ -239,8 +229,7 @@ func (p *Peer) pullCopy(name string, h bitops.PID, budget *repair.Budget) bool {
 // to names this peer is a required holder for — in buckets whose folds
 // differ; we pull the ones we are missing or hold stale. Cost scales
 // with divergence: identical inventories exchange width*8 bytes and stop.
-// Returns copies pulled. A legacy partner (unknown-kind answer) is
-// counted skipped and left for per-name probes to cover.
+// Returns copies pulled.
 func (p *Peer) DigestSync(partner bitops.PID, budget *repair.Budget, width int) int {
 	tr := p.newRepairTrace()
 	digest := make([]uint64, width)
@@ -266,9 +255,6 @@ func (p *Peer) DigestSync(partner bitops.PID, budget *repair.Budget, width int) 
 	tr.collect(resp)
 	p.stats.DigestBytes.Add(uint64(len(data)))
 	if !resp.OK {
-		if msg.IsUnknownKind(resp.Err) {
-			p.stats.RepairSkipped.Add(1) // pre-repair partner; probes still cover us
-		}
 		return 0
 	}
 	p.stats.DigestBytes.Add(uint64(len(resp.Data)))

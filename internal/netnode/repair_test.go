@@ -130,7 +130,7 @@ func TestRepairOnceHealsStaleCopy(t *testing.T) {
 // whole-frame get pull — both would fail response framing. Repair moves
 // them through the write plane instead: pushes as a direct payload-free
 // KindNotify the holder answers by pulling chunks, pulls through the
-// chunk fetcher after the whole-frame get's typed ErrOverFrame refusal.
+// chunk fetcher after the whole-frame get's msg.OverFrameError refusal.
 func TestRepairMovesOverFrameBodies(t *testing.T) {
 	if testing.Short() {
 		t.Skip("over-frame payloads in -short")
@@ -155,8 +155,8 @@ func TestRepairMovesOverFrameBodies(t *testing.T) {
 	if err != nil {
 		t.Fatalf("over-frame get: transport error %v (connection torn down?)", err)
 	}
-	if resp.OK || resp.Err != ErrOverFrame {
-		t.Fatalf("over-frame get answered %+v, want ErrOverFrame refusal", resp)
+	if resp.OK || resp.Err != msg.OverFrameError {
+		t.Fatalf("over-frame get answered %+v, want the over-frame refusal", resp)
 	}
 
 	// Push direction: the copy silently lost at one holder comes back via
@@ -329,31 +329,6 @@ func TestDigestRestrictsToRequesterNames(t *testing.T) {
 				t.Fatalf("steady-state digest P(%d)->P(%d) carried %d entries", qid, rid, len(entries))
 			}
 		}
-	}
-}
-
-func TestDigestAgainstLegacyPeer(t *testing.T) {
-	// A pre-repair partner answers unknown-kind; the caller skips and
-	// counts it, leaving coverage to the per-name probes.
-	legacy, err := Listen(Config{PID: 3, M: 4, B: 1, Hasher: hashring.FNV{}, DisableLocate: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { legacy.Close() })
-	modern, err := Listen(Config{PID: 5, M: 4, B: 1, Hasher: hashring.FNV{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { modern.Close() })
-	addrs := map[bitops.PID]string{3: legacy.Addr(), 5: modern.Addr()}
-	legacy.SetAddrs(addrs)
-	modern.SetAddrs(addrs)
-
-	if n := modern.DigestSync(3, nil, 16); n != 0 {
-		t.Fatalf("digest against legacy peer pulled %d", n)
-	}
-	if modern.Stats().RepairSkipped.Load() != 1 {
-		t.Fatal("legacy partner not counted as skipped")
 	}
 }
 

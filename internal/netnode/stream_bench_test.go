@@ -21,6 +21,7 @@ package netnode
 // the same propagation model the relay/locate comparison uses.
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"sort"
@@ -137,19 +138,19 @@ func streamLatencyReport(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		run := func(cl *Client) []time.Duration {
-			if _, err := cl.Get(name); err != nil { // cold: pays the locate walk
+		run := func(get func() (int, error)) []time.Duration {
+			if _, err := get(); err != nil { // cold: pays the locate walk
 				t.Fatal(err)
 			}
 			lat := make([]time.Duration, 0, size.rounds)
 			for i := 0; i < size.rounds; i++ {
 				start := time.Now()
-				res, err := cl.Get(name)
+				n, err := get()
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(res.Data) != size.n {
-					t.Fatalf("%s: got %d bytes, want %d", size.label, len(res.Data), size.n)
+				if n != size.n {
+					t.Fatalf("%s: got %d bytes, want %d", size.label, n, size.n)
 				}
 				lat = append(lat, time.Since(start))
 			}
@@ -159,7 +160,10 @@ func streamLatencyReport(t *testing.T) {
 
 		relayed0 := sumRelayed(peers)
 		chunkCl := NewLocateClientWith(entry, ctr, LocateOptions{})
-		chunkLat := run(chunkCl)
+		chunkLat := run(func() (int, error) {
+			res, err := chunkCl.Get(name)
+			return len(res.Data), err
+		})
 		if d := sumRelayed(peers) - relayed0; d != 0 {
 			t.Errorf("%s: chunked gets relayed %d payload bytes, want 0", size.label, d)
 		}
@@ -180,8 +184,23 @@ func streamLatencyReport(t *testing.T) {
 			chunkLat[len(chunkLat)/2], quantile(chunkLat, 0.99))
 
 		if !overFrame {
-			frameCl := NewLocateClientWith(entry, ctr, LocateOptions{DisableChunks: true})
-			frameLat := run(frameCl)
+			// The single-frame read the chunk plane replaced: a whole-frame
+			// local-only get straight at the holder, issued through the
+			// transport as bench/probes.go does.
+			loc, err := NewClientWith(entry, ctr).Locate(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			frameLat := run(func() (int, error) {
+				resp, err := ctr.Do(loc.Addr, &msg.Request{Kind: msg.KindGet, Flags: msg.FlagLocalOnly, Name: name})
+				if err == nil && !resp.OK {
+					err = errors.New(resp.Err)
+				}
+				if err != nil {
+					return 0, err
+				}
+				return len(resp.Data), nil
+			})
 			results = append(results, benchjson.Result{
 				Name:    "report/single-frame/" + size.label,
 				NsPerOp: float64(frameLat[len(frameLat)/2].Nanoseconds()),

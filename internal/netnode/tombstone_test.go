@@ -2,7 +2,6 @@ package netnode
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 
 	"lesslog/internal/bitops"
@@ -207,65 +206,5 @@ func TestReinsertAfterDeleteFromLaggingPeer(t *testing.T) {
 	}
 	if res.Version <= tombV {
 		t.Fatalf("re-insert version %d not above tombstone %d", res.Version, tombV)
-	}
-}
-
-func TestRepairSkipsVersionlessHasAnswer(t *testing.T) {
-	// A pre-repair holder answers KindHas without a version (the legacy
-	// frame shape). Existence is proven but staleness is not comparable:
-	// treating Version 0 as "older than everything" would re-push the
-	// same copy every round forever. The round must count a skip instead.
-	legacy, err := Listen(Config{PID: 3, M: 4, B: 1, Hasher: hashring.FNV{}, DisableLocate: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { legacy.Close() })
-	// PID 4 differs from 3 in its low bit, so under B=1 the two peers sit
-	// in different subtrees for every lookup tree (SubtreeID is the low
-	// bit of the VID, which XORs the shared root complement away).
-	modern, err := Listen(Config{PID: 4, M: 4, B: 1, Hasher: hashring.FNV{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { modern.Close() })
-	addrs := map[bitops.PID]string{3: legacy.Addr(), 4: modern.Addr()}
-	legacy.SetAddrs(addrs)
-	modern.SetAddrs(addrs)
-
-	// Find a name whose lookup tree makes each peer the required holder
-	// of its own subtree, so modern's repair round probes legacy.
-	name := ""
-	for i := 0; i < 256; i++ {
-		cand := fmt.Sprintf("k%d", i)
-		v := modern.view(modern.hasher.Target(cand, 4))
-		if requiredHolder(v, 3) && requiredHolder(v, 4) {
-			name = cand
-			break
-		}
-	}
-	if name == "" {
-		t.Fatal("no name places both peers as required holders")
-	}
-	f := store.File{Name: name, Data: []byte("same"), Version: 3}
-	legacy.store.Put(f, store.Inserted)
-	modern.store.Put(f, store.Inserted)
-
-	var sampler repair.Sampler
-	for round := 0; round < 3; round++ {
-		if n := modern.RepairOnce(&sampler, nil, -1); n != 0 {
-			t.Fatalf("round %d against version-less holder repaired %d", round, n)
-		}
-	}
-	if modern.Stats().RepairProbes.Load() == 0 {
-		t.Fatal("precondition: no probe reached the legacy holder")
-	}
-	if modern.Stats().RepairSkipped.Load() == 0 {
-		t.Fatal("version-less answers not counted as skipped")
-	}
-	if modern.Stats().Repaired.Load() != 0 {
-		t.Fatal("repair re-pushed against a version-less holder")
-	}
-	if got, _ := legacy.store.Peek(name); got.Version != 3 {
-		t.Fatalf("legacy copy disturbed: %+v", got)
 	}
 }

@@ -10,7 +10,6 @@ package netnode
 import (
 	"bytes"
 	"crypto/sha256"
-	"errors"
 	"hash/crc32"
 	"testing"
 
@@ -213,58 +212,6 @@ func TestWriteEntryAtHolder(t *testing.T) {
 	}
 	if got := peers[2].Stats().WritesRemote.Load(); got == 0 {
 		t.Fatal("relay-entry update not counted at the entry peer")
-	}
-}
-
-// TestMixedFabricWholeFrameFallback runs the interop gates: on a fabric
-// where a replica holder predates the write plane, a notify-eligible
-// update falls back to one whole-frame delivery for that holder and
-// still converges everywhere; a chunked put aimed at a legacy peer
-// downgrades to the typed one-frame refusal.
-func TestMixedFabricWholeFrameFallback(t *testing.T) {
-	legacy := func(pid bitops.PID) bool { return pid >= 8 }
-	peers := startMixedSystem(t, 4, 1, allPIDs(16), hashring.Fixed(4), legacy)
-	if err := NewClient(peers[2].Addr()).Insert("w/mix", []byte("v1")); err != nil {
-		t.Fatal(err)
-	}
-	var holders []bitops.PID
-	for pid, p := range peers {
-		if p.store.Has("w/mix") {
-			holders = append(holders, pid)
-		}
-	}
-	if len(holders) != 2 {
-		t.Fatalf("holders = %v, want one per subtree", holders)
-	}
-
-	v2 := chunkPayload(512<<10, 60) // notify-eligible, one frame
-	n, err := NewClient(peers[2].Addr()).Update("w/mix", v2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 2 {
-		t.Fatalf("updated %d copies, want 2", n)
-	}
-	for _, pid := range holders {
-		f, ok := peers[pid].store.Peek("w/mix")
-		if !ok || !bytes.Equal(f.Data, v2) {
-			t.Fatalf("P(%d) did not converge (ok=%v)", pid, ok)
-		}
-	}
-	if fb := sumWriteStat(peers, func(s *Stats) uint64 { return s.NotifyFallbacks.Load() }); fb == 0 {
-		t.Fatal("no whole-frame fallback despite the legacy subtree")
-	}
-
-	// An over-frame write against a legacy peer: the put probe answers
-	// unknown-kind, the client latches and refuses with the typed error
-	// naming the one-frame cap.
-	cl := NewClient(peers[9].Addr())
-	big := chunkPayload(msg.MaxData+1, 61)
-	if err := cl.Insert("w/mix2", big); !errors.Is(err, ErrTooLarge) {
-		t.Fatalf("legacy chunked insert err = %v, want ErrTooLarge", err)
-	}
-	if got := cl.LocateStats().PutDowngrades.Load(); got != 1 {
-		t.Fatalf("put downgrades = %d, want 1", got)
 	}
 }
 

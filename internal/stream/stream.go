@@ -40,10 +40,6 @@ const (
 
 // Sentinel errors the fetch path classifies on.
 var (
-	// ErrUnsupported: every listed holder answered unknown-kind — a
-	// pre-chunking fleet. The caller latches its downgrade timestamp and
-	// falls back to whole-frame fetches.
-	ErrUnsupported = errors.New("stream: holders do not speak chunked fetch")
 	// ErrNotFound: every listed holder refused the head chunk as a
 	// non-holder — the whole hint set was stale. The caller re-locates.
 	ErrNotFound = errors.New("stream: no listed holder holds the file")
@@ -106,7 +102,7 @@ type Config struct {
 	// (msg.FlagReplica): the serving holder answers from Peek instead of
 	// Get, so a peer pulling a body for placement or notify propagation
 	// does not inflate the file's §6 access count the way a client read
-	// would. Legacy holders ignore the flag bit.
+	// would.
 	Replica bool
 }
 
@@ -230,13 +226,11 @@ func (t *transfer) runRange(offset uint64, length uint32) (*msg.FetchResp, *msg.
 			return fr, resp, nil
 		}
 		lastErr = err
-		switch {
-		case msg.IsUnknownKind(err.Error()):
-			t.dead[i].Store(true) // legacy holder; never retry chunks there
-		case err.Error() == msg.WrongVersionError:
+		switch err.Error() {
+		case msg.WrongVersionError:
 			t.gone.Store(true)
 			t.dead[i].Store(true)
-		case err.Error() == msg.NotHolderError:
+		case msg.NotHolderError:
 			t.evict(i, false)
 		default:
 			t.evict(i, true)
@@ -253,10 +247,9 @@ func (t *transfer) runRange(offset uint64, length uint32) (*msg.FetchResp, *msg.
 // served. pin 0 accepts whatever version the head chunk answers (the usual
 // read); a non-zero pin demands exactly that version.
 //
-// The error classifies the failure: ErrUnsupported (downgrade to
-// whole-frame fetches), ErrNotFound (stale hint set; re-locate),
-// ErrVersionGone (concurrent write; re-locate and retry), ErrChecksum, or
-// the last transport error when every replica failed.
+// The error classifies the failure: ErrNotFound (stale hint set;
+// re-locate), ErrVersionGone (concurrent write; re-locate and retry),
+// ErrChecksum, or the last error when every replica failed.
 //
 // A multi-chunk transfer copies each chunk into the reassembly buffer and
 // releases the chunk's frame buffer for the next one; a single-chunk
@@ -371,17 +364,15 @@ func (f *Fetcher) Fetch(name string, pin uint64, sources []Source) ([]byte, uint
 }
 
 // headChunk fetches offset 0 from the first willing source, pinning the
-// transfer's version. Classification differs from body ranges: a fleet
-// that is entirely unknown-kind is ErrUnsupported (downgrade), entirely
-// not-holder is ErrNotFound (re-locate); a wrong-version refusal under a
-// caller pin is ErrVersionGone. The returned response owns the chunk's
-// bytes, as in fetchRange.
+// transfer's version. Classification differs from body ranges: a set that
+// is entirely not-holder is ErrNotFound (re-locate); a wrong-version
+// refusal under a caller pin is ErrVersionGone. The returned response owns
+// the chunk's bytes, as in fetchRange.
 func (t *transfer) headChunk() (*msg.FetchResp, *msg.Response, error) {
 	n := len(t.sources)
 	start := int(t.next.Add(1)-1) % n
 	var sawHolderErr, sawMiss bool
 	var lastErr error
-	legacy := 0
 	for k := 0; k < n; k++ {
 		i := (start + k) % n
 		fr, resp, err := t.fetchRange(i, 0, uint32(t.f.cfg.ChunkSize))
@@ -400,15 +391,12 @@ func (t *transfer) headChunk() (*msg.FetchResp, *msg.Response, error) {
 			t.f.stats.ChunkRetries.Add(1)
 		}
 		lastErr = err
-		switch {
-		case msg.IsUnknownKind(err.Error()):
-			legacy++
-			t.dead[i].Store(true)
-		case err.Error() == msg.WrongVersionError:
+		switch err.Error() {
+		case msg.WrongVersionError:
 			t.gone.Store(true)
 			sawHolderErr = true
 			t.dead[i].Store(true)
-		case err.Error() == msg.NotHolderError:
+		case msg.NotHolderError:
 			sawMiss = true
 			t.evict(i, false)
 		default:
@@ -417,8 +405,6 @@ func (t *transfer) headChunk() (*msg.FetchResp, *msg.Response, error) {
 		}
 	}
 	switch {
-	case legacy == n:
-		return nil, nil, ErrUnsupported
 	case t.gone.Load():
 		return nil, nil, ErrVersionGone
 	case sawMiss && !sawHolderErr:

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -19,7 +20,7 @@ type fakeHolder struct {
 	data    []byte
 	version uint64
 	missing bool // answers not-holder
-	legacy  bool // answers unknown-kind (pre-chunking peer)
+	refuses bool // answers unknown-kind: an ordinary request error
 	fail    bool // transport error
 	served  atomic.Uint64
 }
@@ -39,7 +40,7 @@ func (n *fakeNet) Do(addr string, req *msg.Request) (*msg.Response, error) {
 	if h.fail {
 		return nil, errors.New("connection refused")
 	}
-	if h.legacy {
+	if h.refuses {
 		return &msg.Response{Err: msg.UnknownKindError(req.Kind)}, nil
 	}
 	if h.missing {
@@ -195,31 +196,36 @@ func TestFetchStaleHintSoftEvict(t *testing.T) {
 	}
 }
 
+// An unknown-kind answer is not a protocol mode: a set of holders that all
+// refuse the fetch fails the transfer with their error, like any other
+// refusal that is neither not-holder nor wrong-version.
 func TestFetchAllLegacyUnsupported(t *testing.T) {
 	net, srcs := replicaNet(payload(10, 5), 1, 3)
 	for _, h := range net.holders {
-		h.legacy = true
+		h.refuses = true
 	}
 	f := New(net, Config{})
-	if _, _, err := f.Fetch("x", 0, srcs); !errors.Is(err, ErrUnsupported) {
-		t.Fatalf("err = %v, want ErrUnsupported", err)
+	_, _, err := f.Fetch("x", 0, srcs)
+	if err == nil || errors.Is(err, ErrNotFound) || errors.Is(err, ErrVersionGone) ||
+		!strings.Contains(err.Error(), msg.UnknownKindError(msg.KindFetch)) {
+		t.Fatalf("err = %v, want the holders' unknown-kind refusal as an ordinary error", err)
 	}
 }
 
 func TestFetchMixedLegacyStillWorks(t *testing.T) {
 	data := payload(40_000, 6)
 	net, srcs := replicaNet(data, 2, 3)
-	net.holders["holder-0"].legacy = true
+	net.holders["holder-0"].refuses = true
 	f := New(net, Config{ChunkSize: 4096})
 	got, _, err := f.Fetch("x", 0, srcs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, data) {
-		t.Fatal("payload mismatch with one legacy replica")
+		t.Fatal("payload mismatch with one refusing replica")
 	}
 	if net.holders["holder-0"].served.Load() != 0 {
-		t.Fatal("legacy holder should never serve chunks")
+		t.Fatal("refusing holder should never serve chunks")
 	}
 }
 

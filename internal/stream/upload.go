@@ -89,12 +89,9 @@ func (u *Uploader) putFrame(addr, name string, pr *msg.PutReq, rpcTO time.Durati
 }
 
 // Put streams data to addr as a staged upload and commits it with op
-// (msg.PutInsert or msg.PutUpdate), returning the commit's response. An
-// entry peer that predates the put plane fails the opening frame with
-// unknown-kind, surfaced as ErrUnsupported so the caller can latch its
-// downgrade and fall back to whole-frame writes. Any mid-stream failure
-// sends a best-effort PutAbort — nothing staged is ever visible — and
-// returns the failing frame's error.
+// (msg.PutInsert or msg.PutUpdate), returning the commit's response. Any
+// mid-stream failure sends a best-effort PutAbort — nothing staged is ever
+// visible — and returns the failing frame's error.
 func (u *Uploader) Put(addr, name string, data []byte, op msg.PutOp) (*msg.Response, error) {
 	if op != msg.PutInsert && op != msg.PutUpdate {
 		return nil, fmt.Errorf("stream: put op %d is not a commit op", op)
@@ -115,9 +112,6 @@ func (u *Uploader) Put(addr, name string, data []byte, op msg.PutOp) (*msg.Respo
 		ChunkCRC: crc32.Checksum(head, castagnoli), Chunk: head,
 	}, PullDeadline(headLen))
 	if err != nil {
-		if msg.IsUnknownKind(err.Error()) {
-			return nil, ErrUnsupported
-		}
 		return nil, err
 	}
 	token := resp.Version
