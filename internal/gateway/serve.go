@@ -22,8 +22,9 @@ import (
 
 // Server is a running gateway wire listener.
 type Server struct {
-	g  *Gateway
-	ln net.Listener
+	g    *Gateway
+	ln   net.Listener
+	addr string // ln's bound address, formatted once
 
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -38,15 +39,15 @@ func (g *Gateway) Listen(addr string) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("gateway: listen %s: %w", addr, err)
 	}
-	s := &Server{g: g, ln: ln, conns: map[net.Conn]struct{}{}}
+	s := &Server{g: g, ln: ln, addr: ln.Addr().String(), conns: map[net.Conn]struct{}{}}
 	s.wg.Add(1)
 	go s.acceptLoop()
-	g.log.Info("gateway listening", "addr", ln.Addr().String(), "peers", len(g.peers))
+	g.log.Info("gateway listening", "addr", s.addr, "peers", len(g.peers))
 	return s, nil
 }
 
 // Addr returns the server's bound address.
-func (s *Server) Addr() string { return s.ln.Addr().String() }
+func (s *Server) Addr() string { return s.addr }
 
 // Close stops the listener and every open client connection, then awaits
 // in-flight handlers. The gateway itself stays usable.
@@ -163,6 +164,7 @@ func (s *Server) dispatch(req *msg.Request) *msg.Response {
 				traceID = s.g.nextTraceID()
 			}
 		}
+		req.Keep() // an acknowledged write's Data goes into the write-through cache
 		wr, hops, err := s.g.writeTraced(req.Kind, req.Name, req.Data, traceID, req.Path)
 		if err != nil {
 			return errResponse(err)

@@ -133,8 +133,9 @@ func readLargeFrame(r io.Reader, n int) ([]byte, error) {
 // nothing that points into Data (a PutReq.Chunk decoded from it, a slice
 // of it) may be used afterwards. Never calling it is always safe: the
 // collector reclaims the buffer with the message. A no-op on a request
-// that owns no frame buffer (built locally, or read off a frame of at most
-// readChunk bytes, whose Data is a private copy).
+// that owns no frame buffer: one built locally, or read off a frame of at
+// most readChunk bytes, whose Data is a private copy or on loan from the
+// serve loop (ReadRequestLent), which takes its buffer back itself.
 func (r *Request) Release() {
 	if r.frame != nil {
 		frames.put(r.frame)

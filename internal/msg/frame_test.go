@@ -1,6 +1,7 @@
 package msg
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
@@ -123,10 +124,13 @@ func TestLargeFrameAllocBudget(t *testing.T) {
 	}
 }
 
-// TestSmallFrameAllocsUnchanged pins the path frames of at most readChunk
-// bytes take: pooled read, every field copied out — exactly the
-// allocations it made before large frames got a path of their own.
-func TestSmallFrameAllocsUnchanged(t *testing.T) {
+// TestSmallFrameAllocBudget pins what a frame of at most readChunk bytes
+// costs to read off a buffered stream (the kind the serve loop and the mux
+// hold, whose header is peeked): a lent request allocates the message and
+// its name and nothing the size of its payload; Keep, or the copying
+// ReadRequestID, adds exactly the Data; a response — always copied out,
+// its caller owns it — is the message and its Data.
+func TestSmallFrameAllocBudget(t *testing.T) {
 	if poisonReleased {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
@@ -135,25 +139,127 @@ func TestSmallFrameAllocsUnchanged(t *testing.T) {
 	resp := &Response{OK: true, ServedBy: 3, Version: 9, Data: body}
 	var wire bytes.Buffer
 	wire.Grow(1 << 20)
-	// The header word, the ID word, the message, its name (requests only)
-	// and its Data.
+	br := bufio.NewReader(&wire)
+	for _, tc := range []struct {
+		name      string
+		trip      func()
+		allocs    float64
+		bytesUpTo float64
+	}{
+		{"lent request", func() {
+			WriteRequestID(&wire, req, 1)
+			r, lease, _, _, err := ReadRequestLent(br)
+			if err != nil || !r.lent || !bytes.Equal(r.Data, body) {
+				t.Fatalf("lent request: err %v, lent %v", err, r != nil && r.lent)
+			}
+			lease.End()
+		}, 2, 512},
+		{"lent request, kept", func() {
+			WriteRequestID(&wire, req, 1)
+			r, lease, _, _, err := ReadRequestLent(br)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.Keep()
+			lease.End()
+		}, 3, 512 + 4<<10},
+		{"copied request", func() {
+			WriteRequestID(&wire, req, 1)
+			if r, _, _, err := ReadRequestID(br); err != nil || r.frame != nil || r.lent {
+				t.Fatalf("small request: err %v, still borrows a buffer: %v", err, r != nil)
+			}
+		}, 3, 512 + 4<<10},
+		{"response", func() {
+			WriteResponseID(&wire, resp, 1)
+			if r, _, _, err := ReadResponseID(br); err != nil || r.frame != nil {
+				t.Fatalf("small response: err %v, owns a frame: %v", err, r != nil)
+			}
+		}, 2, 512 + 4<<10},
+	} {
+		if got := testing.AllocsPerRun(200, tc.trip); got != tc.allocs {
+			t.Errorf("4 KiB %s round trip: %v allocs, want %v", tc.name, got, tc.allocs)
+		}
+		if got := bytesPerRun(200, tc.trip); got > tc.bytesUpTo {
+			t.Errorf("4 KiB %s round trip: %.0f B, want at most %.0f", tc.name, got, tc.bytesUpTo)
+		}
+	}
+	// A reader that is not buffered pays one more: the header bytes.
 	if got := testing.AllocsPerRun(200, func() {
 		wire.Reset()
 		WriteRequestID(&wire, req, 1)
-		if r, _, _, err := ReadRequestID(&wire); err != nil || r.frame != nil {
-			t.Fatalf("small request: err %v, owns a frame: %v", err, r.frame != nil)
-		}
-	}); got != 5 {
-		t.Errorf("4 KiB request round trip: %v allocs, want 5", got)
-	}
-	if got := testing.AllocsPerRun(200, func() {
-		wire.Reset()
-		WriteResponseID(&wire, resp, 1)
-		if r, _, _, err := ReadResponseID(&wire); err != nil || r.frame != nil {
-			t.Fatalf("small response: err %v, owns a frame: %v", err, r.frame != nil)
-		}
+		ReadRequestID(&wire)
 	}); got != 4 {
-		t.Errorf("4 KiB response round trip: %v allocs, want 4", got)
+		t.Errorf("4 KiB request off an unbuffered reader: %v allocs, want 4", got)
+	}
+}
+
+// TestKeepSurvivesRelease: the Data of a lent request is the pooled read
+// buffer's until Keep — which detaches it, once, on the request it is
+// called on and on nothing else — and a request with no payload borrows
+// nothing to begin with.
+func TestKeepSurvivesRelease(t *testing.T) {
+	body := bytes.Repeat([]byte{0x5A}, 4<<10)
+	var wire bytes.Buffer
+	if err := WriteRequestID(&wire, &Request{Kind: KindStore, Name: "kept", Data: body}, 3); err != nil {
+		t.Fatal(err)
+	}
+	req, lease, id, hasID, err := ReadRequestLent(&wire)
+	if err != nil || id != 3 || !hasID || !req.lent {
+		t.Fatalf("read: err %v id %d hasID %v", err, id, hasID)
+	}
+	borrowed := *req // a struct copy is lent too, and keeps for itself alone
+	kept := *req
+	kept.Keep()
+	if kept.lent || !req.lent || &kept.Data[0] == &req.Data[0] {
+		t.Fatal("Keep on a struct copy must copy the bytes and leave the original lent")
+	}
+	first := &kept.Data[0]
+	kept.Keep()
+	if &kept.Data[0] != first {
+		t.Fatal("a second Keep copied again")
+	}
+	if cap(kept.Data) != len(body) {
+		t.Fatalf("kept copy has capacity %d, want exactly %d", cap(kept.Data), len(body))
+	}
+	lease.End()
+	if poisonReleased && borrowed.Data[0] != 0xDB {
+		t.Fatalf("an ended lease's buffer is not poisoned: %#x", borrowed.Data[0])
+	}
+	// The next requests of the connection are read into the same pool.
+	for i := 0; i < 8; i++ {
+		wire.Reset()
+		WriteRequest(&wire, &Request{Kind: KindStore, Name: "next", Data: bytes.Repeat([]byte{byte(i)}, 4<<10)})
+		_, l, _, _, err := ReadRequestLent(&wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l.End()
+	}
+	if !bytes.Equal(kept.Data, body) {
+		t.Fatal("kept Data changed after the lease ended")
+	}
+
+	local := &Request{Kind: KindStore, Data: body}
+	local.Keep()
+	if &local.Data[0] != &body[0] {
+		t.Fatal("Keep copied the Data of a request that was never lent")
+	}
+	wire.Reset()
+	WriteRequest(&wire, &Request{Kind: KindGet, Name: "no payload"})
+	empty, l, _, _, err := ReadRequestLent(&wire)
+	if err != nil || empty.lent || l != (Lease{}) || empty.Data != nil {
+		t.Fatalf("a request without payload must borrow nothing: err %v lent %v", err, empty != nil && empty.lent)
+	}
+	large, _ := chunkFrames(t, readChunk+1)
+	wire.Reset()
+	WriteRequest(&wire, large)
+	owned, l, _, _, err := ReadRequestLent(&wire)
+	if err != nil || owned.lent || l != (Lease{}) || owned.frame == nil {
+		t.Fatalf("a large frame owns its buffer and borrows nothing: err %v", err)
+	}
+	data := &owned.Data[0]
+	if owned.Keep(); &owned.Data[0] != data {
+		t.Fatal("Keep copied a large frame's Data")
 	}
 }
 

@@ -23,6 +23,7 @@
 package msg
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -409,6 +410,10 @@ type Request struct {
 	// frame is the read buffer Data aliases — set only on requests read off
 	// a frame longer than readChunk (see Release).
 	frame []byte
+	// lent marks Data as pointing into a pooled read buffer the serve loop
+	// takes back once the response is written (see ReadRequestLent, Keep).
+	// It is part of the value, so a struct copy of a lent request is lent.
+	lent bool
 }
 
 // Response answers a Request.
@@ -686,14 +691,16 @@ func WriteFrame(w io.Writer, payload []byte) error {
 
 // readChunk splits the frame codec in two. A frame of at most readChunk
 // bytes is read into a pooled buffer of that capacity with one
-// io.ReadFull, every field is copied out, and the buffer goes straight
-// back to the pool; its payload, when small enough, is likewise copied
-// into a pooled buffer to be written. A longer frame gets a buffer of its
-// own that the decoded message keeps (readLargeFrame), and its payload is
-// written from where it lives (writeFramed). The split is also what bounds
-// a lying length prefix: a frame's declared length is attacker-controlled
-// — a malicious or corrupt peer can claim MaxFrame (16 MiB) and send
-// nothing — so nothing is ever allocated for bytes that have not arrived.
+// io.ReadFull; a response has every field copied out and the buffer goes
+// straight back to the pool, a served request borrows it until its response
+// is written (ReadRequestLent). Its payload, when small enough, is likewise
+// copied into a pooled buffer to be written. A longer frame gets a buffer
+// of its own that the decoded message keeps (readLargeFrame), and its
+// payload is written from where it lives (writeFramed). The split is also
+// what bounds a lying length prefix: a frame's declared length is
+// attacker-controlled — a malicious or corrupt peer can claim MaxFrame
+// (16 MiB) and send nothing — so nothing is ever allocated for bytes that
+// have not arrived.
 const readChunk = 64 << 10
 
 // bufPool recycles the codec's small buffers across exchanges: encode
@@ -701,9 +708,9 @@ const readChunk = 64 << 10
 // payload), read buffers of frames up to readChunk, and the staging pieces
 // of readLargeFrame — none of which outgrows readChunk plus a frame's head
 // and trailer, so the pool needs no size cap. Buffers are returned only by
-// this package, and no decoded field points into one: the small-frame
-// decode copies every field out, and a large frame's aliased Data lives in
-// a buffer of its own.
+// this package. The one decoded field that may point into one is the Data
+// of a lent request, for as long as its Lease is open; a large frame's
+// aliased Data lives in a buffer of its own.
 var bufPool = sync.Pool{
 	New: func() any {
 		b := make([]byte, 0, readChunk)
@@ -719,26 +726,55 @@ func putBuf(b *[]byte) {
 }
 
 // readFrameHeader parses the length word (and the request ID of a
-// pipelined frame) off the stream.
+// pipelined frame) off the stream. A buffered reader — what the serve loop
+// and the mux hold — is peeked, so its header costs nothing; any other
+// reader has the bytes read into an array that escapes through the
+// interface call.
 func readFrameHeader(r io.Reader) (n int, id uint64, hasID bool, err error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	br, buffered := r.(*bufio.Reader)
+	var hdr []byte
+	if buffered {
+		hdr, err = peekFull(br, 4)
+	} else {
+		hdr = make([]byte, 4+frameIDWire)
+		_, err = io.ReadFull(r, hdr[:4])
+	}
+	if err != nil {
 		return 0, 0, false, err
 	}
-	word := binary.BigEndian.Uint32(hdr[:])
+	word := binary.BigEndian.Uint32(hdr)
 	hasID = word&FrameIDBit != 0
 	n = int(word &^ FrameIDBit)
 	if n > MaxFrame {
 		return 0, 0, false, ErrFrameTooLarge
 	}
+	hdrLen := 4
 	if hasID {
-		var idw [frameIDWire]byte
-		if _, err := io.ReadFull(r, idw[:]); err != nil {
+		hdrLen += frameIDWire
+		if buffered {
+			hdr, err = peekFull(br, hdrLen)
+		} else {
+			_, err = io.ReadFull(r, hdr[4:])
+		}
+		if err != nil {
 			return 0, 0, false, err
 		}
-		id = binary.BigEndian.Uint64(idw[:])
+		id = binary.BigEndian.Uint64(hdr[4:])
+	}
+	if buffered {
+		br.Discard(hdrLen) // cannot fail: the bytes were just peeked
 	}
 	return n, id, hasID, nil
+}
+
+// peekFull is br.Peek(n) with io.ReadFull's errors: io.EOF only when the
+// stream ended before the first byte.
+func peekFull(br *bufio.Reader, n int) ([]byte, error) {
+	b, err := br.Peek(n)
+	if err == io.EOF && len(b) > 0 {
+		err = io.ErrUnexpectedEOF
+	}
+	return b, err
 }
 
 // ReadFrame reads one length-prefixed payload, legacy or pipelined (a
@@ -839,36 +875,96 @@ func ReadRequest(r io.Reader) (*Request, error) {
 // ReadRequestID reads and decodes one request and reports the request ID
 // of a pipelined frame (hasID false means a legacy frame: the sender
 // expects responses in request order). The Data of a request read off a
-// frame longer than readChunk aliases the frame's buffer; see Release.
+// frame longer than readChunk aliases the frame's buffer (see Release); a
+// smaller frame's Data is a private copy.
 func ReadRequestID(r io.Reader) (*Request, uint64, bool, error) {
-	n, id, hasID, err := readFrameHeader(r)
+	req, lease, id, hasID, err := ReadRequestLent(r)
 	if err != nil {
 		return nil, 0, false, err
+	}
+	req.Keep()
+	lease.End()
+	return req, id, hasID, nil
+}
+
+// A Lease is the pooled read buffer a lent request's Data points into. The
+// zero Lease holds nothing.
+type Lease struct{ bp *[]byte }
+
+// End hands the buffer back: the Data of the request read with this lease,
+// and of every struct copy of it that has not called Keep, is invalid from
+// here on. Under the race detector the bytes are first overwritten with
+// 0xDB, like a released frame's, so a handler that stored Data without Keep
+// reads garbage instead of the next request's payload.
+func (l Lease) End() {
+	if l.bp == nil {
+		return
+	}
+	if poisonReleased {
+		for i := range *l.bp {
+			(*l.bp)[i] = 0xDB
+		}
+	}
+	putBuf(l.bp)
+}
+
+// ReadRequestLent is ReadRequestID for a serve loop: a request read off a
+// frame of at most readChunk bytes is not copied out of its pooled read
+// buffer — Data points into it, on loan until the returned Lease ends. The
+// loop ends the lease once the request's response has been written (so a
+// response may point into the request's Data), and whoever holds the bytes
+// past that point calls Keep first. A request with no payload, or one read
+// off a larger frame (which owns its buffer: see Release), borrows nothing.
+func ReadRequestLent(r io.Reader) (*Request, Lease, uint64, bool, error) {
+	n, id, hasID, err := readFrameHeader(r)
+	if err != nil {
+		return nil, Lease{}, 0, false, err
 	}
 	if n > readChunk {
 		buf, err := readLargeFrame(r, n)
 		if err != nil {
-			return nil, 0, false, err
+			return nil, Lease{}, 0, false, err
 		}
 		req, err := decodeRequest(buf, true)
 		if err != nil {
 			frames.put(buf)
-			return nil, 0, false, err
+			return nil, Lease{}, 0, false, err
 		}
 		req.frame = buf
-		return req, id, hasID, nil
+		return req, Lease{}, id, hasID, nil
 	}
 	bp := getBuf()
-	defer putBuf(bp)
-	buf := (*bp)[:n]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, 0, false, err
+	*bp = (*bp)[:n]
+	if _, err := io.ReadFull(r, *bp); err != nil {
+		putBuf(bp)
+		return nil, Lease{}, 0, false, err
 	}
-	req, err := DecodeRequest(buf)
+	req, err := decodeRequest(*bp, true)
 	if err != nil {
-		return nil, 0, false, err
+		putBuf(bp)
+		return nil, Lease{}, 0, false, err
 	}
-	return req, id, hasID, nil
+	if len(req.Data) == 0 {
+		putBuf(bp)
+		req.Data = nil
+		return req, Lease{}, id, hasID, nil
+	}
+	req.lent = true
+	return req, Lease{bp}, id, hasID, nil
+}
+
+// Keep makes r.Data safe to hold past the request's response: the Data of a
+// lent request (ReadRequestLent) is replaced by a private copy of exactly
+// its size. Everything else — a request built locally, one read off a large
+// frame, one already kept — is left alone, so calling it at every point
+// that stores Data costs nothing where nothing was lent. It writes to r:
+// keep a struct copy when other goroutines are reading the request.
+func (r *Request) Keep() {
+	if r.lent {
+		kept := make([]byte, len(r.Data))
+		copy(kept, r.Data)
+		r.Data, r.lent = kept, false
+	}
 }
 
 // WriteResponse frames and writes one response in the legacy framing.

@@ -211,6 +211,7 @@ type Peer struct {
 	cfg    Config
 	hasher hashring.Hasher
 	ln     net.Listener
+	addr   string // ln's bound address, formatted once: locate answers carry it per request
 	tr     *transport.Transport
 	det    *transport.Detector
 
@@ -342,6 +343,7 @@ func Listen(cfg Config) (*Peer, error) {
 		cfg:    cfg,
 		hasher: h,
 		ln:     ln,
+		addr:   ln.Addr().String(),
 		store:  st,
 		eng:    eng,
 		conns:  map[net.Conn]struct{}{},
@@ -409,7 +411,7 @@ func (p *Peer) peerUp(pid uint32) {
 }
 
 // Addr returns the peer's bound address.
-func (p *Peer) Addr() string { return p.ln.Addr().String() }
+func (p *Peer) Addr() string { return p.addr }
 
 // SeedLocal places a copy directly into this peer's store, bypassing the
 // wire — whose frames cap payloads at msg.MaxData, below the chunk
@@ -689,6 +691,7 @@ func (p *Peer) handleStore(req *msg.Request) *msg.Response {
 	if req.Flags&msg.FlagReplica != 0 {
 		kind = store.Replica
 	}
+	req.Keep() // the store holds Data from here on
 	survived, res := p.store.PutNewer(store.File{Name: req.Name, Data: req.Data, Version: req.Version}, kind)
 	p.mergeClock(req.Version)
 	var resp *msg.Response
@@ -736,6 +739,11 @@ func (p *Peer) handleInsert(req *msg.Request) *msg.Response {
 			h, ok := v.PrimaryHolder(sid)
 			if !ok {
 				continue
+			}
+			if h == p.cfg.PID {
+				// The local placement stores Data, and sreq is built from req
+				// rather than copied from it, so the lent mark would not follow.
+				req.Keep()
 			}
 			sreq := &msg.Request{
 				Kind: msg.KindStore, Origin: req.Origin,
@@ -1173,7 +1181,12 @@ func (p *Peer) propagateUpdate(v ptree.View, req *msg.Request, sem chan struct{}
 		p.propMu.RUnlock()
 		return 0
 	}
-	applied := p.store.Update(req.Name, req.Data, req.Version)
+	// Only a holder pays for the bytes: the copy is taken here, after the
+	// Has check, and on a struct copy — req may be the very message sibling
+	// legs of the same fan-out are writing to the wire right now.
+	held := *req
+	held.Keep()
+	applied := p.store.Update(req.Name, held.Data, req.Version)
 	p.mergeClock(req.Version)
 	p.propMu.RUnlock()
 	kids := p.childTargets(v)

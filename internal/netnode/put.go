@@ -358,6 +358,9 @@ func (p *Peer) initNotifyUpdate(req *msg.Request, v ptree.View, start time.Time,
 	}
 	version := p.clock.Add(1)
 	crc := crc32.Checksum(req.Data, castagnoli)
+	// The outbox parks Data for pulls that may still be reading it after
+	// this handler has answered, and a pulling holder stores those bytes.
+	req.Keep()
 	p.outbox.put(req.Name, version, crc, req.Data)
 	// broadcast returns once every leg has pulled or failed (failed legs
 	// converge through repair), so the body has no reader left.
@@ -515,6 +518,7 @@ func (p *Peer) insertPull(req *msg.Request) *msg.Response {
 	target := p.hasher.Target(req.Name, p.cfg.M)
 	v := p.view(target)
 	version := p.clock.Add(1)
+	req.Keep() // parked in the outbox below, as in initNotifyUpdate
 	crc := crc32.Checksum(req.Data, castagnoli)
 	col := newHopCollector(req)
 	var rootPath []msg.Hop

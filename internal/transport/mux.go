@@ -134,6 +134,40 @@ func (m *mux) lastErr() error {
 	return errMuxClosed
 }
 
+// call is the per-exchange state of mux.do — the channel the reader hands
+// the response over on and the timer that bounds the wait — recycled
+// through callPool so a steady stream of exchanges allocates neither. A
+// slot goes back to the pool only after a response was received on it: a
+// timed-out or failed exchange leaves its channel closed (fail) or about to
+// be sent on (a late deliver), and is dropped for the collector instead.
+type call struct {
+	ch    chan *msg.Response // capacity 1: deliver never blocks on a caller that gave up
+	timer *time.Timer        // nil until the slot's first timed exchange; stopped and drained while pooled
+}
+
+var callPool = sync.Pool{New: func() any { return &call{ch: make(chan *msg.Response, 1)} }}
+
+// arm starts the slot's timer and returns its channel. go.mod says 1.22, so
+// timer channels are the buffered kind and Reset is only correct on a timer
+// that is stopped with its channel drained — the state disarm leaves.
+func (c *call) arm(d time.Duration) <-chan time.Time {
+	if c.timer == nil {
+		c.timer = time.NewTimer(d)
+	} else {
+		c.timer.Reset(d)
+	}
+	return c.timer.C
+}
+
+// disarm stops the timer arm started, for an exchange whose wait ended
+// before it fired or was seen to: a timer that fired meanwhile has sent on
+// its channel (or is about to), and the receive takes that value out.
+func (c *call) disarm() {
+	if !c.timer.Stop() {
+		<-c.timer.C
+	}
+}
+
 // do performs one exchange: register the call, write the ID-framed
 // request, await the matched response under timeout (<= 0 waits forever).
 // A timeout kills the whole mux — the stream has an orphaned response in
@@ -146,15 +180,19 @@ func (m *mux) do(req *msg.Request, timeout time.Duration) (*msg.Response, error)
 	}
 	m.nextID++
 	id := m.nextID
-	ch := make(chan *msg.Response, 1)
-	m.pending[id] = ch
+	c := callPool.Get().(*call)
+	m.pending[id] = c.ch
 	m.fifo = append(m.fifo, id)
 	m.mu.Unlock()
 
-	m.wmu.Lock()
+	// The write deadline is the connection's, not the call's: an untimed
+	// call clears whatever an earlier timed one on this stream left behind.
+	var deadline time.Time
 	if timeout > 0 {
-		m.conn.SetWriteDeadline(time.Now().Add(timeout))
+		deadline = time.Now().Add(timeout)
 	}
+	m.wmu.Lock()
+	m.conn.SetWriteDeadline(deadline)
 	err := msg.WriteRequestID(m.conn, req, id)
 	m.wmu.Unlock()
 	if err != nil {
@@ -164,15 +202,17 @@ func (m *mux) do(req *msg.Request, timeout time.Duration) (*msg.Response, error)
 
 	var expired <-chan time.Time
 	if timeout > 0 {
-		timer := time.NewTimer(timeout)
-		defer timer.Stop()
-		expired = timer.C
+		expired = c.arm(timeout)
 	}
 	select {
-	case resp, ok := <-ch:
+	case resp, ok := <-c.ch:
+		if timeout > 0 {
+			c.disarm()
+		}
 		if !ok {
 			return nil, m.lastErr()
 		}
+		callPool.Put(c)
 		return resp, nil
 	case <-expired:
 		m.fail(timeoutError{})

@@ -47,11 +47,16 @@ type ServeLoopOptions struct {
 // response order a pre-pipelining client relies on.
 //
 // handle must be safe for concurrent use and must return a non-nil
-// response. It owns the request it is given: one read off a large frame
-// holds that frame's buffer (msg.Request.Release), which a handler that has
-// copied the payload out may release and ServeLoop never does — nor may the
-// response then point into it. ServeLoop returns when the connection dies
-// and every accepted request has been handled; the caller owns closing conn.
+// response. What it is given is lent, not handed over (docs/PIPELINE.md
+// "Buffer ownership"): the Data of a request of at most one read chunk
+// points into a pooled read buffer that ServeLoop takes back once the
+// response has been written — so the response may point into it, and a
+// handler that stores the bytes anywhere that outlives the exchange calls
+// msg.Request.Keep first. A request read off a larger frame holds that
+// frame's buffer (msg.Request.Release), which a handler that has copied the
+// payload out may release and ServeLoop never does — nor may the response
+// then point into it. ServeLoop returns when the connection dies and every
+// accepted request has been handled; the caller owns closing conn.
 func ServeLoop(conn net.Conn, handle func(*msg.Request) *msg.Response, opts ServeLoopOptions) {
 	workers := opts.Workers
 	if workers <= 0 {
@@ -64,74 +69,105 @@ func ServeLoop(conn net.Conn, handle func(*msg.Request) *msg.Response, opts Serv
 			return inner(req)
 		}
 	}
-	protoErr := func(err error) {
-		if opts.OnProtoError != nil {
-			opts.OnProtoError(err)
-		}
+	s := &served{
+		conn:   conn,
+		handle: handle,
+		opts:   opts,
+		out:    make(chan outFrame, workers),
+		sem:    make(chan struct{}, workers),
 	}
-
-	type outFrame struct {
-		resp  *msg.Response
-		id    uint64
-		hasID bool
-	}
-	out := make(chan outFrame, workers)
 	var writer sync.WaitGroup
 	writer.Add(1)
 	go func() {
 		defer writer.Done()
-		bw := bufio.NewWriter(conn)
-		for f := range out {
-			var err error
-			if f.hasID {
-				err = msg.WriteResponseID(bw, f.resp, f.id)
-			} else {
-				err = msg.WriteResponse(bw, f.resp)
-			}
-			if err == nil && len(out) == 0 {
-				err = bw.Flush()
-			}
-			if err != nil {
-				protoErr(err)
-				// Unblock the reader; the loop keeps draining so no
-				// handler blocks on a send to out.
-				conn.Close()
-			}
-		}
+		s.writeLoop()
 	}()
 
 	br := bufio.NewReader(conn)
-	sem := make(chan struct{}, workers)
-	var handlers sync.WaitGroup
 	for {
-		req, id, hasID, err := msg.ReadRequestID(br)
+		req, lease, id, hasID, err := msg.ReadRequestLent(br)
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-				protoErr(err)
+				s.protoErr(err)
 			}
 			break
 		}
 		if !hasID {
-			out <- outFrame{resp: handle(req)}
+			s.out <- outFrame{resp: handle(req), lease: lease}
 			continue
 		}
-		sem <- struct{}{}
-		handlers.Add(1)
+		s.sem <- struct{}{}
+		s.handlers.Add(1)
 		if opts.Depth != nil {
 			opts.Depth.Add(1)
 		}
-		go func(req *msg.Request, id uint64) {
-			defer func() {
-				if opts.Depth != nil {
-					opts.Depth.Add(-1)
-				}
-				<-sem
-				handlers.Done()
-			}()
-			out <- outFrame{resp: handle(req), id: id, hasID: true}
-		}(req, id)
+		go s.work(req, lease, id)
 	}
-	handlers.Wait()
-	close(out)
+	s.handlers.Wait()
+	close(s.out)
 	writer.Wait()
+}
+
+// served is one connection's serve-loop state, shared by its reader, its
+// workers and its writer.
+type served struct {
+	conn     net.Conn
+	handle   func(*msg.Request) *msg.Response
+	opts     ServeLoopOptions
+	out      chan outFrame // handled requests, to the writer
+	sem      chan struct{} // worker slots
+	handlers sync.WaitGroup
+}
+
+// outFrame is one response on its way to the writer, with the lease of the
+// request it answers.
+type outFrame struct {
+	resp  *msg.Response
+	id    uint64
+	hasID bool
+	lease msg.Lease
+}
+
+func (s *served) protoErr(err error) {
+	if s.opts.OnProtoError != nil {
+		s.opts.OnProtoError(err)
+	}
+}
+
+// work handles one pipelined request on a goroutine of its own.
+func (s *served) work(req *msg.Request, lease msg.Lease, id uint64) {
+	defer func() {
+		if s.opts.Depth != nil {
+			s.opts.Depth.Add(-1)
+		}
+		<-s.sem
+		s.handlers.Done()
+	}()
+	s.out <- outFrame{resp: s.handle(req), id: id, hasID: true, lease: lease}
+}
+
+// writeLoop frames responses onto the connection until out is closed. It
+// is also where a request's lease ends: only once the response is encoded
+// into the write buffer (or the socket) can nothing point into the
+// request's read buffer any more.
+func (s *served) writeLoop() {
+	bw := bufio.NewWriter(s.conn)
+	for f := range s.out {
+		var err error
+		if f.hasID {
+			err = msg.WriteResponseID(bw, f.resp, f.id)
+		} else {
+			err = msg.WriteResponse(bw, f.resp)
+		}
+		f.lease.End()
+		if err == nil && len(s.out) == 0 {
+			err = bw.Flush()
+		}
+		if err != nil {
+			s.protoErr(err)
+			// Unblock the reader; the loop keeps draining so no
+			// handler blocks on a send to out.
+			s.conn.Close()
+		}
+	}
 }
