@@ -13,9 +13,6 @@
 //
 //	lesslog-top -peers ... -once            # single rendered screen
 //	lesslog-top -peers ... -json            # single merged snapshot as JSON
-//
-// With BENCH_JSON_DIR set, -json also records the merged view through
-// internal/benchjson (results/BENCH_obs_cluster.json in CI).
 package main
 
 import (
@@ -50,13 +47,9 @@ func main() {
 	}
 
 	if *jsonOut {
-		c := fleet.Aggregate(fleet.Scrape(addrs), *topK)
-		if err := fleet.RecordBench(c); err != nil {
-			fatal(err)
-		}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(c); err != nil {
+		if err := enc.Encode(fleet.Aggregate(fleet.Scrape(addrs), *topK)); err != nil {
 			fatal(err)
 		}
 		return

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"lesslog/internal/benchjson"
@@ -35,24 +36,28 @@ func TestAggregateMergesHistograms(t *testing.T) {
 	b := []uint64{40e6, 50e6, 60e6, 80e6, 90e6} // 40–90 ms
 	stats := []PeerStat{
 		{Addr: "a", Stat: netnode.StatSnapshot{
-			Served:             4,
-			ChunksServed:       3,
-			ChunkBytes:         3 << 20,
-			LocateSets:         2,
-			WriteChunks:        2,
-			NotifyPulls:        1,
-			FanoutBytes:        1 << 20,
+			Totals: netnode.Totals{
+				Served:       4,
+				ChunksServed: 3,
+				ChunkBytes:   3 << 20,
+				LocateSets:   2,
+				WriteChunks:  2,
+				NotifyPulls:  1,
+				FanoutBytes:  1 << 20,
+			},
 			HandlerLatencyHist: map[string]metrics.HistogramSnapshot{"get": snapOf(a...)},
 		}},
 		{Addr: "b", Stat: netnode.StatSnapshot{
-			Served:             5,
-			ChunksServed:       5,
-			ChunkBytes:         5 << 20,
-			ChunkRefusals:      1,
-			LocateSets:         1,
-			WriteChunks:        4,
-			NotifyPulls:        2,
-			FanoutBytes:        2 << 20,
+			Totals: netnode.Totals{
+				Served:        5,
+				ChunksServed:  5,
+				ChunkBytes:    5 << 20,
+				ChunkRefusals: 1,
+				LocateSets:    1,
+				WriteChunks:   4,
+				NotifyPulls:   2,
+				FanoutBytes:   2 << 20,
+			},
 			HandlerLatencyHist: map[string]metrics.HistogramSnapshot{"get": snapOf(b...)},
 		}},
 		{Addr: "down", Err: errors.New("connection refused")},
@@ -86,12 +91,12 @@ func TestAggregateMergesHistograms(t *testing.T) {
 		q    float64
 		have float64
 	}{{0.5, got.P50}, {0.95, got.P95}, {0.99, got.P99}} {
-		if wantQ := want.Quantile(q.q) * nsToMS; q.have != wantQ {
+		if wantQ := want.Quantile(q.q) * metrics.NsToMS; q.have != wantQ {
 			t.Fatalf("merged p%g = %v ms, hand-merged histogram says %v ms", q.q*100, q.have, wantQ)
 		}
 	}
-	if got.Max != float64(want.Max)*nsToMS {
-		t.Fatalf("merged max = %v, want %v", got.Max, float64(want.Max)*nsToMS)
+	if got.Max != float64(want.Max)*metrics.NsToMS {
+		t.Fatalf("merged max = %v, want %v", got.Max, float64(want.Max)*metrics.NsToMS)
 	}
 }
 
@@ -202,9 +207,9 @@ func TestFleetScrapeEightPeers(t *testing.T) {
 	}
 	got := c.HandlerLatencyMS["get"]
 	if got.Count != handMerged.Count ||
-		got.P50 != handMerged.Quantile(0.5)*nsToMS ||
-		got.P95 != handMerged.Quantile(0.95)*nsToMS ||
-		got.P99 != handMerged.Quantile(0.99)*nsToMS {
+		got.P50 != handMerged.Quantile(0.5)*metrics.NsToMS ||
+		got.P95 != handMerged.Quantile(0.95)*metrics.NsToMS ||
+		got.P99 != handMerged.Quantile(0.99)*metrics.NsToMS {
 		t.Fatalf("merged get dist %+v disagrees with hand-merged histogram (count %d)",
 			got, handMerged.Count)
 	}
@@ -222,15 +227,28 @@ func TestFleetScrapeEightPeers(t *testing.T) {
 		t.Fatalf("rendered view misses the hot name:\n%s", buf.String())
 	}
 
-	// The one-shot JSON mode's bench artifact. `make obs-cluster-bench`
-	// points BENCH_JSON_DIR at results/ to commit the emitted file; a
-	// plain `go test` lands it in a scratch dir and only checks the shape.
+	// The bench artifact: every merged scalar under its JSON key, plus the
+	// merged percentiles. `make obs-cluster-bench` points BENCH_JSON_DIR at
+	// results/ to commit the emitted file; a plain `go test` lands it in a
+	// scratch dir and only checks the shape.
 	dir := os.Getenv(benchjson.EnvDir)
 	if dir == "" {
 		dir = t.TempDir()
 		t.Setenv(benchjson.EnvDir, dir)
 	}
-	if err := RecordBench(c); err != nil {
+	record := map[string]float64{"peers": float64(c.Peers)}
+	values := metrics.Fields(c)
+	for _, d := range metrics.Declarations(netnode.StatSnapshot{}) {
+		if d.Merge == "sum" || d.Merge == "max" {
+			record[d.As] = values[d.As].Convert(reflect.TypeOf(0.0)).Float()
+		}
+	}
+	for kind, d := range c.HandlerLatencyMS {
+		record[kind+"_p50_ms"] = d.P50
+		record[kind+"_p95_ms"] = d.P95
+		record[kind+"_p99_ms"] = d.P99
+	}
+	if err := benchjson.Record("obs_cluster", benchjson.Result{Name: "cluster_merge", Extra: record}); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(filepath.Join(dir, "BENCH_obs_cluster.json"))

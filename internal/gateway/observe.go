@@ -43,145 +43,98 @@ type Counters struct {
 }
 
 // CountersSnapshot is the plain-value copy of Counters plus the cache's
-// internal counters, JSON-ready.
+// internal counters, JSON-ready. Its tags (and StatSnapshot's) are the one
+// declaration of every gateway metric: /metrics is derived from them
+// (internal/metrics "One declaration per metric").
 type CountersSnapshot struct {
-	Hits          uint64 `json:"hits"`
-	Misses        uint64 `json:"misses"`
-	Coalesced     uint64 `json:"coalesced"`
-	StaleServed   uint64 `json:"stale_served"`
-	Shed          uint64 `json:"shed"`
-	FetchErrors   uint64 `json:"fetch_errors"`
-	Inserts       uint64 `json:"inserts"`
-	Updates       uint64 `json:"updates"`
-	Deletes       uint64 `json:"deletes"`
-	Batches       uint64 `json:"batches"`
-	Passthrough   uint64 `json:"passthrough"`
-	PeersDown     uint64 `json:"peers_down"`
-	PeersUp       uint64 `json:"peers_up"`
-	ProtoErrors   uint64 `json:"proto_errors"`
-	Evictions     uint64 `json:"cache_evictions"`
-	Invalidations uint64 `json:"cache_invalidations"`
-	StaleRejected uint64 `json:"cache_stale_rejected"`
+	Hits          uint64 `json:"hits" prom:"lesslog_gateway_requests_total,outcome=hit"`
+	Misses        uint64 `json:"misses" prom:"lesslog_gateway_requests_total,outcome=miss"`
+	Coalesced     uint64 `json:"coalesced" prom:"lesslog_gateway_requests_total,outcome=coalesced"`
+	StaleServed   uint64 `json:"stale_served" prom:"lesslog_gateway_requests_total,outcome=stale_served"`
+	Shed          uint64 `json:"shed" prom:"lesslog_gateway_requests_total,outcome=shed"`
+	FetchErrors   uint64 `json:"fetch_errors" prom:"lesslog_gateway_fetch_errors_total"`
+	Inserts       uint64 `json:"inserts" prom:"lesslog_gateway_writes_total,kind=insert"`
+	Updates       uint64 `json:"updates" prom:"lesslog_gateway_writes_total,kind=update"`
+	Deletes       uint64 `json:"deletes" prom:"lesslog_gateway_writes_total,kind=delete"`
+	Batches       uint64 `json:"batches" prom:"lesslog_gateway_batches_total"`
+	Passthrough   uint64 `json:"passthrough" prom:"lesslog_gateway_passthrough_total"`
+	PeersDown     uint64 `json:"peers_down" prom:"lesslog_gateway_peer_flips_total,direction=down"`
+	PeersUp       uint64 `json:"peers_up" prom:"lesslog_gateway_peer_flips_total,direction=up"`
+	ProtoErrors   uint64 `json:"proto_errors" prom:"lesslog_gateway_proto_errors_total"`
+	Evictions     uint64 `json:"cache_evictions" prom:"lesslog_gateway_cache_events_total,event=eviction"`
+	Invalidations uint64 `json:"cache_invalidations" prom:"lesslog_gateway_cache_events_total,event=invalidation"`
+	StaleRejected uint64 `json:"cache_stale_rejected" prom:"lesslog_gateway_cache_events_total,event=stale_rejected"`
 
-	HintHits  uint64 `json:"hint_hits"`
-	HintStale uint64 `json:"hint_stale"`
-	Locates   uint64 `json:"locates"`
-	Relays    uint64 `json:"relays"`
+	HintHits  uint64 `json:"hint_hits" prom:"lesslog_gateway_locate_events_total,event=hint_hit"`
+	HintStale uint64 `json:"hint_stale" prom:"lesslog_gateway_locate_events_total,event=hint_stale"`
+	Locates   uint64 `json:"locates" prom:"lesslog_gateway_locate_events_total,event=locate"`
+	Relays    uint64 `json:"relays" prom:"lesslog_gateway_locate_events_total,event=relay"`
 
-	ChunkedFills     uint64 `json:"chunked_fills"`
-	OversizeRejected uint64 `json:"oversize_rejected"`
-	ChunksFetched    uint64 `json:"chunks_fetched"`
-	ChunkRetries     uint64 `json:"chunk_retries"`
+	OversizeRejected uint64 `json:"oversize_rejected" prom:"lesslog_gateway_oversize_rejected_total"`
+	ChunkedFills     uint64 `json:"chunked_fills" prom:"lesslog_gateway_chunk_events_total,event=fill"`
+	ChunksFetched    uint64 `json:"chunks_fetched" prom:"lesslog_gateway_chunk_events_total,event=chunk"`
+	ChunkRetries     uint64 `json:"chunk_retries" prom:"lesslog_gateway_chunk_events_total,event=retry"`
 
-	ChunkedPuts   uint64 `json:"chunked_puts"`
-	HintRefreshes uint64 `json:"hint_refreshes"`
-	ChunksPut     uint64 `json:"chunks_put"`
-	PutAborts     uint64 `json:"put_aborts"`
+	ChunkedPuts   uint64 `json:"chunked_puts" prom:"lesslog_gateway_write_plane_total,event=chunked_put"`
+	HintRefreshes uint64 `json:"hint_refreshes" prom:"lesslog_gateway_write_plane_total,event=hint_refresh"`
+	ChunksPut     uint64 `json:"chunks_put" prom:"lesslog_gateway_write_plane_total,event=chunk"`
+	PutAborts     uint64 `json:"put_aborts" prom:"lesslog_gateway_write_plane_total,event=abort"`
 }
 
 // StatSnapshot is the gateway's structured status, the edge counterpart
 // of netnode.StatSnapshot.
 type StatSnapshot struct {
 	Peers       []string `json:"peers"`
-	PeersDown   []uint32 `json:"peers_detector_down"` // entry-peer indexes
-	CacheLen    int      `json:"cache_len"`
-	CacheCap    int      `json:"cache_cap"`
-	HintLen     int      `json:"hint_len"`
-	CacheTTLMS  float64  `json:"cache_ttl_ms"`
-	MaxInFlight int      `json:"max_in_flight"`
-	InFlight    int      `json:"in_flight"`
+	PeersDown   []uint32 `json:"peers_detector_down" prom:"lesslog_gateway_entry_peers_down,gauge"` // entry-peer indexes
+	CacheLen    int      `json:"cache_len" prom:"lesslog_gateway_cache_entries,gauge"`
+	CacheCap    int      `json:"cache_cap" prom:"-"`
+	HintLen     int      `json:"hint_len" prom:"lesslog_gateway_route_hints,gauge"`
+	CacheTTLMS  float64  `json:"cache_ttl_ms" prom:"-"`
+	MaxInFlight int      `json:"max_in_flight" prom:"-"`
+	InFlight    int      `json:"in_flight" prom:"lesslog_gateway_in_flight,gauge"`
 
 	// PipelineDepth is the number of pipelined client requests currently
 	// being handled across the gateway's wire connections.
-	PipelineDepth int64 `json:"pipeline_depth"`
+	PipelineDepth int64 `json:"pipeline_depth" prom:"lesslog_gateway_pipeline_depth,gauge"`
 
 	// TransfersInFlight gauges chunked transfers currently reassembling;
 	// StripeWidth is the replica fan-out of the most recent transfer.
-	TransfersInFlight int64 `json:"transfers_in_flight"`
-	StripeWidth       int64 `json:"stripe_width"`
+	TransfersInFlight int64 `json:"transfers_in_flight" prom:"lesslog_gateway_transfers_in_flight,gauge"`
+	StripeWidth       int64 `json:"stripe_width" prom:"lesslog_gateway_stripe_width,gauge"`
 
 	// TraceRecorded/TraceNoted count traces retained in the edge trace
 	// ring: head-sampled, and tail-retained slow/errored (both 0 with the
 	// trace plane disabled).
-	TraceRecorded uint64 `json:"trace_recorded"`
-	TraceNoted    uint64 `json:"trace_noted"`
+	TraceRecorded uint64 `json:"trace_recorded" prom:"lesslog_gateway_traces_total,class=recorded"`
+	TraceNoted    uint64 `json:"trace_noted" prom:"lesslog_gateway_traces_total,class=noted"`
 
 	Counters CountersSnapshot `json:"counters"`
 
-	GetLatencyMS   DistStat `json:"get_latency_ms"`
-	WriteLatencyMS DistStat `json:"write_latency_ms"`
-	BatchLatencyMS DistStat `json:"batch_latency_ms"`
-	QueueWaitMS    DistStat `json:"queue_wait_ms"`
-	BatchSize      DistStat `json:"batch_size"`
+	GetLatencyMS   metrics.DistStat `json:"get_latency_ms" prom:"lesslog_gateway_get_latency_seconds,scale=1e-9"`
+	WriteLatencyMS metrics.DistStat `json:"write_latency_ms" prom:"lesslog_gateway_write_latency_seconds,scale=1e-9"`
+	BatchLatencyMS metrics.DistStat `json:"batch_latency_ms" prom:"lesslog_gateway_batch_latency_seconds,scale=1e-9"`
+	QueueWaitMS    metrics.DistStat `json:"queue_wait_ms" prom:"lesslog_gateway_queue_wait_seconds,scale=1e-9"`
+	BatchSize      metrics.DistStat `json:"batch_size" prom:"lesslog_gateway_batch_size_subrequests"`
 
-	Transport transport.CountersSnapshot `json:"transport"`
+	// The embedded transport's counters: in the JSON, off /metrics.
+	Transport transport.CountersSnapshot `json:"transport" prom:"-"`
 }
 
-// DistStat mirrors netnode's distribution summary (count, mean,
-// quantiles), duplicated here so the gateway package does not import
-// netnode just for a JSON shape.
-type DistStat struct {
-	Count uint64  `json:"count"`
-	Mean  float64 `json:"mean"`
-	P50   float64 `json:"p50"`
-	P95   float64 `json:"p95"`
-	P99   float64 `json:"p99"`
-	Max   float64 `json:"max"`
-}
-
-const nsToMS = 1e-6
-
-// distStat converts a snapshot, scaling samples by scale.
-func distStat(s metrics.HistogramSnapshot, scale float64) DistStat {
-	return DistStat{
-		Count: s.Count,
-		Mean:  s.Mean() * scale,
-		P50:   s.Quantile(0.5) * scale,
-		P95:   s.Quantile(0.95) * scale,
-		P99:   s.Quantile(0.99) * scale,
-		Max:   float64(s.Max) * scale,
-	}
-}
-
-// countersSnapshot copies the counters' current values: the edge's own,
-// the ladder's (under the names the edge has always published them by), and
-// the chunk planes' transfer counters.
+// countersSnapshot copies the counters' current values: the edge's own and
+// the ladder's by name, then the ones the edge has always published under
+// a name of its own, and the chunk planes' transfer counters.
 func (g *Gateway) countersSnapshot() CountersSnapshot {
 	c, fetch, put := &g.counters, g.client.StreamStats(), g.client.UploadStats()
-	return CountersSnapshot{
-		Hits:          c.Hits.Value(),
-		Misses:        c.Misses.Value(),
-		Coalesced:     c.Coalesced.Value(),
-		StaleServed:   c.StaleServed.Value(),
-		Shed:          c.Shed.Value(),
-		FetchErrors:   c.FetchErrors.Value(),
-		Inserts:       c.Inserts.Value(),
-		Updates:       c.Updates.Value(),
-		Deletes:       c.Deletes.Value(),
-		Batches:       c.Batches.Value(),
-		Passthrough:   c.Passthrough.Value(),
-		PeersDown:     c.PeersDown.Value(),
-		PeersUp:       c.PeersUp.Value(),
-		ProtoErrors:   c.ProtoErrors.Value(),
-		Evictions:     g.cache.c.evictions.Value(),
-		Invalidations: g.cache.c.invalidations.Value(),
-		StaleRejected: g.cache.c.staleRejected.Value(),
-
-		HintHits:  c.HintHits.Value(),
-		HintStale: c.HintStale.Value(),
-		Locates:   c.Locates.Value(),
-		Relays:    c.Relays.Value(),
-
-		ChunkedFills:     c.ChunkedGets.Value(),
-		OversizeRejected: c.OversizeRejects.Value(),
-		ChunksFetched:    fetch.ChunksFetched.Load(),
-		ChunkRetries:     fetch.ChunkRetries.Load(),
-
-		ChunkedPuts:   c.ChunkedPuts.Value(),
-		HintRefreshes: c.HintRefreshes.Value(),
-		ChunksPut:     put.ChunksSent.Load(),
-		PutAborts:     put.Aborts.Load(),
-	}
+	var s CountersSnapshot
+	metrics.Load(&s, c, fetch)
+	s.Evictions = g.cache.c.evictions.Value()
+	s.Invalidations = g.cache.c.invalidations.Value()
+	s.StaleRejected = g.cache.c.staleRejected.Value()
+	s.ChunkedFills = c.ChunkedGets.Value()
+	s.OversizeRejected = c.OversizeRejects.Value()
+	s.ChunksPut = put.ChunksSent.Load()
+	s.PutAborts = put.Aborts.Load()
+	return s
 }
 
 // StatSnapshot captures the gateway's current observable state.
@@ -193,7 +146,7 @@ func (g *Gateway) StatSnapshot() StatSnapshot {
 		CacheLen:          g.cache.len(),
 		HintLen:           g.HintLen(),
 		CacheCap:          g.cfg.CacheSize,
-		CacheTTLMS:        float64(g.cfg.CacheTTL) * nsToMS,
+		CacheTTLMS:        float64(g.cfg.CacheTTL) * metrics.NsToMS,
 		MaxInFlight:       g.cfg.MaxInFlight,
 		InFlight:          g.adm.inFlight(),
 		PipelineDepth:     g.pipelineDepth.Load(),
@@ -203,14 +156,14 @@ func (g *Gateway) StatSnapshot() StatSnapshot {
 		TraceNoted:        g.ring.Noted(),
 		Counters:          g.countersSnapshot(),
 
-		GetLatencyMS:   distStat(g.obs.get.Snapshot(), nsToMS),
-		WriteLatencyMS: distStat(g.obs.write.Snapshot(), nsToMS),
-		BatchLatencyMS: distStat(g.obs.batch.Snapshot(), nsToMS),
-		BatchSize:      distStat(g.obs.batchSize.Snapshot(), 1),
+		GetLatencyMS:   g.obs.get.Snapshot().DistStat(metrics.NsToMS),
+		WriteLatencyMS: g.obs.write.Snapshot().DistStat(metrics.NsToMS),
+		BatchLatencyMS: g.obs.batch.Snapshot().DistStat(metrics.NsToMS),
+		BatchSize:      g.obs.batchSize.Snapshot().DistStat(1),
 		Transport:      g.tr.Counters().Snapshot(),
 	}
 	if g.adm != nil {
-		s.QueueWaitMS = distStat(g.adm.queueWait.Snapshot(), nsToMS)
+		s.QueueWaitMS = g.adm.queueWait.Snapshot().DistStat(metrics.NsToMS)
 	}
 	return s
 }
@@ -226,83 +179,10 @@ func (g *Gateway) StatLine() string {
 		g.tr.Counters())
 }
 
-// WritePrometheus writes the gateway's metrics in Prometheus text format.
-// Families are documented in docs/GATEWAY.md.
+// WritePrometheus writes the gateway's metrics in Prometheus text format:
+// every tagged field of StatSnapshot. docs/GATEWAY.md lists them.
 func (g *Gateway) WritePrometheus(w io.Writer) {
-	c := g.countersSnapshot()
-	metrics.PrometheusFamily(w, "lesslog_gateway_requests_total", "counter",
-		metrics.LabeledValue{Labels: `outcome="hit"`, Value: float64(c.Hits)},
-		metrics.LabeledValue{Labels: `outcome="miss"`, Value: float64(c.Misses)},
-		metrics.LabeledValue{Labels: `outcome="coalesced"`, Value: float64(c.Coalesced)},
-		metrics.LabeledValue{Labels: `outcome="stale_served"`, Value: float64(c.StaleServed)},
-		metrics.LabeledValue{Labels: `outcome="shed"`, Value: float64(c.Shed)})
-	metrics.PrometheusFamily(w, "lesslog_gateway_writes_total", "counter",
-		metrics.LabeledValue{Labels: `kind="insert"`, Value: float64(c.Inserts)},
-		metrics.LabeledValue{Labels: `kind="update"`, Value: float64(c.Updates)},
-		metrics.LabeledValue{Labels: `kind="delete"`, Value: float64(c.Deletes)})
-	metrics.PrometheusFamily(w, "lesslog_gateway_fetch_errors_total", "counter",
-		metrics.LabeledValue{Value: float64(c.FetchErrors)})
-	metrics.PrometheusFamily(w, "lesslog_gateway_batches_total", "counter",
-		metrics.LabeledValue{Value: float64(c.Batches)})
-	metrics.PrometheusFamily(w, "lesslog_gateway_passthrough_total", "counter",
-		metrics.LabeledValue{Value: float64(c.Passthrough)})
-	metrics.PrometheusFamily(w, "lesslog_gateway_cache_events_total", "counter",
-		metrics.LabeledValue{Labels: `event="eviction"`, Value: float64(c.Evictions)},
-		metrics.LabeledValue{Labels: `event="invalidation"`, Value: float64(c.Invalidations)},
-		metrics.LabeledValue{Labels: `event="stale_rejected"`, Value: float64(c.StaleRejected)})
-	metrics.PrometheusFamily(w, "lesslog_gateway_peer_flips_total", "counter",
-		metrics.LabeledValue{Labels: `direction="down"`, Value: float64(c.PeersDown)},
-		metrics.LabeledValue{Labels: `direction="up"`, Value: float64(c.PeersUp)})
-	metrics.PrometheusFamily(w, "lesslog_gateway_proto_errors_total", "counter",
-		metrics.LabeledValue{Value: float64(c.ProtoErrors)})
-	metrics.PrometheusFamily(w, "lesslog_gateway_traces_total", "counter",
-		metrics.LabeledValue{Labels: `class="recorded"`, Value: float64(g.ring.Recorded())},
-		metrics.LabeledValue{Labels: `class="noted"`, Value: float64(g.ring.Noted())})
-	metrics.PrometheusFamily(w, "lesslog_gateway_locate_events_total", "counter",
-		metrics.LabeledValue{Labels: `event="hint_hit"`, Value: float64(c.HintHits)},
-		metrics.LabeledValue{Labels: `event="hint_stale"`, Value: float64(c.HintStale)},
-		metrics.LabeledValue{Labels: `event="locate"`, Value: float64(c.Locates)},
-		metrics.LabeledValue{Labels: `event="relay"`, Value: float64(c.Relays)})
-	metrics.PrometheusFamily(w, "lesslog_gateway_chunk_events_total", "counter",
-		metrics.LabeledValue{Labels: `event="fill"`, Value: float64(c.ChunkedFills)},
-		metrics.LabeledValue{Labels: `event="chunk"`, Value: float64(c.ChunksFetched)},
-		metrics.LabeledValue{Labels: `event="retry"`, Value: float64(c.ChunkRetries)})
-	metrics.PrometheusFamily(w, "lesslog_gateway_oversize_rejected_total", "counter",
-		metrics.LabeledValue{Value: float64(c.OversizeRejected)})
-	metrics.PrometheusFamily(w, "lesslog_gateway_write_plane_total", "counter",
-		metrics.LabeledValue{Labels: `event="chunked_put"`, Value: float64(c.ChunkedPuts)},
-		metrics.LabeledValue{Labels: `event="chunk"`, Value: float64(c.ChunksPut)},
-		metrics.LabeledValue{Labels: `event="abort"`, Value: float64(c.PutAborts)},
-		metrics.LabeledValue{Labels: `event="hint_refresh"`, Value: float64(c.HintRefreshes)})
-
-	metrics.PrometheusFamily(w, "lesslog_gateway_cache_entries", "gauge",
-		metrics.LabeledValue{Value: float64(g.cache.len())})
-	metrics.PrometheusFamily(w, "lesslog_gateway_route_hints", "gauge",
-		metrics.LabeledValue{Value: float64(g.HintLen())})
-	metrics.PrometheusFamily(w, "lesslog_gateway_in_flight", "gauge",
-		metrics.LabeledValue{Value: float64(g.adm.inFlight())})
-	metrics.PrometheusFamily(w, "lesslog_gateway_pipeline_depth", "gauge",
-		metrics.LabeledValue{Value: float64(g.pipelineDepth.Load())})
-	metrics.PrometheusFamily(w, "lesslog_gateway_entry_peers_down", "gauge",
-		metrics.LabeledValue{Value: float64(g.det.DownCount())})
-	fetch := g.client.StreamStats()
-	metrics.PrometheusFamily(w, "lesslog_gateway_transfers_in_flight", "gauge",
-		metrics.LabeledValue{Value: float64(fetch.InFlight.Load())})
-	metrics.PrometheusFamily(w, "lesslog_gateway_stripe_width", "gauge",
-		metrics.LabeledValue{Value: float64(fetch.StripeWidth.Load())})
-
-	metrics.PrometheusHistogram(w, "lesslog_gateway_get_latency_seconds", 1e-9,
-		metrics.LabeledHistogram{Snap: g.obs.get.Snapshot()})
-	metrics.PrometheusHistogram(w, "lesslog_gateway_write_latency_seconds", 1e-9,
-		metrics.LabeledHistogram{Snap: g.obs.write.Snapshot()})
-	metrics.PrometheusHistogram(w, "lesslog_gateway_batch_latency_seconds", 1e-9,
-		metrics.LabeledHistogram{Snap: g.obs.batch.Snapshot()})
-	metrics.PrometheusHistogram(w, "lesslog_gateway_batch_size_subrequests", 1,
-		metrics.LabeledHistogram{Snap: g.obs.batchSize.Snapshot()})
-	if g.adm != nil {
-		metrics.PrometheusHistogram(w, "lesslog_gateway_queue_wait_seconds", 1e-9,
-			metrics.LabeledHistogram{Snap: g.adm.queueWait.Snapshot()})
-	}
+	metrics.WritePrometheus(w, "", g.StatSnapshot())
 }
 
 // Admin is a running gateway admin HTTP server.

@@ -152,3 +152,37 @@ func (s *HistogramSnapshot) Quantile(q float64) float64 {
 	}
 	return float64(s.Max) // unreachable unless counts raced; report max
 }
+
+// NsToMS scales nanosecond samples to the milliseconds JSON snapshots report.
+const NsToMS = 1e-6
+
+// DistStat summarizes one distribution for a JSON stats snapshot. Latency
+// distributions report milliseconds; size distributions (fan-out legs,
+// batch sizes) report plain counts.
+type DistStat struct {
+	Count uint64  `json:"count"`
+	Mean  float64 `json:"mean"`
+	P50   float64 `json:"p50"`
+	P95   float64 `json:"p95"`
+	P99   float64 `json:"p99"`
+	Max   float64 `json:"max"`
+
+	// The histogram summarized, kept off the wire so WritePrometheus can
+	// export the whole distribution from the same snapshot field. Nil on a
+	// summary decoded from JSON.
+	src *HistogramSnapshot
+}
+
+// DistStat summarizes s, scaling samples by scale (NsToMS turns
+// nanoseconds into milliseconds; 1 leaves counts alone).
+func (s HistogramSnapshot) DistStat(scale float64) DistStat {
+	return DistStat{
+		Count: s.Count,
+		Mean:  s.Mean() * scale,
+		P50:   s.Quantile(0.5) * scale,
+		P95:   s.Quantile(0.95) * scale,
+		P99:   s.Quantile(0.99) * scale,
+		Max:   float64(s.Max) * scale,
+		src:   &s,
+	}
+}

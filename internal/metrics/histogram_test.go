@@ -149,10 +149,15 @@ func TestPrometheusOutput(t *testing.T) {
 	var h Histogram
 	h.Observe(uint64(time.Millisecond))
 	h.Observe(uint64(2 * time.Millisecond))
+	snap := struct {
+		Y uint64              `prom:"y_total"`
+		X map[string]DistStat `prom:"x_seconds,kind=*,scale=1e-9"`
+	}{Y: 3, X: map[string]DistStat{"get": h.Snapshot().DistStat(NsToMS)}}
 	var b strings.Builder
-	PrometheusHistogram(&b, "x_seconds", 1e-9, LabeledHistogram{Labels: `kind="get"`, Snap: h.Snapshot()})
+	WritePrometheus(&b, "", snap)
 	out := b.String()
 	for _, want := range []string{
+		"# TYPE y_total counter\ny_total 3\n",
 		"# TYPE x_seconds histogram",
 		`x_seconds_bucket{kind="get",le="+Inf"} 2`,
 		`x_seconds_count{kind="get"} 2`,
@@ -160,11 +165,6 @@ func TestPrometheusOutput(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("output missing %q:\n%s", want, out)
 		}
-	}
-	b.Reset()
-	PrometheusFamily(&b, "y_total", "counter", LabeledValue{Value: 3})
-	if got := b.String(); got != "# TYPE y_total counter\ny_total 3\n" {
-		t.Fatalf("counter family = %q", got)
 	}
 }
 

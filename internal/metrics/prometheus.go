@@ -1,26 +1,44 @@
 package metrics
 
-// Prometheus text exposition (version 0.0.4) for the measurement types in
-// this package, using only the standard library. The admin endpoint of a
-// networked peer composes these writers into its /metrics page; any
+// Prometheus text exposition (version 0.0.4) of a snapshot struct's
+// declared metrics (declare.go), using only the standard library. The
+// admin endpoints of a peer and a gateway serve it as /metrics; any
 // Prometheus-compatible scraper can consume the output directly.
 
 import (
 	"fmt"
 	"io"
+	"reflect"
+	"strings"
 )
 
-// LabeledValue is one series of a counter or gauge family. Labels is the
-// literal label body without braces (`kind="get"`), or "" for none.
-type LabeledValue struct {
-	Labels string
-	Value  float64
-}
-
-// LabeledHistogram is one series of a histogram family.
-type LabeledHistogram struct {
-	Labels string
-	Snap   HistogramSnapshot
+// WritePrometheus writes every metric snapshot declares, family by family
+// in declaration order: a TYPE header, then one line per series. labels is
+// a label body put on every series (`pid="3"`), or "".
+func WritePrometheus(w io.Writer, labels string, snapshot any) {
+	v := reflect.Indirect(reflect.ValueOf(snapshot))
+	family := ""
+	for _, d := range Declarations(snapshot) {
+		if d.Family != family {
+			family = d.Family
+			fmt.Fprintf(w, "# TYPE %s %s\n", d.Family, d.Type)
+		}
+		f, l := v.FieldByIndex(d.index), mergeLabels(labels, d.Label)
+		switch x := f.Interface().(type) {
+		case DistStat:
+			x.writePrometheus(w, d.Family, l, d.Scale)
+		case map[string]DistStat:
+			for k, dist := range x {
+				dist.writePrometheus(w, d.Family, strings.Replace(l, "*", k, 1), d.Scale)
+			}
+		default:
+			if f.Kind() == reflect.Slice {
+				f = reflect.ValueOf(f.Len())
+			}
+			value := f.Convert(reflect.TypeOf(d.Scale)).Float()
+			fmt.Fprintf(w, "%s %g\n", seriesName(d.Family, l), value*d.Scale)
+		}
+	}
 }
 
 // seriesName renders name plus an optional label body.
@@ -32,44 +50,29 @@ func seriesName(name, labels string) string {
 }
 
 // mergeLabels joins two label bodies with a comma, tolerating empties.
-func mergeLabels(a, b string) string {
-	switch {
-	case a == "":
-		return b
-	case b == "":
-		return a
-	}
-	return a + "," + b
-}
+func mergeLabels(a, b string) string { return strings.Trim(a+","+b, ",") }
 
-// PrometheusFamily writes one counter or gauge family (kind is "counter"
-// or "gauge") with its TYPE header and one line per series.
-func PrometheusFamily(w io.Writer, name, kind string, series ...LabeledValue) {
-	fmt.Fprintf(w, "# TYPE %s %s\n", name, kind)
-	for _, s := range series {
-		fmt.Fprintf(w, "%s %g\n", seriesName(name, s.Labels), s.Value)
+// writePrometheus writes the distribution d summarizes as one histogram
+// series: cumulative buckets with `le` upper bounds, then _sum and _count.
+// The observed samples are scaled by scale on the way out (1e-9 turns
+// nanoseconds into the seconds Prometheus conventions expect). Empty
+// buckets are elided — the cumulative counts and the +Inf bucket keep the
+// output well-formed. A summary decoded from JSON has no histogram behind
+// it and writes nothing.
+func (d DistStat) writePrometheus(w io.Writer, name, labels string, scale float64) {
+	if d.src == nil {
+		return
 	}
-}
-
-// PrometheusHistogram writes a histogram family: cumulative buckets with
-// `le` upper bounds, then _sum and _count, per series. Samples are scaled
-// by scale on the way out (1e-9 turns observed nanoseconds into the
-// seconds Prometheus conventions expect). Empty buckets are elided — the
-// cumulative counts and the +Inf bucket keep the output well-formed.
-func PrometheusHistogram(w io.Writer, name string, scale float64, series ...LabeledHistogram) {
-	fmt.Fprintf(w, "# TYPE %s histogram\n", name)
-	for _, s := range series {
-		var cum uint64
-		for i, c := range s.Snap.Buckets {
-			if c == 0 {
-				continue
-			}
-			cum += c
-			le := fmt.Sprintf(`le="%g"`, float64(BucketUpper(i))*scale)
-			fmt.Fprintf(w, "%s_bucket{%s} %d\n", name, mergeLabels(s.Labels, le), cum)
+	var cum uint64
+	for i, c := range d.src.Buckets {
+		if c == 0 {
+			continue
 		}
-		fmt.Fprintf(w, "%s_bucket{%s} %d\n", name, mergeLabels(s.Labels, `le="+Inf"`), s.Snap.Count)
-		fmt.Fprintf(w, "%s %g\n", seriesName(name+"_sum", s.Labels), float64(s.Snap.Sum)*scale)
-		fmt.Fprintf(w, "%s %d\n", seriesName(name+"_count", s.Labels), s.Snap.Count)
+		cum += c
+		le := fmt.Sprintf(`le="%g"`, float64(BucketUpper(i))*scale)
+		fmt.Fprintf(w, "%s_bucket{%s} %d\n", name, mergeLabels(labels, le), cum)
 	}
+	fmt.Fprintf(w, "%s_bucket{%s} %d\n", name, mergeLabels(labels, `le="+Inf"`), d.src.Count)
+	fmt.Fprintf(w, "%s %g\n", seriesName(name+"_sum", labels), float64(d.src.Sum)*scale)
+	fmt.Fprintf(w, "%s %d\n", seriesName(name+"_count", labels), d.src.Count)
 }

@@ -45,127 +45,35 @@ func (o *peerObs) handleHist(k msg.Kind) *metrics.Histogram {
 	return &o.handle[0]
 }
 
-// DistStat summarizes one distribution for the JSON stats snapshot.
-// Latency distributions report milliseconds; the fan-out distribution
-// reports legs.
-type DistStat struct {
-	Count uint64  `json:"count"`
-	Mean  float64 `json:"mean"`
-	P50   float64 `json:"p50"`
-	P95   float64 `json:"p95"`
-	P99   float64 `json:"p99"`
-	Max   float64 `json:"max"`
-}
-
-// distStat converts a snapshot, scaling samples by scale (1e-6 turns
-// nanoseconds into milliseconds; 1 leaves counts alone).
-func distStat(s metrics.HistogramSnapshot, scale float64) DistStat {
-	return DistStat{
-		Count: s.Count,
-		Mean:  s.Mean() * scale,
-		P50:   s.Quantile(0.5) * scale,
-		P95:   s.Quantile(0.95) * scale,
-		P99:   s.Quantile(0.99) * scale,
-		Max:   float64(s.Max) * scale,
-	}
-}
-
-const nsToMS = 1e-6
-
 // StatSnapshot is the structured form of the stat line: everything the
 // one-line summary says, plus the latency distributions, as one
 // JSON-serializable value. Clients fetch it with KindStat + FlagJSON
-// (Client.StatSnapshot, `lesslogd -op stat -json`).
+// (Client.StatSnapshot, `lesslogd -op stat -json`). Its tagged fields are
+// also the one declaration of every peer metric: the /metrics page, the
+// fleet merge and the lesslog-top screen are derived from them
+// (internal/metrics "One declaration per metric", docs/OBSERVABILITY.md
+// "Adding a metric").
 type StatSnapshot struct {
-	PID          uint32   `json:"pid"`
+	PID          uint32   `json:"pid" prom:"-"`
 	Addr         string   `json:"addr"`
-	M            int      `json:"m"`
-	B            int      `json:"b"`
-	Inserted     int      `json:"inserted"`
-	Replicas     int      `json:"replicas"`
-	LivePeers    int      `json:"live_peers"`
-	KnownPeers   int      `json:"known_peers"`
-	DetectorDown []uint32 `json:"detector_down"`
+	M            int      `json:"m" prom:"-"`
+	B            int      `json:"b" prom:"-"`
+	LivePeers    int      `json:"live_peers" prom:"lesslog_live_peers,gauge" fleet:"max,fabric"`
+	KnownPeers   int      `json:"known_peers" prom:"-"`
+	DetectorDown []uint32 `json:"detector_down" prom:"lesslog_detector_down_peers,gauge"`
 
-	Requests    uint64 `json:"requests"`
-	Forwards    uint64 `json:"forwards"`
-	Served      uint64 `json:"served"`
-	Faults      uint64 `json:"faults"`
-	Stored      uint64 `json:"stored"`
-	Updated     uint64 `json:"updated"`
-	Broadcast   uint64 `json:"broadcast"`
-	PeersDown   uint64 `json:"peers_down"`
-	PeersUp     uint64 `json:"peers_up"`
-	ProtoErrors uint64 `json:"proto_errors"`
+	Totals // ends with the repair plane, which RepairTTFRMS continues
 
-	// Locate-then-fetch data plane (docs/ROUTING.md): locates answered as
-	// holder, local-only gets served/refused, and payload bytes relayed
-	// through forwarded gets — the cost the locate path removes.
-	Located      uint64 `json:"located"`
-	DirectServed uint64 `json:"direct_served"`
-	DirectMisses uint64 `json:"direct_misses"`
-	RelayedBytes uint64 `json:"relayed_bytes"`
-
-	// Chunked data plane (docs/ROUTING.md): ranged chunks served and their
-	// payload bytes, version-pinned fetches refused (splice guard), and
-	// replica-set locates answered as holder.
-	ChunksServed  uint64 `json:"chunks_served"`
-	ChunkBytes    uint64 `json:"chunk_bytes"`
-	ChunkRefusals uint64 `json:"chunk_refusals"`
-	LocateSets    uint64 `json:"locate_sets"`
-
-	// Chunked write plane (docs/ROUTING.md "write plane"): upload chunks
-	// staged and their payload bytes, staging sessions aborted (client
-	// abort, TTL expiry, or a failed commit check), bodies pulled for a
-	// notify delivery, broadcast initiations split by whether this peer already
-	// held the name (the hint-guided entry measure), and request payload
-	// bytes this peer pushed onto broadcast-tree legs (the bytes-on-tree
-	// measure pull propagation keeps flat as copies grow).
-	WriteChunks    uint64 `json:"write_chunks"`
-	WriteBytes     uint64 `json:"write_bytes"`
-	StagedAborts   uint64 `json:"staged_aborts"`
-	NotifyPulls    uint64 `json:"notify_pulls"`
-	WritesAtHolder uint64 `json:"writes_at_holder"`
-	WritesRemote   uint64 `json:"writes_remote"`
-	FanoutBytes    uint64 `json:"fanout_bytes"`
+	// RepairTTFRMS is the last completed time-to-full-replication episode —
+	// how long the inventory stayed divergent before anti-entropy converged
+	// it (0 until an episode completes). The fleet reports the worst.
+	RepairTTFRMS float64 `json:"repair_ttfr_ms" prom:"lesslog_repair_ttfr_seconds,gauge,scale=1e-3" fleet:"max,repair,as=repair_ttfr_ms_max"`
 
 	// PipelineDepth is the number of pipelined requests currently being
 	// handled across this peer's connections; FanoutActive is the number of
 	// broadcast RPC legs currently in flight. Both are instantaneous gauges.
-	PipelineDepth int64 `json:"pipeline_depth"`
-	FanoutActive  int64 `json:"fanout_active"`
-
-	// Anti-entropy repair (docs/REPAIR.md): probes issued, copies pushed
-	// back / pulled in, local copies erased after a tombstone answer
-	// (deletion propagated by repair), work deferred by the budget, digest
-	// frame bytes, and the budget's current byte shortfall (gauge; 0 =
-	// keeping up).
-	RepairProbes  uint64 `json:"repair_probes"`
-	Repaired      uint64 `json:"repaired"`
-	RepairPulled  uint64 `json:"repair_pulled"`
-	RepairErased  uint64 `json:"repair_erased"`
-	RepairSkipped uint64 `json:"repair_skipped"`
-	DigestBytes   uint64 `json:"digest_bytes"`
-	RepairDeficit int64  `json:"repair_deficit"`
-
-	// Tombstones gauges live delete tombstones (deletion debt not yet
-	// pruned); RepairTTFRMS is the last completed time-to-full-replication
-	// episode — how long the inventory stayed divergent before
-	// anti-entropy converged it (0 until an episode completes).
-	Tombstones   int     `json:"tombstones"`
-	RepairTTFRMS float64 `json:"repair_ttfr_ms"`
-
-	// PersistErrors counts store mutations the durable log did not take —
-	// applied in memory, lost on restart (docs/STORAGE.md: every body over
-	// the 16 MiB record cap, and everything after a write failure). Always
-	// 0 on a peer without a data directory.
-	PersistErrors uint64 `json:"persist_errors"`
-
-	// Trace plane (docs/OBSERVABILITY.md): entry requests and repair
-	// rounds recorded into the trace ring, and how many of those were
-	// retained as notable (slow or errored).
-	TraceRecorded uint64 `json:"trace_recorded"`
-	TraceNoted    uint64 `json:"trace_noted"`
+	PipelineDepth int64 `json:"pipeline_depth" prom:"lesslog_pipeline_depth,gauge" fleet:"spread,load"`
+	FanoutActive  int64 `json:"fanout_active" prom:"lesslog_fanout_active_legs,gauge" fleet:"spread,load"`
 
 	Transport transport.CountersSnapshot `json:"transport"`
 
@@ -173,11 +81,11 @@ type StatSnapshot struct {
 	// peer's transport; HandlerLatencyMS is the inbound per-kind handler
 	// latency. ServeLatencyMS/ForwardLatencyMS split the get path;
 	// BroadcastFanout counts legs, not milliseconds.
-	RPCLatencyMS     map[string]DistStat `json:"rpc_latency_ms"`
-	HandlerLatencyMS map[string]DistStat `json:"handler_latency_ms"`
-	ServeLatencyMS   DistStat            `json:"serve_latency_ms"`
-	ForwardLatencyMS DistStat            `json:"forward_latency_ms"`
-	BroadcastFanout  DistStat            `json:"broadcast_fanout"`
+	RPCLatencyMS     map[string]metrics.DistStat `json:"rpc_latency_ms" prom:"lesslog_rpc_latency_seconds,kind=*,scale=1e-9"`
+	HandlerLatencyMS map[string]metrics.DistStat `json:"handler_latency_ms" prom:"lesslog_handler_latency_seconds,kind=*,scale=1e-9"`
+	ServeLatencyMS   metrics.DistStat            `json:"serve_latency_ms" prom:"lesslog_get_serve_latency_seconds,scale=1e-9"`
+	ForwardLatencyMS metrics.DistStat            `json:"forward_latency_ms" prom:"lesslog_get_forward_latency_seconds,scale=1e-9"`
+	BroadcastFanout  metrics.DistStat            `json:"broadcast_fanout" prom:"lesslog_broadcast_fanout_legs"`
 
 	// HandlerLatencyHist is the raw per-kind handler histogram — unlike
 	// the DistStat summaries above, raw bucket vectors merge exactly
@@ -193,96 +101,142 @@ type StatSnapshot struct {
 	Inventory []store.Record `json:"inventory,omitempty"`
 }
 
+// Totals are the peer's additive metrics: each sums across peers, so the
+// fleet view (fleet.Cluster) embeds this same block and a counter added
+// here reaches lesslog-top with no further edit. The second fleet word is
+// the lesslog-top line the sum is rendered on.
+type Totals struct {
+	PeersDown uint64 `json:"peers_down" prom:"lesslog_detector_flips_total,direction=down" fleet:"sum,fabric"`
+	PeersUp   uint64 `json:"peers_up" prom:"lesslog_detector_flips_total,direction=up" fleet:"sum,fabric"`
+
+	Inserted int `json:"inserted" prom:"lesslog_store_files,kind=inserted,gauge" fleet:"sum,files"`
+	Replicas int `json:"replicas" prom:"lesslog_store_files,kind=replica,gauge" fleet:"sum,files"`
+
+	Requests    uint64 `json:"requests" prom:"lesslog_requests_total" fleet:"sum,traffic"`
+	Forwards    uint64 `json:"forwards" prom:"lesslog_forwards_total" fleet:"sum,traffic"`
+	Served      uint64 `json:"served" prom:"lesslog_served_total" fleet:"sum,traffic"`
+	Faults      uint64 `json:"faults" prom:"lesslog_faults_total" fleet:"sum,traffic"`
+	Stored      uint64 `json:"stored" prom:"lesslog_stored_total" fleet:"sum,traffic"`
+	Updated     uint64 `json:"updated" prom:"lesslog_updated_total" fleet:"sum,traffic"`
+	Broadcast   uint64 `json:"broadcast" prom:"lesslog_broadcast_legs_total" fleet:"sum,traffic"`
+	ProtoErrors uint64 `json:"proto_errors" prom:"lesslog_proto_errors_total" fleet:"sum,traffic"`
+	// PersistErrors counts store mutations the durable log did not take —
+	// applied in memory, lost on restart (docs/STORAGE.md: every body over
+	// the 16 MiB record cap, and everything after a write failure). Always
+	// 0 on a peer without a data directory.
+	PersistErrors uint64 `json:"persist_errors" prom:"lesslog_wal_persist_errors_total" fleet:"sum,traffic"`
+
+	// Locate-then-fetch data plane (docs/ROUTING.md): locates answered as
+	// holder, local-only gets served/refused, and payload bytes relayed
+	// through forwarded gets — the cost the locate path removes.
+	Located      uint64 `json:"located" prom:"lesslog_located_total" fleet:"sum,locate"`
+	DirectServed uint64 `json:"direct_served" prom:"lesslog_direct_gets_total,outcome=served" fleet:"sum,locate"`
+	DirectMisses uint64 `json:"direct_misses" prom:"lesslog_direct_gets_total,outcome=miss" fleet:"sum,locate"`
+	RelayedBytes uint64 `json:"relayed_bytes" prom:"lesslog_relayed_payload_bytes_total" fleet:"sum,locate"`
+
+	// Chunked data plane (docs/ROUTING.md): ranged chunks served and their
+	// payload bytes, version-pinned fetches refused (splice guard), and
+	// replica-set locates answered as holder.
+	ChunksServed  uint64 `json:"chunks_served" prom:"lesslog_chunks_served_total" fleet:"sum,chunks"`
+	ChunkBytes    uint64 `json:"chunk_bytes" prom:"lesslog_chunk_payload_bytes_total" fleet:"sum,chunks"`
+	ChunkRefusals uint64 `json:"chunk_refusals" prom:"lesslog_chunk_refusals_total" fleet:"sum,chunks"`
+	LocateSets    uint64 `json:"locate_sets" prom:"lesslog_locate_sets_total" fleet:"sum,chunks"`
+
+	// Chunked write plane (docs/ROUTING.md "write plane"): upload chunks
+	// staged and their payload bytes, staging sessions aborted (client
+	// abort, TTL expiry, or a failed commit check), bodies pulled for a
+	// notify delivery, broadcast initiations split by whether this peer already
+	// held the name (the hint-guided entry measure), and request payload
+	// bytes this peer pushed onto broadcast-tree legs (the bytes-on-tree
+	// measure pull propagation keeps flat as copies grow).
+	WriteChunks    uint64 `json:"write_chunks" prom:"lesslog_write_chunks_total" fleet:"sum,writes"`
+	WriteBytes     uint64 `json:"write_bytes" prom:"lesslog_write_payload_bytes_total" fleet:"sum,writes"`
+	StagedAborts   uint64 `json:"staged_aborts" prom:"lesslog_staged_aborts_total" fleet:"sum,writes"`
+	NotifyPulls    uint64 `json:"notify_pulls" prom:"lesslog_notify_propagation_total,outcome=pulled" fleet:"sum,writes"`
+	WritesAtHolder uint64 `json:"writes_at_holder" prom:"lesslog_write_entries_total,entry=holder" fleet:"sum,writes"`
+	WritesRemote   uint64 `json:"writes_remote" prom:"lesslog_write_entries_total,entry=remote" fleet:"sum,writes"`
+	FanoutBytes    uint64 `json:"fanout_bytes" prom:"lesslog_fanout_payload_bytes_total" fleet:"sum,writes"`
+
+	// Trace plane (docs/OBSERVABILITY.md): entry requests and repair
+	// rounds recorded into the trace ring, and how many of those were
+	// retained as notable (slow or errored).
+	TraceRecorded uint64 `json:"trace_recorded" prom:"lesslog_traces_total,class=recorded" fleet:"sum,traces"`
+	TraceNoted    uint64 `json:"trace_noted" prom:"lesslog_traces_total,class=noted" fleet:"sum,traces"`
+
+	// Anti-entropy repair (docs/REPAIR.md): probes issued, copies pushed
+	// back / pulled in, local copies erased after a tombstone answer
+	// (deletion propagated by repair), work deferred by the budget, digest
+	// frame bytes, the budget's current byte shortfall (gauge; 0 =
+	// keeping up), and live delete tombstones (deletion debt not yet
+	// pruned).
+	RepairProbes  uint64 `json:"repair_probes" prom:"lesslog_repair_probes_total" fleet:"sum,repair"`
+	Repaired      uint64 `json:"repaired" prom:"lesslog_repair_total,outcome=pushed" fleet:"sum,repair"`
+	RepairPulled  uint64 `json:"repair_pulled" prom:"lesslog_repair_total,outcome=pulled" fleet:"sum,repair"`
+	RepairErased  uint64 `json:"repair_erased" prom:"lesslog_repair_total,outcome=erased" fleet:"sum,repair"`
+	RepairSkipped uint64 `json:"repair_skipped" prom:"lesslog_repair_total,outcome=skipped" fleet:"sum,repair"`
+	DigestBytes   uint64 `json:"digest_bytes" prom:"lesslog_digest_bytes_total" fleet:"sum,repair"`
+	RepairDeficit int64  `json:"repair_deficit" prom:"lesslog_repair_deficit_bytes,gauge" fleet:"sum,repair"`
+	Tombstones    int    `json:"tombstones" prom:"lesslog_tombstones,gauge" fleet:"sum,repair"`
+}
+
 // hotNamesTopK bounds the HotNames list every JSON stat snapshot carries.
 const hotNamesTopK = 16
 
 // StatSnapshot captures the peer's current observable state.
 func (p *Peer) StatSnapshot() StatSnapshot { return p.statSnapshot(false) }
 
+// statSnapshot is the JSON stat path: the scalars plus the per-name
+// tables, which cost a sorted copy of the whole inventory.
 func (p *Peer) statSnapshot(withInventory bool) StatSnapshot {
+	s := p.scalars()
+	records := p.store.Records()
+	s.HotNames = hotNames(records, hotNamesTopK)
+	if withInventory {
+		s.Inventory = records
+	}
+	return s
+}
+
+// scalars captures everything whose size does not grow with the number of
+// stored names — all a /metrics scrape needs, so a scrape neither
+// allocates per name nor sorts under the shard locks.
+func (p *Peer) scalars() StatSnapshot {
 	rt := p.rt()
-	inserted := len(p.store.Names(store.Inserted))
-	total := p.store.Len()
-	live := rt.live.LiveCount()
-	known := len(rt.addrs)
-
 	s := StatSnapshot{
-		PID:           uint32(p.cfg.PID),
-		Addr:          p.Addr(),
-		M:             p.cfg.M,
-		B:             p.cfg.B,
-		Inserted:      inserted,
-		Replicas:      total - inserted,
-		LivePeers:     live,
-		KnownPeers:    known,
-		DetectorDown:  p.det.DownIDs(),
-		Requests:      p.stats.Requests.Load(),
-		Forwards:      p.stats.Forwards.Load(),
-		Served:        p.stats.Served.Load(),
-		Faults:        p.stats.Faults.Load(),
-		Stored:        p.stats.Stored.Load(),
-		Updated:       p.stats.Updated.Load(),
-		Broadcast:     p.stats.Broadcast.Load(),
-		PeersDown:     p.stats.PeersDown.Load(),
-		PeersUp:       p.stats.PeersUp.Load(),
-		ProtoErrors:   p.stats.ProtoErrors.Load(),
-		Located:       p.stats.Located.Load(),
-		DirectServed:  p.stats.DirectServed.Load(),
-		DirectMisses:  p.stats.DirectMisses.Load(),
-		RelayedBytes:  p.stats.RelayedBytes.Load(),
-		ChunksServed:  p.stats.ChunksServed.Load(),
-		ChunkBytes:    p.stats.ChunkBytes.Load(),
-		ChunkRefusals: p.stats.ChunkRefusals.Load(),
-		LocateSets:    p.stats.LocateSets.Load(),
+		PID:          uint32(p.cfg.PID),
+		Addr:         p.Addr(),
+		M:            p.cfg.M,
+		B:            p.cfg.B,
+		LivePeers:    rt.live.LiveCount(),
+		KnownPeers:   len(rt.addrs),
+		DetectorDown: p.det.DownIDs(),
+		RepairTTFRMS: float64(p.ttfr.Last()) * metrics.NsToMS,
+		Transport:    p.tr.Counters().Snapshot(),
 
-		WriteChunks:    p.stats.WriteChunks.Load(),
-		WriteBytes:     p.stats.WriteBytes.Load(),
-		StagedAborts:   p.stats.StagedAborts.Load(),
-		NotifyPulls:    p.stats.NotifyPulls.Load(),
-		WritesAtHolder: p.stats.WritesAtHolder.Load(),
-		WritesRemote:   p.stats.WritesRemote.Load(),
-		FanoutBytes:    p.stats.FanoutBytes.Load(),
-
-		PipelineDepth: p.stats.PipelineDepth.Load(),
-		FanoutActive:  p.stats.FanoutActive.Load(),
-		RepairProbes:  p.stats.RepairProbes.Load(),
-		Repaired:      p.stats.Repaired.Load(),
-		RepairPulled:  p.stats.RepairPulled.Load(),
-		RepairErased:  p.stats.RepairErased.Load(),
-		RepairSkipped: p.stats.RepairSkipped.Load(),
-		DigestBytes:   p.stats.DigestBytes.Load(),
-		RepairDeficit: p.stats.RepairDeficit.Load(),
-		Tombstones:    p.store.TombstoneCount(),
-		RepairTTFRMS:  float64(p.ttfr.Last()) * nsToMS,
-		TraceRecorded: p.ring.Recorded(),
-		TraceNoted:    p.ring.Noted(),
-		Transport:     p.tr.Counters().Snapshot(),
-
-		RPCLatencyMS:       map[string]DistStat{},
-		HandlerLatencyMS:   map[string]DistStat{},
+		RPCLatencyMS:       map[string]metrics.DistStat{},
+		HandlerLatencyMS:   map[string]metrics.DistStat{},
 		HandlerLatencyHist: map[string]metrics.HistogramSnapshot{},
-		ServeLatencyMS:     distStat(p.obs.serve.Snapshot(), nsToMS),
-		ForwardLatencyMS:   distStat(p.obs.forward.Snapshot(), nsToMS),
-		BroadcastFanout:    distStat(p.obs.fanout.Snapshot(), 1),
+		ServeLatencyMS:     p.obs.serve.Snapshot().DistStat(metrics.NsToMS),
+		ForwardLatencyMS:   p.obs.forward.Snapshot().DistStat(metrics.NsToMS),
+		BroadcastFanout:    p.obs.fanout.Snapshot().DistStat(1),
+	}
+	metrics.Load(&s, &p.stats)
+	s.Inserted, s.Replicas = p.store.Counts()
+	s.Tombstones = p.store.TombstoneCount()
+	s.TraceRecorded, s.TraceNoted = p.ring.Recorded(), p.ring.Noted()
+	if p.eng != nil {
+		s.PersistErrors = p.eng.Stats().PersistErrors.Load()
 	}
 	for kind, snap := range p.tr.LatencySnapshots() {
-		s.RPCLatencyMS[kind] = distStat(snap, nsToMS)
+		s.RPCLatencyMS[kind] = snap.DistStat(metrics.NsToMS)
 	}
 	for i := 1; i < msg.KindCount; i++ {
 		if p.obs.handle[i].Count() == 0 {
 			continue
 		}
 		snap := p.obs.handle[i].Snapshot()
-		s.HandlerLatencyMS[msg.Kind(i).String()] = distStat(snap, nsToMS)
+		s.HandlerLatencyMS[msg.Kind(i).String()] = snap.DistStat(metrics.NsToMS)
 		s.HandlerLatencyHist[msg.Kind(i).String()] = snap
-	}
-	if p.eng != nil {
-		s.PersistErrors = p.eng.Stats().PersistErrors.Load()
-	}
-	records := p.store.Records()
-	s.HotNames = hotNames(records, hotNamesTopK)
-	if withInventory {
-		s.Inventory = records
 	}
 	return s
 }
@@ -309,132 +263,12 @@ func hotNames(records []store.Record, k int) []store.Record {
 }
 
 // WritePrometheus writes the peer's metrics in Prometheus text format —
-// the /metrics page of the admin endpoint. Metric names and labels are
-// documented in docs/OBSERVABILITY.md.
+// the /metrics page of the admin endpoint: every tagged field of
+// StatSnapshot, under a pid label. docs/OBSERVABILITY.md lists them.
 func (p *Peer) WritePrometheus(w io.Writer) {
-	s := p.StatSnapshot()
-	self := fmt.Sprintf(`pid="%d"`, s.PID)
-
-	metrics.PrometheusFamily(w, "lesslog_requests_total", "counter",
-		metrics.LabeledValue{Labels: self, Value: float64(s.Requests)})
-	metrics.PrometheusFamily(w, "lesslog_forwards_total", "counter",
-		metrics.LabeledValue{Labels: self, Value: float64(s.Forwards)})
-	metrics.PrometheusFamily(w, "lesslog_served_total", "counter",
-		metrics.LabeledValue{Labels: self, Value: float64(s.Served)})
-	metrics.PrometheusFamily(w, "lesslog_faults_total", "counter",
-		metrics.LabeledValue{Labels: self, Value: float64(s.Faults)})
-	metrics.PrometheusFamily(w, "lesslog_stored_total", "counter",
-		metrics.LabeledValue{Labels: self, Value: float64(s.Stored)})
-	metrics.PrometheusFamily(w, "lesslog_updated_total", "counter",
-		metrics.LabeledValue{Labels: self, Value: float64(s.Updated)})
-	metrics.PrometheusFamily(w, "lesslog_broadcast_legs_total", "counter",
-		metrics.LabeledValue{Labels: self, Value: float64(s.Broadcast)})
-	metrics.PrometheusFamily(w, "lesslog_detector_flips_total", "counter",
-		metrics.LabeledValue{Labels: mergePromLabels(self, `direction="down"`), Value: float64(s.PeersDown)},
-		metrics.LabeledValue{Labels: mergePromLabels(self, `direction="up"`), Value: float64(s.PeersUp)})
-	metrics.PrometheusFamily(w, "lesslog_proto_errors_total", "counter",
-		metrics.LabeledValue{Labels: self, Value: float64(s.ProtoErrors)})
-	metrics.PrometheusFamily(w, "lesslog_located_total", "counter",
-		metrics.LabeledValue{Labels: self, Value: float64(s.Located)})
-	metrics.PrometheusFamily(w, "lesslog_direct_gets_total", "counter",
-		metrics.LabeledValue{Labels: mergePromLabels(self, `outcome="served"`), Value: float64(s.DirectServed)},
-		metrics.LabeledValue{Labels: mergePromLabels(self, `outcome="miss"`), Value: float64(s.DirectMisses)})
-	metrics.PrometheusFamily(w, "lesslog_relayed_payload_bytes_total", "counter",
-		metrics.LabeledValue{Labels: self, Value: float64(s.RelayedBytes)})
-	metrics.PrometheusFamily(w, "lesslog_chunks_served_total", "counter",
-		metrics.LabeledValue{Labels: self, Value: float64(s.ChunksServed)})
-	metrics.PrometheusFamily(w, "lesslog_chunk_payload_bytes_total", "counter",
-		metrics.LabeledValue{Labels: self, Value: float64(s.ChunkBytes)})
-	metrics.PrometheusFamily(w, "lesslog_chunk_refusals_total", "counter",
-		metrics.LabeledValue{Labels: self, Value: float64(s.ChunkRefusals)})
-	metrics.PrometheusFamily(w, "lesslog_locate_sets_total", "counter",
-		metrics.LabeledValue{Labels: self, Value: float64(s.LocateSets)})
-	metrics.PrometheusFamily(w, "lesslog_write_chunks_total", "counter",
-		metrics.LabeledValue{Labels: self, Value: float64(s.WriteChunks)})
-	metrics.PrometheusFamily(w, "lesslog_write_payload_bytes_total", "counter",
-		metrics.LabeledValue{Labels: self, Value: float64(s.WriteBytes)})
-	metrics.PrometheusFamily(w, "lesslog_staged_aborts_total", "counter",
-		metrics.LabeledValue{Labels: self, Value: float64(s.StagedAborts)})
-	metrics.PrometheusFamily(w, "lesslog_notify_propagation_total", "counter",
-		metrics.LabeledValue{Labels: mergePromLabels(self, `outcome="pulled"`), Value: float64(s.NotifyPulls)})
-	metrics.PrometheusFamily(w, "lesslog_write_entries_total", "counter",
-		metrics.LabeledValue{Labels: mergePromLabels(self, `entry="holder"`), Value: float64(s.WritesAtHolder)},
-		metrics.LabeledValue{Labels: mergePromLabels(self, `entry="remote"`), Value: float64(s.WritesRemote)})
-	metrics.PrometheusFamily(w, "lesslog_fanout_payload_bytes_total", "counter",
-		metrics.LabeledValue{Labels: self, Value: float64(s.FanoutBytes)})
-	metrics.PrometheusFamily(w, "lesslog_repair_total", "counter",
-		metrics.LabeledValue{Labels: mergePromLabels(self, `outcome="pushed"`), Value: float64(s.Repaired)},
-		metrics.LabeledValue{Labels: mergePromLabels(self, `outcome="pulled"`), Value: float64(s.RepairPulled)},
-		metrics.LabeledValue{Labels: mergePromLabels(self, `outcome="erased"`), Value: float64(s.RepairErased)},
-		metrics.LabeledValue{Labels: mergePromLabels(self, `outcome="skipped"`), Value: float64(s.RepairSkipped)})
-	metrics.PrometheusFamily(w, "lesslog_repair_probes_total", "counter",
-		metrics.LabeledValue{Labels: self, Value: float64(s.RepairProbes)})
-	metrics.PrometheusFamily(w, "lesslog_digest_bytes_total", "counter",
-		metrics.LabeledValue{Labels: self, Value: float64(s.DigestBytes)})
-	metrics.PrometheusFamily(w, "lesslog_wal_persist_errors_total", "counter",
-		metrics.LabeledValue{Labels: self, Value: float64(s.PersistErrors)})
-	metrics.PrometheusFamily(w, "lesslog_traces_total", "counter",
-		metrics.LabeledValue{Labels: mergePromLabels(self, `class="recorded"`), Value: float64(s.TraceRecorded)},
-		metrics.LabeledValue{Labels: mergePromLabels(self, `class="noted"`), Value: float64(s.TraceNoted)})
-
-	tc := s.Transport
-	metrics.PrometheusFamily(w, "lesslog_transport_events_total", "counter",
-		metrics.LabeledValue{Labels: mergePromLabels(self, `event="dial"`), Value: float64(tc.Dials)},
-		metrics.LabeledValue{Labels: mergePromLabels(self, `event="pool_hit"`), Value: float64(tc.Reuses)},
-		metrics.LabeledValue{Labels: mergePromLabels(self, `event="retry"`), Value: float64(tc.Retries)},
-		metrics.LabeledValue{Labels: mergePromLabels(self, `event="timeout"`), Value: float64(tc.Timeouts)},
-		metrics.LabeledValue{Labels: mergePromLabels(self, `event="reconnect"`), Value: float64(tc.Reconnects)},
-		metrics.LabeledValue{Labels: mergePromLabels(self, `event="failure"`), Value: float64(tc.Failures)},
-		metrics.LabeledValue{Labels: mergePromLabels(self, `event="fault_injected"`), Value: float64(tc.Faults)})
-
-	metrics.PrometheusFamily(w, "lesslog_live_peers", "gauge",
-		metrics.LabeledValue{Labels: self, Value: float64(s.LivePeers)})
-	metrics.PrometheusFamily(w, "lesslog_detector_down_peers", "gauge",
-		metrics.LabeledValue{Labels: self, Value: float64(len(s.DetectorDown))})
-	metrics.PrometheusFamily(w, "lesslog_store_files", "gauge",
-		metrics.LabeledValue{Labels: mergePromLabels(self, `kind="inserted"`), Value: float64(s.Inserted)},
-		metrics.LabeledValue{Labels: mergePromLabels(self, `kind="replica"`), Value: float64(s.Replicas)})
-	metrics.PrometheusFamily(w, "lesslog_pipeline_depth", "gauge",
-		metrics.LabeledValue{Labels: self, Value: float64(s.PipelineDepth)})
-	metrics.PrometheusFamily(w, "lesslog_fanout_active_legs", "gauge",
-		metrics.LabeledValue{Labels: self, Value: float64(s.FanoutActive)})
-	metrics.PrometheusFamily(w, "lesslog_repair_deficit_bytes", "gauge",
-		metrics.LabeledValue{Labels: self, Value: float64(s.RepairDeficit)})
-	metrics.PrometheusFamily(w, "lesslog_tombstones", "gauge",
-		metrics.LabeledValue{Labels: self, Value: float64(s.Tombstones)})
-	metrics.PrometheusFamily(w, "lesslog_repair_ttfr_seconds", "gauge",
-		metrics.LabeledValue{Labels: self, Value: s.RepairTTFRMS / 1e3})
-
-	var rpc []metrics.LabeledHistogram
-	for kind, snap := range p.tr.LatencySnapshots() {
-		rpc = append(rpc, metrics.LabeledHistogram{
-			Labels: mergePromLabels(self, fmt.Sprintf(`kind="%s"`, kind)), Snap: snap,
-		})
-	}
-	metrics.PrometheusHistogram(w, "lesslog_rpc_latency_seconds", 1e-9, rpc...)
-
-	var handlers []metrics.LabeledHistogram
-	for i := 1; i < msg.KindCount; i++ {
-		if p.obs.handle[i].Count() == 0 {
-			continue
-		}
-		handlers = append(handlers, metrics.LabeledHistogram{
-			Labels: mergePromLabels(self, fmt.Sprintf(`kind="%s"`, msg.Kind(i))),
-			Snap:   p.obs.handle[i].Snapshot(),
-		})
-	}
-	metrics.PrometheusHistogram(w, "lesslog_handler_latency_seconds", 1e-9, handlers...)
-
-	metrics.PrometheusHistogram(w, "lesslog_get_serve_latency_seconds", 1e-9,
-		metrics.LabeledHistogram{Labels: self, Snap: p.obs.serve.Snapshot()})
-	metrics.PrometheusHistogram(w, "lesslog_get_forward_latency_seconds", 1e-9,
-		metrics.LabeledHistogram{Labels: self, Snap: p.obs.forward.Snapshot()})
-	metrics.PrometheusHistogram(w, "lesslog_broadcast_fanout_legs", 1,
-		metrics.LabeledHistogram{Labels: self, Snap: p.obs.fanout.Snapshot()})
+	s := p.scalars()
+	metrics.WritePrometheus(w, fmt.Sprintf(`pid="%d"`, s.PID), s)
 }
-
-// mergePromLabels joins two non-empty label bodies.
-func mergePromLabels(a, b string) string { return a + "," + b }
 
 // appendHop extends a traced route with this stop's record, copying so
 // retries and downstream appends never alias the caller's slice. The new

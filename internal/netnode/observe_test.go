@@ -7,9 +7,12 @@ package netnode
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"lesslog/internal/bitops"
@@ -17,6 +20,7 @@ import (
 	"lesslog/internal/liveness"
 	"lesslog/internal/msg"
 	"lesslog/internal/ptree"
+	"lesslog/internal/store"
 )
 
 // hopPIDs projects the observed hop records onto the PID sequence that
@@ -283,5 +287,57 @@ func BenchmarkGetTracedOverTCP(b *testing.B) {
 		if _, err := cl.GetTraced("bench"); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestSnapshotLoadsEveryLiveCounter pins the by-name copy that replaced the
+// hand-written one: every atomic in Stats must come back out of the
+// snapshot field of the same name, so a counter added to Stats without a
+// snapshot field (or misspelled in one) fails here instead of reading 0.
+func TestSnapshotLoadsEveryLiveCounter(t *testing.T) {
+	p := startSystem(t, 2, 0, allPIDs(1), hashring.Fixed(0))[0]
+	live := reflect.ValueOf(&p.stats).Elem()
+	for i := 0; i < live.NumField(); i++ {
+		switch a := live.Field(i).Addr().Interface().(type) {
+		case *atomic.Uint64:
+			a.Store(uint64(1000 + i))
+		case *atomic.Int64:
+			a.Store(int64(1000 + i))
+		default:
+			t.Fatalf("Stats.%s is a %T: metrics.Load copies atomic.Uint64 and atomic.Int64", live.Type().Field(i).Name, a)
+		}
+	}
+	snap := reflect.ValueOf(p.StatSnapshot())
+	for i := 0; i < live.NumField(); i++ {
+		name := live.Type().Field(i).Name
+		f := snap.FieldByName(name)
+		if !f.IsValid() {
+			t.Errorf("Stats.%s has no StatSnapshot field of that name", name)
+		} else if got := fmt.Sprint(f.Interface()); got != fmt.Sprint(1000+i) {
+			t.Errorf("StatSnapshot.%s = %s, want the live counter's %d", name, got, 1000+i)
+		}
+	}
+}
+
+// TestMetricsScrapeDoesNotWalkTheInventory checks the promise in admin.go
+// that scraping cannot stall the request path: a /metrics page costs the
+// same allocations over 10 000 stored names as over 1 000 — it counts the
+// store, where it used to build and sort every name under the shard locks.
+func TestMetricsScrapeDoesNotWalkTheInventory(t *testing.T) {
+	p := startSystem(t, 2, 0, allPIDs(1), hashring.Fixed(0))[0]
+	scrape := func(names int) float64 {
+		for i := p.store.Len(); i < names; i++ {
+			p.store.Put(store.File{Name: fmt.Sprintf("n/%06d", i), Version: 1}, store.Inserted)
+		}
+		return testing.AllocsPerRun(20, func() { p.WritePrometheus(io.Discard) })
+	}
+	small, large := scrape(1000), scrape(10000)
+	if large > small+8 {
+		t.Fatalf("a scrape allocates %.0f objects over 1 000 names and %.0f over 10 000: it grows with the inventory", small, large)
+	}
+	var page strings.Builder
+	p.WritePrometheus(&page)
+	if want := `lesslog_store_files{pid="0",kind="inserted"} 10000`; !strings.Contains(page.String(), want) {
+		t.Fatalf("/metrics lacks %q", want)
 	}
 }

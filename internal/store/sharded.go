@@ -359,15 +359,21 @@ func (s *Sharded) Snapshot() *Store {
 	return out
 }
 
-// String summarizes the store in the same format as Store.String.
-func (s *Sharded) String() string {
-	ins, total := 0, 0
+// Counts returns the inserted-copy and replica totals across shards,
+// allocating nothing (see Store.Counts).
+func (s *Sharded) Counts() (inserted, replicas int) {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		ins += len(sh.s.Names(Inserted))
-		total += sh.s.Len()
+		ins, rep := sh.s.Counts()
 		sh.mu.Unlock()
+		inserted, replicas = inserted+ins, replicas+rep
 	}
-	return fmt.Sprintf("store{inserted=%d replicas=%d}", ins, total-ins)
+	return inserted, replicas
+}
+
+// String summarizes the store in the same format as Store.String.
+func (s *Sharded) String() string {
+	ins, rep := s.Counts()
+	return fmt.Sprintf("store{inserted=%d replicas=%d}", ins, rep)
 }

@@ -412,15 +412,20 @@ func (s *Store) Records() []Record {
 	return out
 }
 
-// String summarizes the store for debugging.
-func (s *Store) String() string {
-	ins, rep := 0, 0
+// Counts returns how many inserted copies and how many replicas the store
+// holds, allocating nothing — the monitoring read, where Names(kind) would
+// build and sort a name list just to take its length.
+func (s *Store) Counts() (inserted, replicas int) {
 	for _, e := range s.files {
 		if e.kind == Inserted {
-			ins++
-		} else {
-			rep++
+			inserted++
 		}
 	}
+	return inserted, len(s.files) - inserted
+}
+
+// String summarizes the store for debugging.
+func (s *Store) String() string {
+	ins, rep := s.Counts()
 	return fmt.Sprintf("store{inserted=%d replicas=%d}", ins, rep)
 }

@@ -103,28 +103,23 @@ type Counters struct {
 }
 
 // CountersSnapshot is a plain-value copy of Counters, JSON-ready for the
-// structured stat snapshot.
+// structured stat snapshot, and the declaration of each counter's
+// Prometheus series (internal/metrics "One declaration per metric").
 type CountersSnapshot struct {
-	Dials      uint64 `json:"dials"`
-	Reuses     uint64 `json:"reuses"`
-	Retries    uint64 `json:"retries"`
-	Timeouts   uint64 `json:"timeouts"`
-	Reconnects uint64 `json:"reconnects"`
-	Failures   uint64 `json:"failures"`
-	Faults     uint64 `json:"faults"`
+	Dials      uint64 `json:"dials" prom:"lesslog_transport_events_total,event=dial"`
+	Reuses     uint64 `json:"reuses" prom:"lesslog_transport_events_total,event=pool_hit"`
+	Retries    uint64 `json:"retries" prom:"lesslog_transport_events_total,event=retry"`
+	Timeouts   uint64 `json:"timeouts" prom:"lesslog_transport_events_total,event=timeout"`
+	Reconnects uint64 `json:"reconnects" prom:"lesslog_transport_events_total,event=reconnect"`
+	Failures   uint64 `json:"failures" prom:"lesslog_transport_events_total,event=failure"`
+	Faults     uint64 `json:"faults" prom:"lesslog_transport_events_total,event=fault_injected"`
 }
 
 // Snapshot copies the counters' current values.
 func (c *Counters) Snapshot() CountersSnapshot {
-	return CountersSnapshot{
-		Dials:      c.Dials.Value(),
-		Reuses:     c.Reuses.Value(),
-		Retries:    c.Retries.Value(),
-		Timeouts:   c.Timeouts.Value(),
-		Reconnects: c.Reconnects.Value(),
-		Failures:   c.Failures.Value(),
-		Faults:     c.Faults.Value(),
-	}
+	var s CountersSnapshot
+	metrics.Load(&s, c)
+	return s
 }
 
 // String summarizes the counters in the "k=v" style of the stat line.
