@@ -121,7 +121,10 @@ const (
 	// broadcast tree exactly like a FlagPropagate update, but each holder
 	// pulls the body via KindFetch from a listed source instead of
 	// receiving it on the tree, so tree bytes stay O(copies), not
-	// O(copies × size).
+	// O(copies × size). Without FlagPropagate it is the placement of one
+	// body over MaxData — KindStore's over-frame shape: the one listed
+	// source is the placing peer, and the receiver pulls, stores, and
+	// forwards nothing.
 	KindNotify
 )
 

@@ -17,6 +17,7 @@ import (
 	"lesslog/internal/msg"
 	"lesslog/internal/ptree"
 	"lesslog/internal/replication"
+	"lesslog/internal/store"
 	"lesslog/internal/xrand"
 )
 
@@ -85,39 +86,26 @@ func (p *Peer) MaintainOnce(threshold, evictBelow uint64) (placed bitops.PID, ok
 	for _, name := range cold {
 		p.store.Delete(name)
 	}
-	var f fileSnapshot
+	var hot store.File
+	var have bool
 	if hotHits > threshold {
-		if file, have := p.store.Peek(hotName); have {
-			f = fileSnapshot{name: file.Name, data: file.Data, version: file.Version, valid: true}
-		}
+		hot, have = p.store.Peek(hotName)
 	}
 	p.store.ResetHits()
-	rng := p.maintRNG()
-
-	if !f.valid {
+	if !have {
 		return 0, false
 	}
-	v := p.view(p.hasher.Target(f.name, p.cfg.M))
-	target, found := (replication.LessLog{}).Place(netCtx{p: p, v: v, name: f.name, rng: rng}, p.cfg.PID)
+	v := p.view(p.hasher.Target(hot.Name, p.cfg.M))
+	target, found := (replication.LessLog{}).Place(netCtx{p: p, v: v, name: hot.Name, rng: p.maintRNG()}, p.cfg.PID)
 	if !found {
 		return 0, false
 	}
-	resp, err := p.call(target, &msg.Request{
-		Kind: msg.KindStore, Flags: msg.FlagReplica,
-		Name: f.name, Data: f.data, Version: f.version,
-	})
-	if err != nil || !resp.OK {
+	if _, err := p.place(target, hot, msg.FlagReplica, &p.stats.PlacedReplicate, nil); err != nil {
+		p.log.Warn("maintenance: replica not placed", "name", hot.Name, "on", uint32(target), "err", err)
 		return 0, false
 	}
-	p.log.Info("replica placed by maintenance", "name", f.name, "on", uint32(target))
+	p.log.Info("replica placed by maintenance", "name", hot.Name, "on", uint32(target))
 	return target, true
-}
-
-type fileSnapshot struct {
-	name    string
-	data    []byte
-	version uint64
-	valid   bool
 }
 
 // maintRNG lazily creates the peer's placement randomness (the §3

@@ -7,39 +7,46 @@ import (
 	"lesslog/internal/bitops"
 	"lesslog/internal/hashring"
 	"lesslog/internal/msg"
+	"lesslog/internal/store"
 )
 
 func TestMaintainOnceReplicatesHotFile(t *testing.T) {
-	peers := startSystem(t, 4, 0, allPIDs(16), hashring.Fixed(4))
-	if err := NewClient(peers[0].Addr()).Insert("hot", []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	// Hammer the target from its own subtree so only P(4) counts hits.
-	for i := 0; i < 20; i++ {
-		if _, err := NewClient(peers[4].Addr()).Get("hot"); err != nil {
+	eachBodySize(t, func(t *testing.T, body []byte) {
+		peers := startSystem(t, 4, 0, allPIDs(16), hashring.Fixed(4))
+		if err := NewClient(peers[0].Addr()).Insert("hot", body); err != nil {
 			t.Fatal(err)
 		}
-	}
-	placed, ok := peers[4].MaintainOnce(10, 0)
-	if !ok {
-		t.Fatal("overloaded peer did not replicate")
-	}
-	// §2.2: the first replica goes to the head of P(4)'s children list,
-	// P(5).
-	if placed != 5 {
-		t.Fatalf("replica at P(%d), want P(5)", placed)
-	}
-	if !peers[5].store.Has("hot") {
-		t.Fatal("replica not stored at P(5)")
-	}
-	// A second maintenance round places the next replica at P(6).
-	for i := 0; i < 20; i++ {
-		NewClient(peers[4].Addr()).Get("hot")
-	}
-	placed, ok = peers[4].MaintainOnce(10, 0)
-	if !ok || placed != 6 {
-		t.Fatalf("second replica at P(%d), %v; want P(6)", placed, ok)
-	}
+		want, _ := peers[4].store.Peek("hot")
+		// Hammer the target from its own subtree so only P(4) counts hits.
+		cl := readerFor(peers[4].Addr(), body)
+		for i := 0; i < 12; i++ {
+			if _, err := cl.Get("hot"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		placed, ok := peers[4].MaintainOnce(10, 0)
+		if !ok {
+			t.Fatal("overloaded peer did not replicate")
+		}
+		// §2.2: the first replica goes to the head of P(4)'s children list,
+		// P(5) — as a replica, so §6 can evict it and a leave discards it.
+		if placed != 5 {
+			t.Fatalf("replica at P(%d), want P(5)", placed)
+		}
+		wantCopy(t, peers[5], want, store.Replica)
+		wantUncharged(t, peers[4], 5)
+		// A second maintenance round places the next replica at P(6).
+		for i := 0; i < 12; i++ {
+			cl.Get("hot")
+		}
+		placed, ok = peers[4].MaintainOnce(10, 0)
+		if !ok || placed != 6 {
+			t.Fatalf("second replica at P(%d), %v; want P(6)", placed, ok)
+		}
+		if got := peers[4].Stats().PlacedReplicate.Load(); got != 2 {
+			t.Fatalf("P(4) counts placed_replicate=%d, want 2", got)
+		}
+	})
 }
 
 func TestMaintainOnceBelowThresholdDoesNothing(t *testing.T) {

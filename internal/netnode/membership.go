@@ -109,9 +109,9 @@ func (p *Peer) Leave() error {
 	skipped := 0
 	for _, f := range files {
 		target := p.hasher.Target(f.Name, p.cfg.M)
-		sreq := &msg.Request{Kind: msg.KindStore, Name: f.Name, Data: f.Data, Version: f.Version}
-		placed, tried := false, false
-		for attempt := 0; attempt < attempts && !placed; attempt++ {
+		var err error
+		tried := false
+		for attempt := 0; attempt < attempts; attempt++ {
 			// Fresh view each attempt: a failed call feeds the detector,
 			// so once the dead successor's bit flips, PrimaryHolder picks
 			// the next live holder in the subtree (§3 over the wire).
@@ -121,13 +121,13 @@ func (p *Peer) Leave() error {
 				break // subtree dies with us; B > 0 siblings still serve
 			}
 			tried = true
-			if resp, err := p.call(h, sreq); err == nil && resp.OK {
-				placed = true
+			if _, err = p.place(h, f, 0, &p.stats.PlacedHandoff, nil); err == nil {
+				break
 			}
 		}
-		if tried && !placed {
+		if tried && err != nil {
 			skipped++
-			p.log.Warn("leave: handoff skipped, no reachable successor", "name", f.Name)
+			p.log.Warn("leave: handoff skipped, no successor took the copy", "name", f.Name, "err", err)
 		}
 	}
 	p.broadcastRegister(p.cfg.PID, nil, true)
@@ -269,11 +269,11 @@ func (p *Peer) handOffTo(k bitops.PID) {
 		if !have {
 			continue
 		}
-		sreq := &msg.Request{Kind: msg.KindStore, Name: f.Name, Data: f.Data, Version: f.Version}
-		if resp, err := p.call(k, sreq); err == nil && resp.OK {
-			p.store.Delete(name)
-			p.stats.Stored.Add(1)
+		if _, err := p.place(k, f, 0, &p.stats.PlacedHandoff, nil); err != nil {
+			p.log.Warn("join: handoff failed, copy kept here", "name", name, "to", uint32(k), "err", err)
+			continue
 		}
+		p.store.Delete(name)
 	}
 }
 
@@ -301,8 +301,10 @@ func (p *Peer) restoreAfterDeath(k bitops.PID) {
 		if !have {
 			continue
 		}
-		sreq := &msg.Request{Kind: msg.KindStore, Name: f.Name, Data: f.Data, Version: f.Version}
-		p.call(h, sreq) // idempotent: several siblings may push the same copy
+		// Idempotent: several siblings may place the same copy.
+		if _, err := p.place(h, f, 0, &p.stats.PlacedRestore, nil); err != nil {
+			p.log.Warn("restore after death failed", "name", name, "on", uint32(h), "err", err)
+		}
 	}
 }
 

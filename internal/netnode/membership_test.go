@@ -40,65 +40,161 @@ func TestJoinBootstrapsAndRegisters(t *testing.T) {
 	}
 }
 
-func TestJoinTriggersFileHandoff(t *testing.T) {
-	// The paper's §5.1 example over sockets: P(4) and P(5) absent, ψ(f)
-	// targets P(4), so the file sits at P(6). When P(5) joins, P(6) must
-	// hand the copy over — P(5)'s VID outranks P(6)'s in P(4)'s tree.
-	var pids []bitops.PID
-	for i := 0; i < 16; i++ {
-		if i != 4 && i != 5 {
-			pids = append(pids, bitops.PID(i))
+// eachBodySize runs a placement scenario twice: with a body one frame
+// carries, and with one three bytes over the frame cap — the size at which
+// a placement has to ride a payload-free notify and be pulled in chunks
+// (docs/ROUTING.md "Placement").
+func eachBodySize(t *testing.T, scenario func(t *testing.T, body []byte)) {
+	t.Run("small", func(t *testing.T) { scenario(t, []byte("keep")) })
+	t.Run("overframe", func(t *testing.T) {
+		if testing.Short() {
+			t.Skip("over-frame payloads in -short")
 		}
+		scenario(t, chunkPayload(msg.MaxData+3, 21))
+	})
+}
+
+// readerFor returns a client that can read body back from addr: a plain
+// get cannot carry a body over one frame, the locate ladder can.
+func readerFor(addr string, body []byte) *Client {
+	if len(body) > msg.MaxData {
+		return NewLocateClient(addr)
 	}
-	peers := startSystem(t, 4, 0, pids, hashring.Fixed(4))
-	if err := NewClient(peers[0].Addr()).Insert("f", []byte("x")); err != nil {
-		t.Fatal(err)
+	return NewClient(addr)
+}
+
+// wantCopy asserts p holds name byte-identical to want, at want's version
+// and as the given kind.
+func wantCopy(t *testing.T, p *Peer, want store.File, kind store.Kind) {
+	t.Helper()
+	f, ok := p.store.Peek(want.Name)
+	if !ok {
+		t.Fatalf("P(%d) holds no copy of %q", p.PID(), want.Name)
 	}
-	if !peers[6].store.Has("f") {
-		t.Fatal("precondition: file not at P(6)")
+	if !bytes.Equal(f.Data, want.Data) || f.Version != want.Version {
+		t.Fatalf("P(%d) holds %q as %d bytes at v%d, want %d bytes at v%d",
+			p.PID(), want.Name, len(f.Data), f.Version, len(want.Data), want.Version)
 	}
-	joiner, err := Listen(Config{PID: 5, M: 4, Hasher: hashring.Fixed(4)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { joiner.Close() })
-	if err := joiner.Join(peers[3].Addr()); err != nil {
-		t.Fatal(err)
-	}
-	if peers[6].store.Has("f") {
-		t.Fatal("P(6) kept the copy after handoff")
-	}
-	f, ok := joiner.store.Peek("f")
-	if !ok || !bytes.Equal(f.Data, []byte("x")) {
-		t.Fatalf("joiner copy = %+v, %v", f, ok)
-	}
-	if k, _ := joiner.store.KindOf("f"); k != store.Inserted {
-		t.Fatal("handed-off copy lost its inserted kind")
-	}
-	// And gets now resolve at P(5).
-	res, err := NewClient(peers[8].Addr()).Get("f")
-	if err != nil || res.ServedBy != 5 {
-		t.Fatalf("get = %+v, %v", res, err)
+	if k, _ := p.store.KindOf(want.Name); k != kind {
+		t.Fatalf("P(%d) holds %q as kind %v, want %v", p.PID(), want.Name, k, kind)
 	}
 }
 
+// wantUncharged asserts that placing on target cost it nothing at the
+// sender's failure detector: the liveness bit is set and was never flipped
+// (Leave re-registers with everyone afterwards, which would heal the bit
+// but not the flip count).
+func wantUncharged(t *testing.T, sender *Peer, target bitops.PID) {
+	t.Helper()
+	if !sender.IsLive(target) || sender.Stats().PeersDown.Load() != 0 {
+		t.Fatalf("placement charged P(%d)'s failure detector at P(%d): live=%v, flips down=%d",
+			target, sender.PID(), sender.IsLive(target), sender.Stats().PeersDown.Load())
+	}
+}
+
+func TestJoinTriggersFileHandoff(t *testing.T) {
+	eachBodySize(t, func(t *testing.T, body []byte) {
+		// The paper's §5.1 example over sockets: P(4) and P(5) absent, ψ(f)
+		// targets P(4), so the file sits at P(6). When P(5) joins, P(6) must
+		// hand the copy over — P(5)'s VID outranks P(6)'s in P(4)'s tree.
+		var pids []bitops.PID
+		for i := 0; i < 16; i++ {
+			if i != 4 && i != 5 {
+				pids = append(pids, bitops.PID(i))
+			}
+		}
+		peers := startSystem(t, 4, 0, pids, hashring.Fixed(4))
+		if err := NewClient(peers[0].Addr()).Insert("f", body); err != nil {
+			t.Fatal(err)
+		}
+		want, ok := peers[6].store.Peek("f")
+		if !ok {
+			t.Fatal("precondition: file not at P(6)")
+		}
+		joiner, err := Listen(Config{PID: 5, M: 4, Hasher: hashring.Fixed(4)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { joiner.Close() })
+		storedAt6 := peers[6].Stats().Stored.Load()
+		if err := joiner.Join(peers[3].Addr()); err != nil {
+			t.Fatal(err)
+		}
+		if peers[6].store.Has("f") {
+			t.Fatal("P(6) kept the copy after handoff")
+		}
+		wantCopy(t, joiner, want, store.Inserted)
+		wantUncharged(t, peers[6], 5)
+		// One handoff: placed at the sender, stored at the receiver — the
+		// sender's own stored count does not move.
+		if placed, stored := peers[6].Stats().PlacedHandoff.Load(), peers[6].Stats().Stored.Load(); placed != 1 || stored != storedAt6 {
+			t.Fatalf("P(6) counts placed_handoff=%d (want 1), stored %d -> %d (want unchanged)", placed, storedAt6, stored)
+		}
+		if got := joiner.Stats().Stored.Load(); got != 1 {
+			t.Fatalf("joiner counts stored=%d, want 1", got)
+		}
+		// And gets now resolve at P(5).
+		res, err := readerFor(peers[8].Addr(), body).Get("f")
+		if err != nil || res.ServedBy != 5 {
+			t.Fatalf("get = served by P(%d), %v", res.ServedBy, err)
+		}
+	})
+}
+
 func TestLeaveHandsOffInsertedFiles(t *testing.T) {
+	eachBodySize(t, func(t *testing.T, body []byte) {
+		// B = 0: P(4) holds the only copy, so a handoff that does not happen
+		// takes an acknowledged file out of the system.
+		peers := startSystem(t, 4, 0, allPIDs(16), hashring.Fixed(4))
+		if err := NewClient(peers[2].Addr()).Insert("f", body); err != nil {
+			t.Fatal(err)
+		}
+		want, ok := peers[4].store.Peek("f")
+		if !ok {
+			t.Fatal("precondition: file not at P(4)")
+		}
+		if err := peers[4].Leave(); err != nil {
+			t.Fatal(err)
+		}
+		peers[4].Close()
+		// The copy moved to the next primary, P(5) (VID 1110).
+		wantCopy(t, peers[5], want, store.Inserted)
+		wantUncharged(t, peers[4], 5)
+		if got := peers[4].Stats().PlacedHandoff.Load(); got != 1 {
+			t.Fatalf("P(4) counts placed_handoff=%d, want 1", got)
+		}
+		// Everyone marked P(4) dead; gets keep working.
+		res, err := readerFor(peers[11].Addr(), body).Get("f")
+		if err != nil || res.ServedBy != 5 {
+			t.Fatalf("get after leave = served by P(%d), %v", res.ServedBy, err)
+		}
+	})
+}
+
+func TestHandoffPromotesHeldReplica(t *testing.T) {
+	// §6 put a replica of P(4)'s hot file on P(5), the very peer §5.2 hands
+	// the file to when P(4) leaves. The handoff finds a copy at its version
+	// already there and keeps it — as the inserted copy it now is, not as a
+	// replica the next cold window evicts (at B = 0, the last copy).
 	peers := startSystem(t, 4, 0, allPIDs(16), hashring.Fixed(4))
-	if err := NewClient(peers[2].Addr()).Insert("f", []byte("keep")); err != nil {
+	if err := NewClient(peers[0].Addr()).Insert("f", []byte("keep")); err != nil {
 		t.Fatal(err)
+	}
+	for i := 0; i < 12; i++ {
+		NewClient(peers[4].Addr()).Get("f")
+	}
+	if placed, ok := peers[4].MaintainOnce(10, 0); !ok || placed != 5 {
+		t.Fatalf("precondition: replica at P(%d), %v; want P(5)", placed, ok)
 	}
 	if err := peers[4].Leave(); err != nil {
 		t.Fatal(err)
 	}
-	peers[4].Close()
-	// The copy moved to the next primary, P(5) (VID 1110).
-	if !peers[5].store.Has("f") {
-		t.Fatal("copy not handed to P(5)")
+	if k, _ := peers[5].store.KindOf("f"); k != store.Inserted {
+		t.Fatalf("P(5) holds the handed-off file as kind %v", k)
 	}
-	// Everyone marked P(4) dead; gets keep working.
-	res, err := NewClient(peers[11].Addr()).Get("f")
-	if err != nil || res.ServedBy != 5 {
-		t.Fatalf("get after leave = %+v, %v", res, err)
+	peers[5].MaintainOnce(1000, 1)
+	if !peers[5].store.Has("f") {
+		t.Fatal("the only copy was evicted as a cold replica")
 	}
 }
 
@@ -181,49 +277,49 @@ func TestLeaveDoesNotLoseRacingUpdate(t *testing.T) {
 }
 
 func TestFailureRecoveryAcrossSubtrees(t *testing.T) {
-	// B = 1 over sockets: two copies. Kill one holder without warning;
-	// ReportFailure from any peer restores the copy in the orphaned
-	// subtree from the sibling holder.
-	peers := startSystem(t, 4, 1, allPIDs(16), hashring.Fixed(4))
-	if err := NewClient(peers[1].Addr()).Insert("f", []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	var holders []bitops.PID
-	for pid, p := range peers {
-		if p.store.Has("f") {
-			holders = append(holders, pid)
+	eachBodySize(t, func(t *testing.T, body []byte) {
+		// B = 1 over sockets: two copies. Kill one holder without warning;
+		// ReportFailure from any peer restores the copy in the orphaned
+		// subtree from the sibling holder.
+		peers := startSystem(t, 4, 1, allPIDs(16), hashring.Fixed(4))
+		if err := NewClient(peers[1].Addr()).Insert("f", body); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if len(holders) != 2 {
-		t.Fatalf("holders = %v", holders)
-	}
-	victim := holders[0]
-	peers[victim].Close()
-	delete(peers, victim)
-	var reporter *Peer
-	for _, p := range peers {
-		reporter = p
-		break
-	}
-	reporter.ReportFailure(victim)
-	// The orphaned subtree has a fresh primary holding the file again.
-	v := reporter.view(4)
-	sid := v.SubtreeID(victim)
-	restored := false
-	for pid, p := range peers {
-		if v.SubtreeID(pid) == sid && p.store.Has("f") {
-			restored = true
+		holders := holdersOf(peers, "f")
+		if len(holders) != 2 {
+			t.Fatalf("holders = %v", holders)
 		}
-	}
-	if !restored {
-		t.Fatal("no copy restored in the failed subtree")
-	}
-	// All origins still resolve.
-	for pid := range peers {
-		if _, err := NewClient(peers[pid].Addr()).Get("f"); err != nil {
-			t.Fatalf("get from P(%d) after failure: %v", pid, err)
+		if got := peers[1].Stats().PlacedInsert.Load(); got != 2 {
+			t.Fatalf("entry peer counts placed_insert=%d, want one per subtree", got)
 		}
-	}
+		victim, sibling := holders[0], holders[1]
+		want, _ := peers[sibling].store.Peek("f")
+		peers[victim].Close()
+		delete(peers, victim)
+		var reporter *Peer
+		for _, p := range peers {
+			reporter = p
+			break
+		}
+		reporter.ReportFailure(victim)
+		// The orphaned subtree's fresh primary holds the file again.
+		v := reporter.view(4)
+		heir, ok := v.PrimaryHolder(v.SubtreeID(victim))
+		if !ok {
+			t.Fatal("the failed subtree has no live member left")
+		}
+		wantCopy(t, peers[heir], want, store.Inserted)
+		wantUncharged(t, peers[sibling], heir)
+		if got := peers[sibling].Stats().PlacedRestore.Load(); got != 1 {
+			t.Fatalf("P(%d) counts placed_restore=%d, want 1", sibling, got)
+		}
+		// All origins still resolve.
+		for pid := range peers {
+			if _, err := readerFor(peers[pid].Addr(), body).Get("f"); err != nil {
+				t.Fatalf("get from P(%d) after failure: %v", pid, err)
+			}
+		}
+	})
 }
 
 func TestParseTable(t *testing.T) {

@@ -16,7 +16,9 @@ package netnode
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"log/slog"
 	"net"
@@ -173,6 +175,15 @@ type Stats struct {
 	// propagation grows this O(copies × size); notify propagation keeps it
 	// O(copies) — the write bench's bytes-on-tree measure.
 	FanoutBytes atomic.Uint64
+	// Copies this peer put on a peer (itself included) by reason: insert
+	// placement (§2.2), hot-file replication (§6), join/leave handoff
+	// (§5.1/§5.2), restore after a death (§5.3). place bumps them, and
+	// nothing else does; the repair push's counter is Repaired, below. The
+	// receiving side of every one of them is Stored.
+	PlacedInsert    atomic.Uint64
+	PlacedReplicate atomic.Uint64
+	PlacedHandoff   atomic.Uint64
+	PlacedRestore   atomic.Uint64
 	// PipelineDepth gauges pipelined requests currently being handled
 	// across this peer's served connections; FanoutActive gauges broadcast
 	// RPC legs currently in flight. Both are instantaneous, not monotonic.
@@ -670,61 +681,136 @@ func (p *Peer) handleBatch(req *msg.Request) *msg.Response {
 	return resp
 }
 
-// ErrTombstoned is the answer to a store of a name this peer has seen
-// deleted at a version at least as new as the pushed copy. The response
-// carries the tombstone version, so an insert racing a delete can merge
-// it into its clock and restamp (handleInsert), while a repair push just
+// ErrTombstoned is the answer to a placement of a name the target has seen
+// deleted at a version at least as new as the offered copy. The response
+// carries the tombstone version, so an insert racing a delete can merge it
+// into its clock and restamp (handleInsert), while a repair push just
 // learns its copy is deleted rather than missing.
-const ErrTombstoned = "netnode: name deleted (tombstoned)"
+var ErrTombstoned = errors.New("netnode: name deleted (tombstoned)")
 
-// handleStore applies a direct copy placement through the version- and
-// tombstone-gated PutNewer: a probe-then-push repair (or a leave handoff)
-// races foreground updates and deletes, so a stale push must neither
-// clobber a copy that went newer between the probe and the push, nor
-// resurrect a name a delete broadcast erased. The response always carries
-// the surviving version; a kept-newer copy still answers OK (the name is
-// present at least as new — the push's goal holds), a tombstone refusal
-// answers ErrTombstoned.
+// place puts f on target — the one way a body moves from this peer to
+// another (docs/ROUTING.md "Placement"): insert placement on the subtree
+// primaries (§2.2), hot-file replication (§6, flags = msg.FlagReplica),
+// join/leave handoff (§5.1/§5.2), restore after a death (§5.3) and the
+// repair push that re-establishes any of them. A body one frame carries
+// rides a KindStore; a larger one rides a payload-free direct KindNotify
+// naming this peer as the source, and target pulls it in chunks — from this
+// peer's store, or from the outbox when the caller is not a holder
+// (handleInsert parks it there). A placement on this peer itself is applied
+// without touching the wire. tr, when non-nil, stamps the exchange as a leg
+// of the caller's trace.
+//
+// The answer is the version that survived at target: f.Version when the
+// copy landed (reason, the caller's placed counter, is bumped), a newer one
+// when target kept what it had — still a success, the name is present at
+// least as new. ErrTombstoned carries the tombstone version instead.
+func (p *Peer) place(target bitops.PID, f store.File, flags uint8, reason *atomic.Uint64, tr *legTrace) (survived uint64, err error) {
+	req := &msg.Request{Kind: msg.KindStore, Flags: flags, Name: f.Name, Data: f.Data, Version: f.Version}
+	tr.stamp(req)
+	var resp *msg.Response
+	switch {
+	case target == p.cfg.PID:
+		resp = p.applyStore(req, f.Data, time.Now())
+	case len(f.Data) > msg.MaxData:
+		req.Kind = msg.KindNotify
+		req.Data, err = msg.AppendNotifyReq(nil, &msg.NotifyReq{
+			TotalSize: uint64(len(f.Data)), FileCRC: crc32.Checksum(f.Data, castagnoli),
+			Sources: []msg.Holder{{PID: uint32(p.cfg.PID), Addr: p.Addr(), Version: f.Version}},
+		})
+		if err == nil {
+			resp, err = p.callTimeout(target, req, stream.PullDeadline(uint64(len(f.Data))))
+		}
+	default:
+		resp, err = p.call(target, req)
+	}
+	if err != nil {
+		return 0, err
+	}
+	tr.collect(resp)
+	switch {
+	case resp.OK:
+		if resp.Version == f.Version {
+			reason.Add(1)
+		}
+		return resp.Version, nil
+	case resp.Err == ErrTombstoned.Error():
+		return resp.Version, ErrTombstoned
+	}
+	return 0, errors.New(resp.Err)
+}
+
+// handleStore receives a whole-frame placement.
 func (p *Peer) handleStore(req *msg.Request) *msg.Response {
-	start := time.Now()
+	req.Keep() // the store holds Data from here on
+	return p.applyStore(req, req.Data, time.Now())
+}
+
+// applyStore is the receive side of place for both wire shapes (data is the
+// frame's payload, or the body notifyStore pulled): the copy goes through
+// the version- and tombstone-gated PutNewer, because a placement races
+// foreground updates and deletes — a stale push must neither clobber a copy
+// that went newer since the sender looked, nor resurrect a name a delete
+// broadcast erased. FlagReplica lands it as a §6 replica. The response
+// always carries the surviving version; a kept copy at least as new still
+// answers OK, a tombstone refusal answers ErrTombstoned.
+func (p *Peer) applyStore(req *msg.Request, data []byte, start time.Time) *msg.Response {
 	kind := store.Inserted
 	if req.Flags&msg.FlagReplica != 0 {
 		kind = store.Replica
 	}
-	req.Keep() // the store holds Data from here on
-	survived, res := p.store.PutNewer(store.File{Name: req.Name, Data: req.Data, Version: req.Version}, kind)
+	survived, res := p.store.PutNewer(store.File{Name: req.Name, Data: data, Version: req.Version}, kind)
 	p.mergeClock(req.Version)
-	var resp *msg.Response
+	resp := &msg.Response{OK: res != store.PutTombstoned, ServedBy: uint32(p.cfg.PID), Version: survived}
 	switch res {
 	case store.PutTombstoned:
-		resp = &msg.Response{ServedBy: uint32(p.cfg.PID), Version: survived, Err: ErrTombstoned}
+		resp.Err = ErrTombstoned.Error()
 	case store.PutStale:
-		resp = &msg.Response{OK: true, ServedBy: uint32(p.cfg.PID), Version: survived}
-	default:
+		if kind == store.Inserted {
+			// The sender now relies on the copy kept here as its subtree's
+			// authoritative one (a leaver deletes its own): if §6 put it
+			// here as a replica, it stops being evictable.
+			p.store.Promote(req.Name)
+		}
+	case store.PutApplied:
 		p.stats.Stored.Add(1)
-		resp = &msg.Response{OK: true, ServedBy: uint32(p.cfg.PID), Version: req.Version}
 	}
 	if req.Flags&msg.FlagTrace != 0 {
 		// A traced placement (insert fan-out, repair push) records where
-		// the copy landed, parented on the pushing peer's hop.
+		// the copy landed, parented on the placing peer's hop.
 		resp.Path = appendHop(req.Path, uint32(p.cfg.PID), msg.HopServe, time.Since(start))
 	}
 	return resp
 }
 
+// handleInsert places a new file on the primary holder of every subtree of
+// its lookup tree (§2.2), all legs at once — the acknowledgement waits for
+// the slowest subtree, not their sum.
 func (p *Peer) handleInsert(req *msg.Request) *msg.Response {
 	start := time.Now()
 	target := p.hasher.Target(req.Name, p.cfg.M)
 	v := p.view(target)
-	version := p.clock.Add(1)
-	stored := 0
+	// Holders of a body over one frame pull it from this peer, which may
+	// hold no copy itself: it sits in the outbox while the legs run.
+	parked := len(req.Data) > msg.MaxData
+	keep := parked
+	var holders []bitops.PID
+	for sid := bitops.VID(0); sid < bitops.VID(bitops.SubtreeCount(p.cfg.B)); sid++ {
+		if h, ok := v.PrimaryHolder(sid); ok {
+			holders = append(holders, h)
+			keep = keep || h == p.cfg.PID
+		}
+	}
+	if keep {
+		req.Keep() // the local store, or the outbox, holds Data from here on
+	}
 	// A traced insert spreads its trace onto every placement leg: the
 	// fan-out root here, one HopServe per holder that took the copy.
-	col := newHopCollector(req)
-	var rootPath []msg.Hop
-	if col != nil {
-		rootPath = appendHop(req.Path, uint32(p.cfg.PID), msg.HopFanout, 0)
+	var tr *legTrace
+	if req.Flags&msg.FlagTrace != 0 {
+		tr = &legTrace{id: req.TraceID, path: appendHop(req.Path, uint32(p.cfg.PID), msg.HopFanout, 0)}
 	}
+	f := store.File{Name: req.Name, Data: req.Data, Version: p.clock.Add(1)}
+	stored := 0
 	// A tombstone refusal means the name was deleted at a version this
 	// peer's clock has never seen (the deleting peer may never have talked
 	// to us). Merge the tombstone version and restamp strictly above it,
@@ -733,64 +819,52 @@ func (p *Peer) handleInsert(req *msg.Request) *msg.Response {
 	// anti-entropy later. Bounded retries cover a concurrent delete
 	// landing an even newer tombstone mid-insert.
 	for attempt := 0; attempt < 3; attempt++ {
-		stored = 0
-		var tombV uint64
-		for sid := bitops.VID(0); sid < bitops.VID(bitops.SubtreeCount(p.cfg.B)); sid++ {
-			h, ok := v.PrimaryHolder(sid)
-			if !ok {
-				continue
-			}
-			if h == p.cfg.PID {
-				// The local placement stores Data, and sreq is built from req
-				// rather than copied from it, so the lent mark would not follow.
-				req.Keep()
-			}
-			sreq := &msg.Request{
-				Kind: msg.KindStore, Origin: req.Origin,
-				Version: version, Name: req.Name, Data: req.Data,
-			}
-			if col != nil {
-				sreq.Flags |= msg.FlagTrace
-				sreq.TraceID = req.TraceID
-				sreq.Path = rootPath
-			}
-			var resp *msg.Response
-			if h == p.cfg.PID {
-				resp = p.handleStore(sreq)
-			} else {
-				var err error
-				if resp, err = p.call(h, sreq); err != nil {
-					continue
-				}
-			}
-			switch {
-			case resp.OK:
-				stored++
-			case resp.Err == ErrTombstoned && resp.Version > tombV:
-				tombV = resp.Version
-			}
-			if len(resp.Path) > len(rootPath) {
-				col.add(resp.Path[len(rootPath):]...)
-			}
+		if parked {
+			p.outbox.put(f.Name, f.Version, f.Data)
 		}
-		if tombV < version {
+		var (
+			wg    sync.WaitGroup
+			mu    sync.Mutex
+			tombV uint64
+		)
+		stored = 0
+		for _, h := range holders {
+			wg.Add(1)
+			go func(h bitops.PID) {
+				defer wg.Done()
+				survived, err := p.place(h, f, 0, &p.stats.PlacedInsert, tr)
+				mu.Lock()
+				defer mu.Unlock()
+				switch {
+				case err == nil:
+					stored++
+				case errors.Is(err, ErrTombstoned) && survived > tombV:
+					tombV = survived
+				}
+			}(h)
+		}
+		wg.Wait()
+		if parked {
+			p.outbox.remove(f.Name, f.Version) // every leg has pulled or failed
+		}
+		if tombV < f.Version {
 			break
 		}
 		p.mergeClock(tombV)
-		version = p.clock.Add(1)
+		f.Version = p.clock.Add(1)
 	}
 	if stored == 0 {
 		p.stats.Faults.Add(1)
 		resp := &msg.Response{Err: "netnode: no live holder for insert"}
-		if col != nil {
+		if tr != nil {
 			resp.Path = appendHop(req.Path, uint32(p.cfg.PID), msg.HopFault, time.Since(start))
 		}
 		return resp
 	}
-	resp := &msg.Response{OK: true, ServedBy: uint32(target), Version: version}
-	if col != nil {
+	resp := &msg.Response{OK: true, ServedBy: uint32(target), Version: f.Version}
+	if tr != nil {
 		root := appendHop(req.Path, uint32(p.cfg.PID), msg.HopFanout, time.Since(start))
-		resp.Path = append(root, col.take()...)
+		resp.Path = append(root, tr.take()...)
 	}
 	return resp
 }

@@ -157,6 +157,14 @@ type Totals struct {
 	WritesRemote   uint64 `json:"writes_remote" prom:"lesslog_write_entries_total,entry=remote" fleet:"sum,writes"`
 	FanoutBytes    uint64 `json:"fanout_bytes" prom:"lesslog_fanout_payload_bytes_total" fleet:"sum,writes"`
 
+	// Placement (docs/ROUTING.md "Placement"): copies this peer put on a
+	// peer, by the reason the paper moves a file — the sender side of
+	// `stored`. The repair push is `repaired`, below.
+	PlacedInsert    uint64 `json:"placed_insert" prom:"lesslog_placed_total,reason=insert" fleet:"sum,placed"`
+	PlacedReplicate uint64 `json:"placed_replicate" prom:"lesslog_placed_total,reason=replicate" fleet:"sum,placed"`
+	PlacedHandoff   uint64 `json:"placed_handoff" prom:"lesslog_placed_total,reason=handoff" fleet:"sum,placed"`
+	PlacedRestore   uint64 `json:"placed_restore" prom:"lesslog_placed_total,reason=restore" fleet:"sum,placed"`
+
 	// Trace plane (docs/OBSERVABILITY.md): entry requests and repair
 	// rounds recorded into the trace ring, and how many of those were
 	// retained as notable (slow or errored).

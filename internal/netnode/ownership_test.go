@@ -300,12 +300,12 @@ func TestOutboxEmptyAfterBroadcast(t *testing.T) {
 func TestOutboxRemoveIsVersionExact(t *testing.T) {
 	var ob outbox
 	v5 := []byte("version five")
-	ob.put("n", 5, 0, v5)
+	ob.put("n", 5, v5)
 	held, _, ok := ob.get("n", 5)
 	if !ok {
 		t.Fatal("parked body not found")
 	}
-	ob.put("n", 6, 0, []byte("version six"))
+	ob.put("n", 6, []byte("version six"))
 	ob.remove("n", 5) // the version-5 broadcast returns late
 	if _, ver, ok := ob.get("n", 0); !ok || ver != 6 {
 		t.Fatalf("the newer write's entry was removed (ok=%v ver=%d)", ok, ver)

@@ -22,7 +22,6 @@ import (
 	"lesslog/internal/bitops"
 	"lesslog/internal/msg"
 	"lesslog/internal/ptree"
-	"lesslog/internal/store"
 	"lesslog/internal/stream"
 )
 
@@ -170,7 +169,6 @@ func (t *uploadTable) take(token uint64) (*upload, uint64) {
 // outEntry is one committed payload parked for pull-based propagation.
 type outEntry struct {
 	version uint64
-	crc     uint32
 	data    []byte
 	expires time.Time
 }
@@ -190,7 +188,7 @@ type outbox struct {
 	bytes   uint64
 }
 
-func (o *outbox) put(name string, version uint64, crc uint32, data []byte) {
+func (o *outbox) put(name string, version uint64, data []byte) {
 	now := time.Now()
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -215,7 +213,7 @@ func (o *outbox) put(name string, version uint64, crc uint32, data []byte) {
 		o.bytes -= uint64(len(o.entries[victim].data))
 		delete(o.entries, victim)
 	}
-	o.entries[name] = &outEntry{version: version, crc: crc, data: data, expires: now.Add(outboxTTL)}
+	o.entries[name] = &outEntry{version: version, data: data, expires: now.Add(outboxTTL)}
 	o.bytes += uint64(len(data))
 }
 
@@ -309,11 +307,8 @@ func (p *Peer) putCommit(req *msg.Request, pr *msg.PutReq) *msg.Response {
 		Name: req.Name, Data: u.buf, TraceID: req.TraceID, Path: req.Path,
 	}
 	if pr.Op == msg.PutInsert {
-		if len(u.buf) <= msg.MaxData {
-			inner.Kind = msg.KindInsert
-			return p.handleInsert(inner)
-		}
-		return p.insertPull(inner)
+		inner.Kind = msg.KindInsert
+		return p.handleInsert(inner)
 	}
 	inner.Kind = msg.KindUpdate
 	if len(u.buf) > msg.MaxData {
@@ -361,7 +356,7 @@ func (p *Peer) initNotifyUpdate(req *msg.Request, v ptree.View, start time.Time,
 	// The outbox parks Data for pulls that may still be reading it after
 	// this handler has answered, and a pulling holder stores those bytes.
 	req.Keep()
-	p.outbox.put(req.Name, version, crc, req.Data)
+	p.outbox.put(req.Name, version, req.Data)
 	// broadcast returns once every leg has pulled or failed (failed legs
 	// converge through repair), so the body has no reader left.
 	defer p.outbox.remove(req.Name, version)
@@ -400,8 +395,8 @@ func (p *Peer) initNotifyUpdate(req *msg.Request, v ptree.View, start time.Time,
 }
 
 // handleNotify serves KindNotify: the propagate form is one delivery leg
-// of a pull-based update broadcast, the direct form a single placement
-// pull (the over-frame insert's KindStore twin).
+// of a pull-based update broadcast, the direct form a placement of a body
+// over one frame (place).
 func (p *Peer) handleNotify(req *msg.Request) *msg.Response {
 	nr, err := msg.DecodeNotifyReq(req.Data)
 	if err != nil {
@@ -475,140 +470,27 @@ func (p *Peer) propagateNotify(v ptree.View, req *msg.Request, nr *msg.NotifyReq
 	return n + p.deliverAll(v, kids, &fwd, sem, col)
 }
 
-// notifyStore applies a direct placement pull: the over-frame insert's
-// per-subtree leg, mirroring handleStore's version/tombstone semantics
-// with the payload pulled instead of pushed. A copy already at or past
-// the notified version answers OK with the surviving version, like a
-// stale push — the placement's goal (name present at least as new)
-// holds.
+// notifyStore receives a placement of a body over one frame: pull the body
+// from the placing peer, then apply it exactly like a whole-frame store. A
+// copy already at or past the notified version answers OK with the
+// surviving version without pulling anything, like a stale push — the
+// placement's goal (name present at least as new) holds.
 func (p *Peer) notifyStore(req *msg.Request, nr *msg.NotifyReq) *msg.Response {
 	start := time.Now()
 	if f, ok := p.store.Peek(req.Name); ok && f.Version >= req.Version {
+		// What applyStore does with a copy it keeps, without pulling a body
+		// to refuse.
 		p.mergeClock(req.Version)
+		if req.Flags&msg.FlagReplica == 0 {
+			p.store.Promote(req.Name)
+		}
 		return &msg.Response{OK: true, ServedBy: uint32(p.cfg.PID), Version: f.Version}
 	}
 	data, err := p.pullBody(req.Name, req.Version, nr)
 	if err != nil {
 		return &msg.Response{Err: fmt.Sprintf("netnode: notify pull: %v", err)}
 	}
-	survived, res := p.store.PutNewer(store.File{Name: req.Name, Data: data, Version: req.Version}, store.Inserted)
-	p.mergeClock(req.Version)
-	var resp *msg.Response
-	switch res {
-	case store.PutTombstoned:
-		resp = &msg.Response{ServedBy: uint32(p.cfg.PID), Version: survived, Err: ErrTombstoned}
-	case store.PutStale:
-		resp = &msg.Response{OK: true, ServedBy: uint32(p.cfg.PID), Version: survived}
-	default:
-		p.stats.Stored.Add(1)
-		resp = &msg.Response{OK: true, ServedBy: uint32(p.cfg.PID), Version: req.Version}
-	}
-	if req.Flags&msg.FlagTrace != 0 {
-		resp.Path = appendHop(req.Path, uint32(p.cfg.PID), msg.HopServe, time.Since(start))
-	}
-	return resp
-}
-
-// insertPull places an over-frame insert: handleInsert's per-subtree
-// placement and tombstone-restamp loop, with each leg a payload-free
-// KindNotify the holder answers by pulling the body from this peer's
-// outbox.
-func (p *Peer) insertPull(req *msg.Request) *msg.Response {
-	start := time.Now()
-	target := p.hasher.Target(req.Name, p.cfg.M)
-	v := p.view(target)
-	version := p.clock.Add(1)
-	req.Keep() // parked in the outbox below, as in initNotifyUpdate
-	crc := crc32.Checksum(req.Data, castagnoli)
-	col := newHopCollector(req)
-	var rootPath []msg.Hop
-	if col != nil {
-		rootPath = appendHop(req.Path, uint32(p.cfg.PID), msg.HopFanout, 0)
-	}
-	var holders []bitops.PID
-	for sid := bitops.VID(0); sid < bitops.VID(bitops.SubtreeCount(p.cfg.B)); sid++ {
-		if h, ok := v.PrimaryHolder(sid); ok {
-			holders = append(holders, h)
-		}
-	}
-	pullTO := stream.PullDeadline(uint64(len(req.Data)))
-	stored := 0
-	for attempt := 0; attempt < 3; attempt++ {
-		stored = 0
-		var tombV uint64
-		p.outbox.put(req.Name, version, crc, req.Data)
-		nr := &msg.NotifyReq{
-			TotalSize: uint64(len(req.Data)), FileCRC: crc,
-			Sources: []msg.Holder{{PID: uint32(p.cfg.PID), Addr: p.Addr(), Version: version}},
-		}
-		body, err := msg.AppendNotifyReq(nil, nr)
-		if err != nil {
-			return p.faultResponse(req, start, fmt.Sprintf("netnode: notify encode: %v", err))
-		}
-		// The placement legs run concurrently, like a broadcast's subtree
-		// fan-out: each holder's pull of the body proceeds in parallel, so
-		// commit latency tracks the slowest subtree instead of their sum.
-		var (
-			wg sync.WaitGroup
-			mu sync.Mutex
-		)
-		for _, h := range holders {
-			sreq := &msg.Request{
-				Kind: msg.KindNotify, Origin: req.Origin,
-				Version: version, Name: req.Name, Data: body,
-			}
-			if col != nil {
-				sreq.Flags |= msg.FlagTrace
-				sreq.TraceID = req.TraceID
-				sreq.Path = rootPath
-			}
-			wg.Add(1)
-			go func(h bitops.PID, sreq *msg.Request) {
-				defer wg.Done()
-				var resp *msg.Response
-				if h == p.cfg.PID {
-					resp = p.notifyStore(sreq, nr)
-				} else {
-					var err error
-					if resp, err = p.callTimeout(h, sreq, pullTO); err != nil {
-						return
-					}
-				}
-				mu.Lock()
-				switch {
-				case resp.OK:
-					stored++
-				case resp.Err == ErrTombstoned && resp.Version > tombV:
-					tombV = resp.Version
-				}
-				mu.Unlock()
-				if len(resp.Path) > len(rootPath) {
-					col.add(resp.Path[len(rootPath):]...)
-				}
-			}(h, sreq)
-		}
-		wg.Wait()
-		p.outbox.remove(req.Name, version) // every placement leg has pulled or failed
-		if tombV < version {
-			break
-		}
-		p.mergeClock(tombV)
-		version = p.clock.Add(1)
-	}
-	if stored == 0 {
-		p.stats.Faults.Add(1)
-		resp := &msg.Response{Err: "netnode: no live holder for insert"}
-		if col != nil {
-			resp.Path = appendHop(req.Path, uint32(p.cfg.PID), msg.HopFault, time.Since(start))
-		}
-		return resp
-	}
-	resp := &msg.Response{OK: true, ServedBy: uint32(target), Version: version}
-	if col != nil {
-		root := appendHop(req.Path, uint32(p.cfg.PID), msg.HopFanout, time.Since(start))
-		resp.Path = append(root, col.take()...)
-	}
-	return resp
+	return p.applyStore(req, data, start)
 }
 
 // notifyDeadline sizes the delivery RPC bound for one pull-propagation

@@ -15,7 +15,6 @@ package netnode
 // per-name probes to find every hole.
 
 import (
-	"hash/crc32"
 	"sync"
 	"time"
 
@@ -91,25 +90,16 @@ func (p *Peer) RepairOnce(sampler *repair.Sampler, budget *repair.Budget, sample
 			case !resp.OK, resp.Version < f.Version:
 				// Missing at its required holder (or tombstoned older than
 				// our copy — a re-insert the holder missed), or versioned
-				// stale: push our copy. The holder re-gates the apply
-				// (handleStore), so a copy that went newer between this
-				// probe and the push survives.
+				// stale: place our copy. The holder re-gates the apply
+				// (applyStore), so a copy that went newer between this probe
+				// and the push survives.
 				if !budget.Allow(len(f.Data)) {
 					p.stats.RepairSkipped.Add(1)
 					continue
 				}
-				sreq, serr := p.pushFrame(f)
-				if serr != nil {
-					continue
-				}
-				tr.stamp(sreq)
-				if r, err := p.callTimeout(h, sreq, notifyDeadline(sreq)); err == nil {
-					tr.collect(r)
-					if r.OK && r.Version == f.Version {
-						p.stats.Repaired.Add(1)
-						repaired++
-						p.log.Info("repair: re-established copy", "name", name, "on", uint32(h))
-					}
+				if survived, err := p.place(h, f, 0, &p.stats.Repaired, tr); err == nil && survived == f.Version {
+					repaired++
+					p.log.Info("repair: re-established copy", "name", name, "on", uint32(h))
 				}
 			case resp.Version > f.Version:
 				// The holder is newer than us — we missed an update
@@ -124,29 +114,8 @@ func (p *Peer) RepairOnce(sampler *repair.Sampler, budget *repair.Budget, sample
 	// TTFR bookkeeping: a round that moved copies opens (or extends) a
 	// divergence episode; a clean round closes it.
 	p.ttfr.Note(repaired > 0, time.Now())
-	tr.record(p, "repair", "")
+	tr.record(p, "repair")
 	return repaired
-}
-
-// pushFrame shapes one repair push. A whole-frame body rides a KindStore
-// carrying the copy directly. A body over the frame cap cannot — so it
-// rides the write plane's direct-notify form instead: a payload-free
-// KindNotify naming this peer as the only source, which the holder
-// answers by pulling the body in chunks and applying it under the same
-// version/tombstone gating as a store (notifyStore).
-func (p *Peer) pushFrame(f store.File) (*msg.Request, error) {
-	if len(f.Data) <= msg.MaxData {
-		return &msg.Request{Kind: msg.KindStore, Name: f.Name, Data: f.Data, Version: f.Version}, nil
-	}
-	body, err := msg.AppendNotifyReq(nil, &msg.NotifyReq{
-		TotalSize: uint64(len(f.Data)),
-		FileCRC:   crc32.Checksum(f.Data, castagnoli),
-		Sources:   []msg.Holder{{PID: uint32(p.cfg.PID), Addr: p.Addr(), Version: f.Version}},
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &msg.Request{Kind: msg.KindNotify, Name: f.Name, Version: f.Version, Data: body}, nil
 }
 
 // applyTombstone erases the local copy of name because a required holder
@@ -292,7 +261,7 @@ func (p *Peer) DigestSync(partner bitops.PID, budget *repair.Budget, width int) 
 		// an episode the probes still see open.
 		p.ttfr.Note(true, time.Now())
 	}
-	tr.record(p, "digest", "")
+	tr.record(p, "digest")
 	return pulled
 }
 

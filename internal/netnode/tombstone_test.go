@@ -145,7 +145,7 @@ func TestStorePushRefusedByTombstone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.OK || resp.Err != ErrTombstoned {
+	if resp.OK || resp.Err != ErrTombstoned.Error() {
 		t.Fatalf("stale push after delete: %+v", resp)
 	}
 	if resp.Version <= old.Version {

@@ -133,64 +133,69 @@ func (c *hopCollector) take() []msg.Hop {
 	return c.hops
 }
 
-// repairTrace is one sampled anti-entropy round's trace under assembly: a
-// HopRepair root at this peer, plus one responder hop per traced probe,
-// push or digest exchange — a star rooted at the repairing peer.
-type repairTrace struct {
+// legTrace is the trace section the internal exchanges of one traced
+// operation travel under — an insert's placement legs, a repair round's
+// probes, pushes and digest exchange. Every leg carries the same ID and
+// path, so each responder's hop parents on the path's tail, and the hops
+// the legs bring back are gathered as they return (concurrently, for an
+// insert). A nil *legTrace is an untraced operation: every method no-ops.
+type legTrace struct {
 	id    uint64
 	start time.Time
-	hops  []msg.Hop
+	path  []msg.Hop
+	col   hopCollector
 }
 
-// newRepairTrace head-samples one repair round (or digest sync). Nil when
-// tracing is off or the sampler passes.
-func (p *Peer) newRepairTrace() *repairTrace {
+// newRepairTrace head-samples one repair round (or digest sync) under a
+// HopRepair root at this peer — the assembled trace is a star rooted at
+// the repairing peer. Nil when tracing is off or the sampler passes.
+func (p *Peer) newRepairTrace() *legTrace {
 	if p.ring == nil || !p.sampler.Sample() {
 		return nil
 	}
-	t := &repairTrace{id: p.nextTraceID(), start: time.Now()}
-	t.hops = append(t.hops, msg.Hop{
+	return &legTrace{id: p.nextTraceID(), start: time.Now(), path: []msg.Hop{{
 		PID: uint32(p.cfg.PID), Parent: msg.NoParent, Action: msg.HopRepair,
-	})
-	return t
+	}}}
 }
 
-// stamp marks req as part of this trace; the request carries only the
-// root hop, so every responder parents directly onto the repairing peer.
-func (t *repairTrace) stamp(req *msg.Request) {
+// stamp marks req as one leg of this trace.
+func (t *legTrace) stamp(req *msg.Request) {
 	if t == nil {
 		return
 	}
 	req.Flags |= msg.FlagTrace
 	req.TraceID = t.id
-	req.Path = t.hops[:1:1]
+	req.Path = t.path
 }
 
-// collect keeps the responder hops a traced exchange brought back.
-func (t *repairTrace) collect(resp *msg.Response) {
-	if t == nil || resp == nil || len(resp.Path) <= 1 {
-		return
-	}
-	if room := msg.MaxHops - len(t.hops); room > 0 {
-		extra := resp.Path[1:]
-		if len(extra) > room {
-			extra = extra[:room]
-		}
-		t.hops = append(t.hops, extra...)
+// collect keeps the hops a stamped exchange brought back beyond the path
+// it carried.
+func (t *legTrace) collect(resp *msg.Response) {
+	if t != nil && resp != nil && len(resp.Path) > len(t.path) {
+		t.col.add(resp.Path[len(t.path):]...)
 	}
 }
 
-// record lands the assembled round in the ring under the given kind
+// take returns the hops collected so far.
+func (t *legTrace) take() []msg.Hop {
+	if t == nil {
+		return nil
+	}
+	return t.col.take()
+}
+
+// record lands an assembled repair round in the ring under the given kind
 // ("repair" or "digest"). Rounds that never traced an exchange (nothing
 // to probe, or the budget denied everything) are dropped — an empty star
 // says nothing.
-func (t *repairTrace) record(p *Peer, kind string, errStr string) {
-	if t == nil || len(t.hops) <= 1 {
+func (t *legTrace) record(p *Peer, kind string) {
+	hops := t.take()
+	if len(hops) == 0 {
 		return
 	}
 	p.ring.Record(tracering.Trace{
 		ID: t.id, Kind: kind, Start: t.start,
-		Dur: time.Since(t.start), Err: errStr, Hops: t.hops,
+		Dur: time.Since(t.start), Hops: append(t.path, hops...),
 	})
 }
 
