@@ -27,7 +27,7 @@ bench:
 # which do measure: a reintroduced payload copy fails them. CI runs this on
 # every push.
 bench-smoke:
-	$(GO) test -count 1 -run 'TestLargeFrameAllocBudget|TestSmallFrameAllocBudget|TestLyingPrefixAllocationBound|TestExchangeAllocBudget|TestChunkPlaneAllocBudget|TestAppendAllocatesNothing|TestCompactionAllocBudget' ./internal/msg/ ./internal/transport/ ./internal/netnode/ ./internal/wal/
+	$(GO) test -count 1 -run 'TestLargeFrameAllocBudget|TestSmallFrameAllocBudget|TestLyingPrefixAllocationBound|TestExchangeAllocBudget|TestChunkPlaneAllocBudget|TestBroadcastAllocBudget|TestAppendAllocatesNothing|TestCompactionAllocBudget' ./internal/msg/ ./internal/transport/ ./internal/netnode/ ./internal/wal/
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
 # The end-to-end perf ledger (bench/README.md): the four closed-loop

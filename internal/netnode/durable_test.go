@@ -3,7 +3,7 @@ package netnode
 // Restart-warming and tombstone-persistence regressions for the durable
 // storage engine (docs/STORAGE.md): a peer that restarts from its log
 // must re-announce recovered copies through the repair plane, and a
-// crash/restart between propagateDelete and tombstone-TTL expiry must
+// crash/restart between a delete's erase and tombstone-TTL expiry must
 // not resurrect the deleted name.
 
 import (

@@ -7,12 +7,15 @@ package netnode
 import (
 	"bytes"
 	"fmt"
+	"hash/crc32"
 	"runtime"
+	"sort"
 	"testing"
 	"time"
 
 	"lesslog/internal/bitops"
 	"lesslog/internal/hashring"
+	"lesslog/internal/msg"
 	"lesslog/internal/transport"
 )
 
@@ -460,54 +463,214 @@ func TestKillPeerMidRunRejoinNoLeaks(t *testing.T) {
 	}
 }
 
-// TestUpdateDeleteBroadcastSymmetry is the regression for the historical
-// asymmetry between the update and delete fan-outs: update did not skip
-// the peer's own PID in expanded children lists where delete did, so the
-// two paths could diverge (self-RPC, double counting) when the broadcast
-// started at a dead root's expanded children. Both now share one
-// broadcast/deliver path; with the tree root dead and the initiator
-// itself on the root's expanded children list, both must touch exactly
-// the surviving copies, once each.
+// TestUpdateDeleteBroadcastSymmetry runs the three things a children-list
+// broadcast carries — a whole-frame update, a notify update of the same
+// body, a delete — through the same awkward tree and expects the same
+// shape from each: the tree root P(4) is dead, so the broadcast starts at
+// its expanded children list, which includes the initiator P(5) itself
+// (delivered locally, never over the wire — a self-RPC would double
+// count), and the replica chain runs P(5) → P(7). The kinds share one
+// initiation and one per-holder step (docs/ROUTING.md "Broadcast"); this
+// table is what holds them to one behaviour:
+//
+//   - clean: every surviving copy touched exactly once;
+//   - dropped leg: P(5)'s delivery to P(7) fails at the transport, and the
+//     broadcast reaches the replica below it, P(3), through P(7)'s
+//     expanded children list (§3) instead of losing the branch;
+//   - duplicate: the same delivery frame sent to P(7) twice, then a stale
+//     one — what the children of a peer see when its leg timed out after
+//     it had applied and forwarded. Only the first touches the copy, and a
+//     notify that has nothing to apply pulls nothing.
 func TestUpdateDeleteBroadcastSymmetry(t *testing.T) {
-	peers := startSystem(t, 4, 0, allPIDs(16), hashring.Fixed(4))
-	if err := NewClient(peers[2].Addr()).Insert("f", []byte("v1")); err != nil {
-		t.Fatal(err)
-	}
-	// Replica chain under the root: P(4) (inserted) → P(5) → P(7).
-	NewClient(peers[5].Addr()).Store("f", []byte("v1"), 1, true)
-	NewClient(peers[7].Addr()).Store("f", []byte("v1"), 1, true)
-
-	// The tree root P(4) dies with a registration: every broadcast now
-	// starts at its expanded children list, which includes P(5) — the
-	// peer we initiate from, so the initiator delivers to itself locally.
-	peers[4].Close()
-	delete(peers, 4)
-	peers[5].ReportFailure(4)
-
-	updated, err := NewClient(peers[5].Addr()).Update("f", []byte("v2"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if updated != 2 {
-		t.Fatalf("updated %d copies, want exactly 2 (P(5), P(7)) — no double count", updated)
-	}
-	for _, pid := range []bitops.PID{5, 7} {
-		f, ok := peers[pid].store.Peek("f")
-		if !ok || !bytes.Equal(f.Data, []byte("v2")) {
-			t.Fatalf("P(%d) = %+v", pid, f)
+	const (
+		name    = "f"
+		pulling = 1 << 10 // NotifyThreshold that makes the body below notify-eligible
+	)
+	body := chunkPayload(8<<10, 70)
+	start := func(t *testing.T, notifyAt int, faults *transport.Faults, replicas ...bitops.PID) map[bitops.PID]*Peer {
+		t.Helper()
+		peers := startSystemWith(t, allPIDs(16), Config{
+			M: 4, Hasher: hashring.Fixed(4), NotifyThreshold: notifyAt, Faults: faults,
+		})
+		if err := NewClient(peers[2].Addr()).Insert(name, []byte("v1")); err != nil {
+			t.Fatal(err)
 		}
+		for _, pid := range replicas {
+			if err := NewClient(peers[pid].Addr()).Store(name, []byte("v1"), 1, true); err != nil {
+				t.Fatal(err)
+			}
+		}
+		peers[4].Close()
+		delete(peers, 4)
+		peers[5].ReportFailure(4)
+		return peers
 	}
-
-	removed, err := NewClient(peers[5].Addr()).Delete("f")
-	if err != nil {
-		t.Fatal(err)
+	// shape is what the rows must agree on.
+	type shape struct {
+		copies    int
+		delivered string // the HopDeliver PIDs, sorted
 	}
-	if removed != updated {
-		t.Fatalf("delete removed %d, update touched %d — paths diverged", removed, updated)
+	rows := []struct {
+		label    string
+		kind     msg.Kind // what the broadcast legs carry
+		notifyAt int
+	}{
+		{"whole-frame update", msg.KindUpdate, 0},
+		{"notify update", msg.KindNotify, pulling},
+		{"delete", msg.KindDelete, 0},
 	}
-	for pid, p := range peers {
-		if p.HasFile("f") {
-			t.Fatalf("copy survived at P(%d)", pid)
+	pulls := func(peers map[bitops.PID]*Peer) uint64 {
+		return sumWriteStat(peers, func(s *Stats) uint64 { return s.NotifyPulls.Load() })
+	}
+	// delivered lists the HopDeliver PIDs of a route, sorted, one entry per
+	// record — a holder that applied twice shows twice.
+	delivered := func(hops []msg.Hop) string {
+		var pids []int
+		for _, h := range hops {
+			if h.Action == msg.HopDeliver {
+				pids = append(pids, int(h.PID))
+			}
+		}
+		sort.Ints(pids)
+		return fmt.Sprint(pids)
+	}
+	// run initiates the row's operation at P(5), traced, and checks that
+	// touched — and no other survivor — ended up with the new state.
+	run := func(t *testing.T, kind msg.Kind, peers map[bitops.PID]*Peer, touched []bitops.PID, wantPulls uint64) shape {
+		t.Helper()
+		var (
+			n    int
+			path []msg.Hop
+			err  error
+		)
+		if kind == msg.KindDelete {
+			n, path, err = NewClient(peers[5].Addr()).DeleteTraced(name)
+		} else {
+			n, path, err = NewClient(peers[5].Addr()).UpdateTraced(name, body)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(path) == 0 || path[0].Action != msg.HopFanout || path[0].PID != 5 || path[0].Parent != msg.NoParent {
+			t.Fatalf("trace root = %+v, want HopFanout at P(5)", path)
+		}
+		assertTree(t, path)
+		isTouched := map[bitops.PID]bool{}
+		var version uint64
+		for _, pid := range touched {
+			isTouched[pid] = true
+			f, ok := peers[pid].store.Peek(name)
+			switch {
+			case kind == msg.KindDelete:
+				if ok {
+					t.Errorf("copy survived the delete at P(%d)", pid)
+				}
+				continue
+			case !ok || !bytes.Equal(f.Data, body) || f.Version <= 1:
+				t.Errorf("P(%d) holds v%d (%d bytes), want the new body", pid, f.Version, len(f.Data))
+			case version != 0 && f.Version != version:
+				t.Errorf("P(%d) holds v%d, another holder v%d", pid, f.Version, version)
+			}
+			version = f.Version
+		}
+		for pid, p := range peers {
+			if f, ok := p.store.Peek(name); !isTouched[pid] && ok && (f.Version != 1 || string(f.Data) != "v1") {
+				t.Errorf("P(%d), off the broadcast, holds v%d", pid, f.Version)
+			}
+		}
+		if got := pulls(peers); got != wantPulls {
+			t.Errorf("%d notify pulls, want %d", got, wantPulls)
+		}
+		return shape{copies: n, delivered: delivered(path)}
+	}
+	cases := []struct {
+		label string
+		want  shape
+		run   func(t *testing.T, kind msg.Kind, notifyAt int) shape
+	}{
+		{"clean", shape{2, "[5 7]"}, func(t *testing.T, kind msg.Kind, notifyAt int) shape {
+			peers := start(t, notifyAt, nil, 5, 7)
+			wantPulls := uint64(0)
+			if kind == msg.KindNotify {
+				wantPulls = 1 // P(7); the initiator reads its own outbox
+			}
+			return run(t, kind, peers, []bitops.PID{5, 7}, wantPulls)
+		}},
+		{"dropped leg", shape{2, "[3 5]"}, func(t *testing.T, kind msg.Kind, notifyAt int) shape {
+			faults := transport.NewFaults()
+			peers := start(t, notifyAt, faults, 5, 7, 3)
+			faults.Add(transport.Rule{Addr: peers[7].Addr(), Kind: kind, Drop: true})
+			wantPulls := uint64(0)
+			if kind == msg.KindNotify {
+				wantPulls = 1 // P(3)
+			}
+			s := run(t, kind, peers, []bitops.PID{5, 3}, wantPulls)
+			if !peers[7].HasFile(name) {
+				t.Error("P(7), whose delivery was dropped, lost its copy")
+			}
+			return s
+		}},
+		{"duplicate", shape{1, "[7]"}, func(t *testing.T, kind msg.Kind, notifyAt int) shape {
+			peers := start(t, notifyAt, nil, 5, 7)
+			const version = 10
+			frame := &msg.Request{
+				Kind: kind, Flags: msg.FlagPropagate | msg.FlagTrace, TraceID: 1,
+				Name: name, Version: version, Data: body,
+			}
+			if kind == msg.KindDelete {
+				frame.Data = nil
+			}
+			if kind == msg.KindNotify {
+				// P(12), off the replica chain, serves the pull.
+				if err := NewClient(peers[12].Addr()).Store(name, body, version, true); err != nil {
+					t.Fatal(err)
+				}
+				var err error
+				frame.Data, err = msg.AppendNotifyReq(nil, &msg.NotifyReq{
+					TotalSize: uint64(len(body)), FileCRC: crc32.Checksum(body, castagnoli),
+					Sources: []msg.Holder{{PID: 12, Addr: peers[12].Addr(), Version: version}},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			stale := *frame
+			stale.Version--
+			if kind == msg.KindUpdate {
+				stale.Data = []byte("stale")
+			}
+			var first shape
+			for i, f := range []*msg.Request{frame, frame, &stale} {
+				resp, err := Call(peers[7].Addr(), f)
+				if err != nil || !resp.OK {
+					t.Fatalf("delivery %d: %+v, %v", i, resp, err)
+				}
+				if i == 0 {
+					first = shape{copies: int(resp.Hops), delivered: delivered(resp.Path)}
+				} else if resp.Hops != 0 {
+					t.Errorf("delivery %d of the frame touched %d copies, want 0", i, resp.Hops)
+				}
+				if kind == msg.KindDelete {
+					if tv, dead := peers[7].store.TombVersion(name); !dead || tv != version {
+						t.Errorf("after delivery %d: tombstone v%d (%v), want v%d", i, tv, dead, version)
+					}
+				} else if f, ok := peers[7].store.Peek(name); !ok || f.Version != version || !bytes.Equal(f.Data, body) {
+					t.Errorf("after delivery %d: P(7) holds v%d (%d bytes), want v%d", i, f.Version, len(f.Data), version)
+				}
+			}
+			if got := pulls(peers); kind == msg.KindNotify && got != 1 {
+				t.Errorf("%d notify pulls over three deliveries, want the first one's alone", got)
+			}
+			return first
+		}},
+	}
+	for _, c := range cases {
+		for _, row := range rows {
+			t.Run(c.label+"/"+row.label, func(t *testing.T) {
+				if got := c.run(t, row.kind, row.notifyAt); got != c.want {
+					t.Errorf("shape %+v, want %+v — the same for every kind", got, c.want)
+				}
+			})
 		}
 	}
 }

@@ -603,14 +603,20 @@ func (p *Peer) handleTimed(req *msg.Request, entry bool) *msg.Response {
 
 func (p *Peer) dispatch(req *msg.Request) *msg.Response {
 	switch req.Kind {
+	case msg.KindUpdate, msg.KindDelete, msg.KindNotify:
+		if req.Flags&msg.FlagPropagate != 0 {
+			return p.handleDelivery(req) // one leg of a broadcast, whatever it carries
+		}
+	}
+	switch req.Kind {
 	case msg.KindStore:
 		return p.handleStore(req)
 	case msg.KindGet:
 		return p.handleGet(req)
 	case msg.KindInsert:
 		return p.handleInsert(req)
-	case msg.KindUpdate:
-		return p.handleUpdate(req)
+	case msg.KindUpdate, msg.KindDelete:
+		return p.initiate(req)
 	case msg.KindStat:
 		return p.handleStat(req)
 	case msg.KindRegister:
@@ -619,8 +625,6 @@ func (p *Peer) dispatch(req *msg.Request) *msg.Response {
 		return p.handleTable()
 	case msg.KindHas:
 		return p.handleHas(req)
-	case msg.KindDelete:
-		return p.handleDelete(req)
 	case msg.KindBatch:
 		return p.handleBatch(req)
 	case msg.KindLocate:
@@ -746,7 +750,7 @@ func (p *Peer) handleStore(req *msg.Request) *msg.Response {
 }
 
 // applyStore is the receive side of place for both wire shapes (data is the
-// frame's payload, or the body notifyStore pulled): the copy goes through
+// frame's payload, or the body handleNotify pulled): the copy goes through
 // the version- and tombstone-gated PutNewer, because a placement races
 // foreground updates and deletes — a stale push must neither clobber a copy
 // that went newer since the sender looked, nor resurrect a name a delete
@@ -807,7 +811,7 @@ func (p *Peer) handleInsert(req *msg.Request) *msg.Response {
 	// fan-out root here, one HopServe per holder that took the copy.
 	var tr *legTrace
 	if req.Flags&msg.FlagTrace != 0 {
-		tr = &legTrace{id: req.TraceID, path: appendHop(req.Path, uint32(p.cfg.PID), msg.HopFanout, 0)}
+		tr = &legTrace{id: req.TraceID, path: p.fanoutRoot(req, 0)}
 	}
 	f := store.File{Name: req.Name, Data: req.Data, Version: p.clock.Add(1)}
 	stored := 0
@@ -854,19 +858,12 @@ func (p *Peer) handleInsert(req *msg.Request) *msg.Response {
 		f.Version = p.clock.Add(1)
 	}
 	if stored == 0 {
-		p.stats.Faults.Add(1)
-		resp := &msg.Response{Err: "netnode: no live holder for insert"}
-		if tr != nil {
-			resp.Path = appendHop(req.Path, uint32(p.cfg.PID), msg.HopFault, time.Since(start))
-		}
-		return resp
+		return p.faultResponse(req, start, "netnode: no live holder for insert")
 	}
-	resp := &msg.Response{OK: true, ServedBy: uint32(target), Version: f.Version}
-	if tr != nil {
-		root := appendHop(req.Path, uint32(p.cfg.PID), msg.HopFanout, time.Since(start))
-		resp.Path = append(root, tr.take()...)
+	return &msg.Response{
+		OK: true, ServedBy: uint32(target), Version: f.Version,
+		Path: append(p.fanoutRoot(req, time.Since(start)), tr.take()...),
 	}
-	return resp
 }
 
 // ErrNotHolder is the answer to a local-only get at a peer that does not
@@ -989,11 +986,11 @@ func (p *Peer) forwardLookup(req *msg.Request, start time.Time) *msg.Response {
 		fmt.Sprintf("netnode: forward to P(%d) failed: %v", lastHop, lastErr))
 }
 
-// faultResponse finalizes a lookup this peer can neither serve nor
-// forward. A traced fault carries the path accumulated so far, closed with
-// a terminal fault hop — the partial route is exactly what an operator
-// needs to see where routing died, and exactly what an OK response would
-// have carried.
+// faultResponse finalizes a lookup this peer can neither serve nor forward,
+// or a fan-out that reached no copy. A traced fault carries the path
+// accumulated so far, closed with a terminal fault hop — the partial route
+// is exactly what an operator needs to see where routing died, and exactly
+// what an OK response would have carried.
 func (p *Peer) faultResponse(req *msg.Request, start time.Time, errStr string) *msg.Response {
 	p.stats.Faults.Add(1)
 	resp := &msg.Response{Hops: req.Hops, Err: errStr}
@@ -1051,63 +1048,79 @@ func (p *Peer) nextHop(req *msg.Request) (next bitops.PID, flags uint8, subtree 
 	return entry, 0, req.Subtree + 1, true
 }
 
-func (p *Peer) handleUpdate(req *msg.Request) *msg.Response {
+// initiate starts the broadcast that carries a client's update or delete to
+// every copy of the name (docs/ROUTING.md "Broadcast") — the only entry for
+// either, at any size; a staged upload's update commit lands here too.
+func (p *Peer) initiate(req *msg.Request) *msg.Response {
 	start := time.Now()
 	target := p.hasher.Target(req.Name, p.cfg.M)
-	v := p.view(target)
-	if req.Flags&msg.FlagPropagate != 0 {
-		// Propagation delivery: apply if holding, then fan out. A traced
-		// delivery answers with only its branch's new hops — the initiator
-		// (or upstream parent) splices them into the assembled tree.
-		col := newHopCollector(req)
-		n := p.propagateUpdate(v, req, nil, col)
-		return &msg.Response{OK: true, ServedBy: uint32(p.cfg.PID),
-			Hops: uint32(n), Path: col.take()}
-	}
-	// Initiation: learn the file's current version through a lookup (the
-	// initiating peer may never have seen the file), then stamp a
-	// strictly newer one, Lamport-style, and start the top-down broadcast
-	// at each subtree's root position (or its expanded children when
-	// dead). A traced initiation roots the fan-out tree here: the HopFanout
-	// record travels in prop.Path so every delivery parents correctly, and
-	// the response carries the whole assembled tree. A holder initiating
-	// its own broadcast reads the current version for free; the at-holder /
-	// remote split is what the hint-guided write entry optimizes.
+	// A holder initiating its own broadcast reads the current version for
+	// free; the at-holder / remote split is what the hint-guided write entry
+	// optimizes.
 	if p.store.Has(req.Name) {
 		p.stats.WritesAtHolder.Add(1)
 	} else {
 		p.stats.WritesRemote.Add(1)
 	}
-	if p.notifyEligible(len(req.Data)) {
-		return p.initNotifyUpdate(req, v, start, target)
-	}
+	// Learn the file's current version through a lookup (this peer may never
+	// have seen the file), then stamp a strictly newer one, Lamport-style:
+	// an update supersedes every copy, and a delete leaves tombstones that
+	// dominate the copies it erased — the version anti-entropy compares
+	// against before re-propagating a copy a partitioned peer brings back
+	// (docs/REPAIR.md).
 	if version, ok := p.probeVersion(req.Name); ok {
 		p.mergeClock(version)
 	}
-	version := p.clock.Add(1)
 	prop := *req
 	prop.Flags |= msg.FlagPropagate
-	prop.Version = version
-	col := newHopCollector(req)
-	if col != nil {
-		prop.Path = appendHop(req.Path, uint32(p.cfg.PID), msg.HopFanout, 0)
-	}
-	updated := p.broadcast(v, &prop, col)
-	if updated == 0 {
-		p.stats.Faults.Add(1)
-		resp := &msg.Response{Err: "netnode: update found no copy"}
-		if col != nil {
-			resp.Path = appendHop(req.Path, uint32(p.cfg.PID), msg.HopFault, time.Since(start))
+	prop.Version = p.clock.Add(1)
+	// A traced initiation roots the fan-out tree here: the HopFanout record
+	// travels in prop.Path so every delivery parents on it, and the answer
+	// carries the whole assembled tree.
+	prop.Path = p.fanoutRoot(req, 0)
+	fo := fanout{v: p.view(target), col: newHopCollector(req)}
+	if req.Kind == msg.KindUpdate && p.notifyEligible(len(req.Data)) {
+		// Pull form: the tree carries only the transfer facts and every
+		// holder pulls the body from here, so it is kept (on the copy — req
+		// stays the caller's) and parked in the outbox, this peer perhaps
+		// holding no copy itself. broadcast returns once every leg has pulled
+		// or failed (failed legs converge through repair), so the body has no
+		// reader left when the entry goes; the remove is version-exact.
+		prop.Keep()
+		p.outbox.put(prop.Name, prop.Version, prop.Data)
+		defer p.outbox.remove(prop.Name, prop.Version)
+		size := uint64(len(prop.Data))
+		body, err := msg.AppendNotifyReq(nil, &msg.NotifyReq{
+			TotalSize: size, FileCRC: crc32.Checksum(prop.Data, castagnoli),
+			Sources: []msg.Holder{{PID: uint32(p.cfg.PID), Addr: p.Addr(), Version: prop.Version}},
+		})
+		if err != nil {
+			return p.faultResponse(req, start, fmt.Sprintf("netnode: notify encode: %v", err))
 		}
-		return resp
+		prop.Kind, prop.Data, fo.rpcTO = msg.KindNotify, body, stream.PullDeadline(size)
 	}
-	p.stats.Updated.Add(1)
-	resp := &msg.Response{OK: true, ServedBy: uint32(target), Hops: uint32(updated), Version: version}
-	if col != nil {
-		root := appendHop(req.Path, uint32(p.cfg.PID), msg.HopFanout, time.Since(start))
-		resp.Path = append(root, col.take()...)
+	touched := p.broadcast(fo, &prop)
+	if touched == 0 {
+		return p.faultResponse(req, start, fmt.Sprintf("netnode: %s found no copy", req.Kind))
 	}
-	return resp
+	if req.Kind == msg.KindUpdate {
+		p.stats.Updated.Add(1)
+	}
+	return &msg.Response{
+		OK: true, ServedBy: uint32(target), Hops: uint32(touched), Version: prop.Version,
+		Path: append(p.fanoutRoot(req, time.Since(start)), fo.col.take()...),
+	}
+}
+
+// fanoutRoot is the route of a fan-out this peer roots, nil when req is
+// untraced: req's path closed with a HopFanout record. With d zero it is
+// what the legs carry, so every leg's hop parents on the root; with the
+// elapsed time it opens the answer, ahead of the hops the legs brought back.
+func (p *Peer) fanoutRoot(req *msg.Request, d time.Duration) []msg.Hop {
+	if req.Flags&msg.FlagTrace == 0 {
+		return nil
+	}
+	return appendHop(req.Path, uint32(p.cfg.PID), msg.HopFanout, d)
 }
 
 // probeVersion learns name's current version for the Lamport stamp on an
@@ -1133,51 +1146,68 @@ func (p *Peer) fanoutSem(legs int) chan struct{} {
 	return make(chan struct{}, n)
 }
 
+// fanout is what every leg of one broadcast step has in common: the tree
+// view it walks, the semaphore bounding its RPCs in flight, the trace
+// collector (nil when untraced) and the delivery deadline. A notify delivery
+// answers only after the receiving holder has pulled the body and its
+// subtree has recursed, so its bound scales with the size the notify
+// declares; 0 keeps the transport's flat deadline, sized for frames that
+// carry what they deliver. Passed by value: each step owns its copy.
+type fanout struct {
+	v     ptree.View
+	sem   chan struct{}
+	col   *hopCollector
+	rpcTO time.Duration
+}
+
 // broadcast starts the top-down children-list broadcast of a propagation
 // request (update, delete, or notify) at each subtree's root position —
 // or at the root's expanded children when it is dead — and returns copies
 // touched. The per-subtree legs run concurrently through a bounded
 // semaphore, and each remote delivery recurses in parallel on its own
 // peer, so broadcast latency tracks the tree depth instead of the copy
-// count. Update and delete share this path exactly, so neither can loop
-// by delivering to itself over the wire where the other would not.
-func (p *Peer) broadcast(v ptree.View, prop *msg.Request, col *hopCollector) int {
+// count.
+func (p *Peer) broadcast(fo fanout, prop *msg.Request) int {
 	// One immutable liveness snapshot covers every subtree-root check.
 	live := p.rt().live
 	var starts []bitops.PID
 	for sid := bitops.VID(0); sid < bitops.VID(bitops.SubtreeCount(p.cfg.B)); sid++ {
-		rootPos := v.SubtreeRoot(sid)
+		rootPos := fo.v.SubtreeRoot(sid)
 		if live.IsLive(rootPos) {
 			starts = append(starts, rootPos)
 		} else {
-			starts = append(starts, v.ExpandedChildrenList(rootPos)...)
+			starts = append(starts, fo.v.ExpandedChildrenList(rootPos)...)
 		}
 	}
 	p.obs.fanout.Observe(uint64(len(starts)))
-	return p.deliverAll(v, starts, prop, p.fanoutSem(len(starts)), col)
+	fo.sem = p.fanoutSem(len(starts))
+	return p.deliverAll(fo, starts, prop)
 }
 
 // deliverAll delivers a propagation message to every target concurrently
 // and returns the exact sum of copies touched. A single target is
 // delivered inline — no goroutine for the common narrow case.
-func (p *Peer) deliverAll(v ptree.View, targets []bitops.PID, prop *msg.Request, sem chan struct{}, col *hopCollector) int {
+func (p *Peer) deliverAll(fo fanout, targets []bitops.PID, prop *msg.Request) int {
 	switch len(targets) {
 	case 0:
 		return 0
 	case 1:
-		return p.deliver(v, targets[0], prop, sem, col)
+		return p.deliver(fo, targets[0], prop)
 	}
-	var total atomic.Int64
-	var wg sync.WaitGroup
+	// One value, so each leg's closure holds one pointer to it beside fo.
+	var legs struct {
+		sync.WaitGroup
+		touched atomic.Int64
+	}
 	for _, t := range targets {
-		wg.Add(1)
+		legs.Add(1)
 		go func(t bitops.PID) {
-			defer wg.Done()
-			total.Add(int64(p.deliver(v, t, prop, sem, col)))
+			defer legs.Done()
+			legs.touched.Add(int64(p.deliver(fo, t, prop)))
 		}(t)
 	}
-	wg.Wait()
-	return int(total.Load())
+	legs.Wait()
+	return int(legs.touched.Load())
 }
 
 // deliver sends a propagation message to pid (handling it locally when pid
@@ -1187,99 +1217,173 @@ func (p *Peer) deliverAll(v ptree.View, targets []bitops.PID, prop *msg.Request,
 // would silently lose pid's whole branch, so it degrades by routing
 // through pid's expanded children list (§3) instead; the failed call has
 // already fed the detector, so the liveness bit catches up.
-func (p *Peer) deliver(v ptree.View, pid bitops.PID, prop *msg.Request, sem chan struct{}, col *hopCollector) int {
+func (p *Peer) deliver(fo fanout, pid bitops.PID, prop *msg.Request) int {
 	if pid == p.cfg.PID {
-		return p.propagateLocal(v, prop, sem, col)
+		return p.propagate(fo, prop)
 	}
 	p.stats.Broadcast.Add(1)
 	p.stats.FanoutBytes.Add(uint64(len(prop.Data)))
-	sem <- struct{}{}
+	fo.sem <- struct{}{}
 	p.stats.FanoutActive.Add(1)
-	resp, err := p.callTimeout(pid, prop, notifyDeadline(prop))
+	resp, err := p.callTimeout(pid, prop, fo.rpcTO)
 	p.stats.FanoutActive.Add(-1)
-	<-sem
+	<-fo.sem
 	if err == nil {
 		if !resp.OK {
 			return 0
 		}
 		// A traced delivery answers with its branch's new hops only;
 		// splice them into this fan-out's assembly.
-		col.add(resp.Path...)
+		fo.col.add(resp.Path...)
 		return int(resp.Hops)
 	}
 	kids := make([]bitops.PID, 0, 4)
-	for _, c := range v.ExpandedChildrenList(pid) {
+	for _, c := range fo.v.ExpandedChildrenList(pid) {
 		if c != pid {
 			kids = append(kids, c)
 		}
 	}
-	return p.deliverAll(v, kids, prop, sem, col)
+	return p.deliverAll(fo, kids, prop)
 }
 
-// propagateLocal applies a propagation message at this peer.
-func (p *Peer) propagateLocal(v ptree.View, prop *msg.Request, sem chan struct{}, col *hopCollector) int {
-	switch prop.Kind {
-	case msg.KindDelete:
-		return p.propagateDelete(v, prop, sem, col)
-	case msg.KindNotify:
-		nr, err := msg.DecodeNotifyReq(prop.Data)
-		if err != nil {
-			return 0
-		}
-		return p.propagateNotify(v, prop, nr, sem, col)
-	}
-	return p.propagateUpdate(v, prop, sem, col)
+// handleDelivery serves one leg of a broadcast — the FlagPropagate form of
+// an update, a delete or a notify. A traced delivery answers with only its
+// branch's new hops; the initiator (or the upstream holder) splices them
+// into the assembled tree.
+func (p *Peer) handleDelivery(req *msg.Request) *msg.Response {
+	fo := fanout{v: p.view(p.hasher.Target(req.Name, p.cfg.M)), col: newHopCollector(req)}
+	n := p.propagate(fo, req)
+	return &msg.Response{OK: true, ServedBy: uint32(p.cfg.PID), Hops: uint32(n), Path: fo.col.take()}
 }
 
-// propagateUpdate applies a propagation message locally: a holder rewrites
-// its copy and re-broadcasts to its expanded children list in parallel; a
-// non-holder discards. Returns copies updated in this subtree branch. A
-// nil sem sizes a fresh semaphore to this delivery's legs — the remote-
-// delivery entry point, where this peer is the recursion's root. A traced
-// holder contributes one HopDeliver record (parented on the upstream
-// peer's hop, the tail of req.Path) and forwards with its own hop
-// appended, so the collected records assemble into the fan-out tree.
-func (p *Peer) propagateUpdate(v ptree.View, req *msg.Request, sem chan struct{}, col *hopCollector) int {
-	// The local apply serializes against Leave (propMu): without it, a
-	// leave racing this broadcast can snapshot the copy just before the
-	// rewrite lands and hand the stale version to its successor — and the
-	// fan-out below then finds the successor already holding a copy whose
-	// version masks the loss. Held only around local store mutations,
-	// never across an RPC, so a pending Leave cannot deadlock in-flight
-	// deliveries. Leave's write side runs either wholly before (the
-	// successor has no copy yet; our fan-out leg below installs the
-	// update there) or wholly after (the handed-off copy carries it).
+// propagate is the per-holder step of every broadcast: apply the message to
+// the local copy, then re-broadcast it down this peer's expanded children
+// list in parallel; a non-holder discards without forwarding. The apply
+// comes first for every kind — a delete in particular erases here before
+// its children hear of it, so a racing Leave snapshots either the
+// pre-delete copy or the fully post-delete state, never a copy the children
+// have already erased (handing that to a successor would resurrect the
+// name). Returns copies touched in this branch.
+//
+// The applies take propMu's read side around the local store mutation only,
+// never across an RPC or a pull, so a pending Leave (the write side) cannot
+// deadlock in-flight deliveries. Without it, a leave racing the broadcast
+// can snapshot the copy just before the rewrite lands and hand the stale
+// version to its successor. With it, Leave's handoff runs either wholly
+// before the mutation (the copy has moved: nothing is rewritten here, and
+// the fan-out below reaches the successor that now holds it) or wholly
+// after (the handed-off copy carries the rewrite).
+func (p *Peer) propagate(fo fanout, req *msg.Request) int {
 	start := time.Now()
-	p.propMu.RLock()
-	if !p.store.Has(req.Name) {
-		p.propMu.RUnlock()
+	var (
+		held, applied bool
+		fwd           = req
+		pullTO        time.Duration
+	)
+	if req.Kind == msg.KindDelete {
+		held = p.applyErase(req.Name, req.Version)
+		applied = held
+	} else {
+		held, applied, fwd, pullTO = p.applyBody(req)
+	}
+	if !held {
 		return 0
 	}
-	// Only a holder pays for the bytes: the copy is taken here, after the
-	// Has check, and on a struct copy — req may be the very message sibling
-	// legs of the same fan-out are writing to the wire right now.
-	held := *req
-	held.Keep()
-	applied := p.store.Update(req.Name, held.Data, req.Version)
+	kids := p.childTargets(fo.v)
+	if fo.sem == nil {
+		// Delivered over the wire: this peer roots the recursion below it,
+		// with a semaphore sized to its own legs.
+		fo.sem, fo.rpcTO = p.fanoutSem(len(kids)), pullTO
+	}
+	if fo.col != nil {
+		// A traced holder contributes one HopDeliver record, parented on the
+		// upstream peer's hop (the tail of req.Path), and forwards with its
+		// own hop appended, so the collected records assemble into the tree.
+		hop := *fwd
+		hop.Path = appendHop(req.Path, uint32(p.cfg.PID), msg.HopDeliver, time.Since(start))
+		if len(hop.Path) > len(req.Path) {
+			fo.col.add(hop.Path[len(hop.Path)-1])
+		}
+		fwd = &hop
+	}
+	n := p.deliverAll(fo, kids, fwd)
+	if applied {
+		n++
+	}
+	return n
+}
+
+// applyBody is the local apply of an update delivery, whole-frame or
+// notify: a holder whose copy is behind the stamped version obtains the
+// body and rewrites its copy. A duplicate or stale delivery finds that out
+// from the Peek, before any body is copied or pulled. A whole-frame body is
+// kept on a struct copy — req may be the very message sibling legs of the
+// same fan-out are writing to the wire right now; a notify's body is pulled
+// from the sources it lists, and a failed pull skips only this apply: the
+// branch below still gets the notify and pulls from the upstream sources,
+// while this replica converges via the repair plane instead of cutting its
+// whole subtree off the broadcast. fwd is what the children get: req, or —
+// after a notify applied — a copy listing this peer as one more source, so
+// later legs stripe across converged siblings. pullTO is the deadline a
+// notify's onward legs need (fanout).
+func (p *Peer) applyBody(req *msg.Request) (held, applied bool, fwd *msg.Request, pullTO time.Duration) {
+	fwd = req
+	var nr *msg.NotifyReq
+	if req.Kind == msg.KindNotify {
+		var err error
+		if nr, err = msg.DecodeNotifyReq(req.Data); err != nil {
+			return // discarded, like a delivery for a name not held
+		}
+		pullTO = stream.PullDeadline(nr.TotalSize)
+	}
+	f, held := p.store.Peek(req.Name)
+	switch {
+	case !held:
+		return
+	case f.Version >= req.Version:
+		p.mergeClock(req.Version)
+		return
+	}
+	var data []byte
+	if nr != nil {
+		var err error
+		if data, err = p.pullBody(req.Name, req.Version, nr); err != nil {
+			return
+		}
+	} else {
+		kept := *req
+		kept.Keep()
+		data = kept.Data
+	}
+	p.propMu.RLock()
+	applied = p.store.Update(req.Name, data, req.Version)
 	p.mergeClock(req.Version)
 	p.propMu.RUnlock()
-	kids := p.childTargets(v)
-	if sem == nil {
-		sem = p.fanoutSem(len(kids))
-	}
-	if col != nil {
-		fwd := *req
-		fwd.Path = appendHop(req.Path, uint32(p.cfg.PID), msg.HopDeliver, time.Since(start))
-		if len(fwd.Path) > len(req.Path) {
-			col.add(fwd.Path[len(fwd.Path)-1])
+	if applied && nr != nil && len(nr.Sources) < msg.MaxHolders {
+		listed := *nr
+		listed.Sources = append(append([]msg.Holder(nil), nr.Sources...),
+			msg.Holder{PID: uint32(p.cfg.PID), Addr: p.Addr(), Version: req.Version})
+		if body, err := msg.AppendNotifyReq(nil, &listed); err == nil {
+			next := *req
+			next.Data = body
+			fwd = &next
 		}
-		req = &fwd
 	}
-	n := 0
-	if applied {
-		n = 1
+	return
+}
+
+// applyErase erases the local copy of name at version and reports whether
+// there was one. The erase leaves a versioned tombstone behind, so a stale
+// push cannot re-plant the copy and anti-entropy propagates the deletion
+// rather than the corpse.
+func (p *Peer) applyErase(name string, version uint64) bool {
+	p.propMu.RLock()
+	removed := p.store.Tombstone(name, version, time.Now())
+	p.propMu.RUnlock()
+	if removed {
+		p.mergeClock(version)
 	}
-	return n + p.deliverAll(v, kids, req, sem, col)
+	return removed
 }
 
 // childTargets is this peer's expanded children list minus itself — the
@@ -1292,85 +1396,6 @@ func (p *Peer) childTargets(v ptree.View) []bitops.PID {
 		}
 	}
 	return kids
-}
-
-func (p *Peer) handleDelete(req *msg.Request) *msg.Response {
-	start := time.Now()
-	target := p.hasher.Target(req.Name, p.cfg.M)
-	v := p.view(target)
-	if req.Flags&msg.FlagPropagate != 0 {
-		col := newHopCollector(req)
-		n := p.propagateDelete(v, req, nil, col)
-		return &msg.Response{OK: true, ServedBy: uint32(p.cfg.PID),
-			Hops: uint32(n), Path: col.take()}
-	}
-	// Initiation: stamp the deletion strictly above the file's current
-	// version, Lamport-style like an update, so every erased copy leaves a
-	// tombstone that dominates it — the version anti-entropy compares
-	// against before re-propagating a copy a partitioned peer brings back
-	// (docs/REPAIR.md).
-	if p.store.Has(req.Name) {
-		p.stats.WritesAtHolder.Add(1)
-	} else {
-		p.stats.WritesRemote.Add(1)
-	}
-	if version, ok := p.probeVersion(req.Name); ok {
-		p.mergeClock(version)
-	}
-	prop := *req
-	prop.Flags |= msg.FlagPropagate
-	prop.Version = p.clock.Add(1)
-	col := newHopCollector(req)
-	if col != nil {
-		prop.Path = appendHop(req.Path, uint32(p.cfg.PID), msg.HopFanout, 0)
-	}
-	removed := p.broadcast(v, &prop, col)
-	if removed == 0 {
-		p.stats.Faults.Add(1)
-		resp := &msg.Response{Err: "netnode: delete found no copy"}
-		if col != nil {
-			resp.Path = appendHop(req.Path, uint32(p.cfg.PID), msg.HopFault, time.Since(start))
-		}
-		return resp
-	}
-	resp := &msg.Response{OK: true, ServedBy: uint32(target), Hops: uint32(removed), Version: prop.Version}
-	if col != nil {
-		root := appendHop(req.Path, uint32(p.cfg.PID), msg.HopFanout, time.Since(start))
-		resp.Path = append(root, col.take()...)
-	}
-	return resp
-}
-
-// propagateDelete erases the local copy first — under propMu's read side
-// and before the fan-out, so a racing Leave snapshots either the
-// pre-delete copy or the fully post-delete state, never a copy the
-// children have already erased (handing that to a successor would
-// resurrect the name); non-holders discard without forwarding. The erase
-// leaves a versioned tombstone behind, so a stale push cannot re-plant
-// the copy and anti-entropy propagates the deletion rather than the
-// corpse. Returns copies removed in this branch.
-func (p *Peer) propagateDelete(v ptree.View, req *msg.Request, sem chan struct{}, col *hopCollector) int {
-	start := time.Now()
-	p.propMu.RLock() // serializes against Leave, as in propagateUpdate
-	removed := p.store.Tombstone(req.Name, req.Version, time.Now())
-	p.propMu.RUnlock()
-	if !removed {
-		return 0
-	}
-	p.mergeClock(req.Version)
-	kids := p.childTargets(v)
-	if sem == nil {
-		sem = p.fanoutSem(len(kids))
-	}
-	if col != nil {
-		fwd := *req
-		fwd.Path = appendHop(req.Path, uint32(p.cfg.PID), msg.HopDeliver, time.Since(start))
-		if len(fwd.Path) > len(req.Path) {
-			col.add(fwd.Path[len(fwd.Path)-1])
-		}
-		req = &fwd
-	}
-	return 1 + p.deliverAll(v, kids, req, sem, col)
 }
 
 // handleStat serves the status snapshot: the one-line "k=v" text by

@@ -16,10 +16,18 @@ import (
 // pinned at target, wires the address tables and registers cleanup.
 func startSystem(t testing.TB, m, b int, pids []bitops.PID, hasher hashring.Hasher) map[bitops.PID]*Peer {
 	t.Helper()
+	return startSystemWith(t, pids, Config{M: m, B: b, Hasher: hasher})
+}
+
+// startSystemWith is startSystem with every knob the caller's: each peer
+// gets cfg with its own PID.
+func startSystemWith(t testing.TB, pids []bitops.PID, cfg Config) map[bitops.PID]*Peer {
+	t.Helper()
 	peers := make(map[bitops.PID]*Peer, len(pids))
 	addrs := make(map[bitops.PID]string, len(pids))
 	for _, pid := range pids {
-		p, err := Listen(Config{PID: pid, M: m, B: b, Hasher: hasher})
+		cfg.PID = pid
+		p, err := Listen(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -46,16 +46,6 @@ func TestChunkPlaneAllocBudget(t *testing.T) {
 	t.Cleanup(func() { tr.Close() })
 	cl := NewLocateClientWith(peers[5].Addr(), tr, LocateOptions{})
 
-	perOp := func(runs int, op func()) float64 {
-		op() // warm the connections, the hint and the free list
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < runs; i++ {
-			op()
-		}
-		runtime.ReadMemStats(&after)
-		return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
-	}
 	get := perOp(3, func() {
 		res, err := cl.Get("own/bulk")
 		if err != nil || len(res.Data) != size {
@@ -77,6 +67,69 @@ func TestChunkPlaneAllocBudget(t *testing.T) {
 	if limit := 2.25 * size; update > limit {
 		t.Errorf("staged update of %d MiB allocated %.1f MiB, want staging + one pull (≤ %.1f MiB)",
 			size>>20, update/(1<<20), limit/(1<<20))
+	}
+}
+
+// perOp is the bytes one call of op allocates, process-wide, averaged over
+// runs calls after one unmeasured call that warms the connections, the hint
+// and the free lists.
+func perOp(runs int, op func()) float64 {
+	op()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		op()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// TestBroadcastAllocBudget pins what one small update costs end to end —
+// locate client, entry peer, the whole-frame broadcast to both holders —
+// so a closure or a per-leg allocation added to the broadcast path fails
+// here rather than on a ledger run of hot_4k.
+func TestBroadcastAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	peers := startTracedSystem(t, 3, 1, allPIDs(8), hashring.Fixed(2), -1) // untraced
+	body := chunkPayload(4<<10, 91)
+	if err := NewClient(peers[5].Addr()).Insert("own/small", body); err != nil {
+		t.Fatal(err)
+	}
+	tr := transport.New(transport.Config{}, nil)
+	t.Cleanup(func() { tr.Close() })
+	cl := NewLocateClientWith(peers[5].Addr(), tr, LocateOptions{})
+	update := perOp(500, func() {
+		if n, err := cl.Update("own/small", body); err != nil || n != 2 {
+			t.Fatalf("update touched %d copies, %v", n, err)
+		}
+	})
+	t.Logf("update %.0f B/op", update)
+	// Measured 13 100 B/op (five runs, 13 036 – 13 189; the two holders'
+	// kept 4 KiB copies are 8 192 of it), pinned with 10% of headroom.
+	const budget = 14_400
+	if update > budget {
+		t.Errorf("4 KiB update allocated %.0f B/op, budget %d", update, budget)
+	}
+
+	// A delivery that has nothing to apply — a duplicate, which is what a
+	// holder's children get after its leg timed out upstream — must find that
+	// out before it copies the body out of the lent read buffer.
+	dup := &msg.Request{
+		Kind: msg.KindUpdate, Flags: msg.FlagPropagate, Name: "own/small",
+		Version: 1 << 40, Data: chunkPayload(48<<10, 92),
+	}
+	holder := peers[holdersOf(peers, "own/small")[0]].Addr()
+	duplicate := perOp(100, func() {
+		if resp, err := tr.Do(holder, dup); err != nil || !resp.OK {
+			t.Fatalf("delivery: %+v, %v", resp, err)
+		}
+	})
+	t.Logf("duplicate 48 KiB delivery %.0f B/op", duplicate)
+	if duplicate > float64(len(dup.Data))/2 {
+		t.Errorf("duplicate delivery of %d bytes allocated %.0f B/op: the body was copied before the version check",
+			len(dup.Data), duplicate)
 	}
 }
 

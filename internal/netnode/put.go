@@ -6,12 +6,13 @@ package netnode
 // Persister/WAL hook fires only when the commit lands the assembled file
 // through the normal insert/update paths, so a partial upload is never
 // visible to reads and never durable across a crash. Pull-based
-// propagation (KindNotify) is the update broadcast's payload-free twin:
-// the tree carries only the transfer facts (size, checksum, pull
-// sources), each delivered holder pulls the body over the chunked data
-// plane from the origin or an already-converged sibling, and the origin
-// keeps the committed bytes in a short-lived outbox so it can serve the
-// pulls even when it is not itself a holder.
+// propagation (KindNotify) is the payload-free form of the update
+// broadcast (initiate, applyBody): the tree carries only the transfer
+// facts (size, checksum, pull sources), each delivered holder pulls the
+// body over the chunked data plane from the origin or an already-converged
+// sibling (pullBody), and the origin keeps the committed bytes in a
+// short-lived outbox so it can serve the pulls even when it is not itself
+// a holder.
 
 import (
 	"fmt"
@@ -21,7 +22,6 @@ import (
 
 	"lesslog/internal/bitops"
 	"lesslog/internal/msg"
-	"lesslog/internal/ptree"
 	"lesslog/internal/stream"
 )
 
@@ -311,19 +311,7 @@ func (p *Peer) putCommit(req *msg.Request, pr *msg.PutReq) *msg.Response {
 		return p.handleInsert(inner)
 	}
 	inner.Kind = msg.KindUpdate
-	if len(u.buf) > msg.MaxData {
-		// Over one frame, the whole-frame broadcast cannot carry the
-		// payload at all: pull-based propagation is the only shape.
-		start := time.Now()
-		target := p.hasher.Target(req.Name, p.cfg.M)
-		if p.store.Has(req.Name) {
-			p.stats.WritesAtHolder.Add(1)
-		} else {
-			p.stats.WritesRemote.Add(1)
-		}
-		return p.initNotifyUpdate(inner, p.view(target), start, target)
-	}
-	return p.handleUpdate(inner)
+	return p.initiate(inner)
 }
 
 // notifyEligible decides whether an update of n bytes propagates by
@@ -343,140 +331,19 @@ func (p *Peer) notifyEligible(n int) bool {
 	return th > 0 && n >= th
 }
 
-// initNotifyUpdate initiates an update broadcast in pull form: stamp the
-// version exactly like handleUpdate, park the payload in the outbox for as
-// long as the broadcast runs, and fan out a payload-free notify naming
-// this peer as the pull source.
-func (p *Peer) initNotifyUpdate(req *msg.Request, v ptree.View, start time.Time, target bitops.PID) *msg.Response {
-	if version, ok := p.probeVersion(req.Name); ok {
-		p.mergeClock(version)
-	}
-	version := p.clock.Add(1)
-	crc := crc32.Checksum(req.Data, castagnoli)
-	// The outbox parks Data for pulls that may still be reading it after
-	// this handler has answered, and a pulling holder stores those bytes.
-	req.Keep()
-	p.outbox.put(req.Name, version, req.Data)
-	// broadcast returns once every leg has pulled or failed (failed legs
-	// converge through repair), so the body has no reader left.
-	defer p.outbox.remove(req.Name, version)
-	body, err := msg.AppendNotifyReq(nil, &msg.NotifyReq{
-		TotalSize: uint64(len(req.Data)), FileCRC: crc,
-		Sources: []msg.Holder{{PID: uint32(p.cfg.PID), Addr: p.Addr(), Version: version}},
-	})
-	if err != nil {
-		return p.faultResponse(req, start, fmt.Sprintf("netnode: notify encode: %v", err))
-	}
-	prop := &msg.Request{
-		Kind: msg.KindNotify, Origin: req.Origin, Name: req.Name,
-		Version: version, Flags: req.Flags | msg.FlagPropagate,
-		TraceID: req.TraceID, Data: body,
-	}
-	col := newHopCollector(req)
-	if col != nil {
-		prop.Path = appendHop(req.Path, uint32(p.cfg.PID), msg.HopFanout, 0)
-	}
-	updated := p.broadcast(v, prop, col)
-	if updated == 0 {
-		p.stats.Faults.Add(1)
-		resp := &msg.Response{Err: "netnode: update found no copy"}
-		if col != nil {
-			resp.Path = appendHop(req.Path, uint32(p.cfg.PID), msg.HopFault, time.Since(start))
-		}
-		return resp
-	}
-	p.stats.Updated.Add(1)
-	resp := &msg.Response{OK: true, ServedBy: uint32(target), Hops: uint32(updated), Version: version}
-	if col != nil {
-		root := appendHop(req.Path, uint32(p.cfg.PID), msg.HopFanout, time.Since(start))
-		resp.Path = append(root, col.take()...)
-	}
-	return resp
-}
-
-// handleNotify serves KindNotify: the propagate form is one delivery leg
-// of a pull-based update broadcast, the direct form a placement of a body
-// over one frame (place).
+// handleNotify serves the direct form of KindNotify — the placement of a
+// body over one frame (place); the propagate form is a broadcast delivery
+// (handleDelivery). It pulls the body from the placing peer, then applies
+// it exactly like a whole-frame store. A copy already at or past the
+// notified version answers OK with the surviving version without pulling
+// anything, like a stale push — the placement's goal (name present at least
+// as new) holds.
 func (p *Peer) handleNotify(req *msg.Request) *msg.Response {
+	start := time.Now()
 	nr, err := msg.DecodeNotifyReq(req.Data)
 	if err != nil {
 		return &msg.Response{Err: fmt.Sprintf("netnode: notify decode: %v", err)}
 	}
-	if req.Flags&msg.FlagPropagate == 0 {
-		return p.notifyStore(req, nr)
-	}
-	v := p.view(p.hasher.Target(req.Name, p.cfg.M))
-	col := newHopCollector(req)
-	n := p.propagateNotify(v, req, nr, nil, col)
-	return &msg.Response{OK: true, ServedBy: uint32(p.cfg.PID),
-		Hops: uint32(n), Path: col.take()}
-}
-
-// propagateNotify applies one pull-propagation delivery: a holder whose
-// copy is behind pulls the body from the listed sources, applies it under
-// the same propMu/versions discipline as propagateUpdate, appends itself
-// to the source list (so later legs stripe across converged siblings),
-// and fans out to its expanded children. Non-holders discard without
-// forwarding, exactly like a whole-frame propagate. A failed pull skips
-// only the local apply — the fan-out still runs so the branch below pulls
-// from the upstream sources, and this replica converges via the repair
-// plane instead of silently cutting its whole subtree off the broadcast.
-func (p *Peer) propagateNotify(v ptree.View, req *msg.Request, nr *msg.NotifyReq, sem chan struct{}, col *hopCollector) int {
-	start := time.Now()
-	f, held := p.store.Peek(req.Name)
-	if !held {
-		return 0
-	}
-	applied := false
-	fwd := *req
-	if f.Version < req.Version {
-		if data, err := p.pullBody(req.Name, req.Version, nr); err == nil {
-			// Same propMu discipline as propagateUpdate: the lock is held
-			// only around the local store mutation, never across the pull
-			// RPCs above or the fan-out below.
-			p.propMu.RLock()
-			if p.store.Has(req.Name) {
-				applied = p.store.Update(req.Name, data, req.Version)
-			}
-			p.mergeClock(req.Version)
-			p.propMu.RUnlock()
-			if applied && len(nr.Sources) < msg.MaxHolders {
-				srcs := append(append([]msg.Holder(nil), nr.Sources...),
-					msg.Holder{PID: uint32(p.cfg.PID), Addr: p.Addr(), Version: req.Version})
-				if body, err := msg.AppendNotifyReq(nil, &msg.NotifyReq{
-					TotalSize: nr.TotalSize, FileCRC: nr.FileCRC, Sources: srcs,
-				}); err == nil {
-					fwd.Data = body
-				}
-			}
-		}
-	} else {
-		p.mergeClock(req.Version)
-	}
-	kids := p.childTargets(v)
-	if sem == nil {
-		sem = p.fanoutSem(len(kids))
-	}
-	if col != nil {
-		fwd.Path = appendHop(req.Path, uint32(p.cfg.PID), msg.HopDeliver, time.Since(start))
-		if len(fwd.Path) > len(req.Path) {
-			col.add(fwd.Path[len(fwd.Path)-1])
-		}
-	}
-	n := 0
-	if applied {
-		n = 1
-	}
-	return n + p.deliverAll(v, kids, &fwd, sem, col)
-}
-
-// notifyStore receives a placement of a body over one frame: pull the body
-// from the placing peer, then apply it exactly like a whole-frame store. A
-// copy already at or past the notified version answers OK with the
-// surviving version without pulling anything, like a stale push — the
-// placement's goal (name present at least as new) holds.
-func (p *Peer) notifyStore(req *msg.Request, nr *msg.NotifyReq) *msg.Response {
-	start := time.Now()
 	if f, ok := p.store.Peek(req.Name); ok && f.Version >= req.Version {
 		// What applyStore does with a copy it keeps, without pulling a body
 		// to refuse.
@@ -491,23 +358,6 @@ func (p *Peer) notifyStore(req *msg.Request, nr *msg.NotifyReq) *msg.Response {
 		return &msg.Response{Err: fmt.Sprintf("netnode: notify pull: %v", err)}
 	}
 	return p.applyStore(req, data, start)
-}
-
-// notifyDeadline sizes the delivery RPC bound for one pull-propagation
-// leg: the receiving holder pulls the notify's whole body (and its
-// subtree recurses) before answering, so the exchange deadline scales
-// with the payload the notify describes. Non-notify legs — and a notify
-// frame that fails to decode, which the receiver will refuse quickly —
-// keep the transport's flat deadline.
-func notifyDeadline(prop *msg.Request) time.Duration {
-	if prop.Kind != msg.KindNotify {
-		return 0
-	}
-	nr, err := msg.DecodeNotifyReq(prop.Data)
-	if err != nil {
-		return 0
-	}
-	return stream.PullDeadline(nr.TotalSize)
 }
 
 // pullBody fetches the body a notify describes: the local outbox/store

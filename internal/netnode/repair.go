@@ -120,16 +120,12 @@ func (p *Peer) RepairOnce(sampler *repair.Sampler, budget *repair.Budget, sample
 
 // applyTombstone erases the local copy of name because a required holder
 // reported it deleted at version; the local tombstone then propagates
-// the deletion onward through this peer's own has answers. Serialized
-// against Leave like every local store mutation on a propagation path.
+// the deletion onward through this peer's own has answers. The erase is
+// the delete broadcast's own (applyErase).
 func (p *Peer) applyTombstone(name string, version uint64) bool {
-	p.propMu.RLock()
-	removed := p.store.Tombstone(name, version, time.Now())
-	p.propMu.RUnlock()
-	if !removed {
+	if !p.applyErase(name, version) {
 		return false
 	}
-	p.mergeClock(version)
 	p.stats.RepairErased.Add(1)
 	p.log.Info("repair: erased deleted copy", "name", name, "version", version)
 	return true

@@ -17,21 +17,7 @@ import (
 // tests control exactly which requests the head sampler picks.
 func startTracedSystem(t testing.TB, m, b int, pids []bitops.PID, hasher hashring.Hasher, every int) map[bitops.PID]*Peer {
 	t.Helper()
-	peers := make(map[bitops.PID]*Peer, len(pids))
-	addrs := make(map[bitops.PID]string, len(pids))
-	for _, pid := range pids {
-		p, err := Listen(Config{PID: pid, M: m, B: b, Hasher: hasher, TraceSampleEvery: every})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { p.Close() })
-		peers[pid] = p
-		addrs[pid] = p.Addr()
-	}
-	for _, p := range peers {
-		p.SetAddrs(addrs)
-	}
-	return peers
+	return startSystemWith(t, pids, Config{M: m, B: b, Hasher: hasher, TraceSampleEvery: every})
 }
 
 // hopSet collects the PIDs appearing in hops with the given action.
