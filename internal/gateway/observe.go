@@ -79,6 +79,11 @@ type CountersSnapshot struct {
 	HintRefreshes uint64 `json:"hint_refreshes" prom:"lesslog_gateway_write_plane_total,event=hint_refresh"`
 	ChunksPut     uint64 `json:"chunks_put" prom:"lesslog_gateway_write_plane_total,event=chunk"`
 	PutAborts     uint64 `json:"put_aborts" prom:"lesslog_gateway_write_plane_total,event=abort"`
+
+	// ChecksummedBytes: payload bytes CRC-32C ran over at this edge, chunked
+	// gets and puts together — once per byte moved (docs/ROUTING.md
+	// "Checksums").
+	ChecksummedBytes uint64 `json:"checksummed_bytes" prom:"lesslog_gateway_checksummed_bytes_total"`
 }
 
 // StatSnapshot is the gateway's structured status, the edge counterpart
@@ -134,6 +139,7 @@ func (g *Gateway) countersSnapshot() CountersSnapshot {
 	s.OversizeRejected = c.OversizeRejects.Value()
 	s.ChunksPut = put.ChunksSent.Load()
 	s.PutAborts = put.Aborts.Load()
+	s.ChecksummedBytes += put.ChecksummedBytes.Load() // beside the fetcher's, loaded by name
 	return s
 }
 

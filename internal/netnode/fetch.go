@@ -10,17 +10,92 @@ package netnode
 
 import (
 	"fmt"
-	"hash/crc32"
+	"sync"
 	"time"
 
 	"lesslog/internal/bitops"
+	"lesslog/internal/crc32c"
 	"lesslog/internal/msg"
 	"lesslog/internal/store"
 )
 
-// castagnoli is the CRC-32C table shared by chunk and whole-file
-// checksums — the same polynomial the WAL's record checksums use.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+// crc is a body's whole-file CRC-32C where a step on this peer has already
+// computed or verified it and hands it on with the body (docs/ROUTING.md
+// "Checksums"); the zero value says nobody has.
+type crc struct {
+	sum   uint32
+	known bool
+}
+
+// sumBody is the one place this peer passes CRC-32C over body bytes.
+func (p *Peer) sumBody(b []byte) uint32 {
+	p.stats.ChecksummedBytes.Add(uint64(len(b)))
+	return crc32c.Sum(b)
+}
+
+// maxSums bounds the remembered-sum table: past it an arbitrary entry makes
+// room, and the name it belonged to pays one pass the next time it is asked.
+const maxSums = 1024
+
+// sumTable remembers the whole-file CRC-32C of bodies this peer has summed
+// or verified — a body parked in the outbox by the write that stamped its
+// version, a stored body a pull or a commit verified, a stored body a
+// multi-chunk fetch had to sum — so the chunk plane can declare a body's sum
+// without passing over it again. One entry per name, consulted only on an
+// exact version-and-size match, and never keyed by where the bytes live: a
+// freed body's address comes back under the next one of the same size. A
+// wrong entry can only make a transfer fail closed, because every receiver
+// still sums what it received against what the sender declared.
+type sumTable struct {
+	mu sync.RWMutex
+	m  map[string]bodySum
+}
+
+type bodySum struct {
+	version, size uint64
+	sum           uint32
+}
+
+func (t *sumTable) get(name string, version uint64, size int) crc {
+	t.mu.RLock()
+	e, ok := t.m[name]
+	t.mu.RUnlock()
+	return crc{e.sum, ok && e.version == version && e.size == uint64(size)}
+}
+
+// put remembers sum, when it is known, for name at version; an entry for a
+// newer version stays.
+func (t *sumTable) put(name string, version uint64, size int, sum crc) {
+	if !sum.known {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	e, ok := t.m[name]
+	if ok && e.version > version {
+		return
+	}
+	if t.m == nil {
+		t.m = make(map[string]bodySum)
+	}
+	if !ok && len(t.m) >= maxSums {
+		for victim := range t.m {
+			delete(t.m, victim)
+			break
+		}
+	}
+	t.m[name] = bodySum{version: version, size: uint64(size), sum: sum.sum}
+}
+
+// fileSum is f's whole-file CRC-32C: remembered, or one pass that is.
+func (p *Peer) fileSum(f store.File) uint32 {
+	sum := p.sums.get(f.Name, f.Version, len(f.Data))
+	if !sum.known {
+		sum = crc{p.sumBody(f.Data), true}
+		p.sums.put(f.Name, f.Version, len(f.Data), sum)
+	}
+	return sum.sum
+}
 
 // ErrWrongVersion is the answer to a version-pinned fetch whose pin no
 // longer matches the held copy: the file moved on (or this replica lags)
@@ -55,14 +130,9 @@ func (p *Peer) handleFetch(req *msg.Request) *msg.Response {
 	} else {
 		f, ok = p.store.Peek(req.Name)
 	}
-	if ok && req.Version != 0 && f.Version != req.Version && replica {
-		// The store moved past the pin, but the pinned body may still sit
-		// in the outbox for exactly this pull.
-		if data, ver, boxed := p.outbox.get(req.Name, req.Version); boxed {
-			f, ok = store.File{Name: req.Name, Data: data, Version: ver}, true
-		}
-	}
-	if !ok && replica {
+	if replica && (!ok || (req.Version != 0 && f.Version != req.Version)) {
+		// Not stored, or the store moved past the pin: the pinned body may
+		// still sit in the outbox for exactly this pull.
 		if data, ver, boxed := p.outbox.get(req.Name, req.Version); boxed {
 			f, ok = store.File{Name: req.Name, Data: data, Version: ver}, true
 		}
@@ -85,20 +155,33 @@ func (p *Peer) handleFetch(req *msg.Request) *msg.Response {
 		end = total // final chunk truncates at EOF
 	}
 	chunk := f.Data[fr.Offset:end]
-	fresp := &msg.FetchResp{
-		TotalSize: total,
-		ChunkCRC:  crc32.Checksum(chunk, castagnoli),
-		Chunk:     chunk,
+	fresp := &msg.FetchResp{TotalSize: total, Chunk: chunk}
+	// The head chunk declares the whole-file sum; one the peer remembers
+	// costs no pass, and covers the chunk too when the chunk is the body.
+	var whole crc
+	if fr.Offset == 0 {
+		whole = p.sums.get(f.Name, f.Version, len(f.Data))
+	}
+	if whole.known && end == total {
+		fresp.ChunkCRC = whole.sum
+	} else {
+		fresp.ChunkCRC = p.sumBody(chunk)
 	}
 	switch {
 	case fr.Offset != 0:
 		// The whole-file CRC is O(total); computing it per chunk would make
 		// an N-chunk transfer O(N·total). Only the head chunk carries it,
 		// and the client always requests the head first to pin the shape.
+	case whole.known:
+		fresp.FileCRC = whole.sum
 	case end == total:
 		fresp.FileCRC = fresp.ChunkCRC // one chunk is the whole file: one pass
 	default:
-		fresp.FileCRC = crc32.Checksum(f.Data, castagnoli)
+		// The one whole-file pass a body nobody summed yet costs, paid over
+		// the bytes the chunk pass did not cover and remembered.
+		rest := f.Data[end:]
+		fresp.FileCRC = crc32c.Combine(fresp.ChunkCRC, p.sumBody(rest), uint64(len(rest)))
+		p.sums.put(f.Name, f.Version, len(f.Data), crc{fresp.FileCRC, true})
 	}
 	// Only the fixed header is encoded; the chunk rides as the response's
 	// Tail, a sub-slice of the stored body (stored bodies are replaced,

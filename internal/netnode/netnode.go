@@ -18,7 +18,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"log/slog"
 	"net"
@@ -175,6 +174,10 @@ type Stats struct {
 	// propagation grows this O(copies × size); notify propagation keeps it
 	// O(copies) — the write bench's bytes-on-tree measure.
 	FanoutBytes atomic.Uint64
+	// ChecksummedBytes counts body bytes this peer passed CRC-32C over,
+	// serving, staging and (in its snapshot) pulling: once per byte sent or
+	// received on the chunk plane (docs/ROUTING.md "Checksums").
+	ChecksummedBytes atomic.Uint64
 	// Copies this peer put on a peer (itself included) by reason: insert
 	// placement (§2.2), hot-file replication (§6), join/leave handoff
 	// (§5.1/§5.2), restore after a death (§5.3). place bumps them, and
@@ -269,11 +272,13 @@ type Peer struct {
 	ttfr repair.TTFR
 
 	// Write plane (docs/ROUTING.md "write plane"): staged chunked uploads,
-	// the commit outbox propagation pulls are served from, and the puller
-	// that fetches notify bodies off converged siblings.
+	// the commit outbox propagation pulls are served from, the puller that
+	// fetches notify bodies off converged siblings, and the whole-file sums
+	// remembered for outbox and stored bodies.
 	uploads uploadTable
 	outbox  outbox
 	puller  *stream.Fetcher
+	sums    sumTable
 }
 
 // rt loads the current routing snapshot; never nil after Listen.
@@ -614,9 +619,9 @@ func (p *Peer) dispatch(req *msg.Request) *msg.Response {
 	case msg.KindGet:
 		return p.handleGet(req)
 	case msg.KindInsert:
-		return p.handleInsert(req)
+		return p.handleInsert(req, crc{})
 	case msg.KindUpdate, msg.KindDelete:
-		return p.initiate(req)
+		return p.initiate(req, crc{})
 	case msg.KindStat:
 		return p.handleStat(req)
 	case msg.KindRegister:
@@ -700,9 +705,10 @@ var ErrTombstoned = errors.New("netnode: name deleted (tombstoned)")
 // rides a KindStore; a larger one rides a payload-free direct KindNotify
 // naming this peer as the source, and target pulls it in chunks — from this
 // peer's store, or from the outbox when the caller is not a holder
-// (handleInsert parks it there). A placement on this peer itself is applied
-// without touching the wire. tr, when non-nil, stamps the exchange as a leg
-// of the caller's trace.
+// (handleInsert parks it there); the notify declares the sum this peer
+// remembers for the body, never a fresh pass per leg. A placement on this
+// peer itself is applied without touching the wire. tr, when non-nil, stamps
+// the exchange as a leg of the caller's trace.
 //
 // The answer is the version that survived at target: f.Version when the
 // copy landed (reason, the caller's placed counter, is bumped), a newer one
@@ -714,11 +720,11 @@ func (p *Peer) place(target bitops.PID, f store.File, flags uint8, reason *atomi
 	var resp *msg.Response
 	switch {
 	case target == p.cfg.PID:
-		resp = p.applyStore(req, f.Data, time.Now())
+		resp = p.applyStore(req, f.Data, crc{}, time.Now())
 	case len(f.Data) > msg.MaxData:
 		req.Kind = msg.KindNotify
 		req.Data, err = msg.AppendNotifyReq(nil, &msg.NotifyReq{
-			TotalSize: uint64(len(f.Data)), FileCRC: crc32.Checksum(f.Data, castagnoli),
+			TotalSize: uint64(len(f.Data)), FileCRC: p.fileSum(f),
 			Sources: []msg.Holder{{PID: uint32(p.cfg.PID), Addr: p.Addr(), Version: f.Version}},
 		})
 		if err == nil {
@@ -746,7 +752,7 @@ func (p *Peer) place(target bitops.PID, f store.File, flags uint8, reason *atomi
 // handleStore receives a whole-frame placement.
 func (p *Peer) handleStore(req *msg.Request) *msg.Response {
 	req.Keep() // the store holds Data from here on
-	return p.applyStore(req, req.Data, time.Now())
+	return p.applyStore(req, req.Data, crc{}, time.Now())
 }
 
 // applyStore is the receive side of place for both wire shapes (data is the
@@ -756,8 +762,9 @@ func (p *Peer) handleStore(req *msg.Request) *msg.Response {
 // that went newer since the sender looked, nor resurrect a name a delete
 // broadcast erased. FlagReplica lands it as a §6 replica. The response
 // always carries the surviving version; a kept copy at least as new still
-// answers OK, a tombstone refusal answers ErrTombstoned.
-func (p *Peer) applyStore(req *msg.Request, data []byte, start time.Time) *msg.Response {
+// answers OK, a tombstone refusal answers ErrTombstoned. sum, when a pull
+// verified one, is remembered for the copy that landed.
+func (p *Peer) applyStore(req *msg.Request, data []byte, sum crc, start time.Time) *msg.Response {
 	kind := store.Inserted
 	if req.Flags&msg.FlagReplica != 0 {
 		kind = store.Replica
@@ -777,6 +784,7 @@ func (p *Peer) applyStore(req *msg.Request, data []byte, start time.Time) *msg.R
 		}
 	case store.PutApplied:
 		p.stats.Stored.Add(1)
+		p.sums.put(req.Name, req.Version, len(data), sum)
 	}
 	if req.Flags&msg.FlagTrace != 0 {
 		// A traced placement (insert fan-out, repair push) records where
@@ -788,13 +796,16 @@ func (p *Peer) applyStore(req *msg.Request, data []byte, start time.Time) *msg.R
 
 // handleInsert places a new file on the primary holder of every subtree of
 // its lookup tree (§2.2), all legs at once — the acknowledgement waits for
-// the slowest subtree, not their sum.
-func (p *Peer) handleInsert(req *msg.Request) *msg.Response {
+// the slowest subtree, not their sum. sum is the body's CRC-32C when a
+// staged commit verified one.
+func (p *Peer) handleInsert(req *msg.Request, sum crc) *msg.Response {
 	start := time.Now()
 	target := p.hasher.Target(req.Name, p.cfg.M)
 	v := p.view(target)
 	// Holders of a body over one frame pull it from this peer, which may
-	// hold no copy itself: it sits in the outbox while the legs run.
+	// hold no copy itself: it sits in the outbox while the legs run, its
+	// sum remembered so neither the notifies nor the pulls' head chunks
+	// pass over it.
 	parked := len(req.Data) > msg.MaxData
 	keep := parked
 	var holders []bitops.PID
@@ -826,6 +837,7 @@ func (p *Peer) handleInsert(req *msg.Request) *msg.Response {
 		if parked {
 			p.outbox.put(f.Name, f.Version, f.Data)
 		}
+		p.sums.put(f.Name, f.Version, len(f.Data), sum)
 		var (
 			wg    sync.WaitGroup
 			mu    sync.Mutex
@@ -1050,8 +1062,9 @@ func (p *Peer) nextHop(req *msg.Request) (next bitops.PID, flags uint8, subtree 
 
 // initiate starts the broadcast that carries a client's update or delete to
 // every copy of the name (docs/ROUTING.md "Broadcast") — the only entry for
-// either, at any size; a staged upload's update commit lands here too.
-func (p *Peer) initiate(req *msg.Request) *msg.Response {
+// either, at any size; a staged upload's update commit lands here too, with
+// the sum it verified.
+func (p *Peer) initiate(req *msg.Request, sum crc) *msg.Response {
 	start := time.Now()
 	target := p.hasher.Target(req.Name, p.cfg.M)
 	// A holder initiating its own broadcast reads the current version for
@@ -1085,13 +1098,16 @@ func (p *Peer) initiate(req *msg.Request) *msg.Response {
 		// stays the caller's) and parked in the outbox, this peer perhaps
 		// holding no copy itself. broadcast returns once every leg has pulled
 		// or failed (failed legs converge through repair), so the body has no
-		// reader left when the entry goes; the remove is version-exact.
+		// reader left when the entry goes; the remove is version-exact. The
+		// body's sum — the sender's one pass, unless a staged commit already
+		// verified it — goes into the notify and is remembered for the pulls.
 		prop.Keep()
 		p.outbox.put(prop.Name, prop.Version, prop.Data)
 		defer p.outbox.remove(prop.Name, prop.Version)
+		p.sums.put(prop.Name, prop.Version, len(prop.Data), sum)
 		size := uint64(len(prop.Data))
 		body, err := msg.AppendNotifyReq(nil, &msg.NotifyReq{
-			TotalSize: size, FileCRC: crc32.Checksum(prop.Data, castagnoli),
+			TotalSize: size, FileCRC: p.fileSum(store.File{Name: prop.Name, Data: prop.Data, Version: prop.Version}),
 			Sources: []msg.Holder{{PID: uint32(p.cfg.PID), Addr: p.Addr(), Version: prop.Version}},
 		})
 		if err != nil {
@@ -1359,6 +1375,11 @@ func (p *Peer) applyBody(req *msg.Request) (held, applied bool, fwd *msg.Request
 	applied = p.store.Update(req.Name, data, req.Version)
 	p.mergeClock(req.Version)
 	p.propMu.RUnlock()
+	if applied && nr != nil {
+		// The pull verified the body against this sum: a sibling pulling
+		// from here, and every later get, is served without a whole-file pass.
+		p.sums.put(req.Name, req.Version, len(data), crc{nr.FileCRC, true})
+	}
 	if applied && nr != nil && len(nr.Sources) < msg.MaxHolders {
 		listed := *nr
 		listed.Sources = append(append([]msg.Holder(nil), nr.Sources...),

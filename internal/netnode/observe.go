@@ -141,6 +141,10 @@ type Totals struct {
 	ChunkBytes    uint64 `json:"chunk_bytes" prom:"lesslog_chunk_payload_bytes_total" fleet:"sum,chunks"`
 	ChunkRefusals uint64 `json:"chunk_refusals" prom:"lesslog_chunk_refusals_total" fleet:"sum,chunks"`
 	LocateSets    uint64 `json:"locate_sets" prom:"lesslog_locate_sets_total" fleet:"sum,chunks"`
+	// ChecksummedBytes: body bytes CRC-32C ran over at this peer, in either
+	// direction of either chunk plane (docs/ROUTING.md "Checksums") — against
+	// chunk_bytes + write_bytes it reads 1 when every byte is summed once.
+	ChecksummedBytes uint64 `json:"checksummed_bytes" prom:"lesslog_checksummed_bytes_total" fleet:"sum,chunks"`
 
 	// Chunked write plane (docs/ROUTING.md "write plane"): upload chunks
 	// staged and their payload bytes, staging sessions aborted (client
@@ -229,6 +233,7 @@ func (p *Peer) scalars() StatSnapshot {
 		BroadcastFanout:    p.obs.fanout.Snapshot().DistStat(1),
 	}
 	metrics.Load(&s, &p.stats)
+	s.ChecksummedBytes += p.puller.Stats().ChecksummedBytes.Load()
 	s.Inserted, s.Replicas = p.store.Counts()
 	s.Tombstones = p.store.TombstoneCount()
 	s.TraceRecorded, s.TraceNoted = p.ring.Recorded(), p.ring.Noted()

@@ -15,13 +15,16 @@ package netnode
 // a holder.
 
 import (
+	"errors"
 	"fmt"
-	"hash/crc32"
+	"slices"
 	"sync"
 	"time"
 
 	"lesslog/internal/bitops"
+	"lesslog/internal/crc32c"
 	"lesslog/internal/msg"
+	"lesslog/internal/store"
 	"lesslog/internal/stream"
 )
 
@@ -39,17 +42,32 @@ const (
 )
 
 // upload is one staging session: the declared transfer shape and the
-// buffer being assembled. got maps chunk offsets to lengths so a
-// retransmitted chunk (same offset, same length) counts its bytes once,
-// while a contradictory one kills the session rather than splice payloads.
+// buffer being assembled. got records each staged range — offset to length
+// and the CRC-32C verified over the range where it lies in buf — so a
+// retransmitted chunk (same offset, same length) replaces its range's sum
+// with its bytes, a contradictory one kills the session rather than splice
+// payloads, and the commit knows the whole-file sum without a pass.
+//
+// The session's own lock covers the bytes of buf, got and closed, so chunks
+// of different uploads land and verify in parallel; the table's lock covers
+// the map, the byte budget and the deadlines.
 type upload struct {
 	name     string
 	total    uint64
 	fileCRC  uint32
-	buf      []byte
-	got      map[uint64]int
-	gotBytes uint64
-	deadline time.Time
+	deadline time.Time // under the table's mu
+
+	mu  sync.Mutex
+	buf []byte
+	got map[uint64]staged
+	// closed: a commit took buf (it may be a stored body by now) or a
+	// contradiction killed the session; nothing more may land in it.
+	closed bool
+}
+
+type staged struct {
+	ln  int
+	sum uint32
 }
 
 // uploadTable holds a peer's open staging sessions, keyed by token.
@@ -76,64 +94,108 @@ func (t *uploadTable) prune(now time.Time) uint64 {
 	return n
 }
 
-// stage applies one PutData frame: opens a session on token 0, otherwise
-// verifies the frame against the opened shape and copies the chunk in.
-func (t *uploadTable) stage(name string, pr *msg.PutReq) (token uint64, pruned uint64, err error) {
+// session resolves the session one PutData frame belongs to: a new one on
+// token 0, otherwise the opened one, checked against the shape it was opened
+// with. The chunk itself lands outside the table's lock (upload.stage).
+func (t *uploadTable) session(name string, pr *msg.PutReq) (u *upload, token uint64, pruned uint64, err error) {
 	now := time.Now()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	pruned = t.prune(now)
 	if pr.Token == 0 {
 		if pr.Offset != 0 {
-			return 0, pruned, fmt.Errorf("netnode: upload must open at offset 0")
+			return nil, 0, pruned, errors.New("netnode: upload must open at offset 0")
 		}
 		if len(t.m) >= maxUploadSessions || t.bytes+pr.TotalSize > maxStagedBytes {
-			return 0, pruned, fmt.Errorf("netnode: upload staging full")
+			return nil, 0, pruned, errors.New("netnode: upload staging full")
 		}
 		if t.m == nil {
 			t.m = make(map[uint64]*upload)
 		}
 		t.seq++
-		token = t.seq
-		u := &upload{
-			name: name, total: pr.TotalSize, fileCRC: pr.FileCRC,
-			buf: make([]byte, pr.TotalSize), got: make(map[uint64]int),
+		u = &upload{
+			name: name, total: pr.TotalSize, fileCRC: pr.FileCRC, deadline: now.Add(uploadTTL),
+			buf: make([]byte, pr.TotalSize), got: make(map[uint64]staged),
 		}
-		t.m[token] = u
+		t.m[t.seq] = u
 		t.bytes += pr.TotalSize
-		return token, pruned + t.stageChunk(u, token, pr, now), nil
+		return u, t.seq, pruned, nil
 	}
 	u, ok := t.m[pr.Token]
 	if !ok {
-		return 0, pruned, fmt.Errorf("netnode: unknown upload session")
+		return nil, 0, pruned, errUnknownSession
 	}
 	if u.name != name || u.total != pr.TotalSize || u.fileCRC != pr.FileCRC {
 		t.dropLocked(pr.Token)
-		return 0, pruned + 1, fmt.Errorf("netnode: put frame contradicts opened session")
+		return nil, 0, pruned + 1, errContradiction
 	}
-	return pr.Token, pruned + t.stageChunk(u, pr.Token, pr, now), nil
+	u.deadline = now.Add(uploadTTL)
+	return u, pr.Token, pruned, nil
 }
 
-// stageChunk copies one verified chunk into the session buffer. Caller
-// holds mu. A same-offset same-length frame is an idempotent retry; a
-// same-offset different-length frame can only splice two transfers, so
-// the session dies (returned as a prune for the abort counter) and err
-// stays nil — the caller surfaces the contradiction on the next frame.
-func (t *uploadTable) stageChunk(u *upload, token uint64, pr *msg.PutReq, now time.Time) uint64 {
-	if prev, dup := u.got[pr.Offset]; dup {
-		if prev == len(pr.Chunk) {
-			copy(u.buf[pr.Offset:], pr.Chunk)
-			u.deadline = now.Add(uploadTTL)
-			return 0
-		}
-		t.dropLocked(token)
-		return 1
+var (
+	errUnknownSession = errors.New("netnode: unknown upload session")
+	errContradiction  = errors.New("netnode: put frame contradicts opened session")
+	errChunkCRC       = errors.New("netnode: put chunk failed CRC")
+)
+
+// stage lands one chunk in the session buffer and verifies it there, once:
+// the sum recorded beside the range is of the bytes a commit will hand on.
+// A same-offset same-length frame is an idempotent retry; a same-offset
+// different-length frame can only splice two transfers, so the session dies
+// (errContradiction: the caller drops it). A chunk that fails its CRC has
+// dirtied the buffer under its span: every range recorded there is forgotten
+// and the session stays open for the uploader's retry. sum is the peer's
+// counted CRC-32C pass (sumBody).
+func (u *upload) stage(pr *msg.PutReq, sum func([]byte) uint32) error {
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	if u.closed {
+		return errUnknownSession
 	}
-	copy(u.buf[pr.Offset:], pr.Chunk)
-	u.got[pr.Offset] = len(pr.Chunk)
-	u.gotBytes += uint64(len(pr.Chunk))
-	u.deadline = now.Add(uploadTTL)
-	return 0
+	if prev, dup := u.got[pr.Offset]; dup && prev.ln != len(pr.Chunk) {
+		u.closed = true
+		return errContradiction
+	}
+	end := pr.Offset + uint64(len(pr.Chunk))
+	landed := u.buf[pr.Offset:end]
+	copy(landed, pr.Chunk)
+	verified := sum(landed)
+	if verified != pr.ChunkCRC {
+		for off, r := range u.got {
+			if off < end && pr.Offset < off+uint64(r.ln) {
+				delete(u.got, off)
+			}
+		}
+		return errChunkCRC
+	}
+	u.got[pr.Offset] = staged{ln: len(landed), sum: verified}
+	return nil
+}
+
+// seal closes the session for its commit and answers the whole-file sum of
+// what was staged: the ranges must tile [0,total) exactly — sorted,
+// contiguous, no overlap, no gap — and their sums, combined in that order,
+// are the sum of buf.
+func (u *upload) seal() (sum uint32, complete bool) {
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	u.closed = true
+	offs := make([]uint64, 0, len(u.got))
+	for off := range u.got {
+		offs = append(offs, off)
+	}
+	slices.Sort(offs)
+	var next uint64
+	for _, off := range offs {
+		if off != next {
+			return 0, false
+		}
+		r := u.got[off]
+		sum = crc32c.Combine(sum, r.sum, uint64(r.ln))
+		next += uint64(r.ln)
+	}
+	return sum, next == u.total
 }
 
 // dropLocked removes one session. Caller holds mu.
@@ -147,7 +209,8 @@ func (t *uploadTable) dropLocked(token uint64) bool {
 	return true
 }
 
-// drop removes one session (PutAbort), reporting whether it existed.
+// drop removes one session (PutAbort, or a contradiction), reporting whether
+// it existed.
 func (t *uploadTable) drop(token uint64) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -264,19 +327,21 @@ func (p *Peer) handlePut(req *msg.Request) *msg.Response {
 	}
 }
 
-// putStage verifies and stages one chunk. The chunk CRC check happens
-// before the table touch so a corrupted frame leaves the session intact
-// for the uploader's retry. The session token rides the response Version
-// field. Staging copies the chunk into the session buffer, so this handler
-// is the last user of the request's frame buffer (pr.Chunk points into it)
-// and releases it for the next chunk to be read into.
+// putStage stages one chunk and verifies it where it landed. A corrupted
+// frame leaves the session open for the uploader's retry. The session token
+// rides the response Version field. Staging copies the chunk into the
+// session buffer, so this handler is the last user of the request's frame
+// buffer (pr.Chunk points into it) and releases it for the next chunk to be
+// read into.
 func (p *Peer) putStage(req *msg.Request, pr *msg.PutReq) *msg.Response {
 	defer req.Release()
-	if crc32.Checksum(pr.Chunk, castagnoli) != pr.ChunkCRC {
-		return &msg.Response{Err: "netnode: put chunk failed CRC"}
-	}
-	token, pruned, err := p.uploads.stage(req.Name, pr)
+	u, token, pruned, err := p.uploads.session(req.Name, pr)
 	p.stats.StagedAborts.Add(pruned)
+	if err == nil {
+		if err = u.stage(pr, p.sumBody); errors.Is(err, errContradiction) && p.uploads.drop(token) {
+			p.stats.StagedAborts.Add(1)
+		}
+	}
 	if err != nil {
 		return &msg.Response{Err: err.Error()}
 	}
@@ -285,20 +350,21 @@ func (p *Peer) putStage(req *msg.Request, pr *msg.PutReq) *msg.Response {
 	return &msg.Response{OK: true, ServedBy: uint32(p.cfg.PID), Version: token}
 }
 
-// putCommit completes a staged upload: the whole-file CRC over the
-// assembled buffer is the authoritative completeness check (unfilled
-// ranges are zeros and cannot match), then the payload enters the normal
-// insert or update path — which is where versions are stamped and the
-// store's Persister/WAL hook fires, making this the first durable moment
-// of the transfer.
+// putCommit completes a staged upload: the staged ranges must tile the
+// declared size and their verified sums combine to the declared whole-file
+// CRC (an unfilled or doubly-filled range cannot), then the payload enters
+// the normal insert or update path with that sum beside it — which is where
+// versions are stamped and the store's Persister/WAL hook fires, making this
+// the first durable moment of the transfer.
 func (p *Peer) putCommit(req *msg.Request, pr *msg.PutReq) *msg.Response {
 	u, pruned := p.uploads.take(pr.Token)
 	p.stats.StagedAborts.Add(pruned)
 	if u == nil {
-		return &msg.Response{Err: "netnode: unknown upload session"}
+		return &msg.Response{Err: errUnknownSession.Error()}
 	}
+	sum, complete := u.seal()
 	if u.name != req.Name || u.total != pr.TotalSize || u.fileCRC != pr.FileCRC ||
-		u.gotBytes != u.total || crc32.Checksum(u.buf, castagnoli) != u.fileCRC {
+		!complete || sum != u.fileCRC {
 		p.stats.StagedAborts.Add(1)
 		return &msg.Response{Err: "netnode: upload incomplete or corrupt"}
 	}
@@ -308,10 +374,10 @@ func (p *Peer) putCommit(req *msg.Request, pr *msg.PutReq) *msg.Response {
 	}
 	if pr.Op == msg.PutInsert {
 		inner.Kind = msg.KindInsert
-		return p.handleInsert(inner)
+		return p.handleInsert(inner, crc{sum, true})
 	}
 	inner.Kind = msg.KindUpdate
-	return p.initiate(inner)
+	return p.initiate(inner, crc{sum, true})
 }
 
 // notifyEligible decides whether an update of n bytes propagates by
@@ -357,31 +423,34 @@ func (p *Peer) handleNotify(req *msg.Request) *msg.Response {
 	if err != nil {
 		return &msg.Response{Err: fmt.Sprintf("netnode: notify pull: %v", err)}
 	}
-	return p.applyStore(req, data, start)
+	return p.applyStore(req, data, crc{nr.FileCRC, true}, start)
 }
 
 // pullBody fetches the body a notify describes: the local outbox/store
 // first when this peer is itself listed (the origin applying its own
 // broadcast), then a striped chunked fetch across the remote sources. The
 // notify's size and whole-file CRC gate acceptance either way — a pull
-// can never apply bytes that do not match the broadcast's declared shape.
+// can never apply bytes that do not match the broadcast's declared shape —
+// against the sum the body already has: the one this peer remembers for its
+// own copy, the one the fetch verified every received byte against.
 func (p *Peer) pullBody(name string, version uint64, nr *msg.NotifyReq) ([]byte, error) {
 	srcs := make([]stream.Source, 0, len(nr.Sources))
 	for _, h := range nr.Sources {
 		if bitops.PID(h.PID) == p.cfg.PID {
 			if data, ver, ok := p.fetchLocal(name, version); ok && ver == version &&
-				uint64(len(data)) == nr.TotalSize && crc32.Checksum(data, castagnoli) == nr.FileCRC {
+				uint64(len(data)) == nr.TotalSize &&
+				p.fileSum(store.File{Name: name, Data: data, Version: ver}) == nr.FileCRC {
 				return data, nil
 			}
 			continue
 		}
 		srcs = append(srcs, stream.Source{PID: h.PID, Addr: h.Addr})
 	}
-	data, _, err := p.puller.Fetch(name, version, srcs)
+	data, _, sum, err := p.puller.FetchSummed(name, version, srcs)
 	if err != nil {
 		return nil, err
 	}
-	if uint64(len(data)) != nr.TotalSize || crc32.Checksum(data, castagnoli) != nr.FileCRC {
+	if uint64(len(data)) != nr.TotalSize || sum != nr.FileCRC {
 		return nil, fmt.Errorf("netnode: pulled body does not match notify shape")
 	}
 	p.stats.NotifyPulls.Add(1)

@@ -150,6 +150,7 @@ func (p *Peer) pullCopy(name string, h bitops.PID, budget *repair.Budget) bool {
 	if err != nil {
 		return false
 	}
+	var pulled crc // the sum a chunked pull verified the body against
 	if !resp.OK {
 		// A body over the frame cap cannot ride a whole-frame get
 		// (msg.OverFrameError): pull it through the chunk plane instead,
@@ -162,12 +163,12 @@ func (p *Peer) pullCopy(name string, h bitops.PID, budget *repair.Budget) bool {
 		if !ok {
 			return false
 		}
-		data, ver, ferr := p.puller.Fetch(name, resp.Version,
+		data, ver, sum, ferr := p.puller.FetchSummed(name, resp.Version,
 			[]stream.Source{{PID: uint32(h), Addr: addr}})
 		if ferr != nil {
 			return false
 		}
-		resp = &msg.Response{OK: true, Version: ver, Data: data}
+		resp, pulled = &msg.Response{OK: true, Version: ver, Data: data}, crc{sum, true}
 	}
 	budget.Spend(len(resp.Data))
 	p.propMu.RLock() // local apply serializes against Leave, as on broadcast paths
@@ -182,6 +183,7 @@ func (p *Peer) pullCopy(name string, h bitops.PID, budget *repair.Budget) bool {
 	if !applied {
 		return false // a concurrent update or deletion already superseded the pull
 	}
+	p.sums.put(name, resp.Version, len(resp.Data), pulled)
 	p.mergeClock(resp.Version)
 	p.stats.RepairPulled.Add(1)
 	p.log.Info("repair: pulled newer copy", "name", name, "from", uint32(h))

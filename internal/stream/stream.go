@@ -1,12 +1,13 @@
 // Package stream is the client half of the chunked data plane
 // (docs/ROUTING.md): it splits one large transfer into ranged KindFetch
 // requests on the direct client↔holder hop, stripes the ranges round-robin
-// across the file's replica set, and reassembles + checksum-verifies the
-// result. Each in-flight chunk is an independent request-ID frame over the
-// shared pipelined streams, so a 64 MiB transfer occupies a holder's
-// pipeline workers one bounded chunk at a time instead of pinning one
-// worker for the whole file, and a hot file's read bandwidth scales with
-// its copy count instead of re-hammering one holder.
+// across the file's replica set, and reassembles the result, checksumming
+// each range once, where it lands (docs/ROUTING.md "Checksums"). Each
+// in-flight chunk is an independent request-ID frame over the shared
+// pipelined streams, so a 64 MiB transfer occupies a holder's pipeline
+// workers one bounded chunk at a time instead of pinning one worker for the
+// whole file, and a hot file's read bandwidth scales with its copy count
+// instead of re-hammering one holder.
 //
 // Correctness under concurrent writes rests on the version pin: the head
 // chunk (offset 0) fixes the transfer's version, every later range carries
@@ -20,11 +21,11 @@ package stream
 import (
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"lesslog/internal/crc32c"
 	"lesslog/internal/msg"
 )
 
@@ -47,13 +48,11 @@ var (
 	// mid-transfer (a concurrent update or delete landed). The caller
 	// restarts the transfer; the partial buffer is discarded, never served.
 	ErrVersionGone = errors.New("stream: pinned version no longer held by any replica")
-	// ErrChecksum: reassembly completed but the whole-file CRC-32C did not
-	// match the holder-declared one. Never served; the caller refetches.
+	// ErrChecksum: reassembly completed but the verified ranges do not
+	// combine to the whole-file CRC-32C the holder declared. Never served;
+	// the caller refetches.
 	ErrChecksum = errors.New("stream: reassembled payload failed checksum")
 )
-
-// castagnoli matches the holder side's chunk and whole-file checksums.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Source is one replica-set member a transfer may fetch from.
 type Source struct {
@@ -114,6 +113,9 @@ type Stats struct {
 	Transfers     atomic.Uint64
 	ChunksFetched atomic.Uint64
 	ChunkRetries  atomic.Uint64
+	// ChecksummedBytes counts body bytes a CRC-32C pass ran over: one per
+	// byte received, whatever a transfer's size.
+	ChecksummedBytes atomic.Uint64
 	// InFlight gauges transfers currently being assembled; StripeWidth is
 	// the number of distinct replicas the most recent transfer actually
 	// fetched from.
@@ -156,6 +158,10 @@ type transfer struct {
 	used    []atomic.Bool // per-source: served at least one chunk
 	next    atomic.Uint64 // round-robin stripe cursor
 	gone    atomic.Bool   // a holder reported the pinned version superseded
+	// buf is the reassembly buffer of a multi-chunk transfer, sized by the
+	// head chunk before any body range runs; the workers fill disjoint
+	// ranges of it.
+	buf []byte
 }
 
 // evict reports a holder the transfer dropped, if the caller cares.
@@ -167,10 +173,9 @@ func (t *transfer) evict(i int, hard bool) {
 }
 
 // fetchRange performs one ranged request against source i, returning the
-// decoded, CRC-verified chunk and the response that owns its bytes: Chunk
-// points into resp.Data, so the caller releases resp once the chunk has
-// been copied to its destination (resp.Version is the version the holder
-// served). A failed range releases its own response.
+// decoded chunk — not yet verified, land does that — and the response that
+// owns its bytes: Chunk points into resp.Data (resp.Version is the version
+// the holder served). A failed range releases its own response.
 func (t *transfer) fetchRange(i int, offset uint64, length uint32) (*msg.FetchResp, *msg.Response, error) {
 	data, err := msg.AppendFetchReq(nil, msg.FetchReq{Offset: offset, Length: length})
 	if err != nil {
@@ -191,9 +196,6 @@ func (t *transfer) fetchRange(i int, offset uint64, length uint32) (*msg.FetchRe
 		return nil, nil, errors.New(resp.Err)
 	}
 	fr, err := msg.DecodeFetchResp(resp.Data)
-	if err == nil && crc32.Checksum(fr.Chunk, castagnoli) != fr.ChunkCRC {
-		err = fmt.Errorf("stream: chunk at %d failed CRC", offset)
-	}
 	if err != nil {
 		resp.Release()
 		return nil, nil, err
@@ -201,13 +203,40 @@ func (t *transfer) fetchRange(i int, offset uint64, length uint32) (*msg.FetchRe
 	return fr, resp, nil
 }
 
-// runRange fetches one range with retry-on-other-replica: starting at the
+// land moves a decoded range to where the transfer keeps it and checksums it
+// there, once, against the chunk CRC the holder sent. A head chunk that is
+// the whole body stays in its frame, which Fetch's caller ends up owning
+// (kept); every other range is copied into the reassembly buffer — the head
+// sizes it — and its frame released before the pass, so each byte Fetch
+// returns was verified in the memory returned. fr.Chunk points at the
+// verified bytes afterwards. A mismatch releases the frame if it was kept.
+func (t *transfer) land(head bool, offset uint64, fr *msg.FetchResp, resp *msg.Response) (kept bool, err error) {
+	kept = head && uint64(len(fr.Chunk)) == fr.TotalSize
+	if !kept {
+		if head && uint64(len(t.buf)) != fr.TotalSize {
+			t.buf = make([]byte, fr.TotalSize)
+		}
+		n := copy(t.buf[offset:], fr.Chunk)
+		resp.Release()
+		fr.Chunk = t.buf[offset : offset+uint64(n)]
+	}
+	t.f.stats.ChecksummedBytes.Add(uint64(len(fr.Chunk)))
+	if crc32c.Sum(fr.Chunk) != fr.ChunkCRC {
+		if kept {
+			resp.Release()
+		}
+		return false, fmt.Errorf("stream: chunk at %d failed CRC", offset)
+	}
+	return kept, nil
+}
+
+// runRange fetches one body range into the reassembly buffer with
+// retry-on-other-replica and returns its verified sum: starting at the
 // stripe cursor's replica, every live source is tried at most once. A
 // wrong-version refusal poisons the whole transfer (the pin is gone there;
 // if it is gone everywhere the transfer fails version-gone) but still
 // retries elsewhere — a lagging replica may simply not have caught up.
-// The returned response owns the chunk's bytes, as in fetchRange.
-func (t *transfer) runRange(offset uint64, length uint32) (*msg.FetchResp, *msg.Response, error) {
+func (t *transfer) runRange(offset uint64, length uint32) (uint32, error) {
 	n := len(t.sources)
 	start := int(t.next.Add(1)-1) % n
 	var lastErr error
@@ -221,9 +250,17 @@ func (t *transfer) runRange(offset uint64, length uint32) (*msg.FetchResp, *msg.
 		}
 		fr, resp, err := t.fetchRange(i, offset, length)
 		if err == nil {
+			if total := uint64(len(t.buf)); fr.TotalSize != total || len(fr.Chunk) != int(length) {
+				resp.Release()
+				return 0, fmt.Errorf("stream: range at %d answered %d bytes of total %d, want %d of %d",
+					offset, len(fr.Chunk), fr.TotalSize, length, total)
+			}
+			_, err = t.land(false, offset, fr, resp)
+		}
+		if err == nil {
 			t.used[i].Store(true)
 			t.f.stats.ChunksFetched.Add(1)
-			return fr, resp, nil
+			return fr.ChunkCRC, nil
 		}
 		lastErr = err
 		switch err.Error() {
@@ -239,7 +276,7 @@ func (t *transfer) runRange(offset uint64, length uint32) (*msg.FetchResp, *msg.
 	if lastErr == nil {
 		lastErr = ErrVersionGone
 	}
-	return nil, nil, lastErr
+	return 0, lastErr
 }
 
 // Fetch retrieves name from the replica set in sources, chunking and
@@ -256,8 +293,17 @@ func (t *transfer) runRange(offset uint64, length uint32) (*msg.FetchResp, *msg.
 // transfer hands the caller the chunk where it was read — the returned
 // slice points into that frame's buffer, which the caller now owns.
 func (f *Fetcher) Fetch(name string, pin uint64, sources []Source) ([]byte, uint64, error) {
+	data, version, _, err := f.FetchSummed(name, pin, sources)
+	return data, version, err
+}
+
+// FetchSummed is Fetch that also answers the payload's CRC-32C — the sum
+// the transfer verified the bytes against, so a caller holding a sum of its
+// own (a notify's) compares two numbers instead of passing over the payload
+// again.
+func (f *Fetcher) FetchSummed(name string, pin uint64, sources []Source) ([]byte, uint64, uint32, error) {
 	if len(sources) == 0 {
-		return nil, 0, ErrNotFound
+		return nil, 0, 0, ErrNotFound
 	}
 	f.stats.InFlight.Add(1)
 	defer f.stats.InFlight.Add(-1)
@@ -271,36 +317,33 @@ func (f *Fetcher) Fetch(name string, pin uint64, sources []Source) ([]byte, uint
 	// whole-file CRC the rest of the transfer is verified against.
 	head, headResp, err := t.headChunk()
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, 0, err
 	}
-	total := head.TotalSize
-	if uint64(len(head.Chunk)) == total {
-		// Single-chunk transfer: the chunk CRC fetchRange verified covered
-		// every byte of the file, so the file CRC must simply equal it.
+	if headResp != nil {
+		// Single-chunk transfer: the chunk CRC land verified covered every
+		// byte of the file, so the file CRC must simply equal it.
 		if head.ChunkCRC != head.FileCRC {
 			headResp.Release()
-			return nil, 0, ErrChecksum
+			return nil, 0, 0, ErrChecksum
 		}
 		f.noteDone(t)
-		return head.Chunk, t.version, nil
+		return head.Chunk, t.version, head.FileCRC, nil
 	}
 
-	buf := make([]byte, total)
-	headLen := copy(buf, head.Chunk)
-	fileCRC := head.FileCRC
-	headResp.Release()
+	total := head.TotalSize
 	chunk := uint64(f.cfg.ChunkSize)
 	type rng struct {
 		off uint64
 		ln  uint32
+		sum uint32 // verified by the worker that landed the range
 	}
 	var ranges []rng
-	for off := uint64(headLen); off < total; off += chunk {
+	for off := uint64(len(head.Chunk)); off < total; off += chunk {
 		ln := chunk
 		if off+ln > total {
 			ln = total - off
 		}
-		ranges = append(ranges, rng{off, uint32(ln)})
+		ranges = append(ranges, rng{off: off, ln: uint32(ln)})
 	}
 
 	// Bounded in-flight window: Window workers drain the range list, each
@@ -325,18 +368,7 @@ func (f *Fetcher) Fetch(name string, pin uint64, sources []Source) ([]byte, uint
 				if i >= len(ranges) {
 					return
 				}
-				fr, resp, err := t.runRange(ranges[i].off, ranges[i].ln)
-				if err == nil {
-					if fr.TotalSize != total || uint64(len(fr.Chunk)) != uint64(ranges[i].ln) {
-						err = fmt.Errorf("stream: range at %d answered %d bytes of total %d, want %d of %d",
-							ranges[i].off, len(fr.Chunk), fr.TotalSize, ranges[i].ln, total)
-					} else {
-						copy(buf[ranges[i].off:], fr.Chunk)
-					}
-					// The chunk is in the reassembly buffer (or unwanted):
-					// its frame buffer goes back for the next range.
-					resp.Release()
-				}
+				sum, err := t.runRange(ranges[i].off, ranges[i].ln)
 				if err != nil {
 					failMu.Lock()
 					if failErr == nil {
@@ -346,28 +378,36 @@ func (f *Fetcher) Fetch(name string, pin uint64, sources []Source) ([]byte, uint
 					failed.Store(true)
 					return
 				}
+				ranges[i].sum = sum
 			}
 		}()
 	}
 	wg.Wait()
 	if failErr != nil {
 		if t.gone.Load() && (failErr.Error() == msg.WrongVersionError || allDead(t)) {
-			return nil, 0, ErrVersionGone
+			return nil, 0, 0, ErrVersionGone
 		}
-		return nil, 0, failErr
+		return nil, 0, 0, failErr
 	}
-	if crc32.Checksum(buf, castagnoli) != fileCRC {
-		return nil, 0, ErrChecksum
+	// Every byte of buf was checksummed where it lies; the whole-file gate is
+	// the combination of those sums, in offset order, against the head's.
+	sum := head.ChunkCRC
+	for _, r := range ranges {
+		sum = crc32c.Combine(sum, r.sum, uint64(r.ln))
+	}
+	if sum != head.FileCRC {
+		return nil, 0, 0, ErrChecksum
 	}
 	f.noteDone(t)
-	return buf, t.version, nil
+	return t.buf, t.version, sum, nil
 }
 
 // headChunk fetches offset 0 from the first willing source, pinning the
 // transfer's version. Classification differs from body ranges: a set that
 // is entirely not-holder is ErrNotFound (re-locate); a wrong-version
-// refusal under a caller pin is ErrVersionGone. The returned response owns
-// the chunk's bytes, as in fetchRange.
+// refusal under a caller pin is ErrVersionGone. The head comes back landed
+// and verified: with the response that owns its bytes when it is the whole
+// body, with a nil response when it opens the reassembly buffer (land).
 func (t *transfer) headChunk() (*msg.FetchResp, *msg.Response, error) {
 	n := len(t.sources)
 	start := int(t.next.Add(1)-1) % n
@@ -377,15 +417,22 @@ func (t *transfer) headChunk() (*msg.FetchResp, *msg.Response, error) {
 		i := (start + k) % n
 		fr, resp, err := t.fetchRange(i, 0, uint32(t.f.cfg.ChunkSize))
 		if err == nil {
-			// Pin: zero-pin callers adopt the head's version; every body
-			// range (and head retries against other replicas under a caller
-			// pin) must match it exactly.
-			if t.version == 0 {
-				t.version = resp.Version
+			served := resp.Version
+			var kept bool
+			if kept, err = t.land(true, 0, fr, resp); !kept {
+				resp = nil
 			}
-			t.used[i].Store(true)
-			t.f.stats.ChunksFetched.Add(1)
-			return fr, resp, nil
+			if err == nil {
+				// Pin: zero-pin callers adopt the head's version; every body
+				// range (and head retries against other replicas under a
+				// caller pin) must match it exactly.
+				if t.version == 0 {
+					t.version = served
+				}
+				t.used[i].Store(true)
+				t.f.stats.ChunksFetched.Add(1)
+				return fr, resp, nil
+			}
 		}
 		if k > 0 {
 			t.f.stats.ChunkRetries.Add(1)

@@ -8,16 +8,18 @@ package stream
 // at one peer — but the same windowing keeps a 64 MiB upload from
 // pinning a pipeline worker per transfer, and the per-chunk CRC plus the
 // commit's whole-file CRC give the peer the same never-splice guarantee
-// the fetch path has.
+// the fetch path has. The payload is checksummed once, chunk by chunk; the
+// whole-file CRC is the combination of those sums (docs/ROUTING.md
+// "Checksums").
 
 import (
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"lesslog/internal/crc32c"
 	"lesslog/internal/msg"
 )
 
@@ -30,6 +32,9 @@ type UploadStats struct {
 	ChunksSent atomic.Uint64
 	BytesSent  atomic.Uint64
 	Aborts     atomic.Uint64
+	// ChecksummedBytes counts payload bytes a CRC-32C pass ran over: one
+	// per byte offered to Put.
+	ChecksummedBytes atomic.Uint64
 }
 
 // Uploader runs staged chunked uploads over one transport. Safe for
@@ -97,39 +102,44 @@ func (u *Uploader) Put(addr, name string, data []byte, op msg.PutOp) (*msg.Respo
 		return nil, fmt.Errorf("stream: put op %d is not a commit op", op)
 	}
 	total := uint64(len(data))
-	fileCRC := crc32.Checksum(data, castagnoli)
 	chunk := uint64(u.cfg.ChunkSize)
+
+	// One pass sums every chunk; the whole-file CRC every frame declares is
+	// their combination, and each frame reuses its chunk's sum. The first
+	// range — empty for an empty payload — is the opening frame.
+	type rng struct {
+		off, ln uint64
+		sum     uint32
+	}
+	var (
+		ranges  []rng
+		fileCRC uint32
+	)
+	for off := uint64(0); off < total || len(ranges) == 0; off += chunk {
+		ln := chunk
+		if off+ln > total {
+			ln = total - off
+		}
+		sum := crc32c.Sum(data[off : off+ln])
+		ranges = append(ranges, rng{off, ln, sum})
+		fileCRC = crc32c.Combine(fileCRC, sum, ln)
+	}
+	u.stats.ChecksummedBytes.Add(total)
 
 	// Opening frame alone: it creates the session and returns the token
 	// the rest of the transfer rides under.
-	headLen := chunk
-	if headLen > total {
-		headLen = total
-	}
-	head := data[:headLen]
+	head := ranges[0]
+	ranges = ranges[1:]
 	resp, err := u.putFrame(addr, name, &msg.PutReq{
 		Op: msg.PutData, TotalSize: total, FileCRC: fileCRC,
-		ChunkCRC: crc32.Checksum(head, castagnoli), Chunk: head,
-	}, PullDeadline(headLen))
+		ChunkCRC: head.sum, Chunk: data[:head.ln],
+	}, PullDeadline(head.ln))
 	if err != nil {
 		return nil, err
 	}
 	token := resp.Version
 	u.stats.ChunksSent.Add(1)
-	u.stats.BytesSent.Add(headLen)
-
-	type rng struct {
-		off uint64
-		ln  uint64
-	}
-	var ranges []rng
-	for off := headLen; off < total; off += chunk {
-		ln := chunk
-		if off+ln > total {
-			ln = total - off
-		}
-		ranges = append(ranges, rng{off, ln})
-	}
+	u.stats.BytesSent.Add(head.ln)
 
 	// Bounded in-flight window, mirroring Fetch: Window workers drain the
 	// range list, each chunk an independent pipelined frame.
@@ -157,7 +167,7 @@ func (u *Uploader) Put(addr, name string, data []byte, op msg.PutOp) (*msg.Respo
 				_, err := u.putFrame(addr, name, &msg.PutReq{
 					Op: msg.PutData, Token: token, Offset: ranges[i].off,
 					TotalSize: total, FileCRC: fileCRC,
-					ChunkCRC: crc32.Checksum(c, castagnoli), Chunk: c,
+					ChunkCRC: ranges[i].sum, Chunk: c,
 				}, PullDeadline(ranges[i].ln))
 				if err != nil {
 					failMu.Lock()
