@@ -58,7 +58,7 @@ func main() {
 		dialTO   = flag.Duration("dial-timeout", transport.DefaultDialTimeout, "gateway: peer connection establishment deadline")
 		rpcTO    = flag.Duration("rpc-timeout", transport.DefaultRPCTimeout, "gateway: per-RPC write+read deadline")
 		retries  = flag.Int("retries", transport.DefaultRetries, "gateway: extra attempts for idempotent peer RPCs (-1 disables)")
-		pool     = flag.Int("pool", transport.DefaultPoolSize, "gateway: idle connections kept per peer (-1 dials per call)")
+		pool     = flag.Int("pool", transport.DefaultPoolSize, "gateway: idle connections kept per peer (-1 keeps none: every exchange dials a one-exchange stream)")
 		pipeWk   = flag.Int("pipeline-workers", transport.DefaultPipelineWorkers, "gateway: concurrent pipelined requests handled per client connection")
 		load     = flag.String("load", "", "load generator: target address (runs the 80/20 workload instead of serving)")
 		files    = flag.Int("files", 50, "load generator: working-set size (hot set is the first 20%)")

@@ -102,7 +102,7 @@ func main() {
 		dialTO    = flag.Duration("dial-timeout", transport.DefaultDialTimeout, "server: peer connection establishment deadline")
 		rpcTO     = flag.Duration("rpc-timeout", transport.DefaultRPCTimeout, "server: per-RPC write+read deadline")
 		retries   = flag.Int("retries", transport.DefaultRetries, "server: extra attempts for idempotent peer RPCs (-1 disables)")
-		pool      = flag.Int("pool", transport.DefaultPoolSize, "server: idle connections kept per peer (-1 dials per call)")
+		pool      = flag.Int("pool", transport.DefaultPoolSize, "server: idle connections kept per peer (-1 keeps none: every exchange dials a one-exchange stream)")
 		pipeWk    = flag.Int("pipeline-workers", transport.DefaultPipelineWorkers, "server: concurrent pipelined requests handled per connection")
 		fanWk     = flag.Int("fanout-workers", netnode.DefaultFanoutWorkers, "server: concurrent broadcast RPC legs per update/delete")
 		admin     = flag.String("admin", "", "server: admin HTTP address for /metrics, /healthz, /trees, /debug/pprof ('' disables)")

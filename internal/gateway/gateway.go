@@ -213,11 +213,11 @@ type Gateway struct {
 	log      *slog.Logger
 
 	// sampler/ring are the edge trace plane; both nil with tracing
-	// disabled (every touch point is nil-safe). traceSeq feeds fresh
+	// disabled (every touch point is nil-safe). traceIDs feeds fresh
 	// trace IDs.
 	sampler  *tracering.Sampler
 	ring     *tracering.Ring
-	traceSeq atomic.Uint64
+	traceIDs tracering.IDSeq
 
 	// pipelineDepth is the number of pipelined client requests currently
 	// being handled across the gateway's wire connections.
@@ -251,7 +251,7 @@ func New(cfg Config) (*Gateway, error) {
 		}
 		g.sampler = tracering.NewSampler(cfg.TraceSampleEvery)
 		g.ring = tracering.NewRing(cfg.TraceRingSize, slow)
-		g.traceSeq.Store(uint64(time.Now().UnixNano()) ^ uint64(msg.GatewayPID)<<32)
+		g.traceIDs.Seed(uint64(time.Now().UnixNano()) ^ uint64(msg.GatewayPID)<<32)
 	}
 	g.det = transport.NewDetector(g.tr.Config().FailThreshold, g.peerDown, g.peerUp)
 	g.client = netnode.NewLocateClientOver(g.peers, g.det, g.tr, netnode.LocateOptions{

@@ -12,8 +12,6 @@ package gateway
 import (
 	"encoding/json"
 	"fmt"
-	"net"
-	"sync"
 	"time"
 
 	"lesslog/internal/msg"
@@ -22,94 +20,36 @@ import (
 
 // Server is a running gateway wire listener.
 type Server struct {
-	g    *Gateway
-	ln   net.Listener
-	addr string // ln's bound address, formatted once
-
-	mu     sync.Mutex
-	conns  map[net.Conn]struct{}
-	closed bool
-	wg     sync.WaitGroup
+	g   *Gateway
+	srv *transport.Server
 }
 
 // Listen binds the gateway's client-facing socket ("127.0.0.1:0" picks a
 // free port) and starts serving msg frames.
 func (g *Gateway) Listen(addr string) (*Server, error) {
-	ln, err := net.Listen("tcp", addr)
+	s := &Server{g: g}
+	var err error
+	s.srv, err = transport.Listen(addr, s.handle, transport.ServeLoopOptions{
+		Workers: g.cfg.PipelineWorkers,
+		Depth:   &g.pipelineDepth,
+		OnProtoError: func(err error) {
+			g.counters.ProtoErrors.Inc()
+			g.log.Debug("client connection protocol error", "err", err)
+		},
+	})
 	if err != nil {
 		return nil, fmt.Errorf("gateway: listen %s: %w", addr, err)
 	}
-	s := &Server{g: g, ln: ln, addr: ln.Addr().String(), conns: map[net.Conn]struct{}{}}
-	s.wg.Add(1)
-	go s.acceptLoop()
-	g.log.Info("gateway listening", "addr", s.addr, "peers", len(g.peers))
+	g.log.Info("gateway listening", "addr", s.Addr(), "peers", len(g.peers))
 	return s, nil
 }
 
 // Addr returns the server's bound address.
-func (s *Server) Addr() string { return s.addr }
+func (s *Server) Addr() string { return s.srv.Addr() }
 
 // Close stops the listener and every open client connection, then awaits
 // in-flight handlers. The gateway itself stays usable.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	s.closed = true
-	open := make([]net.Conn, 0, len(s.conns))
-	for c := range s.conns {
-		open = append(open, c)
-	}
-	s.mu.Unlock()
-	err := s.ln.Close()
-	for _, c := range open {
-		c.Close()
-	}
-	s.wg.Wait()
-	return err
-}
-
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			defer func() {
-				conn.Close()
-				s.mu.Lock()
-				delete(s.conns, conn)
-				s.mu.Unlock()
-			}()
-			s.serveConn(conn)
-		}()
-	}
-}
-
-// serveConn serves one client connection through the pipelined serve
-// loop: ID-framed requests dispatch to a bounded worker pool and respond
-// out of order, so a client waiting on a slow fabric fetch does not stall
-// its cache hits; legacy un-ID'd frames keep strict FIFO ordering.
-func (s *Server) serveConn(conn net.Conn) {
-	transport.ServeLoop(conn, s.handle, transport.ServeLoopOptions{
-		Workers: s.g.cfg.PipelineWorkers,
-		Depth:   &s.g.pipelineDepth,
-		OnProtoError: func(err error) {
-			s.g.counters.ProtoErrors.Inc()
-			s.g.log.Debug("client connection protocol error", "err", err)
-		},
-	})
-}
+func (s *Server) Close() error { return s.srv.Close() }
 
 // handle serves one client frame: edge trace sampling around the
 // dispatch. Sampled (or client-traced) requests are recorded in the
@@ -161,7 +101,7 @@ func (s *Server) dispatch(req *msg.Request) *msg.Response {
 		traceID := uint64(0)
 		if req.Flags&msg.FlagTrace != 0 {
 			if traceID = req.TraceID; traceID == 0 {
-				traceID = s.g.nextTraceID()
+				traceID = s.g.traceIDs.Next()
 			}
 		}
 		req.Keep() // an acknowledged write's Data goes into the write-through cache
@@ -187,39 +127,12 @@ func (s *Server) dispatch(req *msg.Request) *msg.Response {
 // the gateway's own dispatch — a hot batched get is a cache hit here, not
 // a fabric round-trip. (Sub-gets currently resolve one coalesced fetch
 // each rather than re-packing the misses into one upstream frame; use
-// Gateway.GetMany for that.)
+// Gateway.GetMany for that.) A traced batch comes back as one trace tree
+// under the one edge root (msg.ServeBatch).
 func (s *Server) handleBatch(req *msg.Request) *msg.Response {
-	subs, err := msg.DecodeBatchRequests(req.Data)
+	resp, err := msg.ServeBatch(req, s.dispatch)
 	if err != nil {
-		return &msg.Response{Err: fmt.Sprintf("gateway: batch decode: %v", err)}
-	}
-	// A traced batch spreads its trace onto every sub-request — one ID,
-	// one edge root — and splices each sub-route back into the outer
-	// response, so the client sees the whole batch as one trace tree.
-	traced := req.Flags&msg.FlagTrace != 0
-	var hops []msg.Hop
-	resps := make([]*msg.Response, len(subs))
-	for i, sub := range subs {
-		if traced {
-			sub.Flags |= msg.FlagTrace
-			sub.TraceID = req.TraceID
-			sub.Path = req.Path
-		}
-		resps[i] = s.dispatch(sub)
-		if sp := resps[i].Path; traced && len(sp) > len(req.Path) {
-			hops = append(hops, sp[len(req.Path):]...)
-		}
-	}
-	data, err := msg.AppendBatchResponses(nil, resps)
-	if err != nil {
-		return &msg.Response{Err: fmt.Sprintf("gateway: batch encode: %v", err)}
-	}
-	resp := &msg.Response{OK: true, Data: data}
-	if traced {
-		resp.Path = append(append([]msg.Hop(nil), req.Path...), hops...)
-		if len(resp.Path) > msg.MaxHops {
-			resp.Path = resp.Path[:msg.MaxHops]
-		}
+		return &msg.Response{Err: fmt.Sprintf("gateway: %v", err)}
 	}
 	return resp
 }

@@ -19,22 +19,6 @@ import (
 	"lesslog/internal/tracering"
 )
 
-// nextTraceID derives a fresh non-zero trace ID from the gateway's
-// sequence (splitmix64 finalizer — well-spread IDs without lock
-// contention).
-func (g *Gateway) nextTraceID() uint64 {
-	x := g.traceSeq.Add(0x9E3779B97F4A7C15)
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	if x == 0 {
-		x = 1
-	}
-	return x
-}
-
 // isEdgeRequest reports whether req is a client operation the gateway
 // interposes — the requests worth tracing at the edge. Forwarded
 // plumbing kinds (store, has, table, stat, ...) belong to whoever sent
@@ -74,7 +58,7 @@ func (g *Gateway) stampEdge(req *msg.Request) {
 func (g *Gateway) sampleEdge(req *msg.Request) (sampled, promoted bool) {
 	if req.Flags&msg.FlagTrace != 0 {
 		if req.TraceID == 0 {
-			req.TraceID = g.nextTraceID()
+			req.TraceID = g.traceIDs.Next()
 		}
 		g.stampEdge(req)
 		return true, false
@@ -82,7 +66,7 @@ func (g *Gateway) sampleEdge(req *msg.Request) (sampled, promoted bool) {
 	if !g.sampler.Sample() {
 		return false, false
 	}
-	req.TraceID = g.nextTraceID()
+	req.TraceID = g.traceIDs.Next()
 	switch req.Kind {
 	case msg.KindInsert, msg.KindUpdate, msg.KindDelete:
 		req.Flags |= msg.FlagTrace

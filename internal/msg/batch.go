@@ -9,7 +9,10 @@ package msg
 // sub-request is rejected at decode time, so a malicious frame cannot
 // recurse the peer-side dispatcher.
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // AppendBatchRequests encodes reqs as a KindBatch payload onto b. Each
 // sub-request obeys the ordinary request limits; KindBatch sub-requests
@@ -70,6 +73,46 @@ func DecodeBatchRequests(b []byte) ([]*Request, error) {
 		return nil, ErrCorrupt
 	}
 	return reqs, nil
+}
+
+// ServeBatch answers a KindBatch request: every sub-request runs through
+// handle and the sub-responses travel back in one frame, in order. The
+// decoder rejects nested batches, so handle is never given one. A traced
+// batch spreads its trace onto every sub-request — each sub walks its own
+// route under the shared TraceID and path — and the answer's Path is the
+// batch's own followed by what each sub-route added to it, capped at
+// MaxHops (a truncated trace beats a failed response). The error says which
+// half failed ("batch decode: …", "batch encode: …"); the caller owns the
+// answer's ServedBy.
+func ServeBatch(req *Request, handle func(*Request) *Response) (*Response, error) {
+	subs, err := DecodeBatchRequests(req.Data)
+	if err != nil {
+		return nil, fmt.Errorf("batch decode: %w", err)
+	}
+	traced := req.Flags&FlagTrace != 0
+	resp := &Response{OK: true}
+	if traced {
+		resp.Path = append([]Hop(nil), req.Path...)
+	}
+	resps := make([]*Response, len(subs))
+	for i, sub := range subs {
+		if traced {
+			sub.Flags |= FlagTrace
+			sub.TraceID = req.TraceID
+			sub.Path = req.Path
+		}
+		resps[i] = handle(sub)
+		if sp := resps[i].Path; traced && len(sp) > len(req.Path) {
+			resp.Path = append(resp.Path, sp[len(req.Path):]...)
+		}
+	}
+	if len(resp.Path) > MaxHops {
+		resp.Path = resp.Path[:MaxHops]
+	}
+	if resp.Data, err = AppendBatchResponses(nil, resps); err != nil {
+		return nil, fmt.Errorf("batch encode: %w", err)
+	}
+	return resp, nil
 }
 
 // AppendBatchResponses encodes the sub-responses of a served batch onto b.

@@ -3,6 +3,7 @@ package msg
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -120,6 +121,52 @@ func TestBatchSizeLimits(t *testing.T) {
 		{Kind: KindStore, Name: "b", Data: big},
 	}); err != ErrFrameTooLarge {
 		t.Fatalf("over-size batch: err = %v, want ErrFrameTooLarge", err)
+	}
+}
+
+// TestServeBatch: every sub-request is handled in order under the batch's
+// trace, the answer's path is the batch's own plus what each sub-route added
+// to it and never exceeds MaxHops, and a payload that is not a batch fails as
+// a decode error the caller prefixes.
+func TestServeBatch(t *testing.T) {
+	data, err := AppendBatchRequests(nil, []*Request{{Kind: KindGet, Name: "a"}, {Kind: KindGet, Name: "b"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := []Hop{{PID: 9, Parent: NoParent, Action: HopEdge}}
+	long := make([]Hop, MaxHops-1) // what each sub-route adds: two of them overflow one answer
+	handle := func(sub *Request) *Response {
+		if sub.Flags&FlagTrace == 0 {
+			return &Response{OK: true, Data: []byte(sub.Name)}
+		}
+		if sub.TraceID != 7 || len(sub.Path) != 1 {
+			t.Errorf("sub %q: trace %d path %v, want the batch's", sub.Name, sub.TraceID, sub.Path)
+		}
+		return &Response{OK: true, Data: []byte(sub.Name), Path: append(append([]Hop(nil), sub.Path...), long...)}
+	}
+	for _, traced := range []bool{false, true} {
+		req := &Request{Kind: KindBatch, Data: data}
+		if traced {
+			req.Flags, req.TraceID, req.Path = FlagTrace, 7, root
+		}
+		resp, err := ServeBatch(req, handle)
+		if err != nil || !resp.OK {
+			t.Fatalf("traced=%v: %+v, %v", traced, resp, err)
+		}
+		subs, err := DecodeBatchResponses(resp.Data)
+		if err != nil || len(subs) != 2 || string(subs[0].Data) != "a" || string(subs[1].Data) != "b" {
+			t.Fatalf("traced=%v: sub-responses %v, %v", traced, subs, err)
+		}
+		if want := map[bool]int{false: 0, true: MaxHops}[traced]; len(resp.Path) != want {
+			t.Fatalf("traced=%v: answer carries %d hops, want %d", traced, len(resp.Path), want)
+		}
+		if traced && resp.Path[0] != root[0] {
+			t.Fatalf("answer's path starts %+v, want the batch's own root", resp.Path[0])
+		}
+	}
+	if _, err := ServeBatch(&Request{Kind: KindBatch, Data: []byte{0, 0}}, handle); err == nil ||
+		err.Error() != "batch decode: msg: corrupt frame" || !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("garbage batch: err = %v", err)
 	}
 }
 

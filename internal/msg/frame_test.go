@@ -78,7 +78,7 @@ func TestLargeFrameAllocBudget(t *testing.T) {
 			if err := WriteResponseID(&wire, resp, 7); err != nil {
 				t.Fatal(err)
 			}
-			got, _, _, err := ReadResponseID(&wire)
+			got, _, err := ReadResponseID(&wire)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -95,7 +95,7 @@ func TestLargeFrameAllocBudget(t *testing.T) {
 			if err := WriteRequestID(&wire, req, 7); err != nil {
 				t.Fatal(err)
 			}
-			got, _, _, err := ReadRequestID(&wire)
+			got, _, err := ReadRequestID(&wire)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -148,7 +148,7 @@ func TestSmallFrameAllocBudget(t *testing.T) {
 	}{
 		{"lent request", func() {
 			WriteRequestID(&wire, req, 1)
-			r, lease, _, _, err := ReadRequestLent(br)
+			r, lease, _, err := ReadRequestLent(br)
 			if err != nil || !r.lent || !bytes.Equal(r.Data, body) {
 				t.Fatalf("lent request: err %v, lent %v", err, r != nil && r.lent)
 			}
@@ -156,7 +156,7 @@ func TestSmallFrameAllocBudget(t *testing.T) {
 		}, 2, 512},
 		{"lent request, kept", func() {
 			WriteRequestID(&wire, req, 1)
-			r, lease, _, _, err := ReadRequestLent(br)
+			r, lease, _, err := ReadRequestLent(br)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -165,13 +165,13 @@ func TestSmallFrameAllocBudget(t *testing.T) {
 		}, 3, 512 + 4<<10},
 		{"copied request", func() {
 			WriteRequestID(&wire, req, 1)
-			if r, _, _, err := ReadRequestID(br); err != nil || r.frame != nil || r.lent {
+			if r, _, err := ReadRequestID(br); err != nil || r.frame != nil || r.lent {
 				t.Fatalf("small request: err %v, still borrows a buffer: %v", err, r != nil)
 			}
 		}, 3, 512 + 4<<10},
 		{"response", func() {
 			WriteResponseID(&wire, resp, 1)
-			if r, _, _, err := ReadResponseID(br); err != nil || r.frame != nil {
+			if r, _, err := ReadResponseID(br); err != nil || r.frame != nil {
 				t.Fatalf("small response: err %v, owns a frame: %v", err, r != nil)
 			}
 		}, 2, 512 + 4<<10},
@@ -203,9 +203,9 @@ func TestKeepSurvivesRelease(t *testing.T) {
 	if err := WriteRequestID(&wire, &Request{Kind: KindStore, Name: "kept", Data: body}, 3); err != nil {
 		t.Fatal(err)
 	}
-	req, lease, id, hasID, err := ReadRequestLent(&wire)
-	if err != nil || id != 3 || !hasID || !req.lent {
-		t.Fatalf("read: err %v id %d hasID %v", err, id, hasID)
+	req, lease, id, err := ReadRequestLent(&wire)
+	if err != nil || id != 3 || !req.lent {
+		t.Fatalf("read: err %v id %d", err, id)
 	}
 	borrowed := *req // a struct copy is lent too, and keeps for itself alone
 	kept := *req
@@ -228,8 +228,8 @@ func TestKeepSurvivesRelease(t *testing.T) {
 	// The next requests of the connection are read into the same pool.
 	for i := 0; i < 8; i++ {
 		wire.Reset()
-		WriteRequest(&wire, &Request{Kind: KindStore, Name: "next", Data: bytes.Repeat([]byte{byte(i)}, 4<<10)})
-		_, l, _, _, err := ReadRequestLent(&wire)
+		WriteRequestID(&wire, &Request{Kind: KindStore, Name: "next", Data: bytes.Repeat([]byte{byte(i)}, 4<<10)}, 4)
+		_, l, _, err := ReadRequestLent(&wire)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -245,15 +245,15 @@ func TestKeepSurvivesRelease(t *testing.T) {
 		t.Fatal("Keep copied the Data of a request that was never lent")
 	}
 	wire.Reset()
-	WriteRequest(&wire, &Request{Kind: KindGet, Name: "no payload"})
-	empty, l, _, _, err := ReadRequestLent(&wire)
+	WriteRequestID(&wire, &Request{Kind: KindGet, Name: "no payload"}, 5)
+	empty, l, _, err := ReadRequestLent(&wire)
 	if err != nil || empty.lent || l != (Lease{}) || empty.Data != nil {
 		t.Fatalf("a request without payload must borrow nothing: err %v lent %v", err, empty != nil && empty.lent)
 	}
 	large, _ := chunkFrames(t, readChunk+1)
 	wire.Reset()
-	WriteRequest(&wire, large)
-	owned, l, _, _, err := ReadRequestLent(&wire)
+	WriteRequestID(&wire, large, 6)
+	owned, l, _, err := ReadRequestLent(&wire)
 	if err != nil || owned.lent || l != (Lease{}) || owned.frame == nil {
 		t.Fatalf("a large frame owns its buffer and borrows nothing: err %v", err)
 	}
@@ -280,9 +280,9 @@ func TestLyingPrefixAllocationBound(t *testing.T) {
 		{"1 MiB declared, just over half sent", 1 << 20, 1<<19 + 1},
 	} {
 		drainFrameList()
-		stream := append(binary.BigEndian.AppendUint32(nil, uint32(tc.declared)), make([]byte, tc.sent)...)
+		stream := lyingFrame(tc.declared, make([]byte, tc.sent))
 		got := bytesPerRun(5, func() {
-			if _, err := ReadRequest(bytes.NewReader(stream)); err == nil {
+			if _, _, err := ReadRequestID(bytes.NewReader(stream)); err == nil {
 				t.Fatalf("%s: truncated frame accepted", tc.name)
 			}
 		})
@@ -302,10 +302,10 @@ func TestReleaseRecyclesAndPoisons(t *testing.T) {
 	var wire bytes.Buffer
 	read := func() *Response {
 		wire.Reset()
-		if err := WriteResponse(&wire, resp); err != nil {
+		if err := WriteResponseID(&wire, resp, 8); err != nil {
 			t.Fatal(err)
 		}
-		got, err := ReadResponse(&wire)
+		got, _, err := ReadResponseID(&wire)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -404,22 +404,23 @@ func joinedResponse(r *Response) *Response {
 	return &j
 }
 
-// legacyFrame is the frame the pre-segment writer produced: header word,
+// goldenFrame is the frame the pre-segment writer produced: header word,
 // ID, then the contiguous AppendRequest/AppendResponse encoding.
-func legacyFrame(tb testing.TB, payload []byte, err error, id uint64, hasID bool) []byte {
-	tb.Helper()
+func goldenFrame(tb testing.TB, payload []byte, err error, id uint64) []byte {
 	if err != nil {
+		tb.Helper()
 		tb.Fatal(err)
 	}
-	word := uint32(len(payload))
-	if hasID {
-		word |= FrameIDBit
-	}
-	frame := binary.BigEndian.AppendUint32(nil, word)
-	if hasID {
-		frame = binary.BigEndian.AppendUint64(frame, id)
-	}
+	frame := binary.BigEndian.AppendUint32(nil, uint32(len(payload))|FrameIDBit)
+	frame = binary.BigEndian.AppendUint64(frame, id)
 	return append(frame, payload...)
+}
+
+// lyingFrame is a frame whose header declares more payload than follows it.
+func lyingFrame(declared int, sent []byte) []byte {
+	frame := goldenFrame(nil, sent, nil, 9)
+	binary.BigEndian.PutUint32(frame, FrameIDBit|uint32(declared))
+	return frame
 }
 
 // TestGoldenWireFrames: for every kind, the segmented writer puts on the
@@ -432,49 +433,35 @@ func TestGoldenWireFrames(t *testing.T) {
 	var wire bytes.Buffer
 	for _, r := range reqs {
 		payload, err := AppendRequest(nil, joinedRequest(r))
-		for _, hasID := range []bool{false, true} {
-			want := legacyFrame(t, payload, err, 42, hasID)
-			wire.Reset()
-			if hasID {
-				err = WriteRequestID(&wire, r, 42)
-			} else {
-				err = WriteRequest(&wire, r)
-			}
-			if err != nil || !bytes.Equal(wire.Bytes(), want) {
-				t.Fatalf("request %v, %d+%d payload bytes, id=%v: err %v, frame differs from AppendRequest's",
-					r.Kind, len(r.Data), len(r.Tail), hasID, err)
-			}
-			split, err := AppendRequest(nil, r)
-			if err != nil || !bytes.Equal(split, payload) {
-				t.Fatalf("request %v: AppendRequest of Data‖Tail differs from the joined encoding", r.Kind)
-			}
-			got, id, gotID, err := ReadRequestID(&wire)
-			if err != nil || gotID != hasID || (hasID && id != 42) {
-				t.Fatalf("request %v: read back err %v id %d hasID %v", r.Kind, err, id, gotID)
-			}
-			sameRequest(t, got, joinedRequest(r))
+		want := goldenFrame(t, payload, err, 42)
+		wire.Reset()
+		if err := WriteRequestID(&wire, r, 42); err != nil || !bytes.Equal(wire.Bytes(), want) {
+			t.Fatalf("request %v, %d+%d payload bytes: err %v, frame differs from AppendRequest's",
+				r.Kind, len(r.Data), len(r.Tail), err)
 		}
+		split, err := AppendRequest(nil, r)
+		if err != nil || !bytes.Equal(split, payload) {
+			t.Fatalf("request %v: AppendRequest of Data‖Tail differs from the joined encoding", r.Kind)
+		}
+		got, id, err := ReadRequestID(&wire)
+		if err != nil || id != 42 {
+			t.Fatalf("request %v: read back err %v id %d", r.Kind, err, id)
+		}
+		sameRequest(t, got, joinedRequest(r))
 	}
 	for _, r := range resps {
 		payload, err := AppendResponse(nil, joinedResponse(r))
-		for _, hasID := range []bool{false, true} {
-			want := legacyFrame(t, payload, err, 42, hasID)
-			wire.Reset()
-			if hasID {
-				err = WriteResponseID(&wire, r, 42)
-			} else {
-				err = WriteResponse(&wire, r)
-			}
-			if err != nil || !bytes.Equal(wire.Bytes(), want) {
-				t.Fatalf("response %q, %d+%d payload bytes, id=%v: err %v, frame differs from AppendResponse's",
-					r.Err, len(r.Data), len(r.Tail), hasID, err)
-			}
-			got, _, _, err := ReadResponseID(&wire)
-			if err != nil {
-				t.Fatalf("response %q: read back: %v", r.Err, err)
-			}
-			sameResponse(t, got, joinedResponse(r))
+		want := goldenFrame(t, payload, err, 42)
+		wire.Reset()
+		if err := WriteResponseID(&wire, r, 42); err != nil || !bytes.Equal(wire.Bytes(), want) {
+			t.Fatalf("response %q, %d+%d payload bytes: err %v, frame differs from AppendResponse's",
+				r.Err, len(r.Data), len(r.Tail), err)
 		}
+		got, id, err := ReadResponseID(&wire)
+		if err != nil || id != 42 {
+			t.Fatalf("response %q: read back err %v id %d", r.Err, err, id)
+		}
+		sameResponse(t, got, joinedResponse(r))
 	}
 }
 
@@ -509,13 +496,13 @@ func TestGoldenWireFramesOverTCP(t *testing.T) {
 			continue // the single-Write path needs no socket to show its bytes
 		}
 		payload, err := AppendRequest(nil, joinedRequest(r))
-		want = append(want, legacyFrame(t, payload, err, uint64(i), true)...)
+		want = append(want, goldenFrame(t, payload, err, uint64(i))...)
 		if err := WriteRequestID(conn, r, uint64(i)); err != nil {
 			t.Fatal(err)
 		}
 		resp := resps[i]
 		payload, err = AppendResponse(nil, joinedResponse(resp))
-		want = append(want, legacyFrame(t, payload, err, uint64(i), true)...)
+		want = append(want, goldenFrame(t, payload, err, uint64(i))...)
 		if err := WriteResponseID(conn, resp, uint64(i)); err != nil {
 			t.Fatal(err)
 		}
@@ -583,12 +570,12 @@ func FuzzAliasingDecodeMatchesCopying(f *testing.F) {
 		if len(payload) > MaxFrame {
 			return
 		}
-		framed := append(binary.BigEndian.AppendUint32(nil, uint32(len(payload))), payload...)
+		framed := goldenFrame(t, payload, nil, 1)
 		pristine := append([]byte{}, payload...)
 		if asResponse {
 			want, wantErr := DecodeResponse(payload)
 			got, gotErr := decodeResponse(payload, true)
-			read, readErr := ReadResponse(bytes.NewReader(framed))
+			read, _, readErr := ReadResponseID(bytes.NewReader(framed))
 			if (wantErr == nil) != (gotErr == nil) || (wantErr == nil) != (readErr == nil) {
 				t.Fatalf("acceptance differs: copying %v, aliasing %v, stream %v", wantErr, gotErr, readErr)
 			}
@@ -606,7 +593,7 @@ func FuzzAliasingDecodeMatchesCopying(f *testing.F) {
 		} else {
 			want, wantErr := DecodeRequest(payload)
 			got, gotErr := decodeRequest(payload, true)
-			read, readErr := ReadRequest(bytes.NewReader(framed))
+			read, _, readErr := ReadRequestID(bytes.NewReader(framed))
 			if (wantErr == nil) != (gotErr == nil) || (wantErr == nil) != (readErr == nil) {
 				t.Fatalf("acceptance differs: copying %v, aliasing %v, stream %v", wantErr, gotErr, readErr)
 			}

@@ -1,6 +1,7 @@
 package msg
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"testing"
@@ -49,33 +50,51 @@ func FuzzDecodeRequest(f *testing.F) {
 	})
 }
 
+// unIDdFrames are the two shapes of the framing peers spoke before every
+// frame carried a request ID — a well-formed frame behind a bare 4-byte
+// header, and a bare header claiming MaxFrame with nothing behind it. Both
+// are refused on the header alone; they seed every frame fuzzer.
+func unIDdFrames(tb testing.TB) [][]byte {
+	payload, err := AppendRequest(nil, &Request{Kind: KindGet, Name: "file"})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return [][]byte{
+		append(binary.BigEndian.AppendUint32(nil, uint32(len(payload))), payload...),
+		binary.BigEndian.AppendUint32(nil, MaxFrame),
+	}
+}
+
 // FuzzReadRequestFrame hammers the stream layer — length prefix included —
-// with arbitrary bytes: ReadRequest must never panic and, critically, a
+// with arbitrary bytes: ReadRequestID must never panic and, critically, a
 // lying length prefix must not cost a frame-sized allocation. The seeds
 // cover the attack shapes: a maximal declared length with no payload, a
 // just-over-limit prefix, and a declared length larger than the bytes that
 // follow.
 func FuzzReadRequestFrame(f *testing.F) {
 	var framed bytes.Buffer
-	if err := WriteRequest(&framed, &Request{Kind: KindGet, Name: "file", Data: []byte("payload")}); err != nil {
+	if err := WriteRequestID(&framed, &Request{Kind: KindGet, Name: "file", Data: []byte("payload")}, 1); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(framed.Bytes())
-	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})                            // 4 GiB declared, nothing sent
-	f.Add(binary.BigEndian.AppendUint32(nil, MaxFrame+1))            // just over the limit
-	f.Add(append(binary.BigEndian.AppendUint32(nil, MaxFrame), 'x')) // huge claim, 1 byte sent
-	f.Add(append(binary.BigEndian.AppendUint32(nil, 1<<20), bytes.Repeat([]byte{0}, 64)...))
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})                              // 2 GiB declared, nothing sent
+	f.Add(binary.BigEndian.AppendUint32(nil, FrameIDBit|(MaxFrame+1))) // just over the limit
+	f.Add(lyingFrame(MaxFrame, []byte{'x'}))                           // huge claim, 1 byte sent
+	f.Add(lyingFrame(1<<20, bytes.Repeat([]byte{0}, 64)))
+	for _, frame := range unIDdFrames(f) {
+		f.Add(frame)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		req, err := ReadRequest(bytes.NewReader(data))
+		req, id, err := ReadRequestID(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
 		// Anything the stream layer accepts must re-encode and re-read.
 		var re bytes.Buffer
-		if err := WriteRequest(&re, req); err != nil {
+		if err := WriteRequestID(&re, req, id); err != nil {
 			t.Fatalf("accepted frame failed to re-encode: %v", err)
 		}
-		if _, err := ReadRequest(&re); err != nil {
+		if _, _, err := ReadRequestID(&re); err != nil {
 			t.Fatalf("re-encoded frame failed to read: %v", err)
 		}
 	})
@@ -86,37 +105,34 @@ func FuzzReadRequestFrame(f *testing.F) {
 // is read, and a declared length the sender never backs with bytes fails
 // with a truncation error instead of blocking on a frame-sized buffer.
 func TestReadFrameRejectsOversizedPrefix(t *testing.T) {
-	over := binary.BigEndian.AppendUint32(nil, MaxFrame+1)
-	if _, err := ReadFrame(bytes.NewReader(over)); err != ErrFrameTooLarge {
+	over := binary.BigEndian.AppendUint32(nil, FrameIDBit|(MaxFrame+1))
+	if _, _, err := ReadRequestID(bytes.NewReader(over)); err != ErrFrameTooLarge {
 		t.Fatalf("oversized prefix: err = %v, want ErrFrameTooLarge", err)
 	}
-	lie := append(binary.BigEndian.AppendUint32(nil, MaxFrame), "ten bytes."...)
-	if _, err := ReadFrame(bytes.NewReader(lie)); err == nil {
+	lie := lyingFrame(MaxFrame, []byte("ten bytes."))
+	if _, _, err := ReadRequestID(bytes.NewReader(lie)); err == nil {
 		t.Fatal("lying prefix with truncated body was accepted")
 	}
 	// An honest maximal frame still round-trips.
 	big := &Request{Kind: KindStore, Name: "big", Data: bytes.Repeat([]byte{7}, 1<<20)}
 	var buf bytes.Buffer
-	if err := WriteRequest(&buf, big); err != nil {
+	if err := WriteRequestID(&buf, big, 1); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadRequest(&buf)
+	got, _, err := ReadRequestID(&buf)
 	if err != nil || !bytes.Equal(got.Data, big.Data) {
 		t.Fatalf("1 MiB frame did not round-trip: %v", err)
 	}
 }
 
-// FuzzReadFrameID hammers the pipelined frame extension: arbitrary bytes
-// through ReadRequestID must never panic, a frame accepted with an ID must
-// round-trip through WriteRequestID with the ID intact, and the legacy
-// framing must keep decoding as before (hasID false, ID zero). The seeds
-// cover both framings plus the attack shapes with the ID bit set.
+// FuzzReadFrameID hammers the frame header: arbitrary bytes through
+// ReadRequestID must never panic, an accepted frame must round-trip through
+// WriteRequestID with its ID intact, and a length word without FrameIDBit
+// is refused as such whatever follows it. The seeds cover the un-ID'd
+// framing plus the attack shapes with the ID bit set.
 func FuzzReadFrameID(f *testing.F) {
-	var legacy bytes.Buffer
-	if err := WriteRequest(&legacy, &Request{Kind: KindGet, Name: "file"}); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(legacy.Bytes())
+	unIDd := unIDdFrames(f)
+	f.Add(unIDd[0])
 	var idframe bytes.Buffer
 	if err := WriteRequestID(&idframe, &Request{Kind: KindGet, Name: "file"}, 0xdeadbeef); err != nil {
 		f.Fatal(err)
@@ -125,52 +141,44 @@ func FuzzReadFrameID(f *testing.F) {
 	f.Add(binary.BigEndian.AppendUint32(nil, FrameIDBit))              // ID frame, no ID word sent
 	f.Add(binary.BigEndian.AppendUint32(nil, FrameIDBit|(MaxFrame+1))) // ID bit + oversized length
 	f.Add(append(binary.BigEndian.AppendUint32(nil, FrameIDBit|MaxFrame) /* huge claim */, bytes.Repeat([]byte{0}, 16)...))
+	f.Add(unIDd[1])
 	f.Fuzz(func(t *testing.T, data []byte) {
-		req, id, hasID, err := ReadRequestID(bytes.NewReader(data))
+		req, id, err := ReadRequestID(bytes.NewReader(data))
+		if len(data) >= 4 && data[0]&0x80 == 0 && err != ErrNoFrameID {
+			t.Fatalf("un-ID'd frame: err = %v, want ErrNoFrameID", err)
+		}
 		if err != nil {
 			return
 		}
 		var re bytes.Buffer
-		if hasID {
-			if err := WriteRequestID(&re, req, id); err != nil {
-				t.Fatalf("accepted ID frame failed to re-encode: %v", err)
-			}
-		} else {
-			if id != 0 {
-				t.Fatalf("legacy frame decoded with id %d", id)
-			}
-			if err := WriteRequest(&re, req); err != nil {
-				t.Fatalf("accepted legacy frame failed to re-encode: %v", err)
-			}
+		if err := WriteRequestID(&re, req, id); err != nil {
+			t.Fatalf("accepted ID frame failed to re-encode: %v", err)
 		}
-		again, id2, hasID2, err := ReadRequestID(&re)
+		again, id2, err := ReadRequestID(&re)
 		if err != nil {
 			t.Fatalf("re-encoded frame failed to read: %v", err)
 		}
-		if hasID2 != hasID || id2 != id || again.Kind != req.Kind || again.Name != req.Name {
-			t.Fatalf("frame not a fixpoint: (%v,%d,%v) vs (%v,%d,%v)",
-				req.Kind, id, hasID, again.Kind, id2, hasID2)
+		if id2 != id || again.Kind != req.Kind || again.Name != req.Name {
+			t.Fatalf("frame not a fixpoint: (%v,%d) vs (%v,%d)", req.Kind, id, again.Kind, id2)
 		}
 	})
 }
 
-// TestFrameIDRoundTrip pins the pipelined framing: IDs survive both
-// directions, a legacy reader rejects an ID frame cleanly (the set high
-// bit reads as an over-MaxFrame length), and responses echo IDs the same
-// way requests carry them.
+// TestFrameIDRoundTrip pins the framing: IDs survive both directions, the
+// length word of every frame has the high bit set (which a pre-pipelining
+// decoder reads as an over-MaxFrame length and rejects cleanly), responses
+// echo IDs the same way requests carry them, and a frame without the bit is
+// refused by both readers.
 func TestFrameIDRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	req := &Request{Kind: KindGet, Name: "pipelined", Data: []byte("x")}
 	if err := WriteRequestID(&buf, req, 42); err != nil {
 		t.Fatal(err)
 	}
-	got, id, hasID, err := ReadRequestID(bytes.NewReader(buf.Bytes()))
-	if err != nil || !hasID || id != 42 || got.Name != req.Name {
-		t.Fatalf("request ID frame: req=%+v id=%d hasID=%v err=%v", got, id, hasID, err)
+	got, id, err := ReadRequestID(bytes.NewReader(buf.Bytes()))
+	if err != nil || id != 42 || got.Name != req.Name {
+		t.Fatalf("request ID frame: req=%+v id=%d err=%v", got, id, err)
 	}
-	// The version gate: a pre-pipelining decoder compares the raw length
-	// word against MaxFrame, so the set high bit makes it reject the frame
-	// cleanly instead of misreading the ID as payload.
 	if word := binary.BigEndian.Uint32(buf.Bytes()[:4]); word <= MaxFrame {
 		t.Fatalf("ID frame length word %#x would pass a legacy decoder", word)
 	}
@@ -180,19 +188,18 @@ func TestFrameIDRoundTrip(t *testing.T) {
 	if err := WriteResponseID(&buf, resp, 7); err != nil {
 		t.Fatal(err)
 	}
-	gotResp, id, hasID, err := ReadResponseID(&buf)
-	if err != nil || !hasID || id != 7 || !gotResp.OK || !bytes.Equal(gotResp.Data, resp.Data) {
-		t.Fatalf("response ID frame: resp=%+v id=%d hasID=%v err=%v", gotResp, id, hasID, err)
+	gotResp, id, err := ReadResponseID(&buf)
+	if err != nil || id != 7 || !gotResp.OK || !bytes.Equal(gotResp.Data, resp.Data) {
+		t.Fatalf("response ID frame: resp=%+v id=%d err=%v", gotResp, id, err)
 	}
 
-	// Legacy frames still decode through the ID-aware readers.
-	buf.Reset()
-	if err := WriteRequest(&buf, req); err != nil {
-		t.Fatal(err)
-	}
-	got, id, hasID, err = ReadRequestID(&buf)
-	if err != nil || hasID || id != 0 || got.Name != req.Name {
-		t.Fatalf("legacy frame via ReadRequestID: req=%+v id=%d hasID=%v err=%v", got, id, hasID, err)
+	for _, frame := range unIDdFrames(t) {
+		if _, _, err := ReadRequestID(bytes.NewReader(frame)); err != ErrNoFrameID {
+			t.Fatalf("un-ID'd frame through ReadRequestID: err = %v, want ErrNoFrameID", err)
+		}
+		if _, _, err := ReadResponseID(bufio.NewReader(bytes.NewReader(frame))); err != ErrNoFrameID {
+			t.Fatalf("un-ID'd frame through a buffered ReadResponseID: err = %v, want ErrNoFrameID", err)
+		}
 	}
 }
 

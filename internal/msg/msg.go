@@ -6,8 +6,8 @@
 //
 // Frame layout (big endian):
 //
-//	uint32  payload length (high bit: FrameIDBit, pipelined frame)
-//	uint64  request ID (only when FrameIDBit is set)
+//	uint32  payload length, with the high bit (FrameIDBit) set
+//	uint64  request ID, echoed by the response
 //	payload (Request or Response encoding)
 //
 // Both payloads end with a trace section — a trace ID (requests only) and
@@ -445,6 +445,8 @@ type Response struct {
 var (
 	ErrFrameTooLarge = errors.New("msg: frame exceeds limits")
 	ErrCorrupt       = errors.New("msg: corrupt frame")
+	// ErrNoFrameID refuses a frame whose length word lacks FrameIDBit.
+	ErrNoFrameID = errors.New("msg: frame without request ID")
 )
 
 // appendUvarint-style fixed encodings keep the format trivially seekable.
@@ -664,33 +666,17 @@ func decodeResponse(b []byte, alias bool) (*Response, error) {
 	return resp, nil
 }
 
-// FrameIDBit marks a pipelined frame: when the high bit of the length
-// word is set, an 8-byte request ID follows the word and precedes the
-// payload. The extension is version-gated by construction — MaxFrame is
-// far below 2^31, so a legacy decoder meeting an ID frame fails cleanly
-// with ErrFrameTooLarge instead of misreading it, and a legacy frame
-// (high bit clear) decodes identically under both readers. Pipelined
-// peers correlate out-of-order responses by echoing the request's ID;
-// frames without the bit keep the original one-at-a-time FIFO contract.
+// FrameIDBit is set in the length word of every frame: an 8-byte request
+// ID follows the word and precedes the payload, and a response echoes its
+// request's ID, so responses may come back in any order. MaxFrame is far
+// below 2^31, so the bit never collides with a length. A frame without it
+// — the one-at-a-time framing peers spoke before pipelining — is refused
+// with ErrNoFrameID.
 const FrameIDBit = 1 << 31
 
-// frameIDWire is the encoded request ID: one uint64 after the length word.
-const frameIDWire = 8
-
-// WriteFrame writes one length-prefixed payload in the legacy (un-ID'd)
-// framing.
-func WriteFrame(w io.Writer, payload []byte) error {
-	if len(payload) > MaxFrame {
-		return ErrFrameTooLarge
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
-}
+// frameHdrLen is the encoded frame header: the length word and the uint64
+// request ID after it.
+const frameHdrLen = 4 + 8
 
 // readChunk splits the frame codec in two. A frame of at most readChunk
 // bytes is read into a pooled buffer of that capacity with one
@@ -728,46 +714,45 @@ func putBuf(b *[]byte) {
 	bufPool.Put(b)
 }
 
-// readFrameHeader parses the length word (and the request ID of a
-// pipelined frame) off the stream. A buffered reader — what the serve loop
-// and the mux hold — is peeked, so its header costs nothing; any other
-// reader has the bytes read into an array that escapes through the
-// interface call.
-func readFrameHeader(r io.Reader) (n int, id uint64, hasID bool, err error) {
+// readFrameHeader parses the length word and the request ID off the
+// stream. A buffered reader — what the serve loop and the mux hold — is
+// peeked, so its header costs nothing; any other reader has the bytes read
+// into an array that escapes through the interface call. The length word is
+// judged before the ID is waited for: a frame without FrameIDBit, or one
+// claiming more than MaxFrame, is refused on its first four bytes.
+func readFrameHeader(r io.Reader) (n int, id uint64, err error) {
 	br, buffered := r.(*bufio.Reader)
 	var hdr []byte
 	if buffered {
 		hdr, err = peekFull(br, 4)
 	} else {
-		hdr = make([]byte, 4+frameIDWire)
+		hdr = make([]byte, frameHdrLen)
 		_, err = io.ReadFull(r, hdr[:4])
 	}
 	if err != nil {
-		return 0, 0, false, err
+		return 0, 0, err
 	}
 	word := binary.BigEndian.Uint32(hdr)
-	hasID = word&FrameIDBit != 0
+	if word&FrameIDBit == 0 {
+		return 0, 0, ErrNoFrameID
+	}
 	n = int(word &^ FrameIDBit)
 	if n > MaxFrame {
-		return 0, 0, false, ErrFrameTooLarge
-	}
-	hdrLen := 4
-	if hasID {
-		hdrLen += frameIDWire
-		if buffered {
-			hdr, err = peekFull(br, hdrLen)
-		} else {
-			_, err = io.ReadFull(r, hdr[4:])
-		}
-		if err != nil {
-			return 0, 0, false, err
-		}
-		id = binary.BigEndian.Uint64(hdr[4:])
+		return 0, 0, ErrFrameTooLarge
 	}
 	if buffered {
-		br.Discard(hdrLen) // cannot fail: the bytes were just peeked
+		hdr, err = peekFull(br, frameHdrLen)
+	} else {
+		_, err = io.ReadFull(r, hdr[4:])
 	}
-	return n, id, hasID, nil
+	if err != nil {
+		return 0, 0, err
+	}
+	id = binary.BigEndian.Uint64(hdr[4:])
+	if buffered {
+		br.Discard(frameHdrLen) // cannot fail: the bytes were just peeked
+	}
+	return n, id, nil
 }
 
 // peekFull is br.Peek(n) with io.ReadFull's errors: io.EOF only when the
@@ -780,24 +765,6 @@ func peekFull(br *bufio.Reader, n int) ([]byte, error) {
 	return b, err
 }
 
-// ReadFrame reads one length-prefixed payload, legacy or pipelined (a
-// pipelined frame's request ID is discarded; use ReadRequestID /
-// ReadResponseID to keep it). The returned slice is owned by the caller.
-func ReadFrame(r io.Reader) ([]byte, error) {
-	n, _, _, err := readFrameHeader(r)
-	if err != nil {
-		return nil, err
-	}
-	if n > readChunk {
-		return readLargeFrame(r, n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
 // wireMsg is what the frame writer needs of a Request or Response.
 type wireMsg interface {
 	check() error
@@ -806,25 +773,21 @@ type wireMsg interface {
 	appendTrailer(b []byte) []byte
 }
 
-// writeFramed encodes the header (ID'd when hasID) and m into a pooled
-// buffer. A payload of at most readChunk bytes is copied in with the rest
-// and the whole frame goes out in a single Write — one syscall, and no
-// interleaving risk for concurrent writers that already serialize on a
-// higher-level lock. A larger payload stays where it is: the frame goes
-// out as head, Data, Tail and trailer segments — one writev when w is a
-// socket (net.Buffers), consecutive Writes otherwise, which a bufio.Writer
-// passes through without buffering the large ones. Same bytes either way.
-func writeFramed(w io.Writer, id uint64, hasID bool, m wireMsg) error {
+// writeFramed encodes the header and m into a pooled buffer. A payload of
+// at most readChunk bytes is copied in with the rest and the whole frame
+// goes out in a single Write — one syscall, and no interleaving risk for
+// concurrent writers that already serialize on a higher-level lock. A
+// larger payload stays where it is: the frame goes out as head, Data, Tail
+// and trailer segments — one writev when w is a socket (net.Buffers),
+// consecutive Writes otherwise, which a bufio.Writer passes through without
+// buffering the large ones. Same bytes either way.
+func writeFramed(w io.Writer, id uint64, m wireMsg) error {
 	if err := m.check(); err != nil {
 		return err
 	}
 	bp := getBuf()
 	defer putBuf(bp)
-	hdrLen := 4
-	if hasID {
-		hdrLen += frameIDWire
-	}
-	buf := append((*bp)[:0], make([]byte, hdrLen)...)
+	buf := append((*bp)[:0], make([]byte, frameHdrLen)...)
 	buf = m.appendHead(buf)
 	data, tail := m.payload()
 	vectored := len(data)+len(tail) > readChunk
@@ -834,19 +797,15 @@ func writeFramed(w io.Writer, id uint64, hasID bool, m wireMsg) error {
 	split := len(buf)
 	buf = m.appendTrailer(buf)
 	*bp = buf
-	n := len(buf) - hdrLen
+	n := len(buf) - frameHdrLen
 	if vectored {
 		n += len(data) + len(tail)
 	}
 	if n > MaxFrame {
 		return ErrFrameTooLarge
 	}
-	word := uint32(n)
-	if hasID {
-		word |= FrameIDBit
-		binary.BigEndian.PutUint64(buf[4:], id)
-	}
-	binary.BigEndian.PutUint32(buf[:4], word)
+	binary.BigEndian.PutUint32(buf[:4], uint32(n)|FrameIDBit)
+	binary.BigEndian.PutUint64(buf[4:], id)
 	if !vectored {
 		_, err := w.Write(buf)
 		return err
@@ -861,33 +820,21 @@ func writeFramed(w io.Writer, id uint64, hasID bool, m wireMsg) error {
 	return err
 }
 
-// WriteRequest frames and writes one request in the legacy framing.
-func WriteRequest(w io.Writer, r *Request) error { return writeFramed(w, 0, false, r) }
+// WriteRequestID frames and writes one request, carrying id for the
+// response to echo.
+func WriteRequestID(w io.Writer, r *Request, id uint64) error { return writeFramed(w, id, r) }
 
-// WriteRequestID frames and writes one request in the pipelined framing,
-// carrying id for out-of-order response correlation.
-func WriteRequestID(w io.Writer, r *Request, id uint64) error { return writeFramed(w, id, true, r) }
-
-// ReadRequest reads and decodes one request, legacy or pipelined (the
-// request ID of a pipelined frame is discarded).
-func ReadRequest(r io.Reader) (*Request, error) {
-	req, _, _, err := ReadRequestID(r)
-	return req, err
-}
-
-// ReadRequestID reads and decodes one request and reports the request ID
-// of a pipelined frame (hasID false means a legacy frame: the sender
-// expects responses in request order). The Data of a request read off a
-// frame longer than readChunk aliases the frame's buffer (see Release); a
-// smaller frame's Data is a private copy.
-func ReadRequestID(r io.Reader) (*Request, uint64, bool, error) {
-	req, lease, id, hasID, err := ReadRequestLent(r)
+// ReadRequestID reads and decodes one request and its request ID. The Data
+// of a request read off a frame longer than readChunk aliases the frame's
+// buffer (see Release); a smaller frame's Data is a private copy.
+func ReadRequestID(r io.Reader) (*Request, uint64, error) {
+	req, lease, id, err := ReadRequestLent(r)
 	if err != nil {
-		return nil, 0, false, err
+		return nil, 0, err
 	}
 	req.Keep()
 	lease.End()
-	return req, id, hasID, nil
+	return req, id, nil
 }
 
 // A Lease is the pooled read buffer a lent request's Data points into. The
@@ -918,42 +865,42 @@ func (l Lease) End() {
 // response may point into the request's Data), and whoever holds the bytes
 // past that point calls Keep first. A request with no payload, or one read
 // off a larger frame (which owns its buffer: see Release), borrows nothing.
-func ReadRequestLent(r io.Reader) (*Request, Lease, uint64, bool, error) {
-	n, id, hasID, err := readFrameHeader(r)
+func ReadRequestLent(r io.Reader) (*Request, Lease, uint64, error) {
+	n, id, err := readFrameHeader(r)
 	if err != nil {
-		return nil, Lease{}, 0, false, err
+		return nil, Lease{}, 0, err
 	}
 	if n > readChunk {
 		buf, err := readLargeFrame(r, n)
 		if err != nil {
-			return nil, Lease{}, 0, false, err
+			return nil, Lease{}, 0, err
 		}
 		req, err := decodeRequest(buf, true)
 		if err != nil {
 			frames.put(buf)
-			return nil, Lease{}, 0, false, err
+			return nil, Lease{}, 0, err
 		}
 		req.frame = buf
-		return req, Lease{}, id, hasID, nil
+		return req, Lease{}, id, nil
 	}
 	bp := getBuf()
 	*bp = (*bp)[:n]
 	if _, err := io.ReadFull(r, *bp); err != nil {
 		putBuf(bp)
-		return nil, Lease{}, 0, false, err
+		return nil, Lease{}, 0, err
 	}
 	req, err := decodeRequest(*bp, true)
 	if err != nil {
 		putBuf(bp)
-		return nil, Lease{}, 0, false, err
+		return nil, Lease{}, 0, err
 	}
 	if len(req.Data) == 0 {
 		putBuf(bp)
 		req.Data = nil
-		return req, Lease{}, id, hasID, nil
+		return req, Lease{}, id, nil
 	}
 	req.lent = true
-	return req, Lease{bp}, id, hasID, nil
+	return req, Lease{bp}, id, nil
 }
 
 // Keep makes r.Data safe to hold past the request's response: the Data of a
@@ -970,52 +917,41 @@ func (r *Request) Keep() {
 	}
 }
 
-// WriteResponse frames and writes one response in the legacy framing.
-func WriteResponse(w io.Writer, resp *Response) error { return writeFramed(w, 0, false, resp) }
-
-// WriteResponseID frames and writes one response in the pipelined
-// framing, echoing the request's id.
+// WriteResponseID frames and writes one response, echoing the request's id.
 func WriteResponseID(w io.Writer, resp *Response, id uint64) error {
-	return writeFramed(w, id, true, resp)
+	return writeFramed(w, id, resp)
 }
 
-// ReadResponse reads and decodes one response, legacy or pipelined (the
-// request ID of a pipelined frame is discarded).
-func ReadResponse(r io.Reader) (*Response, error) {
-	resp, _, _, err := ReadResponseID(r)
-	return resp, err
-}
-
-// ReadResponseID reads and decodes one response and reports the echoed
-// request ID of a pipelined frame. The Data of a response read off a frame
-// longer than readChunk aliases the frame's buffer; see Release.
-func ReadResponseID(r io.Reader) (*Response, uint64, bool, error) {
-	n, id, hasID, err := readFrameHeader(r)
+// ReadResponseID reads and decodes one response and the request ID it
+// echoes. The Data of a response read off a frame longer than readChunk
+// aliases the frame's buffer; see Release.
+func ReadResponseID(r io.Reader) (*Response, uint64, error) {
+	n, id, err := readFrameHeader(r)
 	if err != nil {
-		return nil, 0, false, err
+		return nil, 0, err
 	}
 	if n > readChunk {
 		buf, err := readLargeFrame(r, n)
 		if err != nil {
-			return nil, 0, false, err
+			return nil, 0, err
 		}
 		resp, err := decodeResponse(buf, true)
 		if err != nil {
 			frames.put(buf)
-			return nil, 0, false, err
+			return nil, 0, err
 		}
 		resp.frame = buf
-		return resp, id, hasID, nil
+		return resp, id, nil
 	}
 	bp := getBuf()
 	defer putBuf(bp)
 	buf := (*bp)[:n]
 	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, 0, false, err
+		return nil, 0, err
 	}
 	resp, err := DecodeResponse(buf)
 	if err != nil {
-		return nil, 0, false, err
+		return nil, 0, err
 	}
-	return resp, id, hasID, nil
+	return resp, id, nil
 }

@@ -132,23 +132,23 @@ func TestResponseRoundTrip(t *testing.T) {
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	req := &Request{Kind: KindGet, Origin: 7, Name: "file", Data: []byte("payload")}
-	if err := WriteRequest(&buf, req); err != nil {
+	if err := WriteRequestID(&buf, req, 11); err != nil {
 		t.Fatal(err)
 	}
 	resp := &Response{OK: true, ServedBy: 4, Hops: 2, Data: []byte("result")}
-	if err := WriteResponse(&buf, resp); err != nil {
+	if err := WriteResponseID(&buf, resp, 11); err != nil {
 		t.Fatal(err)
 	}
-	gotReq, err := ReadRequest(&buf)
-	if err != nil {
-		t.Fatal(err)
+	gotReq, id, err := ReadRequestID(&buf)
+	if err != nil || id != 11 {
+		t.Fatalf("request: id %d err %v", id, err)
 	}
 	if gotReq.Name != "file" || string(gotReq.Data) != "payload" || gotReq.Kind != KindGet {
 		t.Fatalf("request = %+v", gotReq)
 	}
-	gotResp, err := ReadResponse(&buf)
-	if err != nil {
-		t.Fatal(err)
+	gotResp, id, err := ReadResponseID(&buf)
+	if err != nil || id != 11 {
+		t.Fatalf("response: id %d err %v", id, err)
 	}
 	if !gotResp.OK || gotResp.ServedBy != 4 || string(gotResp.Data) != "result" {
 		t.Fatalf("response = %+v", gotResp)
@@ -160,13 +160,14 @@ func TestOversizeRejected(t *testing.T) {
 	if _, err := AppendRequest(nil, &Request{Kind: KindGet, Name: big}); err != ErrFrameTooLarge {
 		t.Fatalf("err = %v", err)
 	}
-	if err := WriteFrame(io.Discard, make([]byte, MaxFrame+1)); err != ErrFrameTooLarge {
+	over := &Request{Kind: KindStore, Name: "n", Data: make([]byte, MaxData+1)}
+	if err := WriteRequestID(io.Discard, over, 1); err != ErrFrameTooLarge {
 		t.Fatalf("err = %v", err)
 	}
 	// A frame header advertising an absurd size must be rejected before
 	// allocation.
 	r := bytes.NewReader([]byte{0xFF, 0xFF, 0xFF, 0xFF})
-	if _, err := ReadFrame(r); err != ErrFrameTooLarge {
+	if _, _, err := ReadRequestID(r); err != ErrFrameTooLarge {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -231,11 +232,14 @@ func TestUnknownKindError(t *testing.T) {
 }
 
 func TestReadFrameShortInput(t *testing.T) {
-	if _, err := ReadFrame(bytes.NewReader([]byte{0, 0})); err == nil {
+	if _, _, err := ReadRequestID(bytes.NewReader([]byte{0x80, 0})); err == nil {
 		t.Fatal("short header accepted")
 	}
+	if _, _, err := ReadRequestID(bytes.NewReader([]byte{0x80, 0, 0, 9, 0, 0, 0})); err == nil {
+		t.Fatal("header without its whole request ID accepted")
+	}
 	// Header promising more bytes than present.
-	if _, err := ReadFrame(bytes.NewReader([]byte{0, 0, 0, 9, 1, 2})); err == nil {
+	if _, _, err := ReadResponseID(bytes.NewReader([]byte{0x80, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 1, 1, 2})); err == nil {
 		t.Fatal("truncated payload accepted")
 	}
 }

@@ -109,7 +109,7 @@ func (p *Peer) MaintainOnce(threshold, evictBelow uint64) (placed bitops.PID, ok
 }
 
 // maintRNG lazily creates the peer's placement randomness (the §3
-// proportional choice) under the lifecycle mutex.
+// proportional choice).
 func (p *Peer) maintRNG() *xrand.Rand {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -224,8 +223,7 @@ type routing struct {
 type Peer struct {
 	cfg    Config
 	hasher hashring.Hasher
-	ln     net.Listener
-	addr   string // ln's bound address, formatted once: locate answers carry it per request
+	srv    *transport.Server // the frame listener; locate answers carry its address per request
 	tr     *transport.Transport
 	det    *transport.Detector
 
@@ -246,14 +244,12 @@ type Peer struct {
 	eng   *wal.Engine   // nil without Config.DataDir
 	clock atomic.Uint64 // Lamport clock; merged with CAS-max, ticked with Add
 
-	pipelineWorkers int
-	fanoutWorkers   int
+	fanoutWorkers int
 
-	mu     sync.Mutex // lifecycle: closed flag, open conns, maintenance rng
-	closed bool
-	conns  map[net.Conn]struct{}
-	rng    *xrand.Rand
-	quit   chan struct{}
+	mu       sync.Mutex // guards the lazily made maintenance rng
+	rng      *xrand.Rand
+	quit     chan struct{} // closed by the first Close: background loops stop
+	quitOnce sync.Once
 
 	wg    sync.WaitGroup
 	stats Stats
@@ -266,7 +262,7 @@ type Peer struct {
 	// it once and degrades to the untraced fast path.
 	sampler  *tracering.Sampler
 	ring     *tracering.Ring
-	traceSeq atomic.Uint64
+	traceIDs tracering.IDSeq
 
 	// ttfr tracks time-to-full-replication across repair rounds.
 	ttfr repair.TTFR
@@ -348,28 +344,14 @@ func Listen(cfg Config) (*Peer, error) {
 		st = store.ShardedFrom(restored, 0)
 		st.SetPersister(eng)
 	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		if eng != nil {
-			eng.Close()
-		}
-		return nil, err
-	}
 	p := &Peer{
 		cfg:    cfg,
 		hasher: h,
-		ln:     ln,
-		addr:   ln.Addr().String(),
 		store:  st,
 		eng:    eng,
-		conns:  map[net.Conn]struct{}{},
 		quit:   make(chan struct{}),
 	}
 	p.routing.Store(&routing{addrs: map[bitops.PID]string{}, live: liveness.New(cfg.M)})
-	p.pipelineWorkers = cfg.PipelineWorkers
-	if p.pipelineWorkers <= 0 {
-		p.pipelineWorkers = transport.DefaultPipelineWorkers
-	}
 	p.fanoutWorkers = cfg.FanoutWorkers
 	if p.fanoutWorkers <= 0 {
 		p.fanoutWorkers = DefaultFanoutWorkers
@@ -381,7 +363,7 @@ func Listen(cfg Config) (*Peer, error) {
 		}
 		p.sampler = tracering.NewSampler(cfg.TraceSampleEvery)
 		p.ring = tracering.NewRing(cfg.TraceRingSize, slow)
-		p.traceSeq.Store(uint64(time.Now().UnixNano()) ^ uint64(cfg.PID)<<32)
+		p.traceIDs.Seed(uint64(time.Now().UnixNano()) ^ uint64(cfg.PID)<<32)
 	}
 	p.log = logger.With("component", "netnode", "pid", uint32(cfg.PID))
 	p.tr = transport.New(cfg.Transport, cfg.Faults)
@@ -389,8 +371,30 @@ func Listen(cfg Config) (*Peer, error) {
 	// FlagReplica keeps a pull from counting a §6 access at its source.
 	p.puller = stream.New(p.tr, stream.Config{Replica: true})
 	p.det = transport.NewDetector(p.tr.Config().FailThreshold, p.peerDown, p.peerUp)
-	p.wg.Add(1)
-	go p.acceptLoop()
+	// A frame can arrive before p.srv is assigned, and handlers quote the
+	// server's address: they wait for the assignment.
+	ready := make(chan struct{})
+	var err error
+	p.srv, err = transport.Listen(addr, func(req *msg.Request) *msg.Response {
+		<-ready
+		p.stats.Requests.Add(1)
+		return p.handle(req)
+	}, transport.ServeLoopOptions{
+		Workers:    cfg.PipelineWorkers,
+		ServeDelay: cfg.ServeDelay,
+		Depth:      &p.stats.PipelineDepth,
+		OnProtoError: func(err error) {
+			p.stats.ProtoErrors.Add(1)
+			p.log.Debug("connection protocol error", "err", err)
+		},
+	})
+	if err != nil {
+		if eng != nil {
+			eng.Close()
+		}
+		return nil, err
+	}
+	close(ready)
 	p.log.Debug("listening", "addr", p.Addr(), "m", cfg.M, "b", cfg.B)
 	return p, nil
 }
@@ -427,7 +431,7 @@ func (p *Peer) peerUp(pid uint32) {
 }
 
 // Addr returns the peer's bound address.
-func (p *Peer) Addr() string { return p.addr }
+func (p *Peer) Addr() string { return p.srv.Addr() }
 
 // SeedLocal places a copy directly into this peer's store, bypassing the
 // wire — whose frames cap payloads at msg.MaxData, below the chunk
@@ -473,23 +477,14 @@ func (p *Peer) SetAddrs(addrs map[bitops.PID]string) {
 }
 
 // Close stops the peer: the listener and every open connection are shut,
-// then in-flight handlers are awaited.
+// then the outbound transport — a handler may be blocked on it, and would
+// hold the wait below for a full RPC deadline — and only then are in-flight
+// handlers awaited.
 func (p *Peer) Close() error {
-	p.mu.Lock()
-	if !p.closed {
-		close(p.quit)
-	}
-	p.closed = true
-	open := make([]net.Conn, 0, len(p.conns))
-	for c := range p.conns {
-		open = append(open, c)
-	}
-	p.mu.Unlock()
-	err := p.ln.Close()
-	for _, c := range open {
-		c.Close()
-	}
+	p.quitOnce.Do(func() { close(p.quit) })
+	err := p.srv.Shut()
 	p.tr.Close()
+	p.srv.Close()
 	p.wg.Wait()
 	if p.eng != nil {
 		// All handlers have drained, so no store mutation can race the
@@ -511,55 +506,6 @@ func (p *Peer) Checkpoint() error {
 		return fmt.Errorf("netnode: peer has no data directory")
 	}
 	return p.eng.Checkpoint()
-}
-
-func (p *Peer) acceptLoop() {
-	defer p.wg.Done()
-	for {
-		conn, err := p.ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		p.mu.Lock()
-		if p.closed {
-			p.mu.Unlock()
-			conn.Close()
-			return
-		}
-		p.conns[conn] = struct{}{}
-		p.mu.Unlock()
-		p.wg.Add(1)
-		go func() {
-			defer p.wg.Done()
-			defer func() {
-				conn.Close()
-				p.mu.Lock()
-				delete(p.conns, conn)
-				p.mu.Unlock()
-			}()
-			p.serveConn(conn)
-		}()
-	}
-}
-
-// serveConn serves one accepted connection through the pipelined serve
-// loop: pipelined requests dispatch to a bounded worker pool and respond
-// out of order, so one slow forwarded get no longer stalls the stream;
-// un-ID'd frames keep their strict FIFO ordering. Decode and write
-// failures — previously silent connection drops — land in ProtoErrors.
-func (p *Peer) serveConn(conn net.Conn) {
-	transport.ServeLoop(conn, func(req *msg.Request) *msg.Response {
-		p.stats.Requests.Add(1)
-		return p.handle(req)
-	}, transport.ServeLoopOptions{
-		Workers:    p.pipelineWorkers,
-		ServeDelay: p.cfg.ServeDelay,
-		Depth:      &p.stats.PipelineDepth,
-		OnProtoError: func(err error) {
-			p.stats.ProtoErrors.Add(1)
-			p.log.Debug("connection protocol error", "err", err)
-		},
-	})
 }
 
 // view returns the lookup-tree view of target under the current routing
@@ -650,43 +596,15 @@ func (p *Peer) dispatch(req *msg.Request) *msg.Response {
 	return &msg.Response{Err: msg.UnknownKindError(req.Kind)}
 }
 
-// handleBatch serves a pipelined frame: every sub-request runs through the
-// ordinary handler (so forwarding, fan-out, stats and histograms all apply
-// per sub-request) and the sub-responses travel back in one frame. The
-// decoder rejects nested batches, so this cannot recurse. A traced batch
-// spreads its trace onto every sub-request — each sub walks its own route
-// under the shared TraceID — and the outer response concatenates the sub
-// routes, so the assembled trace shows every lookup the batch fanned into.
+// handleBatch serves a batch frame: every sub-request runs through the
+// ordinary handler, so forwarding, fan-out, stats and histograms all apply
+// per sub-request (msg.ServeBatch).
 func (p *Peer) handleBatch(req *msg.Request) *msg.Response {
-	subs, err := msg.DecodeBatchRequests(req.Data)
+	resp, err := msg.ServeBatch(req, p.handleSub)
 	if err != nil {
-		return &msg.Response{Err: fmt.Sprintf("netnode: batch decode: %v", err)}
+		return &msg.Response{Err: fmt.Sprintf("netnode: %v", err)}
 	}
-	traced := req.Flags&msg.FlagTrace != 0
-	var col *hopCollector
-	if traced {
-		col = &hopCollector{}
-	}
-	resps := make([]*msg.Response, len(subs))
-	for i, sub := range subs {
-		if traced {
-			sub.Flags |= msg.FlagTrace
-			sub.TraceID = req.TraceID
-			sub.Path = req.Path
-		}
-		resps[i] = p.handleSub(sub)
-		if sp := resps[i].Path; traced && len(sp) > len(req.Path) {
-			col.add(sp[len(req.Path):]...)
-		}
-	}
-	data, err := msg.AppendBatchResponses(nil, resps)
-	if err != nil {
-		return &msg.Response{Err: fmt.Sprintf("netnode: batch encode: %v", err)}
-	}
-	resp := &msg.Response{OK: true, ServedBy: uint32(p.cfg.PID), Data: data}
-	if traced {
-		resp.Path = append(append([]msg.Hop(nil), req.Path...), col.take()...)
-	}
+	resp.ServedBy = uint32(p.cfg.PID)
 	return resp
 }
 

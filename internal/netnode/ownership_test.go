@@ -12,7 +12,9 @@ package netnode
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"hash/crc32"
+	"io"
 	"net"
 	"runtime"
 	"sync/atomic"
@@ -134,12 +136,14 @@ func TestBroadcastAllocBudget(t *testing.T) {
 }
 
 // rawConn speaks the protocol the way a build from before the segmented
-// writer did: every frame encoded contiguously by AppendRequest and written
-// with WriteFrame (legacy un-ID framing), every response read whole with
-// ReadFrame and decoded by the copying DecodeResponse.
+// writer did, with nothing of msg's frame codec: every frame is encoded
+// contiguously by AppendRequest and written behind a hand-built header
+// (length word with FrameIDBit, request ID), every response is read whole
+// off its own header and decoded by the copying DecodeResponse.
 type rawConn struct {
 	t    *testing.T
 	conn net.Conn
+	id   uint64
 }
 
 func dialRaw(t *testing.T, addr string) *rawConn {
@@ -154,15 +158,26 @@ func dialRaw(t *testing.T, addr string) *rawConn {
 
 func (c *rawConn) call(req *msg.Request) *msg.Response {
 	c.t.Helper()
-	frame, err := msg.AppendRequest(nil, req)
+	payload, err := msg.AppendRequest(nil, req)
 	if err != nil {
 		c.t.Fatal(err)
 	}
-	if err := msg.WriteFrame(c.conn, frame); err != nil {
+	c.id++
+	frame := binary.BigEndian.AppendUint32(nil, uint32(len(payload))|msg.FrameIDBit)
+	frame = binary.BigEndian.AppendUint64(frame, c.id)
+	if _, err := c.conn.Write(append(frame, payload...)); err != nil {
 		c.t.Fatal(err)
 	}
-	raw, err := msg.ReadFrame(c.conn)
-	if err != nil {
+	var hdr [12]byte
+	if _, err := io.ReadFull(c.conn, hdr[:]); err != nil {
+		c.t.Fatal(err)
+	}
+	word := binary.BigEndian.Uint32(hdr[:4])
+	if id := binary.BigEndian.Uint64(hdr[4:]); word&msg.FrameIDBit == 0 || id != c.id {
+		c.t.Fatalf("response header %x: want the ID bit and request ID %d echoed", hdr, c.id)
+	}
+	raw := make([]byte, word&^msg.FrameIDBit)
+	if _, err := io.ReadFull(c.conn, raw); err != nil {
 		c.t.Fatal(err)
 	}
 	resp, err := msg.DecodeResponse(raw)

@@ -35,43 +35,27 @@ func isEntryRequest(req *msg.Request) bool {
 	return false
 }
 
-// nextTraceID derives a fresh non-zero trace ID from the peer's sequence
-// (splitmix64 finalizer — well-spread IDs without global lock contention).
-func (p *Peer) nextTraceID() uint64 {
-	x := p.traceSeq.Add(0x9E3779B97F4A7C15)
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	if x == 0 {
-		x = 1
-	}
-	return x
-}
-
 // maybeSampleEntry decides whether req's trace should be recorded at this
 // peer: client-traced entry requests always are, and untraced ones are
-// promoted to traced when the head sampler picks them (stamping FlagTrace
-// and a fresh TraceID, so the whole downstream route cooperates).
-// promoted marks the latter — the caller strips the trace section off the
-// response again, so sampling stays invisible to clients that never asked
-// for a trace.
+// promoted to traced when the head sampler picks them (stamping FlagTrace,
+// so the whole downstream route cooperates). Either way a request that
+// came without a TraceID is given a fresh one, so the ring never files two
+// traces under ID 0. promoted marks sampler picks — the caller strips the
+// trace section off the response again, so sampling stays invisible to
+// clients that never asked for a trace.
 func (p *Peer) maybeSampleEntry(req *msg.Request) (sampled, promoted bool) {
 	if p.ring == nil || !isEntryRequest(req) {
 		return false, false
 	}
-	if req.Flags&msg.FlagTrace != 0 {
-		return true, false
-	}
-	if !p.sampler.Sample() {
+	promoted = req.Flags&msg.FlagTrace == 0
+	if promoted && !p.sampler.Sample() {
 		return false, false
 	}
 	req.Flags |= msg.FlagTrace
 	if req.TraceID == 0 {
-		req.TraceID = p.nextTraceID()
+		req.TraceID = p.traceIDs.Next()
 	}
-	return true, true
+	return true, promoted
 }
 
 // recordEntryTrace retains a finished entry request in the trace ring:
@@ -153,7 +137,7 @@ func (p *Peer) newRepairTrace() *legTrace {
 	if p.ring == nil || !p.sampler.Sample() {
 		return nil
 	}
-	return &legTrace{id: p.nextTraceID(), start: time.Now(), path: []msg.Hop{{
+	return &legTrace{id: p.traceIDs.Next(), start: time.Now(), path: []msg.Hop{{
 		PID: uint32(p.cfg.PID), Parent: msg.NoParent, Action: msg.HopRepair,
 	}}}
 }

@@ -240,6 +240,21 @@ func TestTraceSamplingAndTailRetention(t *testing.T) {
 	if got := snap.Notable[0]; got.Err == "" {
 		t.Fatalf("notable trace = %+v, want the errored get", got)
 	}
+
+	// A client-traced request is always recorded: under the ID it brought,
+	// or under a fresh one when it brought none — never under 0.
+	for _, id := range []uint64{0, 77} {
+		resp, err := Call(peers[0].Addr(), &msg.Request{Kind: msg.KindGet, Name: "s/f", Flags: msg.FlagTrace, TraceID: id})
+		if err != nil || !resp.OK || len(resp.Path) == 0 {
+			t.Fatalf("client-traced get (id %d): %+v, %v", id, resp, err)
+		}
+	}
+	if snap, err = NewClient(peers[0].Addr()).Traces(); err != nil || len(snap.Recent) != 4 {
+		t.Fatalf("ring after two client-traced gets: %d recent, %v", len(snap.Recent), err)
+	}
+	if fresh, kept := snap.Recent[2].ID, snap.Recent[3].ID; fresh == 0 || fresh == 77 || kept != 77 {
+		t.Fatalf("client-traced gets recorded under IDs %d and %d, want a fresh non-zero one and 77", fresh, kept)
+	}
 }
 
 // TestTracesAdminEndpoint scrapes /traces over HTTP and expects the same

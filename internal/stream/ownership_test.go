@@ -21,10 +21,11 @@ func (w wireDoer) Do(addr string, req *msg.Request) (*msg.Response, error) {
 		return nil, err
 	}
 	var wire bytes.Buffer
-	if err := msg.WriteResponse(&wire, resp); err != nil {
+	if err := msg.WriteResponseID(&wire, resp, 1); err != nil {
 		return nil, err
 	}
-	return msg.ReadResponse(&wire)
+	resp, _, err = msg.ReadResponseID(&wire)
+	return resp, err
 }
 
 // TestFetchOwnershipOverWire: a multi-chunk transfer releases every chunk

@@ -58,6 +58,29 @@ func (s *Sampler) Sample() bool {
 	return s.n.Add(1)%s.every == 1 || s.every == 1
 }
 
+// IDSeq hands out trace IDs: a splitmix64 sequence, so IDs are well spread
+// and never zero, and concurrent entry points draw from it without a lock.
+// Seed it with something that differs between nodes and between restarts;
+// the zero value is a valid, fixed sequence.
+type IDSeq struct{ n atomic.Uint64 }
+
+// Seed sets the sequence's position.
+func (s *IDSeq) Seed(v uint64) { s.n.Store(v) }
+
+// Next returns a fresh non-zero trace ID.
+func (s *IDSeq) Next() uint64 {
+	x := s.n.Add(0x9E3779B97F4A7C15)
+	x ^= x >> 30
+	x *= 0xBF58476D1CE4E5B9
+	x ^= x >> 27
+	x *= 0x94D049BB133111EB
+	x ^= x >> 31
+	if x == 0 {
+		x = 1
+	}
+	return x
+}
+
 // Trace is one finished, assembled trace: the identifiers a client or
 // scraper needs to correlate it, the outcome, and the hop tree the wire
 // carried back. Hops may be empty for tail-retained traces (a slow or

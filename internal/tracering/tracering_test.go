@@ -143,3 +143,22 @@ func TestRingConcurrent(t *testing.T) {
 		t.Fatalf("recorded = %d", got)
 	}
 }
+
+// TestIDSeq: IDs are non-zero and distinct, a seed moves the sequence, and
+// the same seed repeats it.
+func TestIDSeq(t *testing.T) {
+	var a, b, c IDSeq
+	b.Seed(12345)
+	c.Seed(12345)
+	seen := map[uint64]bool{}
+	for i := 0; i < 1000; i++ {
+		x, y := a.Next(), b.Next()
+		if x == 0 || y == 0 || x == y || seen[x] || seen[y] {
+			t.Fatalf("draw %d: IDs %d and %d are zero or repeat", i, x, y)
+		}
+		seen[x], seen[y] = true, true
+		if z := c.Next(); z != y {
+			t.Fatalf("draw %d: equally seeded sequences gave %d and %d", i, y, z)
+		}
+	}
+}

@@ -21,14 +21,9 @@ var errMuxClosed = errors.New("transport: multiplexed connection closed")
 // socket deadline.
 
 // mux multiplexes concurrent request/response exchanges over one TCP
-// stream using the pipelined msg framing: every request carries a fresh
-// ID, and a single reader goroutine hands responses back to their callers
-// by the echoed ID, so a slow exchange no longer head-of-line-blocks the
-// fast ones sharing the stream.
-//
-// A pre-pipelining peer answers without IDs, strictly in request order;
-// the reader matches those responses FIFO to the oldest in-flight call,
-// which keeps old peers working through the same pool.
+// stream: every request carries a fresh ID, and a single reader goroutine
+// hands responses back to their callers by the echoed ID, so a slow
+// exchange no longer head-of-line-blocks the fast ones sharing the stream.
 type mux struct {
 	conn net.Conn
 
@@ -36,7 +31,6 @@ type mux struct {
 
 	mu      sync.Mutex
 	pending map[uint64]chan *msg.Response
-	fifo    []uint64 // issue order, to match ID-less legacy responses
 	nextID  uint64
 	dead    bool
 	err     error
@@ -60,12 +54,12 @@ func newMux(conn net.Conn) *mux {
 func (m *mux) readLoop() {
 	br := bufio.NewReader(m.conn)
 	for {
-		resp, id, hasID, err := msg.ReadResponseID(br)
+		resp, id, err := msg.ReadResponseID(br)
 		if err != nil {
 			m.fail(err)
 			return
 		}
-		if !m.deliver(resp, id, hasID) {
+		if !m.deliver(resp, id) {
 			// A response nothing waits for means the stream lost sync;
 			// it cannot be trusted for another exchange.
 			m.fail(errMuxClosed)
@@ -76,23 +70,9 @@ func (m *mux) readLoop() {
 
 // deliver routes one response to its waiting call and reports whether a
 // caller was found.
-func (m *mux) deliver(resp *msg.Response, id uint64, hasID bool) bool {
+func (m *mux) deliver(resp *msg.Response, id uint64) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if hasID {
-		for i, v := range m.fifo {
-			if v == id {
-				m.fifo = append(m.fifo[:i], m.fifo[i+1:]...)
-				break
-			}
-		}
-	} else {
-		if len(m.fifo) == 0 {
-			return false
-		}
-		id = m.fifo[0]
-		m.fifo = m.fifo[1:]
-	}
 	ch, ok := m.pending[id]
 	if !ok {
 		return false
@@ -114,7 +94,6 @@ func (m *mux) fail(err error) {
 	m.err = err
 	pending := m.pending
 	m.pending = map[uint64]chan *msg.Response{}
-	m.fifo = nil
 	m.mu.Unlock()
 	m.conn.Close()
 	for _, ch := range pending {
@@ -182,7 +161,6 @@ func (m *mux) do(req *msg.Request, timeout time.Duration) (*msg.Response, error)
 	id := m.nextID
 	c := callPool.Get().(*call)
 	m.pending[id] = c.ch
-	m.fifo = append(m.fifo, id)
 	m.mu.Unlock()
 
 	// The write deadline is the connection's, not the call's: an untimed
@@ -235,7 +213,7 @@ type ClientConn struct {
 // bounds connection establishment, rpcTO bounds each Do exchange (0 means
 // no exchange deadline).
 func DialMuxConn(addr string, dialTO, rpcTO time.Duration) (*ClientConn, error) {
-	conn, err := net.DialTimeout("tcp", addr, dialTO)
+	conn, err := dial(addr, dialTO)
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,29 +9,17 @@ import (
 	"lesslog/internal/msg"
 )
 
-// pipelinedServer serves every accepted connection through ServeLoop, so
-// tests exercise the full pipelined path: ID-framed requests dispatched to
-// a worker pool, responses written out of order by a single writer.
+// pipelinedServer is a Server on a loopback port, so tests exercise the full
+// pipelined path: requests dispatched to a worker pool, responses written
+// out of order by a single writer.
 func pipelinedServer(t testing.TB, handle func(*msg.Request) *msg.Response, opts ServeLoopOptions) (addr string) {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	srv, err := Listen("127.0.0.1:0", handle, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { ln.Close() })
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer conn.Close()
-				ServeLoop(conn, handle, opts)
-			}()
-		}
-	}()
-	return ln.Addr().String()
+	t.Cleanup(func() { srv.Close() })
+	return srv.Addr()
 }
 
 // TestMuxOverlapsSlowExchange pins the head-of-line fix: with one pooled
@@ -119,36 +106,6 @@ func TestMuxConcurrentCallersOneStream(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-}
-
-// TestServeLoopLegacyFIFO pins the compatibility contract: un-ID'd frames
-// written back-to-back (a legacy pipelining client) are answered strictly
-// in request order even though the server also runs a worker pool.
-func TestServeLoopLegacyFIFO(t *testing.T) {
-	addr := pipelinedServer(t, func(req *msg.Request) *msg.Response {
-		return &msg.Response{OK: true, Data: []byte(req.Name)}
-	}, ServeLoopOptions{})
-
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	const n = 20
-	for i := 0; i < n; i++ {
-		if err := msg.WriteRequest(conn, &msg.Request{Kind: msg.KindGet, Name: string(rune('a' + i))}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < n; i++ {
-		resp, err := msg.ReadResponse(conn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := string(rune('a' + i)); string(resp.Data) != want {
-			t.Fatalf("response %d = %q, want %q (FIFO order broken)", i, resp.Data, want)
-		}
-	}
 }
 
 // TestServeLoopDepthGauge checks the pipeline-depth gauge rises while

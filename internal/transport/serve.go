@@ -16,8 +16,9 @@ import (
 // connection when the caller does not say otherwise.
 const DefaultPipelineWorkers = 8
 
-// ServeLoopOptions tunes ServeLoop. The zero value serves with
-// DefaultPipelineWorkers and no instrumentation.
+// ServeLoopOptions tunes ServeLoop, for one connection or for every one a
+// Server accepts. The zero value serves with DefaultPipelineWorkers and no
+// instrumentation.
 type ServeLoopOptions struct {
 	// Workers caps concurrently handled pipelined requests on this
 	// connection; the reader stalls (TCP backpressure) once the cap is
@@ -39,12 +40,11 @@ type ServeLoopOptions struct {
 }
 
 // ServeLoop serves one accepted connection with per-connection request
-// pipelining: a reader goroutine decodes frames, pipelined (ID-carrying)
-// requests are dispatched to a bounded worker pool, and a single writer
-// goroutine frames the responses back — out of request order when handlers
-// finish out of order, each echoing its request's ID. Legacy frames (no
-// ID) are handled inline on the reader, preserving the strict FIFO
-// response order a pre-pipelining client relies on.
+// pipelining: a reader goroutine decodes frames, every request is
+// dispatched to a bounded worker pool, and a single writer goroutine frames
+// the responses back — out of request order when handlers finish out of
+// order, each echoing its request's ID. A frame without an ID is a protocol
+// error that ends the connection (msg.ErrNoFrameID).
 //
 // handle must be safe for concurrent use and must return a non-nil
 // response. What it is given is lent, not handed over (docs/PIPELINE.md
@@ -85,16 +85,12 @@ func ServeLoop(conn net.Conn, handle func(*msg.Request) *msg.Response, opts Serv
 
 	br := bufio.NewReader(conn)
 	for {
-		req, lease, id, hasID, err := msg.ReadRequestLent(br)
+		req, lease, id, err := msg.ReadRequestLent(br)
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
 				s.protoErr(err)
 			}
 			break
-		}
-		if !hasID {
-			s.out <- outFrame{resp: handle(req), lease: lease}
-			continue
 		}
 		s.sem <- struct{}{}
 		s.handlers.Add(1)
@@ -124,7 +120,6 @@ type served struct {
 type outFrame struct {
 	resp  *msg.Response
 	id    uint64
-	hasID bool
 	lease msg.Lease
 }
 
@@ -134,7 +129,7 @@ func (s *served) protoErr(err error) {
 	}
 }
 
-// work handles one pipelined request on a goroutine of its own.
+// work handles one request on a goroutine of its own.
 func (s *served) work(req *msg.Request, lease msg.Lease, id uint64) {
 	defer func() {
 		if s.opts.Depth != nil {
@@ -143,7 +138,7 @@ func (s *served) work(req *msg.Request, lease msg.Lease, id uint64) {
 		<-s.sem
 		s.handlers.Done()
 	}()
-	s.out <- outFrame{resp: s.handle(req), id: id, hasID: true, lease: lease}
+	s.out <- outFrame{resp: s.handle(req), id: id, lease: lease}
 }
 
 // writeLoop frames responses onto the connection until out is closed. It
@@ -153,12 +148,7 @@ func (s *served) work(req *msg.Request, lease msg.Lease, id uint64) {
 func (s *served) writeLoop() {
 	bw := bufio.NewWriter(s.conn)
 	for f := range s.out {
-		var err error
-		if f.hasID {
-			err = msg.WriteResponseID(bw, f.resp, f.id)
-		} else {
-			err = msg.WriteResponse(bw, f.resp)
-		}
+		err := msg.WriteResponseID(bw, f.resp, f.id)
 		f.lease.End()
 		if err == nil && len(s.out) == 0 {
 			err = bw.Flush()

@@ -22,7 +22,8 @@
 // A companion Detector counts consecutive RPC failures per peer and flips
 // liveness through callbacks — the failure-detector half of §5 that turns
 // socket errors into status-word updates, making the expanded-children-list
-// fallback fire over the network.
+// fallback fire over the network. The serving side's sockets are here too
+// (Listen, Server, ServeLoop): no other package opens or accepts one.
 package transport
 
 import (
@@ -49,8 +50,9 @@ const (
 )
 
 // Config parameterizes a Transport. The zero value selects the defaults
-// above; PoolSize < 0 disables pooling (dial per call, as the seed did, but
-// still with deadlines).
+// above; PoolSize < 0 disables pooling: every exchange dials a stream of
+// its own, uses it once and closes it (as the seed did, but still with
+// deadlines).
 type Config struct {
 	DialTimeout time.Duration // bound on establishing a TCP connection
 	RPCTimeout  time.Duration // bound on one full write+read exchange
@@ -291,62 +293,31 @@ func (t *Transport) exchange(addr string, req *msg.Request, rpcTO time.Duration)
 		t.counters.Faults.Inc()
 		return nil, err
 	}
-	if t.cfg.PoolSize < 0 {
-		return t.exchangeDirect(addr, req, rpcTO)
-	}
 	m, reused, err := t.acquireMux(addr)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := m.do(req, rpcTO)
-	if err == nil {
-		t.releaseMux(m)
-		return resp, nil
-	}
-	t.discardMux(addr, m)
-	if !reused {
-		return nil, err
+	resp, err := t.doOn(addr, m, req, rpcTO)
+	if err == nil || !reused {
+		return resp, err
 	}
 	// The pooled stream was stale; one fresh dial before giving up.
 	t.counters.Reconnects.Inc()
-	m, err2 := t.dialMux(addr)
-	if err2 != nil {
-		return nil, err2
+	if m, err = t.dialMux(addr); err != nil {
+		return nil, err
 	}
-	resp, err = m.do(req, rpcTO)
+	return t.doOn(addr, m, req, rpcTO)
+}
+
+// doOn performs one exchange on an acquired stream and ends its use of it:
+// released on success, discarded on failure.
+func (t *Transport) doOn(addr string, m *mux, req *msg.Request, rpcTO time.Duration) (*msg.Response, error) {
+	resp, err := m.do(req, rpcTO)
 	if err != nil {
 		t.discardMux(addr, m)
 		return nil, err
 	}
 	t.releaseMux(m)
-	return resp, nil
-}
-
-// exchangeDirect is the unpooled path (PoolSize < 0, as the seed did, but
-// still with deadlines): dial, one legacy-framed write+read, close.
-func (t *Transport) exchangeDirect(addr string, req *msg.Request, rpcTO time.Duration) (*msg.Response, error) {
-	conn, err := net.DialTimeout("tcp", addr, t.cfg.DialTimeout)
-	if err != nil {
-		return nil, err
-	}
-	t.counters.Dials.Inc()
-	defer conn.Close()
-	return t.roundTrip(conn, req, rpcTO)
-}
-
-// roundTrip performs one framed write+read on conn under the RPC deadline.
-func (t *Transport) roundTrip(conn net.Conn, req *msg.Request, rpcTO time.Duration) (*msg.Response, error) {
-	if err := conn.SetDeadline(time.Now().Add(rpcTO)); err != nil {
-		return nil, err
-	}
-	if err := msg.WriteRequest(conn, req); err != nil {
-		return nil, err
-	}
-	resp, err := msg.ReadResponse(conn)
-	if err != nil {
-		return nil, err
-	}
-	conn.SetDeadline(time.Time{})
 	return resp, nil
 }
 
@@ -385,11 +356,17 @@ func (t *Transport) acquireMux(addr string) (m *mux, reused bool, err error) {
 	return m, false, err
 }
 
+// dial is the one place a fabric stream is opened.
+func dial(addr string, timeout time.Duration) (net.Conn, error) {
+	return net.DialTimeout("tcp", addr, timeout)
+}
+
 // dialMux establishes a fresh multiplexed stream under the dial deadline
-// and pools it, unless the pool filled meanwhile (or the transport is
-// closed) — then the stream is ephemeral: one exchange and closed.
+// and pools it, unless the pool has no room for it (it filled meanwhile,
+// PoolSize < 0 gives it none, or the transport is closed) — then the stream
+// is ephemeral: one exchange and closed.
 func (t *Transport) dialMux(addr string) (*mux, error) {
-	conn, err := net.DialTimeout("tcp", addr, t.cfg.DialTimeout)
+	conn, err := dial(addr, t.cfg.DialTimeout)
 	if err != nil {
 		return nil, err
 	}

@@ -57,7 +57,7 @@ func (s *echoServer) acceptLoop() {
 				s.mu.Unlock()
 			}()
 			for {
-				req, err := msg.ReadRequest(conn)
+				req, id, err := msg.ReadRequestID(conn)
 				if err != nil {
 					return
 				}
@@ -65,7 +65,7 @@ func (s *echoServer) acceptLoop() {
 					continue // swallow the request: the caller's deadline must fire
 				}
 				resp := &msg.Response{OK: true, Data: []byte(req.Name)}
-				if err := msg.WriteResponse(conn, resp); err != nil {
+				if err := msg.WriteResponseID(conn, resp, id); err != nil {
 					return
 				}
 			}

@@ -89,3 +89,43 @@ func TestRunPatternsNameRealTests(t *testing.T) {
 		t.Fatalf("unresolved names for a pattern with one missing test = %v", got)
 	}
 }
+
+// socketCall matches the calls that open or accept a TCP socket directly.
+var socketCall = regexp.MustCompile(`net\.(Listen|Dial|DialTimeout)\(`)
+
+// TestFrameSocketsOnlyInTransport: every fabric socket is opened by
+// internal/transport — one dial, one Listen — which is the seam a
+// deterministic fabric substitutes (ROADMAP "Deterministic fabric"). The two
+// admin HTTP listeners are the only sockets outside it.
+func TestFrameSocketsOnlyInTransport(t *testing.T) {
+	allowed := map[string]bool{
+		filepath.Join("internal", "netnode", "admin.go"):   true,
+		filepath.Join("internal", "gateway", "observe.go"): true,
+	}
+	inTransport := 0
+	for _, root := range []string{"internal", "cmd"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			src, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			calls := socketCall.FindAllString(string(src), -1)
+			switch {
+			case filepath.Dir(path) == filepath.Join("internal", "transport"):
+				inTransport += len(calls)
+			case len(calls) > 0 && !allowed[path]:
+				t.Errorf("%s opens a socket itself (%s): frame sockets belong to internal/transport", path, strings.Join(calls, " "))
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if inTransport != 2 {
+		t.Errorf("internal/transport has %d socket-opening calls, want 2 (dial and Listen)", inTransport)
+	}
+}
