@@ -40,7 +40,6 @@ func TestAggregateMergesHistograms(t *testing.T) {
 				Served:       4,
 				ChunksServed: 3,
 				ChunkBytes:   3 << 20,
-				LocateSets:   2,
 				WriteChunks:  2,
 				NotifyPulls:  1,
 				FanoutBytes:  1 << 20,
@@ -53,7 +52,6 @@ func TestAggregateMergesHistograms(t *testing.T) {
 				ChunksServed:  5,
 				ChunkBytes:    5 << 20,
 				ChunkRefusals: 1,
-				LocateSets:    1,
 				WriteChunks:   4,
 				NotifyPulls:   2,
 				FanoutBytes:   2 << 20,
@@ -70,9 +68,9 @@ func TestAggregateMergesHistograms(t *testing.T) {
 	if c.Served != 9 {
 		t.Fatalf("summed served = %d, want 9", c.Served)
 	}
-	if c.ChunksServed != 8 || c.ChunkBytes != 8<<20 || c.ChunkRefusals != 1 || c.LocateSets != 3 {
-		t.Fatalf("chunk plane merge = served %d bytes %d refused %d locate-sets %d, want 8/%d/1/3",
-			c.ChunksServed, c.ChunkBytes, c.ChunkRefusals, c.LocateSets, 8<<20)
+	if c.ChunksServed != 8 || c.ChunkBytes != 8<<20 || c.ChunkRefusals != 1 {
+		t.Fatalf("chunk plane merge = served %d bytes %d refused %d, want 8/%d/1",
+			c.ChunksServed, c.ChunkBytes, c.ChunkRefusals, 8<<20)
 	}
 	if c.WriteChunks != 6 || c.NotifyPulls != 3 || c.FanoutBytes != 3<<20 {
 		t.Fatalf("write plane merge = chunks %d pulls %d fanout %d, want 6/3/%d",

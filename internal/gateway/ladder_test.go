@@ -45,15 +45,15 @@ type ladderConsumer struct {
 }
 
 // rpcs is the consumer transport's exchange count per kind.
-type rpcs struct{ get, locate, locateSet, fetch, update uint64 }
+type rpcs struct{ get, locateSet, fetch, update uint64 }
 
 func (c *ladderConsumer) rpcs() rpcs {
 	n := func(k msg.Kind) uint64 { return c.tr.Latency(k).Count() }
-	return rpcs{n(msg.KindGet), n(msg.KindLocate), n(msg.KindLocateSet), n(msg.KindFetch), n(msg.KindUpdate)}
+	return rpcs{n(msg.KindGet), n(msg.KindLocateSet), n(msg.KindFetch), n(msg.KindUpdate)}
 }
 
 func (a rpcs) since(b rpcs) rpcs {
-	return rpcs{a.get - b.get, a.locate - b.locate, a.locateSet - b.locateSet, a.fetch - b.fetch, a.update - b.update}
+	return rpcs{a.get - b.get, a.locateSet - b.locateSet, a.fetch - b.fetch, a.update - b.update}
 }
 
 // ladderEnv is one case's world: a fresh fabric holding one name, and a
@@ -216,7 +216,7 @@ var ladderCases = []struct {
 		e.peerByPID(res.servedBy).Close() // the set's first source
 		r0, retries0 := e.c.rpcs(), e.c.chunks.ChunkRetries.Load()
 		e.mustServe(1)
-		if d := e.c.rpcs().since(r0); d.locateSet != 0 || d.locate != 0 || d.get != 0 {
+		if d := e.c.rpcs().since(r0); d.locateSet != 0 || d.get != 0 {
 			e.t.Fatalf("dead-holder get issued %+v, want fetches only", d)
 		}
 		if e.c.chunks.ChunkRetries.Load() == retries0 {
@@ -307,6 +307,32 @@ var ladderCases = []struct {
 		e.mustServe(2)
 		if d := e.c.rpcs().since(r0); d != (rpcs{fetch: 8}) {
 			e.t.Fatalf("read-after-write issued %+v, want 8 fetches off the refreshed hint", d)
+		}
+	}},
+	{name: "update with no hint: one locate-set names the entry, its set serves the next get", b: 1, run: func(e *ladderEnv) {
+		atHolder := func() uint64 { return e.sumPeers(func(s *netnode.Stats) uint64 { return s.WritesAtHolder.Load() }) }
+		h0, r0 := atHolder(), e.c.rpcs()
+		if err := e.c.update(ladderName, ladderBody(2)); err != nil {
+			e.t.Fatal(err)
+		}
+		if d := e.c.rpcs().since(r0); d != (rpcs{locateSet: 1, update: 1}) {
+			e.t.Fatalf("hint-less update issued %+v, want one locate-set and the update", d)
+		}
+		if atHolder() != h0+1 {
+			e.t.Fatal("the update did not enter at the holder the locate-set reached")
+		}
+		// The write-entry locate cached the whole two-holder set: the next get
+		// stripes across both holders, with no further locate-set.
+		served0 := []uint64{e.holders[0].Stats().ChunksServed.Load(), e.holders[1].Stats().ChunksServed.Load()}
+		r0 = e.c.rpcs()
+		e.mustServe(2)
+		if d := e.c.rpcs().since(r0); d != (rpcs{fetch: 8}) {
+			e.t.Fatalf("get after the hint-less update issued %+v, want 8 fetches off the cached set", d)
+		}
+		for i, h := range e.holders {
+			if h.Stats().ChunksServed.Load() == served0[i] {
+				e.t.Fatalf("holder P(%d) served no chunk: the cached set lost it", h.PID())
+			}
 		}
 	}},
 	{name: "read below the floor: purge and re-resolve, never served", b: 1, run: func(e *ladderEnv) {

@@ -9,7 +9,10 @@ package msg
 // against its limit and against the bytes actually present, a lying
 // prefix is ErrCorrupt, never an allocation.
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"slices"
+)
 
 // fetchRespWire is the fixed part of an encoded FetchResp: total size u64,
 // file CRC u32, chunk CRC u32, chunk length prefix u32. A chunk plus this
@@ -129,16 +132,21 @@ type Holder struct {
 }
 
 // AppendHolders encodes a KindLocateSet response payload onto b. The
-// serving holder lists itself first; the set is never empty.
+// serving holder lists itself first; the set is never empty. b grows once,
+// to the encoded size: a locate-set answer is built on every locate.
 func AppendHolders(b []byte, hs []Holder) ([]byte, error) {
 	if len(hs) == 0 || len(hs) > MaxHolders {
 		return nil, ErrFrameTooLarge
 	}
-	b = binary.BigEndian.AppendUint32(b, uint32(len(hs)))
+	n := 4
 	for _, h := range hs {
 		if len(h.Addr) > MaxName {
 			return nil, ErrFrameTooLarge
 		}
+		n += 16 + len(h.Addr)
+	}
+	b = binary.BigEndian.AppendUint32(slices.Grow(b, n), uint32(len(hs)))
+	for _, h := range hs {
 		b = binary.BigEndian.AppendUint32(b, h.PID)
 		b = appendString(b, h.Addr)
 		b = binary.BigEndian.AppendUint64(b, h.Version)

@@ -64,14 +64,7 @@ const (
 	// a bounds-checked list of encoded Requests (AppendBatchRequests), the
 	// response's Data the matching Responses. Batches do not nest.
 	KindBatch
-	// KindLocate is the control half of the locate-then-fetch data plane:
-	// it is forwarded along the lookup tree exactly like KindGet (same
-	// ancestor walk, FINDLIVENODE fallback and subtree migration), but the
-	// serving holder answers with a tiny metadata frame — its PID in
-	// ServedBy, its listen address in Data, the copy's version in Version —
-	// never the file payload. Clients then fetch the data in one hop with a
-	// FlagLocalOnly get.
-	KindLocate
+	_ // 11: retired single-holder locate; never reuse
 	// KindDigest is the anti-entropy synchronization probe of the replica
 	// repair subsystem (docs/REPAIR.md): Data carries a bounds-checked
 	// bucket-hash digest of the sender's name set (AppendDigest), Origin the
@@ -85,22 +78,25 @@ const (
 	// JSON — recent traces plus the retained slow/error tail.
 	KindTraces
 	// KindFetch is the ranged read of the chunked data plane
-	// (docs/ROUTING.md): a direct client↔holder request for Length bytes at
-	// Offset of Name — never forwarded, serve-or-refuse like a FlagLocalOnly
-	// get. The request's Data carries the range (AppendFetchReq); its
-	// Version pins the copy's version (0 accepts any), so a transfer striped
-	// across replicas can never splice bytes from two versions. The
-	// response's Data carries the chunk with its CRC-32C plus the file's
-	// total size and whole-file CRC (AppendFetchResp); the response Version
-	// reports the version actually served.
+	// (docs/ROUTING.md): a direct request for Length bytes at Offset of Name
+	// to a holder a KindLocateSet answer named — never forwarded,
+	// serve-or-refuse like a FlagLocalOnly get. The request's Data carries
+	// the range (AppendFetchReq); its Version pins the copy's version (0
+	// accepts any), so a transfer striped across replicas can never splice
+	// bytes from two versions. The response's Data carries the chunk with
+	// its CRC-32C plus the file's total size and whole-file CRC
+	// (AppendFetchResp); the response Version reports the version actually
+	// served.
 	KindFetch
-	// KindLocateSet is the replica-set locate: forwarded along the lookup
-	// tree exactly like KindLocate, but the serving holder answers with the
-	// known replica set — its own copy first (PID, address, real version),
-	// then the other required primary holders of the name's subtree
-	// placements — encoded as AppendHolders in the response's Data. Clients
-	// stripe chunk fetches round-robin across the set and cache it as a
-	// multi-holder route hint.
+	// KindLocateSet is the locate, the control half of the locate-then-fetch
+	// data plane: forwarded along the lookup tree exactly like KindGet (same
+	// ancestor walk, FINDLIVENODE fallback and subtree migration), but the
+	// first holder reached answers with the known replica set instead of the
+	// payload — its own copy first (PID, address, real version), then the
+	// other required primary holders of the name's subtree placements —
+	// encoded as AppendHolders in Data, its PID in ServedBy and its copy's
+	// version in Version. Clients stripe chunk fetches round-robin across
+	// the set and cache it as a multi-holder route hint.
 	KindLocateSet
 	// KindPut is the ranged write of the chunked data plane — the upload
 	// twin of KindFetch (docs/ROUTING.md "write plane"). A direct
@@ -155,8 +151,6 @@ func (k Kind) String() string {
 		return "delete"
 	case KindBatch:
 		return "batch"
-	case KindLocate:
-		return "locate"
 	case KindDigest:
 		return "digest"
 	case KindTraces:
@@ -246,10 +240,10 @@ const (
 	// instead of the legacy one-line text summary.
 	FlagJSON
 	// FlagLocalOnly marks a KindGet that must be answered from the local
-	// store or with not-found — never forwarded. It is the fetch half of
-	// locate-then-fetch: the client already resolved the holder, so a stale
-	// route hint degrades into one cheap miss instead of re-amplifying into
-	// a relayed tree walk.
+	// store or with not-found — never forwarded. It is the whole-frame fetch
+	// after a KindLocateSet walk (the traced read): the client already
+	// resolved the holder, so a stale route hint degrades into one cheap miss
+	// instead of re-amplifying into a relayed tree walk.
 	FlagLocalOnly
 	// FlagInventory asks KindStat (with FlagJSON) to include the node's
 	// full per-name inventory — name, version, kind, §6 serve count — in
@@ -274,8 +268,8 @@ const (
 	HopMigrate
 	// HopServe: answered from the local store; always the final hop.
 	HopServe
-	// HopLocate: answered with the holder's location instead of the data —
-	// the final hop of a traced KindLocate resolution.
+	// HopLocate: answered with the replica set instead of the data — the
+	// final hop of a traced KindLocateSet walk.
 	HopLocate
 	// HopFault: the request died here — no copy and no next hop (or every
 	// forward attempt failed). Always the final hop of a faulted route;

@@ -210,7 +210,7 @@ func TestCorruptResponse(t *testing.T) {
 func TestKindString(t *testing.T) {
 	for k, want := range map[Kind]string{
 		KindInsert: "insert", KindGet: "get", KindUpdate: "update",
-		KindStore: "store", KindStat: "stat", KindLocate: "locate",
+		KindStore: "store", KindStat: "stat",
 		KindTraces: "traces", KindFetch: "fetch", KindLocateSet: "locate-set",
 		Kind(99): "kind(99)",
 	} {
@@ -220,10 +220,40 @@ func TestKindString(t *testing.T) {
 	}
 }
 
+// retiredKind is the one unassigned value below KindCount: the
+// single-holder locate, folded into KindLocateSet.
+const retiredKind = 11
+
+// TestKindWireNumbers pins every kind's value on the wire. Kinds are
+// compared between builds by number, so a renumbering breaks every fleet
+// that mixes builds; the encoders agree with each other whatever the
+// numbers, which is why the frame goldens cannot catch one.
+func TestKindWireNumbers(t *testing.T) {
+	for k, want := range map[Kind]uint8{
+		KindInsert: 1, KindGet: 2, KindUpdate: 3, KindStore: 4, KindStat: 5,
+		KindRegister: 6, KindTable: 7, KindHas: 8, KindDelete: 9, KindBatch: 10,
+		KindDigest: 12, KindTraces: 13, KindFetch: 14, KindLocateSet: 15,
+		KindPut: 16, KindNotify: 17,
+	} {
+		if uint8(k) != want {
+			t.Errorf("%v = %d on the wire, want %d", k, uint8(k), want)
+		}
+	}
+	if got := Kind(retiredKind).String(); got != "kind(11)" {
+		t.Errorf("Kind(11).String() = %q, want the unnamed form", got)
+	}
+	if KindCount != 18 {
+		t.Errorf("KindCount = %d, want 18", KindCount)
+	}
+}
+
 func TestUnknownKindError(t *testing.T) {
 	// The phrasing an operator sees when a peer is sent a kind it does not
 	// serve: an ordinary request error naming the kind.
-	if got := UnknownKindError(KindLocate); got != "netnode: unknown kind locate" {
+	if got := UnknownKindError(KindLocateSet); got != "netnode: unknown kind locate-set" {
+		t.Fatalf("UnknownKindError = %q", got)
+	}
+	if got := UnknownKindError(Kind(retiredKind)); got != "netnode: unknown kind kind(11)" {
 		t.Fatalf("UnknownKindError = %q", got)
 	}
 	if got := UnknownKindError(Kind(42)); got != "netnode: unknown kind kind(42)" {

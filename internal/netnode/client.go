@@ -71,7 +71,7 @@ type Client struct {
 type LocateStats struct {
 	HintHits  metrics.AtomicCounter // gets served off a cached replica-set hint
 	HintStale metrics.AtomicCounter // cached hints that failed and were invalidated
-	Locates   metrics.AtomicCounter // locate and locate-set RPCs issued
+	Locates   metrics.AtomicCounter // locate-set RPCs issued
 	Relays    metrics.AtomicCounter // gets that fell to the relay rung
 
 	ChunkedGets     metrics.AtomicCounter // striped chunk transfers completed
@@ -265,9 +265,12 @@ func (c *Client) GetAtLeast(name string, minVer uint64) (GetResult, error) {
 // GetTraced fetches a file with route tracing: every peer the request
 // visits appends a hop record, and the result's Path holds the actual
 // route — the live counterpart of internal/trace.Route's prediction. A
-// locate-mode trace shows the locate walk followed by the direct fetch's
-// serve hop; a failed traced get returns the partial Path alongside the
-// error, ending in the fault hop.
+// failed traced get returns the partial Path alongside the error, ending
+// in the fault hop. In locate mode it is a traced locate-set walk, then a
+// local-only get at the holder the walk reached that continues the same
+// path — whole-frame, so the hop path stays one coherent walk. An answer
+// that names no holder, or a holder that cannot serve (lost the file,
+// died, body over one frame), sends the get to the relay rung.
 func (c *Client) GetTraced(name string) (GetResult, error) {
 	req := &msg.Request{
 		Kind: msg.KindGet, Flags: msg.FlagTrace,
@@ -276,7 +279,20 @@ func (c *Client) GetTraced(name string) (GetResult, error) {
 	if c.hints == nil {
 		return c.relay(req)
 	}
-	return c.readTraced(req)
+	loc, _, err := c.locate(name, req.TraceID)
+	switch {
+	case err == nil:
+		freq := *req
+		freq.Flags |= msg.FlagLocalOnly
+		freq.Path = loc.Path // the fetch trace continues where the locate ended
+		if resp, err := c.tr.Do(loc.Addr, &freq); err == nil && resp.OK {
+			return getResult(resp), nil
+		}
+	case !errors.Is(err, errNextRung):
+		return GetResult{Hops: loc.Hops, Path: loc.Path}, err
+	}
+	c.stats.Relays.Inc()
+	return c.relay(req)
 }
 
 // read is the read ladder, top rung first:
@@ -321,22 +337,9 @@ func (c *Client) read(name string, minVer uint64) (GetResult, error) {
 // serve the read.
 func (c *Client) locateFetch(name string, minVer uint64) (GetResult, error) {
 	for attempt := 0; attempt < 2; attempt++ {
-		c.stats.Locates.Inc()
-		resp, err := c.Do(&msg.Request{Kind: msg.KindLocateSet, Name: name}, true)
+		loc, set, err := c.locate(name, 0)
 		if err != nil {
-			return GetResult{}, err
-		}
-		if !resp.OK {
-			return GetResult{Hops: int(resp.Hops)}, fmt.Errorf("%w: %s", ErrFault, name)
-		}
-		hs, err := msg.DecodeHolders(resp.Data)
-		if err != nil {
-			c.stats.FetchErrors.Inc()
-			break
-		}
-		set := make([]routehint.Hint, len(hs))
-		for i, h := range hs {
-			set[i] = routehint.Hint{PID: h.PID, Addr: h.Addr, Version: h.Version}
+			return GetResult{Hops: loc.Hops}, err
 		}
 		c.hints.PutSet(name, set)
 		res, err := c.chunkFetch(name, set, minVer)
@@ -376,27 +379,6 @@ func (c *Client) chunkFetch(name string, set []routehint.Hint, minVer uint64) (G
 	// A striped transfer has no single server; report the set's primary
 	// (the holder the locate walk reached) as the representative.
 	return GetResult{Data: data, Version: ver, ServedBy: set[0].PID}, nil
-}
-
-// readTraced is the traced read: a traced locate walk, then a local-only
-// get at the located holder that continues the same path — whole-frame, so
-// the hop path stays one coherent walk. A holder that cannot serve (lost
-// the file, died, body over one frame) sends the get to the relay rung.
-func (c *Client) readTraced(req *msg.Request) (GetResult, error) {
-	loc, err := c.locateReq(&msg.Request{
-		Kind: msg.KindLocate, Flags: msg.FlagTrace, Name: req.Name, TraceID: req.TraceID,
-	})
-	if err != nil {
-		return GetResult{Hops: loc.Hops, Path: loc.Path}, err
-	}
-	freq := *req
-	freq.Flags |= msg.FlagLocalOnly
-	freq.Path = loc.Path // the fetch trace continues where the locate ended
-	if resp, err := c.tr.Do(loc.Addr, &freq); err == nil && resp.OK {
-		return getResult(resp), nil
-	}
-	c.stats.Relays.Inc()
-	return c.relay(req)
 }
 
 // relay is the whole-frame get through the lookup tree — a plain client's
@@ -445,32 +427,47 @@ type LocateResult struct {
 
 // Locate resolves name to its serving holder without moving the payload.
 func (c *Client) Locate(name string) (LocateResult, error) {
-	return c.locateReq(&msg.Request{Kind: msg.KindLocate, Name: name})
+	loc, _, err := c.locate(name, 0)
+	return loc, err
 }
 
 // LocateTraced resolves name with route tracing; the result's Path is the
 // locate walk, one hop per stop.
 func (c *Client) LocateTraced(name string) (LocateResult, error) {
-	return c.locateReq(&msg.Request{
-		Kind: msg.KindLocate, Flags: msg.FlagTrace,
-		Name: name, TraceID: rand.Uint64(),
-	})
+	loc, _, err := c.locate(name, rand.Uint64())
+	return loc, err
 }
 
-func (c *Client) locateReq(req *msg.Request) (LocateResult, error) {
+// locate is the one locate walk, traced under traceID unless it is 0: a
+// KindLocateSet through an entry peer, answered by the first holder the
+// lookup tree reaches with the name's replica set, itself first. loc
+// describes that holder (set[0]); a fault still carries the hops and the
+// traced path walked. An answer that does not decode is errNextRung.
+func (c *Client) locate(name string, traceID uint64) (loc LocateResult, set []routehint.Hint, err error) {
+	req := &msg.Request{Kind: msg.KindLocateSet, Name: name, TraceID: traceID}
+	if traceID != 0 {
+		req.Flags = msg.FlagTrace
+	}
 	c.stats.Locates.Inc()
 	resp, err := c.Do(req, true)
 	if err != nil {
-		return LocateResult{}, err
+		return loc, nil, err
 	}
+	loc = LocateResult{Hops: int(resp.Hops), Path: resp.Path}
 	if !resp.OK {
-		return LocateResult{Hops: int(resp.Hops), Path: resp.Path},
-			fmt.Errorf("%w: %s", ErrFault, req.Name)
+		return loc, nil, fmt.Errorf("%w: %s", ErrFault, name)
 	}
-	return LocateResult{
-		PID: resp.ServedBy, Addr: string(resp.Data), Version: resp.Version,
-		Hops: int(resp.Hops), Path: resp.Path,
-	}, nil
+	hs, err := msg.DecodeHolders(resp.Data)
+	if err != nil {
+		c.stats.FetchErrors.Inc()
+		return loc, nil, fmt.Errorf("%w: locate-set answer: %v", errNextRung, err)
+	}
+	set = make([]routehint.Hint, len(hs))
+	for i, h := range hs {
+		set[i] = routehint.Hint{PID: h.PID, Addr: h.Addr, Version: h.Version}
+	}
+	loc.PID, loc.Addr, loc.Version = set[0].PID, set[0].Addr, set[0].Version
+	return loc, set, nil
 }
 
 // Insert stores a file in the system. Payloads over one wire frame
@@ -600,10 +597,10 @@ func (c *Client) send(addr string, req *msg.Request) (*msg.Response, error) {
 }
 
 // writeHint names a holder for an update or delete to enter at: the cached
-// hint, else one locate walk (cached for the next write or read). nil —
-// inserts, plain clients, unlocatable names (e.g. a first write racing the
-// insert) — enters at an entry peer, where the write path resolves the
-// name as it always has.
+// hint, else the holder one locate walk reaches, its whole set cached for
+// the next write or read. nil — inserts, plain clients, unlocatable names
+// (e.g. a first write racing the insert) — enters at an entry peer, where
+// the write path resolves the name as it always has.
 func (c *Client) writeHint(req *msg.Request) *routehint.Hint {
 	if c.hints == nil || req.Kind == msg.KindInsert {
 		return nil
@@ -611,13 +608,12 @@ func (c *Client) writeHint(req *msg.Request) *routehint.Hint {
 	if h, ok := c.hints.Get(req.Name); ok {
 		return &h
 	}
-	loc, err := c.locateReq(&msg.Request{Kind: msg.KindLocate, Name: req.Name})
+	_, set, err := c.locate(req.Name, 0)
 	if err != nil {
 		return nil
 	}
-	h := routehint.Hint{PID: loc.PID, Addr: loc.Addr, Version: loc.Version}
-	c.hints.Put(req.Name, h)
-	return &h
+	c.hints.PutSet(req.Name, set)
+	return &set[0]
 }
 
 // purgeHint invalidates name's route hint. No-op outside locate mode.

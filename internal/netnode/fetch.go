@@ -1,12 +1,11 @@
 package netnode
 
 // The peer side of the chunked data plane (docs/ROUTING.md): ranged
-// KindFetch reads served straight from the sharded store, and KindLocateSet
-// answers that carry the name's whole replica set instead of the one holder
-// the lookup walk happened to reach. Both are serve-or-refuse on the data
-// hop — a fetch is never forwarded (the client already resolved the
-// holders) — while the locate-set control hop forwards along the lookup
-// tree exactly like a single-holder locate.
+// KindFetch reads served straight from the sharded store, and the
+// KindLocateSet walk that names the holders to fetch from. A fetch is
+// serve-or-refuse, never forwarded (the client already resolved the
+// holders); a locate-set forwards along the lookup tree exactly like a
+// relay get.
 
 import (
 	"fmt"
@@ -197,15 +196,20 @@ func (p *Peer) handleFetch(req *msg.Request) *msg.Response {
 		Version: f.Version, Data: hdr, Tail: chunk}
 }
 
-// handleLocateSet resolves a name to its replica set: the same lookup-tree
-// walk as a single-holder locate (forwardLookup carries misses onward with
-// identical §3/§4 semantics), but the serving holder answers with every
-// required holder it can name — itself first with the real version, then
-// the live primary holder of each subtree placement (§2.2 run in reverse,
+// handleLocateSet resolves a name to its replica set without moving the
+// payload — the control-plane half of the locate-then-fetch data plane
+// (docs/ROUTING.md). It walks the same lookup tree as a relay get — same
+// live-ancestor hops, same §3 FINDLIVENODE fallback, same §4 subtree
+// migration, same trace frames (forwardLookup carries misses onward) — but
+// the first holder reached answers with every required holder it can name
+// instead of the file bytes: itself first with the real version, then the
+// live primary holder of each subtree placement (§2.2 run in reverse,
 // exactly the set the repair plane probes), version 0 for the unprobed.
 // Clients stripe chunk fetches across the set; a listed holder that turns
 // out stale or missing just refuses its fetch and is purged client-side,
-// so the set is advisory like every route hint.
+// so the set is advisory like every route hint. Peek, not Get: a locate
+// must not count a store access, or locate-then-fetch would double-count a
+// file's popularity relative to one relay get.
 func (p *Peer) handleLocateSet(req *msg.Request) *msg.Response {
 	start := time.Now()
 	f, ok := p.store.Peek(req.Name)
@@ -213,10 +217,10 @@ func (p *Peer) handleLocateSet(req *msg.Request) *msg.Response {
 		return p.forwardLookup(req, start)
 	}
 	p.stats.Located.Add(1)
-	p.stats.LocateSets.Add(1)
 	rt := p.rt()
 	v := p.view(p.hasher.Target(req.Name, p.cfg.M))
-	hs := []msg.Holder{{PID: uint32(p.cfg.PID), Addr: p.Addr(), Version: f.Version}}
+	hs := make([]msg.Holder, 1, 8) // a typical set fits on the stack
+	hs[0] = msg.Holder{PID: uint32(p.cfg.PID), Addr: p.Addr(), Version: f.Version}
 	for sid := bitops.VID(0); sid < bitops.VID(bitops.SubtreeCount(p.cfg.B)); sid++ {
 		h, live := v.PrimaryHolder(sid)
 		if !live || h == p.cfg.PID {
@@ -229,6 +233,9 @@ func (p *Peer) handleLocateSet(req *msg.Request) *msg.Response {
 		hs = append(hs, msg.Holder{PID: uint32(h), Addr: addr})
 	}
 	data, err := msg.AppendHolders(nil, hs)
+	if req.Kind != msg.KindLocateSet {
+		data = []byte(p.Addr()) // retired kind 11 (older builds): its answer is the address alone
+	}
 	if err != nil {
 		return &msg.Response{Err: fmt.Sprintf("netnode: locate-set encode: %v", err)}
 	}

@@ -12,10 +12,12 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"lesslog/internal/bitops"
 	"lesslog/internal/hashring"
 	"lesslog/internal/msg"
+	"lesslog/internal/transport"
 )
 
 // markDeadEverywhere clears victim's liveness bit on every peer through
@@ -65,6 +67,40 @@ func TestLocateResolvesHolder(t *testing.T) {
 	}
 }
 
+// TestRetiredLocateKindAnswered pins the transitional answer to kind 11,
+// the single-holder locate folded into KindLocateSet, which older builds
+// still send: an older peer as the version probe of a write it initiates
+// for a name it does not hold, an older client as its locate. Forwarded
+// through newer peers it must reach the holder and come back in its own
+// shape — OK, the holder's PID and copy version, its address as Data — or
+// an older peer stamps the write from its own clock and the holders
+// discard it as stale.
+func TestRetiredLocateKindAnswered(t *testing.T) {
+	peers := startSystem(t, 4, 0, allPIDs(16), hashring.Fixed(4))
+	if err := NewClient(peers[9].Addr()).Insert("f", []byte("hello")); err != nil {
+		t.Fatal(err)
+	}
+	f, ok := peers[4].store.Peek("f")
+	if !ok {
+		t.Fatal("P(4) holds no copy")
+	}
+	// From P(8): forwarded P(8) → P(0) → P(4) with its kind kept.
+	resp, err := Call(peers[8].Addr(), &msg.Request{Kind: msg.Kind(11), Flags: msg.FlagTrace, TraceID: 1, Name: "f"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !resp.OK || resp.ServedBy != 4 || resp.Version != f.Version || string(resp.Data) != peers[4].Addr() || resp.Hops != 2 {
+		t.Fatalf("kind 11 from P(8) = %+v, want P(4) at %s with version %d after 2 hops",
+			resp, peers[4].Addr(), f.Version)
+	}
+	if len(resp.Path) != 3 || resp.Path[2].Action != msg.HopLocate || resp.Path[2].PID != 4 {
+		t.Fatalf("kind 11 path = %+v, want it to end in P(4)'s locate hop", resp.Path)
+	}
+	if got := peers[4].Stats().Located.Load(); got != 1 {
+		t.Fatalf("holder Located = %d, want 1", got)
+	}
+}
+
 func TestLocateClientWarmHintSingleRPC(t *testing.T) {
 	peers := startSystem(t, 4, 0, allPIDs(16), hashring.Fixed(4))
 	if err := NewClient(peers[9].Addr()).Insert("f", []byte("hello")); err != nil {
@@ -108,6 +144,120 @@ func TestLocateClientWarmHintSingleRPC(t *testing.T) {
 	}
 	if peers[4].Stats().DirectServed.Load() != 2 {
 		t.Fatalf("holder DirectServed = %d, want 2", peers[4].Stats().DirectServed.Load())
+	}
+}
+
+// TestLocateClientTracedGet is a locate-mode GetTraced: the locate-set
+// walk, then a whole-frame local-only get at the holder it reached that
+// continues the same path — and, when that holder has lost the copy by the
+// time the get arrives, the relay rung.
+func TestLocateClientTracedGet(t *testing.T) {
+	peers := startSystem(t, 4, 0, allPIDs(16), hashring.Fixed(4))
+	if err := NewClient(peers[9].Addr()).Insert("f", []byte("hello")); err != nil {
+		t.Fatal(err)
+	}
+	faults := transport.NewFaults()
+	tr := transport.New(transport.Config{}, faults)
+	t.Cleanup(func() { tr.Close() })
+	cl := NewLocateClientWith(peers[8].Addr(), tr, LocateOptions{})
+	rpcs := func() [3]uint64 { // locate-set, get, fetch
+		return [3]uint64{tr.Latency(msg.KindLocateSet).Count(), tr.Latency(msg.KindGet).Count(), tr.Latency(msg.KindFetch).Count()}
+	}
+
+	// The P(8) → P(0) → P(4) locate walk, closed by P(4)'s locate hop, then
+	// P(4)'s serve hop.
+	res, err := cl.GetTraced("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ServedBy != 4 || !bytes.Equal(res.Data, []byte("hello")) {
+		t.Fatalf("traced get = %+v, want the payload from P(4)", res)
+	}
+	if got := rpcs(); got != [3]uint64{1, 1, 0} {
+		t.Fatalf("locate-set/get/fetch RPCs = %v, want one locate-set and one get", got)
+	}
+	want := []msg.Hop{{PID: 8, Action: msg.HopForward}, {PID: 0, Action: msg.HopForward},
+		{PID: 4, Action: msg.HopLocate}, {PID: 4, Action: msg.HopServe}}
+	if len(res.Path) != len(want) {
+		t.Fatalf("traced get path = %+v, want %d hops", res.Path, len(want))
+	}
+	for i, h := range res.Path {
+		if h.PID != want[i].PID || h.Action != want[i].Action {
+			t.Fatalf("hop %d = %+v, want %v at P(%d); path %+v", i, h, want[i].Action, want[i].PID, res.Path)
+		}
+	}
+
+	// The located holder loses the copy before the get reaches it: the
+	// local-only get is refused and the relay serves from the copy's new
+	// place, P(0), on the same walk.
+	faults.Add(transport.Rule{Addr: peers[4].Addr(), Kind: msg.KindGet, Delay: 500 * time.Millisecond, Times: 1})
+	located := peers[4].Stats().Located.Load()
+	moved := make(chan struct{})
+	go func() {
+		defer close(moved)
+		for deadline := time.Now().Add(5 * time.Second); peers[4].Stats().Located.Load() == located; {
+			if time.Now().After(deadline) {
+				t.Error("the locate-set never reached P(4)")
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+		peers[4].store.Delete("f")
+		if err := NewClient(peers[0].Addr()).Store("f", []byte("hello"), 1, true); err != nil {
+			t.Error(err)
+		}
+	}()
+	r0 := rpcs()
+	res, err = cl.GetTraced("f")
+	<-moved
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ServedBy != 0 || !bytes.Equal(res.Data, []byte("hello")) {
+		t.Fatalf("traced get after the copy moved = %+v, want the payload from P(0)", res)
+	}
+	if got := rpcs(); got != [3]uint64{r0[0] + 1, r0[1] + 2, r0[2]} {
+		t.Fatalf("locate-set/get/fetch RPCs %v -> %v, want one locate-set, the refused get and the relay", r0, got)
+	}
+	if peers[4].Stats().DirectMisses.Load() != 1 || cl.LocateStats().Relays.Load() != 1 {
+		t.Fatalf("direct misses at P(4) = %d, relays = %d; want 1/1",
+			peers[4].Stats().DirectMisses.Load(), cl.LocateStats().Relays.Load())
+	}
+	if last := res.Path[len(res.Path)-1]; last.Action != msg.HopServe || last.PID != 0 {
+		t.Fatalf("relayed path ends in %+v, want HopServe at P(0)", last)
+	}
+}
+
+// TestTracedGetRelaysUndecodableLocate: a locate-set answer whose holder
+// set does not decode sends a locate-mode traced get to the relay rung, as
+// it does an untraced one — never back to the caller as an error.
+func TestTracedGetRelaysUndecodableLocate(t *testing.T) {
+	srv, err := transport.Listen("127.0.0.1:0", func(req *msg.Request) *msg.Response {
+		switch {
+		case req.Kind == msg.KindLocateSet:
+			return &msg.Response{OK: true, ServedBy: 7, Data: []byte{0xff}}
+		case req.Kind == msg.KindGet && req.Flags&msg.FlagLocalOnly == 0:
+			return &msg.Response{OK: true, ServedBy: 7, Data: []byte("hello"),
+				Path: appendHop(req.Path, 7, msg.HopServe, 0)}
+		}
+		return &msg.Response{Err: "unexpected " + req.Kind.String()}
+	}, transport.ServeLoopOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	tr := transport.New(transport.Config{}, nil)
+	t.Cleanup(func() { tr.Close() })
+	cl := NewLocateClientWith(srv.Addr(), tr, LocateOptions{})
+	res, err := cl.GetTraced("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ServedBy != 7 || !bytes.Equal(res.Data, []byte("hello")) || len(res.Path) != 1 {
+		t.Fatalf("traced get = %+v, want the relayed payload from P(7)", res)
+	}
+	if got := cl.LocateStats().Relays.Load(); got != 1 {
+		t.Fatalf("relays = %d, want 1", got)
 	}
 }
 

@@ -132,7 +132,7 @@ type Stats struct {
 	// the drops that used to be silent.
 	ProtoErrors atomic.Uint64
 	// Locate-then-fetch data plane (docs/ROUTING.md). Located counts
-	// KindLocate requests this peer answered as the holder; DirectServed /
+	// KindLocateSet walks this peer answered as the holder; DirectServed /
 	// DirectMisses count FlagLocalOnly gets served from the local store or
 	// refused (a miss is a stale route hint, deliberately never forwarded).
 	Located      atomic.Uint64
@@ -141,12 +141,10 @@ type Stats struct {
 	// Chunked data plane (docs/ROUTING.md). ChunksServed counts ranged
 	// KindFetch chunks served from the local store, ChunkBytes their
 	// payload bytes; ChunkRefusals counts version-pinned fetches refused
-	// because the held copy moved on (the splice guard doing its job);
-	// LocateSets counts replica-set locates answered as the holder.
+	// because the held copy moved on (the splice guard doing its job).
 	ChunksServed  atomic.Uint64
 	ChunkBytes    atomic.Uint64
 	ChunkRefusals atomic.Uint64
-	LocateSets    atomic.Uint64
 	// RelayedBytes counts file-payload bytes this peer relayed back through
 	// a forwarded get — the wire cost the locate path exists to remove. A
 	// multi-hop relay get of size S adds S at every intermediate peer; a
@@ -578,15 +576,13 @@ func (p *Peer) dispatch(req *msg.Request) *msg.Response {
 		return p.handleHas(req)
 	case msg.KindBatch:
 		return p.handleBatch(req)
-	case msg.KindLocate:
-		return p.handleLocate(req)
 	case msg.KindDigest:
 		return p.handleDigest(req)
 	case msg.KindTraces:
 		return p.handleTraces()
 	case msg.KindFetch:
 		return p.handleFetch(req)
-	case msg.KindLocateSet:
+	case msg.KindLocateSet, msg.Kind(11): // 11: the retired locate, still sent by older builds
 		return p.handleLocateSet(req)
 	case msg.KindPut:
 		return p.handlePut(req)
@@ -849,31 +845,6 @@ func (p *Peer) handleGet(req *msg.Request) *msg.Response {
 	return p.forwardLookup(req, start)
 }
 
-// handleLocate resolves a name to its serving holder without moving the
-// payload — the control-plane half of the locate-then-fetch data plane
-// (docs/ROUTING.md). It walks the same lookup tree as a relay get — same
-// live-ancestor hops, same §3 FINDLIVENODE fallback, same §4 subtree
-// migration, same trace frames — but the holder answers with its identity
-// (PID, listen address, copy version) instead of the file bytes, so no
-// intermediate peer ever relays payload. Peek, not Get: a locate must not
-// count a store access, or locate-then-fetch would double-count a file's
-// popularity relative to one relay get.
-func (p *Peer) handleLocate(req *msg.Request) *msg.Response {
-	start := time.Now()
-	if f, ok := p.store.Peek(req.Name); ok {
-		p.stats.Located.Add(1)
-		resp := &msg.Response{
-			OK: true, ServedBy: uint32(p.cfg.PID), Hops: req.Hops,
-			Version: f.Version, Data: []byte(p.Addr()),
-		}
-		if req.Flags&msg.FlagTrace != 0 {
-			resp.Path = appendHop(req.Path, uint32(p.cfg.PID), msg.HopLocate, time.Since(start))
-		}
-		return resp
-	}
-	return p.forwardLookup(req, start)
-}
-
 // forwardLookup relays an unserved lookup along the lookup tree — shared
 // by relay gets and locates, which walk identical hops and differ only in
 // what the holder answers (payload vs location). A failed forward is not
@@ -993,14 +964,14 @@ func (p *Peer) initiate(req *msg.Request, sum crc) *msg.Response {
 	} else {
 		p.stats.WritesRemote.Add(1)
 	}
-	// Learn the file's current version through a lookup (this peer may never
-	// have seen the file), then stamp a strictly newer one, Lamport-style:
-	// an update supersedes every copy, and a delete leaves tombstones that
-	// dominate the copies it erased — the version anti-entropy compares
-	// against before re-propagating a copy a partitioned peer brings back
-	// (docs/REPAIR.md).
-	if version, ok := p.probeVersion(req.Name); ok {
-		p.mergeClock(version)
+	// Learn the file's current version through a locate walk (this peer may
+	// never have seen the file; the walk relays no payload), then stamp a
+	// strictly newer one, Lamport-style: an update supersedes every copy,
+	// and a delete leaves tombstones that dominate the copies it erased —
+	// the version anti-entropy compares against before re-propagating a
+	// copy a partitioned peer brings back (docs/REPAIR.md).
+	if probe := p.handleLocateSet(&msg.Request{Kind: msg.KindLocateSet, Name: req.Name}); probe.OK {
+		p.mergeClock(probe.Version)
 	}
 	prop := *req
 	prop.Flags |= msg.FlagPropagate
@@ -1055,14 +1026,6 @@ func (p *Peer) fanoutRoot(req *msg.Request, d time.Duration) []msg.Hop {
 		return nil
 	}
 	return appendHop(req.Path, uint32(p.cfg.PID), msg.HopFanout, d)
-}
-
-// probeVersion learns name's current version for the Lamport stamp on an
-// update: a locate walk resolves it without relaying the payload back
-// through every hop.
-func (p *Peer) probeVersion(name string) (uint64, bool) {
-	resp := p.handleLocate(&msg.Request{Kind: msg.KindLocate, Name: name})
-	return resp.Version, resp.OK
 }
 
 // fanoutSem builds the bounded semaphore one broadcast's RPC legs share:

@@ -135,12 +135,10 @@ type Totals struct {
 	RelayedBytes uint64 `json:"relayed_bytes" prom:"lesslog_relayed_payload_bytes_total" fleet:"sum,locate"`
 
 	// Chunked data plane (docs/ROUTING.md): ranged chunks served and their
-	// payload bytes, version-pinned fetches refused (splice guard), and
-	// replica-set locates answered as holder.
+	// payload bytes, and version-pinned fetches refused (splice guard).
 	ChunksServed  uint64 `json:"chunks_served" prom:"lesslog_chunks_served_total" fleet:"sum,chunks"`
 	ChunkBytes    uint64 `json:"chunk_bytes" prom:"lesslog_chunk_payload_bytes_total" fleet:"sum,chunks"`
 	ChunkRefusals uint64 `json:"chunk_refusals" prom:"lesslog_chunk_refusals_total" fleet:"sum,chunks"`
-	LocateSets    uint64 `json:"locate_sets" prom:"lesslog_locate_sets_total" fleet:"sum,chunks"`
 	// ChecksummedBytes: body bytes CRC-32C ran over at this peer, in either
 	// direction of either chunk plane (docs/ROUTING.md "Checksums") — against
 	// chunk_bytes + write_bytes it reads 1 when every byte is summed once.

@@ -2,6 +2,7 @@ package netnode
 
 import (
 	"encoding/json"
+	"errors"
 	"net/http"
 	"testing"
 	"time"
@@ -199,7 +200,7 @@ func TestRepairRoundTraceStar(t *testing.T) {
 // TestTraceSamplingAndTailRetention pins the head sampler to 1-in-1000:
 // the first request is the sampler's pick (and must stay invisible to the
 // untraced client), later errored requests are tail-retained anyway, and
-// healthy unsampled ones are not kept.
+// healthy unsampled ones are not kept — locate-sets as well as gets.
 func TestTraceSamplingAndTailRetention(t *testing.T) {
 	peers := startTracedSystem(t, 3, 0, allPIDs(8), hashring.Fixed(4), 1000)
 	NewClient(peers[0].Addr()).Store("s/f", []byte("x"), 1, true)
@@ -254,6 +255,29 @@ func TestTraceSamplingAndTailRetention(t *testing.T) {
 	}
 	if fresh, kept := snap.Recent[2].ID, snap.Recent[3].ID; fresh == 0 || fresh == 77 || kept != 77 {
 		t.Fatalf("client-traced gets recorded under IDs %d and %d, want a fresh non-zero one and 77", fresh, kept)
+	}
+
+	// A locate-set — the read ladder's cold rung — is an entry request like
+	// a get: unsampled and faulted, it is tail-retained with its error;
+	// client-traced, it is recorded with its walk, ending at the holder.
+	if _, err := NewClient(peers[0].Addr()).Locate("s/missing"); !errors.Is(err, ErrFault) {
+		t.Fatalf("locate of a missing name: %v", err)
+	}
+	if _, err := NewClient(peers[0].Addr()).LocateTraced("s/f"); err != nil {
+		t.Fatal(err)
+	}
+	if snap, err = NewClient(peers[0].Addr()).Traces(); err != nil || len(snap.Recent) != 6 || len(snap.Notable) != 2 {
+		t.Fatalf("ring after two locate-sets: %d recent / %d notable, %v; want 6/2", len(snap.Recent), len(snap.Notable), err)
+	}
+	if got := snap.Notable[1]; got.Kind != "locate-set" || got.Name != "s/missing" || got.Err == "" {
+		t.Fatalf("notable trace = %+v, want the faulted locate-set with its error", got)
+	}
+	got := snap.Recent[5]
+	if got.Kind != "locate-set" || len(got.Hops) == 0 {
+		t.Fatalf("client-traced locate-set in ring = %+v, want its walk", got)
+	}
+	if last := got.Hops[len(got.Hops)-1]; last.Action != msg.HopLocate || last.PID != 0 {
+		t.Fatalf("traced locate-set ends in %+v, want HopLocate at the holder P(0)", last)
 	}
 }
 

@@ -229,7 +229,7 @@ func (t *Transport) Close() error {
 // exchange is never replayed.
 func Idempotent(k msg.Kind) bool {
 	switch k {
-	case msg.KindGet, msg.KindHas, msg.KindStat, msg.KindTable, msg.KindLocate, msg.KindDigest, msg.KindTraces,
+	case msg.KindGet, msg.KindHas, msg.KindStat, msg.KindTable, msg.KindDigest, msg.KindTraces,
 		msg.KindFetch, msg.KindLocateSet:
 		return true
 	}
