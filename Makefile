@@ -106,7 +106,9 @@ stream-bench:
 write-bench:
 	LESSLOG_WRITE_BENCH=1 BENCH_JSON_DIR=$(CURDIR)/results $(GO) test -run 'TestWriteBenchReport' -count 1 -v -timeout 600s ./internal/netnode/ | tee results/write_bench.txt
 
-# Regenerate every reproduced figure and extension table into results/.
+# Regenerate every reproduced figure and extension table into results/,
+# then rewrite the goldens that pin them (results/figure*.csv and
+# internal/experiments/testdata/*.golden) from the same code.
 figures: build
 	$(GO) run ./cmd/lesslog-bench -trials 3 -outdir results
 	$(GO) run ./cmd/lesslog-bench -evict
@@ -120,6 +122,7 @@ figures: build
 	$(GO) run ./cmd/lesslog-bench -flash
 	$(GO) run ./cmd/lesslog-bench -ftcost
 	$(GO) run ./cmd/lesslog-bench -latency
+	$(GO) test ./internal/experiments -run Golden -update
 
 cover:
 	$(GO) test -cover ./...

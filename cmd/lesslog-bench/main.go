@@ -30,19 +30,12 @@ func main() {
 		rateMin = flag.Float64("rate-min", 1000, "sweep start, requests/second")
 		rateMax = flag.Float64("rate-max", 20000, "sweep end, requests/second")
 		step    = flag.Float64("rate-step", 1000, "sweep step, requests/second")
-		evict   = flag.Bool("evict", false, "run the counter-based eviction demonstration instead")
-		hops    = flag.Bool("hops", false, "run the LessLog/Chord/CAN lookup-hop comparison instead")
-		churn   = flag.Bool("churn", false, "run the availability-under-churn extension instead")
-		sens    = flag.Bool("sensitivity", false, "run the system-size sensitivity sweep instead")
 		plot    = flag.Bool("plot", false, "also draw each figure as an ASCII chart")
-		pathlen = flag.Bool("pathlen", false, "run the hops-vs-replicas extension instead")
-		multi   = flag.Bool("multifile", false, "run the multi-hot-file extension instead")
-		logcost = flag.Bool("logcost", false, "run the client-access-log footprint comparison instead")
-		upcost  = flag.Bool("updatecost", false, "run the update-broadcast cost sweep instead")
-		flash   = flag.Bool("flash", false, "run the flash-crowd time-to-balance dynamics instead")
-		ftcost  = flag.Bool("ftcost", false, "run the fault-tolerance-degree cost sweep instead")
-		latency = flag.Bool("latency", false, "run the queueing-latency comparison instead")
 	)
+	extensions := make([]*bool, len(experiments.Extensions))
+	for i, e := range experiments.Extensions {
+		extensions[i] = flag.Bool(e.Name, false, e.Usage)
+	}
 	flag.Parse()
 
 	p := experiments.PaperParams()
@@ -50,76 +43,15 @@ func main() {
 	p.Seed = *seed
 	p.RateMin, p.RateMax, p.RateStep = *rateMin, *rateMax, *step
 
-	switch {
-	case *evict:
-		runEviction(p)
-		return
-	case *hops:
-		stats := experiments.HopComparison(10, 5000, *seed)
-		fmt.Print(experiments.HopTable(stats, 10))
-		return
-	case *churn:
-		rows, err := experiments.ChurnTable([]int{0, 1, 2}, []float64{0.5, 1, 2, 4}, *seed)
+	for i, e := range experiments.Extensions {
+		if !*extensions[i] {
+			continue
+		}
+		out, err := e.Run(p)
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Print(experiments.ChurnTableString(rows))
-		return
-	case *sens:
-		rows, err := experiments.SensitivityM([]int{6, 7, 8, 9, 10, 11, 12}, 10, 100, *seed)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(experiments.SensitivityTable(rows, 10, 100))
-		return
-	case *pathlen:
-		pts, err := experiments.HopsVsReplicas(p, 20000, 32)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(experiments.HopsVsReplicasTable(pts))
-		return
-	case *multi:
-		rows, err := experiments.MultiFile(p, 20000, []int{1, 2, 4, 8, 16, 32})
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(experiments.MultiFileTable(rows, 20000))
-		return
-	case *logcost:
-		rows, err := experiments.LogOverhead(p, []int{1000, 5000, 20000, 100000}, 1<<22)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(experiments.LogOverheadTable(rows))
-		return
-	case *upcost:
-		rows, err := experiments.UpdateCost(p, 8)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(experiments.UpdateCostTable(rows))
-		return
-	case *flash:
-		rows, err := experiments.FlashCrowd(p, 12, 4, 100)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(experiments.FlashCrowdTable(rows, 100))
-		return
-	case *ftcost:
-		rows, err := experiments.FTCost(p, 20000, []int{0, 1, 2, 3, 4})
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(experiments.FTCostTable(rows, 20000))
-		return
-	case *latency:
-		rows, err := experiments.Latency(p, []float64{80, 150, 300, 600}, 0.001)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(experiments.LatencyTable(rows))
+		fmt.Print(out)
 		return
 	}
 
@@ -159,18 +91,6 @@ func main() {
 			}
 			fmt.Fprintf(os.Stderr, "wrote %s\n", path)
 		}
-	}
-}
-
-func runEviction(p experiments.Params) {
-	pts, err := experiments.Eviction(p, []float64{5000, 10000, 20000}, 2000, 20)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Println("counter-based replica removal after a rate collapse to 2000 req/s (§6)")
-	fmt.Printf("%-14s%-16s%-10s%-14s\n", "balanced at", "holders before", "evicted", "holders after")
-	for _, pt := range pts {
-		fmt.Printf("%-14.0f%-16d%-10d%-14d\n", pt.HighRate, pt.HoldersAtHigh, pt.Removed, pt.HoldersAfter)
 	}
 }
 

@@ -7,10 +7,22 @@ package experiments
 // a much faster signal than the full-figure shape tests.
 
 import (
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"lesslog/internal/replication"
 )
+
+// update rewrites every golden file from the current code:
+//
+//	go test ./internal/experiments -run Golden -update
+//
+// `make figures` ends with it, so results/, testdata/ and the tables in
+// EXPERIMENTS.md are regenerated together.
+var update = flag.Bool("update", false, "rewrite the golden files under testdata/ and results/")
 
 func TestGoldenFigurePoints(t *testing.T) {
 	p := PaperParams()
@@ -53,3 +65,55 @@ const (
 	goldenLessLogLocality10k = 150
 	goldenLessLogDead10k     = 149
 )
+
+// TestGoldenFigureCSVs pins Figures 5–8 byte-for-byte: the paper
+// parameters must reproduce the committed results/figureN.csv exactly.
+func TestGoldenFigureCSVs(t *testing.T) {
+	p := PaperParams()
+	for n := 5; n <= 8; n++ {
+		id := fmt.Sprintf("figure%d", n)
+		t.Run(id, func(t *testing.T) {
+			fig, err := ByID(id, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, filepath.Join("..", "..", "results", id+".csv"), CSV(fig))
+		})
+	}
+}
+
+// TestGoldenExtensionTables pins every table `lesslog-bench -<name>`
+// prints, byte-for-byte, in testdata/<name>.golden.
+func TestGoldenExtensionTables(t *testing.T) {
+	p := PaperParams()
+	for _, e := range Extensions {
+		t.Run(e.Name, func(t *testing.T) {
+			got, err := e.Run(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, filepath.Join("testdata", e.Name+".golden"), got)
+		})
+	}
+}
+
+// checkGolden compares got with the file at path, or rewrites the file
+// under -update.
+func checkGolden(t *testing.T, path, got string) {
+	t.Helper()
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if got != string(want) {
+		t.Fatalf("output differs from %s; if the change is intended, run"+
+			" `go test ./internal/experiments -run Golden -update` and explain"+
+			" the diff\n--- got ---\n%s--- want ---\n%s", path, got, want)
+	}
+}
