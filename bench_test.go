@@ -21,7 +21,6 @@ import (
 	"lesslog/internal/experiments"
 	"lesslog/internal/liveness"
 	"lesslog/internal/loadsim"
-	"lesslog/internal/multisim"
 	"lesslog/internal/pastry"
 	"lesslog/internal/ptree"
 	"lesslog/internal/replication"
@@ -141,7 +140,7 @@ func BenchmarkEviction(b *testing.B) {
 			M: 10, Target: 4, Cap: 100, Live: live,
 			Rates: workload.Even(20000, live), Seed: 1,
 		})
-		if _, err := sim.Balance(replication.LessLog{}, 0); err != nil {
+		if _, err := loadsim.Balance(replication.LessLog{}, 0, sim); err != nil {
 			b.Fatal(err)
 		}
 		sim.SetRates(workload.Even(2000, live))
@@ -179,7 +178,7 @@ func BenchmarkAblationChildOrder(b *testing.B) {
 			M: 10, Target: 4, Cap: 100, Live: live,
 			Rates: workload.Even(10000, live), Seed: 1,
 		})
-		res, err := sim.Balance(s, 0)
+		res, err := loadsim.Balance(s, 0, sim)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -240,7 +239,7 @@ func BenchmarkAblationProportional(b *testing.B) {
 			M: 10, Target: 4, Cap: 100, Live: live,
 			Rates: workload.Even(10000, live), Seed: 2,
 		})
-		res, err := sim.Balance(s, 0)
+		res, err := loadsim.Balance(s, 0, sim)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -296,12 +295,8 @@ func BenchmarkMultiFile(b *testing.B) {
 	var replicas float64
 	for i := 0; i < b.N; i++ {
 		live := liveness.NewAllLive(10, 1024)
-		s := multisim.New(multisim.Config{
-			M: 10, Cap: 100, Live: live,
-			Files: multisim.EvenSplit(8, 20000, 10, live),
-			Seed:  1,
-		})
-		res, err := s.Balance(replication.LessLog{}, 0)
+		files := loadsim.EvenSplit(loadsim.Config{M: 10, Cap: 100, Live: live, Seed: 1}, 8, 20000)
+		res, err := loadsim.Balance(replication.LessLog{}, 0, files...)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -113,7 +113,7 @@ func main() {
 		Live: live, Rates: rates, Seed: rng.Uint64(),
 	})
 	fmt.Printf("initial: %s\n", sim.Summary())
-	res, err := sim.Balance(strat, 0)
+	res, err := loadsim.Balance(strat, 0, sim)
 	if err != nil {
 		fatal(err)
 	}

@@ -19,7 +19,7 @@ func Example() {
 		Rates: workload.Even(20000, live),
 		Seed:  1,
 	})
-	res, err := sim.Balance(replication.LessLog{}, 0)
+	res, err := loadsim.Balance(replication.LessLog{}, 0, sim)
 	if err != nil {
 		fmt.Println("error:", err)
 		return

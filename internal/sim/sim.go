@@ -3,7 +3,9 @@
 // simulator (internal/dynsim) runs the paper's §8 future work on top of it
 // — "obtain performance data in a real-world scenario where nodes
 // dynamically join and leave the system" — with request arrivals, churn
-// processes and maintenance windows all as events.
+// processes and maintenance windows all as events; the rate model's
+// queueing latency (loadsim.Queue) merges its per-origin arrival streams
+// on it.
 //
 // Determinism: ties in virtual time break by schedule order (a strictly
 // increasing sequence number), so a seeded scenario replays identically.

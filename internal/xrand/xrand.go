@@ -9,6 +9,8 @@
 // in EXPERIMENTS.md reproduce bit-for-bit on any Go release.
 package xrand
 
+import "math"
+
 // Rand is a SplitMix64 generator. The zero value is a valid generator
 // seeded with 0; prefer New to make seeds explicit at call sites.
 type Rand struct {
@@ -71,6 +73,16 @@ func (r *Rand) ShuffleInts(p []int) {
 
 // Bool returns true with probability p.
 func (r *Rand) Bool(p float64) bool { return r.Float64() < p }
+
+// Exp returns an exponentially distributed value with the given rate
+// (mean 1/rate): the interarrival time of a Poisson process.
+func (r *Rand) Exp(rate float64) float64 {
+	u := r.Float64()
+	for u == 0 {
+		u = r.Float64()
+	}
+	return -math.Log(u) / rate
+}
 
 // Fork derives an independent generator from r's stream, so components can
 // be handed private streams without coupling their consumption rates.

@@ -123,6 +123,21 @@ func TestForkIndependence(t *testing.T) {
 	}
 }
 
+func TestExpPositive(t *testing.T) {
+	rng := New(1)
+	sum := 0.0
+	for i := 0; i < 10000; i++ {
+		d := rng.Exp(10)
+		if d < 0 {
+			t.Fatal("negative interarrival")
+		}
+		sum += d
+	}
+	if mean := sum / 10000; mean < 0.08 || mean > 0.12 {
+		t.Fatalf("mean interarrival %v, want ~0.1", mean)
+	}
+}
+
 func TestMul64MatchesBits(t *testing.T) {
 	f := func(a, b uint64) bool {
 		hi, lo := mul64(a, b)
