@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -287,6 +288,15 @@ func TestHopsVsReplicas(t *testing.T) {
 	pts, err := HopsVsReplicas(p, 20000, 32)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Holders of equal load act lowest PID first, so a second run is the
+	// same run.
+	again, err := HopsVsReplicas(p, 20000, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(pts, again) {
+		t.Fatalf("two runs differ:\n%+v\n%+v", pts, again)
 	}
 	if len(pts) < 3 {
 		t.Fatalf("points = %+v", pts)
