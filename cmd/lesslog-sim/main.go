@@ -123,7 +123,10 @@ func main() {
 	if *verbose {
 		loads := sim.Loads()
 		holders := sim.Holders()
-		sort.Slice(holders, func(i, j int) bool { return loads[holders[i]] > loads[holders[j]] })
+		sort.Slice(holders, func(i, j int) bool {
+			a, b := holders[i], holders[j]
+			return loads[a] > loads[b] || loads[a] == loads[b] && a < b
+		})
 		fmt.Println("\nper-holder serve rates (descending):")
 		var samples []float64
 		for _, h := range holders {

@@ -27,7 +27,6 @@ func main() {
 
 	// One observation window = one get from every node (1024 req).
 	window := func() {
-		sys.ResetWindow()
 		for p := lesslog.PID(0); p < 1024; p++ {
 			if _, err := sys.Get(p, name); err != nil {
 				log.Fatal(err)
@@ -48,12 +47,12 @@ func main() {
 			}
 		}
 		fmt.Printf("%-8d%-10d%-10d\n", round, len(holders), maxLoad)
+		// Closing the window: every overloaded holder sheds once, loglessly.
+		placed, _ := sys.Maintain(cap, 0)
 		if maxLoad <= cap {
 			fmt.Println("load balanced: no holder above the cap")
 			break
 		}
-		// Every overloaded holder sheds once, loglessly.
-		placed := sys.ReplicateHot(cap)
 		if len(placed) == 0 {
 			log.Fatal("overloaded but nothing replicated")
 		}
@@ -62,11 +61,10 @@ func main() {
 
 	// The flash crowd passes: a quiet window plus the counter-based
 	// mechanism removes the now-cold replicas (§6).
-	sys.ResetWindow()
 	for p := lesslog.PID(0); p < 1024; p += 16 { // 64 requests only
 		sys.Get(p, name)
 	}
-	evicted := sys.EvictCold(2)
+	_, evicted := sys.Maintain(cap, 2)
 	fmt.Printf("flash crowd over: evicted %d cold replicas, %d holders remain\n",
 		evicted, len(sys.HoldersOf(name)))
 }

@@ -33,7 +33,6 @@ func main() {
 	// Observation windows: issue the demand, replicate over threshold.
 	const cap = 100
 	window := func() {
-		sys.ResetWindow()
 		for p := lesslog.PID(0); p < 512; p++ {
 			for name, times := range demand {
 				n := times
@@ -56,7 +55,6 @@ func main() {
 
 	for round := 0; round < 8; round++ {
 		window()
-		placed := sys.ReplicateHot(cap)
 		over := 0
 		for _, name := range names {
 			for _, h := range sys.HoldersOf(name) {
@@ -65,6 +63,7 @@ func main() {
 				}
 			}
 		}
+		placed, _ := sys.Maintain(cap, 0)
 		fmt.Printf("window %d: placed %d replicas, %d holders still over the cap\n",
 			round, len(placed), over)
 		if len(placed) == 0 && over == 0 {

@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 
 	"lesslog"
@@ -40,22 +41,22 @@ func TestEndToEndScenario(t *testing.T) {
 	// holder exceeds the cap.
 	hot := names[7]
 	const cap = 50
+	var maxServe uint64
 	for round := 0; round < 10; round++ {
-		sys.ResetWindow()
 		live := sys.Live().LivePIDs()
 		for _, p := range live {
 			if _, err := sys.Get(p, hot); err != nil {
 				t.Fatalf("hot get: %v", err)
 			}
 		}
-		if len(sys.ReplicateHot(cap)) == 0 {
-			break
+		maxServe = 0
+		for _, h := range sys.HoldersOf(hot) {
+			if c := sys.ServeCount(h, hot); c > maxServe {
+				maxServe = c
+			}
 		}
-	}
-	maxServe := uint64(0)
-	for _, h := range sys.HoldersOf(hot) {
-		if c := sys.ServeCount(h, hot); c > maxServe {
-			maxServe = c
+		if placed, _ := sys.Maintain(cap, 0); len(placed) == 0 {
+			break
 		}
 	}
 	if maxServe > cap {
@@ -113,8 +114,8 @@ func TestEndToEndScenario(t *testing.T) {
 
 	// Phase 5: the crowd is gone; eviction plus repair converge the
 	// system, then deletion removes a file everywhere.
-	sys.ResetWindow()
-	sys.EvictCold(1)
+	sys.Maintain(math.MaxUint64, 0)
+	sys.Maintain(math.MaxUint64, 1) // a quiet window: every replica is cold
 	sys.RepairAll()
 	mustInvariants(t, sys, "after eviction and repair")
 	victim := names[13]

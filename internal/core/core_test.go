@@ -150,7 +150,6 @@ func TestReplicaHalvesServeCounts(t *testing.T) {
 	if _, err := c.ReplicateFile(4, "hot"); err != nil {
 		t.Fatal(err)
 	}
-	c.ResetWindow()
 	for p := bitops.PID(0); p < 16; p++ {
 		if _, err := c.Get(p, "hot"); err != nil {
 			t.Fatal(err)
@@ -164,7 +163,7 @@ func TestReplicaHalvesServeCounts(t *testing.T) {
 	}
 }
 
-func TestReplicateHotAndEvict(t *testing.T) {
+func TestMaintainReplicatesAndEvicts(t *testing.T) {
 	c := paperCluster(t)
 	c.Insert(0, "hot", []byte("x"))
 	c.Insert(0, "cold", []byte("y"))
@@ -172,14 +171,13 @@ func TestReplicateHotAndEvict(t *testing.T) {
 		c.Get(8, "hot")
 	}
 	c.Get(8, "cold")
-	placements := c.ReplicateHot(10)
-	if len(placements) != 1 || placements[0].Name != "hot" || placements[0].Holder != 4 {
-		t.Fatalf("placements = %+v", placements)
+	placements, evicted := c.Maintain(10, 0)
+	if len(placements) != 1 || placements[0].Name != "hot" || placements[0].Holder != 4 || evicted != 0 {
+		t.Fatalf("placements = %+v, evicted %d", placements, evicted)
 	}
-	// New window: the replica serves nothing, then gets evicted.
-	c.ResetWindow()
-	if got := c.EvictCold(1); got != 1 {
-		t.Fatalf("evicted %d, want 1", got)
+	// Next window: the replica serves nothing and is evicted at its close.
+	if placements, got := c.Maintain(10, 1); got != 1 || len(placements) != 0 {
+		t.Fatalf("evicted %d, placed %+v; want 1, none", got, placements)
 	}
 	if got := c.HoldersOf("hot"); len(got) != 1 || got[0] != 4 {
 		t.Fatalf("holders after evict = %v", got)

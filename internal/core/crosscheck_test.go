@@ -61,7 +61,6 @@ func TestEngineAgreesWithLoadsim(t *testing.T) {
 			}
 
 			// Discrete side: 3 gets from every live node.
-			c.ResetWindow()
 			live.ForEachLive(func(p bitops.PID) {
 				for i := 0; i < 3; i++ {
 					if _, err := c.Get(p, "hot"); err != nil {

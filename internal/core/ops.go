@@ -278,56 +278,38 @@ func (c *Cluster) ReplicateFile(holder bitops.PID, name string) (bitops.PID, err
 	return target, nil
 }
 
-// Placement records one replica created by ReplicateHot.
+// Placement records one replica created by Maintain.
 type Placement struct {
 	Holder  bitops.PID
 	Name    string
 	Replica bitops.PID
 }
 
-// ReplicateHot scans every live node and, for each whose hottest copy
-// served more than threshold gets in the current counting window, places
-// one replica of that file. It returns the placements made. Calling it
-// periodically (with ResetWindow between windows) is the engine-level
-// equivalent of the simulator's Balance loop.
-func (c *Cluster) ReplicateHot(threshold uint64) []Placement {
-	var out []Placement
+// Maintain closes one §2.2/§6 counting window on every live node — the
+// engine-level equivalent of the simulator's Balance loop, one step per
+// call. Each node's store closes its window first (store.EndWindow: evict
+// the replicas that served fewer than evictBelow gets, pick the hottest
+// survivor, reset the counters); then every node whose pick served more
+// than threshold gets places one replica of it, in the same node order.
+// All evictions thus precede any placement. It returns the placements
+// made and the number of replicas evicted.
+func (c *Cluster) Maintain(threshold, evictBelow uint64) ([]Placement, int) {
+	var hot []Placement
+	evicted := 0
 	c.live.ForEachLive(func(p bitops.PID) {
-		st := c.nodes[p].store
-		var hotName string
-		var hotHits uint64
-		for _, name := range st.AllNames() {
-			if h := st.Hits(name); h > hotHits {
-				hotName, hotHits = name, h
-			}
-		}
-		if hotHits <= threshold {
-			return
-		}
-		if rep, err := c.ReplicateFile(p, hotName); err == nil {
-			out = append(out, Placement{Holder: p, Name: hotName, Replica: rep})
+		f, ok, n := c.nodes[p].store.EndWindow(threshold, evictBelow)
+		evicted += n
+		if ok {
+			hot = append(hot, Placement{Holder: p, Name: f.Name})
 		}
 	})
-	return out
-}
-
-// EvictCold removes, on every live node, the replicas that served fewer
-// than minHits gets in the current window — the §6 counter-based removal
-// mechanism. It returns the number of replicas dropped.
-func (c *Cluster) EvictCold(minHits uint64) int {
-	removed := 0
-	c.live.ForEachLive(func(p bitops.PID) {
-		st := c.nodes[p].store
-		for _, name := range st.ColdReplicas(minHits) {
-			st.Delete(name)
-			removed++
-			c.stats.ReplicasEvicted++
+	c.stats.ReplicasEvicted += uint64(evicted)
+	out := hot[:0]
+	for _, h := range hot {
+		if rep, err := c.ReplicateFile(h.Holder, h.Name); err == nil {
+			h.Replica = rep
+			out = append(out, h)
 		}
-	})
-	return removed
-}
-
-// ResetWindow starts a new access-counting window on every live node.
-func (c *Cluster) ResetWindow() {
-	c.live.ForEachLive(func(p bitops.PID) { c.nodes[p].store.ResetHits() })
+	}
+	return out, evicted
 }

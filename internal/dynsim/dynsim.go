@@ -171,18 +171,14 @@ func Run(sc Scenario) (Result, error) {
 		eng.Schedule(sim.Time(churnRNG.Exp(sc.ChurnRate)), nextChurn)
 	}
 
-	// Maintenance window: the counter-based eviction, then logless overload
-	// replication, then a fresh counting window, with one time-series
-	// sample per window. Evicting first is netnode.MaintainOnce's order: a
-	// new replica has served nothing yet, so evicting after replicating
-	// would drop it in the window that created it.
+	// Maintenance window: core.Cluster.Maintain runs the counter-based
+	// eviction, the logless overload replication and a fresh counting
+	// window, with one time-series sample per window.
 	if sc.MaintenanceEvery > 0 {
 		var prevReq, prevFaults uint64
 		var maintain func()
 		maintain = func() {
-			cluster.EvictCold(sc.EvictBelow)
-			cluster.ReplicateHot(sc.OverloadThreshold)
-			cluster.ResetWindow()
+			cluster.Maintain(sc.OverloadThreshold, sc.EvictBelow)
 			windowReq := res.Requests - prevReq
 			windowFaults := res.Faults - prevFaults
 			avail := 1.0

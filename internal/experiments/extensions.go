@@ -332,7 +332,6 @@ func FlashCrowd(p Params, crowdWindows, quietWindows int, threshold uint64) ([]F
 	n := bitops.Slots(p.M)
 	var rows []FlashRow
 	window := func(w int, stride int, evictBelow uint64) error {
-		c.ResetWindow()
 		for q := 0; q < n; q += stride {
 			if _, err := c.Get(bitops.PID(q), "flash"); err != nil {
 				return err
@@ -346,11 +345,7 @@ func FlashCrowd(p Params, crowdWindows, quietWindows int, threshold uint64) ([]F
 				maxServe = hits
 			}
 		}
-		evicted := 0
-		if evictBelow > 0 {
-			evicted = c.EvictCold(evictBelow)
-		}
-		c.ReplicateHot(threshold)
+		_, evicted := c.Maintain(threshold, evictBelow)
 		rows = append(rows, FlashRow{
 			Window: w, Holders: len(holders), MaxServe: maxServe, Evicted: evicted,
 		})
@@ -419,15 +414,14 @@ func UpdateCost(p Params, rounds int) ([]UpdateCostRow, error) {
 		rows = append(rows, UpdateCostRow{
 			Holders: holders, Updated: res.CopiesUpdated, Messages: res.Messages,
 		})
-		// Grow the replica population: one observation window, then an
-		// overload check at a threshold that halves each round.
-		c.ResetWindow()
+		// Grow the replica population: one observation window, closed at a
+		// threshold that halves each round.
 		for q := 0; q < n; q++ {
 			if _, err := c.Get(bitops.PID(q), "hot"); err != nil {
 				return nil, err
 			}
 		}
-		c.ReplicateHot(uint64(n) >> uint(round+1))
+		c.Maintain(uint64(n)>>uint(round+1), 0)
 	}
 	return rows, nil
 }

@@ -102,12 +102,14 @@ func (s *Sim) ForwardedLoad(holder, child bitops.PID) float64 {
 // Primaries returns the nodes holding the initially inserted copies.
 func (s *Sim) Primaries() []bitops.PID { return append([]bitops.PID(nil), s.primaries...) }
 
-// Holders returns the current copy holders (primaries plus replicas).
+// Holders returns the current copy holders (primaries plus replicas) in
+// ascending PID order.
 func (s *Sim) Holders() []bitops.PID {
 	out := make([]bitops.PID, 0, len(s.copies))
 	for p := range s.copies {
 		out = append(out, p)
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 

@@ -2,6 +2,7 @@ package loadsim
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"lesslog/internal/bitops"
@@ -252,6 +253,26 @@ func TestBalanceWithDeadNodes(t *testing.T) {
 			if !live.IsLive(h) {
 				t.Fatalf("holder P(%d) is dead", h)
 			}
+		}
+	}
+}
+
+// TestHoldersSortedAndStable pins Holders to ascending PID order, so the
+// lesslog-sim -verbose listing is the same on every run.
+func TestHoldersSortedAndStable(t *testing.T) {
+	live := liveness.NewAllLive(10, 1024)
+	s := New(Config{M: 10, Target: 4, Cap: 100, Live: live,
+		Rates: workload.Even(20000, live), Seed: 9})
+	if _, err := Balance(replication.LessLog{}, 0, s); err != nil {
+		t.Fatal(err)
+	}
+	a, b := s.Holders(), s.Holders()
+	if len(a) < 2 || !reflect.DeepEqual(a, b) {
+		t.Fatalf("Holders() = %v then %v", a, b)
+	}
+	for i := 1; i < len(a); i++ {
+		if a[i-1] >= a[i] {
+			t.Fatalf("Holders() not ascending at %d: %v", i, a)
 		}
 	}
 }

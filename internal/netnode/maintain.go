@@ -17,7 +17,6 @@ import (
 	"lesslog/internal/msg"
 	"lesslog/internal/ptree"
 	"lesslog/internal/replication"
-	"lesslog/internal/store"
 	"lesslog/internal/xrand"
 )
 
@@ -69,34 +68,19 @@ func (p *Peer) handleHas(req *msg.Request) *msg.Response {
 	return resp
 }
 
-// MaintainOnce runs one §2.2/§6 maintenance window on this peer: if its
-// hottest copy served more than threshold gets since the last window, one
-// replica is placed on its children list; replicas that served fewer than
-// evictBelow gets are dropped; then the counting window resets. It
-// returns where a replica was placed, if any.
+// MaintainOnce runs one §2.2/§6 maintenance window on this peer: the
+// store closes the window (store.Sharded.EndWindow evicts the replicas
+// that served fewer than evictBelow gets, picks the hottest survivor and
+// resets the counters), and if that copy served more than threshold gets
+// one replica is placed on the peer's children list. It returns where a
+// replica was placed, if any.
 func (p *Peer) MaintainOnce(threshold, evictBelow uint64) (placed bitops.PID, ok bool) {
-	var hotName string
-	var hotHits uint64
-	for _, name := range p.store.AllNames() {
-		if h := p.store.Hits(name); h > hotHits {
-			hotName, hotHits = name, h
-		}
-	}
-	cold := p.store.ColdReplicas(evictBelow)
-	for _, name := range cold {
-		p.store.Delete(name)
-	}
-	var hot store.File
-	var have bool
-	if hotHits > threshold {
-		hot, have = p.store.Peek(hotName)
-	}
-	p.store.ResetHits()
+	hot, have, _ := p.store.EndWindow(threshold, evictBelow)
 	if !have {
 		return 0, false
 	}
 	v := p.view(p.hasher.Target(hot.Name, p.cfg.M))
-	target, found := (replication.LessLog{}).Place(netCtx{p: p, v: v, name: hot.Name, rng: p.maintRNG()}, p.cfg.PID)
+	target, found := (replication.LessLog{}).Place(netCtx{p: p, v: v, name: hot.Name, rng: p.rng}, p.cfg.PID)
 	if !found {
 		return 0, false
 	}
@@ -106,17 +90,6 @@ func (p *Peer) MaintainOnce(threshold, evictBelow uint64) (placed bitops.PID, ok
 	}
 	p.log.Info("replica placed by maintenance", "name", hot.Name, "on", uint32(target))
 	return target, true
-}
-
-// maintRNG lazily creates the peer's placement randomness (the §3
-// proportional choice).
-func (p *Peer) maintRNG() *xrand.Rand {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.rng == nil {
-		p.rng = xrand.New(uint64(p.cfg.PID)*0x9e3779b9 + 1)
-	}
-	return p.rng
 }
 
 // StartMaintenance runs MaintainOnce every interval until the peer

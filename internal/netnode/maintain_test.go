@@ -97,19 +97,20 @@ func TestKindHasProbe(t *testing.T) {
 func TestStartMaintenanceLoop(t *testing.T) {
 	peers := startSystem(t, 4, 0, allPIDs(16), hashring.Fixed(4))
 	NewClient(peers[0].Addr()).Insert("hot", []byte("x"))
-	stop := peers[4].StartMaintenance(5*time.Millisecond, 10, 0)
+	stop := peers[4].StartMaintenance(50*time.Millisecond, 10, 0)
 	defer stop()
-	for i := 0; i < 20; i++ {
-		NewClient(peers[4].Addr()).Get("hot")
-	}
-	deadline := time.Now().Add(2 * time.Second)
+	// Keep the file hot until a tick sees it: a fixed burst can straddle
+	// two windows (or, under -race, outlast one) and never cross the
+	// threshold in either.
+	cl := NewClient(peers[4].Addr())
+	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		if peers[5].HasFile("hot") {
 			stop()
 			stop() // idempotent
 			return
 		}
-		time.Sleep(5 * time.Millisecond)
+		cl.Get("hot")
 	}
 	t.Fatal("maintenance loop never replicated the hot file")
 }

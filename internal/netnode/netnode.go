@@ -244,8 +244,7 @@ type Peer struct {
 
 	fanoutWorkers int
 
-	mu       sync.Mutex // guards the lazily made maintenance rng
-	rng      *xrand.Rand
+	rng      *xrand.Rand   // maintenance placement's §3 proportional choice
 	quit     chan struct{} // closed by the first Close: background loops stop
 	quitOnce sync.Once
 
@@ -347,6 +346,7 @@ func Listen(cfg Config) (*Peer, error) {
 		hasher: h,
 		store:  st,
 		eng:    eng,
+		rng:    xrand.New(uint64(cfg.PID)*0x9e3779b9 + 1),
 		quit:   make(chan struct{}),
 	}
 	p.routing.Store(&routing{addrs: map[bitops.PID]string{}, live: liveness.New(cfg.M)})

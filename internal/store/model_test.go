@@ -78,11 +78,33 @@ func TestStoreMatchesModel(t *testing.T) {
 				if m, ok := model[name]; ok {
 					m.kind = Inserted
 				}
-			case 6: // ResetHits (occasionally)
+			case 6: // EndWindow (occasionally)
 				if rng.Bool(0.2) {
-					s.ResetHits()
-					for _, m := range model {
+					threshold, evictBelow := uint64(rng.Intn(4)), uint64(rng.Intn(3))
+					hot, ok, evicted := s.EndWindow(threshold, evictBelow)
+					// The rule in its plainest form: in name order, evict
+					// cold replicas, keep the first survivor with the most
+					// hits, zero every counter.
+					wantHot, wantHits, wantEvicted := "", uint64(0), 0
+					for _, n := range names {
+						m, ok := model[n]
+						if !ok {
+							continue
+						}
+						if m.kind == Replica && m.hits < evictBelow {
+							delete(model, n)
+							wantEvicted++
+							continue
+						}
+						if m.hits > wantHits {
+							wantHot, wantHits = n, m.hits
+						}
 						m.hits = 0
+					}
+					wantOK := wantHits > threshold
+					if ok != wantOK || evicted != wantEvicted || ok && hot.Name != wantHot {
+						t.Fatalf("step %d: EndWindow(%d, %d) = %q, %v, %d; model %q, %v, %d",
+							step, threshold, evictBelow, hot.Name, ok, evicted, wantHot, wantOK, wantEvicted)
 					}
 				}
 			}

@@ -15,7 +15,7 @@ const DefaultShards = 16
 // Sharded is a concurrency-safe store: names are spread across power-of-2
 // Store shards by FNV-1a hash, each behind its own mutex, so gets of
 // distinct names stop contending on one lock. It mirrors the Store API;
-// aggregate reads (AllNames, Len, ColdReplicas, …) visit the shards in
+// aggregate reads (AllNames, Len, Records, …) visit the shards in
 // order and are linearizable per shard, not across them — the same
 // guarantee the single global mutex gave concurrent observers in practice.
 type Sharded struct {
@@ -250,14 +250,17 @@ func (s *Sharded) Hits(name string) uint64 {
 	return h
 }
 
-// ResetHits zeroes every access counter.
-func (s *Sharded) ResetHits() {
+// EndWindow closes the counting window shard by shard, each under its
+// shard's mutex; see Store.EndWindow. The hot pick is across all shards.
+func (s *Sharded) EndWindow(threshold, evictBelow uint64) (hot File, ok bool, evicted int) {
+	var w window
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		sh.s.ResetHits()
+		sh.s.endWindow(evictBelow, &w)
 		sh.mu.Unlock()
 	}
+	return w.result(threshold)
 }
 
 // Names returns the sorted names of all copies of the given kind.
@@ -280,20 +283,6 @@ func (s *Sharded) AllNames() []string {
 		sh := &s.shards[i]
 		sh.mu.Lock()
 		out = append(out, sh.s.AllNames()...)
-		sh.mu.Unlock()
-	}
-	sort.Strings(out)
-	return out
-}
-
-// ColdReplicas returns the sorted names of replicas below minHits in the
-// current window.
-func (s *Sharded) ColdReplicas(minHits uint64) []string {
-	var out []string
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		out = append(out, sh.s.ColdReplicas(minHits)...)
 		sh.mu.Unlock()
 	}
 	sort.Strings(out)

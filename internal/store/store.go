@@ -312,7 +312,8 @@ func (s *Store) Promote(name string) {
 	}
 }
 
-// Hits returns the access count of name since it was stored or last reset.
+// Hits returns the access count of name since it was stored or the last
+// EndWindow.
 func (s *Store) Hits(name string) uint64 {
 	if e, ok := s.files[name]; ok {
 		return e.hits
@@ -320,12 +321,60 @@ func (s *Store) Hits(name string) uint64 {
 	return 0
 }
 
-// ResetHits zeroes every access counter, starting a new counting window
-// for the §6 counter-based removal mechanism.
-func (s *Store) ResetHits() {
-	for _, e := range s.files {
+// EndWindow closes one §2.2/§6 counting window — the per-node rule, in
+// one place for the engine (core.Cluster.Maintain) and the fabric
+// (netnode.Peer.MaintainOnce):
+//
+//   - every replica that served fewer than evictBelow gets is deleted,
+//     through the persister as Delete does (inserted copies are never
+//     candidates);
+//   - among the survivors the copy with the most hits, ties broken toward
+//     the smallest name, is returned as hot when it served more than
+//     threshold gets — the file to shed with one children-list replica;
+//   - every counter is zeroed, starting the next window.
+//
+// Evicting before picking only differs from picking first when a replica
+// that served more than threshold gets is evicted, i.e. threshold+1 <
+// evictBelow, which no caller configures. The kind check and the delete
+// happen in one call (on Sharded, under one shard lock), so a concurrent
+// Promote either lands first and the copy is kept, or finds it gone: an
+// authoritative copy is never evicted.
+func (s *Store) EndWindow(threshold, evictBelow uint64) (hot File, ok bool, evicted int) {
+	var w window
+	s.endWindow(evictBelow, &w)
+	return w.result(threshold)
+}
+
+// window accumulates one EndWindow pass, possibly over several stores
+// (Sharded's shards): the hottest surviving copy so far and the evictions.
+type window struct {
+	hot     File
+	hits    uint64
+	evicted int
+}
+
+// endWindow applies EndWindow's rule to s, folding its survivors into w.
+func (s *Store) endWindow(evictBelow uint64, w *window) {
+	for name, e := range s.files {
+		if e.kind == Replica && e.hits < evictBelow {
+			s.Delete(name)
+			w.evicted++
+			continue
+		}
+		if e.hits > w.hits || e.hits == w.hits && name < w.hot.Name {
+			w.hot, w.hits = e.file, e.hits
+		}
 		e.hits = 0
 	}
+}
+
+// result returns the window's hot pick if it served more than threshold
+// gets, and the number of replicas evicted.
+func (w *window) result(threshold uint64) (File, bool, int) {
+	if w.hits <= threshold {
+		return File{}, false, w.evicted
+	}
+	return w.hot, true, w.evicted
 }
 
 // Names returns the sorted names of all copies of the given kind.
@@ -345,20 +394,6 @@ func (s *Store) AllNames() []string {
 	out := make([]string, 0, len(s.files))
 	for n := range s.files {
 		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// ColdReplicas returns the sorted names of replicas whose access count in
-// the current window is strictly below minHits — the removal candidates of
-// the counter-based mechanism. Inserted copies are never candidates.
-func (s *Store) ColdReplicas(minHits uint64) []string {
-	var out []string
-	for n, e := range s.files {
-		if e.kind == Replica && e.hits < minHits {
-			out = append(out, n)
-		}
 	}
 	sort.Strings(out)
 	return out

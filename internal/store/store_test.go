@@ -97,7 +97,7 @@ func TestDeleteAndPromote(t *testing.T) {
 	s.Promote("ghost") // must not panic
 }
 
-func TestHitCountingAndColdReplicas(t *testing.T) {
+func TestHitCountingAndEndWindow(t *testing.T) {
 	s := New()
 	s.Put(file("hot", "x", 1), Replica)
 	s.Put(file("cold", "y", 1), Replica)
@@ -114,16 +114,67 @@ func TestHitCountingAndColdReplicas(t *testing.T) {
 	if s.Hits("cold") != 1 {
 		t.Fatal("Peek counted an access")
 	}
-	if got := s.ColdReplicas(3); !reflect.DeepEqual(got, []string{"cold"}) {
-		t.Fatalf("ColdReplicas(3) = %v", got)
+	hot, ok, evicted := s.EndWindow(4, 3)
+	if !ok || hot.Name != "hot" || evicted != 1 {
+		t.Fatalf("EndWindow(4, 3) = %q, %v, %d; want hot, true, 1", hot.Name, ok, evicted)
 	}
-	// Inserted copies are never eviction candidates even when cold.
-	if got := s.ColdReplicas(100); !reflect.DeepEqual(got, []string{"cold", "hot"}) {
-		t.Fatalf("ColdReplicas(100) = %v", got)
+	if got := s.AllNames(); !reflect.DeepEqual(got, []string{"hot", "primary"}) {
+		t.Fatalf("after EndWindow(4, 3): %v", got)
 	}
-	s.ResetHits()
 	if s.Hits("hot") != 0 {
-		t.Fatal("ResetHits failed")
+		t.Fatal("EndWindow did not reset the counters")
+	}
+	// Inserted copies are never eviction candidates even when cold, and a
+	// window where nothing served more than threshold picks nothing.
+	if hot, ok, evicted := s.EndWindow(0, 100); ok || evicted != 1 {
+		t.Fatalf("EndWindow(0, 100) = %q, %v, %d; want no pick, 1 evicted", hot.Name, ok, evicted)
+	}
+	if got := s.AllNames(); !reflect.DeepEqual(got, []string{"primary"}) {
+		t.Fatalf("after EndWindow(0, 100): %v", got)
+	}
+}
+
+// TestEndWindowPicksHottestSurvivor pins the pick on both store shapes:
+// the most hits among copies that survive eviction, ties toward the
+// smallest name, and only above the threshold.
+func TestEndWindowPicksHottestSurvivor(t *testing.T) {
+	type endWindower interface {
+		Put(File, Kind)
+		Get(string) (File, bool)
+		EndWindow(threshold, evictBelow uint64) (File, bool, int)
+	}
+	for name, s := range map[string]endWindower{"store": New(), "sharded": NewSharded(4)} {
+		t.Run(name, func(t *testing.T) {
+			hits := map[string]int{"a": 3, "b": 7, "c": 7, "d": 9}
+			for n, h := range hits {
+				kind := Replica
+				if n == "c" {
+					kind = Inserted
+				}
+				s.Put(file(n, n, 1), kind)
+				for i := 0; i < h; i++ {
+					s.Get(n)
+				}
+			}
+			// Evicting below 10 drops every replica ("d" included): the
+			// hottest survivor is the inserted "c" at 7.
+			if hot, ok, evicted := s.EndWindow(6, 10); !ok || hot.Name != "c" || evicted != 3 {
+				t.Fatalf("evict-then-pick = %q, %v, %d; want c, true, 3", hot.Name, ok, evicted)
+			}
+			s.Put(file("b", "b", 2), Replica)
+			for _, n := range []string{"b", "c"} {
+				for i := 0; i < 4; i++ {
+					s.Get(n)
+				}
+			}
+			if hot, ok, _ := s.EndWindow(3, 0); !ok || hot.Name != "b" || string(hot.Data) != "b" || hot.Version != 2 {
+				t.Fatalf("tie = %+v, %v; want b at v2", hot, ok)
+			}
+			// Counters were zeroed: the next window has nothing over 0.
+			if hot, ok, evicted := s.EndWindow(0, 0); ok || evicted != 0 {
+				t.Fatalf("empty window = %q, %v, %d", hot.Name, ok, evicted)
+			}
+		})
 	}
 }
 

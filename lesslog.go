@@ -58,7 +58,7 @@ type UpdateResult = core.UpdateResult
 // DeleteResult reports a Delete's propagation.
 type DeleteResult = core.DeleteResult
 
-// Placement records one replica created by ReplicateHot.
+// Placement records one replica created by Maintain.
 type Placement = core.Placement
 
 // Stats are the system's cumulative traffic counters.
@@ -157,19 +157,15 @@ func (s *System) ReplicateFile(holder PID, name string) (PID, error) {
 	return s.c.ReplicateFile(holder, name)
 }
 
-// ReplicateHot scans all nodes and replicates the hottest file of every
-// node whose serve count this window exceeds threshold. Pair with
-// ResetWindow to run fixed observation windows.
-func (s *System) ReplicateHot(threshold uint64) []Placement {
-	return s.c.ReplicateHot(threshold)
+// Maintain closes the current observation window on every node (§2.2,
+// §6): replicas that served fewer than evictBelow gets are removed (the
+// paper's counter-based removal mechanism), every node whose hottest
+// remaining copy served more than threshold gets replicates it once, and
+// all serve counts restart from zero — so read ServeCount before calling
+// it. It returns the placements made and the number of replicas evicted.
+func (s *System) Maintain(threshold, evictBelow uint64) ([]Placement, int) {
+	return s.c.Maintain(threshold, evictBelow)
 }
-
-// EvictCold removes replicas that served fewer than minHits gets this
-// window — the paper's counter-based removal mechanism (§6).
-func (s *System) EvictCold(minHits uint64) int { return s.c.EvictCold(minHits) }
-
-// ResetWindow starts a new access-counting window on every node.
-func (s *System) ResetWindow() { s.c.ResetWindow() }
 
 // Join admits a new node at PID k and migrates to it the files it must
 // now host (§5.1).

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 )
 
@@ -61,7 +62,7 @@ func TestFacadeReplicationFlow(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	placements := s.ReplicateHot(100)
+	placements, _ := s.Maintain(100, 0)
 	if len(placements) != 1 || placements[0].Holder != target {
 		t.Fatalf("placements = %+v", placements)
 	}
@@ -69,7 +70,6 @@ func TestFacadeReplicationFlow(t *testing.T) {
 		t.Fatalf("holders = %v", got)
 	}
 	// §2.2 halving: a fresh window of one get per node splits evenly.
-	s.ResetWindow()
 	for p := PID(0); p < 256; p++ {
 		s.Get(p, name)
 	}
@@ -78,9 +78,9 @@ func TestFacadeReplicationFlow(t *testing.T) {
 	if a != 128 || b != 128 {
 		t.Fatalf("serve split = %d/%d, want 128/128", a, b)
 	}
+	s.Maintain(math.MaxUint64, 0)
 	// Cold window evicts the replica.
-	s.ResetWindow()
-	if n := s.EvictCold(1); n != 1 {
+	if _, n := s.Maintain(math.MaxUint64, 1); n != 1 {
 		t.Fatalf("evicted %d", n)
 	}
 }
