@@ -188,7 +188,10 @@ func (p *Peer) broadcastRegister(pid bitops.PID, addr []byte, dead bool) {
 			p.applyRegister(req)
 			continue
 		}
-		p.call(q, req) // best effort; a missed peer re-syncs on next table fetch
+		// Best effort: a missed peer keeps its old view for good, because
+		// the table (KindTable) is fetched only once, in Join. ROADMAP.md's
+		// "Membership that converges" item is the resync.
+		p.call(q, req)
 	}
 }
 
@@ -250,6 +253,13 @@ func (p *Peer) applyRegister(req *msg.Request) {
 // handOffTo implements the joining side of §5.1 at this holder: any
 // inserted copy whose subtree placement now selects the joiner moves to
 // it.
+//
+// Each name's Peek → place → Delete runs under propMu's write side, as
+// Leave's handoff does. A peer that has not yet heard of the joiner still
+// delivers updates here; such an update either lands before the Peek and
+// moves with the copy, or finds no copy once the lock is released and is
+// not acknowledged. Without the lock it could land between the Peek and
+// the Delete, be acknowledged, and be deleted with the copy.
 func (p *Peer) handOffTo(k bitops.PID) {
 	if k == p.cfg.PID {
 		return
@@ -265,16 +275,23 @@ func (p *Peer) handOffTo(k bitops.PID) {
 		if !ok || h != k {
 			continue
 		}
-		f, have := p.store.Peek(name)
-		if !have {
-			continue
-		}
-		if _, err := p.place(k, f, 0, &p.stats.PlacedHandoff, nil); err != nil {
-			p.log.Warn("join: handoff failed, copy kept here", "name", name, "to", uint32(k), "err", err)
-			continue
-		}
-		p.store.Delete(name)
+		p.handOff(k, name)
 	}
+}
+
+// handOff moves this peer's copy of name to the joiner k.
+func (p *Peer) handOff(k bitops.PID, name string) {
+	p.propMu.Lock()
+	defer p.propMu.Unlock()
+	f, have := p.store.Peek(name)
+	if !have {
+		return
+	}
+	if _, err := p.place(k, f, 0, &p.stats.PlacedHandoff, nil); err != nil {
+		p.log.Warn("join: handoff failed, copy kept here", "name", name, "to", uint32(k), "err", err)
+		return
+	}
+	p.store.Delete(name)
 }
 
 // restoreAfterDeath implements the §5.3 recovery at this holder: with

@@ -10,6 +10,7 @@ import (
 	"lesslog/internal/hashring"
 	"lesslog/internal/msg"
 	"lesslog/internal/store"
+	"lesslog/internal/transport"
 )
 
 func TestJoinBootstrapsAndRegisters(t *testing.T) {
@@ -273,6 +274,66 @@ func TestLeaveDoesNotLoseRacingUpdate(t *testing.T) {
 	}
 	if string(f.Data) < lastOK {
 		t.Fatalf("successor holds %q, older than acknowledged update %q", f.Data, lastOK)
+	}
+}
+
+func TestJoinDoesNotLoseRacingUpdate(t *testing.T) {
+	// Join vs an in-flight update broadcast, the handoff side of the propMu
+	// serialization. P(4) is absent at insert time, so ψ(f) = 4 puts the
+	// only copy (B = 0) at P(5). P(4) joins through P(0), which relays the
+	// registration in PID order: P(5) hands the copy over while P(9), later
+	// in that order, still sees P(4) dead and delivers the writer's updates
+	// to P(5). A delay on the placement to P(4) holds the handoff open.
+	// Every update the writer saw succeed must be at P(4) afterwards —
+	// without the serialization P(5) applies and acknowledges an update
+	// between its Peek and its Delete, and deletes it with the copy.
+	faults := transport.NewFaults()
+	var pids []bitops.PID
+	for i := 0; i < 16; i++ {
+		if i != 4 {
+			pids = append(pids, bitops.PID(i))
+		}
+	}
+	cfg := Config{M: 4, B: 0, Hasher: hashring.Fixed(4), Faults: faults}
+	peers := startSystemWith(t, pids, cfg)
+	if err := NewClient(peers[0].Addr()).Insert("f", []byte("v0000")); err != nil {
+		t.Fatal(err)
+	}
+	if !peers[5].store.Has("f") {
+		t.Fatal("precondition: file not at P(5)")
+	}
+	cfg.PID = 4
+	joiner, err := Listen(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { joiner.Close() })
+	faults.Add(transport.Rule{Addr: joiner.Addr(), Kind: msg.KindStore, Delay: 200 * time.Millisecond})
+
+	// The writer stops once P(5) has let go of its copy: later updates
+	// would reach P(4) and overwrite whatever the handoff lost.
+	done := make(chan struct{})
+	lastOK := "v0000" // zero-padded: payload order is lexicographic order
+	cl := NewClient(peers[9].Addr())
+	go func() {
+		defer close(done)
+		for i := 1; peers[5].store.Has("f"); i++ {
+			data := fmt.Sprintf("v%04d", i)
+			if _, err := cl.Update("f", []byte(data)); err == nil {
+				lastOK = data
+			}
+		}
+	}()
+	if err := joiner.Join(peers[0].Addr()); err != nil {
+		t.Fatal(err)
+	}
+	<-done
+	f, ok := joiner.store.Peek("f")
+	if !ok {
+		t.Fatal("copy did not reach the joiner")
+	}
+	if string(f.Data) < lastOK {
+		t.Fatalf("joiner holds %q, older than acknowledged update %q", f.Data, lastOK)
 	}
 }
 

@@ -228,14 +228,14 @@ type Peer struct {
 	routing atomic.Pointer[routing]
 	regMu   sync.Mutex // serializes routing clone-and-swap mutations
 
-	// propMu serializes Leave's copy handoff (writer) against in-flight
-	// update/delete propagations (readers): a leave that runs mid-fan-out
-	// could hand a copy to its new primary and then have the still-running
-	// broadcast rewrite the local copy it just gave away, losing the
-	// update on the handed-off replica. Handlers take the read side once
-	// at entry (propagation recursion stays on the same goroutine and
-	// never re-locks); Leave holds the write side across handoff and the
-	// dead registration.
+	// propMu serializes the copy handoffs of Leave and of a join (writers)
+	// against in-flight update/delete propagations (readers): a handoff
+	// that runs mid-fan-out could hand a copy to its new primary and then
+	// have the still-running broadcast rewrite the local copy it just gave
+	// away, losing the update on the handed-off copy. The applies take the
+	// read side around the local store mutation only; Leave holds the
+	// write side across handoff and the dead registration, a join handoff
+	// across each name's Peek, place and Delete.
 	propMu sync.RWMutex
 
 	store *store.Sharded
@@ -758,20 +758,27 @@ func (p *Peer) handleInsert(req *msg.Request, sum crc) *msg.Response {
 			tombV uint64
 		)
 		stored = 0
-		for _, h := range holders {
+		leg := func(h bitops.PID) {
+			survived, err := p.place(h, f, 0, &p.stats.PlacedInsert, tr)
+			mu.Lock()
+			defer mu.Unlock()
+			switch {
+			case err == nil:
+				stored++
+			case errors.Is(err, ErrTombstoned) && survived > tombV:
+				tombV = survived
+			}
+		}
+		for i, h := range holders {
+			if i == len(holders)-1 {
+				leg(h) // the last leg runs on this goroutine
+				break
+			}
 			wg.Add(1)
-			go func(h bitops.PID) {
+			go func() {
 				defer wg.Done()
-				survived, err := p.place(h, f, 0, &p.stats.PlacedInsert, tr)
-				mu.Lock()
-				defer mu.Unlock()
-				switch {
-				case err == nil:
-					stored++
-				case errors.Is(err, ErrTombstoned) && survived > tombV:
-					tombV = survived
-				}
-			}(h)
+				leg(h)
+			}()
 		}
 		wg.Wait()
 		if parked {
@@ -1082,8 +1089,9 @@ func (p *Peer) broadcast(fo fanout, prop *msg.Request) int {
 }
 
 // deliverAll delivers a propagation message to every target concurrently
-// and returns the exact sum of copies touched. A single target is
-// delivered inline — no goroutine for the common narrow case.
+// and returns the exact sum of copies touched. The last target is
+// delivered on the calling goroutine — for a single target, no goroutine
+// at all.
 func (p *Peer) deliverAll(fo fanout, targets []bitops.PID, prop *msg.Request) int {
 	switch len(targets) {
 	case 0:
@@ -1096,15 +1104,17 @@ func (p *Peer) deliverAll(fo fanout, targets []bitops.PID, prop *msg.Request) in
 		sync.WaitGroup
 		touched atomic.Int64
 	}
-	for _, t := range targets {
+	last := len(targets) - 1
+	for _, t := range targets[:last] {
 		legs.Add(1)
-		go func(t bitops.PID) {
+		go func() {
 			defer legs.Done()
 			legs.touched.Add(int64(p.deliver(fo, t, prop)))
-		}(t)
+		}()
 	}
+	n := p.deliver(fo, targets[last], prop)
 	legs.Wait()
-	return int(legs.touched.Load())
+	return n + int(legs.touched.Load())
 }
 
 // deliver sends a propagation message to pid (handling it locally when pid

@@ -3,6 +3,7 @@ package netnode
 import (
 	"bytes"
 	"testing"
+	"time"
 
 	"lesslog/internal/bitops"
 	"lesslog/internal/hashring"
@@ -206,5 +207,29 @@ func TestReinsertAfterDeleteFromLaggingPeer(t *testing.T) {
 	}
 	if res.Version <= tombV {
 		t.Fatalf("re-insert version %d not above tombstone %d", res.Version, tombV)
+	}
+}
+
+func TestReinsertRestampsOnInlineLeg(t *testing.T) {
+	// handleInsert runs its last placement leg on the handler's goroutine,
+	// not on one of its own. A tombstone that only that leg meets must still
+	// feed the restamp: the insert is re-placed above it at both holders.
+	peers := startSystem(t, 4, 1, allPIDs(16), hashring.Fixed(4))
+	v := peers[0].view(4)
+	first, ok0 := v.PrimaryHolder(0)
+	last, ok1 := v.PrimaryHolder(1)
+	if !ok0 || !ok1 {
+		t.Fatal("precondition: both subtrees live")
+	}
+	const tombV = 1 << 20 // above every clock in the fabric
+	peers[last].store.RestoreTombstone("f", tombV, time.Now())
+	if err := NewClient(peers[0].Addr()).Insert("f", []byte("reborn")); err != nil {
+		t.Fatalf("insert over a tombstone at the last primary P(%d): %v", last, err)
+	}
+	for _, h := range []bitops.PID{first, last} {
+		f, ok := peers[h].store.Peek("f")
+		if !ok || !bytes.Equal(f.Data, []byte("reborn")) || f.Version <= tombV {
+			t.Fatalf("P(%d) holds %+v, %v; want the insert stamped above the tombstone %d", h, f, ok, tombV)
+		}
 	}
 }

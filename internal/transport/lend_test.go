@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"math"
 	"runtime"
 	"sync"
 	"testing"
@@ -66,11 +67,12 @@ func TestExchangeAllocBudget(t *testing.T) {
 		return float64(after.Mallocs-before.Mallocs) / runs, float64(after.TotalAlloc-before.TotalAlloc) / runs
 	}
 
-	// drop: Request + name at the server, Response at both ends, the worker's
-	// go statement. Nothing the size of the payload anywhere.
+	// drop: Request + name at the server, Response at both ends. Nothing the
+	// size of the payload anywhere. The mean is rounded: a run of 400 now
+	// and then counts a few allocations the runtime makes for itself.
 	dropAllocs, dropBytes := measure("drop")
-	if dropAllocs > 6 || dropBytes > 1<<10 {
-		t.Errorf("4 KiB request, handler keeps nothing: %.1f allocs, %.0f B per exchange; want <= 6 allocs and no payload-sized object (< 1 KiB)", dropAllocs, dropBytes)
+	if math.Round(dropAllocs) > 4 || dropBytes > 1<<10 {
+		t.Errorf("4 KiB request, handler keeps nothing: %.1f allocs, %.0f B per exchange; want <= 4 allocs and no payload-sized object (< 1 KiB)", dropAllocs, dropBytes)
 	}
 	// echo: the same plus the response's Data copied out at the client.
 	echoAllocs, echoBytes := measure("echo")

@@ -1,6 +1,10 @@
 package transport
 
 import (
+	"errors"
+	"fmt"
+	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,8 +14,8 @@ import (
 )
 
 // pipelinedServer is a Server on a loopback port, so tests exercise the full
-// pipelined path: requests dispatched to a worker pool, responses written
-// out of order by a single writer.
+// pipelined path: requests passed to the connection's workers, responses
+// written out of order by the workers that handled them.
 func pipelinedServer(t testing.TB, handle func(*msg.Request) *msg.Response, opts ServeLoopOptions) (addr string) {
 	t.Helper()
 	srv, err := Listen("127.0.0.1:0", handle, opts)
@@ -183,5 +187,152 @@ func TestServeDelayModelsSerialServer(t *testing.T) {
 	}
 	if wide := run(4); wide >= 4*delay {
 		t.Fatalf("4 workers took %v for 4 requests, want the delays to overlap (< %v)", wide, 4*delay)
+	}
+}
+
+// serveOne accepts one connection on a loopback port and serves it with
+// ServeLoop, through wrap when that is non-nil. returned is closed once
+// ServeLoop has returned and the connection is closed.
+func serveOne(t *testing.T, handle func(*msg.Request) *msg.Response, opts ServeLoopOptions, wrap func(net.Conn) net.Conn) (addr string, returned <-chan struct{}) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		conn, err := ln.Accept()
+		ln.Close()
+		if err != nil {
+			return
+		}
+		if wrap != nil {
+			conn = wrap(conn)
+		}
+		ServeLoop(conn, handle, opts)
+		conn.Close()
+	}()
+	t.Cleanup(func() { ln.Close() })
+	return ln.Addr().String(), done
+}
+
+// waitClosed fails the test unless ch is closed within a few seconds.
+func waitClosed(t *testing.T, ch <-chan struct{}, what string) {
+	t.Helper()
+	select {
+	case <-ch:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s did not happen", what)
+	}
+}
+
+// TestServeLoopBoundsWorkers: with Workers 3 and five requests pipelined on
+// one stream, three are handled at once and the other two wait until a
+// handler is released; each request then gets its own answer, and once the
+// stream closes ServeLoop returns with no worker left behind.
+func TestServeLoopBoundsWorkers(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	var depth, entered atomic.Int64
+	release := make(chan struct{})
+	addr, returned := serveOne(t, func(req *msg.Request) *msg.Response {
+		if req.Name != "warm" {
+			entered.Add(1)
+			<-release
+		}
+		return &msg.Response{OK: true, Data: []byte(req.Name)}
+	}, ServeLoopOptions{Workers: 3, Depth: &depth}, nil)
+
+	tr := New(Config{PoolSize: 1, Retries: -1}, nil)
+	if _, err := tr.Do(addr, &msg.Request{Kind: msg.KindGet, Name: "warm"}); err != nil {
+		t.Fatal(err) // one stream, dialed before the batch
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 5; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			name := fmt.Sprintf("r%d", i)
+			resp, err := tr.Do(addr, &msg.Request{Kind: msg.KindGet, Name: name})
+			if err != nil || string(resp.Data) != name {
+				t.Errorf("%s answered %+v, %v", name, resp, err)
+			}
+		}()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for depth.Load() < 3 {
+		if time.Now().After(deadline) {
+			t.Fatalf("depth gauge = %d, want 3", depth.Load())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(50 * time.Millisecond) // room for a fourth handler to start
+	if d, n := depth.Load(), entered.Load(); d != 3 || n != 3 {
+		t.Fatalf("depth gauge = %d, handlers entered = %d with every worker parked; want 3 and 3", d, n)
+	}
+	release <- struct{}{}
+	for entered.Load() < 4 {
+		if time.Now().After(deadline) {
+			t.Fatal("no waiting request taken up after one release")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if d := depth.Load(); d != 3 {
+		t.Fatalf("depth gauge = %d after one release, want 3", d)
+	}
+	close(release)
+	wg.Wait()
+	tr.Close()
+	waitClosed(t, returned, "ServeLoop returning after the stream closed")
+	settleGoroutines(t, baseline)
+}
+
+// failWrites is a connection whose writes fail.
+type failWrites struct{ net.Conn }
+
+func (failWrites) Write([]byte) (int, error) { return 0, errors.New("injected write failure") }
+
+// TestServeLoopEndsWithParkedHandler: a connection that dies while a handler
+// is parked — the client gone, or the answer failing to write on a stream
+// the client keeps open — ends ServeLoop once that handler returns, and no
+// worker outlives it.
+func TestServeLoopEndsWithParkedHandler(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		wrap func(net.Conn) net.Conn
+	}{
+		{"client closes", nil},
+		{"write fails", func(c net.Conn) net.Conn { return failWrites{c} }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			baseline := runtime.NumGoroutine()
+			parked, release := make(chan struct{}), make(chan struct{})
+			protoErrs := make(chan error, 4)
+			addr, returned := serveOne(t, func(req *msg.Request) *msg.Response {
+				close(parked)
+				<-release
+				return &msg.Response{OK: true}
+			}, ServeLoopOptions{OnProtoError: func(err error) { protoErrs <- err }}, tc.wrap)
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if err := msg.WriteRequestID(conn, &msg.Request{Kind: msg.KindGet, Name: "f"}, 1); err != nil {
+				t.Fatal(err)
+			}
+			waitClosed(t, parked, "the handler starting")
+			if tc.wrap == nil {
+				conn.Close()
+			}
+			close(release)
+			waitClosed(t, returned, "ServeLoop returning")
+			if tc.wrap != nil {
+				if err := <-protoErrs; err == nil || err.Error() != "injected write failure" {
+					t.Fatalf("protocol error = %v, want the write failure", err)
+				}
+			}
+			settleGoroutines(t, baseline)
+		})
 	}
 }

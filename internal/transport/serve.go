@@ -21,8 +21,8 @@ const DefaultPipelineWorkers = 8
 // instrumentation.
 type ServeLoopOptions struct {
 	// Workers caps concurrently handled pipelined requests on this
-	// connection; the reader stalls (TCP backpressure) once the cap is
-	// reached. <= 0 selects DefaultPipelineWorkers.
+	// connection; once that many are in flight nobody reads the next frame
+	// (TCP backpressure). <= 0 selects DefaultPipelineWorkers.
 	Workers int
 	// Depth, when non-nil, is a gauge of in-flight pipelined requests:
 	// incremented as a handler starts, decremented as it finishes.
@@ -40,11 +40,14 @@ type ServeLoopOptions struct {
 }
 
 // ServeLoop serves one accepted connection with per-connection request
-// pipelining: a reader goroutine decodes frames, every request is
-// dispatched to a bounded worker pool, and a single writer goroutine frames
-// the responses back — out of request order when handlers finish out of
-// order, each echoing its request's ID. A frame without an ID is a protocol
-// error that ends the connection (msg.ErrNoFrameID).
+// pipelining: the calling goroutine reads frames and passes each request to
+// one of at most Workers long-lived workers, started as requests arrive and
+// ended with the connection. A worker handles one request at a time and
+// writes its response itself, under the connection's write lock — out of
+// request order when handlers finish out of order, each echoing its
+// request's ID — and flushes when no other response is waiting for the
+// lock. A frame without an ID is a protocol error that ends the connection
+// (msg.ErrNoFrameID).
 //
 // handle must be safe for concurrent use and must return a non-nil
 // response. What it is given is lent, not handed over (docs/PIPELINE.md
@@ -69,21 +72,9 @@ func ServeLoop(conn net.Conn, handle func(*msg.Request) *msg.Response, opts Serv
 			return inner(req)
 		}
 	}
-	s := &served{
-		conn:   conn,
-		handle: handle,
-		opts:   opts,
-		out:    make(chan outFrame, workers),
-		sem:    make(chan struct{}, workers),
-	}
-	var writer sync.WaitGroup
-	writer.Add(1)
-	go func() {
-		defer writer.Done()
-		s.writeLoop()
-	}()
-
+	s := &served{conn: conn, handle: handle, opts: opts, bw: bufio.NewWriter(conn), jobs: make(chan job)}
 	br := bufio.NewReader(conn)
+	started := 0
 	for {
 		req, lease, id, err := msg.ReadRequestLent(br)
 		if err != nil {
@@ -92,35 +83,38 @@ func ServeLoop(conn net.Conn, handle func(*msg.Request) *msg.Response, opts Serv
 			}
 			break
 		}
-		s.sem <- struct{}{}
-		s.handlers.Add(1)
-		if opts.Depth != nil {
-			opts.Depth.Add(1)
+		// Every started worker busy: start another, up to the cap; at the cap
+		// the send waits for a worker to answer.
+		if int(s.busy.Add(1)) > started && started < workers {
+			started++
+			s.workers.Add(1)
+			go s.work()
 		}
-		go s.work(req, lease, id)
+		s.jobs <- job{req, lease, id}
 	}
-	s.handlers.Wait()
-	close(s.out)
-	writer.Wait()
+	close(s.jobs)
+	s.workers.Wait()
 }
 
-// served is one connection's serve-loop state, shared by its reader, its
-// workers and its writer.
+// served is one connection's state, shared by its reader and its workers.
 type served struct {
-	conn     net.Conn
-	handle   func(*msg.Request) *msg.Response
-	opts     ServeLoopOptions
-	out      chan outFrame // handled requests, to the writer
-	sem      chan struct{} // worker slots
-	handlers sync.WaitGroup
+	conn    net.Conn
+	handle  func(*msg.Request) *msg.Response
+	opts    ServeLoopOptions
+	jobs    chan job // read requests, to an idle worker
+	workers sync.WaitGroup
+	busy    atomic.Int32 // requests read and not yet answered
+
+	wmu     sync.Mutex // the write lock; guards bw
+	bw      *bufio.Writer
+	waiting atomic.Int32 // responses waiting for wmu
 }
 
-// outFrame is one response on its way to the writer, with the lease of the
-// request it answers.
-type outFrame struct {
-	resp  *msg.Response
-	id    uint64
+// job is one read request with the lease on its read buffer.
+type job struct {
+	req   *msg.Request
 	lease msg.Lease
+	id    uint64
 }
 
 func (s *served) protoErr(err error) {
@@ -129,35 +123,40 @@ func (s *served) protoErr(err error) {
 	}
 }
 
-// work handles one request on a goroutine of its own.
-func (s *served) work(req *msg.Request, lease msg.Lease, id uint64) {
-	defer func() {
+// work is one worker: it answers requests until the reader stops.
+func (s *served) work() {
+	defer s.workers.Done()
+	for j := range s.jobs {
+		if s.opts.Depth != nil {
+			s.opts.Depth.Add(1)
+		}
+		resp := s.handle(j.req)
 		if s.opts.Depth != nil {
 			s.opts.Depth.Add(-1)
 		}
-		<-s.sem
-		s.handlers.Done()
-	}()
-	s.out <- outFrame{resp: s.handle(req), id: id, lease: lease}
+		s.write(resp, j)
+	}
 }
 
-// writeLoop frames responses onto the connection until out is closed. It
-// is also where a request's lease ends: only once the response is encoded
-// into the write buffer (or the socket) can nothing point into the
-// request's read buffer any more.
-func (s *served) writeLoop() {
-	bw := bufio.NewWriter(s.conn)
-	for f := range s.out {
-		err := msg.WriteResponseID(bw, f.resp, f.id)
-		f.lease.End()
-		if err == nil && len(s.out) == 0 {
-			err = bw.Flush()
-		}
-		if err != nil {
-			s.protoErr(err)
-			// Unblock the reader; the loop keeps draining so no
-			// handler blocks on a send to out.
-			s.conn.Close()
-		}
+// write frames j's response under the write lock. It is also where the
+// request's lease ends: once the response is encoded into the write buffer
+// (or the socket) nothing points into the request's read buffer any more.
+// A failed write closes the connection, which stops the reader.
+func (s *served) write(resp *msg.Response, j job) {
+	s.waiting.Add(1)
+	s.wmu.Lock()
+	s.waiting.Add(-1)
+	err := msg.WriteResponseID(s.bw, resp, j.id)
+	j.lease.End()
+	// Idle before the flush, which is what a client with one request in
+	// flight waits for: its next request finds this worker, not a new one.
+	s.busy.Add(-1)
+	if err == nil && s.waiting.Load() == 0 {
+		err = s.bw.Flush()
+	}
+	s.wmu.Unlock()
+	if err != nil {
+		s.protoErr(err)
+		s.conn.Close()
 	}
 }
