@@ -19,6 +19,7 @@ import (
 	"testing"
 
 	"lesslog/internal/gateway"
+	"lesslog/internal/hashring"
 	"lesslog/internal/netnode"
 )
 
@@ -45,6 +46,22 @@ func surfaces(t *testing.T) (*netnode.Peer, *gateway.Gateway, Cluster) {
 			t.Fatal(err)
 		}
 		if _, err := g.Get(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The gateway enters each insert at the name's primary. A plain client
+	// enters where it is pointed: an insert at another peer reaches the
+	// primary by a KindStore, and a locate at P(0) walks on from there.
+	target := int(hashring.FNV{}.Target("s/g", 2))
+	entry := 1
+	if entry == target {
+		entry = 2
+	}
+	if err := netnode.NewClient(addrs[entry]).Insert("s/g", []byte("payload-s/g")); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range names {
+		if _, err := netnode.NewLocateClient(addrs[0]).Locate(n); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -10,6 +10,7 @@ package gateway
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -34,6 +35,7 @@ type ladderRead struct {
 type ladderConsumer struct {
 	// get reads name on behalf of a caller that has seen minVer acknowledged.
 	get    func(name string, minVer uint64) (ladderRead, error)
+	insert func(name string, data []byte) error
 	update func(name string, data []byte) error
 	stats  *netnode.LocateStats
 	chunks *stream.Stats
@@ -45,15 +47,21 @@ type ladderConsumer struct {
 }
 
 // rpcs is the consumer transport's exchange count per kind.
-type rpcs struct{ get, locateSet, fetch, update uint64 }
+type rpcs struct{ get, locateSet, fetch, update, insert, table uint64 }
 
 func (c *ladderConsumer) rpcs() rpcs {
 	n := func(k msg.Kind) uint64 { return c.tr.Latency(k).Count() }
-	return rpcs{n(msg.KindGet), n(msg.KindLocateSet), n(msg.KindFetch), n(msg.KindUpdate)}
+	return rpcs{
+		n(msg.KindGet), n(msg.KindLocateSet), n(msg.KindFetch), n(msg.KindUpdate),
+		n(msg.KindInsert), n(msg.KindTable),
+	}
 }
 
 func (a rpcs) since(b rpcs) rpcs {
-	return rpcs{a.get - b.get, a.locateSet - b.locateSet, a.fetch - b.fetch, a.update - b.update}
+	return rpcs{
+		a.get - b.get, a.locateSet - b.locateSet, a.fetch - b.fetch, a.update - b.update,
+		a.insert - b.insert, a.table - b.table,
+	}
 }
 
 // ladderEnv is one case's world: a fresh fabric holding one name, and a
@@ -101,6 +109,10 @@ func newLadderEnv(t *testing.T, b int, gatewayed bool, faults *transport.Faults)
 				res, err := g.Get(name)
 				return ladderRead{res.Data, res.Version, res.ServedBy}, err
 			},
+			insert: func(name string, data []byte) error {
+				_, err := g.Insert(name, data)
+				return err
+			},
 			update: func(name string, data []byte) error {
 				_, err := g.Update(name, data)
 				return err
@@ -118,6 +130,7 @@ func newLadderEnv(t *testing.T, b int, gatewayed bool, faults *transport.Faults)
 			res, err := cl.GetAtLeast(name, minVer)
 			return ladderRead{res.Data, res.Version, res.ServedBy}, err
 		},
+		insert: func(name string, data []byte) error { return cl.Insert(name, data) },
 		update: func(name string, data []byte) error {
 			_, err := cl.Update(name, data)
 			return err
@@ -332,6 +345,35 @@ var ladderCases = []struct {
 		for i, h := range e.holders {
 			if h.Stats().ChunksServed.Load() == served0[i] {
 				e.t.Fatalf("holder P(%d) served no chunk: the cached set lost it", h.PID())
+			}
+		}
+	}},
+	{name: "insert: one table fetch, then the insert at a primary", b: 1, run: func(e *ladderEnv) {
+		atHolder := func() uint64 { return e.sumPeers(func(s *netnode.Stats) uint64 { return s.WritesAtHolder.Load() }) }
+		remote := func() uint64 { return e.sumPeers(func(s *netnode.Stats) uint64 { return s.WritesRemote.Load() }) }
+		for i, want := range []rpcs{{table: 1, insert: 1}, {insert: 1}} {
+			name := fmt.Sprintf("ladder/new%d", i)
+			h0, rm0, r0 := atHolder(), remote(), e.c.rpcs()
+			if err := e.c.insert(name, ladderBody(3)); err != nil {
+				e.t.Fatal(err)
+			}
+			if d := e.c.rpcs().since(r0); d != want {
+				e.t.Fatalf("insert %d issued %+v, want %+v", i, d, want)
+			}
+			// The entry peer is one of the two primaries: it keeps its copy
+			// and sends the other one, never a third.
+			if atHolder() != h0+1 || remote() != rm0 {
+				e.t.Fatalf("insert %d: writes_at_holder +%d writes_remote +%d, want +1/+0",
+					i, atHolder()-h0, remote()-rm0)
+			}
+			holders := 0
+			for _, p := range e.peers {
+				if p.HasFile(name) {
+					holders++
+				}
+			}
+			if holders != 2 {
+				e.t.Fatalf("insert %d: %d holders, want the two primaries", i, holders)
 			}
 		}
 	}},

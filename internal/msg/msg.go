@@ -49,8 +49,9 @@ const (
 	// register-dead broadcast): Origin carries the PID, Data its address
 	// for a live registration, FlagDead marks a departure.
 	KindRegister
-	// KindTable asks a peer for its PID→address table, the networked
-	// status word a joining node bootstraps from.
+	// KindTable asks a peer for its PID→address table and the fabric's
+	// shape: the networked status word a joining node bootstraps from and
+	// a locate client places inserts with.
 	KindTable
 	// KindHas asks whether the peer holds a copy of Name — the probe the
 	// distributed REPLICATEFILE uses to find "the first node in the

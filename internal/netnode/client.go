@@ -6,10 +6,15 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"strings"
+	"sync"
 	"sync/atomic"
 
+	"lesslog/internal/bitops"
+	"lesslog/internal/hashring"
+	"lesslog/internal/liveness"
 	"lesslog/internal/metrics"
 	"lesslog/internal/msg"
+	"lesslog/internal/ptree"
 	"lesslog/internal/routehint"
 	"lesslog/internal/stream"
 	"lesslog/internal/tracering"
@@ -63,7 +68,23 @@ type Client struct {
 	// uploader streams payloads over one frame to a peer as a staged
 	// upload that commits into the normal insert/update path there.
 	uploader *stream.Uploader
-	stats    LocateStats
+	// Locate mode also places inserts: snap is one entry peer's table
+	// (KindTable), from which insertEntry names the primary an insert
+	// enters at. nil until an insert fetches it, and again once it proves
+	// stale; snapMu makes concurrent inserts share one fetch.
+	snap   atomic.Pointer[placement]
+	snapMu sync.Mutex
+	stats  LocateStats
+}
+
+// placement is a locate client's snapshot of the fabric: the shape and
+// status word an insert's primaries follow from (§4, §5). A nil live
+// means the fabric does not hash with hashring.Default, so the client
+// cannot name a target and inserts keep round-robin entry.
+type placement struct {
+	m, b  int
+	live  *liveness.Set
+	addrs map[bitops.PID]string
 }
 
 // LocateStats counts the ladder's events — once, here, for every consumer
@@ -171,11 +192,21 @@ func (c *Client) HintLen() int {
 	return c.hints.Len()
 }
 
-// PurgeHolder drops every route hint pointing at addr — for a caller whose
-// failure detector learns a peer is dead before the ladder trips over it.
+// PurgeHolder drops every route hint pointing at addr, and the placement
+// snapshot if addr is in it — for a caller whose failure detector learns a
+// peer is dead before the ladder trips over it.
 func (c *Client) PurgeHolder(addr string) {
-	if c.hints != nil {
-		c.hints.PurgeHolder(addr)
+	if c.hints == nil {
+		return
+	}
+	c.hints.PurgeHolder(addr)
+	if pl := c.snap.Load(); pl != nil {
+		for _, a := range pl.addrs {
+			if a == addr {
+				c.snap.CompareAndSwap(pl, nil)
+				break
+			}
+		}
 	}
 }
 
@@ -471,9 +502,9 @@ func (c *Client) locate(name string, traceID uint64) (loc LocateResult, set []ro
 }
 
 // Insert stores a file in the system. Payloads over one wire frame
-// (msg.MaxData) stream to the entry peer as a staged chunked upload and
-// commit into the normal insert path there; the hard cap is
-// msg.MaxFileSize.
+// (msg.MaxData) stream to the peer the insert enters at (Write) as a staged
+// chunked upload and commit into the normal insert path there; the hard
+// cap is msg.MaxFileSize.
 func (c *Client) Insert(name string, data []byte) error {
 	_, err := c.Write(&msg.Request{Kind: msg.KindInsert, Name: name, Data: data})
 	return err
@@ -528,9 +559,11 @@ func ack(resp *msg.Response, err error) (int, []msg.Hop, error) {
 // the fabric's acknowledgement (Version stamped, Hops = copies touched).
 // Updates and deletes enter at a holder when the hint cache, or one locate
 // walk, can name one, so the broadcast skips the lookup hops the read path
-// already eliminated; inserts, and a hinted holder that turns out
-// unreachable, enter at an entry peer. Mutations are never blindly
-// retried: a transport error from the entry peer means "outcome unknown".
+// already eliminated; inserts enter at a primary when the placement
+// snapshot can name one, so the body moves once per copy. Anything else,
+// and a named peer that turns out unreachable, enters at an entry peer.
+// Mutations are never blindly retried: a transport error from the entry
+// peer means "outcome unknown".
 // A refused write returns the refusal alongside the error.
 func (c *Client) Write(req *msg.Request) (*msg.Response, error) {
 	if len(req.Data) > msg.MaxFileSize {
@@ -540,18 +573,28 @@ func (c *Client) Write(req *msg.Request) (*msg.Response, error) {
 	}
 	var resp *msg.Response
 	var err error
+	// direct is where the write belongs: a holder of the name for an update
+	// or delete, a primary for an insert.
 	hint := c.writeHint(req)
+	direct := c.insertEntry(req)
 	if hint != nil {
-		if resp, err = c.send(hint.Addr, req); err != nil {
-			// The hinted holder is unreachable (a staged upload it held
-			// times out server-side): purge everything it hinted at and
-			// give the mutation its one entry-peer attempt.
-			c.hints.PurgeHolder(hint.Addr)
+		direct = hint.Addr
+	}
+	if direct != "" {
+		if resp, err = c.send(direct, req); err != nil {
+			// The peer is unreachable (a staged upload it held times out
+			// server-side): purge every hint at it and the snapshot that
+			// named it, and give the mutation its one entry-peer attempt —
+			// at another peer, when there is one.
+			c.PurgeHolder(direct)
 			hint = nil
 		}
 	}
-	if hint == nil {
+	if direct == "" || err != nil {
 		idx := c.pick()
+		if len(c.peers) > 1 && c.peers[idx] == direct {
+			idx = c.pick()
+		}
 		resp, err = c.send(c.peers[idx], req)
 		c.report(idx, err)
 	}
@@ -614,6 +657,58 @@ func (c *Client) writeHint(req *msg.Request) *routehint.Hint {
 	}
 	c.hints.PutSet(req.Name, set)
 	return &set[0]
+}
+
+// insertEntry names the peer an insert enters at: the first of its
+// primaries, computed as handleInsert will compute them from the placement
+// snapshot. "" — not an insert, a plain client, no snapshot, a fabric
+// hashing with something else — enters at an entry peer. A stale snapshot
+// costs only that peer's hop: the peer places from its own status word.
+func (c *Client) insertEntry(req *msg.Request) string {
+	if c.hints == nil || req.Kind != msg.KindInsert {
+		return ""
+	}
+	pl := c.placement()
+	if pl == nil || pl.live == nil {
+		return ""
+	}
+	v := ptree.NewView(hashring.Default.Target(req.Name, pl.m), pl.live, pl.b)
+	if prims := v.Primaries(); len(prims) > 0 {
+		return pl.addrs[prims[0]]
+	}
+	return ""
+}
+
+// placement returns the snapshot, fetching it with one KindTable exchange
+// if there is none. A transport failure leaves none, for the next insert
+// to retry; an answer that does not decode is kept as a snapshot that
+// places nothing, like a fabric with another hasher.
+func (c *Client) placement() *placement {
+	if pl := c.snap.Load(); pl != nil {
+		return pl
+	}
+	c.snapMu.Lock()
+	defer c.snapMu.Unlock()
+	if pl := c.snap.Load(); pl != nil {
+		return pl
+	}
+	resp, err := c.Do(&msg.Request{Kind: msg.KindTable}, true)
+	if err != nil {
+		return nil
+	}
+	pl := &placement{}
+	if t, err := parseTable(resp.Data); err != nil {
+		c.stats.FetchErrors.Inc()
+	} else if t.defaultHash {
+		pl = &placement{m: t.m, b: t.b, live: liveness.New(t.m), addrs: t.addrs}
+		for q := range t.addrs {
+			if !t.down[q] {
+				pl.live.SetLive(q)
+			}
+		}
+	}
+	c.snap.Store(pl)
+	return pl
 }
 
 // purgeHint invalidates name's route hint. No-op outside locate mode.

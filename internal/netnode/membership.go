@@ -17,6 +17,7 @@ import (
 	"strings"
 
 	"lesslog/internal/bitops"
+	"lesslog/internal/hashring"
 	"lesslog/internal/liveness"
 	"lesslog/internal/msg"
 	"lesslog/internal/store"
@@ -37,12 +38,18 @@ func (p *Peer) Join(bootstrapAddr string) error {
 	if !resp.OK {
 		return fmt.Errorf("netnode: join: %s", resp.Err)
 	}
-	table, err := parseTable(string(resp.Data))
+	table, err := parseTable(resp.Data)
 	if err != nil {
-		return err
+		return fmt.Errorf("netnode: join: %w", err)
 	}
-	table[p.cfg.PID] = p.Addr()
-	p.SetAddrs(table)
+	// A peer of another shape would compute placements no member agrees
+	// with; refuse before anyone hears of it.
+	if table.m != p.cfg.M || table.b != p.cfg.B {
+		return fmt.Errorf("netnode: join: fabric has M=%d B=%d, this peer M=%d B=%d",
+			table.m, table.b, p.cfg.M, p.cfg.B)
+	}
+	table.addrs[p.cfg.PID] = p.Addr()
+	p.SetAddrs(table.addrs)
 	reg := &msg.Request{
 		Kind:   msg.KindRegister,
 		Origin: uint32(p.cfg.PID),
@@ -55,7 +62,7 @@ func (p *Peer) Join(bootstrapAddr string) error {
 	if !rresp.OK {
 		return fmt.Errorf("netnode: join: register: %s", rresp.Err)
 	}
-	p.log.Info("joined system", "bootstrap", bootstrapAddr, "peers", len(table))
+	p.log.Info("joined system", "bootstrap", bootstrapAddr, "peers", len(table.addrs))
 	// Restart warming: a peer rejoining with recovered state (or live
 	// tombstones) re-announces it through the repair plane instead of
 	// waiting for the steady-state loop to stumble across each name —
@@ -188,8 +195,8 @@ func (p *Peer) broadcastRegister(pid bitops.PID, addr []byte, dead bool) {
 			p.applyRegister(req)
 			continue
 		}
-		// Best effort: a missed peer keeps its old view for good, because
-		// the table (KindTable) is fetched only once, in Join. ROADMAP.md's
+		// Best effort: a missed peer keeps its old view for good, because a
+		// peer fetches the table (KindTable) only once, in Join. ROADMAP.md's
 		// "Membership that converges" item is the resync.
 		p.call(q, req)
 	}
@@ -325,37 +332,88 @@ func (p *Peer) restoreAfterDeath(k bitops.PID) {
 	}
 }
 
-// handleTable serializes the PID→address table as "pid addr" lines.
+// peerTable is the KindTable answer: the fabric's shape, whether the
+// answering peer hashes names with hashring.Default, and its PID→address
+// table, with the peers its failure detector currently holds dead marked
+// down.
+type peerTable struct {
+	m, b        int
+	defaultHash bool
+	addrs       map[bitops.PID]string
+	down        map[bitops.PID]bool
+}
+
+// handleTable answers KindTable with this peer's table. The answer has two
+// consumers: Join, which refuses a fabric of another shape and installs
+// the addresses (every one live, as a fresh status word), and a
+// locate-mode Client, which keeps the live ones as its placement snapshot
+// and names each insert's primaries from it (Client.insertEntry).
 func (p *Peer) handleTable() *msg.Response {
-	addrs := p.rt().addrs
-	pids := make([]bitops.PID, 0, len(addrs))
-	for q := range addrs {
+	rt := p.rt()
+	t := peerTable{
+		m: p.cfg.M, b: p.cfg.B, defaultHash: p.hasher == hashring.Default,
+		addrs: rt.addrs, down: map[bitops.PID]bool{},
+	}
+	for q := range rt.addrs {
+		if !rt.live.IsLive(q) {
+			t.down[q] = true
+		}
+	}
+	return &msg.Response{OK: true, ServedBy: uint32(p.cfg.PID), Data: t.encode()}
+}
+
+// encode writes the table as text: a "table m b hash" header, hash being
+// "default" or "other", then one "pid addr" line per peer in PID order,
+// "pid addr down" for a peer held dead.
+func (t peerTable) encode() []byte {
+	pids := make([]bitops.PID, 0, len(t.addrs))
+	for q := range t.addrs {
 		pids = append(pids, q)
 	}
 	sort.Slice(pids, func(i, j int) bool { return pids[i] < pids[j] })
-	var b strings.Builder
-	for _, q := range pids {
-		fmt.Fprintf(&b, "%d %s\n", q, addrs[q])
+	hash := "other"
+	if t.defaultHash {
+		hash = "default"
 	}
-	return &msg.Response{OK: true, ServedBy: uint32(p.cfg.PID), Data: []byte(b.String())}
+	var b strings.Builder
+	fmt.Fprintf(&b, "table %d %d %s\n", t.m, t.b, hash)
+	for _, q := range pids {
+		fmt.Fprintf(&b, "%d %s", q, t.addrs[q])
+		if t.down[q] {
+			b.WriteString(" down")
+		}
+		b.WriteByte('\n')
+	}
+	return []byte(b.String())
 }
 
-// parseTable parses handleTable's format.
-func parseTable(s string) (map[bitops.PID]string, error) {
-	table := map[bitops.PID]string{}
-	for _, line := range strings.Split(strings.TrimSpace(s), "\n") {
-		if line == "" {
-			continue
-		}
-		parts := strings.SplitN(line, " ", 2)
-		if len(parts) != 2 {
-			return nil, fmt.Errorf("netnode: malformed table line %q", line)
-		}
-		id, err := strconv.Atoi(parts[0])
-		if err != nil || id < 0 {
-			return nil, fmt.Errorf("netnode: malformed table PID %q", parts[0])
-		}
-		table[bitops.PID(id)] = parts[1]
+// parseTable decodes peerTable.encode's format, refusing a shape no peer
+// could run (the bitops.CheckSplit range) and PIDs outside it.
+func parseTable(data []byte) (peerTable, error) {
+	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+	var t peerTable
+	var hash string
+	if n, err := fmt.Sscanf(lines[0], "table %d %d %s", &t.m, &t.b, &hash); err != nil || n != 3 ||
+		t.m < 1 || t.m > bitops.MaxWidth || t.b < 0 || t.b >= t.m ||
+		(hash != "default" && hash != "other") {
+		return peerTable{}, fmt.Errorf("netnode: malformed table header %q", lines[0])
 	}
-	return table, nil
+	t.defaultHash = hash == "default"
+	t.addrs = map[bitops.PID]string{}
+	t.down = map[bitops.PID]bool{}
+	for _, line := range lines[1:] {
+		f := strings.Fields(line)
+		if len(f) < 2 || len(f) > 3 || (len(f) == 3 && f[2] != "down") {
+			return peerTable{}, fmt.Errorf("netnode: malformed table line %q", line)
+		}
+		id, err := strconv.Atoi(f[0])
+		if err != nil || id < 0 || id >= bitops.Slots(t.m) {
+			return peerTable{}, fmt.Errorf("netnode: malformed table PID %q", f[0])
+		}
+		t.addrs[bitops.PID(id)] = f[1]
+		if len(f) == 3 {
+			t.down[bitops.PID(id)] = true
+		}
+	}
+	return t, nil
 }

@@ -3,6 +3,7 @@ package netnode
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -384,32 +385,56 @@ func TestFailureRecoveryAcrossSubtrees(t *testing.T) {
 }
 
 func TestParseTable(t *testing.T) {
-	table, err := parseTable("0 a:1\n3 b:2\n")
-	if err != nil || len(table) != 2 || table[3] != "b:2" {
-		t.Fatalf("table = %v, %v", table, err)
+	table, err := parseTable([]byte("table 3 1 default\n0 a:1\n3 b:2 down\n"))
+	if err != nil || table.m != 3 || table.b != 1 || !table.defaultHash ||
+		len(table.addrs) != 2 || table.addrs[3] != "b:2" || !table.down[3] || table.down[0] {
+		t.Fatalf("table = %+v, %v", table, err)
 	}
-	if _, err := parseTable("junk"); err == nil {
-		t.Fatal("malformed table accepted")
+	if table, err := parseTable([]byte("table 4 0 other\n  \n")); err != nil || table.defaultHash || len(table.addrs) != 0 {
+		t.Fatalf("empty table = %+v, %v", table, err)
 	}
-	if _, err := parseTable("x y"); err == nil {
-		t.Fatal("malformed PID accepted")
-	}
-	if table, err := parseTable("  \n"); err != nil || len(table) != 0 {
-		t.Fatalf("blank table = %v, %v", table, err)
+	for _, bad := range []string{
+		"",                              // no header
+		"0 a:1\n",                       // the old headerless form
+		"table 3 3 default\n",           // B must be below M
+		"table 0 0 default\n",           // M out of range
+		"table 3 1 fnv\n",               // unknown hasher word
+		"table 3 1 default\njunk\n",     // line without an address
+		"table 3 1 default\nx y\n",      // PID not a number
+		"table 3 1 default\n8 a:1\n",    // PID outside 2^M
+		"table 3 1 default\n0 a:1 up\n", // unknown mark
+	} {
+		if table, err := parseTable([]byte(bad)); err == nil {
+			t.Fatalf("malformed table %q accepted as %+v", bad, table)
+		}
 	}
 }
 
 func TestTableRoundTrip(t *testing.T) {
-	peers := startSystem(t, 3, 0, []bitops.PID{0, 2, 5}, nil)
+	peers := startSystem(t, 3, 1, []bitops.PID{0, 2, 5}, nil)
+	peers[2].peerDown(5) // the detector's verdict travels as a down mark
 	resp, err := Call(peers[2].Addr(), &msg.Request{Kind: msg.KindTable})
 	if err != nil || !resp.OK {
 		t.Fatalf("table call: %+v, %v", resp, err)
 	}
-	table, err := parseTable(string(resp.Data))
+	table, err := parseTable(resp.Data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(table) != 3 || table[5] != peers[5].Addr() {
-		t.Fatalf("table = %v", table)
+	if table.m != 3 || table.b != 1 || !table.defaultHash {
+		t.Fatalf("shape M=%d B=%d default=%v, want 3/1/true", table.m, table.b, table.defaultHash)
+	}
+	if len(table.addrs) != 3 || table.addrs[5] != peers[5].Addr() || !table.down[5] || len(table.down) != 1 {
+		t.Fatalf("table = %+v", table)
+	}
+	again, err := parseTable(table.encode())
+	if err != nil || !reflect.DeepEqual(again, table) {
+		t.Fatalf("re-encoded table = %+v, %v; want %+v", again, err, table)
+	}
+	fixed := startSystem(t, 3, 0, []bitops.PID{1}, hashring.Fixed(1))
+	if resp, err := Call(fixed[1].Addr(), &msg.Request{Kind: msg.KindTable}); err != nil {
+		t.Fatal(err)
+	} else if table, err := parseTable(resp.Data); err != nil || table.defaultHash {
+		t.Fatalf("Fixed-hashed peer's table = %+v, %v; want defaultHash false", table, err)
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -160,10 +161,12 @@ type Stats struct {
 	WriteBytes   atomic.Uint64
 	StagedAborts atomic.Uint64
 	NotifyPulls  atomic.Uint64
-	// WritesAtHolder / WritesRemote split update and delete initiations by
-	// whether the initiating peer already held a copy — the hint-guided
-	// write entry's success measure: an initiation at a holder probes the
-	// current version for free instead of paying a lookup walk.
+	// WritesAtHolder / WritesRemote split write entries by whether the
+	// entry peer is where the write belongs — the success measure of the
+	// client's write entry: an update or delete initiated at a holder
+	// probes the current version for free instead of paying a lookup walk,
+	// and an insert entering at one of its primaries keeps its copy there
+	// instead of relaying the body to every primary.
 	WritesAtHolder atomic.Uint64
 	WritesRemote   atomic.Uint64
 	// FanoutBytes counts request-payload bytes this peer pushed onto
@@ -716,20 +719,23 @@ func (p *Peer) handleInsert(req *msg.Request, sum crc) *msg.Response {
 	start := time.Now()
 	target := p.hasher.Target(req.Name, p.cfg.M)
 	v := p.view(target)
-	// Holders of a body over one frame pull it from this peer, which may
-	// hold no copy itself: it sits in the outbox while the legs run, its
-	// sum remembered so neither the notifies nor the pulls' head chunks
-	// pass over it.
+	// Holders of a body over one frame pull it from this peer — another
+	// primary when a locate client entered at one, else a peer holding no
+	// copy itself: it sits in the outbox while the legs run, its sum
+	// remembered so neither the notifies nor the pulls' head chunks pass
+	// over it.
 	parked := len(req.Data) > msg.MaxData
-	keep := parked
-	var holders []bitops.PID
-	for sid := bitops.VID(0); sid < bitops.VID(bitops.SubtreeCount(p.cfg.B)); sid++ {
-		if h, ok := v.PrimaryHolder(sid); ok {
-			holders = append(holders, h)
-			keep = keep || h == p.cfg.PID
-		}
+	holders := v.Primaries()
+	// Entering at a primary is what a locate client's peer-table snapshot
+	// aims for (Client.insertEntry); anywhere else the body takes one more
+	// hop than the placement needs.
+	atPrimary := slices.Contains(holders, p.cfg.PID)
+	if atPrimary {
+		p.stats.WritesAtHolder.Add(1)
+	} else {
+		p.stats.WritesRemote.Add(1)
 	}
-	if keep {
+	if parked || atPrimary {
 		req.Keep() // the local store, or the outbox, holds Data from here on
 	}
 	// A traced insert spreads its trace onto every placement leg: the

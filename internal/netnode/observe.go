@@ -147,10 +147,11 @@ type Totals struct {
 	// Chunked write plane (docs/ROUTING.md "write plane"): upload chunks
 	// staged and their payload bytes, staging sessions aborted (client
 	// abort, TTL expiry, or a failed commit check), bodies pulled for a
-	// notify delivery, broadcast initiations split by whether this peer already
-	// held the name (the hint-guided entry measure), and request payload
-	// bytes this peer pushed onto broadcast-tree legs (the bytes-on-tree
-	// measure pull propagation keeps flat as copies grow).
+	// notify delivery, write entries split by whether this peer was where
+	// the write belongs — a holder of the updated or deleted name, a
+	// primary of the inserted one (the client's write-entry measure) — and
+	// request payload bytes this peer pushed onto broadcast-tree legs (the
+	// bytes-on-tree measure pull propagation keeps flat as copies grow).
 	WriteChunks    uint64 `json:"write_chunks" prom:"lesslog_write_chunks_total" fleet:"sum,writes"`
 	WriteBytes     uint64 `json:"write_bytes" prom:"lesslog_write_payload_bytes_total" fleet:"sum,writes"`
 	StagedAborts   uint64 `json:"staged_aborts" prom:"lesslog_staged_aborts_total" fleet:"sum,writes"`

@@ -128,6 +128,21 @@ func (v View) PrimaryHolder(sid bitops.VID) (bitops.PID, bool) {
 	return v.maxLiveAtOrBelow(sid, bitops.Mask(v.m-v.B))
 }
 
+// Primaries returns where an insert targeted at this tree's root puts its
+// copies (§4): the primary holder of every subtree that has a live node,
+// in subtree order. Any node holding the status word computes the same
+// list, which is what lets a client send an insert straight to one of them.
+func (v View) Primaries() []bitops.PID {
+	n := bitops.SubtreeCount(v.B)
+	out := make([]bitops.PID, 0, n)
+	for sid := bitops.VID(0); sid < bitops.VID(n); sid++ {
+		if h, ok := v.PrimaryHolder(sid); ok {
+			out = append(out, h)
+		}
+	}
+	return out
+}
+
 // maxLiveAtOrBelow finds the live node with the largest subtree VID at or
 // below bound in subtree sid, using the word-scanned status-word query when
 // the whole tree is one subtree.

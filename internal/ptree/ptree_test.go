@@ -263,6 +263,40 @@ func TestSubtreePrimaryWithDeadRoot(t *testing.T) {
 	}
 }
 
+// TestPrimaries: one primary per subtree with a live node, in subtree
+// order, each the subtree's PrimaryHolder; an emptied subtree drops out.
+func TestPrimaries(t *testing.T) {
+	live := liveness.NewAllLive(4, 16)
+	v := NewView(4, live, 2)
+	want := func() []bitops.PID {
+		var out []bitops.PID
+		for sid := bitops.VID(0); sid < 4; sid++ {
+			if h, ok := v.PrimaryHolder(sid); ok {
+				out = append(out, h)
+			}
+		}
+		return out
+	}
+	if got := v.Primaries(); len(got) != 4 || !reflect.DeepEqual(got, want()) {
+		t.Fatalf("full tree: primaries %v, want the four subtree roots %v", got, want())
+	}
+	emptied := v.SubtreeID(4)
+	for p := bitops.PID(0); p < 16; p++ {
+		if v.SubtreeID(p) == emptied {
+			live.SetDead(p)
+		}
+	}
+	got := v.Primaries()
+	if len(got) != 3 || !reflect.DeepEqual(got, want()) {
+		t.Fatalf("one subtree dead: primaries %v, want %v", got, want())
+	}
+	for _, h := range got {
+		if v.SubtreeID(h) == emptied {
+			t.Fatalf("P(%d) named as the primary of the emptied subtree", h)
+		}
+	}
+}
+
 func TestExpandedChildrenListProperties(t *testing.T) {
 	// Randomized: the expanded children list must (1) contain only live
 	// nodes, (2) be sorted by descending VID, (3) cover exactly the live
