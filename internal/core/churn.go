@@ -51,11 +51,7 @@ func (c *Cluster) Join(k bitops.PID) error {
 		}
 		st := c.nodes[j].store
 		for _, name := range st.Names(store.Inserted) {
-			v := c.view(c.Target(name))
-			if v.SubtreeID(j) != v.SubtreeID(k) {
-				continue
-			}
-			if h, ok := v.PrimaryHolder(v.SubtreeID(k)); ok && h == k {
+			if c.view(c.Target(name)).JoinTakes(k, j) {
 				f, _ := st.Peek(name)
 				moves = append(moves, move{from: j, file: f})
 			}
@@ -91,7 +87,7 @@ func (c *Cluster) Leave(k bitops.PID) error {
 	for _, f := range files {
 		v := c.view(c.Target(f.Name))
 		// The copy k held served k's own subtree; re-place it there.
-		if h, ok := v.PrimaryHolder(v.SubtreeID(k)); ok {
+		if h, ok := v.PrimaryOf(k); ok {
 			c.nodes[h].store.Put(f, store.Inserted)
 			c.stats.FilesMigrated++
 		}
@@ -133,17 +129,9 @@ func (c *Cluster) Fail(k bitops.PID) error {
 			if seen[name] {
 				continue
 			}
-			v := c.view(c.Target(name))
-			sidK := v.SubtreeID(k)
-			if v.SubtreeID(j) == sidK {
-				continue // j is in k's subtree; k did not hold this copy
-			}
-			h, ok := v.PrimaryHolder(sidK)
+			h, ok := c.view(c.Target(name)).RestoreTarget(k, j)
 			if !ok {
-				continue // k's subtree has no live node left
-			}
-			if v.SubtreeVID(k) <= v.SubtreeVID(h) {
-				continue // k was not the subtree primary; its copy lives on
+				continue // k held no copy j must restore
 			}
 			if c.nodes[h].store.Has(name) {
 				continue // already restored from another subtree

@@ -63,12 +63,8 @@ func (c *Cluster) CheckInvariants() error {
 			return fmt.Errorf("core: file %q has %d inserted copies in subtree %b: %v",
 				k.name, len(hs), k.sid, hs)
 		}
-		v := c.view(c.Target(k.name))
-		want, ok := v.PrimaryHolder(k.sid)
-		if !ok {
-			return fmt.Errorf("core: inserted copy of %q in dead subtree %b", k.name, k.sid)
-		}
-		if hs[0] != want {
+		// hs[0] is live, so its subtree has a primary.
+		if want, _ := c.view(c.Target(k.name)).PrimaryOf(hs[0]); hs[0] != want {
 			return fmt.Errorf("core: inserted copy of %q in subtree %b at P(%d), want P(%d)",
 				k.name, k.sid, hs[0], want)
 		}

@@ -26,14 +26,9 @@ func (c *Cluster) Insert(origin bitops.PID, name string, data []byte) (InsertRes
 	v := c.view(r)
 	c.version++
 	f := store.File{Name: name, Data: data, Version: c.version}
-	res := InsertResult{Target: r}
-	for sid := bitops.VID(0); sid < bitops.VID(bitops.SubtreeCount(c.cfg.B)); sid++ {
-		h, ok := v.PrimaryHolder(sid)
-		if !ok {
-			continue // the subtree has no live node
-		}
+	res := InsertResult{Target: r, Holders: v.AppendPrimaries(nil)}
+	for _, h := range res.Holders {
 		c.nodes[h].store.Put(f, store.Inserted)
-		res.Holders = append(res.Holders, h)
 		c.stats.InsertCopies++
 	}
 	if len(res.Holders) == 0 {
@@ -113,7 +108,7 @@ func (c *Cluster) getInSubtree(v ptree.View, entry bitops.PID, name string) (Get
 	}
 	// The walk ended without a copy. If it never reached the subtree's
 	// primary (dead root), take §3's second step.
-	p, ok := v.PrimaryHolder(v.SubtreeID(entry))
+	p, ok := v.PrimaryOf(entry)
 	if !ok || p == last {
 		c.stats.GetHops += uint64(hops)
 		return res, false
@@ -148,15 +143,9 @@ func (c *Cluster) Update(origin bitops.PID, name string, data []byte) (UpdateRes
 	v := c.view(r)
 	c.version++
 	res := UpdateResult{Target: r}
-	for sid := bitops.VID(0); sid < bitops.VID(bitops.SubtreeCount(c.cfg.B)); sid++ {
-		rootPos := v.SubtreeRoot(sid)
-		if c.live.IsLive(rootPos) {
-			res.CopiesUpdated += c.updateVisit(v, rootPos, name, data, &res.Messages)
-			continue
-		}
-		for _, q := range v.ExpandedChildrenList(rootPos) {
-			res.CopiesUpdated += c.updateVisit(v, q, name, data, &res.Messages)
-		}
+	apply := func(st *store.Store) bool { return st.Update(name, data, c.version) }
+	for _, q := range v.AppendBroadcastStarts(nil) {
+		res.CopiesUpdated += c.visit(v, q, name, &res.Messages, apply)
 	}
 	c.stats.UpdateMessages += uint64(res.Messages)
 	if res.CopiesUpdated == 0 {
@@ -166,20 +155,23 @@ func (c *Cluster) Update(origin bitops.PID, name string, data []byte) (UpdateRes
 	return res, nil
 }
 
-// updateVisit delivers the update to live node p: a holder applies it and
+// visit delivers a broadcast to live node p: a holder applies it and
 // re-broadcasts to its expanded children list; a non-holder discards it.
-func (c *Cluster) updateVisit(v ptree.View, p bitops.PID, name string, data []byte, msgs *int) int {
+// The children list is liveness-shaped, not content-shaped, so applying
+// before the recursion counts the same copies as after it. It returns the
+// copies apply touched in p's branch.
+func (c *Cluster) visit(v ptree.View, p bitops.PID, name string, msgs *int, apply func(*store.Store) bool) int {
 	*msgs++
 	st := c.nodes[p].store
 	if !st.Has(name) {
 		return 0
 	}
 	n := 0
-	if st.Update(name, data, c.version) {
+	if apply(st) {
 		n = 1
 	}
 	for _, q := range v.ExpandedChildrenList(p) {
-		n += c.updateVisit(v, q, name, data, msgs)
+		n += c.visit(v, q, name, msgs, apply)
 	}
 	return n
 }
@@ -203,40 +195,14 @@ func (c *Cluster) Delete(origin bitops.PID, name string) (DeleteResult, error) {
 	r := c.Target(name)
 	v := c.view(r)
 	res := DeleteResult{Target: r}
-	for sid := bitops.VID(0); sid < bitops.VID(bitops.SubtreeCount(c.cfg.B)); sid++ {
-		rootPos := v.SubtreeRoot(sid)
-		if c.live.IsLive(rootPos) {
-			res.CopiesRemoved += c.deleteVisit(v, rootPos, name, &res.Messages)
-			continue
-		}
-		for _, q := range v.ExpandedChildrenList(rootPos) {
-			res.CopiesRemoved += c.deleteVisit(v, q, name, &res.Messages)
-		}
+	apply := func(st *store.Store) bool { return st.Delete(name) }
+	for _, q := range v.AppendBroadcastStarts(nil) {
+		res.CopiesRemoved += c.visit(v, q, name, &res.Messages, apply)
 	}
 	if res.CopiesRemoved == 0 {
 		return res, ErrNotFound
 	}
 	return res, nil
-}
-
-// deleteVisit removes the copy at a holder and recurses down its children
-// list; non-holders discard the request, exactly as in updateVisit.
-func (c *Cluster) deleteVisit(v ptree.View, p bitops.PID, name string, msgs *int) int {
-	*msgs++
-	st := c.nodes[p].store
-	if !st.Has(name) {
-		return 0
-	}
-	n := 0
-	// Recurse before deleting: the children list is liveness-shaped, not
-	// content-shaped, so order does not matter, but counting does.
-	for _, q := range v.ExpandedChildrenList(p) {
-		n += c.deleteVisit(v, q, name, msgs)
-	}
-	if st.Delete(name) {
-		n++
-	}
-	return n
 }
 
 // stratCtx adapts one file's copy placement to replication.Context so the

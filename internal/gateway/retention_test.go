@@ -61,10 +61,8 @@ func TestRetentionSweep(t *testing.T) {
 	primaries := func(name string) map[bitops.PID]bool {
 		v := ptree.NewView(hashring.Default.Target(name, m), live, b)
 		out := map[bitops.PID]bool{}
-		for sid := bitops.VID(0); sid < bitops.VID(bitops.SubtreeCount(b)); sid++ {
-			if h, ok := v.PrimaryHolder(sid); ok {
-				out[h] = true
-			}
+		for _, h := range v.AppendPrimaries(nil) {
+			out[h] = true
 		}
 		return out
 	}

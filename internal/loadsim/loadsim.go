@@ -74,11 +74,9 @@ func New(cfg Config) *Sim {
 		copies: make(map[bitops.PID]bool),
 		dirty:  true,
 	}
-	for sid := bitops.VID(0); sid < bitops.VID(bitops.SubtreeCount(cfg.B)); sid++ {
-		if p, ok := s.view.PrimaryHolder(sid); ok {
-			s.copies[p] = true
-			s.primaries = append(s.primaries, p)
-		}
+	s.primaries = s.view.AppendPrimaries(nil)
+	for _, p := range s.primaries {
+		s.copies[p] = true
 	}
 	return s
 }
@@ -216,7 +214,7 @@ func (s *Sim) route(origin bitops.PID) (server, prev bitops.PID, hops int) {
 		if !ok {
 			// Walk ended at a dead subtree root: §3's second step jumps
 			// to the FINDLIVENODE primary directly.
-			p, ok := s.view.PrimaryHolder(s.view.SubtreeID(origin))
+			p, ok := s.view.PrimaryOf(origin)
 			if !ok {
 				// No live node in the subtree at all; unreachable for
 				// origins, which are live by construction.

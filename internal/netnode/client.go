@@ -673,7 +673,8 @@ func (c *Client) insertEntry(req *msg.Request) string {
 		return ""
 	}
 	v := ptree.NewView(hashring.Default.Target(req.Name, pl.m), pl.live, pl.b)
-	if prims := v.Primaries(); len(prims) > 0 {
+	var buf [8]bitops.PID
+	if prims := v.AppendPrimaries(buf[:0]); len(prims) > 0 {
 		return pl.addrs[prims[0]]
 	}
 	return ""

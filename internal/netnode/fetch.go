@@ -221,9 +221,9 @@ func (p *Peer) handleLocateSet(req *msg.Request) *msg.Response {
 	v := p.view(p.hasher.Target(req.Name, p.cfg.M))
 	hs := make([]msg.Holder, 1, 8) // a typical set fits on the stack
 	hs[0] = msg.Holder{PID: uint32(p.cfg.PID), Addr: p.Addr(), Version: f.Version}
-	for sid := bitops.VID(0); sid < bitops.VID(bitops.SubtreeCount(p.cfg.B)); sid++ {
-		h, live := v.PrimaryHolder(sid)
-		if !live || h == p.cfg.PID {
+	var prims [8]bitops.PID
+	for _, h := range v.AppendPrimaries(prims[:0]) {
+		if h == p.cfg.PID {
 			continue
 		}
 		addr, known := rt.addrs[h]

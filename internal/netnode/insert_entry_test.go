@@ -30,7 +30,7 @@ func handled(peers map[bitops.PID]*Peer, k msg.Kind) uint64 {
 
 // primariesOf is where p's status word places name: handleInsert's list.
 func primariesOf(p *Peer, name string) []bitops.PID {
-	return p.view(p.hasher.Target(name, p.cfg.M)).Primaries()
+	return p.view(p.hasher.Target(name, p.cfg.M)).AppendPrimaries(nil)
 }
 
 // enteredAt runs op and returns the one peer whose insert handler ran
@@ -200,7 +200,7 @@ func TestInsertEntersAtPrimary(t *testing.T) {
 		joined := peers[0].rt().live.Clone()
 		joined.SetLive(j)
 		name := nameWhere(t, "entry/stale", func(name string) bool {
-			return ptree.NewView(hashring.Default.Target(name, 3), joined, 1).Primaries()[0] == j
+			return ptree.NewView(hashring.Default.Target(name, 3), joined, 1).AppendPrimaries(nil)[0] == j
 		})
 		old := primariesOf(peers[0], name)[0]
 		if err := joiner.Join(peers[0].Addr()); err != nil {

@@ -418,7 +418,7 @@ func TestLookupFallbackChain(t *testing.T) {
 	if _, ok := v2.AliveAncestor(origin); ok {
 		t.Fatal("setup: origin still has a live ancestor")
 	}
-	prim, ok := v2.PrimaryHolder(v2.SubtreeID(origin))
+	prim, ok := v2.PrimaryOf(origin)
 	if !ok || prim == origin {
 		t.Fatalf("setup: no distinct live primary (prim=%v ok=%v)", prim, ok)
 	}

@@ -120,10 +120,9 @@ func (p *Peer) Leave() error {
 		tried := false
 		for attempt := 0; attempt < attempts; attempt++ {
 			// Fresh view each attempt: a failed call feeds the detector,
-			// so once the dead successor's bit flips, PrimaryHolder picks
-			// the next live holder in the subtree (§3 over the wire).
-			v := p.view(target)
-			h, ok := v.PrimaryHolder(v.SubtreeID(p.cfg.PID))
+			// so once the dead successor's bit flips, PrimaryOf picks the
+			// next live holder in the subtree (§3 over the wire).
+			h, ok := p.view(target).PrimaryOf(p.cfg.PID)
 			if !ok {
 				break // subtree dies with us; B > 0 siblings still serve
 			}
@@ -273,16 +272,9 @@ func (p *Peer) handOffTo(k bitops.PID) {
 	}
 	inserted := p.store.Names(store.Inserted)
 	for _, name := range inserted {
-		target := p.hasher.Target(name, p.cfg.M)
-		v := p.view(target)
-		if v.SubtreeID(p.cfg.PID) != v.SubtreeID(k) {
-			continue
+		if p.view(p.hasher.Target(name, p.cfg.M)).JoinTakes(k, p.cfg.PID) {
+			p.handOff(k, name)
 		}
-		h, ok := v.PrimaryHolder(v.SubtreeID(k))
-		if !ok || h != k {
-			continue
-		}
-		p.handOff(k, name)
 	}
 }
 
@@ -311,15 +303,9 @@ func (p *Peer) restoreAfterDeath(k bitops.PID) {
 	}
 	inserted := p.store.Names(store.Inserted)
 	for _, name := range inserted {
-		target := p.hasher.Target(name, p.cfg.M)
-		v := p.view(target)
-		sidK := v.SubtreeID(k)
-		if v.SubtreeID(p.cfg.PID) == sidK {
-			continue // we were in k's subtree; nothing to restore from here
-		}
-		h, ok := v.PrimaryHolder(sidK)
-		if !ok || v.SubtreeVID(k) <= v.SubtreeVID(h) {
-			continue // k was not that subtree's primary (or subtree is empty)
+		h, ok := p.view(p.hasher.Target(name, p.cfg.M)).RestoreTarget(k, p.cfg.PID)
+		if !ok {
+			continue // k held no copy this peer must restore
 		}
 		f, have := p.store.Peek(name)
 		if !have {

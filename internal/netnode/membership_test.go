@@ -366,7 +366,7 @@ func TestFailureRecoveryAcrossSubtrees(t *testing.T) {
 		reporter.ReportFailure(victim)
 		// The orphaned subtree's fresh primary holds the file again.
 		v := reporter.view(4)
-		heir, ok := v.PrimaryHolder(v.SubtreeID(victim))
+		heir, ok := v.PrimaryOf(victim)
 		if !ok {
 			t.Fatal("the failed subtree has no live member left")
 		}

@@ -725,7 +725,8 @@ func (p *Peer) handleInsert(req *msg.Request, sum crc) *msg.Response {
 	// remembered so neither the notifies nor the pulls' head chunks pass
 	// over it.
 	parked := len(req.Data) > msg.MaxData
-	holders := v.Primaries()
+	var buf [8]bitops.PID // a typical set fits on the stack
+	holders := v.AppendPrimaries(buf[:0])
 	// Entering at a primary is what a locate client's peer-table snapshot
 	// aims for (Client.insertEntry); anywhere else the body takes one more
 	// hop than the placement needs.
@@ -939,7 +940,7 @@ func (p *Peer) nextHop(req *msg.Request) (next bitops.PID, flags uint8, subtree 
 		if anc, live := v.AliveAncestor(self); live {
 			return anc, req.Flags, req.Subtree, true
 		}
-		if prim, live := v.PrimaryHolder(v.SubtreeID(self)); live && prim != self {
+		if prim, live := v.PrimaryOf(self); live && prim != self {
 			return prim, req.Flags | msg.FlagFallback, req.Subtree, true
 		}
 	}
@@ -953,7 +954,7 @@ func (p *Peer) nextHop(req *msg.Request) (next bitops.PID, flags uint8, subtree 
 	if !p.rt().live.IsLive(entry) {
 		if anc, live := v.AliveAncestor(entry); live {
 			entry = anc
-		} else if prim, live := v.PrimaryHolder(sid); live {
+		} else if prim, live := v.PrimaryOf(entry); live {
 			return prim, msg.FlagFallback, req.Subtree + 1, true
 		} else {
 			return 0, 0, 0, false
@@ -1078,17 +1079,9 @@ type fanout struct {
 // peer, so broadcast latency tracks the tree depth instead of the copy
 // count.
 func (p *Peer) broadcast(fo fanout, prop *msg.Request) int {
-	// One immutable liveness snapshot covers every subtree-root check.
-	live := p.rt().live
-	var starts []bitops.PID
-	for sid := bitops.VID(0); sid < bitops.VID(bitops.SubtreeCount(p.cfg.B)); sid++ {
-		rootPos := fo.v.SubtreeRoot(sid)
-		if live.IsLive(rootPos) {
-			starts = append(starts, rootPos)
-		} else {
-			starts = append(starts, fo.v.ExpandedChildrenList(rootPos)...)
-		}
-	}
+	// fo.v's liveness snapshot covers every subtree-root check, the same
+	// one the children lists below come from.
+	starts := fo.v.AppendBroadcastStarts(nil)
 	p.obs.fanout.Observe(uint64(len(starts)))
 	fo.sem = p.fanoutSem(len(starts))
 	return p.deliverAll(fo, starts, prop)
@@ -1150,13 +1143,7 @@ func (p *Peer) deliver(fo fanout, pid bitops.PID, prop *msg.Request) int {
 		fo.col.add(resp.Path...)
 		return int(resp.Hops)
 	}
-	kids := make([]bitops.PID, 0, 4)
-	for _, c := range fo.v.ExpandedChildrenList(pid) {
-		if c != pid {
-			kids = append(kids, c)
-		}
-	}
-	return p.deliverAll(fo, kids, prop)
+	return p.deliverAll(fo, fo.v.ExpandedChildrenList(pid), prop)
 }
 
 // handleDelivery serves one leg of a broadcast — the FlagPropagate form of
@@ -1202,7 +1189,7 @@ func (p *Peer) propagate(fo fanout, req *msg.Request) int {
 	if !held {
 		return 0
 	}
-	kids := p.childTargets(fo.v)
+	kids := fo.v.ExpandedChildrenList(p.cfg.PID)
 	if fo.sem == nil {
 		// Delivered over the wire: this peer roots the recursion below it,
 		// with a semaphore sized to its own legs.
@@ -1302,18 +1289,6 @@ func (p *Peer) applyErase(name string, version uint64) bool {
 		p.mergeClock(version)
 	}
 	return removed
-}
-
-// childTargets is this peer's expanded children list minus itself — the
-// downstream legs of a local propagation.
-func (p *Peer) childTargets(v ptree.View) []bitops.PID {
-	var kids []bitops.PID
-	for _, c := range v.ExpandedChildrenList(p.cfg.PID) {
-		if c != p.cfg.PID {
-			kids = append(kids, c)
-		}
-	}
-	return kids
 }
 
 // handleStat serves the status snapshot: the one-line "k=v" text by

@@ -20,20 +20,10 @@ import (
 
 	"lesslog/internal/bitops"
 	"lesslog/internal/msg"
-	"lesslog/internal/ptree"
 	"lesslog/internal/repair"
 	"lesslog/internal/store"
 	"lesslog/internal/stream"
 )
-
-// requiredHolder reports whether q is a required placement under view v
-// — the primary holder of its own subtree for the viewed name's tree.
-// This is the §2.2 placement rule run in reverse: repair pushes only to
-// (and digests only cover) positions the insert path itself would pick.
-func requiredHolder(v ptree.View, q bitops.PID) bool {
-	h, ok := v.PrimaryHolder(v.SubtreeID(q))
-	return ok && h == q
-}
 
 // RepairOnce runs one anti-entropy round: up to sample names from the
 // local inventory are verified — for every subtree of their lookup tree,
@@ -53,17 +43,16 @@ func (p *Peer) RepairOnce(sampler *repair.Sampler, budget *repair.Budget, sample
 	// star rooted at this peer (docs/OBSERVABILITY.md).
 	tr := p.newRepairTrace()
 	repaired := 0
+	var prims []bitops.PID // reused by every name of the round
 	for _, name := range sampler.Next(p.store.AllNames(), sample) {
 		f, ok := p.store.Peek(name)
 		if !ok {
 			continue // evicted since sampling
 		}
-		target := p.hasher.Target(name, p.cfg.M)
-		v := p.view(target)
+		prims = p.view(p.hasher.Target(name, p.cfg.M)).AppendPrimaries(prims[:0])
 	subtrees:
-		for sid := bitops.VID(0); sid < bitops.VID(bitops.SubtreeCount(p.cfg.B)); sid++ {
-			h, live := v.PrimaryHolder(sid)
-			if !live || h == p.cfg.PID {
+		for _, h := range prims {
+			if h == p.cfg.PID {
 				continue
 			}
 			if !budget.Allow(repair.ProbeCost) {
@@ -235,8 +224,9 @@ func (p *Peer) DigestSync(partner bitops.PID, budget *repair.Budget, width int) 
 		// The responder filtered to names we should hold, but its view may
 		// lag ours: re-check placement locally before storing, so a stale
 		// responder cannot plant copies on a peer that no longer owns them.
-		v := p.view(p.hasher.Target(e.Name, p.cfg.M))
-		if !requiredHolder(v, p.cfg.PID) {
+		// Repair pushes only to (and digests only cover) the positions the
+		// insert path itself would pick: the §2.2 placement run in reverse.
+		if !p.view(p.hasher.Target(e.Name, p.cfg.M)).IsPrimary(p.cfg.PID) {
 			continue
 		}
 		if f, have := p.store.Peek(e.Name); have && f.Version >= e.Version {
@@ -289,8 +279,7 @@ func (p *Peer) handleDigest(req *msg.Request) *msg.Response {
 		if !ok {
 			continue
 		}
-		v := p.view(p.hasher.Target(name, p.cfg.M))
-		if !requiredHolder(v, requester) {
+		if !p.view(p.hasher.Target(name, p.cfg.M)).IsPrimary(requester) {
 			continue
 		}
 		repair.Fold(local, name, f.Version)

@@ -317,8 +317,7 @@ func TestDigestRestrictsToRequesterNames(t *testing.T) {
 			for _, e := range entries {
 				// Anything offered must be a name the requester should hold
 				// but doesn't hold at this version.
-				v := r.view(r.hasher.Target(e.Name, 4))
-				if !requiredHolder(v, qid) {
+				if !r.view(r.hasher.Target(e.Name, 4)).IsPrimary(qid) {
 					t.Fatalf("P(%d) offered P(%d) name %q it does not own", rid, qid, e.Name)
 				}
 				if f, ok := peers[qid].store.Peek(e.Name); ok && f.Version >= e.Version {

@@ -216,8 +216,8 @@ func TestReinsertRestampsOnInlineLeg(t *testing.T) {
 	// feed the restamp: the insert is re-placed above it at both holders.
 	peers := startSystem(t, 4, 1, allPIDs(16), hashring.Fixed(4))
 	v := peers[0].view(4)
-	first, ok0 := v.PrimaryHolder(0)
-	last, ok1 := v.PrimaryHolder(1)
+	first, ok0 := v.PrimaryOf(v.SubtreeRoot(0))
+	last, ok1 := v.PrimaryOf(v.SubtreeRoot(1))
 	if !ok0 || !ok1 {
 		t.Fatal("precondition: both subtrees live")
 	}

@@ -1,6 +1,7 @@
 package ptree
 
 import (
+	"slices"
 	"testing"
 
 	"lesslog/internal/bitops"
@@ -107,25 +108,115 @@ func TestPropertyRouteStaysInSubtreeAndBounded(t *testing.T) {
 
 func TestPropertyPrimaryHolderConsistent(t *testing.T) {
 	// The primary holder must equal FindLiveNode from the subtree root
-	// position, and HasLiveGreaterVID(primary) must always be false.
+	// position, and HasLiveGreaterVID(primary) must always be false. Every
+	// placement rule is then checked against a brute force over the same
+	// live set.
 	rng := xrand.New(24)
 	for trial := 0; trial < 300; trial++ {
 		m := 3 + rng.Intn(5)
 		v, live := randomView(rng, m)
-		_ = live
+		var want []bitops.PID
 		for sid := bitops.VID(0); sid < bitops.VID(bitops.SubtreeCount(v.B)); sid++ {
-			h, ok := v.PrimaryHolder(sid)
+			h, ok := v.primaryHolder(sid)
 			root := v.SubtreeRoot(sid)
 			h2, ok2 := v.FindLiveNode(root)
 			if ok != ok2 || (ok && h != h2) {
-				t.Fatalf("trial %d: PrimaryHolder(%b)=(%d,%v) vs FindLiveNode(root)=(%d,%v)",
+				t.Fatalf("trial %d: primaryHolder(%b)=(%d,%v) vs FindLiveNode(root)=(%d,%v)",
 					trial, sid, h, ok, h2, ok2)
 			}
 			if ok && v.HasLiveGreaterVID(h) {
 				t.Fatalf("trial %d: a live node outranks the primary P(%d)", trial, h)
 			}
+			if p, ok3 := v.PrimaryOf(root); ok3 {
+				want = append(want, p)
+			}
+		}
+		if got := v.AppendPrimaries(nil); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: AppendPrimaries = %v, want each live subtree's PrimaryOf %v", trial, got, want)
+		}
+		n := bitops.PID(bitops.Slots(m))
+		for q := bitops.PID(0); q < n; q++ {
+			h, ok := v.PrimaryOf(q)
+			h2, ok2 := v.FindLiveNode(v.SubtreeRoot(v.SubtreeID(q)))
+			if ok != ok2 || (ok && h != h2) || v.IsPrimary(q) != (ok && h == q) {
+				t.Fatalf("trial %d: PrimaryOf(P(%d))=(%d,%v) vs FindLiveNode(root)=(%d,%v)",
+					trial, q, h, ok, h2, ok2)
+			}
+		}
+		checkMoves(t, trial, v, live)
+		checkBroadcastStarts(t, trial, v, live)
+	}
+}
+
+// bruteMax is the live node with the largest subtree VID in q's subtree
+// under live: the primary, by exhaustive search.
+func bruteMax(v View, live *liveness.Set, q bitops.PID) (bitops.PID, bool) {
+	best, ok := bitops.PID(0), false
+	for p := bitops.PID(0); p < bitops.PID(bitops.Slots(v.M())); p++ {
+		if !live.IsLive(p) || v.SubtreeID(p) != v.SubtreeID(q) {
+			continue
+		}
+		if !ok || v.SubtreeVID(p) > v.SubtreeVID(best) {
+			best, ok = p, true
 		}
 	}
+	return best, ok
+}
+
+// checkMoves checks the §5 moves for every (k, j): JoinTakes(k, j), on the
+// view with k set live, holds exactly when j shares k's subtree and k
+// becomes its primary; RestoreTarget(k, j), on the view with k set dead,
+// returns the new primary exactly when k's death changes its subtree's
+// primary (to a live node) and j is in another subtree.
+func checkMoves(t *testing.T, trial int, v View, live *liveness.Set) {
+	t.Helper()
+	n := bitops.PID(bitops.Slots(v.M()))
+	for k := bitops.PID(0); k < n; k++ {
+		up, down := live.Clone(), live.Clone()
+		up.SetLive(k)
+		down.SetDead(k)
+		joined := NewView(v.Root, up, v.B)
+		died := NewView(v.Root, down, v.B)
+		before, _ := bruteMax(v, up, k) // k live: the primary before it dies
+		after, left := bruteMax(v, down, k)
+		for j := bitops.PID(0); j < n; j++ {
+			same := v.SubtreeID(j) == v.SubtreeID(k)
+			if got, want := joined.JoinTakes(k, j), same && before == k; got != want {
+				t.Fatalf("trial %d m=%d b=%d: JoinTakes(P(%d), P(%d)) = %v, want %v",
+					trial, v.M(), v.B, k, j, got, want)
+			}
+			wantOK := !same && before == k && left
+			if got, ok := died.RestoreTarget(k, j); ok != wantOK || (ok && got != after) {
+				t.Fatalf("trial %d m=%d b=%d: RestoreTarget(P(%d), P(%d)) = (P(%d), %v), want (P(%d), %v)",
+					trial, v.M(), v.B, k, j, got, ok, after, wantOK)
+			}
+		}
+	}
+}
+
+// checkBroadcastStarts checks that the broadcast starts are live and head
+// disjoint subtrees whose union is every live node.
+func checkBroadcastStarts(t *testing.T, trial int, v View, live *liveness.Set) {
+	t.Helper()
+	headed := map[bitops.PID]bitops.PID{}
+	head := func(s, q bitops.PID) {
+		if prev, dup := headed[q]; dup {
+			t.Fatalf("trial %d: P(%d) is under both starts P(%d) and P(%d)", trial, q, prev, s)
+		}
+		headed[q] = s
+	}
+	for _, s := range v.AppendBroadcastStarts(nil) {
+		if !live.IsLive(s) {
+			t.Fatalf("trial %d: broadcast starts at dead P(%d)", trial, s)
+		}
+		head(s, s)
+		v.ForEachDescendant(s, func(q bitops.PID) { head(s, q) })
+	}
+	live.ForEachLive(func(q bitops.PID) {
+		if _, ok := headed[q]; !ok {
+			t.Fatalf("trial %d: live P(%d) is under no broadcast start", trial, q)
+		}
+	})
 }
 
 func TestPropertyExpandedListDisjointSubtrees(t *testing.T) {

@@ -120,27 +120,78 @@ func (v View) FindLiveNode(s bitops.PID) (bitops.PID, bool) {
 	return v.maxLiveAtOrBelow(v.SubtreeID(s), sv-1)
 }
 
-// PrimaryHolder returns the node that holds the primary copy of a file
-// targeted at this tree's root, within subtree sid: the root if alive,
-// else the live node with the largest subtree VID. False when the subtree
-// is entirely dead.
-func (v View) PrimaryHolder(sid bitops.VID) (bitops.PID, bool) {
+// primaryHolder returns the primary of subtree sid: the node FINDLIVENODE
+// selects for this tree's root, i.e. the root position if alive, else the
+// live node with the largest subtree VID. False when the subtree is
+// entirely dead.
+func (v View) primaryHolder(sid bitops.VID) (bitops.PID, bool) {
 	return v.maxLiveAtOrBelow(sid, bitops.Mask(v.m-v.B))
 }
 
-// Primaries returns where an insert targeted at this tree's root puts its
-// copies (§4): the primary holder of every subtree that has a live node,
-// in subtree order. Any node holding the status word computes the same
+// AppendPrimaries appends where an insert targeted at this tree's root puts
+// its copies (§2.2, §4) to dst: the primary of every subtree that has a live
+// node, in subtree order. Any node holding the status word computes the same
 // list, which is what lets a client send an insert straight to one of them.
-func (v View) Primaries() []bitops.PID {
-	n := bitops.SubtreeCount(v.B)
-	out := make([]bitops.PID, 0, n)
-	for sid := bitops.VID(0); sid < bitops.VID(n); sid++ {
-		if h, ok := v.PrimaryHolder(sid); ok {
-			out = append(out, h)
+func (v View) AppendPrimaries(dst []bitops.PID) []bitops.PID {
+	for sid := bitops.VID(0); sid < bitops.VID(bitops.SubtreeCount(v.B)); sid++ {
+		if h, ok := v.primaryHolder(sid); ok {
+			dst = append(dst, h)
 		}
 	}
-	return out
+	return dst
+}
+
+// PrimaryOf returns the primary of q's subtree — FINDLIVENODE of the
+// subtree's root position (§3) — and false when that subtree has no live
+// node. It is where a copy q's subtree must hold lives, and where a get
+// that walked off a dead subtree root jumps.
+func (v View) PrimaryOf(q bitops.PID) (bitops.PID, bool) {
+	return v.primaryHolder(v.SubtreeID(q))
+}
+
+// IsPrimary reports whether q is its subtree's primary: the one position in
+// the subtree an inserted copy of this tree's name belongs on.
+func (v View) IsPrimary(q bitops.PID) bool {
+	h, ok := v.PrimaryOf(q)
+	return ok && h == q
+}
+
+// JoinTakes reports whether, in a view where joiner is already live, the
+// inserted copy at holder moves to joiner (§5.1): holder is in joiner's
+// subtree and joiner now outranks every other live node there.
+func (v View) JoinTakes(joiner, holder bitops.PID) bool {
+	return v.SubtreeID(holder) == v.SubtreeID(joiner) && v.IsPrimary(joiner)
+}
+
+// RestoreTarget returns where holder restores a copy lost with dead (§5.3),
+// in a view where dead is already dead: the new primary of dead's subtree,
+// when dead was that subtree's primary and holder sits in another subtree.
+// False when no restore is due from holder or no live node is left there.
+func (v View) RestoreTarget(dead, holder bitops.PID) (bitops.PID, bool) {
+	if v.SubtreeID(holder) == v.SubtreeID(dead) {
+		return 0, false
+	}
+	h, ok := v.PrimaryOf(dead)
+	if !ok || v.SubtreeVID(dead) <= v.SubtreeVID(h) {
+		return 0, false
+	}
+	return h, true
+}
+
+// AppendBroadcastStarts appends where a top-down broadcast of this tree's
+// name enters each subtree (§3) to dst: the subtree's root position when it
+// is live, else that root's expanded children list. The lists of different
+// subtrees head disjoint parts of the tree that together cover every live
+// node.
+func (v View) AppendBroadcastStarts(dst []bitops.PID) []bitops.PID {
+	for sid := bitops.VID(0); sid < bitops.VID(bitops.SubtreeCount(v.B)); sid++ {
+		if root := v.SubtreeRoot(sid); v.Live.IsLive(root) {
+			dst = append(dst, root)
+		} else {
+			dst = append(dst, v.ExpandedChildrenList(root)...)
+		}
+	}
+	return dst
 }
 
 // maxLiveAtOrBelow finds the live node with the largest subtree VID at or
@@ -163,10 +214,9 @@ func (v View) maxLiveAtOrBelow(sid, bound bitops.VID) (bitops.PID, bool) {
 
 // HasLiveGreaterVID reports whether some live node in p's subtree has a
 // strictly larger subtree VID than p — the predicate the advanced model's
-// replication and the join/leave rules test (§3, §5). p's own liveness is
-// irrelevant to the answer.
+// replication tests (§3). p's own liveness is irrelevant to the answer.
 func (v View) HasLiveGreaterVID(p bitops.PID) bool {
-	q, ok := v.maxLiveAtOrBelow(v.SubtreeID(p), bitops.Mask(v.m-v.B))
+	q, ok := v.PrimaryOf(p)
 	return ok && v.SubtreeVID(q) > v.SubtreeVID(p)
 }
 

@@ -74,7 +74,7 @@ func TestPaperSection3ReplicationExample(t *testing.T) {
 	live.SetDead(4)
 	live.SetDead(5)
 	v := NewView(4, live, 0)
-	h, ok := v.PrimaryHolder(0)
+	h, ok := v.primaryHolder(0)
 	if !ok || h != 6 {
 		t.Fatalf("primary holder = P(%d), want P(6)", h)
 	}
@@ -228,7 +228,7 @@ func TestSubtreeSplitOperations(t *testing.T) {
 		if _, ok := v.Parent(r); ok {
 			t.Fatalf("subtree root P(%d) must have no parent", r)
 		}
-		if h, ok := v.PrimaryHolder(sid); !ok || h != r {
+		if h, ok := v.primaryHolder(sid); !ok || h != r {
 			t.Fatalf("primary holder of full subtree %02b = P(%d), want P(%d)", sid, h, r)
 		}
 	}
@@ -248,7 +248,7 @@ func TestSubtreePrimaryWithDeadRoot(t *testing.T) {
 	v := NewView(4, live, 2)
 	sid := v.SubtreeID(4) // the root's own subtree
 	live.SetDead(4)
-	h, ok := v.PrimaryHolder(sid)
+	h, ok := v.primaryHolder(sid)
 	if !ok {
 		t.Fatal("subtree with live members reported dead")
 	}
@@ -264,20 +264,20 @@ func TestSubtreePrimaryWithDeadRoot(t *testing.T) {
 }
 
 // TestPrimaries: one primary per subtree with a live node, in subtree
-// order, each the subtree's PrimaryHolder; an emptied subtree drops out.
+// order, each the subtree's primaryHolder; an emptied subtree drops out.
 func TestPrimaries(t *testing.T) {
 	live := liveness.NewAllLive(4, 16)
 	v := NewView(4, live, 2)
 	want := func() []bitops.PID {
 		var out []bitops.PID
 		for sid := bitops.VID(0); sid < 4; sid++ {
-			if h, ok := v.PrimaryHolder(sid); ok {
+			if h, ok := v.primaryHolder(sid); ok {
 				out = append(out, h)
 			}
 		}
 		return out
 	}
-	if got := v.Primaries(); len(got) != 4 || !reflect.DeepEqual(got, want()) {
+	if got := v.AppendPrimaries(nil); len(got) != 4 || !reflect.DeepEqual(got, want()) {
 		t.Fatalf("full tree: primaries %v, want the four subtree roots %v", got, want())
 	}
 	emptied := v.SubtreeID(4)
@@ -286,7 +286,7 @@ func TestPrimaries(t *testing.T) {
 			live.SetDead(p)
 		}
 	}
-	got := v.Primaries()
+	got := v.AppendPrimaries(nil)
 	if len(got) != 3 || !reflect.DeepEqual(got, want()) {
 		t.Fatalf("one subtree dead: primaries %v, want %v", got, want())
 	}
@@ -294,6 +294,67 @@ func TestPrimaries(t *testing.T) {
 		if v.SubtreeID(h) == emptied {
 			t.Fatalf("P(%d) named as the primary of the emptied subtree", h)
 		}
+	}
+}
+
+// TestPlacementRulesOnPaperTrees runs every placement rule on the paper's
+// worked trees: §3's lookup tree of P(4) with P(0) and P(5) dead, and
+// §5.1's join of P(5) into that tree with P(4) absent.
+func TestPlacementRulesOnPaperTrees(t *testing.T) {
+	// §3, with the root P(4) dead as well: every rule falls back to P(6)
+	// (VID 1101), and a broadcast enters at P(4)'s children list.
+	live := liveness.NewAllLive(4, 16)
+	for _, p := range []bitops.PID{0, 4, 5} {
+		live.SetDead(p)
+	}
+	v := NewView(4, live, 0)
+	if got := v.AppendPrimaries(nil); !reflect.DeepEqual(got, []bitops.PID{6}) {
+		t.Fatalf("§3 primaries = %v, want [6]", got)
+	}
+	if h, ok := v.PrimaryOf(8); !ok || h != 6 || !v.IsPrimary(6) || v.IsPrimary(7) {
+		t.Fatalf("§3 PrimaryOf(P(8)) = P(%d), %v; want P(6), the one primary", h, ok)
+	}
+	if got, want := v.AppendBroadcastStarts(nil), []bitops.PID{6, 7, 1, 12, 13, 8}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("§3 broadcast starts = %v, want P(4)'s children list %v", got, want)
+	}
+	if got := fig3View().AppendBroadcastStarts(nil); !reflect.DeepEqual(got, []bitops.PID{4}) {
+		t.Fatalf("live root: broadcast starts = %v, want [4]", got)
+	}
+
+	// §5.1: P(4) and P(5) absent, so P(6) holds f. P(5) joins with VID
+	// 1110 > 1101 and takes the copy; P(0) (VID 1011) would not have.
+	live = liveness.NewAllLive(4, 16)
+	live.SetDead(4)
+	v = NewView(4, live, 0)
+	if !v.JoinTakes(5, 6) {
+		t.Fatal("§5.1: joining P(5) does not take P(6)'s copy")
+	}
+	live.SetDead(5)
+	live.SetLive(0)
+	if v.JoinTakes(0, 6) {
+		t.Fatal("P(0) outranks no one yet takes P(6)'s copy")
+	}
+
+	// §5.3 at B = 1: subtree 1 of P(4)'s tree is the VIDs ending in 1.
+	// Killing its primary P(4) moves the copy to P(6) (VID 1101), restored
+	// from subtree 0's P(5); P(6) itself and a dead non-primary restore
+	// nothing.
+	live = liveness.NewAllLive(4, 16)
+	live.SetDead(4)
+	v = NewView(4, live, 1)
+	if h, ok := v.RestoreTarget(4, 5); !ok || h != 6 {
+		t.Fatalf("RestoreTarget(P(4), P(5)) = P(%d), %v; want P(6)", h, ok)
+	}
+	if _, ok := v.RestoreTarget(4, 6); ok {
+		t.Fatal("a holder in the dead primary's own subtree restored its copy")
+	}
+	live.SetDead(0)
+	if _, ok := v.RestoreTarget(0, 5); ok {
+		t.Fatal("the death of a non-primary restored a copy")
+	}
+	// The leaver's target: subtree 1's next primary is P(6).
+	if h, ok := v.PrimaryOf(4); !ok || h != 6 {
+		t.Fatalf("PrimaryOf(P(4)) after it left = P(%d), %v; want P(6)", h, ok)
 	}
 }
 

@@ -48,7 +48,7 @@ func Route(origin, target bitops.PID, live *liveness.Set, b int) string {
 	}
 	route := strings.Join(parts, " → ")
 	if len(stops) == 0 || !liveIs(live, v, stops[len(stops)-1], target) {
-		if p, ok := v.PrimaryHolder(v.SubtreeID(origin)); ok {
+		if p, ok := v.PrimaryOf(origin); ok {
 			route += fmt.Sprintf(" ⇒ P(%d) [FINDLIVENODE]", p)
 		}
 	}
