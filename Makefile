@@ -23,12 +23,13 @@ bench:
 
 # One-iteration pass over every benchmark — catches bit-rotted bench code
 # without measuring anything — plus the data path's allocation budgets
-# (docs/PIPELINE.md "Buffer ownership") and compaction's (docs/STORAGE.md),
+# (docs/PIPELINE.md "Buffer ownership": payload copies, and the exchange
+# envelopes that stay off the heap) and compaction's (docs/STORAGE.md),
 # which do measure: a reintroduced payload copy fails them — and the chunk
 # planes' checksum-pass count (docs/ROUTING.md "Checksums"), which a
 # reintroduced whole-body CRC pass fails. CI runs this on every push.
 bench-smoke:
-	$(GO) test -count 1 -run 'TestLargeFrameAllocBudget|TestSmallFrameAllocBudget|TestLyingPrefixAllocationBound|TestExchangeAllocBudget|TestChunkPlaneAllocBudget|TestBroadcastAllocBudget|TestBodyChecksummedOncePerHop|TestAppendAllocatesNothing|TestCompactionAllocBudget' ./internal/msg/ ./internal/transport/ ./internal/netnode/ ./internal/wal/
+	$(GO) test -count 1 -run 'TestLargeFrameAllocBudget|TestSmallFrameAllocBudget|TestLyingPrefixAllocationBound|TestExchangeAllocBudget|TestChunkPlaneAllocBudget|TestBroadcastAllocBudget|TestLocateSetAllocBudget|TestBodyChecksummedOncePerHop|TestAppendAllocatesNothing|TestCompactionAllocBudget' ./internal/msg/ ./internal/transport/ ./internal/netnode/ ./internal/wal/
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
 # The end-to-end perf ledger (bench/README.md): the four closed-loop

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"lesslog/internal/bitops"
+	"lesslog/internal/msg"
 	"lesslog/internal/netnode"
 	"lesslog/internal/transport"
 )
@@ -364,6 +365,41 @@ func TestGetManyPipelinesMisses(t *testing.T) {
 	}
 	if got[0].Err != nil || !errors.Is(got[1].Err, ErrFault) {
 		t.Fatalf("mixed lookups = %v, %v", got[0].Err, got[1].Err)
+	}
+}
+
+// TestLongMissingNameKeepsConnection: a get of a missing name close to
+// msg.MaxName is refused with an error that quotes the name — longer than
+// an error may be on the wire. The refusal must reach the client as a !OK
+// answer, cut to length, and the connection must go on serving.
+func TestLongMissingNameKeepsConnection(t *testing.T) {
+	addrs := startFabric(t, 4, 16)
+	g := newGateway(t, Config{Peers: addrs[:3]})
+	srv, err := g.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	if err := netnode.NewClient(addrs[5]).Insert("long/present", []byte("here")); err != nil {
+		t.Fatal(err)
+	}
+	conn, err := netnode.DialConn(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+
+	long := strings.Repeat("n", msg.MaxName-10)
+	resp, err := conn.Do(&msg.Request{Kind: msg.KindGet, Name: long})
+	if err != nil {
+		t.Fatalf("get of a missing %d-byte name: %v, want a refusal", len(long), err)
+	}
+	if resp.OK || resp.Err == "" || len(resp.Err) > msg.MaxName {
+		t.Fatalf("get of a missing %d-byte name: OK %v, %d-byte error", len(long), resp.OK, len(resp.Err))
+	}
+	res, err := conn.Get("long/present")
+	if err != nil || string(res.Data) != "here" {
+		t.Fatalf("second request on the same connection: %+v, %v", res, err)
 	}
 }
 

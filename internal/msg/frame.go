@@ -135,7 +135,7 @@ func readLargeFrame(r io.Reader, n int) ([]byte, error) {
 // collector reclaims the buffer with the message. A no-op on a request
 // that owns no frame buffer: one built locally, or read off a frame of at
 // most readChunk bytes, whose Data is a private copy or on loan from the
-// serve loop (ReadRequestLent), which takes its buffer back itself.
+// serve loop (Frame.DecodeRequest), which takes its buffer back itself.
 func (r *Request) Release() {
 	if r.frame != nil {
 		frames.put(r.frame)

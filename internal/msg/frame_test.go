@@ -126,10 +126,11 @@ func TestLargeFrameAllocBudget(t *testing.T) {
 
 // TestSmallFrameAllocBudget pins what a frame of at most readChunk bytes
 // costs to read off a buffered stream (the kind the serve loop and the mux
-// hold, whose header is peeked): a lent request allocates the message and
-// its name and nothing the size of its payload; Keep, or the copying
-// ReadRequestID, adds exactly the Data; a response — always copied out,
-// its caller owns it — is the message and its Data.
+// hold, whose header is peeked). Decoded into storage the caller owns — a
+// serve loop's recycled request, the mux reader's response — a lent request
+// allocates its name and nothing else, and a response its Data copy; Keep
+// adds exactly the Data. The copying ReadRequestID and ReadResponseID add
+// the message they return.
 func TestSmallFrameAllocBudget(t *testing.T) {
 	if poisonReleased {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -140,35 +141,48 @@ func TestSmallFrameAllocBudget(t *testing.T) {
 	var wire bytes.Buffer
 	wire.Grow(1 << 20)
 	br := bufio.NewReader(&wire)
+	var served Request
+	var answer Response
+	lend := func() Lease {
+		WriteRequestID(&wire, req, 1)
+		f, err := ReadFrame(br)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lease, err := f.DecodeRequest(&served)
+		if err != nil || !served.lent || !bytes.Equal(served.Data, body) {
+			t.Fatalf("lent request: err %v, lent %v", err, served.lent)
+		}
+		return lease
+	}
 	for _, tc := range []struct {
 		name      string
 		trip      func()
 		allocs    float64
 		bytesUpTo float64
 	}{
-		{"lent request", func() {
-			WriteRequestID(&wire, req, 1)
-			r, lease, _, err := ReadRequestLent(br)
-			if err != nil || !r.lent || !bytes.Equal(r.Data, body) {
-				t.Fatalf("lent request: err %v, lent %v", err, r != nil && r.lent)
-			}
-			lease.End()
-		}, 2, 512},
+		{"lent request", func() { lend().End() }, 1, 512},
 		{"lent request, kept", func() {
-			WriteRequestID(&wire, req, 1)
-			r, lease, _, err := ReadRequestLent(br)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r.Keep()
+			lease := lend()
+			served.Keep()
 			lease.End()
-		}, 3, 512 + 4<<10},
+		}, 2, 512 + 4<<10},
 		{"copied request", func() {
 			WriteRequestID(&wire, req, 1)
 			if r, _, err := ReadRequestID(br); err != nil || r.frame != nil || r.lent {
 				t.Fatalf("small request: err %v, still borrows a buffer: %v", err, r != nil)
 			}
 		}, 3, 512 + 4<<10},
+		{"response into caller storage", func() {
+			WriteResponseID(&wire, resp, 1)
+			f, err := ReadFrame(br)
+			if err == nil {
+				err = f.DecodeResponse(&answer)
+			}
+			if err != nil || answer.frame != nil || !bytes.Equal(answer.Data, body) {
+				t.Fatalf("small response: err %v, owns a frame: %v", err, answer.frame != nil)
+			}
+		}, 1, 512 + 4<<10},
 		{"response", func() {
 			WriteResponseID(&wire, resp, 1)
 			if r, _, err := ReadResponseID(br); err != nil || r.frame != nil {
@@ -195,17 +209,31 @@ func TestSmallFrameAllocBudget(t *testing.T) {
 
 // TestKeepSurvivesRelease: the Data of a lent request is the pooled read
 // buffer's until Keep — which detaches it, once, on the request it is
-// called on and on nothing else — and a request with no payload borrows
-// nothing to begin with.
+// called on and on nothing else — a request with no payload borrows
+// nothing to begin with, and the request struct itself is the lease's:
+// cleared when it ends, poisoned under the race detector.
 func TestKeepSurvivesRelease(t *testing.T) {
 	body := bytes.Repeat([]byte{0x5A}, 4<<10)
 	var wire bytes.Buffer
-	if err := WriteRequestID(&wire, &Request{Kind: KindStore, Name: "kept", Data: body}, 3); err != nil {
-		t.Fatal(err)
+	lend := func(r *Request, id uint64) (*Request, Lease) {
+		t.Helper()
+		if err := WriteRequestID(&wire, r, id); err != nil {
+			t.Fatal(err)
+		}
+		f, err := ReadFrame(&wire)
+		if err != nil || f.ID != id {
+			t.Fatalf("read: err %v id %d", err, f.ID)
+		}
+		req := new(Request)
+		lease, err := f.DecodeRequest(req)
+		if err != nil || lease.req != req {
+			t.Fatalf("decode: err %v, lease covers the request: %v", err, lease.req == req)
+		}
+		return req, lease
 	}
-	req, lease, id, err := ReadRequestLent(&wire)
-	if err != nil || id != 3 || !req.lent {
-		t.Fatalf("read: err %v id %d", err, id)
+	req, lease := lend(&Request{Kind: KindStore, Name: "kept", Data: body}, 3)
+	if !req.lent {
+		t.Fatal("a small frame's Data is not lent")
 	}
 	borrowed := *req // a struct copy is lent too, and keeps for itself alone
 	kept := *req
@@ -225,14 +253,19 @@ func TestKeepSurvivesRelease(t *testing.T) {
 	if poisonReleased && borrowed.Data[0] != 0xDB {
 		t.Fatalf("an ended lease's buffer is not poisoned: %#x", borrowed.Data[0])
 	}
+	want := Request{}
+	if poisonReleased {
+		want = endedRequest
+	}
+	if !reflect.DeepEqual(*req, want) {
+		t.Fatalf("an ended lease left the request as %+v", *req)
+	}
+	if borrowed.Name != "kept" || kept.Name != "kept" {
+		t.Fatal("ending the lease changed a struct copy's fields")
+	}
 	// The next requests of the connection are read into the same pool.
 	for i := 0; i < 8; i++ {
-		wire.Reset()
-		WriteRequestID(&wire, &Request{Kind: KindStore, Name: "next", Data: bytes.Repeat([]byte{byte(i)}, 4<<10)}, 4)
-		_, l, _, err := ReadRequestLent(&wire)
-		if err != nil {
-			t.Fatal(err)
-		}
+		_, l := lend(&Request{Kind: KindStore, Name: "next", Data: bytes.Repeat([]byte{byte(i)}, 4<<10)}, 4)
 		l.End()
 	}
 	if !bytes.Equal(kept.Data, body) {
@@ -244,22 +277,21 @@ func TestKeepSurvivesRelease(t *testing.T) {
 	if &local.Data[0] != &body[0] {
 		t.Fatal("Keep copied the Data of a request that was never lent")
 	}
-	wire.Reset()
-	WriteRequestID(&wire, &Request{Kind: KindGet, Name: "no payload"}, 5)
-	empty, l, _, err := ReadRequestLent(&wire)
-	if err != nil || empty.lent || l != (Lease{}) || empty.Data != nil {
-		t.Fatalf("a request without payload must borrow nothing: err %v lent %v", err, empty != nil && empty.lent)
+	empty, l := lend(&Request{Kind: KindGet, Name: "no payload"}, 5)
+	if empty.lent || l.bp != nil || empty.Data != nil {
+		t.Fatalf("a request without payload must borrow nothing: lent %v", empty.lent)
 	}
 	large, _ := chunkFrames(t, readChunk+1)
-	wire.Reset()
-	WriteRequestID(&wire, large, 6)
-	owned, l, _, err := ReadRequestLent(&wire)
-	if err != nil || owned.lent || l != (Lease{}) || owned.frame == nil {
-		t.Fatalf("a large frame owns its buffer and borrows nothing: err %v", err)
+	owned, l := lend(large, 6)
+	if owned.lent || l.bp != nil || owned.frame == nil {
+		t.Fatal("a large frame owns its buffer and borrows nothing")
 	}
 	data := &owned.Data[0]
 	if owned.Keep(); &owned.Data[0] != data {
 		t.Fatal("Keep copied a large frame's Data")
+	}
+	if l.End(); owned.frame != nil {
+		t.Fatal("an ended lease still pins the large frame's buffer")
 	}
 }
 
@@ -574,7 +606,8 @@ func FuzzAliasingDecodeMatchesCopying(f *testing.F) {
 		pristine := append([]byte{}, payload...)
 		if asResponse {
 			want, wantErr := DecodeResponse(payload)
-			got, gotErr := decodeResponse(payload, true)
+			got := new(Response)
+			gotErr := decodeResponse(got, payload, true)
 			read, _, readErr := ReadResponseID(bytes.NewReader(framed))
 			if (wantErr == nil) != (gotErr == nil) || (wantErr == nil) != (readErr == nil) {
 				t.Fatalf("acceptance differs: copying %v, aliasing %v, stream %v", wantErr, gotErr, readErr)
@@ -592,7 +625,8 @@ func FuzzAliasingDecodeMatchesCopying(f *testing.F) {
 			}
 		} else {
 			want, wantErr := DecodeRequest(payload)
-			got, gotErr := decodeRequest(payload, true)
+			got := new(Request)
+			gotErr := decodeRequest(got, payload, true)
 			read, _, readErr := ReadRequestID(bytes.NewReader(framed))
 			if (wantErr == nil) != (gotErr == nil) || (wantErr == nil) != (readErr == nil) {
 				t.Fatalf("acceptance differs: copying %v, aliasing %v, stream %v", wantErr, gotErr, readErr)

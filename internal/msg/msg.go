@@ -409,7 +409,7 @@ type Request struct {
 	// a frame longer than readChunk (see Release).
 	frame []byte
 	// lent marks Data as pointing into a pooled read buffer the serve loop
-	// takes back once the response is written (see ReadRequestLent, Keep).
+	// takes back once the response is written (see Frame.DecodeRequest, Keep).
 	// It is part of the value, so a struct copy of a lent request is lent.
 	lent bool
 }
@@ -521,8 +521,6 @@ func (r *Request) appendHead(b []byte) []byte {
 	return binary.BigEndian.AppendUint32(b, uint32(len(r.Data)+len(r.Tail)))
 }
 
-func (r *Request) payload() (data, tail []byte) { return r.Data, r.Tail }
-
 func (r *Request) appendTrailer(b []byte) []byte {
 	b = binary.BigEndian.AppendUint64(b, r.TraceID)
 	return appendHops(b, r.Path)
@@ -541,46 +539,52 @@ func AppendRequest(b []byte, r *Request) ([]byte, error) {
 }
 
 // DecodeRequest parses a request payload. Every field is copied out of b.
-func DecodeRequest(b []byte) (*Request, error) { return decodeRequest(b, false) }
-
-// decodeRequest parses a request payload; with alias set, Data points into
-// b instead of being copied out of it (the frame readers' large-frame
-// path, where b is a buffer the message then owns).
-func decodeRequest(b []byte, alias bool) (*Request, error) {
-	if len(b) < 2 {
-		return nil, ErrCorrupt
+func DecodeRequest(b []byte) (*Request, error) {
+	r := new(Request)
+	if err := decodeRequest(r, b, false); err != nil {
+		return nil, err
 	}
-	r := &Request{Kind: Kind(b[0]), Flags: b[1]}
+	return r, nil
+}
+
+// decodeRequest parses a request payload into r, overwriting every field;
+// with alias set, Data points into b instead of being copied out of it (the
+// frame readers' path, where b is a buffer the message borrows or owns).
+func decodeRequest(r *Request, b []byte, alias bool) error {
+	if len(b) < 2 {
+		return ErrCorrupt
+	}
+	*r = Request{Kind: Kind(b[0]), Flags: b[1]}
 	b = b[2:]
 	var err error
 	if r.Origin, b, err = takeUint32(b); err != nil {
-		return nil, err
+		return err
 	}
 	if r.Hops, b, err = takeUint32(b); err != nil {
-		return nil, err
+		return err
 	}
 	if r.Subtree, b, err = takeUint32(b); err != nil {
-		return nil, err
+		return err
 	}
 	if r.Version, b, err = takeUint64(b); err != nil {
-		return nil, err
+		return err
 	}
 	if r.Name, b, err = takeString(b, MaxName); err != nil {
-		return nil, err
+		return err
 	}
 	if r.Data, b, err = takeData(b, alias); err != nil {
-		return nil, err
+		return err
 	}
 	if r.TraceID, b, err = takeUint64(b); err != nil {
-		return nil, err
+		return err
 	}
 	if r.Path, b, err = takeHops(b); err != nil {
-		return nil, err
+		return err
 	}
 	if len(b) != 0 {
-		return nil, ErrCorrupt
+		return ErrCorrupt
 	}
-	return r, nil
+	return nil
 }
 
 // takeData takes a message's data field, aliased or copied.
@@ -611,8 +615,6 @@ func (resp *Response) appendHead(b []byte) []byte {
 	return binary.BigEndian.AppendUint32(b, uint32(len(resp.Data)+len(resp.Tail)))
 }
 
-func (resp *Response) payload() (data, tail []byte) { return resp.Data, resp.Tail }
-
 func (resp *Response) appendTrailer(b []byte) []byte { return appendHops(b, resp.Path) }
 
 // AppendResponse encodes resp onto b.
@@ -627,38 +629,44 @@ func AppendResponse(b []byte, resp *Response) ([]byte, error) {
 }
 
 // DecodeResponse parses a response payload. Every field is copied out of b.
-func DecodeResponse(b []byte) (*Response, error) { return decodeResponse(b, false) }
+func DecodeResponse(b []byte) (*Response, error) {
+	resp := new(Response)
+	if err := decodeResponse(resp, b, false); err != nil {
+		return nil, err
+	}
+	return resp, nil
+}
 
 // decodeResponse is decodeRequest's twin.
-func decodeResponse(b []byte, alias bool) (*Response, error) {
+func decodeResponse(resp *Response, b []byte, alias bool) error {
 	if len(b) < 1 {
-		return nil, ErrCorrupt
+		return ErrCorrupt
 	}
-	resp := &Response{OK: b[0] == 1}
+	*resp = Response{OK: b[0] == 1}
 	b = b[1:]
 	var err error
 	if resp.ServedBy, b, err = takeUint32(b); err != nil {
-		return nil, err
+		return err
 	}
 	if resp.Hops, b, err = takeUint32(b); err != nil {
-		return nil, err
+		return err
 	}
 	if resp.Version, b, err = takeUint64(b); err != nil {
-		return nil, err
+		return err
 	}
 	if resp.Err, b, err = takeString(b, MaxName); err != nil {
-		return nil, err
+		return err
 	}
 	if resp.Data, b, err = takeData(b, alias); err != nil {
-		return nil, err
+		return err
 	}
 	if resp.Path, b, err = takeHops(b); err != nil {
-		return nil, err
+		return err
 	}
 	if len(b) != 0 {
-		return nil, ErrCorrupt
+		return ErrCorrupt
 	}
-	return resp, nil
+	return nil
 }
 
 // FrameIDBit is set in the length word of every frame: an 8-byte request
@@ -677,10 +685,10 @@ const frameHdrLen = 4 + 8
 // bytes is read into a pooled buffer of that capacity with one
 // io.ReadFull; a response has every field copied out and the buffer goes
 // straight back to the pool, a served request borrows it until its response
-// is written (ReadRequestLent). Its payload, when small enough, is likewise
+// is written (Frame.DecodeRequest). Its payload, when small enough, is likewise
 // copied into a pooled buffer to be written. A longer frame gets a buffer
 // of its own that the decoded message keeps (readLargeFrame), and its
-// payload is written from where it lives (writeFramed). The split is also
+// payload is written from where it lives (writeFrame). The split is also
 // what bounds a lying length prefix: a frame's declared length is
 // attacker-controlled — a malicious or corrupt peer can claim MaxFrame
 // (16 MiB) and send nothing — so nothing is ever allocated for bytes that
@@ -760,40 +768,67 @@ func peekFull(br *bufio.Reader, n int) ([]byte, error) {
 	return b, err
 }
 
-// wireMsg is what the frame writer needs of a Request or Response.
-type wireMsg interface {
-	check() error
-	appendHead(b []byte) []byte
-	payload() (data, tail []byte)
-	appendTrailer(b []byte) []byte
-}
+// The frame writer encodes a frame into a pooled buffer — header space
+// (frameStart), the message's head, its payload when that is small enough to
+// copy (appendPayload), its trailer — and writeFrame stamps the header and
+// sends it. A payload of at most readChunk bytes is copied in with the rest
+// and the whole frame goes out in a single Write — one syscall, and no
+// interleaving risk for concurrent writers that already serialize on a
+// higher-level lock. A larger payload stays where it is: the frame goes out
+// as head, Data, Tail and trailer segments — one writev when w is a socket
+// (net.Buffers), consecutive Writes otherwise, which a bufio.Writer passes
+// through without buffering the large ones. Same bytes either way. Only
+// WriteRequestID and WriteResponseID see the message, and they pass on its
+// fields, never the message: a request or response the caller built on its
+// stack stays there.
 
-// writeFramed encodes the header and m into a pooled buffer. A payload of
-// at most readChunk bytes is copied in with the rest and the whole frame
-// goes out in a single Write — one syscall, and no interleaving risk for
-// concurrent writers that already serialize on a higher-level lock. A
-// larger payload stays where it is: the frame goes out as head, Data, Tail
-// and trailer segments — one writev when w is a socket (net.Buffers),
-// consecutive Writes otherwise, which a bufio.Writer passes through without
-// buffering the large ones. Same bytes either way.
-func writeFramed(w io.Writer, id uint64, m wireMsg) error {
-	if err := m.check(); err != nil {
+// WriteRequestID frames and writes one request, carrying id for the
+// response to echo.
+func WriteRequestID(w io.Writer, r *Request, id uint64) error {
+	if err := r.check(); err != nil {
 		return err
 	}
 	bp := getBuf()
 	defer putBuf(bp)
-	buf := append((*bp)[:0], make([]byte, frameHdrLen)...)
-	buf = m.appendHead(buf)
-	data, tail := m.payload()
-	vectored := len(data)+len(tail) > readChunk
-	if !vectored {
-		buf = append(append(buf, data...), tail...)
+	head := appendPayload(r.appendHead(frameStart(bp)), r.Data, r.Tail)
+	*bp = r.appendTrailer(head)
+	return writeFrame(w, id, *bp, len(head), r.Data, r.Tail)
+}
+
+// WriteResponseID frames and writes one response, echoing the request's id.
+func WriteResponseID(w io.Writer, resp *Response, id uint64) error {
+	if err := resp.check(); err != nil {
+		return err
 	}
-	split := len(buf)
-	buf = m.appendTrailer(buf)
-	*bp = buf
+	bp := getBuf()
+	defer putBuf(bp)
+	head := appendPayload(resp.appendHead(frameStart(bp)), resp.Data, resp.Tail)
+	*bp = resp.appendTrailer(head)
+	return writeFrame(w, id, *bp, len(head), resp.Data, resp.Tail)
+}
+
+// frameStart empties a pooled buffer and reserves the frame header's bytes.
+func frameStart(bp *[]byte) []byte { return append((*bp)[:0], make([]byte, frameHdrLen)...) }
+
+// vectored reports whether a payload is written from where it lives
+// instead of being copied into the frame buffer.
+func vectored(data, tail []byte) bool { return len(data)+len(tail) > readChunk }
+
+// appendPayload appends data‖tail to a frame's head unless it is vectored.
+func appendPayload(head, data, tail []byte) []byte {
+	if vectored(data, tail) {
+		return head
+	}
+	return append(append(head, data...), tail...)
+}
+
+// writeFrame stamps the header of the frame encoded in buf — head (and a
+// copied payload) up to split, trailer after it — and writes it, with a
+// vectored payload between the two.
+func writeFrame(w io.Writer, id uint64, buf []byte, split int, data, tail []byte) error {
+	vec := vectored(data, tail)
 	n := len(buf) - frameHdrLen
-	if vectored {
+	if vec {
 		n += len(data) + len(tail)
 	}
 	if n > MaxFrame {
@@ -801,7 +836,7 @@ func writeFramed(w io.Writer, id uint64, m wireMsg) error {
 	}
 	binary.BigEndian.PutUint32(buf[:4], uint32(n)|FrameIDBit)
 	binary.BigEndian.PutUint64(buf[4:], id)
-	if !vectored {
+	if !vec {
 		_, err := w.Write(buf)
 		return err
 	}
@@ -815,138 +850,193 @@ func writeFramed(w io.Writer, id uint64, m wireMsg) error {
 	return err
 }
 
-// WriteRequestID frames and writes one request, carrying id for the
-// response to echo.
-func WriteRequestID(w io.Writer, r *Request, id uint64) error { return writeFramed(w, id, r) }
-
-// ReadRequestID reads and decodes one request and its request ID. The Data
-// of a request read off a frame longer than readChunk aliases the frame's
-// buffer (see Release); a smaller frame's Data is a private copy.
-func ReadRequestID(r io.Reader) (*Request, uint64, error) {
-	req, lease, id, err := ReadRequestLent(r)
-	if err != nil {
-		return nil, 0, err
-	}
-	req.Keep()
-	lease.End()
-	return req, id, nil
+// A Frame is one frame read off a stream and not yet decoded: the request
+// ID its header carried and its payload — in a pooled read buffer when it
+// is at most readChunk bytes, in a buffer of its own otherwise
+// (readLargeFrame). Reading and decoding are split so the decode can go
+// into storage the caller already has — a serve loop's recycled requests,
+// a mux reader's response value. Exactly one DecodeRequest or
+// DecodeResponse call consumes a Frame.
+type Frame struct {
+	ID    uint64
+	small *[]byte // pooled read buffer of a frame of at most readChunk bytes
+	large []byte  // buffer of a larger frame; the decoded message owns it
 }
 
-// A Lease is the pooled read buffer a lent request's Data points into. The
-// zero Lease holds nothing.
-type Lease struct{ bp *[]byte }
-
-// End hands the buffer back: the Data of the request read with this lease,
-// and of every struct copy of it that has not called Keep, is invalid from
-// here on. Under the race detector the bytes are first overwritten with
-// 0xDB, like a released frame's, so a handler that stored Data without Keep
-// reads garbage instead of the next request's payload.
-func (l Lease) End() {
-	if l.bp == nil {
-		return
-	}
-	if poisonReleased {
-		for i := range *l.bp {
-			(*l.bp)[i] = 0xDB
-		}
-	}
-	putBuf(l.bp)
-}
-
-// ReadRequestLent is ReadRequestID for a serve loop: a request read off a
-// frame of at most readChunk bytes is not copied out of its pooled read
-// buffer — Data points into it, on loan until the returned Lease ends. The
-// loop ends the lease once the request's response has been written (so a
-// response may point into the request's Data), and whoever holds the bytes
-// past that point calls Keep first. A request with no payload, or one read
-// off a larger frame (which owns its buffer: see Release), borrows nothing.
-func ReadRequestLent(r io.Reader) (*Request, Lease, uint64, error) {
+// ReadFrame reads one frame off r.
+func ReadFrame(r io.Reader) (Frame, error) {
 	n, id, err := readFrameHeader(r)
 	if err != nil {
-		return nil, Lease{}, 0, err
+		return Frame{}, err
 	}
 	if n > readChunk {
 		buf, err := readLargeFrame(r, n)
 		if err != nil {
-			return nil, Lease{}, 0, err
+			return Frame{}, err
 		}
-		req, err := decodeRequest(buf, true)
-		if err != nil {
-			frames.put(buf)
-			return nil, Lease{}, 0, err
-		}
-		req.frame = buf
-		return req, Lease{}, id, nil
+		return Frame{ID: id, large: buf}, nil
 	}
 	bp := getBuf()
 	*bp = (*bp)[:n]
 	if _, err := io.ReadFull(r, *bp); err != nil {
 		putBuf(bp)
-		return nil, Lease{}, 0, err
+		return Frame{}, err
 	}
-	req, err := decodeRequest(*bp, true)
+	return Frame{ID: id, small: bp}, nil
+}
+
+// DecodeRequest decodes f into req, overwriting every field, for a serve
+// loop: req is on loan until the returned Lease ends, and so is its Data
+// when f is a small frame — it points into f's pooled read buffer instead
+// of being copied out of it. The loop ends the lease once req's response
+// has been written (so a response may point into req.Data); whoever holds
+// the bytes past that point calls Keep first, and nobody holds req itself
+// (a struct copy is fine). A request with no payload borrows no buffer; one
+// read off a large frame owns its buffer (see Release). A frame that does
+// not decode has its buffer taken back.
+func (f Frame) DecodeRequest(req *Request) (Lease, error) {
+	bp, err := f.lend(req)
 	if err != nil {
-		putBuf(bp)
-		return nil, Lease{}, 0, err
+		return Lease{}, err
+	}
+	return Lease{bp: bp, req: req}, nil
+}
+
+// lend is DecodeRequest without the Lease: it returns the pooled buffer
+// req.Data is lent from, nil when nothing is lent. ReadRequestID gives that
+// buffer back and keeps its request, which ending a Lease would clear.
+func (f Frame) lend(req *Request) (*[]byte, error) {
+	if f.large != nil {
+		if err := decodeRequest(req, f.large, true); err != nil {
+			frames.put(f.large)
+			return nil, err
+		}
+		req.frame = f.large
+		return nil, nil
+	}
+	if err := decodeRequest(req, *f.small, true); err != nil {
+		putBuf(f.small)
+		return nil, err
 	}
 	if len(req.Data) == 0 {
-		putBuf(bp)
+		putBuf(f.small)
 		req.Data = nil
-		return req, Lease{}, id, nil
+		return nil, nil
 	}
 	req.lent = true
-	return req, Lease{bp}, id, nil
+	return f.small, nil
 }
 
-// Keep makes r.Data safe to hold past the request's response: the Data of a
-// lent request (ReadRequestLent) is replaced by a private copy of exactly
-// its size. Everything else — a request built locally, one read off a large
-// frame, one already kept — is left alone, so calling it at every point
-// that stores Data costs nothing where nothing was lent. It writes to r:
-// keep a struct copy when other goroutines are reading the request.
-func (r *Request) Keep() {
-	if r.lent {
-		kept := make([]byte, len(r.Data))
-		copy(kept, r.Data)
-		r.Data, r.lent = kept, false
+// DecodeResponse decodes f into resp, overwriting every field. A small
+// frame's fields are copied out and its buffer goes back to the pool; a
+// large frame's Data aliases the frame's buffer, which resp then owns (see
+// Release).
+func (f Frame) DecodeResponse(resp *Response) error {
+	if f.large != nil {
+		if err := decodeResponse(resp, f.large, true); err != nil {
+			frames.put(f.large)
+			return err
+		}
+		resp.frame = f.large
+		return nil
 	}
+	defer putBuf(f.small)
+	return decodeResponse(resp, *f.small, false)
 }
 
-// WriteResponseID frames and writes one response, echoing the request's id.
-func WriteResponseID(w io.Writer, resp *Response, id uint64) error {
-	return writeFramed(w, id, resp)
+// ReadRequestID reads and decodes one request and its request ID, for a
+// caller that owns the request outright. The Data of a request read off a
+// frame longer than readChunk aliases the frame's buffer (see Release); a
+// smaller frame's Data is a private copy.
+func ReadRequestID(r io.Reader) (*Request, uint64, error) {
+	f, err := ReadFrame(r)
+	if err != nil {
+		return nil, 0, err
+	}
+	req := new(Request)
+	bp, err := f.lend(req)
+	if err != nil {
+		return nil, 0, err
+	}
+	req.Keep()
+	giveBack(bp)
+	return req, f.ID, nil
 }
 
 // ReadResponseID reads and decodes one response and the request ID it
 // echoes. The Data of a response read off a frame longer than readChunk
 // aliases the frame's buffer; see Release.
 func ReadResponseID(r io.Reader) (*Response, uint64, error) {
-	n, id, err := readFrameHeader(r)
+	f, err := ReadFrame(r)
 	if err != nil {
 		return nil, 0, err
 	}
-	if n > readChunk {
-		buf, err := readLargeFrame(r, n)
-		if err != nil {
-			return nil, 0, err
-		}
-		resp, err := decodeResponse(buf, true)
-		if err != nil {
-			frames.put(buf)
-			return nil, 0, err
-		}
-		resp.frame = buf
-		return resp, id, nil
-	}
-	bp := getBuf()
-	defer putBuf(bp)
-	buf := (*bp)[:n]
-	if _, err := io.ReadFull(r, buf); err != nil {
+	resp := new(Response)
+	if err := f.DecodeResponse(resp); err != nil {
 		return nil, 0, err
 	}
-	resp, err := DecodeResponse(buf)
-	if err != nil {
-		return nil, 0, err
+	return resp, f.ID, nil
+}
+
+// A Lease is a served request's loan (Frame.DecodeRequest): the request
+// struct the serve loop decoded into and, for a request read off a small
+// frame, the pooled read buffer its Data points into. The zero Lease holds
+// nothing.
+type Lease struct {
+	bp  *[]byte
+	req *Request
+}
+
+// endedRequest is what a served request reads as once its lease has ended
+// under the race detector: every field garbage, none of the next request's.
+var endedRequest = Request{
+	Kind: 0xDB, Flags: 0xDB, Origin: 0xDBDBDBDB, Hops: 0xDBDBDBDB, Subtree: 0xDBDBDBDB,
+	Version: 0xDBDBDBDBDBDBDBDB, Name: "\xdb(request read after its lease ended)", TraceID: 0xDBDBDBDBDBDBDBDB,
+}
+
+// End ends the loan, once the request's response has been written. The
+// request is cleared — so it pins no frame buffer, name or path while it
+// waits to be decoded into again — and the buffer goes back to the pool: the
+// request, and the Data of every struct copy of it that has not called
+// Keep, is invalid from here on. Under the race detector the request reads
+// as endedRequest and the buffer's bytes as 0xDB, like a released frame's,
+// so a handler that held either past its response reads garbage instead of
+// the next request.
+func (l Lease) End() {
+	if l.req != nil {
+		if poisonReleased {
+			*l.req = endedRequest
+		} else {
+			*l.req = Request{}
+		}
 	}
-	return resp, id, nil
+	giveBack(l.bp)
+}
+
+// giveBack returns a lent read buffer (nil: none) to the pool, poisoned
+// first under the race detector.
+func giveBack(bp *[]byte) {
+	if bp == nil {
+		return
+	}
+	if poisonReleased {
+		for i := range *bp {
+			(*bp)[i] = 0xDB
+		}
+	}
+	putBuf(bp)
+}
+
+// Keep makes r.Data safe to hold past the request's response: the Data of a
+// lent request (Frame.DecodeRequest) is replaced by a private copy of
+// exactly its size. Everything else — a request built locally, one read off
+// a large frame, one already kept — is left alone, so calling it at every
+// point that stores Data costs nothing where nothing was lent. It writes to
+// r: keep a struct copy when other goroutines are reading the request.
+func (r *Request) Keep() {
+	if r.lent {
+		kept := make([]byte, len(r.Data))
+		copy(kept, r.Data)
+		r.Data, r.lent = kept, false
+	}
 }

@@ -248,6 +248,16 @@ func (c *Client) report(idx int, err error) {
 // interpose. With failover a transport failure moves on to the next entry
 // peer; set it only for requests that are safe to repeat.
 func (c *Client) Do(req *msg.Request, failover bool) (*msg.Response, error) {
+	resp, err := c.do(req, failover)
+	if err != nil {
+		return nil, err
+	}
+	return &resp, nil
+}
+
+// do is Do by value, for the ladder's rungs that read the answer and move
+// on (transport.Exchange).
+func (c *Client) do(req *msg.Request, failover bool) (msg.Response, error) {
 	attempts := 1
 	if failover {
 		attempts = min(len(c.peers), maxEntryAttempts)
@@ -255,14 +265,14 @@ func (c *Client) Do(req *msg.Request, failover bool) (*msg.Response, error) {
 	var lastErr error
 	for i := 0; i < attempts; i++ {
 		idx := c.pick()
-		resp, err := c.tr.Do(c.peers[idx], req)
+		resp, err := c.tr.Exchange(c.peers[idx], *req, 0)
 		c.report(idx, err)
 		if err == nil {
 			return resp, nil
 		}
 		lastErr = err
 	}
-	return nil, lastErr
+	return msg.Response{}, lastErr
 }
 
 // GetResult reports how a networked get was served.
@@ -316,8 +326,8 @@ func (c *Client) GetTraced(name string) (GetResult, error) {
 		freq := *req
 		freq.Flags |= msg.FlagLocalOnly
 		freq.Path = loc.Path // the fetch trace continues where the locate ended
-		if resp, err := c.tr.Do(loc.Addr, &freq); err == nil && resp.OK {
-			return getResult(resp), nil
+		if resp, err := c.tr.Exchange(loc.Addr, freq, 0); err == nil && resp.OK {
+			return getResult(&resp), nil
 		}
 	case !errors.Is(err, errNextRung):
 		return GetResult{Hops: loc.Hops, Path: loc.Path}, err
@@ -415,7 +425,7 @@ func (c *Client) chunkFetch(name string, set []routehint.Hint, minVer uint64) (G
 // relay is the whole-frame get through the lookup tree — a plain client's
 // only read, and the ladder's last rung.
 func (c *Client) relay(req *msg.Request) (GetResult, error) {
-	resp, err := c.Do(req, true)
+	resp, err := c.do(req, true)
 	if err != nil {
 		return GetResult{}, err
 	}
@@ -423,9 +433,9 @@ func (c *Client) relay(req *msg.Request) (GetResult, error) {
 		// A traced fault still carries the route walked so far — hand the
 		// partial path back with the error so the operator sees where
 		// routing died.
-		return GetResult{Hops: int(resp.Hops), Path: resp.Path}, ReadError(req.Name, resp)
+		return GetResult{Hops: int(resp.Hops), Path: resp.Path}, ReadError(req.Name, &resp)
 	}
-	return getResult(resp), nil
+	return getResult(&resp), nil
 }
 
 func getResult(resp *msg.Response) GetResult {
@@ -480,7 +490,7 @@ func (c *Client) locate(name string, traceID uint64) (loc LocateResult, set []ro
 		req.Flags = msg.FlagTrace
 	}
 	c.stats.Locates.Inc()
-	resp, err := c.Do(req, true)
+	resp, err := c.do(req, true)
 	if err != nil {
 		return loc, nil, err
 	}

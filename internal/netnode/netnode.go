@@ -634,10 +634,10 @@ var ErrTombstoned = errors.New("netnode: name deleted (tombstoned)")
 func (p *Peer) place(target bitops.PID, f store.File, flags uint8, reason *atomic.Uint64, tr *legTrace) (survived uint64, err error) {
 	req := &msg.Request{Kind: msg.KindStore, Flags: flags, Name: f.Name, Data: f.Data, Version: f.Version}
 	tr.stamp(req)
-	var resp *msg.Response
+	var resp msg.Response
 	switch {
 	case target == p.cfg.PID:
-		resp = p.applyStore(req, f.Data, crc{}, time.Now())
+		resp = *p.applyStore(req, f.Data, crc{}, time.Now())
 	case len(f.Data) > msg.MaxData:
 		req.Kind = msg.KindNotify
 		req.Data, err = msg.AppendNotifyReq(nil, &msg.NotifyReq{
@@ -653,7 +653,7 @@ func (p *Peer) place(target bitops.PID, f store.File, flags uint8, reason *atomi
 	if err != nil {
 		return 0, err
 	}
-	tr.collect(resp)
+	tr.collect(&resp)
 	switch {
 	case resp.OK:
 		if resp.Version == f.Version {
@@ -893,7 +893,7 @@ func (p *Peer) forwardLookup(req *msg.Request, start time.Time) *msg.Response {
 			if resp.OK && req.Kind == msg.KindGet {
 				p.stats.RelayedBytes.Add(uint64(len(resp.Data)))
 			}
-			return resp
+			return &resp
 		}
 		lastErr, lastHop = err, next
 	}
@@ -1313,25 +1313,27 @@ func (p *Peer) handleStat(req *msg.Request) *msg.Response {
 // call performs one request/response exchange with pid through the peer's
 // transport (deadlines, retries, pooling) and feeds the outcome to the
 // failure detector: enough consecutive failures clear pid's liveness bit,
-// and a later success restores it.
-func (p *Peer) call(pid bitops.PID, req *msg.Request) (*msg.Response, error) {
+// and a later success restores it. req is only read and the answer comes
+// back by value (transport.Exchange), so a caller that reads it and moves
+// on allocates neither envelope.
+func (p *Peer) call(pid bitops.PID, req *msg.Request) (msg.Response, error) {
 	return p.callTimeout(pid, req, 0)
 }
 
 // callTimeout is call with a per-exchange deadline floor (see
-// transport.DoTimeout): notify deliveries block on the receiving holder
+// transport.Exchange): notify deliveries block on the receiving holder
 // pulling the whole body, so their deadline scales with the payload the
 // notify describes instead of the flat RPC bound sized for control
 // frames. rpcTO 0 keeps the transport's configured deadline.
-func (p *Peer) callTimeout(pid bitops.PID, req *msg.Request, rpcTO time.Duration) (*msg.Response, error) {
+func (p *Peer) callTimeout(pid bitops.PID, req *msg.Request, rpcTO time.Duration) (msg.Response, error) {
 	addr, ok := p.rt().addrs[pid]
 	if !ok {
-		return nil, fmt.Errorf("netnode: no address for P(%d)", pid)
+		return msg.Response{}, fmt.Errorf("netnode: no address for P(%d)", pid)
 	}
-	resp, err := p.tr.DoTimeout(addr, req, rpcTO)
+	resp, err := p.tr.Exchange(addr, *req, rpcTO)
 	if err != nil {
 		p.det.Fail(uint32(pid))
-		return nil, err
+		return msg.Response{}, err
 	}
 	p.det.Ok(uint32(pid))
 	return resp, nil

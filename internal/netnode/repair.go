@@ -66,7 +66,7 @@ func (p *Peer) RepairOnce(sampler *repair.Sampler, budget *repair.Budget, sample
 			if err != nil {
 				continue // detector fed; next round sees the updated view
 			}
-			tr.collect(resp)
+			tr.collect(&resp)
 			switch {
 			case !resp.OK && resp.Version > 0 && resp.Version >= f.Version:
 				// The holder tombstoned the name at a version our copy does
@@ -157,7 +157,7 @@ func (p *Peer) pullCopy(name string, h bitops.PID, budget *repair.Budget) bool {
 		if ferr != nil {
 			return false
 		}
-		resp, pulled = &msg.Response{OK: true, Version: ver, Data: data}, crc{sum, true}
+		resp, pulled = msg.Response{OK: true, Version: ver, Data: data}, crc{sum, true}
 	}
 	budget.Spend(len(resp.Data))
 	p.propMu.RLock() // local apply serializes against Leave, as on broadcast paths
@@ -208,7 +208,7 @@ func (p *Peer) DigestSync(partner bitops.PID, budget *repair.Budget, width int) 
 	if err != nil {
 		return 0
 	}
-	tr.collect(resp)
+	tr.collect(&resp)
 	p.stats.DigestBytes.Add(uint64(len(data)))
 	if !resp.OK {
 		return 0

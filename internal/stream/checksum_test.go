@@ -5,6 +5,7 @@ import (
 	"hash/crc32"
 	"sync"
 	"testing"
+	"time"
 
 	"lesslog/internal/msg"
 )
@@ -75,6 +76,10 @@ func (p *stagingPeer) Do(addr string, req *msg.Request) (*msg.Response, error) {
 		copy(p.buf[pr.Offset:], pr.Chunk)
 	}
 	return &msg.Response{OK: true, Version: 7}, nil
+}
+
+func (p *stagingPeer) Exchange(addr string, req msg.Request, _ time.Duration) (msg.Response, error) {
+	return exchange(p, addr, req)
 }
 
 // TestPutChecksumsOnce: the frames of an upload carry the chunk sums of one

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+	"time"
 
 	"lesslog/internal/msg"
 )
@@ -13,7 +14,7 @@ import (
 // frame buffer the response owns, Release recycles it, and — under the
 // race detector — poisons it, so a chunk used after its release fails the
 // byte comparisons below.
-type wireDoer struct{ inner Doer }
+type wireDoer struct{ inner pointerDoer }
 
 func (w wireDoer) Do(addr string, req *msg.Request) (*msg.Response, error) {
 	resp, err := w.inner.Do(addr, req)
@@ -26,6 +27,10 @@ func (w wireDoer) Do(addr string, req *msg.Request) (*msg.Response, error) {
 	}
 	resp, _, err = msg.ReadResponseID(&wire)
 	return resp, err
+}
+
+func (w wireDoer) Exchange(addr string, req msg.Request, _ time.Duration) (msg.Response, error) {
+	return exchange(w, addr, req)
 }
 
 // TestFetchOwnershipOverWire: a multi-chunk transfer releases every chunk

@@ -60,20 +60,17 @@ type Source struct {
 	Addr string
 }
 
-// Doer is the transport dependency: one request/response exchange.
-// Satisfied by *transport.Transport; concurrent calls to the same address
-// ride the pooled pipelined connections as independent request-ID frames.
+// Doer is the transport dependency: one request/response exchange, the
+// request and the answer passed by value — through an interface a pointer
+// would put every fetch request on the heap. rpcTO is a deadline floor for
+// the exchange (transport.Transport.Exchange); 0 keeps the configured
+// deadline. The uploader stretches it with PullDeadline: the commit frame's
+// handler moves the whole payload to every subtree holder before it
+// answers, and data frames scale with their chunk. Satisfied by
+// *transport.Transport; concurrent calls to the same address ride the
+// pooled pipelined connections as independent request-ID frames.
 type Doer interface {
-	Do(addr string, req *msg.Request) (*msg.Response, error)
-}
-
-// TimeoutDoer is the optional deadline-bearing side of a Doer. The
-// uploader stretches each exchange's deadline with PullDeadline — the
-// commit frame's handler moves the whole payload to every subtree holder
-// before it answers; data frames scale with their chunk — while a Doer
-// without the method just runs under its flat configured deadline.
-type TimeoutDoer interface {
-	DoTimeout(addr string, req *msg.Request, rpcTO time.Duration) (*msg.Response, error)
+	Exchange(addr string, req msg.Request, rpcTO time.Duration) (msg.Response, error)
 }
 
 // PullDeadline sizes the RPC deadline for an exchange whose handler must
@@ -84,7 +81,7 @@ type TimeoutDoer interface {
 // floor is deliberately pessimistic — 2 MiB/s plus a flat base — because
 // this deadline is a stuck-peer bound, not a latency target: a healthy
 // transfer finishes orders of magnitude sooner, and transports configured
-// with a longer flat RPCTimeout keep it (DoTimeout floors at the config).
+// with a longer flat RPCTimeout keep it (Exchange floors at the config).
 func PullDeadline(total uint64) time.Duration {
 	return 10*time.Second + time.Duration(total>>20)*500*time.Millisecond
 }
@@ -176,29 +173,29 @@ func (t *transfer) evict(i int, hard bool) {
 // decoded chunk — not yet verified, land does that — and the response that
 // owns its bytes: Chunk points into resp.Data (resp.Version is the version
 // the holder served). A failed range releases its own response.
-func (t *transfer) fetchRange(i int, offset uint64, length uint32) (*msg.FetchResp, *msg.Response, error) {
+func (t *transfer) fetchRange(i int, offset uint64, length uint32) (*msg.FetchResp, msg.Response, error) {
 	data, err := msg.AppendFetchReq(nil, msg.FetchReq{Offset: offset, Length: length})
 	if err != nil {
-		return nil, nil, err
+		return nil, msg.Response{}, err
 	}
 	var flags uint8
 	if t.f.cfg.Replica {
 		flags = msg.FlagReplica
 	}
-	resp, err := t.f.tr.Do(t.sources[i].Addr, &msg.Request{
+	resp, err := t.f.tr.Exchange(t.sources[i].Addr, msg.Request{
 		Kind: msg.KindFetch, Name: t.name, Version: t.version, Flags: flags, Data: data,
-	})
+	}, 0)
 	if err != nil {
-		return nil, nil, err
+		return nil, msg.Response{}, err
 	}
 	if !resp.OK {
 		resp.Release()
-		return nil, nil, errors.New(resp.Err)
+		return nil, msg.Response{}, errors.New(resp.Err)
 	}
 	fr, err := msg.DecodeFetchResp(resp.Data)
 	if err != nil {
 		resp.Release()
-		return nil, nil, err
+		return nil, msg.Response{}, err
 	}
 	return fr, resp, nil
 }
@@ -255,7 +252,7 @@ func (t *transfer) runRange(offset uint64, length uint32) (uint32, error) {
 				return 0, fmt.Errorf("stream: range at %d answered %d bytes of total %d, want %d of %d",
 					offset, len(fr.Chunk), fr.TotalSize, length, total)
 			}
-			_, err = t.land(false, offset, fr, resp)
+			_, err = t.land(false, offset, fr, &resp)
 		}
 		if err == nil {
 			t.used[i].Store(true)
@@ -417,21 +414,21 @@ func (t *transfer) headChunk() (*msg.FetchResp, *msg.Response, error) {
 		i := (start + k) % n
 		fr, resp, err := t.fetchRange(i, 0, uint32(t.f.cfg.ChunkSize))
 		if err == nil {
-			served := resp.Version
 			var kept bool
-			if kept, err = t.land(true, 0, fr, resp); !kept {
-				resp = nil
-			}
-			if err == nil {
+			if kept, err = t.land(true, 0, fr, &resp); err == nil {
 				// Pin: zero-pin callers adopt the head's version; every body
 				// range (and head retries against other replicas under a
 				// caller pin) must match it exactly.
 				if t.version == 0 {
-					t.version = served
+					t.version = resp.Version
 				}
 				t.used[i].Store(true)
 				t.f.stats.ChunksFetched.Add(1)
-				return fr, resp, nil
+				if kept {
+					owner := resp
+					return fr, &owner, nil
+				}
+				return fr, nil, nil
 			}
 		}
 		if k > 0 {

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"lesslog/internal/msg"
 )
@@ -28,6 +29,24 @@ type fakeHolder struct {
 // fakeNet routes Do calls to fakeHolders by address.
 type fakeNet struct {
 	holders map[string]*fakeHolder
+}
+
+// pointerDoer is the shape the fakes answer in, the one transport.Do has;
+// exchange is their Doer side, the answer copied out by value.
+type pointerDoer interface {
+	Do(addr string, req *msg.Request) (*msg.Response, error)
+}
+
+func exchange(d pointerDoer, addr string, req msg.Request) (msg.Response, error) {
+	resp, err := d.Do(addr, &req)
+	if err != nil {
+		return msg.Response{}, err
+	}
+	return *resp, nil
+}
+
+func (n *fakeNet) Exchange(addr string, req msg.Request, _ time.Duration) (msg.Response, error) {
+	return exchange(n, addr, req)
 }
 
 func (n *fakeNet) Do(addr string, req *msg.Request) (*msg.Response, error) {
@@ -280,6 +299,10 @@ func TestFetchNoSpliceUnderUpdate(t *testing.T) {
 type doerFunc func(addr string, req *msg.Request) (*msg.Response, error)
 
 func (fn doerFunc) Do(addr string, req *msg.Request) (*msg.Response, error) { return fn(addr, req) }
+
+func (fn doerFunc) Exchange(addr string, req msg.Request, _ time.Duration) (msg.Response, error) {
+	return exchange(fn, addr, req)
+}
 
 // TestFetchChecksumDetectsCorruption flips one byte in a chunk body while
 // keeping the per-chunk CRC consistent, so only the whole-file CRC can

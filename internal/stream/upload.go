@@ -66,31 +66,24 @@ func NewUploader(tr Doer, cfg Config) *Uploader {
 func (u *Uploader) Stats() *UploadStats { return &u.stats }
 
 // putFrame sends one KindPut frame and classifies the answer. rpcTO > 0
-// stretches the exchange deadline when the transport supports it: data
-// frames scale it with the chunk they carry, and the commit frame with
-// the whole payload — its handler drives every subtree holder's pull of
-// the assembled body before answering. Only the fixed put header is
-// encoded here; the chunk rides as the request's Tail, so it goes from the
-// caller's payload to the socket without a copy.
+// stretches the exchange deadline: data frames scale it with the chunk they
+// carry, and the commit frame with the whole payload — its handler drives
+// every subtree holder's pull of the assembled body before answering. Only
+// the fixed put header is encoded here; the chunk rides as the request's
+// Tail, so it goes from the caller's payload to the socket without a copy.
 func (u *Uploader) putFrame(addr, name string, pr *msg.PutReq, rpcTO time.Duration) (*msg.Response, error) {
 	hdr, err := msg.AppendPutReqHeader(nil, pr)
 	if err != nil {
 		return nil, err
 	}
-	req := &msg.Request{Kind: msg.KindPut, Name: name, Data: hdr, Tail: pr.Chunk}
-	var resp *msg.Response
-	if td, ok := u.tr.(TimeoutDoer); ok && rpcTO > 0 {
-		resp, err = td.DoTimeout(addr, req, rpcTO)
-	} else {
-		resp, err = u.tr.Do(addr, req)
-	}
+	resp, err := u.tr.Exchange(addr, msg.Request{Kind: msg.KindPut, Name: name, Data: hdr, Tail: pr.Chunk}, rpcTO)
 	if err != nil {
 		return nil, err
 	}
 	if !resp.OK {
 		return nil, errors.New(resp.Err)
 	}
-	return resp, nil
+	return &resp, nil
 }
 
 // Put streams data to addr as a staged upload and commits it with op

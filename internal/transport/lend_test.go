@@ -20,17 +20,23 @@ import (
 var keptSink []byte
 
 // TestExchangeAllocBudget is the cost of one 4 KiB exchange end to end —
-// Transport.Do against ServeLoop over a loopback socket, both sides in this
-// process. With a handler that looks at Data and keeps nothing, the request
-// side allocates the Request and its name and no payload-sized object; the
-// response (here an echo, so 4 KiB again) is copied out once for the caller
-// who owns it. A handler that keeps Data adds exactly that copy.
+// Transport.Exchange against ServeLoop over a loopback socket, both sides
+// in this process. Neither envelope is on the heap: the server decodes into
+// a request its connection recycles, the caller's request is only read, and the answer
+// comes back by value. So with a handler that looks at Data and keeps
+// nothing (and answers with a response it already has — a handler's own
+// response literal is the handler's cost), the exchange allocates the
+// request's name and no payload-sized object. An echo adds the handler's
+// response and its Data copied out once for the caller who owns it; a
+// handler that keeps Data adds exactly that copy; the Do adapter adds the
+// one Response it returns.
 func TestExchangeAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	body := bytes.Repeat([]byte{0xC3}, 4<<10)
 	var mu sync.Mutex
+	answered := &msg.Response{OK: true}
 	addr := pipelinedServer(t, func(req *msg.Request) *msg.Response {
 		switch req.Name {
 		case "echo":
@@ -41,48 +47,65 @@ func TestExchangeAllocBudget(t *testing.T) {
 			keptSink = req.Data
 			mu.Unlock()
 		}
-		return &msg.Response{OK: true, Version: uint64(len(req.Data))}
+		return answered
 	}, ServeLoopOptions{})
 	tr := New(Config{}, nil)
 	defer tr.Close()
 
-	measure := func(name string) (allocs, bytesPer float64) {
+	exchange := func(req *msg.Request) (bool, error) {
+		resp, err := tr.Exchange(addr, *req, 0)
+		return resp.OK, err
+	}
+	do := func(req *msg.Request) (bool, error) {
+		resp, err := tr.Do(addr, req)
+		return err == nil && resp.OK, err
+	}
+	measure := func(name string, call func(*msg.Request) (bool, error)) (allocs, bytesPer float64) {
 		req := &msg.Request{Kind: msg.KindUpdate, Name: name, Data: body}
-		do := func() {
-			resp, err := tr.Do(addr, req)
-			if err != nil || !resp.OK {
+		one := func() {
+			if ok, err := call(req); err != nil || !ok {
 				t.Fatalf("%s: %v", name, err)
 			}
 		}
 		for i := 0; i < 64; i++ {
-			do() // warm the stream, the pools and the call slot
+			one() // warm the stream, the pools and the call slot
 		}
 		const runs = 400
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for i := 0; i < runs; i++ {
-			do()
+			one()
 		}
 		runtime.ReadMemStats(&after)
-		return float64(after.Mallocs-before.Mallocs) / runs, float64(after.TotalAlloc-before.TotalAlloc) / runs
+		// The mean is rounded: a run of 400 now and then counts a few
+		// allocations the runtime makes for itself.
+		return math.Round(float64(after.Mallocs-before.Mallocs) / runs), float64(after.TotalAlloc-before.TotalAlloc) / runs
 	}
 
-	// drop: Request + name at the server, Response at both ends. Nothing the
-	// size of the payload anywhere. The mean is rounded: a run of 400 now
-	// and then counts a few allocations the runtime makes for itself.
-	dropAllocs, dropBytes := measure("drop")
-	if math.Round(dropAllocs) > 4 || dropBytes > 1<<10 {
-		t.Errorf("4 KiB request, handler keeps nothing: %.1f allocs, %.0f B per exchange; want <= 4 allocs and no payload-sized object (< 1 KiB)", dropAllocs, dropBytes)
-	}
-	// echo: the same plus the response's Data copied out at the client.
-	echoAllocs, echoBytes := measure("echo")
-	if echoAllocs > dropAllocs+1.5 || echoBytes > dropBytes+4<<10+256 {
-		t.Errorf("4 KiB echo: %.1f allocs, %.0f B per exchange; want the no-keep exchange (%.1f, %.0f) plus one 4 KiB copy", echoAllocs, echoBytes, dropAllocs, dropBytes)
-	}
-	// keep: the same as drop plus the handler's private copy.
-	keepAllocs, keepBytes := measure("keep")
-	if keepAllocs > dropAllocs+1.5 || keepBytes < 4<<10 || keepBytes > dropBytes+4<<10+256 {
-		t.Errorf("4 KiB request, handler keeps Data: %.1f allocs, %.0f B per exchange; want the no-keep exchange (%.1f, %.0f) plus one 4 KiB copy", keepAllocs, keepBytes, dropAllocs, dropBytes)
+	// What the objects counted above take is a few hundred bytes at most;
+	// the rest of the byte budget is for a collection during the run, which
+	// empties the codec's buffer pool: refilling it is a 64 KiB buffer per
+	// side, ~160 B per exchange over a run.
+	const slack = 1 << 10
+	for _, tc := range []struct {
+		name     string
+		call     func(*msg.Request) (bool, error)
+		allocs   float64 // per exchange, at most
+		minBytes float64 // per exchange, at least: a copy that must be made
+		bytes    float64 // per exchange, at most
+		what     string
+	}{
+		{"drop", exchange, 1, 0, slack, "the name alone, nothing the size of the payload"},
+		{"drop", do, 2, 0, slack, "the name and the Do adapter's Response"},
+		{"echo", exchange, 3, 4 << 10, 4<<10 + slack, "the name, the handler's response and one 4 KiB copy"},
+		{"keep", exchange, 2, 4 << 10, 4<<10 + slack, "the name and the handler's 4 KiB copy"},
+	} {
+		allocs, bytesPer := measure(tc.name, tc.call)
+		if allocs > tc.allocs || bytesPer < tc.minBytes || bytesPer > tc.bytes {
+			t.Errorf("4 KiB %s exchange: %.0f allocs, %.0f B per exchange; want <= %.0f allocs and %.0f..%.0f B: %s",
+				tc.name, allocs, bytesPer, tc.allocs, tc.minBytes, tc.bytes, tc.what)
+		}
+		t.Logf("4 KiB %s: %.0f allocs, %.0f B per exchange", tc.name, allocs, bytesPer)
 	}
 }
 
@@ -164,6 +187,53 @@ func TestLentDataPoisonedAfterResponse(t *testing.T) {
 	}
 	if raceEnabled && bytes.Equal(borrowed, lentBody) {
 		t.Error("Data stored without Keep still reads as the request after its response: the lease's end did not poison it")
+	}
+}
+
+// TestServedRequestPoisonedAfterResponse is the failure mode of a handler
+// that holds its *msg.Request past returning, made loud: the request is the
+// connection's, so once the response is written it stops reading as what
+// was sent — cleared, then decoded into again for a later request, and
+// under the race detector poisoned first — while a struct copy the handler
+// took still does.
+func TestServedRequestPoisonedAfterResponse(t *testing.T) {
+	var mu sync.Mutex
+	var held *msg.Request
+	var copied msg.Request
+	addr := pipelinedServer(t, func(req *msg.Request) *msg.Response {
+		mu.Lock()
+		defer mu.Unlock()
+		if req.Name == "held" {
+			held = req
+			copied = *req
+			copied.Keep()
+		}
+		return &msg.Response{OK: true}
+	}, ServeLoopOptions{})
+	tr := New(Config{PoolSize: 1}, nil)
+	defer tr.Close()
+	sent := msg.Request{Kind: msg.KindStore, Name: "held", Version: 7, Data: bytes.Repeat([]byte{0x44}, 4<<10)}
+	if _, err := tr.Do(addr, &sent); err != nil {
+		t.Fatal(err)
+	}
+	// One request in flight at a time is decoded into the request the first
+	// was, handed back once the first lease ended.
+	if _, err := tr.Do(addr, &msg.Request{Kind: msg.KindGet, Name: "next"}); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if held == nil {
+		t.Fatal("the handler never saw the request")
+	}
+	if held.Name == sent.Name || held.Version == sent.Version || bytes.Equal(held.Data, sent.Data) {
+		t.Errorf("a request held past its response still reads as sent: %q v%d", held.Name, held.Version)
+	}
+	if raceEnabled && held.Name == "next" {
+		t.Error("a request held past its response reads as the next one, not poisoned")
+	}
+	if copied.Name != sent.Name || copied.Version != sent.Version || !bytes.Equal(copied.Data, sent.Data) {
+		t.Errorf("a struct copy taken (and kept) in the handler changed: %q v%d", copied.Name, copied.Version)
 	}
 }
 

@@ -30,7 +30,7 @@ type mux struct {
 	wmu sync.Mutex // serializes frame writes onto conn
 
 	mu      sync.Mutex
-	pending map[uint64]chan *msg.Response
+	pending map[uint64]chan msg.Response
 	nextID  uint64
 	dead    bool
 	err     error
@@ -44,22 +44,27 @@ type mux struct {
 }
 
 func newMux(conn net.Conn) *mux {
-	m := &mux{conn: conn, pending: map[uint64]chan *msg.Response{}}
+	m := &mux{conn: conn, pending: map[uint64]chan msg.Response{}}
 	go m.readLoop()
 	return m
 }
 
 // readLoop is the stream's only reader: it demultiplexes responses until
-// the stream dies, then wakes every waiter with the error.
+// the stream dies, then wakes every waiter with the error. Each response is
+// decoded into the loop's own value and handed over as a copy.
 func (m *mux) readLoop() {
 	br := bufio.NewReader(m.conn)
+	var resp msg.Response
 	for {
-		resp, id, err := msg.ReadResponseID(br)
+		f, err := msg.ReadFrame(br)
+		if err == nil {
+			err = f.DecodeResponse(&resp)
+		}
 		if err != nil {
 			m.fail(err)
 			return
 		}
-		if !m.deliver(resp, id) {
+		if !m.deliver(resp, f.ID) {
 			// A response nothing waits for means the stream lost sync;
 			// it cannot be trusted for another exchange.
 			m.fail(errMuxClosed)
@@ -70,7 +75,7 @@ func (m *mux) readLoop() {
 
 // deliver routes one response to its waiting call and reports whether a
 // caller was found.
-func (m *mux) deliver(resp *msg.Response, id uint64) bool {
+func (m *mux) deliver(resp msg.Response, id uint64) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	ch, ok := m.pending[id]
@@ -93,7 +98,7 @@ func (m *mux) fail(err error) {
 	m.dead = true
 	m.err = err
 	pending := m.pending
-	m.pending = map[uint64]chan *msg.Response{}
+	m.pending = map[uint64]chan msg.Response{}
 	m.mu.Unlock()
 	m.conn.Close()
 	for _, ch := range pending {
@@ -114,17 +119,17 @@ func (m *mux) lastErr() error {
 }
 
 // call is the per-exchange state of mux.do — the channel the reader hands
-// the response over on and the timer that bounds the wait — recycled
+// the response over on, by value, and the timer that bounds the wait — recycled
 // through callPool so a steady stream of exchanges allocates neither. A
 // slot goes back to the pool only after a response was received on it: a
 // timed-out or failed exchange leaves its channel closed (fail) or about to
 // be sent on (a late deliver), and is dropped for the collector instead.
 type call struct {
-	ch    chan *msg.Response // capacity 1: deliver never blocks on a caller that gave up
-	timer *time.Timer        // nil until the slot's first timed exchange; stopped and drained while pooled
+	ch    chan msg.Response // capacity 1: deliver never blocks on a caller that gave up
+	timer *time.Timer       // nil until the slot's first timed exchange; stopped and drained while pooled
 }
 
-var callPool = sync.Pool{New: func() any { return &call{ch: make(chan *msg.Response, 1)} }}
+var callPool = sync.Pool{New: func() any { return &call{ch: make(chan msg.Response, 1)} }}
 
 // arm starts the slot's timer and returns its channel. go.mod says 1.22, so
 // timer channels are the buffered kind and Reset is only correct on a timer
@@ -151,11 +156,11 @@ func (c *call) disarm() {
 // request, await the matched response under timeout (<= 0 waits forever).
 // A timeout kills the whole mux — the stream has an orphaned response in
 // flight and cannot be reused without desynchronizing every later call.
-func (m *mux) do(req *msg.Request, timeout time.Duration) (*msg.Response, error) {
+func (m *mux) do(req *msg.Request, timeout time.Duration) (msg.Response, error) {
 	m.mu.Lock()
 	if m.dead {
 		m.mu.Unlock()
-		return nil, m.lastErr()
+		return msg.Response{}, m.lastErr()
 	}
 	m.nextID++
 	id := m.nextID
@@ -175,7 +180,7 @@ func (m *mux) do(req *msg.Request, timeout time.Duration) (*msg.Response, error)
 	m.wmu.Unlock()
 	if err != nil {
 		m.fail(err)
-		return nil, err
+		return msg.Response{}, err
 	}
 
 	var expired <-chan time.Time
@@ -188,13 +193,13 @@ func (m *mux) do(req *msg.Request, timeout time.Duration) (*msg.Response, error)
 			c.disarm()
 		}
 		if !ok {
-			return nil, m.lastErr()
+			return msg.Response{}, m.lastErr()
 		}
 		callPool.Put(c)
 		return resp, nil
 	case <-expired:
 		m.fail(timeoutError{})
-		return nil, timeoutError{}
+		return msg.Response{}, timeoutError{}
 	}
 }
 
@@ -222,7 +227,7 @@ func DialMuxConn(addr string, dialTO, rpcTO time.Duration) (*ClientConn, error) 
 
 // Do performs one pipelined exchange. Safe for concurrent use.
 func (c *ClientConn) Do(req *msg.Request) (*msg.Response, error) {
-	return c.m.do(req, c.rpc)
+	return boxed(c.m.do(req, c.rpc))
 }
 
 // Close shuts the stream; in-flight exchanges fail.

@@ -40,26 +40,33 @@ type ServeLoopOptions struct {
 }
 
 // ServeLoop serves one accepted connection with per-connection request
-// pipelining: the calling goroutine reads frames and passes each request to
-// one of at most Workers long-lived workers, started as requests arrive and
-// ended with the connection. A worker handles one request at a time and
-// writes its response itself, under the connection's write lock — out of
-// request order when handlers finish out of order, each echoing its
-// request's ID — and flushes when no other response is waiting for the
-// lock. A frame without an ID is a protocol error that ends the connection
-// (msg.ErrNoFrameID).
+// pipelining: the calling goroutine reads and decodes requests and passes
+// each one to one of at most Workers long-lived workers, started as
+// requests arrive and ended with the connection. A worker handles one
+// request at a time and writes its response itself, under the connection's
+// write lock — out of request order when handlers finish out of order,
+// each echoing its request's ID — and flushes when no other response is
+// waiting for the lock. A frame without an ID is a protocol error that
+// ends the connection (msg.ErrNoFrameID), and so is one that does not
+// decode: nothing read after it is handled.
 //
 // handle must be safe for concurrent use and must return a non-nil
 // response. What it is given is lent, not handed over (docs/PIPELINE.md
-// "Buffer ownership"): the Data of a request of at most one read chunk
-// points into a pooled read buffer that ServeLoop takes back once the
-// response has been written — so the response may point into it, and a
-// handler that stores the bytes anywhere that outlives the exchange calls
-// msg.Request.Keep first. A request read off a larger frame holds that
-// frame's buffer (msg.Request.Release), which a handler that has copied the
-// payload out may release and ServeLoop never does — nor may the response
-// then point into it. ServeLoop returns when the connection dies and every
-// accepted request has been handled; the caller owns closing conn.
+// "Buffer ownership"): the *msg.Request is one of the connection's
+// Workers requests, decoded into again for a later request once its
+// response is written, so a handler must not hold it after returning — a
+// struct copy (prop := *req) is its own. The Data of a
+// request of at most one read chunk points into a pooled read buffer that
+// ServeLoop takes back once the response has been written — so the response
+// may point into it, and a handler that stores the bytes anywhere that
+// outlives the exchange calls msg.Request.Keep first. A request read off a
+// larger frame holds that frame's buffer (msg.Request.Release), which a
+// handler that has copied the payload out may release and ServeLoop never
+// does — nor may the response then point into it. A response whose Err is
+// longer than msg.MaxName goes out with it cut to that length: an error
+// that quotes a long name still reaches the caller, and the connection
+// survives. ServeLoop returns when the connection dies and every accepted
+// request has been handled; the caller owns closing conn.
 func ServeLoop(conn net.Conn, handle func(*msg.Request) *msg.Response, opts ServeLoopOptions) {
 	workers := opts.Workers
 	if workers <= 0 {
@@ -72,25 +79,34 @@ func ServeLoop(conn net.Conn, handle func(*msg.Request) *msg.Response, opts Serv
 			return inner(req)
 		}
 	}
-	s := &served{conn: conn, handle: handle, opts: opts, bw: bufio.NewWriter(conn), jobs: make(chan job)}
+	s := &served{conn: conn, handle: handle, opts: opts, bw: bufio.NewWriter(conn),
+		jobs: make(chan job), free: make(chan *msg.Request, workers)}
 	br := bufio.NewReader(conn)
 	started := 0
 	for {
-		req, lease, id, err := msg.ReadRequestLent(br)
+		f, err := msg.ReadFrame(br)
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
 				s.protoErr(err)
 			}
 			break
 		}
-		// Every started worker busy: start another, up to the cap; at the cap
-		// the send waits for a worker to answer.
+		// Every started worker busy: start another, with a request of its
+		// own to decode into, up to the cap; at the cap the reader waits for
+		// a worker to answer and hand its request back.
 		if int(s.busy.Add(1)) > started && started < workers {
 			started++
+			s.free <- new(msg.Request)
 			s.workers.Add(1)
 			go s.work()
 		}
-		s.jobs <- job{req, lease, id}
+		req := <-s.free
+		lease, err := f.DecodeRequest(req)
+		if err != nil {
+			s.protoErr(err)
+			break
+		}
+		s.jobs <- job{req, lease, f.ID}
 	}
 	close(s.jobs)
 	s.workers.Wait()
@@ -101,7 +117,8 @@ type served struct {
 	conn    net.Conn
 	handle  func(*msg.Request) *msg.Response
 	opts    ServeLoopOptions
-	jobs    chan job // read requests, to an idle worker
+	jobs    chan job          // decoded requests, to an idle worker
+	free    chan *msg.Request // requests answered, to decode the next into
 	workers sync.WaitGroup
 	busy    atomic.Int32 // requests read and not yet answered
 
@@ -110,7 +127,7 @@ type served struct {
 	waiting atomic.Int32 // responses waiting for wmu
 }
 
-// job is one read request with the lease on its read buffer.
+// job is one decoded request with its lease (msg.Frame.DecodeRequest).
 type job struct {
 	req   *msg.Request
 	lease msg.Lease
@@ -123,7 +140,8 @@ func (s *served) protoErr(err error) {
 	}
 }
 
-// work is one worker: it answers requests until the reader stops.
+// work is one worker: it answers requests until the reader stops, handing
+// each request back to the reader once its lease has ended.
 func (s *served) work() {
 	defer s.workers.Done()
 	for j := range s.jobs {
@@ -135,14 +153,20 @@ func (s *served) work() {
 			s.opts.Depth.Add(-1)
 		}
 		s.write(resp, j)
+		s.free <- j.req
 	}
 }
 
 // write frames j's response under the write lock. It is also where the
 // request's lease ends: once the response is encoded into the write buffer
-// (or the socket) nothing points into the request's read buffer any more.
-// A failed write closes the connection, which stops the reader.
+// (or the socket) nothing points into the request or its read buffer any
+// more. A failed write closes the connection, which stops the reader.
 func (s *served) write(resp *msg.Response, j job) {
+	if len(resp.Err) > msg.MaxName {
+		cut := *resp // the handler's response may be shared
+		cut.Err = cut.Err[:msg.MaxName]
+		resp = &cut
+	}
 	s.waiting.Add(1)
 	s.wmu.Lock()
 	s.waiting.Add(-1)

@@ -1,6 +1,8 @@
 package transport
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"io"
@@ -153,6 +155,80 @@ func TestUnIDdFrameRefused(t *testing.T) {
 	defer tr.Close()
 	if resp, err := tr.Do(srv.Addr(), &msg.Request{Kind: msg.KindGet, Name: "ok"}); err != nil || string(resp.Data) != "ok" {
 		t.Fatalf("ID'd exchange after the refusals: %+v, %v", resp, err)
+	}
+}
+
+// TestCorruptFrameStopsPipeline: a frame that does not decode ends the
+// connection in order. A request pipelined before it is still handled and
+// answered; a write pipelined after it, already sent in the same segment,
+// is never handled — the reader decodes before it hands on, so it stops at
+// the corrupt frame however many workers are idle.
+func TestCorruptFrameStopsPipeline(t *testing.T) {
+	release := make(chan struct{})
+	var mu sync.Mutex
+	var handled []string
+	protoErrs := make(chan error, 4)
+	srv, err := Listen("127.0.0.1:0", func(req *msg.Request) *msg.Response {
+		mu.Lock()
+		handled = append(handled, req.Name)
+		mu.Unlock()
+		if req.Name == "before" {
+			<-release
+		}
+		return &msg.Response{OK: true}
+	}, ServeLoopOptions{Workers: 8, OnProtoError: func(err error) { protoErrs <- err }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	var segment bytes.Buffer
+	if err := msg.WriteRequestID(&segment, &msg.Request{Kind: msg.KindGet, Name: "before"}, 1); err != nil {
+		t.Fatal(err)
+	}
+	// An ID'd frame whose one-byte payload is shorter than any request.
+	segment.Write(binary.BigEndian.AppendUint32(nil, 1|msg.FrameIDBit))
+	segment.Write(binary.BigEndian.AppendUint64(nil, 2))
+	segment.WriteByte(byte(msg.KindUpdate))
+	if err := msg.WriteRequestID(&segment, &msg.Request{Kind: msg.KindUpdate, Name: "after", Data: []byte("v2")}, 3); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(segment.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-protoErrs:
+		if !errors.Is(err, msg.ErrCorrupt) {
+			t.Errorf("protocol error = %v, want msg.ErrCorrupt", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("no protocol error reported")
+	}
+	close(release)
+
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	br := bufio.NewReader(conn)
+	resp, id, err := msg.ReadResponseID(br)
+	if err != nil || id != 1 || !resp.OK {
+		t.Fatalf("answer to the request before the corrupt frame: id %d, %+v, %v", id, resp, err)
+	}
+	if _, id, err := msg.ReadResponseID(br); err == nil {
+		t.Errorf("an answer (id %d) after the corrupt frame's", id)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(handled) != 1 || handled[0] != "before" {
+		t.Errorf("handled %q, want only the request before the corrupt frame", handled)
+	}
+	select {
+	case err := <-protoErrs:
+		t.Errorf("a second protocol error: %v", err)
+	default:
 	}
 }
 

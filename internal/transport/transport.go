@@ -242,25 +242,39 @@ func Idempotent(k msg.Kind) bool {
 // cfg.Retries times with capped exponential backoff and jitter. Injected
 // faults for (addr, kind) apply to every attempt. The caller owns the
 // response, including the frame buffer a large one holds
-// (msg.Response.Release).
+// (msg.Response.Release). Do is Exchange for a caller that wants the answer
+// on the heap.
 func (t *Transport) Do(addr string, req *msg.Request) (*msg.Response, error) {
-	return t.DoTimeout(addr, req, 0)
+	return boxed(t.Exchange(addr, *req, 0))
 }
 
-// DoTimeout is Do with a per-exchange deadline floor: each attempt runs
-// under max(rpcTO, Config.RPCTimeout). It exists for exchanges whose
-// handler must move payload bytes before it can answer — a chunked-put
-// commit pulls the whole body to every subtree holder, a notify delivery
-// pulls it once — where a flat RPC deadline sized for control traffic
-// would declare a healthy transfer dead (docs/ROUTING.md "The write
-// plane"). rpcTO <= Config.RPCTimeout (including 0) selects the
-// configured deadline unchanged.
-func (t *Transport) DoTimeout(addr string, req *msg.Request, rpcTO time.Duration) (*msg.Response, error) {
+// boxed moves a by-value answer to the heap for the pointer-returning
+// adapters (Do, ClientConn.Do).
+func boxed(resp msg.Response, err error) (*msg.Response, error) {
+	if err != nil {
+		return nil, err
+	}
+	return &resp, nil
+}
+
+// Exchange is the one exchange path, Do by value: the request is the
+// caller's and is only read, the response is returned in the caller's
+// frame, so an exchange whose caller reads its answer and moves on puts no
+// envelope on the heap. rpcTO is a per-exchange deadline floor: each
+// attempt runs under max(rpcTO, Config.RPCTimeout). It exists for exchanges
+// whose handler must move payload bytes before it can answer — a
+// chunked-put commit pulls the whole body to every subtree holder, a notify
+// delivery pulls it once — where a flat RPC deadline sized for control
+// traffic would declare a healthy transfer dead (docs/ROUTING.md "The write
+// plane"). rpcTO <= Config.RPCTimeout (including 0) selects the configured
+// deadline unchanged.
+func (t *Transport) Exchange(addr string, req msg.Request, rpcTO time.Duration) (msg.Response, error) {
 	if rpcTO < t.cfg.RPCTimeout {
 		rpcTO = t.cfg.RPCTimeout
 	}
 	start := time.Now()
-	defer func() { t.latency[kindIndex(req.Kind)].ObserveDuration(time.Since(start)) }()
+	kind := kindIndex(req.Kind)
+	defer func() { t.latency[kind].ObserveDuration(time.Since(start)) }()
 	attempts := 1
 	if Idempotent(req.Kind) {
 		attempts += t.cfg.Retries
@@ -271,7 +285,7 @@ func (t *Transport) DoTimeout(addr string, req *msg.Request, rpcTO time.Duration
 			t.counters.Retries.Inc()
 			time.Sleep(t.backoff(attempt))
 		}
-		resp, err := t.exchange(addr, req, rpcTO)
+		resp, err := t.attempt(addr, &req, rpcTO)
 		if err == nil {
 			return resp, nil
 		}
@@ -281,21 +295,21 @@ func (t *Transport) DoTimeout(addr string, req *msg.Request, rpcTO time.Duration
 		}
 	}
 	t.counters.Failures.Inc()
-	return nil, lastErr
+	return msg.Response{}, lastErr
 }
 
-// exchange runs a single attempt: fault gate, stream acquisition, one
+// attempt is one try of an exchange: fault gate, stream acquisition, one
 // multiplexed write+read under the RPC deadline. A reused stream that
 // fails is replaced by a fresh dial once — a pooled stream may have been
 // closed by the peer between exchanges, which is not the peer's failure.
-func (t *Transport) exchange(addr string, req *msg.Request, rpcTO time.Duration) (*msg.Response, error) {
+func (t *Transport) attempt(addr string, req *msg.Request, rpcTO time.Duration) (msg.Response, error) {
 	if err := t.faults.apply(addr, req.Kind, rpcTO); err != nil {
 		t.counters.Faults.Inc()
-		return nil, err
+		return msg.Response{}, err
 	}
 	m, reused, err := t.acquireMux(addr)
 	if err != nil {
-		return nil, err
+		return msg.Response{}, err
 	}
 	resp, err := t.doOn(addr, m, req, rpcTO)
 	if err == nil || !reused {
@@ -304,18 +318,18 @@ func (t *Transport) exchange(addr string, req *msg.Request, rpcTO time.Duration)
 	// The pooled stream was stale; one fresh dial before giving up.
 	t.counters.Reconnects.Inc()
 	if m, err = t.dialMux(addr); err != nil {
-		return nil, err
+		return msg.Response{}, err
 	}
 	return t.doOn(addr, m, req, rpcTO)
 }
 
 // doOn performs one exchange on an acquired stream and ends its use of it:
 // released on success, discarded on failure.
-func (t *Transport) doOn(addr string, m *mux, req *msg.Request, rpcTO time.Duration) (*msg.Response, error) {
+func (t *Transport) doOn(addr string, m *mux, req *msg.Request, rpcTO time.Duration) (msg.Response, error) {
 	resp, err := m.do(req, rpcTO)
 	if err != nil {
 		t.discardMux(addr, m)
-		return nil, err
+		return msg.Response{}, err
 	}
 	t.releaseMux(m)
 	return resp, nil
@@ -325,7 +339,7 @@ func (t *Transport) doOn(addr string, m *mux, req *msg.Request, rpcTO time.Durat
 // least-loaded once the pool is at PoolSize — or dials a fresh stream when
 // every pooled one is busy and the cap leaves room. A dead pooled stream
 // can be picked; its exchange fails fast and the reconnect path in
-// exchange replaces it, preserving the reuse/reconnect accounting.
+// attempt replaces it, preserving the reuse/reconnect accounting.
 func (t *Transport) acquireMux(addr string) (m *mux, reused bool, err error) {
 	t.mu.Lock()
 	list := t.muxes[addr]
