@@ -10,18 +10,20 @@ package gateway
 // gateway. Expired entries are kept until capacity evicts them: an entry
 // that still satisfies the floor is the fallback when the fabric briefly
 // answers with an older version than a write this gateway acknowledged.
+// The entries live in an array-backed LRU (internal/lru) whose evicted
+// slots take the next fill, so a fill at capacity — every miss of a working
+// set larger than the cache — allocates nothing of the cache's own.
 
 import (
-	"container/list"
 	"sync"
 	"time"
 
+	"lesslog/internal/lru"
 	"lesslog/internal/metrics"
 )
 
 // entry is one cached file version.
 type entry struct {
-	name     string
 	data     []byte
 	version  uint64
 	servedBy uint32
@@ -43,9 +45,8 @@ type versionCache struct {
 	mu      sync.Mutex
 	cap     int
 	ttl     time.Duration
-	entries map[string]*list.Element // of *entry
-	lru     *list.List               // front = most recently used
-	floors  map[string]uint64        // min acceptable version per name
+	entries *lru.LRU[string, entry]
+	floors  map[string]uint64 // min acceptable version per name
 	c       cacheCounters
 }
 
@@ -56,8 +57,7 @@ func newVersionCache(capacity int, ttl time.Duration) *versionCache {
 	return &versionCache{
 		cap:     capacity,
 		ttl:     ttl,
-		entries: map[string]*list.Element{},
-		lru:     list.New(),
+		entries: lru.New[string, entry](capacity),
 		floors:  map[string]uint64{},
 	}
 }
@@ -68,18 +68,16 @@ func newVersionCache(capacity int, ttl time.Duration) *versionCache {
 func (vc *versionCache) get(name string) (e entry, fresh, ok bool) {
 	vc.mu.Lock()
 	defer vc.mu.Unlock()
-	el, present := vc.entries[name]
+	ent, present := vc.entries.Get(name)
 	if !present {
 		return entry{}, false, false
 	}
-	ent := el.Value.(*entry)
 	if ent.version < vc.floors[name] {
 		// A floor raised after the fill; the entry is dead weight.
-		vc.removeLocked(el)
+		vc.entries.Remove(name)
 		vc.c.invalidations.Inc()
 		return entry{}, false, false
 	}
-	vc.lru.MoveToFront(el)
 	return *ent, time.Now().Before(ent.expires), true
 }
 
@@ -113,7 +111,7 @@ func (vc *versionCache) ackUpdate(name string, data []byte, version uint64) {
 	if vc.cap <= 0 {
 		return
 	}
-	if el, present := vc.entries[name]; present && el.Value.(*entry).version >= version {
+	if ent, present := vc.entries.Peek(name); present && ent.version >= version {
 		return // already newer
 	}
 	vc.insertLocked(name, data, version, 0, 0)
@@ -130,30 +128,31 @@ func (vc *versionCache) ackInsert(name string, data []byte, version uint64) {
 	if vc.cap <= 0 {
 		return
 	}
-	if el, present := vc.entries[name]; present {
-		vc.removeLocked(el)
+	if _, present := vc.entries.Remove(name); present {
 		vc.c.invalidations.Inc()
 	}
 	vc.insertLocked(name, data, version, 0, 0)
 }
 
-// ackDelete records an acknowledged delete: the entry is dropped and the
-// floor rises past the deleted version, so an in-flight read of the dead
-// data cannot re-fill the cache behind the delete.
-func (vc *versionCache) ackDelete(name string) {
+// ackDelete records an acknowledged delete, whose tombstone the fabric
+// stamped at version tomb: the entry is dropped and the floor rises past
+// both the tombstone and the deleted version, so an in-flight read of the
+// dead data cannot re-fill the cache behind the delete — also for a name
+// this gateway never wrote, or last saw at a version older than the one
+// deleted.
+func (vc *versionCache) ackDelete(name string, tomb uint64) {
 	vc.mu.Lock()
 	defer vc.mu.Unlock()
 	floor := vc.floors[name]
-	if el, present := vc.entries[name]; present {
-		if v := el.Value.(*entry).version; v >= floor {
-			floor = v + 1
+	if ent, present := vc.entries.Remove(name); present {
+		if ent.version >= floor {
+			floor = ent.version + 1
 		}
-		vc.removeLocked(el)
 		vc.c.invalidations.Inc()
 	} else if floor > 0 {
 		floor++
 	}
-	vc.floors[name] = floor
+	vc.floors[name] = max(floor, tomb+1)
 }
 
 // floor returns the current version floor for name.
@@ -167,33 +166,15 @@ func (vc *versionCache) floor(name string) uint64 {
 func (vc *versionCache) len() int {
 	vc.mu.Lock()
 	defer vc.mu.Unlock()
-	return len(vc.entries)
+	return vc.entries.Len()
 }
 
 // insertLocked installs or refreshes an entry and evicts past capacity.
 // Floors outlive their entries deliberately: eviction forgets data, never
 // write ordering.
 func (vc *versionCache) insertLocked(name string, data []byte, version uint64, servedBy, hops uint32) {
-	if el, present := vc.entries[name]; present {
-		ent := el.Value.(*entry)
-		ent.data, ent.version, ent.servedBy, ent.hops = data, version, servedBy, hops
-		ent.expires = time.Now().Add(vc.ttl)
-		vc.lru.MoveToFront(el)
-		return
-	}
-	el := vc.lru.PushFront(&entry{
-		name: name, data: data, version: version,
-		servedBy: servedBy, hops: hops, expires: time.Now().Add(vc.ttl),
-	})
-	vc.entries[name] = el
-	for vc.lru.Len() > vc.cap {
-		vc.removeLocked(vc.lru.Back())
+	e := entry{data: data, version: version, servedBy: servedBy, hops: hops, expires: time.Now().Add(vc.ttl)}
+	if _, _, evicted := vc.entries.Put(name, e); evicted {
 		vc.c.evictions.Inc()
 	}
-}
-
-// removeLocked unlinks one element from both indexes.
-func (vc *versionCache) removeLocked(el *list.Element) {
-	vc.lru.Remove(el)
-	delete(vc.entries, el.Value.(*entry).name)
 }

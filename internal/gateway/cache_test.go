@@ -72,7 +72,7 @@ func TestCacheAckUpdateIsMonotonic(t *testing.T) {
 func TestCacheAckInsertResetsGeneration(t *testing.T) {
 	vc := newVersionCache(8, time.Minute)
 	vc.ackUpdate("f", []byte("v9"), 9)
-	vc.ackDelete("f")
+	vc.ackDelete("f", 0)
 	if _, _, ok := vc.get("f"); ok {
 		t.Fatal("deleted entry still served")
 	}
@@ -95,12 +95,41 @@ func TestCacheDeleteWithoutEntryStillBlocksRefill(t *testing.T) {
 	vc.ackUpdate("f", nil, 5)
 	// Entry evicted before the delete lands.
 	vc.mu.Lock()
-	vc.removeLocked(vc.entries["f"])
+	vc.entries.Remove("f")
 	vc.mu.Unlock()
-	vc.ackDelete("f")
+	vc.ackDelete("f", 0)
 	if vc.put("f", []byte("zombie"), 5, 0, 0) {
 		t.Fatal("pre-delete data refilled the cache after an acknowledged delete")
 	}
+}
+
+// TestCacheDeleteFencesTombstonedVersions: a delete's floor covers every
+// version its tombstone deleted, not only the ones this gateway saw — a
+// fill that raced the delete with an older body is refused.
+func TestCacheDeleteFencesTombstonedVersions(t *testing.T) {
+	t.Run("never written here", func(t *testing.T) {
+		vc := newVersionCache(8, time.Minute)
+		vc.ackDelete("f", 6) // v5 deleted elsewhere, tombstone v6
+		if vc.put("f", []byte("v5"), 5, 0, 0) {
+			t.Fatal("fill of the deleted v5 accepted after the delete")
+		}
+		if got := vc.floor("f"); got != 7 {
+			t.Fatalf("floor = %d, want 7 (past the tombstone)", got)
+		}
+	})
+	t.Run("updated elsewhere", func(t *testing.T) {
+		vc := newVersionCache(8, time.Minute)
+		if !vc.put("f", []byte("v3"), 3, 0, 0) {
+			t.Fatal("fill refused with no floor")
+		}
+		vc.ackDelete("f", 9) // v8 written through another gateway, tombstone v9
+		if vc.put("f", []byte("v8"), 8, 0, 0) {
+			t.Fatal("fill of the deleted v8 accepted after the delete")
+		}
+		if !vc.put("f", []byte("v10"), 10, 0, 0) {
+			t.Fatal("fill past the tombstone refused")
+		}
+	})
 }
 
 func TestCacheDisabledStillEnforcesFloors(t *testing.T) {
@@ -134,7 +163,7 @@ func TestCacheConcurrentAccess(t *testing.T) {
 					vc.ackUpdate(name, []byte("y"), uint64(i+1))
 				}
 				if i%61 == 0 {
-					vc.ackDelete(name)
+					vc.ackDelete(name, 0)
 				}
 			}
 		}(w)

@@ -535,7 +535,7 @@ func (g *Gateway) writeTraced(kind msg.Kind, name string, data []byte, traceID u
 		g.cache.ackUpdate(name, data, resp.Version)
 		g.counters.Updates.Inc()
 	case msg.KindDelete:
-		g.cache.ackDelete(name)
+		g.cache.ackDelete(name, resp.Version)
 		g.counters.Deletes.Inc()
 	}
 	return WriteResult{Copies: int(resp.Hops), Version: resp.Version}, resp.Path, nil

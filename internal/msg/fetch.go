@@ -102,22 +102,51 @@ func AppendFetchResp(b []byte, r *FetchResp) ([]byte, error) {
 // DecodeFetchResp parses a KindFetch response payload. Chunk points into
 // b — the Response.Data it was decoded from — and lives exactly as long.
 func DecodeFetchResp(b []byte) (*FetchResp, error) {
-	r := &FetchResp{}
+	r, err := decodeFetchResp(b, nil)
+	if err != nil {
+		return nil, err
+	}
+	return &r, nil
+}
+
+// DecodeFetchAnswer parses the payload of a KindFetch answer in either shape
+// it arrives in: whole in Data, or split by Frame.DecodeResponse — and built
+// by a holder — as the fixed header in Data and the chunk in Tail. Chunk
+// points into the response and lives exactly as long. The answer comes back
+// by value, so a caller that reads it and moves on puts nothing on the heap.
+func DecodeFetchAnswer(resp *Response) (FetchResp, error) {
+	return decodeFetchResp(resp.Data, resp.Tail)
+}
+
+// decodeFetchResp parses a KindFetch payload b, or — with chunk non-empty —
+// the header b of one whose chunk was split off into chunk: b must then end
+// with the chunk's length prefix, and the prefix must say len(chunk).
+func decodeFetchResp(b, chunk []byte) (FetchResp, error) {
+	var r FetchResp
 	var err error
 	if r.TotalSize, b, err = takeUint64(b); err != nil {
-		return nil, err
+		return FetchResp{}, err
 	}
 	if r.FileCRC, b, err = takeUint32(b); err != nil {
-		return nil, err
+		return FetchResp{}, err
 	}
 	if r.ChunkCRC, b, err = takeUint32(b); err != nil {
-		return nil, err
+		return FetchResp{}, err
 	}
-	if r.Chunk, b, err = aliasBytes(b, MaxChunkBytes); err != nil {
-		return nil, err
+	if len(chunk) == 0 {
+		r.Chunk, b, err = aliasBytes(b, MaxChunkBytes)
+	} else {
+		var n uint32
+		if n, b, err = takeUint32(b); err == nil && (int(n) != len(chunk) || n > MaxChunkBytes) {
+			err = ErrCorrupt
+		}
+		r.Chunk = chunk
+	}
+	if err != nil {
+		return FetchResp{}, err
 	}
 	if len(b) != 0 || r.TotalSize > MaxFileSize || uint64(len(r.Chunk)) > r.TotalSize {
-		return nil, ErrCorrupt
+		return FetchResp{}, ErrCorrupt
 	}
 	return r, nil
 }
@@ -156,6 +185,18 @@ func AppendHolders(b []byte, hs []Holder) ([]byte, error) {
 
 // DecodeHolders parses a KindLocateSet response payload.
 func DecodeHolders(b []byte) ([]Holder, error) {
+	return DecodeHoldersFunc(b, func(pid uint32, addr []byte, version uint64) Holder {
+		return Holder{PID: pid, Addr: string(addr), Version: version}
+	})
+}
+
+// DecodeHoldersFunc parses a KindLocateSet response payload straight into
+// the caller's own record type: mk builds one T per holder, in answer
+// order, and the slice is allocated once, at the count the answer declares.
+// addr is a view of b, valid only for the call — mk copies it, or finds an
+// equal string it already holds. A payload that does not decode returns
+// no slice.
+func DecodeHoldersFunc[T any](b []byte, mk func(pid uint32, addr []byte, version uint64) T) ([]T, error) {
 	n, b, err := takeUint32(b)
 	if err != nil {
 		return nil, err
@@ -163,22 +204,24 @@ func DecodeHolders(b []byte) ([]Holder, error) {
 	if n == 0 || n > MaxHolders {
 		return nil, ErrCorrupt
 	}
-	hs := make([]Holder, 0, n)
+	out := make([]T, 0, n)
 	for i := uint32(0); i < n; i++ {
-		var h Holder
-		if h.PID, b, err = takeUint32(b); err != nil {
+		var pid uint32
+		var addr []byte
+		var version uint64
+		if pid, b, err = takeUint32(b); err != nil {
 			return nil, err
 		}
-		if h.Addr, b, err = takeString(b, MaxName); err != nil {
+		if addr, b, err = aliasBytes(b, MaxName); err != nil {
 			return nil, err
 		}
-		if h.Version, b, err = takeUint64(b); err != nil {
+		if version, b, err = takeUint64(b); err != nil {
 			return nil, err
 		}
-		hs = append(hs, h)
+		out = append(out, mk(pid, addr, version))
 	}
 	if len(b) != 0 {
 		return nil, ErrCorrupt
 	}
-	return hs, nil
+	return out, nil
 }

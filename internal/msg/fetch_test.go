@@ -1,6 +1,7 @@
 package msg
 
 import (
+	"bufio"
 	"bytes"
 	"testing"
 )
@@ -199,6 +200,66 @@ func FuzzDecodeHolders(f *testing.F) {
 		}
 		if !bytes.Equal(re, data) {
 			t.Fatalf("holders not canonical")
+		}
+	})
+}
+
+// FuzzFetchAnswerSplit holds the split decode of a KindFetch answer
+// (Frame.DecodeResponse with the request's kind) to DecodeFetchResp on the
+// same payload, off small and large frames, for answers and refusals
+// alike: Data‖Tail is the payload byte for byte, the answer re-encodes to
+// the frame it was read from, and DecodeFetchAnswer accepts exactly what
+// DecodeFetchResp accepts, with the same fields and chunk.
+func FuzzFetchAnswerSplit(f *testing.F) {
+	for _, n := range []int{0, 1, 4096, readChunk + 100} {
+		p, _ := AppendFetchResp(nil, &FetchResp{TotalSize: uint64(n) + 7, FileCRC: 1, ChunkCRC: 2, Chunk: make([]byte, n)})
+		f.Add(p, true)
+	}
+	f.Add([]byte{}, false)
+	f.Add(make([]byte, fetchRespWire+3), true) // chunk prefix 0, three bytes after it
+	f.Fuzz(func(t *testing.T, payload []byte, ok bool) {
+		if len(payload) > MaxData {
+			return
+		}
+		sent := &Response{OK: ok, ServedBy: 2, Version: 9, Data: payload}
+		if !ok {
+			sent.Err = NotHolderError
+		}
+		var wire bytes.Buffer
+		if err := WriteResponseID(&wire, sent, 5); err != nil {
+			t.Fatal(err)
+		}
+		framed := append([]byte(nil), wire.Bytes()...)
+		fr, err := ReadFrame(bufio.NewReader(&wire))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got Response
+		if err := fr.DecodeResponse(&got, KindFetch); err != nil {
+			t.Fatal(err)
+		}
+		defer got.Release()
+		if whole := append(append([]byte{}, got.Data...), got.Tail...); !bytes.Equal(whole, payload) {
+			t.Fatalf("Data‖Tail is not the payload: %d+%d bytes for %d", len(got.Data), len(got.Tail), len(payload))
+		}
+		if len(got.Tail) > 0 && len(got.Data) != fetchRespWire {
+			t.Fatalf("split after %d bytes, want after the %d-byte fetch header", len(got.Data), fetchRespWire)
+		}
+		var again bytes.Buffer
+		if err := WriteResponseID(&again, &got, 5); err != nil || !bytes.Equal(again.Bytes(), framed) {
+			t.Fatalf("split answer does not re-encode to its frame (err %v)", err)
+		}
+		want, wantErr := DecodeFetchResp(payload)
+		split, splitErr := DecodeFetchAnswer(&got)
+		if (wantErr == nil) != (splitErr == nil) {
+			t.Fatalf("acceptance differs: whole %v, split %v", wantErr, splitErr)
+		}
+		if wantErr != nil {
+			return
+		}
+		if split.TotalSize != want.TotalSize || split.FileCRC != want.FileCRC || split.ChunkCRC != want.ChunkCRC ||
+			!bytes.Equal(split.Chunk, want.Chunk) {
+			t.Fatalf("split decode %+v differs from whole decode %+v", split, *want)
 		}
 	})
 }

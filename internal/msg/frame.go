@@ -143,11 +143,12 @@ func (r *Request) Release() {
 	}
 }
 
-// Release is Request.Release for a response: FetchResp.Chunk decoded from
-// Data dies with it.
+// Release is Request.Release for a response: Data and Tail — a split
+// fetch answer's chunk views the same buffer — and the FetchResp.Chunk
+// decoded from them die with it.
 func (resp *Response) Release() {
 	if resp.frame != nil {
 		frames.put(resp.frame)
-		resp.frame, resp.Data = nil, nil
+		resp.frame, resp.Data, resp.Tail = nil, nil, nil
 	}
 }

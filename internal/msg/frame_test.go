@@ -177,7 +177,7 @@ func TestSmallFrameAllocBudget(t *testing.T) {
 			WriteResponseID(&wire, resp, 1)
 			f, err := ReadFrame(br)
 			if err == nil {
-				err = f.DecodeResponse(&answer)
+				err = f.DecodeResponse(&answer, 0)
 			}
 			if err != nil || answer.frame != nil || !bytes.Equal(answer.Data, body) {
 				t.Fatalf("small response: err %v, owns a frame: %v", err, answer.frame != nil)
@@ -607,7 +607,7 @@ func FuzzAliasingDecodeMatchesCopying(f *testing.F) {
 		if asResponse {
 			want, wantErr := DecodeResponse(payload)
 			got := new(Response)
-			gotErr := decodeResponse(got, payload, true)
+			gotErr := decodeResponse(got, payload, true, 0)
 			read, _, readErr := ReadResponseID(bytes.NewReader(framed))
 			if (wantErr == nil) != (gotErr == nil) || (wantErr == nil) != (readErr == nil) {
 				t.Fatalf("acceptance differs: copying %v, aliasing %v, stream %v", wantErr, gotErr, readErr)

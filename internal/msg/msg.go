@@ -24,6 +24,7 @@ package msg
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -423,8 +424,11 @@ type Response struct {
 	Err      string
 	Data     []byte
 	// Tail is the scatter-write twin of Request.Tail: the wire carries
-	// Data‖Tail under one length prefix (AppendFetchRespHeader), and
-	// decoders never set it.
+	// Data‖Tail under one length prefix (AppendFetchRespHeader). Decoders
+	// set it only on the answer to a KindFetch (Frame.DecodeResponse): Data
+	// is then the fixed fetch header and Tail the chunk, each an allocation
+	// of its own size — or, off a large frame, a view of its own — and
+	// DecodeFetchAnswer reads that shape and the one-field shape alike.
 	Tail []byte
 	// Path is the completed route of a traced request: the request's
 	// accumulated hops plus the serving node's own record. Intermediate
@@ -595,6 +599,26 @@ func takeData(b []byte, alias bool) ([]byte, []byte, error) {
 	return takeBytes(b, MaxData)
 }
 
+// splitFetch takes a KindFetch answer's data field as two: the fixed fetch
+// header and, past it, the chunk — aliased or copied, each copy exactly its
+// own size, so a 4 KiB chunk costs a 4 KiB object instead of sharing the
+// next size class up with its header. A field no longer than the header
+// (an empty chunk, an error answer) is taken whole, with no tail.
+func splitFetch(b []byte, alias bool) (head, tail, rest []byte, err error) {
+	field, rest, err := aliasBytes(b, MaxData)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	head = field
+	if len(field) > fetchRespWire {
+		head, tail = field[:fetchRespWire:fetchRespWire], field[fetchRespWire:]
+	}
+	if !alias {
+		head, tail = bytes.Clone(head), bytes.Clone(tail)
+	}
+	return head, tail, rest, nil
+}
+
 func (resp *Response) check() error {
 	if len(resp.Err) > MaxName || len(resp.Data)+len(resp.Tail) > MaxData || len(resp.Path) > MaxHops {
 		return ErrFrameTooLarge
@@ -631,14 +655,16 @@ func AppendResponse(b []byte, resp *Response) ([]byte, error) {
 // DecodeResponse parses a response payload. Every field is copied out of b.
 func DecodeResponse(b []byte) (*Response, error) {
 	resp := new(Response)
-	if err := decodeResponse(resp, b, false); err != nil {
+	if err := decodeResponse(resp, b, false, 0); err != nil {
 		return nil, err
 	}
 	return resp, nil
 }
 
-// decodeResponse is decodeRequest's twin.
-func decodeResponse(resp *Response, b []byte, alias bool) error {
+// decodeResponse is decodeRequest's twin, for the answer to a request of
+// kind to (0: unknown). A KindFetch answer's data field is split after the
+// fixed fetch header (splitFetch).
+func decodeResponse(resp *Response, b []byte, alias bool, to Kind) error {
 	if len(b) < 1 {
 		return ErrCorrupt
 	}
@@ -657,7 +683,12 @@ func decodeResponse(resp *Response, b []byte, alias bool) error {
 	if resp.Err, b, err = takeString(b, MaxName); err != nil {
 		return err
 	}
-	if resp.Data, b, err = takeData(b, alias); err != nil {
+	if to != KindFetch {
+		resp.Data, b, err = takeData(b, alias)
+	} else {
+		resp.Data, resp.Tail, b, err = splitFetch(b, alias)
+	}
+	if err != nil {
 		return err
 	}
 	if resp.Path, b, err = takeHops(b); err != nil {
@@ -927,13 +958,15 @@ func (f Frame) lend(req *Request) (*[]byte, error) {
 	return f.small, nil
 }
 
-// DecodeResponse decodes f into resp, overwriting every field. A small
+// DecodeResponse decodes f, the answer to a request of kind to (0 when the
+// caller does not know it), into resp, overwriting every field. A small
 // frame's fields are copied out and its buffer goes back to the pool; a
 // large frame's Data aliases the frame's buffer, which resp then owns (see
-// Release).
-func (f Frame) DecodeResponse(resp *Response) error {
+// Release). A KindFetch answer comes back split: Data holds the fixed fetch
+// header and Tail the chunk (Response.Tail, DecodeFetchAnswer).
+func (f Frame) DecodeResponse(resp *Response, to Kind) error {
 	if f.large != nil {
-		if err := decodeResponse(resp, f.large, true); err != nil {
+		if err := decodeResponse(resp, f.large, true, to); err != nil {
 			frames.put(f.large)
 			return err
 		}
@@ -941,7 +974,7 @@ func (f Frame) DecodeResponse(resp *Response) error {
 		return nil
 	}
 	defer putBuf(f.small)
-	return decodeResponse(resp, *f.small, false)
+	return decodeResponse(resp, *f.small, false, to)
 }
 
 // ReadRequestID reads and decodes one request and its request ID, for a
@@ -972,7 +1005,7 @@ func ReadResponseID(r io.Reader) (*Response, uint64, error) {
 		return nil, 0, err
 	}
 	resp := new(Response)
-	if err := f.DecodeResponse(resp); err != nil {
+	if err := f.DecodeResponse(resp, 0); err != nil {
 		return nil, 0, err
 	}
 	return resp, f.ID, nil

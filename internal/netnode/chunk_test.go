@@ -224,11 +224,11 @@ func TestFetchWireSemantics(t *testing.T) {
 		if !resp.OK {
 			return resp, nil
 		}
-		fr, err := msg.DecodeFetchResp(resp.Data)
+		fr, err := msg.DecodeFetchAnswer(resp)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return resp, fr
+		return resp, &fr
 	}
 
 	// Head chunk: file CRC present, chunk CRC covers the range.

@@ -347,7 +347,8 @@ func (c *Client) GetTraced(name string) (GetResult, error) {
 // and find the same nothing.
 func (c *Client) read(name string, minVer uint64) (GetResult, error) {
 	if set, ok := c.hints.GetSet(name); ok {
-		if res, err := c.chunkFetch(name, set, minVer); err == nil {
+		var buf [stripeSources]stream.Source
+		if res, err := c.chunkFetch(name, sourcesOf(buf[:0], set), minVer); err == nil {
 			c.stats.HintHits.Inc()
 			return res, nil
 		}
@@ -382,8 +383,12 @@ func (c *Client) locateFetch(name string, minVer uint64) (GetResult, error) {
 		if err != nil {
 			return GetResult{Hops: loc.Hops}, err
 		}
+		// The cache owns set from here on (PutSet), so the sources are
+		// taken from it first.
+		var buf [stripeSources]stream.Source
+		srcs := sourcesOf(buf[:0], set)
 		c.hints.PutSet(name, set)
-		res, err := c.chunkFetch(name, set, minVer)
+		res, err := c.chunkFetch(name, srcs, minVer)
 		if err == nil {
 			return res, nil
 		}
@@ -395,16 +400,25 @@ func (c *Client) locateFetch(name string, minVer uint64) (GetResult, error) {
 	return GetResult{}, errNextRung
 }
 
-// chunkFetch runs one striped chunked transfer across a replica set.
-// Holders that refuse or are unreachable were already purged by the
-// fetcher's evict callback; a transfer that completes below minVer purges
-// the name's whole set — every holder in it runs behind a write the caller
-// has seen acknowledged.
-func (c *Client) chunkFetch(name string, set []routehint.Hint, minVer uint64) (GetResult, error) {
-	srcs := make([]stream.Source, len(set))
-	for i, h := range set {
-		srcs[i] = stream.Source{PID: h.PID, Addr: h.Addr}
+// stripeSources sizes the stack buffer a read's fetch sources are built
+// in: 2^b copies of a name, with room to spare; a larger set spills to the
+// heap.
+const stripeSources = 8
+
+// sourcesOf appends a hint set's holders to dst as fetch sources.
+func sourcesOf(dst []stream.Source, set []routehint.Hint) []stream.Source {
+	for _, h := range set {
+		dst = append(dst, stream.Source{PID: h.PID, Addr: h.Addr})
 	}
+	return dst
+}
+
+// chunkFetch runs one striped chunked transfer across a replica set, srcs
+// (never empty). Holders that refuse or are unreachable were already purged
+// by the fetcher's evict callback; a transfer that completes below minVer
+// purges the name's whole set — every holder in it runs behind a write the
+// caller has seen acknowledged.
+func (c *Client) chunkFetch(name string, srcs []stream.Source, minVer uint64) (GetResult, error) {
 	data, ver, err := c.fetcher.Fetch(name, 0, srcs)
 	if err != nil {
 		if !errors.Is(err, stream.ErrNotFound) && !errors.Is(err, stream.ErrVersionGone) {
@@ -419,7 +433,7 @@ func (c *Client) chunkFetch(name string, set []routehint.Hint, minVer uint64) (G
 	}
 	// A striped transfer has no single server; report the set's primary
 	// (the holder the locate walk reached) as the representative.
-	return GetResult{Data: data, Version: ver, ServedBy: set[0].PID}, nil
+	return GetResult{Data: data, Version: ver, ServedBy: srcs[0].PID}, nil
 }
 
 // relay is the whole-frame get through the lookup tree — a plain client's
@@ -483,7 +497,9 @@ func (c *Client) LocateTraced(name string) (LocateResult, error) {
 // KindLocateSet through an entry peer, answered by the first holder the
 // lookup tree reaches with the name's replica set, itself first. loc
 // describes that holder (set[0]); a fault still carries the hops and the
-// traced path walked. An answer that does not decode is errNextRung.
+// traced path walked. An answer that does not decode is errNextRung. The
+// answer is decoded once, straight into set, which is the caller's to keep
+// or hand to the hint cache.
 func (c *Client) locate(name string, traceID uint64) (loc LocateResult, set []routehint.Hint, err error) {
 	req := &msg.Request{Kind: msg.KindLocateSet, Name: name, TraceID: traceID}
 	if traceID != 0 {
@@ -498,14 +514,9 @@ func (c *Client) locate(name string, traceID uint64) (loc LocateResult, set []ro
 	if !resp.OK {
 		return loc, nil, fmt.Errorf("%w: %s", ErrFault, name)
 	}
-	hs, err := msg.DecodeHolders(resp.Data)
-	if err != nil {
+	if set, err = c.snap.Load().hintSet(resp.Data); err != nil {
 		c.stats.FetchErrors.Inc()
 		return loc, nil, fmt.Errorf("%w: locate-set answer: %v", errNextRung, err)
-	}
-	set = make([]routehint.Hint, len(hs))
-	for i, h := range hs {
-		set[i] = routehint.Hint{PID: h.PID, Addr: h.Addr, Version: h.Version}
 	}
 	loc.PID, loc.Addr, loc.Version = set[0].PID, set[0].Addr, set[0].Version
 	return loc, set, nil
@@ -665,8 +676,9 @@ func (c *Client) writeHint(req *msg.Request) *routehint.Hint {
 	if err != nil {
 		return nil
 	}
+	h := set[0]
 	c.hints.PutSet(req.Name, set)
-	return &set[0]
+	return &h
 }
 
 // insertEntry names the peer an insert enters at: the first of its
@@ -688,6 +700,28 @@ func (c *Client) insertEntry(req *msg.Request) string {
 		return pl.addrs[prims[0]]
 	}
 	return ""
+}
+
+// hintSet decodes a locate-set answer b straight into a hint set, the one
+// slice it allocates, with addresses from pl where it has them (addr). pl
+// may be nil: every address is then copied out of b.
+func (pl *placement) hintSet(b []byte) ([]routehint.Hint, error) {
+	return msg.DecodeHoldersFunc(b, func(pid uint32, addr []byte, version uint64) routehint.Hint {
+		return routehint.Hint{PID: pid, Addr: pl.addr(pid, addr), Version: version}
+	})
+}
+
+// addr returns holder pid's address as a string: the snapshot's own when it
+// has pid at that address, so a locate answer naming known peers allocates
+// no strings, a copy of addr otherwise (no snapshot, a peer that moved or
+// joined since it was taken).
+func (pl *placement) addr(pid uint32, addr []byte) string {
+	if pl != nil {
+		if a, ok := pl.addrs[bitops.PID(pid)]; ok && a == string(addr) {
+			return a
+		}
+	}
+	return string(addr)
 }
 
 // placement returns the snapshot, fetching it with one KindTable exchange

@@ -13,6 +13,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"lesslog/internal/bitops"
 	"lesslog/internal/hashring"
@@ -564,5 +565,53 @@ func TestLocateClientConcurrentConsistency(t *testing.T) {
 	}
 	if !bytes.Equal(res.Data, []byte("final")) {
 		t.Fatalf("warm-hint get after final update = %q", res.Data)
+	}
+}
+
+// TestLocateAnswerDecodedInPlace: a locate-set answer decoded straight
+// into a hint set (placement.hintSet) carries exactly what DecodeHolders
+// reads from it, with or without a snapshot and whether or not the
+// snapshot's addresses match the answer's; an address that matches is the
+// snapshot's own string, one that does not is a copy that outlives the
+// answer's buffer.
+func TestLocateAnswerDecodedInPlace(t *testing.T) {
+	answer, err := msg.AppendHolders(nil, []msg.Holder{
+		{PID: 3, Addr: "127.0.0.1:7103", Version: 9},
+		{PID: 5, Addr: "127.0.0.1:7555", Version: 0}, // moved since the snapshot
+		{PID: 6, Addr: "127.0.0.1:7106", Version: 4}, // joined since the snapshot
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := &placement{addrs: map[bitops.PID]string{3: "127.0.0.1:7103", 5: "127.0.0.1:7105"}}
+	want, err := msg.DecodeHolders(answer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pl := range []*placement{nil, snap} {
+		buf := bytes.Clone(answer)
+		set, err := pl.hintSet(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range buf {
+			buf[i] = 0xDB // the answer's buffer goes back to its pool
+		}
+		if len(set) != len(want) {
+			t.Fatalf("snapshot %v: %d hints, want %d", pl != nil, len(set), len(want))
+		}
+		for i, h := range want {
+			if set[i].PID != h.PID || set[i].Addr != h.Addr || set[i].Version != h.Version {
+				t.Errorf("snapshot %v: hint %d = %+v, want %+v", pl != nil, i, set[i], h)
+			}
+		}
+		if pl != nil && unsafe.StringData(set[0].Addr) != unsafe.StringData(snap.addrs[3]) {
+			t.Error("an address the snapshot holds was copied, not shared")
+		}
+	}
+	for _, bad := range [][]byte{nil, answer[:len(answer)-1], append(bytes.Clone(answer), 0)} {
+		if _, err := snap.hintSet(bad); err == nil {
+			t.Errorf("%d-byte answer decoded; DecodeHolders refuses it", len(bad))
+		}
 	}
 }

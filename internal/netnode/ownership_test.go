@@ -428,7 +428,7 @@ func TestFetchWholeFileHeadChecksummedOnce(t *testing.T) {
 	if err != nil || !resp.OK {
 		t.Fatalf("fetch: %+v, %v", resp, err)
 	}
-	fr, err := msg.DecodeFetchResp(resp.Data)
+	fr, err := msg.DecodeFetchAnswer(resp)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,14 +21,17 @@
 //     set it appears in; a name keeps its surviving holders, so one dead
 //     replica no longer evicts the hint for the live ones.
 //
-// Capacity is LRU-bounded per name. All methods are safe for concurrent
-// use.
+// Capacity is LRU-bounded per name, in an array-backed LRU (internal/lru)
+// whose evicted slots take the next set, so a locate answer cached at
+// capacity allocates nothing of the cache's own. All methods are safe for
+// concurrent use.
 package routehint
 
 import (
-	"container/list"
 	"sync"
 	"time"
+
+	"lesslog/internal/lru"
 )
 
 // Defaults for consumers that do not care.
@@ -50,7 +53,6 @@ type Hint struct {
 
 // entry is one cached hint set plus its bookkeeping.
 type entry struct {
-	name    string
 	hints   []Hint
 	next    int // rotation cursor: index of the holder Get serves next
 	expires time.Time
@@ -59,10 +61,9 @@ type entry struct {
 // Cache maps names to holder hint sets, bounded by TTL and LRU capacity.
 type Cache struct {
 	mu      sync.Mutex
-	cap     int
 	ttl     time.Duration
-	entries map[string]*list.Element       // of *entry
-	lru     *list.List                     // front = most recently used
+	now     func() time.Time // time.Now; a test's clock
+	entries *lru.LRU[string, entry]
 	byAddr  map[string]map[string]struct{} // holder addr → names hinted there
 }
 
@@ -77,10 +78,9 @@ func New(capacity int, ttl time.Duration) *Cache {
 		ttl = DefaultTTL
 	}
 	return &Cache{
-		cap:     capacity,
 		ttl:     ttl,
-		entries: map[string]*list.Element{},
-		lru:     list.New(),
+		now:     time.Now,
+		entries: lru.New[string, entry](capacity),
 		byAddr:  map[string]map[string]struct{}{},
 	}
 }
@@ -122,16 +122,14 @@ func (c *Cache) GetSet(name string) ([]Hint, bool) {
 // liveLocked returns name's entry if present and unexpired, bumping its
 // LRU position; an expired entry is removed.
 func (c *Cache) liveLocked(name string) *entry {
-	el, ok := c.entries[name]
+	e, ok := c.entries.Get(name)
 	if !ok {
 		return nil
 	}
-	e := el.Value.(*entry)
-	if !time.Now().Before(e.expires) {
-		c.removeLocked(el)
+	if !c.now().Before(e.expires) {
+		c.removeLocked(name)
 		return nil
 	}
-	c.lru.MoveToFront(el)
 	return e
 }
 
@@ -142,10 +140,8 @@ func (c *Cache) liveLocked(name string) *entry {
 func (c *Cache) Put(name string, h Hint) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[name]; ok {
-		e := el.Value.(*entry)
-		e.expires = time.Now().Add(c.ttl)
-		c.lru.MoveToFront(el)
+	if e, ok := c.entries.Get(name); ok {
+		e.expires = c.now().Add(c.ttl)
 		for i := range e.hints {
 			if e.hints[i].Addr == h.Addr {
 				e.hints[i] = h
@@ -162,7 +158,9 @@ func (c *Cache) Put(name string, h Hint) {
 }
 
 // PutSet replaces name's hint set wholesale — the locate-set answer path.
-// An empty set is a no-op; sets beyond MaxHolders are truncated.
+// The cache takes ownership of hs: the caller must neither keep nor modify
+// it afterwards, since purges edit a set in place. An empty set is a
+// no-op; sets beyond MaxHolders are truncated.
 func (c *Cache) PutSet(name string, hs []Hint) {
 	if len(hs) == 0 {
 		return
@@ -172,22 +170,19 @@ func (c *Cache) PutSet(name string, hs []Hint) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[name]; ok {
-		c.removeLocked(el)
-	}
-	c.insertLocked(name, append([]Hint(nil), hs...))
+	c.removeLocked(name)
+	c.insertLocked(name, hs)
 }
 
-// insertLocked installs a fresh entry for name, evicting from the LRU
-// tail past capacity.
+// insertLocked installs a fresh entry for name, evicting the least
+// recently used one at capacity.
 func (c *Cache) insertLocked(name string, hs []Hint) {
-	el := c.lru.PushFront(&entry{name: name, hints: hs, expires: time.Now().Add(c.ttl)})
-	c.entries[name] = el
+	old, e, evicted := c.entries.Put(name, entry{hints: hs, expires: c.now().Add(c.ttl)})
+	if evicted {
+		c.unindexLocked(old, e.hints)
+	}
 	for _, h := range hs {
 		c.indexLocked(name, h.Addr)
-	}
-	for c.lru.Len() > c.cap {
-		c.removeLocked(c.lru.Back())
 	}
 }
 
@@ -196,12 +191,7 @@ func (c *Cache) insertLocked(name string, hs []Hint) {
 func (c *Cache) Purge(name string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.entries[name]
-	if !ok {
-		return false
-	}
-	c.removeLocked(el)
-	return true
+	return c.removeLocked(name)
 }
 
 // PurgeFrom removes one holder from one name's set — the targeted
@@ -211,11 +201,10 @@ func (c *Cache) Purge(name string) bool {
 func (c *Cache) PurgeFrom(name, addr string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.entries[name]
+	e, ok := c.entries.Peek(name)
 	if !ok {
 		return false
 	}
-	e := el.Value.(*entry)
 	for i := range e.hints {
 		if e.hints[i].Addr == addr {
 			e.hints = append(e.hints[:i], e.hints[i+1:]...)
@@ -224,8 +213,7 @@ func (c *Cache) PurgeFrom(name, addr string) bool {
 			}
 			c.unindexOneLocked(name, addr)
 			if len(e.hints) == 0 {
-				c.lru.Remove(el)
-				delete(c.entries, name)
+				c.entries.Remove(name)
 			}
 			return true
 		}
@@ -243,11 +231,10 @@ func (c *Cache) PurgeHolder(addr string) int {
 	names := c.byAddr[addr]
 	n := len(names)
 	for name := range names {
-		el, ok := c.entries[name]
+		e, ok := c.entries.Peek(name)
 		if !ok {
 			continue
 		}
-		e := el.Value.(*entry)
 		for i := 0; i < len(e.hints); i++ {
 			if e.hints[i].Addr == addr {
 				e.hints = append(e.hints[:i], e.hints[i+1:]...)
@@ -258,8 +245,7 @@ func (c *Cache) PurgeHolder(addr string) int {
 			e.next = 0
 		}
 		if len(e.hints) == 0 {
-			c.lru.Remove(el)
-			delete(c.entries, name)
+			c.entries.Remove(name)
 		}
 	}
 	delete(c.byAddr, addr)
@@ -270,7 +256,7 @@ func (c *Cache) PurgeHolder(addr string) int {
 func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.entries)
+	return c.entries.Len()
 }
 
 // indexLocked records name under one holder address.
@@ -292,12 +278,19 @@ func (c *Cache) unindexOneLocked(name, addr string) {
 	}
 }
 
-// removeLocked unlinks one element from every index.
-func (c *Cache) removeLocked(el *list.Element) {
-	e := el.Value.(*entry)
-	c.lru.Remove(el)
-	delete(c.entries, e.name)
-	for _, h := range e.hints {
-		c.unindexOneLocked(e.name, h.Addr)
+// removeLocked drops name's set from every index, reporting whether there
+// was one.
+func (c *Cache) removeLocked(name string) bool {
+	e, ok := c.entries.Remove(name)
+	if ok {
+		c.unindexLocked(name, e.hints)
+	}
+	return ok
+}
+
+// unindexLocked removes name from the reverse index of every holder in hs.
+func (c *Cache) unindexLocked(name string, hs []Hint) {
+	for _, h := range hs {
+		c.unindexOneLocked(name, h.Addr)
 	}
 }

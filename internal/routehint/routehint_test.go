@@ -2,6 +2,8 @@ package routehint
 
 import (
 	"fmt"
+	"math/rand/v2"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -202,4 +204,184 @@ func TestConcurrentMix(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// hintModel is the reference a Cache is checked against: a map of sets and
+// a slice of names, most recently used first, stated as routehint's rules
+// read — live lookups bump, expired sets are dropped when looked up, a
+// merge refreshes the TTL and bumps without an expiry check, purges touch
+// no order, and a new set at capacity evicts the least recently used.
+type hintModel struct {
+	cap   int
+	ttl   time.Duration
+	sets  map[string]*modelSet
+	order []string
+}
+
+type modelSet struct {
+	hints   []Hint
+	next    int
+	expires time.Time
+}
+
+func (m *hintModel) bump(name string) {
+	m.order = slices.DeleteFunc(m.order, func(x string) bool { return x == name })
+	m.order = slices.Insert(m.order, 0, name)
+}
+
+func (m *hintModel) drop(name string) {
+	delete(m.sets, name)
+	m.order = slices.DeleteFunc(m.order, func(x string) bool { return x == name })
+}
+
+func (m *hintModel) live(name string, now time.Time) *modelSet {
+	s, ok := m.sets[name]
+	if !ok {
+		return nil
+	}
+	if !now.Before(s.expires) {
+		m.drop(name)
+		return nil
+	}
+	m.bump(name)
+	return s
+}
+
+func (m *hintModel) insert(name string, hs []Hint, now time.Time) {
+	if len(m.sets) >= m.cap {
+		m.drop(m.order[len(m.order)-1])
+	}
+	m.sets[name] = &modelSet{hints: hs, expires: now.Add(m.ttl)}
+	m.bump(name)
+}
+
+func (m *hintModel) purgeFrom(name, addr string) bool {
+	s, ok := m.sets[name]
+	if !ok {
+		return false
+	}
+	i := slices.IndexFunc(s.hints, func(h Hint) bool { return h.Addr == addr })
+	if i < 0 {
+		return false
+	}
+	s.hints = slices.Delete(s.hints, i, i+1)
+	if s.next >= len(s.hints) {
+		s.next = 0
+	}
+	if len(s.hints) == 0 {
+		m.drop(name)
+	}
+	return true
+}
+
+// TestCacheMatchesModel runs seeded random histories of every Cache
+// operation, under a clock the test moves, against the reference model:
+// every answer, the surviving sets, and — through the evictions that
+// follow from it — the LRU order must agree, across TTL expiry, per-name,
+// per-holder and per-name-holder purges, and capacity eviction.
+func TestCacheMatchesModel(t *testing.T) {
+	addrs := []string{"h0", "h1", "h2", "h3", "h4"}
+	for seed := uint64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 1))
+		capacity := 1 + rng.IntN(6)
+		ttl := time.Duration(1+rng.IntN(20)) * time.Second
+		now := time.Unix(1000, 0)
+		c := New(capacity, ttl)
+		c.now = func() time.Time { return now }
+		m := &hintModel{cap: capacity, ttl: ttl, sets: map[string]*modelSet{}}
+		for step := 0; step < 3000; step++ {
+			name := fmt.Sprintf("n%d", rng.IntN(3*capacity))
+			addr := addrs[rng.IntN(len(addrs))]
+			hint := Hint{PID: uint32(rng.IntN(100)), Addr: addr, Version: uint64(step)}
+			var what string
+			switch op := rng.IntN(9); op {
+			case 0:
+				what = "put " + name
+				c.Put(name, hint)
+				if s, ok := m.sets[name]; ok {
+					s.expires = now.Add(ttl)
+					m.bump(name)
+					if i := slices.IndexFunc(s.hints, func(h Hint) bool { return h.Addr == addr }); i >= 0 {
+						s.hints[i] = hint
+					} else {
+						s.hints = append(s.hints, hint)
+					}
+				} else {
+					m.insert(name, []Hint{hint}, now)
+				}
+			case 1:
+				what = "putset " + name
+				perm := rng.Perm(len(addrs))[:1+rng.IntN(len(addrs))]
+				set := make([]Hint, len(perm))
+				for i, a := range perm {
+					set[i] = Hint{PID: uint32(a), Addr: addrs[a], Version: uint64(step)}
+				}
+				m.drop(name)
+				m.insert(name, slices.Clone(set), now)
+				c.PutSet(name, set) // owned by the cache from here on
+			case 2:
+				what = "get " + name
+				got, gok := c.Get(name)
+				var want Hint
+				s := m.live(name, now)
+				if s != nil {
+					want = s.hints[s.next%len(s.hints)]
+					s.next = (s.next + 1) % len(s.hints)
+				}
+				if gok != (s != nil) || got != want {
+					t.Fatalf("seed %d step %d %s: %+v %v, want %+v %v", seed, step, what, got, gok, want, s != nil)
+				}
+			case 3:
+				what = "getset " + name
+				got, gok := c.GetSet(name)
+				var want []Hint
+				s := m.live(name, now)
+				if s != nil {
+					for i := range s.hints {
+						want = append(want, s.hints[(s.next+i)%len(s.hints)])
+					}
+					s.next = (s.next + 1) % len(s.hints)
+				}
+				if gok != (s != nil) || !slices.Equal(got, want) {
+					t.Fatalf("seed %d step %d %s: %+v %v, want %+v", seed, step, what, got, gok, want)
+				}
+			case 4:
+				what = "purge " + name
+				_, want := m.sets[name]
+				m.drop(name)
+				if got := c.Purge(name); got != want {
+					t.Fatalf("seed %d step %d %s: %v, want %v", seed, step, what, got, want)
+				}
+			case 5:
+				what = "purgefrom " + name + " " + addr
+				want := m.purgeFrom(name, addr)
+				if got := c.PurgeFrom(name, addr); got != want {
+					t.Fatalf("seed %d step %d %s: %v, want %v", seed, step, what, got, want)
+				}
+			case 6:
+				what = "purgeholder " + addr
+				want := 0
+				for n := range m.sets {
+					if m.purgeFrom(n, addr) {
+						want++
+					}
+				}
+				if got := c.PurgeHolder(addr); got != want {
+					t.Fatalf("seed %d step %d %s: %d names, want %d", seed, step, what, got, want)
+				}
+			default:
+				what = "tick"
+				now = now.Add(time.Duration(rng.IntN(3)) * time.Second)
+			}
+			if c.Len() != len(m.sets) {
+				t.Fatalf("seed %d step %d %s: len %d, want %d", seed, step, what, c.Len(), len(m.sets))
+			}
+			for n, s := range m.sets {
+				e, ok := c.entries.Peek(n)
+				if !ok || !slices.Equal(e.hints, s.hints) || e.next != s.next || !e.expires.Equal(s.expires) {
+					t.Fatalf("seed %d step %d %s: set %s is %+v (present %v), want %+v", seed, step, what, n, e, ok, *s)
+				}
+			}
+		}
+	}
 }

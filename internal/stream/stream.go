@@ -21,6 +21,8 @@ package stream
 import (
 	"errors"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -145,14 +147,23 @@ func New(tr Doer, cfg Config) *Fetcher {
 // Stats exposes the fetcher's counters.
 func (f *Fetcher) Stats() *Stats { return &f.stats }
 
-// transfer is the per-fetch state shared by the chunk workers.
+// maxSources bounds the replica set one transfer stripes across — a
+// locate-set answer's bound; sources past it are not tried.
+const maxSources = msg.MaxHolders
+
+// transfer is the per-fetch state shared by the chunk workers. A transfer
+// lives on FetchSummed's stack until its head chunk is in, and moves to the
+// heap (onHeap) only when body ranges are left for workers to share: a
+// single-chunk transfer allocates nothing of its own. Until then it does
+// not hold the caller's sources either — headChunk is handed them — so the
+// caller's slice stays where the caller put it.
 type transfer struct {
 	f       *Fetcher
 	name    string
-	version uint64 // pinned after the head chunk
-	sources []Source
-	dead    []atomic.Bool // per-source: hard-failed or refused this transfer
-	used    []atomic.Bool // per-source: served at least one chunk
+	version uint64        // pinned after the head chunk
+	sources []Source      // the transfer's own copy, once on the heap
+	dead    atomic.Uint64 // bit i: source i hard-failed or refused this transfer
+	used    atomic.Uint64 // bit i: source i served at least one chunk
 	next    atomic.Uint64 // round-robin stripe cursor
 	gone    atomic.Bool   // a holder reported the pinned version superseded
 	// buf is the reassembly buffer of a multi-chunk transfer, sized by the
@@ -161,51 +172,77 @@ type transfer struct {
 	buf []byte
 }
 
-// evict reports a holder the transfer dropped, if the caller cares.
-func (t *transfer) evict(i int, hard bool) {
-	t.dead[i].Store(true)
-	if t.f.cfg.Evict != nil {
-		t.f.cfg.Evict(t.name, t.sources[i].Addr, hard)
+// onHeap is the transfer moved to the heap for the body ranges' workers,
+// with a private copy of sources.
+func (t *transfer) onHeap(sources []Source) *transfer {
+	h := &transfer{f: t.f, name: t.name, version: t.version, sources: slices.Clone(sources), buf: t.buf}
+	h.dead.Store(t.dead.Load())
+	h.used.Store(t.used.Load())
+	h.next.Store(t.next.Load())
+	h.gone.Store(t.gone.Load())
+	return h
+}
+
+// mark sets source i's bit in set.
+func mark(set *atomic.Uint64, i int) {
+	for {
+		old := set.Load()
+		if set.CompareAndSwap(old, old|1<<i) {
+			return
+		}
 	}
 }
 
-// fetchRange performs one ranged request against source i, returning the
+// isDead reports whether source i was given up on this transfer.
+func (t *transfer) isDead(i int) bool { return t.dead.Load()&(1<<i) != 0 }
+
+// evict reports a holder the transfer dropped, source i at addr, if the
+// caller cares.
+func (t *transfer) evict(i int, addr string, hard bool) {
+	mark(&t.dead, i)
+	if t.f.cfg.Evict != nil {
+		t.f.cfg.Evict(t.name, addr, hard)
+	}
+}
+
+// fetchRange performs one ranged request against the source at addr, returning the
 // decoded chunk — not yet verified, land does that — and the response that
-// owns its bytes: Chunk points into resp.Data (resp.Version is the version
-// the holder served). A failed range releases its own response.
-func (t *transfer) fetchRange(i int, offset uint64, length uint32) (*msg.FetchResp, msg.Response, error) {
+// owns its bytes: Chunk points into the response (msg.DecodeFetchAnswer;
+// resp.Version is the version the holder served). A failed range releases
+// its own response.
+func (t *transfer) fetchRange(addr string, offset uint64, length uint32) (msg.FetchResp, msg.Response, error) {
 	data, err := msg.AppendFetchReq(nil, msg.FetchReq{Offset: offset, Length: length})
 	if err != nil {
-		return nil, msg.Response{}, err
+		return msg.FetchResp{}, msg.Response{}, err
 	}
 	var flags uint8
 	if t.f.cfg.Replica {
 		flags = msg.FlagReplica
 	}
-	resp, err := t.f.tr.Exchange(t.sources[i].Addr, msg.Request{
+	resp, err := t.f.tr.Exchange(addr, msg.Request{
 		Kind: msg.KindFetch, Name: t.name, Version: t.version, Flags: flags, Data: data,
 	}, 0)
 	if err != nil {
-		return nil, msg.Response{}, err
+		return msg.FetchResp{}, msg.Response{}, err
 	}
 	if !resp.OK {
 		resp.Release()
-		return nil, msg.Response{}, errors.New(resp.Err)
+		return msg.FetchResp{}, msg.Response{}, errors.New(resp.Err)
 	}
-	fr, err := msg.DecodeFetchResp(resp.Data)
+	fr, err := msg.DecodeFetchAnswer(&resp)
 	if err != nil {
 		resp.Release()
-		return nil, msg.Response{}, err
+		return msg.FetchResp{}, msg.Response{}, err
 	}
 	return fr, resp, nil
 }
 
 // land moves a decoded range to where the transfer keeps it and checksums it
 // there, once, against the chunk CRC the holder sent. A head chunk that is
-// the whole body stays in its frame, which Fetch's caller ends up owning
-// (kept); every other range is copied into the reassembly buffer — the head
-// sizes it — and its frame released before the pass, so each byte Fetch
-// returns was verified in the memory returned. fr.Chunk points at the
+// the whole body stays where it was read, which Fetch's caller ends up
+// owning (kept); every other range is copied into the reassembly buffer —
+// the head sizes it — and its frame released before the pass, so each byte
+// Fetch returns was verified in the memory returned. fr.Chunk points at the
 // verified bytes afterwards. A mismatch releases the frame if it was kept.
 func (t *transfer) land(head bool, offset uint64, fr *msg.FetchResp, resp *msg.Response) (kept bool, err error) {
 	kept = head && uint64(len(fr.Chunk)) == fr.TotalSize
@@ -239,23 +276,23 @@ func (t *transfer) runRange(offset uint64, length uint32) (uint32, error) {
 	var lastErr error
 	for k := 0; k < n; k++ {
 		i := (start + k) % n
-		if t.dead[i].Load() {
+		if t.isDead(i) {
 			continue
 		}
 		if k > 0 {
 			t.f.stats.ChunkRetries.Add(1)
 		}
-		fr, resp, err := t.fetchRange(i, offset, length)
+		fr, resp, err := t.fetchRange(t.sources[i].Addr, offset, length)
 		if err == nil {
 			if total := uint64(len(t.buf)); fr.TotalSize != total || len(fr.Chunk) != int(length) {
 				resp.Release()
 				return 0, fmt.Errorf("stream: range at %d answered %d bytes of total %d, want %d of %d",
 					offset, len(fr.Chunk), fr.TotalSize, length, total)
 			}
-			_, err = t.land(false, offset, fr, &resp)
+			_, err = t.land(false, offset, &fr, &resp)
 		}
 		if err == nil {
-			t.used[i].Store(true)
+			mark(&t.used, i)
 			t.f.stats.ChunksFetched.Add(1)
 			return fr.ChunkCRC, nil
 		}
@@ -263,11 +300,11 @@ func (t *transfer) runRange(offset uint64, length uint32) (uint32, error) {
 		switch err.Error() {
 		case msg.WrongVersionError:
 			t.gone.Store(true)
-			t.dead[i].Store(true)
+			mark(&t.dead, i)
 		case msg.NotHolderError:
-			t.evict(i, false)
+			t.evict(i, t.sources[i].Addr, false)
 		default:
-			t.evict(i, true)
+			t.evict(i, t.sources[i].Addr, true)
 		}
 	}
 	if lastErr == nil {
@@ -279,7 +316,8 @@ func (t *transfer) runRange(offset uint64, length uint32) (uint32, error) {
 // Fetch retrieves name from the replica set in sources, chunking and
 // striping as needed, and returns the reassembled payload with the version
 // served. pin 0 accepts whatever version the head chunk answers (the usual
-// read); a non-zero pin demands exactly that version.
+// read); a non-zero pin demands exactly that version. Only the first
+// msg.MaxHolders sources are tried.
 //
 // The error classifies the failure: ErrNotFound (stale hint set;
 // re-locate), ErrVersionGone (concurrent write; re-locate and retry),
@@ -288,7 +326,9 @@ func (t *transfer) runRange(offset uint64, length uint32) (uint32, error) {
 // A multi-chunk transfer copies each chunk into the reassembly buffer and
 // releases the chunk's frame buffer for the next one; a single-chunk
 // transfer hands the caller the chunk where it was read — the returned
-// slice points into that frame's buffer, which the caller now owns.
+// slice is the chunk's own allocation, or points into the frame buffer of a
+// chunk over 64 KiB, which the caller now owns. Fetch keeps nothing of
+// sources once it returns.
 func (f *Fetcher) Fetch(name string, pin uint64, sources []Source) ([]byte, uint64, error) {
 	data, version, _, err := f.FetchSummed(name, pin, sources)
 	return data, version, err
@@ -302,31 +342,36 @@ func (f *Fetcher) FetchSummed(name string, pin uint64, sources []Source) ([]byte
 	if len(sources) == 0 {
 		return nil, 0, 0, ErrNotFound
 	}
+	if len(sources) > maxSources {
+		sources = sources[:maxSources]
+	}
 	f.stats.InFlight.Add(1)
 	defer f.stats.InFlight.Add(-1)
-	t := &transfer{
-		f: f, name: name, version: pin, sources: sources,
-		dead: make([]atomic.Bool, len(sources)),
-		used: make([]atomic.Bool, len(sources)),
-	}
+	t := transfer{f: f, name: name, version: pin}
 
 	// Head chunk first, alone: it pins the version, total size and
 	// whole-file CRC the rest of the transfer is verified against.
-	head, headResp, err := t.headChunk()
+	head, headResp, kept, err := t.headChunk(sources)
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	if headResp != nil {
+	if kept {
 		// Single-chunk transfer: the chunk CRC land verified covered every
 		// byte of the file, so the file CRC must simply equal it.
 		if head.ChunkCRC != head.FileCRC {
 			headResp.Release()
 			return nil, 0, 0, ErrChecksum
 		}
-		f.noteDone(t)
+		f.noteDone(&t)
 		return head.Chunk, t.version, head.FileCRC, nil
 	}
+	return t.onHeap(sources).body(head)
+}
 
+// body fetches every range after the head chunk into the reassembly
+// buffer and checks the whole-file sum; FetchSummed's multi-chunk half.
+func (t *transfer) body(head msg.FetchResp) ([]byte, uint64, uint32, error) {
+	f := t.f
 	total := head.TotalSize
 	chunk := uint64(f.cfg.ChunkSize)
 	type rng struct {
@@ -403,32 +448,28 @@ func (f *Fetcher) FetchSummed(name string, pin uint64, sources []Source) ([]byte
 // transfer's version. Classification differs from body ranges: a set that
 // is entirely not-holder is ErrNotFound (re-locate); a wrong-version
 // refusal under a caller pin is ErrVersionGone. The head comes back landed
-// and verified: with the response that owns its bytes when it is the whole
-// body, with a nil response when it opens the reassembly buffer (land).
-func (t *transfer) headChunk() (*msg.FetchResp, *msg.Response, error) {
-	n := len(t.sources)
+// and verified: kept, with the response that owns its bytes, when it is
+// the whole body; not kept when it opens the reassembly buffer (land).
+func (t *transfer) headChunk(sources []Source) (msg.FetchResp, msg.Response, bool, error) {
+	n := len(sources)
 	start := int(t.next.Add(1)-1) % n
 	var sawHolderErr, sawMiss bool
 	var lastErr error
 	for k := 0; k < n; k++ {
 		i := (start + k) % n
-		fr, resp, err := t.fetchRange(i, 0, uint32(t.f.cfg.ChunkSize))
+		fr, resp, err := t.fetchRange(sources[i].Addr, 0, uint32(t.f.cfg.ChunkSize))
 		if err == nil {
 			var kept bool
-			if kept, err = t.land(true, 0, fr, &resp); err == nil {
+			if kept, err = t.land(true, 0, &fr, &resp); err == nil {
 				// Pin: zero-pin callers adopt the head's version; every body
 				// range (and head retries against other replicas under a
 				// caller pin) must match it exactly.
 				if t.version == 0 {
 					t.version = resp.Version
 				}
-				t.used[i].Store(true)
+				mark(&t.used, i)
 				t.f.stats.ChunksFetched.Add(1)
-				if kept {
-					owner := resp
-					return fr, &owner, nil
-				}
-				return fr, nil, nil
+				return fr, resp, kept, nil
 			}
 		}
 		if k > 0 {
@@ -439,42 +480,31 @@ func (t *transfer) headChunk() (*msg.FetchResp, *msg.Response, error) {
 		case msg.WrongVersionError:
 			t.gone.Store(true)
 			sawHolderErr = true
-			t.dead[i].Store(true)
+			mark(&t.dead, i)
 		case msg.NotHolderError:
 			sawMiss = true
-			t.evict(i, false)
+			t.evict(i, sources[i].Addr, false)
 		default:
 			sawHolderErr = true
-			t.evict(i, true)
+			t.evict(i, sources[i].Addr, true)
 		}
 	}
 	switch {
 	case t.gone.Load():
-		return nil, nil, ErrVersionGone
+		return msg.FetchResp{}, msg.Response{}, false, ErrVersionGone
 	case sawMiss && !sawHolderErr:
-		return nil, nil, ErrNotFound
+		return msg.FetchResp{}, msg.Response{}, false, ErrNotFound
 	}
-	return nil, nil, fmt.Errorf("stream: head chunk failed at every replica: %w", lastErr)
+	return msg.FetchResp{}, msg.Response{}, false, fmt.Errorf("stream: head chunk failed at every replica: %w", lastErr)
 }
 
 // allDead reports whether every source was marked dead this transfer.
 func allDead(t *transfer) bool {
-	for i := range t.dead {
-		if !t.dead[i].Load() {
-			return false
-		}
-	}
-	return true
+	return bits.OnesCount64(t.dead.Load()) == len(t.sources)
 }
 
 // noteDone finalizes a successful transfer's stats.
 func (f *Fetcher) noteDone(t *transfer) {
 	f.stats.Transfers.Add(1)
-	width := 0
-	for i := range t.used {
-		if t.used[i].Load() {
-			width++
-		}
-	}
-	f.stats.StripeWidth.Store(int64(width))
+	f.stats.StripeWidth.Store(int64(bits.OnesCount64(t.used.Load())))
 }

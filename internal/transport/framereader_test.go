@@ -1,0 +1,86 @@
+package transport
+
+import (
+	"net"
+	"sync/atomic"
+	"testing"
+
+	"lesslog/internal/msg"
+)
+
+// countingConn counts the reads that brought bytes in.
+type countingConn struct {
+	net.Conn
+	reads atomic.Int64
+}
+
+func (c *countingConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if n > 0 {
+		c.reads.Add(1)
+	}
+	return n, err
+}
+
+// TestFrameReadersHoldSmallFrame: both frame readers — the serve loop's
+// and the mux's — take a frame with a 4 KiB payload in with one read once
+// its bytes are there. Each frame is written whole with one Write on a
+// net.Pipe, which hands a reader at most what one Write carried, so a
+// reader whose buffer is smaller than the frame needs a second read.
+func TestFrameReadersHoldSmallFrame(t *testing.T) {
+	const exchanges = 16
+	body := make([]byte, 4<<10)
+
+	t.Run("serve", func(t *testing.T) {
+		client, server := net.Pipe()
+		defer client.Close()
+		counted := &countingConn{Conn: server}
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			ServeLoop(counted, func(*msg.Request) *msg.Response { return &msg.Response{OK: true} }, ServeLoopOptions{})
+			server.Close()
+		}()
+		for i := uint64(1); i <= exchanges; i++ {
+			if err := msg.WriteRequestID(client, &msg.Request{Kind: msg.KindStore, Name: "f", Data: body}, i); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := msg.ReadResponseID(client); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := counted.reads.Load(); got != exchanges {
+			t.Errorf("serve loop read %d request frames with %d reads, want one each", exchanges, got)
+		}
+		client.Close()
+		waitClosed(t, done, "serve loop return")
+	})
+
+	t.Run("mux", func(t *testing.T) {
+		client, server := net.Pipe()
+		defer server.Close()
+		go func() {
+			for {
+				_, id, err := msg.ReadRequestID(server)
+				if err != nil {
+					return
+				}
+				if msg.WriteResponseID(server, &msg.Response{OK: true, Data: body}, id) != nil {
+					return
+				}
+			}
+		}()
+		counted := &countingConn{Conn: client}
+		m := newMux(counted)
+		defer m.close()
+		for i := 0; i < exchanges; i++ {
+			resp, err := m.do(&msg.Request{Kind: msg.KindGet, Name: "f"}, 0)
+			if err != nil || len(resp.Data) != len(body) {
+				t.Fatalf("exchange %d: %d bytes, %v", i, len(resp.Data), err)
+			}
+		}
+		if got := counted.reads.Load(); got != exchanges {
+			t.Errorf("mux read %d response frames with %d reads, want one each", exchanges, got)
+		}
+	})
+}

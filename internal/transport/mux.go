@@ -30,7 +30,7 @@ type mux struct {
 	wmu sync.Mutex // serializes frame writes onto conn
 
 	mu      sync.Mutex
-	pending map[uint64]chan msg.Response
+	pending map[uint64]*call
 	nextID  uint64
 	dead    bool
 	err     error
@@ -44,47 +44,50 @@ type mux struct {
 }
 
 func newMux(conn net.Conn) *mux {
-	m := &mux{conn: conn, pending: map[uint64]chan msg.Response{}}
+	m := &mux{conn: conn, pending: map[uint64]*call{}}
 	go m.readLoop()
 	return m
 }
 
 // readLoop is the stream's only reader: it demultiplexes responses until
 // the stream dies, then wakes every waiter with the error. Each response is
-// decoded into the loop's own value and handed over as a copy.
+// matched to its call before it is decoded — the call's request kind says
+// how (msg.Frame.DecodeResponse) — decoded into the loop's own value and
+// handed over as a copy.
 func (m *mux) readLoop() {
-	br := bufio.NewReader(m.conn)
+	br := bufio.NewReaderSize(m.conn, frameReadSize)
 	var resp msg.Response
 	for {
 		f, err := msg.ReadFrame(br)
-		if err == nil {
-			err = f.DecodeResponse(&resp)
-		}
 		if err != nil {
 			m.fail(err)
 			return
 		}
-		if !m.deliver(resp, f.ID) {
+		c := m.claim(f.ID)
+		if c == nil {
 			// A response nothing waits for means the stream lost sync;
 			// it cannot be trusted for another exchange.
 			m.fail(errMuxClosed)
 			return
 		}
+		if err := f.DecodeResponse(&resp, c.kind); err != nil {
+			m.fail(err)
+			close(c.ch) // claimed, so fail did not wake it
+			return
+		}
+		c.ch <- resp
 	}
 }
 
-// deliver routes one response to its waiting call and reports whether a
-// caller was found.
-func (m *mux) deliver(resp msg.Response, id uint64) bool {
+// claim unregisters the call waiting for response id and returns it, nil
+// when none is. A claimed call is the reader's to answer: fail no longer
+// sees it, and its channel has room for the one response.
+func (m *mux) claim(id uint64) *call {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	ch, ok := m.pending[id]
-	if !ok {
-		return false
-	}
+	c := m.pending[id]
 	delete(m.pending, id)
-	ch <- resp
-	return true
+	return c
 }
 
 // fail marks the mux dead, closes the stream and wakes every in-flight
@@ -98,11 +101,11 @@ func (m *mux) fail(err error) {
 	m.dead = true
 	m.err = err
 	pending := m.pending
-	m.pending = map[uint64]chan msg.Response{}
+	m.pending = map[uint64]*call{}
 	m.mu.Unlock()
 	m.conn.Close()
-	for _, ch := range pending {
-		close(ch)
+	for _, c := range pending {
+		close(c.ch)
 	}
 }
 
@@ -118,14 +121,16 @@ func (m *mux) lastErr() error {
 	return errMuxClosed
 }
 
-// call is the per-exchange state of mux.do — the channel the reader hands
-// the response over on, by value, and the timer that bounds the wait — recycled
-// through callPool so a steady stream of exchanges allocates neither. A
-// slot goes back to the pool only after a response was received on it: a
-// timed-out or failed exchange leaves its channel closed (fail) or about to
-// be sent on (a late deliver), and is dropped for the collector instead.
+// call is the per-exchange state of mux.do — the request's kind, the
+// channel the reader hands the response over on, by value, and the timer
+// that bounds the wait — recycled through callPool so a steady stream of
+// exchanges allocates neither. A slot goes back to the pool only after a
+// response was received on it: a timed-out or failed exchange leaves its
+// channel closed (fail) or about to be sent on (by a reader that claimed
+// it), and is dropped for the collector instead.
 type call struct {
-	ch    chan msg.Response // capacity 1: deliver never blocks on a caller that gave up
+	kind  msg.Kind          // the request's: how the reader decodes the answer
+	ch    chan msg.Response // capacity 1: the reader never blocks on a caller that gave up
 	timer *time.Timer       // nil until the slot's first timed exchange; stopped and drained while pooled
 }
 
@@ -165,7 +170,8 @@ func (m *mux) do(req *msg.Request, timeout time.Duration) (msg.Response, error) 
 	m.nextID++
 	id := m.nextID
 	c := callPool.Get().(*call)
-	m.pending[id] = c.ch
+	c.kind = req.Kind
+	m.pending[id] = c
 	m.mu.Unlock()
 
 	// The write deadline is the connection's, not the call's: an untimed

@@ -260,7 +260,11 @@ func boxed(resp msg.Response, err error) (*msg.Response, error) {
 // Exchange is the one exchange path, Do by value: the request is the
 // caller's and is only read, the response is returned in the caller's
 // frame, so an exchange whose caller reads its answer and moves on puts no
-// envelope on the heap. rpcTO is a per-exchange deadline floor: each
+// envelope on the heap. Every answer has its whole payload in Data except
+// a KindFetch's: its Data is the fixed fetch header and its Tail the chunk,
+// each an allocation (or, off a frame over 64 KiB, a view) of its own, so a
+// chunk kept as a body is not carried in a larger size class beside its
+// header — msg.DecodeFetchAnswer reads it. rpcTO is a per-exchange deadline floor: each
 // attempt runs under max(rpcTO, Config.RPCTimeout). It exists for exchanges
 // whose handler must move payload bytes before it can answer — a
 // chunked-put commit pulls the whole body to every subtree holder, a notify
