@@ -86,7 +86,14 @@ func BenchmarkLookupHopsLessLog(b *testing.B) {
 	totalHops, lookups := 0, 0
 	for i := 0; i < b.N; i++ {
 		for origin := bitops.PID(0); origin < 1024; origin++ {
-			totalHops += len(v.PathLiveStops(origin)) - 1
+			// The walk ends at the root, where Next has no step left.
+			for cur, st := origin, (ptree.Route{Origin: origin}); ; totalHops++ {
+				next, nst, _, ok := v.Next(cur, st)
+				if !ok {
+					break
+				}
+				cur, st = next, nst
+			}
 			lookups++
 		}
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"lesslog/internal/bitops"
+	"lesslog/internal/msg"
 	"lesslog/internal/ptree"
 	"lesslog/internal/replication"
 	"lesslog/internal/store"
@@ -43,84 +44,43 @@ type GetResult struct {
 	File     store.File
 	ServedBy bitops.PID
 	Hops     int  // forwarding hops (0 when the origin held a copy)
-	Fallback bool // §3 step 2: jumped to the FINDLIVENODE primary
+	Fallback bool // §3 step 2: the server was reached by the FINDLIVENODE jump
 	Migrated bool // §4: served from a different subtree
 }
 
 // Get resolves a file per GETFILE (§2.2) with the §3 dead-node
-// augmentation and the §4 subtree migration: the request walks from the
-// origin along live ancestors in the target's lookup tree until a copy is
-// found; if the walk ends at a dead subtree root, it jumps to the
-// FINDLIVENODE primary; if the origin's subtree has no copy at all, the
-// request re-enters the next subtree by rewriting its subtree identifier.
+// augmentation and the §4 subtree migration: the request loops
+// ptree.View.Next from the origin — live ancestors, then the FINDLIVENODE
+// primary, then the origin's position in the next subtree — until a stop
+// holds a copy. Every step is one hop, as it is one frame on the fabric.
 func (c *Cluster) Get(origin bitops.PID, name string) (GetResult, error) {
 	if !c.live.IsLive(origin) {
 		return GetResult{}, ErrDeadOrigin
 	}
 	c.stats.Gets++
-	r := c.Target(name)
-	v := c.view(r)
-	ownSID := v.SubtreeID(origin)
-	if res, ok := c.getInSubtree(v, origin, name); ok {
-		return res, nil
-	}
-	// §4: migrate the request to the remaining subtrees by changing the
-	// subtree identifier while keeping the subtree VID.
-	svid := v.SubtreeVID(origin)
-	for d := 1; d < bitops.SubtreeCount(c.cfg.B); d++ {
-		sid := (ownSID + bitops.VID(d)) & (bitops.VID(1)<<uint(c.cfg.B) - 1)
-		entry := v.PID(bitops.ComposeVID(svid, sid, c.cfg.B))
-		c.stats.GetMigrations++
-		c.stats.GetHops++ // the cross-subtree jump itself
-		if res, ok := c.getInSubtree(v, entry, name); ok {
-			res.Migrated = true
-			return res, nil
+	v := c.view(c.Target(name))
+	cur, st := origin, ptree.Route{Origin: origin}
+	hops := 0
+	for {
+		if f, ok := c.nodes[cur].store.Get(name); ok {
+			return GetResult{File: f, ServedBy: cur, Hops: hops,
+				Fallback: st.Fallback, Migrated: st.Subtree > 0}, nil
 		}
-	}
-	c.stats.Faults++
-	return GetResult{}, ErrNotFound
-}
-
-// getInSubtree walks one subtree's lookup path from entry (which may be a
-// dead position; the walk then starts at its first live ancestor).
-func (c *Cluster) getInSubtree(v ptree.View, entry bitops.PID, name string) (GetResult, bool) {
-	var res GetResult
-	hops := -1 // the first live stop is the origin itself, not a hop
-	served := false
-	last, found := v.RouteToFirst(entry, func(q bitops.PID) bool {
+		next, nst, act, ok := v.Next(cur, st)
+		if !ok {
+			c.stats.Faults++
+			return GetResult{}, ErrNotFound
+		}
 		hops++
-		f, ok := c.nodes[q].store.Get(name)
-		if ok {
-			res = GetResult{File: f, ServedBy: q, Hops: hops}
-			served = true
+		c.stats.GetHops++
+		if act == msg.HopMigrate {
+			c.stats.GetMigrations++
 		}
-		return ok
-	})
-	if hops < 0 {
-		hops = 0 // entry position dead: its first live ancestor counts as hop 1
+		if act != msg.HopForward && nst.Fallback { // landed on a FINDLIVENODE primary
+			c.stats.GetFallbacks++
+		}
+		cur, st = next, nst
 	}
-	if served {
-		c.stats.GetHops += uint64(res.Hops)
-		return res, true
-	}
-	if found {
-		return res, false // unreachable: found implies served
-	}
-	// The walk ended without a copy. If it never reached the subtree's
-	// primary (dead root), take §3's second step.
-	p, ok := v.PrimaryOf(entry)
-	if !ok || p == last {
-		c.stats.GetHops += uint64(hops)
-		return res, false
-	}
-	hops++
-	c.stats.GetFallbacks++
-	f, ok := c.nodes[p].store.Get(name)
-	c.stats.GetHops += uint64(hops)
-	if !ok {
-		return res, false
-	}
-	return GetResult{File: f, ServedBy: p, Hops: hops, Fallback: true}, true
 }
 
 // UpdateResult reports an update's propagation.

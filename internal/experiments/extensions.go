@@ -58,7 +58,7 @@ func HopComparison(m, lookups int, seed uint64) []HopStats {
 		target := bitops.PID(rng.Intn(n))
 		origin := bitops.PID(rng.Intn(n))
 		v := ptree.NewView(target, live, 0)
-		hops := len(v.PathLiveStops(origin)) - 1
+		_, _, hops := rootWalk(v, origin)
 		ll.observe(hops)
 	}
 	out = append(out, ll)
@@ -437,6 +437,21 @@ func UpdateCostTable(rows []UpdateCostRow) string {
 	return b.String()
 }
 
+// rootWalk loops ptree.View.Next from origin until it stops, in a tree
+// with B = 0 where no node but the root holds a copy: the get walk to the
+// target. It returns the last stop, the stop before it (origin when the
+// origin is the last stop) and the hops taken.
+func rootWalk(v ptree.View, origin bitops.PID) (server, forwarder bitops.PID, hops int) {
+	server, forwarder = origin, origin
+	for st := (ptree.Route{Origin: origin}); ; hops++ {
+		next, nst, _, ok := v.Next(server, st)
+		if !ok {
+			return server, forwarder, hops
+		}
+		forwarder, server, st = server, next, nst
+	}
+}
+
 // LogOverheadRow reports the bookkeeping a log-based replication method
 // carries to make one placement decision, against LessLog's zero.
 type LogOverheadRow struct {
@@ -461,12 +476,7 @@ func LogOverhead(p Params, requestCounts []int, logCap int) ([]LogOverheadRow, e
 		rec := accesslog.NewRecorder(logCap)
 		for i := 0; i < reqs; i++ {
 			origin := bitops.PID(i % n)
-			stops := v.PathLiveStops(origin)
-			server := stops[len(stops)-1]
-			forwarder := origin
-			if len(stops) >= 2 {
-				forwarder = stops[len(stops)-2]
-			}
+			server, forwarder, _ := rootWalk(v, origin)
 			rec.Record(server, "hot", accesslog.Entry{Origin: origin, Forwarder: forwarder})
 		}
 		entries, bytes := rec.Footprint()

@@ -234,12 +234,7 @@ func TestLogAnalysisMatchesOracle(t *testing.T) {
 	rec := accesslog.NewRecorder(1 << 20)
 	for i := 0; i < bitops.Slots(p.M); i++ {
 		origin := bitops.PID(i)
-		stops := v.PathLiveStops(origin)
-		server := stops[len(stops)-1]
-		forwarder := origin
-		if len(stops) >= 2 {
-			forwarder = stops[len(stops)-2]
-		}
+		server, forwarder, _ := rootWalk(v, origin)
 		rec.Record(server, "hot", accesslog.Entry{Origin: origin, Forwarder: forwarder})
 	}
 	hot, ok := rec.Log(p.Target, "hot").HottestForwarder()

@@ -24,6 +24,7 @@ import (
 	"lesslog/internal/bitops"
 	"lesslog/internal/liveness"
 	"lesslog/internal/metrics"
+	"lesslog/internal/msg"
 	"lesslog/internal/ptree"
 	"lesslog/internal/replication"
 	"lesslog/internal/workload"
@@ -42,16 +43,20 @@ type Config struct {
 }
 
 // Sim is the mutable simulation state. It implements replication.Context.
+// Every per-node table is a slice indexed by PID.
 type Sim struct {
 	cfg  Config
 	view ptree.View
 	rng  *xrand.Rand
 
-	copies    map[bitops.PID]bool
+	copies    []bool
 	primaries []bitops.PID // one per subtree that has any live node
 
-	loads     map[bitops.PID]float64
-	forwarded map[bitops.PID]map[bitops.PID]float64
+	loads []float64 // serve rate; zero off the holders
+	// forwarded is the rate each node passes to its server as the last
+	// live hop: the server is the node's first live ancestor, so one entry
+	// per node is the whole (holder, child) table.
+	forwarded []float64
 	hopRate   float64 // sum over origins of rate × hops to the server
 	dirty     bool
 }
@@ -67,12 +72,15 @@ func New(cfg Config) *Sim {
 	if len(cfg.Rates) != bitops.Slots(cfg.M) {
 		panic("loadsim: rates length mismatch")
 	}
+	n := bitops.Slots(cfg.M)
 	s := &Sim{
-		cfg:    cfg,
-		view:   ptree.NewView(cfg.Target, cfg.Live, cfg.B),
-		rng:    xrand.New(cfg.Seed),
-		copies: make(map[bitops.PID]bool),
-		dirty:  true,
+		cfg:       cfg,
+		view:      ptree.NewView(cfg.Target, cfg.Live, cfg.B),
+		rng:       xrand.New(cfg.Seed),
+		copies:    make([]bool, n),
+		loads:     make([]float64, n),
+		forwarded: make([]float64, n),
+		dirty:     true,
 	}
 	s.primaries = s.view.AppendPrimaries(nil)
 	for _, p := range s.primaries {
@@ -94,7 +102,10 @@ func (s *Sim) Rand() *xrand.Rand { return s.rng }
 // holder through child as the last live hop before holder.
 func (s *Sim) ForwardedLoad(holder, child bitops.PID) float64 {
 	s.recompute()
-	return s.forwarded[holder][child]
+	if anc, ok := s.view.AliveAncestor(child); !ok || anc != holder {
+		return 0
+	}
+	return s.forwarded[child]
 }
 
 // Primaries returns the nodes holding the initially inserted copies.
@@ -103,11 +114,12 @@ func (s *Sim) Primaries() []bitops.PID { return append([]bitops.PID(nil), s.prim
 // Holders returns the current copy holders (primaries plus replicas) in
 // ascending PID order.
 func (s *Sim) Holders() []bitops.PID {
-	out := make([]bitops.PID, 0, len(s.copies))
-	for p := range s.copies {
-		out = append(out, p)
+	var out []bitops.PID
+	for p, ok := range s.copies {
+		if ok {
+			out = append(out, bitops.PID(p))
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -127,7 +139,7 @@ func (s *Sim) RemoveReplica(p bitops.PID) bool {
 	if s.isPrimary(p) || !s.copies[p] {
 		return false
 	}
-	delete(s.copies, p)
+	s.copies[p] = false
 	s.dirty = true
 	return true
 }
@@ -143,11 +155,16 @@ func (s *Sim) SetRates(r workload.Rates) {
 	s.dirty = true
 }
 
-// Loads returns the per-holder serve rates. The map is shared; callers
-// must not modify it.
+// Loads returns the per-holder serve rates, one entry per holder.
 func (s *Sim) Loads() map[bitops.PID]float64 {
 	s.recompute()
-	return s.loads
+	out := make(map[bitops.PID]float64)
+	for p, ok := range s.copies {
+		if ok {
+			out[bitops.PID(p)] = s.loads[p]
+		}
+	}
+	return out
 }
 
 // LoadOf returns one holder's serve rate.
@@ -157,12 +174,21 @@ func (s *Sim) LoadOf(p bitops.PID) float64 {
 }
 
 // Summary returns the current load summary.
-func (s *Sim) Summary() metrics.LoadSummary { return summarize(s.Loads(), s.cfg.Cap) }
+func (s *Sim) Summary() metrics.LoadSummary {
+	s.recompute()
+	return summarize([]*Sim{s}, s.loads, s.cfg.Cap)
+}
 
-func summarize(loads map[bitops.PID]float64, cap float64) metrics.LoadSummary {
-	l := make(map[uint32]float64, len(loads))
+// summarize summarizes loads over every node holding a copy of some file.
+func summarize(files []*Sim, loads []float64, cap float64) metrics.LoadSummary {
+	l := make(map[uint32]float64)
 	for p, v := range loads {
-		l[uint32(p)] = v
+		for _, f := range files {
+			if f.copies[p] {
+				l[uint32(p)] = v
+				break
+			}
+		}
 	}
 	return metrics.SummarizeLoads(l, cap)
 }
@@ -173,12 +199,9 @@ func (s *Sim) recompute() {
 	if !s.dirty {
 		return
 	}
-	s.loads = make(map[bitops.PID]float64, len(s.copies))
-	s.forwarded = make(map[bitops.PID]map[bitops.PID]float64)
+	clear(s.loads)
+	clear(s.forwarded)
 	s.hopRate = 0
-	for p := range s.copies {
-		s.loads[p] = 0
-	}
 	s.cfg.Live.ForEachLive(func(origin bitops.PID) {
 		rate := s.cfg.Rates[origin]
 		if rate == 0 {
@@ -188,12 +211,7 @@ func (s *Sim) recompute() {
 		s.loads[server] += rate
 		s.hopRate += rate * float64(hops)
 		if prev != server {
-			m := s.forwarded[server]
-			if m == nil {
-				m = make(map[bitops.PID]float64)
-				s.forwarded[server] = m
-			}
-			m[prev] += rate
+			s.forwarded[prev] += rate
 		}
 	})
 	s.dirty = false
@@ -201,34 +219,24 @@ func (s *Sim) recompute() {
 
 // route returns the holder serving a request from origin, the last live
 // node visited before it (== server when the origin itself is served
-// directly or the request arrived via the FINDLIVENODE fallback), and the
-// number of forwarding hops taken.
+// directly or the request arrived by a FINDLIVENODE or §4 jump rather than
+// a live-ancestor hop), and the number of forwarding hops taken: the loop
+// of ptree.View.Next until a stop holds a copy.
 func (s *Sim) route(origin bitops.PID) (server, prev bitops.PID, hops int) {
-	prev = origin
-	cur := origin
-	if s.copies[cur] {
-		return cur, cur, 0
-	}
-	for {
-		next, ok := s.view.AliveAncestor(cur)
+	server, prev = origin, origin
+	for st := (ptree.Route{Origin: origin}); !s.copies[server]; hops++ {
+		next, nst, act, ok := s.view.Next(server, st)
 		if !ok {
-			// Walk ended at a dead subtree root: §3's second step jumps
-			// to the FINDLIVENODE primary directly.
-			p, ok := s.view.PrimaryOf(origin)
-			if !ok {
-				// No live node in the subtree at all; unreachable for
-				// origins, which are live by construction.
-				panic("loadsim: origin in a dead subtree")
-			}
-			return p, p, hops + 1
+			// Every live subtree holds its primary copy; unreachable for
+			// origins, which are live by construction.
+			panic("loadsim: no copy reachable from the origin")
 		}
-		hops++
-		if s.copies[next] {
-			return next, cur, hops
+		prev, server, st = server, next, nst
+		if act != msg.HopForward {
+			prev = server
 		}
-		prev = cur
-		cur = next
 	}
+	return server, prev, hops
 }
 
 // MeanHops returns the rate-weighted mean number of forwarding hops a
@@ -283,12 +291,12 @@ func Balance(strategy replication.Strategy, maxReplicas int, files ...*Sim) (Res
 		maxReplicas = bitops.Slots(cfg.M) * len(files)
 	}
 	res := Result{Strategy: strategy.Name()}
-	saturated := make(map[bitops.PID]bool)
+	saturated := make([]bool, bitops.Slots(cfg.M))
 	for {
 		loads := nodeLoads(files)
 		over, ok := mostOverloaded(loads, cfg.Cap, saturated)
 		if !ok {
-			res.Summary = summarize(loads, cfg.Cap)
+			res.Summary = summarize(files, loads, cfg.Cap)
 			if _, stillOver := mostOverloaded(loads, cfg.Cap, nil); stillOver {
 				return res, ErrStuck
 			}
@@ -296,7 +304,7 @@ func Balance(strategy replication.Strategy, maxReplicas int, files ...*Sim) (Res
 			return res, nil
 		}
 		if res.ReplicasCreated >= maxReplicas {
-			res.Summary = summarize(loads, cfg.Cap)
+			res.Summary = summarize(files, loads, cfg.Cap)
 			return res, ErrBudget
 		}
 		f, target, ok := place(strategy, files, over)
@@ -305,7 +313,7 @@ func Balance(strategy replication.Strategy, maxReplicas int, files ...*Sim) (Res
 			continue
 		}
 		if f.copies[target] {
-			res.Summary = summarize(loads, cfg.Cap)
+			res.Summary = summarize(files, loads, cfg.Cap)
 			return res, fmt.Errorf("loadsim: %s placed a duplicate copy at P(%d)", strategy.Name(), target)
 		}
 		f.AddReplica(target)
@@ -333,33 +341,33 @@ func place(strategy replication.Strategy, files []*Sim, over bitops.PID) (*Sim, 
 	return nil, 0, false
 }
 
-// nodeLoads returns each node's serve rate summed over the files. With one
-// file it is that file's own table, shared.
-func nodeLoads(files []*Sim) map[bitops.PID]float64 {
-	if len(files) == 1 {
-		return files[0].Loads()
-	}
-	agg := make(map[bitops.PID]float64)
+// nodeLoads returns each node's serve rate summed over the files, file by
+// file. With one file it is that file's own table, shared.
+func nodeLoads(files []*Sim) []float64 {
 	for _, f := range files {
-		for p, l := range f.Loads() {
-			agg[p] += l
+		f.recompute()
+	}
+	if len(files) == 1 {
+		return files[0].loads
+	}
+	sum := make([]float64, len(files[0].loads))
+	for _, f := range files {
+		for p, l := range f.loads {
+			sum[p] += l
 		}
 	}
-	return agg
+	return sum
 }
 
 // mostOverloaded returns the node with the highest load above the cap
-// that is not in skip, ties broken toward the lowest PID.
-func mostOverloaded(loads map[bitops.PID]float64, cap float64, skip map[bitops.PID]bool) (bitops.PID, bool) {
+// that is not in skip (nil skips none), ties broken toward the lowest PID.
+func mostOverloaded(loads []float64, cap float64, skip []bool) (bitops.PID, bool) {
 	var best bitops.PID
-	var bestLoad float64
+	bestLoad := cap
 	found := false
 	for p, l := range loads {
-		if l <= cap || skip[p] {
-			continue
-		}
-		if !found || l > bestLoad || (l == bestLoad && p < best) {
-			best, bestLoad, found = p, l, true
+		if l > bestLoad && (skip == nil || !skip[p]) {
+			best, bestLoad, found = bitops.PID(p), l, true
 		}
 	}
 	return best, found
@@ -397,8 +405,8 @@ func (s *Sim) EvictCold(minRate float64) int {
 		// threshold, coldest first (ties toward lower PID).
 		var cands []bitops.PID
 		for p, l := range s.loads {
-			if !s.isPrimary(p) && l < minRate {
-				cands = append(cands, p)
+			if s.copies[p] && !s.isPrimary(bitops.PID(p)) && l < minRate {
+				cands = append(cands, bitops.PID(p))
 			}
 		}
 		sort.Slice(cands, func(i, j int) bool {
@@ -414,7 +422,8 @@ func (s *Sim) EvictCold(minRate float64) int {
 				continue
 			}
 			s.RemoveReplica(p)
-			if _, over := mostOverloaded(s.Loads(), s.cfg.Cap, nil); over {
+			s.recompute()
+			if _, over := mostOverloaded(s.loads, s.cfg.Cap, nil); over {
 				s.AddReplica(p) // roll back: removal would overload
 				continue
 			}

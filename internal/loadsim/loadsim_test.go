@@ -64,7 +64,7 @@ func TestLoadConservation(t *testing.T) {
 
 func TestAggregateLoadConservation(t *testing.T) {
 	files := splitSim(4, 8000)
-	if h := summarize(nodeLoads(files), 100).Holders; h < len(files) {
+	if h := summarize(files, nodeLoads(files), 100).Holders; h < len(files) {
 		t.Fatalf("%d holders for %d files", h, len(files))
 	}
 	assertConserved(t, files, 8000)
@@ -349,7 +349,7 @@ func TestEvictCold(t *testing.T) {
 	if removed == 0 {
 		t.Fatal("no cold replicas removed")
 	}
-	if _, over := mostOverloaded(s.Loads(), s.cfg.Cap, nil); over {
+	if s.Summary().Overloaded != 0 {
 		t.Fatal("eviction overloaded the system")
 	}
 	if len(s.Holders()) != holdersBefore-removed {

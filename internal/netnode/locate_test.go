@@ -2,7 +2,7 @@ package netnode
 
 // Tests for the locate-then-fetch data plane: locate walks, local-only
 // fetches, route-hint reuse, traced fault paths,
-// and the full nextHop fallback chain exercised through both the relay and
+// and the full get-walk fallback chain exercised through both the relay and
 // the locate lookup.
 
 import (
@@ -361,7 +361,7 @@ func TestTracedLookupFaultReturnsPath(t *testing.T) {
 	}
 }
 
-// TestLookupFallbackChain drives the full nextHop chain — live-ancestor
+// TestLookupFallbackChain drives the full ptree.View.Next chain — live-ancestor
 // walk exhausted (every ancestor dead), §3 FINDLIVENODE fallback to a
 // primary without the copy, §4 migration into the sibling subtree — and
 // asserts the relay and locate lookups walk the identical route.

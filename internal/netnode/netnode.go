@@ -132,6 +132,9 @@ type Stats struct {
 	// ProtoErrors counts decode and write failures on served connections —
 	// the drops that used to be silent.
 	ProtoErrors atomic.Uint64
+	// RouteDivergence counts traced lookups this peer entered whose answer
+	// came back over hops other than its own ptree.View.Next loop predicts.
+	RouteDivergence atomic.Uint64
 	// Locate-then-fetch data plane (docs/ROUTING.md). Located counts
 	// KindLocateSet walks this peer answered as the holder; DirectServed /
 	// DirectMisses count FlagLocalOnly gets served from the local store or
@@ -213,7 +216,7 @@ type Stats struct {
 
 // routing is the peer's registration state — the PID→address table and
 // the §5.1 status word — published as one immutable snapshot: readers
-// (view, nextHop, IsLive, call) load it with a single atomic load and
+// (view, forwardLookup, IsLive, call) load it with a single atomic load and
 // zero locks; mutators clone-and-swap under regMu.
 type routing struct {
 	addrs map[bitops.PID]string
@@ -861,31 +864,40 @@ func (p *Peer) handleGet(req *msg.Request) *msg.Response {
 
 // forwardLookup relays an unserved lookup along the lookup tree — shared
 // by relay gets and locates, which walk identical hops and differ only in
-// what the holder answers (payload vs location). A failed forward is not
-// final: the failure feeds the detector, and once the dead hop's liveness
-// bit flips, recomputing the next hop routes around it (§3/§5 over the
-// wire) — so a lookup survives a silently crashed peer within a bounded
+// what the holder answers (payload vs location). Each forward is one step
+// of ptree.View.Next on the routing state the request carries (Origin,
+// Subtree, FlagFallback); the entry peer stamps itself as the Origin, so
+// §4 re-enters every subtree at the requester's position. A failed forward
+// is not final: the failure feeds the detector, and once the dead hop's
+// liveness bit flips, recomputing the step routes around it (§3/§5 over
+// the wire) — so a lookup survives a silently crashed peer within a bounded
 // number of RPC deadlines. The attempt budget guarantees at least one
 // recomputation after the detector threshold is crossed.
 func (p *Peer) forwardLookup(req *msg.Request, start time.Time) *msg.Response {
+	st := ptree.Route{Origin: bitops.PID(req.Origin), Subtree: req.Subtree,
+		Fallback: req.Flags&msg.FlagFallback != 0}
+	if req.Hops == 0 {
+		st.Origin = p.cfg.PID
+	}
+	target := p.hasher.Target(req.Name, p.cfg.M)
 	attempts := p.tr.Config().FailThreshold + 1
 	var lastErr error
 	var lastHop bitops.PID
 	for attempt := 0; attempt < attempts; attempt++ {
-		next, flags, subtree, ok := p.nextHop(req)
+		next, nst, action, ok := p.view(target).Next(p.cfg.PID, st)
 		if !ok {
 			return p.faultResponse(req, start, "netnode: file not found (fault)")
 		}
 		fwd := *req
 		fwd.Hops++
-		fwd.Flags = flags
-		fwd.Subtree = subtree
+		fwd.Origin = uint32(nst.Origin)
+		fwd.Subtree = nst.Subtree
+		fwd.Flags &^= msg.FlagFallback
+		if nst.Fallback {
+			fwd.Flags |= msg.FlagFallback
+		}
 		if req.Flags&msg.FlagTrace != 0 {
-			// nextHop clears routing flags on a subtree migration; the
-			// trace bit must survive every transition.
-			fwd.Flags |= msg.FlagTrace
-			fwd.Path = appendHop(req.Path, uint32(p.cfg.PID),
-				hopAction(req, flags, subtree), time.Since(start))
+			fwd.Path = appendHop(req.Path, uint32(p.cfg.PID), action, time.Since(start))
 		}
 		p.stats.Forwards.Add(1)
 		resp, err := p.call(next, &fwd)
@@ -893,12 +905,41 @@ func (p *Peer) forwardLookup(req *msg.Request, start time.Time) *msg.Response {
 			if resp.OK && req.Kind == msg.KindGet {
 				p.stats.RelayedBytes.Add(uint64(len(resp.Data)))
 			}
+			if req.Hops == 0 && resp.OK && req.Flags&msg.FlagTrace != 0 {
+				p.checkRoute(target, resp.Path[min(len(req.Path), len(resp.Path)):], bitops.PID(resp.ServedBy))
+			}
 			return &resp
 		}
 		lastErr, lastHop = err, next
 	}
 	return p.faultResponse(req, start,
 		fmt.Sprintf("netnode: forward to P(%d) failed: %v", lastHop, lastErr))
+}
+
+// checkRoute counts a traced lookup, answered back at its entry peer, whose
+// hops differ from the loop of ptree.View.Next this peer runs from itself
+// to the reported server (route_divergence): two peers routing one request
+// on different liveness views.
+func (p *Peer) checkRoute(target bitops.PID, hops []msg.Hop, server bitops.PID) {
+	v := p.view(target)
+	cur, st := p.cfg.PID, ptree.Route{Origin: p.cfg.PID}
+	for i, h := range hops {
+		if bitops.PID(h.PID) != cur {
+			break
+		}
+		if cur == server {
+			if i == len(hops)-1 {
+				return
+			}
+			break
+		}
+		next, nst, _, ok := v.Next(cur, st)
+		if !ok {
+			break
+		}
+		cur, st = next, nst
+	}
+	p.stats.RouteDivergence.Add(1)
 }
 
 // faultResponse finalizes a lookup this peer can neither serve nor forward,
@@ -913,54 +954,6 @@ func (p *Peer) faultResponse(req *msg.Request, start time.Time, errStr string) *
 		resp.Path = appendHop(req.Path, uint32(p.cfg.PID), msg.HopFault, time.Since(start))
 	}
 	return resp
-}
-
-// hopAction classifies the forward a traced get is about to take by how
-// nextHop changed the request state: a new subtree is the §4 migration, a
-// freshly-set fallback flag is the §3 FINDLIVENODE step, anything else is
-// the ordinary live-ancestor walk.
-func hopAction(req *msg.Request, flags uint8, subtree uint32) msg.HopAction {
-	switch {
-	case subtree != req.Subtree:
-		return msg.HopMigrate
-	case flags&msg.FlagFallback != 0 && req.Flags&msg.FlagFallback == 0:
-		return msg.HopFallback
-	}
-	return msg.HopForward
-}
-
-// nextHop computes where an unserved get goes: the first live ancestor
-// (§2.2/§3), then the FINDLIVENODE primary (§3 step two), then the next
-// subtree (§4 migration), carrying the state in the request flags.
-func (p *Peer) nextHop(req *msg.Request) (next bitops.PID, flags uint8, subtree uint32, ok bool) {
-	target := p.hasher.Target(req.Name, p.cfg.M)
-	v := p.view(target)
-	self := p.cfg.PID
-	if req.Flags&msg.FlagFallback == 0 {
-		if anc, live := v.AliveAncestor(self); live {
-			return anc, req.Flags, req.Subtree, true
-		}
-		if prim, live := v.PrimaryOf(self); live && prim != self {
-			return prim, req.Flags | msg.FlagFallback, req.Subtree, true
-		}
-	}
-	// Own subtree exhausted: migrate (§4).
-	nTrees := uint32(bitops.SubtreeCount(p.cfg.B))
-	if req.Subtree+1 >= nTrees {
-		return 0, 0, 0, false
-	}
-	sid := (v.SubtreeID(self) + 1) & bitops.VID(nTrees-1)
-	entry := v.PID(bitops.ComposeVID(v.SubtreeVID(self), sid, p.cfg.B))
-	if !p.rt().live.IsLive(entry) {
-		if anc, live := v.AliveAncestor(entry); live {
-			entry = anc
-		} else if prim, live := v.PrimaryOf(entry); live {
-			return prim, msg.FlagFallback, req.Subtree + 1, true
-		} else {
-			return 0, 0, 0, false
-		}
-	}
-	return entry, 0, req.Subtree + 1, true
 }
 
 // initiate starts the broadcast that carries a client's update or delete to

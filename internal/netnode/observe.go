@@ -120,6 +120,10 @@ type Totals struct {
 	Updated     uint64 `json:"updated" prom:"lesslog_updated_total" fleet:"sum,traffic"`
 	Broadcast   uint64 `json:"broadcast" prom:"lesslog_broadcast_legs_total" fleet:"sum,traffic"`
 	ProtoErrors uint64 `json:"proto_errors" prom:"lesslog_proto_errors_total" fleet:"sum,traffic"`
+	// RouteDivergence counts traced lookups entered here whose observed hops
+	// differ from this peer's own prediction of the walk (ptree.View.Next):
+	// nonzero means peers are routing on different liveness views.
+	RouteDivergence uint64 `json:"route_divergence" prom:"lesslog_route_divergence_total" fleet:"sum,traffic"`
 	// PersistErrors counts store mutations the durable log did not take —
 	// applied in memory, lost on restart (docs/STORAGE.md: every body over
 	// the 16 MiB record cap, and everything after a write failure). Always

@@ -23,8 +23,7 @@ import (
 	"lesslog/internal/store"
 )
 
-// hopPIDs projects the observed hop records onto the PID sequence that
-// PathLiveStops predicts.
+// hopPIDs projects the observed hop records onto their PID sequence.
 func hopPIDs(hops []msg.Hop) []bitops.PID {
 	out := make([]bitops.PID, len(hops))
 	for i, h := range hops {
@@ -58,7 +57,7 @@ func TestTracedGetMatchesPrediction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := ptree.NewView(4, liveness.NewAllLive(4, 16), 0).PathLiveStops(8)
+	want := hopPIDs(predictRoute(ptree.NewView(4, liveness.NewAllLive(4, 16), 0), 8, holds(4)))
 	if got := hopPIDs(res.Path); !pidsEqual(got, want) {
 		t.Fatalf("traced route %v, ptree predicts %v", got, want)
 	}
@@ -82,8 +81,8 @@ func TestTracedGetMatchesPrediction(t *testing.T) {
 }
 
 // TestTracedGetFallbackRoute reruns the §3 dead-target example traced: with
-// P(4) and P(5) dead the route must end in a FINDLIVENODE hop, and the
-// stops up to it must match PathLiveStops for the same liveness state.
+// P(4) and P(5) dead the route must end in a FINDLIVENODE hop, and its
+// stops must be the ptree.View.Next loop's for the same liveness state.
 func TestTracedGetFallbackRoute(t *testing.T) {
 	var pids []bitops.PID
 	for i := 0; i < 16; i++ {
@@ -106,10 +105,9 @@ func TestTracedGetFallbackRoute(t *testing.T) {
 	live := liveness.NewAllLive(4, 16)
 	live.SetDead(4)
 	live.SetDead(5)
-	want := ptree.NewView(4, live, 0).PathLiveStops(8)
-	walked := hopPIDs(res.Path)
-	if !pidsEqual(walked[:len(want)], want) {
-		t.Fatalf("traced walk %v does not start with predicted stops %v", walked, want)
+	want := hopPIDs(predictRoute(ptree.NewView(4, live, 0), 8, holds(6)))
+	if walked := hopPIDs(res.Path); !pidsEqual(walked, want) {
+		t.Fatalf("traced walk %v, predicted stops %v", walked, want)
 	}
 	var sawFallback bool
 	for _, h := range res.Path {

@@ -3,6 +3,7 @@ package ptree_test
 import (
 	"fmt"
 
+	"lesslog/internal/bitops"
 	"lesslog/internal/liveness"
 	"lesslog/internal/ptree"
 )
@@ -25,12 +26,23 @@ func ExampleView_ExpandedChildrenList() {
 }
 
 // The §2.1 routing chain: a request at P(8) for a file anchored at P(4)
-// forwards P(8) → P(0) → P(4).
-func ExampleView_PathLiveStops() {
+// forwards P(8) → P(0) → P(4), one Next step per hop, and the walk ends
+// at the root of the only subtree.
+func ExampleView_Next() {
 	live := liveness.NewAllLive(4, 16)
 	v := ptree.NewView(4, live, 0)
-	fmt.Println(v.PathLiveStops(8))
-	// Output: [8 0 4]
+	cur, st := bitops.PID(8), ptree.Route{Origin: 8}
+	for {
+		next, nst, act, ok := v.Next(cur, st)
+		if !ok {
+			break
+		}
+		fmt.Println(cur, act, next)
+		cur, st = next, nst
+	}
+	// Output:
+	// 8 forward 0
+	// 0 forward 4
 }
 
 // FINDLIVENODE from §3: with the target P(4) and its best stand-in P(5)

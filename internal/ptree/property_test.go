@@ -79,7 +79,7 @@ func TestPropertyRouteStaysInSubtreeAndBounded(t *testing.T) {
 		m := 3 + rng.Intn(5)
 		v, live := randomView(rng, m)
 		live.ForEachLive(func(origin bitops.PID) {
-			stops := v.PathLiveStops(origin)
+			stops := ancestorStops(v, origin)
 			if len(stops) == 0 || stops[0] != origin {
 				t.Fatalf("path from live P(%d) must start there: %v", origin, stops)
 			}

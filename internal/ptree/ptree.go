@@ -4,12 +4,13 @@
 // word and, for the fault-tolerant model, a 2^b-way subtree split.
 //
 // A View answers every tree-shaped question the file operations need:
-// parent routing with dead-node bypass (the augmented FP of §3), the
-// FINDLIVENODE search, the expanded children list used by replication, and
-// the live-population counts behind the proportional children-list choice.
-// All operations work *within a subtree*; with b = 0 there is exactly one
-// subtree — the whole tree — and the view reduces to the basic/advanced
-// models of §2 and §3.
+// parent routing with dead-node bypass (the augmented FP of §3), the get
+// walk as one step (Next, which the engine, the fabric, the simulator and
+// the trace renderer all loop), the FINDLIVENODE search, the expanded
+// children list used by replication, and the live-population counts behind
+// the proportional children-list choice. All operations but Next work
+// *within a subtree*; with b = 0 there is exactly one subtree — the whole
+// tree — and the view reduces to the basic/advanced models of §2 and §3.
 package ptree
 
 import (
@@ -17,6 +18,7 @@ import (
 
 	"lesslog/internal/bitops"
 	"lesslog/internal/liveness"
+	"lesslog/internal/msg"
 )
 
 // View is a read-only view of the physical lookup tree rooted at Root,
@@ -294,37 +296,49 @@ func (v View) LiveInSubtree(sid bitops.VID) int {
 	return n
 }
 
-// RouteToFirst walks the §3 getting-file path from origin toward the
-// subtree root: origin itself, then successive live ancestors. It calls
-// visit at each live stop and stops early when visit returns true (a copy
-// was found). It returns the PID where the walk stopped and whether visit
-// ever returned true. Dead positions are bypassed exactly as the augmented
-// FP prescribes.
-func (v View) RouteToFirst(origin bitops.PID, visit func(q bitops.PID) bool) (bitops.PID, bool) {
-	cur := origin
-	if v.Live.IsLive(cur) && visit(cur) {
-		return cur, true
-	}
-	for {
-		next, ok := v.AliveAncestor(cur)
-		if !ok {
-			return cur, false
-		}
-		cur = next
-		if visit(cur) {
-			return cur, true
-		}
-	}
+// Route is the state a get carries from stop to stop: exactly the three
+// routing fields of msg.Request (Origin, Subtree, FlagFallback), so a peer
+// resumes the walk from what a frame carries.
+type Route struct {
+	Origin   bitops.PID // the requester: §4 re-enters every subtree at its position
+	Subtree  uint32     // subtrees left so far, the §4 migration counter
+	Fallback bool       // §3's second step taken in the current subtree
 }
 
-// PathLiveStops returns the sequence of live nodes a request issued at
-// origin traverses (origin first if live), ending at the subtree root or
-// the last live ancestor. Used for hop accounting and by the simulator.
-func (v View) PathLiveStops(origin bitops.PID) []bitops.PID {
-	var stops []bitops.PID
-	v.RouteToFirst(origin, func(q bitops.PID) bool {
-		stops = append(stops, q)
-		return false
-	})
-	return stops
+// Next is one step of the get walk from self, a live stop that holds no
+// copy: the first live ancestor (§2.2/§3, HopForward); when there is none,
+// the subtree's FINDLIVENODE primary (§3 step two, HopFallback); once that
+// too is spent, the requester's subtree VID in the next subtree that has a
+// live node (§4, HopMigrate) — that position if live, else its first live
+// ancestor, else the primary there with the fallback already taken. It
+// reports false when no subtree is left. A get is the loop of Next from
+// its requester until a stop holds a copy; the hops are the steps taken.
+func (v View) Next(self bitops.PID, st Route) (bitops.PID, Route, msg.HopAction, bool) {
+	if !st.Fallback {
+		if anc, ok := v.AliveAncestor(self); ok {
+			return anc, st, msg.HopForward, true
+		}
+		st.Fallback = true
+		if prim, ok := v.PrimaryOf(self); ok && prim != self {
+			return prim, st, msg.HopFallback, true
+		}
+	}
+	n := uint32(bitops.SubtreeCount(v.B))
+	svid, sid := v.SubtreeVID(st.Origin), v.SubtreeID(st.Origin)
+	for st.Subtree+1 < n {
+		st.Subtree++
+		st.Fallback = false
+		entry := v.PID(bitops.ComposeVID(svid, (sid+bitops.VID(st.Subtree))&bitops.VID(n-1), v.B))
+		if v.Live.IsLive(entry) {
+			return entry, st, msg.HopMigrate, true
+		}
+		if anc, ok := v.AliveAncestor(entry); ok {
+			return anc, st, msg.HopMigrate, true
+		}
+		if prim, ok := v.PrimaryOf(entry); ok {
+			st.Fallback = true
+			return prim, st, msg.HopMigrate, true
+		}
+	}
+	return 0, st, 0, false
 }

@@ -6,12 +6,30 @@ import (
 
 	"lesslog/internal/bitops"
 	"lesslog/internal/liveness"
+	"lesslog/internal/msg"
 	"lesslog/internal/xrand"
 )
 
 // fullView returns the tree of P(root) in a complete 16-node system.
 func fullView(root bitops.PID) View {
 	return NewView(root, liveness.NewAllLive(4, 16), 0)
+}
+
+// ancestorStops is the live-ancestor part of the get walk from origin:
+// origin itself when live, then every stop Next reaches by HopForward.
+func ancestorStops(v View, origin bitops.PID) []bitops.PID {
+	var stops []bitops.PID
+	if v.Live.IsLive(origin) {
+		stops = append(stops, origin)
+	}
+	for cur, st := origin, (Route{Origin: origin}); ; {
+		next, nst, act, ok := v.Next(cur, st)
+		if !ok || act != msg.HopForward {
+			return stops
+		}
+		stops = append(stops, next)
+		cur, st = next, nst
+	}
 }
 
 // fig3View returns the paper's Figure 3 world: the tree of P(4) in a
@@ -37,7 +55,7 @@ func TestPaperFigure2Routing(t *testing.T) {
 	if _, ok = v.AliveAncestor(4); ok {
 		t.Fatal("root must have no ancestor")
 	}
-	stops := v.PathLiveStops(8)
+	stops := ancestorStops(v, 8)
 	want := []bitops.PID{8, 0, 4}
 	if !reflect.DeepEqual(stops, want) {
 		t.Fatalf("path from P(8) = %v, want %v", stops, want)
@@ -122,23 +140,96 @@ func TestAliveAncestorBypassesDead(t *testing.T) {
 	}
 	// Path skips the dead node entirely.
 	want := []bitops.PID{8, 4}
-	if got := v.PathLiveStops(8); !reflect.DeepEqual(got, want) {
+	if got := ancestorStops(v, 8); !reflect.DeepEqual(got, want) {
 		t.Fatalf("path = %v, want %v", got, want)
 	}
 }
 
-func TestRouteToFirstStopsAtCopy(t *testing.T) {
-	v := fullView(4)
-	holders := map[bitops.PID]bool{0: true}
-	stop, found := v.RouteToFirst(8, func(q bitops.PID) bool { return holders[q] })
-	if !found || stop != 0 {
-		t.Fatalf("route stopped at P(%d), found=%v; want P(0)", stop, found)
+// TestNextSteps walks the §3/§4 cases one step at a time: the ancestor
+// walk, the FINDLIVENODE jump off a dead root, the migration to the
+// requester's position in the next subtree (or its first live ancestor, or
+// the primary there), the skip over a dead subtree, and the end of the walk.
+func TestNextSteps(t *testing.T) {
+	type step struct {
+		next bitops.PID
+		act  msg.HopAction
 	}
-	// Origin holding a copy stops immediately.
-	holders[8] = true
-	stop, found = v.RouteToFirst(8, func(q bitops.PID) bool { return holders[q] })
-	if !found || stop != 8 {
-		t.Fatalf("route stopped at P(%d), want P(8)", stop)
+	walk := func(v View, origin bitops.PID) []step {
+		var out []step
+		for cur, st := origin, (Route{Origin: origin}); ; {
+			next, nst, act, ok := v.Next(cur, st)
+			if !ok {
+				return out
+			}
+			out = append(out, step{next, act})
+			cur, st = next, nst
+		}
+	}
+	check := func(name string, v View, origin bitops.PID, want ...step) {
+		t.Helper()
+		if got := walk(v, origin); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: walk from P(%d) = %v, want %v", name, origin, got, want)
+		}
+	}
+	fwd := func(p bitops.PID) step { return step{p, msg.HopForward} }
+	fb := func(p bitops.PID) step { return step{p, msg.HopFallback} }
+	mig := func(p bitops.PID) step { return step{p, msg.HopMigrate} }
+
+	// B = 0: the §2.1 chain, then nothing; with P(4) and P(5) dead, the
+	// §3 jump to P(6).
+	check("complete", fullView(4), 8, fwd(0), fwd(4))
+	live := liveness.NewAllLive(4, 16)
+	live.SetDead(4)
+	live.SetDead(5)
+	check("dead root", NewView(4, live, 0), 8, fwd(0), fb(6))
+
+	// B = 1 in the tree of P(4): subtree VIDs are the upper three bits, so
+	// P(8) (VID 0011) sits at subtree VID 001 of subtree 1, whose twin in
+	// subtree 0 is VID 0010 = P(9).
+	v := NewView(4, liveness.NewAllLive(4, 16), 1)
+	if v.SubtreeID(8) != 1 || v.PID(0b0010) != 9 {
+		t.Fatalf("setup: subtree of P(8) = %d, VID 0010 = P(%d)", v.SubtreeID(8), v.PID(0b0010))
+	}
+	check("migrate", v, 8, fwd(0), fwd(4), mig(9), fwd(1), fwd(5))
+	// The twin dead: the jump lands on its first live ancestor.
+	live = liveness.NewAllLive(4, 16)
+	live.SetDead(9)
+	check("dead entry", NewView(4, live, 1), 8, fwd(0), fwd(4), mig(1), fwd(5))
+	// The twin and its ancestors dead: the jump lands on the primary, with
+	// the fallback already taken there.
+	live.SetDead(1)
+	live.SetDead(5)
+	check("dead chain", NewView(4, live, 1), 8, fwd(0), fwd(4), mig(7))
+	// A dead subtree is skipped: with B = 2 the walk goes on to the next.
+	live = liveness.NewAllLive(4, 16)
+	v = NewView(4, live, 2)
+	for q := bitops.PID(0); q < 16; q++ {
+		if v.SubtreeID(q) == (v.SubtreeID(8)+1)&3 {
+			live.SetDead(q)
+		}
+	}
+	got := walk(v, 8)
+	for _, s := range got {
+		if !live.IsLive(s.next) {
+			t.Fatalf("walk %v stops at a dead node", got)
+		}
+	}
+	if n := len(got); n == 0 || v.SubtreeID(got[n-1].next) != (v.SubtreeID(8)+3)&3 {
+		t.Fatalf("walk %v does not end in the last subtree", got)
+	}
+}
+
+func TestNextAllocatesNothing(t *testing.T) {
+	live := liveness.NewAllLive(6, 64)
+	live.SetDead(4)
+	v := NewView(4, live, 2)
+	allocs := testing.AllocsPerRun(100, func() {
+		for cur, st, ok := bitops.PID(8), (Route{Origin: 8}), true; ok; {
+			cur, st, _, ok = v.Next(cur, st)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("View.Next allocates %v times per walk", allocs)
 	}
 }
 
@@ -235,7 +326,7 @@ func TestSubtreeSplitOperations(t *testing.T) {
 	// Routing never leaves the subtree.
 	for p := bitops.PID(0); p < 16; p++ {
 		sid := v.SubtreeID(p)
-		for _, stop := range v.PathLiveStops(p) {
+		for _, stop := range ancestorStops(v, p) {
 			if v.SubtreeID(stop) != sid {
 				t.Fatalf("path from P(%d) escaped subtree %02b", p, sid)
 			}

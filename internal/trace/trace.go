@@ -34,25 +34,30 @@ func Physical(root bitops.PID, m int, live *liveness.Set) string {
 	})
 }
 
-// Route formats the live stops a get from origin traverses in the lookup
-// tree of target, e.g. "P(8) → P(0) → P(4)".
+// Route formats the get walk from origin for a name inserted at target:
+// the loop of ptree.View.Next until a stop is a subtree primary (where the
+// insert put a copy), in HopRoute's arrows — e.g. "P(8) → P(0) → P(4)", or
+// "P(7) ⇒ P(6) [FINDLIVENODE]" with P(4) and P(5) dead. A dead origin is
+// marked "P(x)✗".
 func Route(origin, target bitops.PID, live *liveness.Set, b int) string {
 	v := ptree.NewView(target, live, b)
-	stops := v.PathLiveStops(origin)
-	parts := make([]string, 0, len(stops)+1)
-	if len(stops) == 0 || stops[0] != origin {
-		parts = append(parts, fmt.Sprintf("P(%d)✗", origin))
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "P(%d)", origin)
+	if !live.IsLive(origin) {
+		sb.WriteString("✗")
 	}
-	for _, s := range stops {
-		parts = append(parts, fmt.Sprintf("P(%d)", s))
-	}
-	route := strings.Join(parts, " → ")
-	if len(stops) == 0 || !liveIs(live, v, stops[len(stops)-1], target) {
-		if p, ok := v.PrimaryOf(origin); ok {
-			route += fmt.Sprintf(" ⇒ P(%d) [FINDLIVENODE]", p)
+	for cur, st := origin, (ptree.Route{Origin: origin}); !v.IsPrimary(cur); {
+		next, nst, act, ok := v.Next(cur, st)
+		if !ok {
+			break
 		}
+		fmt.Fprintf(&sb, "%sP(%d)", arrow(act), next)
+		if act == msg.HopFallback {
+			sb.WriteString(" [FINDLIVENODE]")
+		}
+		cur, st = next, nst
 	}
-	return route
+	return sb.String()
 }
 
 // HopRoute formats the observed hop records of a traced wire-level get in
@@ -65,14 +70,7 @@ func HopRoute(hops []msg.Hop) string {
 	var b strings.Builder
 	for i, h := range hops {
 		if i > 0 {
-			switch hops[i-1].Action {
-			case msg.HopFallback:
-				b.WriteString(" ⇒ ")
-			case msg.HopMigrate:
-				b.WriteString(" ↷ ")
-			default:
-				b.WriteString(" → ")
-			}
+			b.WriteString(arrow(hops[i-1].Action))
 		}
 		fmt.Fprintf(&b, "P(%d)", h.PID)
 		if h.Action == msg.HopFault {
@@ -80,6 +78,18 @@ func HopRoute(hops []msg.Hop) string {
 		}
 	}
 	return b.String()
+}
+
+// arrow draws the step a stop took with a get: "⇒" for the §3
+// FINDLIVENODE jump, "↷" for the §4 migration, "→" otherwise.
+func arrow(a msg.HopAction) string {
+	switch a {
+	case msg.HopFallback:
+		return " ⇒ "
+	case msg.HopMigrate:
+		return " ↷ "
+	}
+	return " → "
 }
 
 // HopTable formats the hop records one per line with action and per-stop
@@ -92,12 +102,6 @@ func HopTable(hops []msg.Hop) string {
 			i, h.PID, h.Action, h.Dur.Round(time.Microsecond))
 	}
 	return b.String()
-}
-
-// liveIs reports whether last is the target's subtree root position —
-// i.e. the walk completed without needing the fallback.
-func liveIs(live *liveness.Set, v ptree.View, last, target bitops.PID) bool {
-	return v.SubtreeVID(last) == bitops.Mask(live.M()-v.B)
 }
 
 // ChildrenList formats the (expanded) children list of p in the tree of
