@@ -45,10 +45,10 @@
 // enabled with -repair-interval; -repair-budget bounds its bandwidth in
 // bytes/sec and -repair-tomb-ttl sets the delete-tombstone GC horizon.
 //
-// Update broadcasts past -notify-threshold bytes propagate payload-free:
-// the tree carries a notify (name, version, checksum, sources) and each
-// replica pulls the body in chunks from a converged copy, so tree bytes
-// stop scaling with replica count (docs/ROUTING.md "The write plane").
+// Update broadcasts propagate payload-free at every size: the tree carries
+// a notify (name, version, checksum, sources) and each replica pulls the
+// body in chunks from a converged copy, so tree bytes stop scaling with
+// replica count (docs/ROUTING.md "Pull-based propagation").
 //
 // Durable storage (docs/STORAGE.md): `-data-dir` gives the peer a
 // segmented write-ahead log — every mutation is appended there, a
@@ -107,7 +107,6 @@ func main() {
 		fanWk     = flag.Int("fanout-workers", netnode.DefaultFanoutWorkers, "server: concurrent broadcast RPC legs per update/delete")
 		admin     = flag.String("admin", "", "server: admin HTTP address for /metrics, /healthz, /trees, /debug/pprof ('' disables)")
 		logLevel  = flag.String("log-level", "info", "server: structured log threshold: debug, info, warn or error")
-		notifyTh  = flag.Int("notify-threshold", 0, "server: update size in bytes past which broadcasts propagate by notify/pull instead of carrying the payload (0 selects the default, -1 disables)")
 		trEvery   = flag.Int("trace-every", 0, "server: head-sample 1-in-N entry requests into the trace ring (0 selects the default, -1 disables tracing)")
 		trSlow    = flag.Duration("trace-slow", 0, "server: latency past which unsampled requests are tail-retained anyway (0 selects the default)")
 		trRing    = flag.Int("trace-ring", 0, "server: retained trace capacity (0 selects the default)")
@@ -139,7 +138,6 @@ func main() {
 		PID: bitops.PID(*pid), M: *m, B: *b, Addr: *listen, DataDir: *dataDir,
 		SegmentSize: *segSize, Fsync: policy, FsyncEvery: *fsyncIv,
 		PipelineWorkers: *pipeWk, FanoutWorkers: *fanWk,
-		NotifyThreshold:  *notifyTh,
 		TraceSampleEvery: *trEvery, TraceSlow: *trSlow, TraceRingSize: *trRing,
 		Logger: logger,
 		Transport: transport.Config{

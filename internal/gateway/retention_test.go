@@ -27,15 +27,12 @@ func TestRetentionSweep(t *testing.T) {
 	const (
 		m, b     = 3, 1
 		bodySize = 4 << 10
-		// Updates at or over this size propagate by notify/pull, under it
-		// on the tree: the sweep covers both with frames that are all lent.
-		notifyAt = 8 << 10
 	)
 	live := liveness.New(m)
 	addrs := make(map[bitops.PID]string)
 	var peers []*netnode.Peer
 	for i := 0; i < 1<<m; i++ {
-		p, err := netnode.Listen(netnode.Config{PID: bitops.PID(i), M: m, B: b, NotifyThreshold: notifyAt})
+		p, err := netnode.Listen(netnode.Config{PID: bitops.PID(i), M: m, B: b})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,16 +108,14 @@ func TestRetentionSweep(t *testing.T) {
 	write(pick("ins/local", true).Addr(), msg.KindInsert, "ins/local", bodySize)
 
 	// Updates, initiated at a holder (the broadcast's own first delivery is
-	// local) and at a non-holder (every delivery arrives off the wire).
-	for _, name := range []string{"upd/at-holder", "upd/remote", "upd/notify-holder", "upd/notify-remote"} {
+	// local) and at a non-holder (every delivery arrives off the wire). The
+	// initiator parks the body in its outbox and the holders pull it from
+	// there.
+	for _, name := range []string{"upd/at-holder", "upd/remote"} {
 		write(peers[0].Addr(), msg.KindInsert, name, bodySize)
 	}
 	write(pick("upd/at-holder", true).Addr(), msg.KindUpdate, "upd/at-holder", bodySize)
 	write(pick("upd/remote", false).Addr(), msg.KindUpdate, "upd/remote", bodySize)
-	// The same two, large enough to go by notify: the initiator parks the
-	// body in its outbox and the holders pull it from there.
-	write(pick("upd/notify-holder", true).Addr(), msg.KindUpdate, "upd/notify-holder", notifyAt+bodySize)
-	write(pick("upd/notify-remote", false).Addr(), msg.KindUpdate, "upd/notify-remote", notifyAt+bodySize)
 
 	// §6 replicas: make a name hot at one of its primaries, let maintenance
 	// place a replica on the children list (a KindStore push), and for the

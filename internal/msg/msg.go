@@ -60,7 +60,7 @@ const (
 	KindHas
 	// KindDelete erases a file everywhere via the same top-down
 	// children-list broadcast updates use (FlagPropagate marks the
-	// broadcast legs).
+	// broadcast legs; an update's legs are KindNotify).
 	KindDelete
 	// KindBatch pipelines several sub-requests in one frame: Data carries
 	// a bounds-checked list of encoded Requests (AppendBatchRequests), the
@@ -111,15 +111,14 @@ const (
 	// partial upload is never visible or durable. Never forwarded; bounds-
 	// checked per chunk.
 	KindPut
-	// KindNotify is the pull-based propagation leg of an over-threshold
-	// update broadcast: a payload-free KindUpdate twin carrying only the
-	// transfer facts — total size, whole-file CRC-32C, and the pull sources
-	// already holding the new version (AppendNotifyReq) — with the stamped
-	// version in the request's Version. It fans down the children-list
-	// broadcast tree exactly like a FlagPropagate update, but each holder
-	// pulls the body via KindFetch from a listed source instead of
-	// receiving it on the tree, so tree bytes stay O(copies), not
-	// O(copies × size). Without FlagPropagate it is the placement of one
+	// KindNotify with FlagPropagate is the leg of every update broadcast,
+	// at any size: it carries only the transfer facts — total size,
+	// whole-file CRC-32C, and the pull sources already holding the new
+	// version (AppendNotifyReq) — with the stamped version in the request's
+	// Version. It fans down the children-list broadcast tree like a
+	// delete, and each holder pulls the body via KindFetch from a listed
+	// source (an empty body needs no pull), so tree bytes stay O(legs),
+	// never O(legs × size). Without FlagPropagate it is the placement of one
 	// body over MaxData — KindStore's over-frame shape: the one listed
 	// source is the placing peer, and the receiver pulls, stores, and
 	// forwards nothing.
@@ -227,9 +226,11 @@ const (
 	// FlagReplica marks a KindStore carrying a replica rather than an
 	// inserted copy.
 	FlagReplica
-	// FlagPropagate marks a KindUpdate that is part of a top-down
-	// children-list broadcast rather than a client-initiated update, or a
-	// KindRegister relayed by the bootstrap peer (no further relaying).
+	// FlagPropagate marks a KindNotify or KindDelete that is a leg of a
+	// top-down children-list broadcast rather than a client's request, or a
+	// KindRegister relayed by the bootstrap peer (no further relaying). A
+	// peer refuses a KindUpdate carrying it: older builds pushed the whole
+	// body down each leg that way.
 	FlagPropagate
 	// FlagDead marks a KindRegister announcing a departure or failure.
 	FlagDead

@@ -146,8 +146,10 @@ type NotifyReq struct {
 	Sources   []Holder
 }
 
+// notifyReqSane bounds a notify's shape. An empty body is a valid update —
+// applied without a pull — whose CRC-32C can only be 0.
 func notifyReqSane(r *NotifyReq) bool {
-	return r.TotalSize != 0 && r.TotalSize <= MaxFileSize &&
+	return r.TotalSize <= MaxFileSize && (r.TotalSize != 0 || r.FileCRC == 0) &&
 		len(r.Sources) != 0 && len(r.Sources) <= MaxHolders
 }
 
@@ -178,4 +180,28 @@ func DecodeNotifyReq(b []byte) (*NotifyReq, error) {
 		return nil, ErrCorrupt
 	}
 	return r, nil
+}
+
+// notifySourcesAt is the offset of the source count in an encoded notify,
+// after the total size and the whole-file CRC.
+const notifySourcesAt = 8 + 4
+
+// AppendNotifySource returns a copy of the encoded notify b with h listed
+// after the sources already there: a holder that has just converged offers
+// itself to the legs below it, in one allocation and without decoding the
+// list. b must be an encoding DecodeNotifyReq accepts.
+func AppendNotifySource(b []byte, h Holder) ([]byte, error) {
+	if len(b) < notifySourcesAt+4 {
+		return nil, ErrCorrupt
+	}
+	n := binary.BigEndian.Uint32(b[notifySourcesAt:])
+	if n >= MaxHolders || len(h.Addr) > MaxName {
+		return nil, ErrFrameTooLarge
+	}
+	out := make([]byte, len(b), len(b)+16+len(h.Addr))
+	copy(out, b)
+	binary.BigEndian.PutUint32(out[notifySourcesAt:], n+1)
+	out = binary.BigEndian.AppendUint32(out, h.PID)
+	out = appendString(out, h.Addr)
+	return binary.BigEndian.AppendUint64(out, h.Version), nil
 }

@@ -97,7 +97,7 @@ func TestNotifyReqRoundTrip(t *testing.T) {
 func TestNotifyReqBounds(t *testing.T) {
 	src := []Holder{{PID: 1, Addr: "a", Version: 1}}
 	for name, r := range map[string]*NotifyReq{
-		"zero total":     {Sources: src},
+		"empty with sum": {FileCRC: 1, Sources: src},
 		"oversize total": {TotalSize: MaxFileSize + 1, Sources: src},
 		"no sources":     {TotalSize: 8},
 		"too many":       {TotalSize: 8, Sources: make([]Holder, MaxHolders+1)},
@@ -105,6 +105,14 @@ func TestNotifyReqBounds(t *testing.T) {
 		if _, err := AppendNotifyReq(nil, r); err == nil {
 			t.Errorf("append accepted %s", name)
 		}
+	}
+	// An empty body is an update like any other: its sum is 0.
+	empty, err := AppendNotifyReq(nil, &NotifyReq{Sources: src})
+	if err != nil {
+		t.Fatalf("append refused an empty body: %v", err)
+	}
+	if r, err := DecodeNotifyReq(empty); err != nil || r.TotalSize != 0 {
+		t.Fatalf("decode of an empty body: %+v, %v", r, err)
 	}
 	ok, err := AppendNotifyReq(nil, &NotifyReq{TotalSize: 8, FileCRC: 1, Sources: src})
 	if err != nil {
@@ -118,10 +126,41 @@ func TestNotifyReqBounds(t *testing.T) {
 	}
 	bad := append([]byte(nil), ok...)
 	for i := 0; i < 8; i++ {
-		bad[i] = 0 // total size -> 0
+		bad[i] = 0 // total size -> 0, the sum still 1
 	}
 	if _, err := DecodeNotifyReq(bad); err == nil {
-		t.Error("decode accepted zero total")
+		t.Error("decode accepted an empty body with a nonzero sum")
+	}
+}
+
+// TestAppendNotifySource: listing one more source on an encoded notify is
+// the encoding of the notify with that source appended, and a full list is
+// refused rather than grown past MaxHolders.
+func TestAppendNotifySource(t *testing.T) {
+	r := &NotifyReq{TotalSize: 9, FileCRC: 7, Sources: []Holder{{PID: 1, Addr: "a:1", Version: 3}}}
+	b, err := AppendNotifyReq(nil, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := Holder{PID: 2, Addr: "b:22", Version: 3}
+	got, err := AppendNotifySource(b, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Sources = append(r.Sources, h)
+	want, _ := AppendNotifyReq(nil, r)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("listed notify %x, want %x", got, want)
+	}
+	if _, err := DecodeNotifyReq(b); err != nil {
+		t.Fatalf("the original encoding changed: %v", err)
+	}
+	full, _ := AppendNotifyReq(nil, &NotifyReq{TotalSize: 9, Sources: make([]Holder, MaxHolders)})
+	if _, err := AppendNotifySource(full, h); err == nil {
+		t.Error("listed a source past MaxHolders")
+	}
+	if _, err := AppendNotifySource(b[:notifySourcesAt], h); err == nil {
+		t.Error("listed a source on a truncated notify")
 	}
 }
 

@@ -218,7 +218,7 @@ func TestBodyChecksummedOncePerHop(t *testing.T) {
 	tr := transport.New(transport.Config{}, nil)
 	t.Cleanup(func() { tr.Close() })
 	big := chunkPayload(msg.MaxData+1<<20, 80) // over one frame: four 5 MiB client chunks
-	one := chunkPayload(1<<20, 81)             // one chunk, notify-eligible
+	one := chunkPayload(1<<20, 81)             // one chunk
 
 	passes := func(cl *Client) uint64 {
 		n := cl.StreamStats().ChecksummedBytes.Load() + cl.UploadStats().ChecksummedBytes.Load()

@@ -463,13 +463,13 @@ func TestKillPeerMidRunRejoinNoLeaks(t *testing.T) {
 	}
 }
 
-// TestUpdateDeleteBroadcastSymmetry runs the three things a children-list
-// broadcast carries — a whole-frame update, a notify update of the same
-// body, a delete — through the same awkward tree and expects the same
-// shape from each: the tree root P(4) is dead, so the broadcast starts at
-// its expanded children list, which includes the initiator P(5) itself
-// (delivered locally, never over the wire — a self-RPC would double
-// count), and the replica chain runs P(5) → P(7). The kinds share one
+// TestUpdateDeleteBroadcastSymmetry runs the two things a children-list
+// broadcast carries — an update's notify, a delete — through the same
+// awkward tree and expects the same shape from each: the tree root P(4) is
+// dead, so the broadcast starts at its expanded children list, which
+// includes the initiator P(5) itself (delivered locally, never over the
+// wire — a self-RPC would double count), and the replica chain runs
+// P(5) → P(7). The kinds share one
 // initiation and one per-holder step (docs/ROUTING.md "Broadcast"); this
 // table is what holds them to one behaviour:
 //
@@ -482,16 +482,11 @@ func TestKillPeerMidRunRejoinNoLeaks(t *testing.T) {
 //     it had applied and forwarded. Only the first touches the copy, and a
 //     notify that has nothing to apply pulls nothing.
 func TestUpdateDeleteBroadcastSymmetry(t *testing.T) {
-	const (
-		name    = "f"
-		pulling = 1 << 10 // NotifyThreshold that makes the body below notify-eligible
-	)
+	const name = "f"
 	body := chunkPayload(8<<10, 70)
-	start := func(t *testing.T, notifyAt int, faults *transport.Faults, replicas ...bitops.PID) map[bitops.PID]*Peer {
+	start := func(t *testing.T, faults *transport.Faults, replicas ...bitops.PID) map[bitops.PID]*Peer {
 		t.Helper()
-		peers := startSystemWith(t, allPIDs(16), Config{
-			M: 4, Hasher: hashring.Fixed(4), NotifyThreshold: notifyAt, Faults: faults,
-		})
+		peers := startSystemWith(t, allPIDs(16), Config{M: 4, Hasher: hashring.Fixed(4), Faults: faults})
 		if err := NewClient(peers[2].Addr()).Insert(name, []byte("v1")); err != nil {
 			t.Fatal(err)
 		}
@@ -511,13 +506,11 @@ func TestUpdateDeleteBroadcastSymmetry(t *testing.T) {
 		delivered string // the HopDeliver PIDs, sorted
 	}
 	rows := []struct {
-		label    string
-		kind     msg.Kind // what the broadcast legs carry
-		notifyAt int
+		label string
+		kind  msg.Kind // what the broadcast legs carry
 	}{
-		{"whole-frame update", msg.KindUpdate, 0},
-		{"notify update", msg.KindNotify, pulling},
-		{"delete", msg.KindDelete, 0},
+		{"notify update", msg.KindNotify},
+		{"delete", msg.KindDelete},
 	}
 	pulls := func(peers map[bitops.PID]*Peer) uint64 {
 		return sumWriteStat(peers, func(s *Stats) uint64 { return s.NotifyPulls.Load() })
@@ -586,19 +579,19 @@ func TestUpdateDeleteBroadcastSymmetry(t *testing.T) {
 	cases := []struct {
 		label string
 		want  shape
-		run   func(t *testing.T, kind msg.Kind, notifyAt int) shape
+		run   func(t *testing.T, kind msg.Kind) shape
 	}{
-		{"clean", shape{2, "[5 7]"}, func(t *testing.T, kind msg.Kind, notifyAt int) shape {
-			peers := start(t, notifyAt, nil, 5, 7)
+		{"clean", shape{2, "[5 7]"}, func(t *testing.T, kind msg.Kind) shape {
+			peers := start(t, nil, 5, 7)
 			wantPulls := uint64(0)
 			if kind == msg.KindNotify {
 				wantPulls = 1 // P(7); the initiator reads its own outbox
 			}
 			return run(t, kind, peers, []bitops.PID{5, 7}, wantPulls)
 		}},
-		{"dropped leg", shape{2, "[3 5]"}, func(t *testing.T, kind msg.Kind, notifyAt int) shape {
+		{"dropped leg", shape{2, "[3 5]"}, func(t *testing.T, kind msg.Kind) shape {
 			faults := transport.NewFaults()
-			peers := start(t, notifyAt, faults, 5, 7, 3)
+			peers := start(t, faults, 5, 7, 3)
 			faults.Add(transport.Rule{Addr: peers[7].Addr(), Kind: kind, Drop: true})
 			wantPulls := uint64(0)
 			if kind == msg.KindNotify {
@@ -610,8 +603,8 @@ func TestUpdateDeleteBroadcastSymmetry(t *testing.T) {
 			}
 			return s
 		}},
-		{"duplicate", shape{1, "[7]"}, func(t *testing.T, kind msg.Kind, notifyAt int) shape {
-			peers := start(t, notifyAt, nil, 5, 7)
+		{"duplicate", shape{1, "[7]"}, func(t *testing.T, kind msg.Kind) shape {
+			peers := start(t, nil, 5, 7)
 			const version = 10
 			frame := &msg.Request{
 				Kind: kind, Flags: msg.FlagPropagate | msg.FlagTrace, TraceID: 1,
@@ -636,9 +629,6 @@ func TestUpdateDeleteBroadcastSymmetry(t *testing.T) {
 			}
 			stale := *frame
 			stale.Version--
-			if kind == msg.KindUpdate {
-				stale.Data = []byte("stale")
-			}
 			var first shape
 			for i, f := range []*msg.Request{frame, frame, &stale} {
 				resp, err := Call(peers[7].Addr(), f)
@@ -667,7 +657,7 @@ func TestUpdateDeleteBroadcastSymmetry(t *testing.T) {
 	for _, c := range cases {
 		for _, row := range rows {
 			t.Run(c.label+"/"+row.label, func(t *testing.T) {
-				if got := c.run(t, row.kind, row.notifyAt); got != c.want {
+				if got := c.run(t, row.kind); got != c.want {
 					t.Errorf("shape %+v, want %+v — the same for every kind", got, c.want)
 				}
 			})

@@ -83,14 +83,6 @@ type Config struct {
 	// (each leg's subtree recursion runs on the remote peers, so the
 	// effective parallelism cascades); <= 0 selects DefaultFanoutWorkers.
 	FanoutWorkers int
-	// NotifyThreshold switches update broadcasts at or above this payload
-	// size to pull-based propagation: the tree carries a payload-free
-	// KindNotify and each holder pulls the body off the origin (or an
-	// already-converged sibling), so tree bytes stay O(copies) instead of
-	// O(copies × size). 0 selects DefaultNotifyThreshold; negative keeps
-	// every update whole-frame on the tree (payloads over one frame still
-	// propagate by notify — nothing else can carry them).
-	NotifyThreshold int
 	// TraceSampleEvery head-samples 1 in N entry requests (and repair
 	// rounds) into the trace ring; 0 selects tracering.DefaultSampleEvery,
 	// 1 traces everything, negative disables the trace plane entirely.
@@ -108,12 +100,6 @@ type Config struct {
 // when Config.FanoutWorkers is unset; each broadcast's semaphore is sized
 // min(FanoutWorkers, legs).
 const DefaultFanoutWorkers = 8
-
-// DefaultNotifyThreshold is the payload size at which update broadcasts
-// switch to pull-based propagation when Config.NotifyThreshold is unset:
-// 256 KiB keeps small updates on the one-RPC-per-leg fast path while
-// moving bulk bytes off the tree well before they dominate fan-out cost.
-const DefaultNotifyThreshold = 256 << 10
 
 // Stats counts a peer's traffic with atomic counters.
 type Stats struct {
@@ -173,9 +159,9 @@ type Stats struct {
 	WritesAtHolder atomic.Uint64
 	WritesRemote   atomic.Uint64
 	// FanoutBytes counts request-payload bytes this peer pushed onto
-	// broadcast-tree legs (update/delete/notify propagations). Whole-frame
-	// propagation grows this O(copies × size); notify propagation keeps it
-	// O(copies) — the write bench's bytes-on-tree measure.
+	// broadcast-tree legs (notify and delete propagations): the notify's
+	// transfer facts, never a body, so it grows O(legs) whatever the
+	// update's size — the write bench's bytes-on-tree measure.
 	FanoutBytes atomic.Uint64
 	// ChecksummedBytes counts body bytes this peer passed CRC-32C over,
 	// serving, staging and (in its snapshot) pulling: once per byte sent or
@@ -558,9 +544,16 @@ func (p *Peer) handleTimed(req *msg.Request, entry bool) *msg.Response {
 
 func (p *Peer) dispatch(req *msg.Request) *msg.Response {
 	switch req.Kind {
-	case msg.KindUpdate, msg.KindDelete, msg.KindNotify:
+	case msg.KindUpdate:
 		if req.Flags&msg.FlagPropagate != 0 {
-			return p.handleDelivery(req) // one leg of a broadcast, whatever it carries
+			// The whole-frame leg an older build pushes down its broadcast:
+			// refused, never initiated again (that would restamp the body and
+			// start a second broadcast). This copy converges through repair.
+			return &msg.Response{Err: "netnode: propagated update refused: update legs travel as notify"}
+		}
+	case msg.KindDelete, msg.KindNotify:
+		if req.Flags&msg.FlagPropagate != 0 {
+			return p.handleDelivery(req) // one leg of a broadcast
 		}
 	}
 	switch req.Kind {
@@ -988,14 +981,14 @@ func (p *Peer) initiate(req *msg.Request, sum crc) *msg.Response {
 	// carries the whole assembled tree.
 	prop.Path = p.fanoutRoot(req, 0)
 	fo := fanout{v: p.view(target), col: newHopCollector(req)}
-	if req.Kind == msg.KindUpdate && p.notifyEligible(len(req.Data)) {
-		// Pull form: the tree carries only the transfer facts and every
-		// holder pulls the body from here, so it is kept (on the copy — req
-		// stays the caller's) and parked in the outbox, this peer perhaps
-		// holding no copy itself. broadcast returns once every leg has pulled
-		// or failed (failed legs converge through repair), so the body has no
-		// reader left when the entry goes; the remove is version-exact. The
-		// body's sum — the sender's one pass, unless a staged commit already
+	if req.Kind == msg.KindUpdate {
+		// The tree carries only the transfer facts and every holder pulls
+		// the body from here, so it is kept (on the copy — req stays the
+		// caller's) and parked in the outbox, this peer perhaps holding no
+		// copy itself. broadcast returns once every leg has pulled or failed
+		// (failed legs converge through repair), so the body has no reader
+		// left when the entry goes; the remove is version-exact. The body's
+		// sum — the sender's one pass, unless a staged commit already
 		// verified it — goes into the notify and is remembered for the pulls.
 		prop.Keep()
 		p.outbox.put(prop.Name, prop.Version, prop.Data)
@@ -1055,8 +1048,8 @@ func (p *Peer) fanoutSem(legs int) chan struct{} {
 // collector (nil when untraced) and the delivery deadline. A notify delivery
 // answers only after the receiving holder has pulled the body and its
 // subtree has recursed, so its bound scales with the size the notify
-// declares; 0 keeps the transport's flat deadline, sized for frames that
-// carry what they deliver. Passed by value: each step owns its copy.
+// declares; 0, a delete's, keeps the transport's flat deadline. Passed by
+// value: each step owns its copy.
 type fanout struct {
 	v     ptree.View
 	sem   chan struct{}
@@ -1065,9 +1058,9 @@ type fanout struct {
 }
 
 // broadcast starts the top-down children-list broadcast of a propagation
-// request (update, delete, or notify) at each subtree's root position —
-// or at the root's expanded children when it is dead — and returns copies
-// touched. The per-subtree legs run concurrently through a bounded
+// request (an update's notify, or a delete) at each subtree's root
+// position — or at the root's expanded children when it is dead — and
+// returns copies touched. The per-subtree legs run concurrently through a bounded
 // semaphore, and each remote delivery recurses in parallel on its own
 // peer, so broadcast latency tracks the tree depth instead of the copy
 // count.
@@ -1140,9 +1133,9 @@ func (p *Peer) deliver(fo fanout, pid bitops.PID, prop *msg.Request) int {
 }
 
 // handleDelivery serves one leg of a broadcast — the FlagPropagate form of
-// an update, a delete or a notify. A traced delivery answers with only its
-// branch's new hops; the initiator (or the upstream holder) splices them
-// into the assembled tree.
+// a notify (an update's leg) or a delete. A traced delivery answers with
+// only its branch's new hops; the initiator (or the upstream holder) splices
+// them into the assembled tree.
 func (p *Peer) handleDelivery(req *msg.Request) *msg.Response {
 	fo := fanout{v: p.view(p.hasher.Target(req.Name, p.cfg.M)), col: newHopCollector(req)}
 	n := p.propagate(fo, req)
@@ -1206,66 +1199,57 @@ func (p *Peer) propagate(fo fanout, req *msg.Request) int {
 	return n
 }
 
-// applyBody is the local apply of an update delivery, whole-frame or
-// notify: a holder whose copy is behind the stamped version obtains the
-// body and rewrites its copy. A duplicate or stale delivery finds that out
-// from the Peek, before any body is copied or pulled. A whole-frame body is
-// kept on a struct copy — req may be the very message sibling legs of the
-// same fan-out are writing to the wire right now; a notify's body is pulled
-// from the sources it lists, and a failed pull skips only this apply: the
+// applyBody is the local apply of an update delivery: a holder whose copy
+// is behind the stamped version pulls the body from the sources the notify
+// lists and rewrites its copy. A non-holder (most legs) finds that out from
+// the Peek, before the notify is decoded; a duplicate or stale delivery
+// before any body is pulled. A failed pull skips only this apply: the
 // branch below still gets the notify and pulls from the upstream sources,
 // while this replica converges via the repair plane instead of cutting its
 // whole subtree off the broadcast. fwd is what the children get: req, or —
-// after a notify applied — a copy listing this peer as one more source, so
-// later legs stripe across converged siblings. pullTO is the deadline a
-// notify's onward legs need (fanout).
+// after an apply — a copy listing this peer as one more source, so later
+// legs stripe across converged siblings. pullTO is the deadline the onward
+// legs need (fanout).
 func (p *Peer) applyBody(req *msg.Request) (held, applied bool, fwd *msg.Request, pullTO time.Duration) {
 	fwd = req
-	var nr *msg.NotifyReq
-	if req.Kind == msg.KindNotify {
-		var err error
-		if nr, err = msg.DecodeNotifyReq(req.Data); err != nil {
-			return // discarded, like a delivery for a name not held
-		}
-		pullTO = stream.PullDeadline(nr.TotalSize)
-	}
 	f, held := p.store.Peek(req.Name)
-	switch {
-	case !held:
+	if !held {
 		return
-	case f.Version >= req.Version:
+	}
+	nr, err := msg.DecodeNotifyReq(req.Data)
+	if err != nil {
+		return false, false, fwd, 0 // discarded, like a delivery for a name not held
+	}
+	pullTO = stream.PullDeadline(nr.TotalSize)
+	if f.Version >= req.Version {
 		p.mergeClock(req.Version)
 		return
 	}
-	var data []byte
-	if nr != nil {
-		var err error
-		if data, err = p.pullBody(req.Name, req.Version, nr); err != nil {
-			return
-		}
-	} else {
-		kept := *req
-		kept.Keep()
-		data = kept.Data
+	data, err := p.pullBody(req.Name, req.Version, nr)
+	if err != nil {
+		return
 	}
 	p.propMu.RLock()
 	applied = p.store.Update(req.Name, data, req.Version)
 	p.mergeClock(req.Version)
 	p.propMu.RUnlock()
-	if applied && nr != nil {
-		// The pull verified the body against this sum: a sibling pulling
-		// from here, and every later get, is served without a whole-file pass.
-		p.sums.put(req.Name, req.Version, len(data), crc{nr.FileCRC, true})
+	if !applied {
+		return
 	}
-	if applied && nr != nil && len(nr.Sources) < msg.MaxHolders {
-		listed := *nr
-		listed.Sources = append(append([]msg.Holder(nil), nr.Sources...),
-			msg.Holder{PID: uint32(p.cfg.PID), Addr: p.Addr(), Version: req.Version})
-		if body, err := msg.AppendNotifyReq(nil, &listed); err == nil {
-			next := *req
-			next.Data = body
-			fwd = &next
+	// The pull verified the body against this sum: a sibling pulling from
+	// here, and every later get, is served without a whole-file pass.
+	p.sums.put(req.Name, req.Version, len(data), crc{nr.FileCRC, true})
+	for _, h := range nr.Sources {
+		if bitops.PID(h.PID) == p.cfg.PID {
+			return // listed already: the initiator applying its own broadcast
 		}
+	}
+	if body, err := msg.AppendNotifySource(req.Data, msg.Holder{
+		PID: uint32(p.cfg.PID), Addr: p.Addr(), Version: req.Version,
+	}); err == nil { // a full list stays as it is
+		next := *req
+		next.Data = body
+		fwd = &next
 	}
 	return
 }

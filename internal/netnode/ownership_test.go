@@ -87,9 +87,9 @@ func perOp(runs int, op func()) float64 {
 }
 
 // TestBroadcastAllocBudget pins what one small update costs end to end —
-// locate client, entry peer, the whole-frame broadcast to both holders —
-// so a closure or a per-leg allocation added to the broadcast path fails
-// here rather than on a ledger run of hot_4k.
+// locate client, entry peer, the notify broadcast and the other holder's
+// pull — so a closure or a per-leg allocation added to the broadcast path
+// fails here rather than on a ledger run of hot_4k.
 func TestBroadcastAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -108,31 +108,45 @@ func TestBroadcastAllocBudget(t *testing.T) {
 		}
 	})
 	t.Logf("update %.0f B/op", update)
-	// Measured 10 745 B/op (five runs, 10 740 – 11 011; the two holders'
-	// kept 4 KiB copies are 8 192 of it), pinned with 10% of headroom. It
-	// was 12 590 before the exchange envelopes left the heap.
-	const budget = 11_820
+	// Measured 11 564 B/op (five runs, 11 446 – 11 587; the initiator's kept
+	// 4 KiB body and the other holder's pulled copy are 8 192 of it), pinned
+	// with 10% of headroom. It was 10 745 while a small update pushed its
+	// body down every leg, which saved the other holder's pull exchange, and
+	// 12 590 before the exchange envelopes left the heap.
+	const budget = 12_720
 	if update > budget {
 		t.Errorf("4 KiB update allocated %.0f B/op, budget %d", update, budget)
 	}
 
-	// A delivery that has nothing to apply — a duplicate, which is what a
-	// holder's children get after its leg timed out upstream — must find that
-	// out before it copies the body out of the lent read buffer.
-	dup := &msg.Request{
-		Kind: msg.KindUpdate, Flags: msg.FlagPropagate, Name: "own/small",
-		Version: 1 << 40, Data: chunkPayload(48<<10, 92),
+	// A leg that does not hold the name — most legs of a broadcast — must
+	// find that out before it decodes the notify: the sources here decode
+	// to more than the whole exchange allocates.
+	sources := make([]msg.Holder, 32)
+	for i := range sources {
+		sources[i] = msg.Holder{PID: uint32(i), Addr: peers[0].Addr(), Version: 1 << 40}
 	}
-	holder := peers[holdersOf(peers, "own/small")[0]].Addr()
-	duplicate := perOp(100, func() {
-		if resp, err := tr.Do(holder, dup); err != nil || !resp.OK {
+	notify, err := msg.AppendNotifyReq(nil, &msg.NotifyReq{TotalSize: 4 << 10, Sources: sources})
+	if err != nil {
+		t.Fatal(err)
+	}
+	leg := &msg.Request{
+		Kind: msg.KindNotify, Flags: msg.FlagPropagate, Name: "own/small", Version: 1 << 40, Data: notify,
+	}
+	var bystander bitops.PID
+	for pid, p := range peers {
+		if !p.HasFile("own/small") {
+			bystander = pid
+		}
+	}
+	discard := perOp(100, func() {
+		if resp, err := tr.Do(peers[bystander].Addr(), leg); err != nil || !resp.OK || resp.Hops != 0 {
 			t.Fatalf("delivery: %+v, %v", resp, err)
 		}
 	})
-	t.Logf("duplicate 48 KiB delivery %.0f B/op", duplicate)
-	if duplicate > float64(len(dup.Data))/2 {
-		t.Errorf("duplicate delivery of %d bytes allocated %.0f B/op: the body was copied before the version check",
-			len(dup.Data), duplicate)
+	t.Logf("notify leg at a non-holder %.0f B/op", discard)
+	if discard > float64(len(notify))/2 {
+		t.Errorf("a non-holder's notify leg of %d bytes allocated %.0f B/op: the notify was decoded before the holder check",
+			len(notify), discard)
 	}
 }
 

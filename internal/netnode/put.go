@@ -5,14 +5,13 @@ package netnode
 // an in-memory table that is deliberately outside the store — the
 // Persister/WAL hook fires only when the commit lands the assembled file
 // through the normal insert/update paths, so a partial upload is never
-// visible to reads and never durable across a crash. Pull-based
-// propagation (KindNotify) is the payload-free form of the update
-// broadcast (initiate, applyBody): the tree carries only the transfer
-// facts (size, checksum, pull sources), each delivered holder pulls the
-// body over the chunked data plane from the origin or an already-converged
-// sibling (pullBody), and the origin keeps the committed bytes in a
-// short-lived outbox so it can serve the pulls even when it is not itself
-// a holder.
+// visible to reads and never durable across a crash. The update broadcast
+// is pull-based at every size (KindNotify; initiate, applyBody): the tree
+// carries only the transfer facts (size, checksum, pull sources), each
+// delivered holder pulls the body over the chunked data plane from the
+// origin or an already-converged sibling (pullBody), and the origin keeps
+// the committed bytes in a short-lived outbox so it can serve the pulls
+// even when it is not itself a holder.
 
 import (
 	"errors"
@@ -380,23 +379,6 @@ func (p *Peer) putCommit(req *msg.Request, pr *msg.PutReq) *msg.Response {
 	return p.initiate(inner, crc{sum, true})
 }
 
-// notifyEligible decides whether an update of n bytes propagates by
-// notify/pull instead of pushing the payload down every broadcast leg.
-// Over-frame payloads always do — no single frame can carry them; under
-// that, the configured threshold governs (NotifyThreshold 0 selects
-// DefaultNotifyThreshold, negative pins every in-frame update to the
-// whole-frame push).
-func (p *Peer) notifyEligible(n int) bool {
-	if n > msg.MaxData {
-		return true
-	}
-	th := p.cfg.NotifyThreshold
-	if th == 0 {
-		th = DefaultNotifyThreshold
-	}
-	return th > 0 && n >= th
-}
-
 // handleNotify serves the direct form of KindNotify — the placement of a
 // body over one frame (place); the propagate form is a broadcast delivery
 // (handleDelivery). It pulls the body from the placing peer, then applies
@@ -426,15 +408,19 @@ func (p *Peer) handleNotify(req *msg.Request) *msg.Response {
 	return p.applyStore(req, data, crc{nr.FileCRC, true}, start)
 }
 
-// pullBody fetches the body a notify describes: the local outbox/store
-// first when this peer is itself listed (the origin applying its own
-// broadcast), then a striped chunked fetch across the remote sources. The
-// notify's size and whole-file CRC gate acceptance either way — a pull
-// can never apply bytes that do not match the broadcast's declared shape —
-// against the sum the body already has: the one this peer remembers for its
-// own copy, the one the fetch verified every received byte against.
+// pullBody fetches the body a notify describes: nothing for an empty body,
+// the local outbox/store first when this peer is itself listed (the origin
+// applying its own broadcast), then a striped chunked fetch across the
+// remote sources. The notify's size and whole-file CRC gate acceptance
+// either way — a pull can never apply bytes that do not match the
+// broadcast's declared shape — against the sum the body already has: the
+// one this peer remembers for its own copy, the one the fetch verified
+// every received byte against.
 func (p *Peer) pullBody(name string, version uint64, nr *msg.NotifyReq) ([]byte, error) {
-	srcs := make([]stream.Source, 0, len(nr.Sources))
+	if nr.TotalSize == 0 {
+		return []byte{}, nil // its sum is 0, which the notify's sanity check holds it to
+	}
+	var srcs []stream.Source
 	for _, h := range nr.Sources {
 		if bitops.PID(h.PID) == p.cfg.PID {
 			if data, ver, ok := p.fetchLocal(name, version); ok && ver == version &&
@@ -443,6 +429,9 @@ func (p *Peer) pullBody(name string, version uint64, nr *msg.NotifyReq) ([]byte,
 				return data, nil
 			}
 			continue
+		}
+		if srcs == nil {
+			srcs = make([]stream.Source, 0, len(nr.Sources))
 		}
 		srcs = append(srcs, stream.Source{PID: h.PID, Addr: h.Addr})
 	}

@@ -120,60 +120,44 @@ func (p *Peer) applyTombstone(name string, version uint64) bool {
 	return true
 }
 
-// pullCopy fetches name's payload directly from holder h (local-only
-// get, the locate-then-fetch data plane's fetch half) and applies it
-// locally: Update for an existing copy (strictly-newer semantics, so a
-// concurrent broadcast cannot be clobbered by a stale pull) or a
-// tombstone-gated inserted PutNewer when we hold nothing — a pull must
-// not resurrect a name this peer saw deleted after the partner wrote its
-// copy. The payload is charged to the budget after the fact with Spend
-// (its size is only known on arrival): the bucket goes negative and
-// repays itself from refill, so large pulls stall later rounds instead
-// of riding free past the budget.
+// pullCopy fetches name's payload directly from holder h over the chunk
+// plane — a replica transfer, so the partner serves it from Peek and counts
+// no access (anti-entropy is not popularity) — and applies it locally:
+// Update for an existing copy (strictly-newer semantics, so a concurrent
+// broadcast cannot be clobbered by a stale pull) or a tombstone-gated
+// inserted PutNewer when we hold nothing — a pull must not resurrect a name
+// this peer saw deleted after the partner wrote its copy. The payload is
+// charged to the budget after the fact with Spend (its size is only known on
+// arrival): the bucket goes negative and repays itself from refill, so large
+// pulls stall later rounds instead of riding free past the budget.
 func (p *Peer) pullCopy(name string, h bitops.PID, budget *repair.Budget) bool {
 	if !budget.Allow(repair.ProbeCost) {
 		p.stats.RepairSkipped.Add(1)
 		return false
 	}
-	resp, err := p.call(h, &msg.Request{Kind: msg.KindGet, Flags: msg.FlagLocalOnly, Name: name})
+	addr, ok := p.rt().addrs[h]
+	if !ok {
+		return false
+	}
+	data, ver, sum, err := p.puller.FetchSummed(name, 0, []stream.Source{{PID: uint32(h), Addr: addr}})
 	if err != nil {
 		return false
 	}
-	var pulled crc // the sum a chunked pull verified the body against
-	if !resp.OK {
-		// A body over the frame cap cannot ride a whole-frame get
-		// (msg.OverFrameError): pull it through the chunk plane instead,
-		// pinned to the version the refusal reported so a mid-pull update
-		// cannot splice.
-		if resp.Err != msg.OverFrameError {
-			return false
-		}
-		addr, ok := p.rt().addrs[h]
-		if !ok {
-			return false
-		}
-		data, ver, sum, ferr := p.puller.FetchSummed(name, resp.Version,
-			[]stream.Source{{PID: uint32(h), Addr: addr}})
-		if ferr != nil {
-			return false
-		}
-		resp, pulled = msg.Response{OK: true, Version: ver, Data: data}, crc{sum, true}
-	}
-	budget.Spend(len(resp.Data))
+	budget.Spend(len(data))
 	p.propMu.RLock() // local apply serializes against Leave, as on broadcast paths
 	applied := false
 	if _, have := p.store.Peek(name); have {
-		applied = p.store.Update(name, resp.Data, resp.Version)
+		applied = p.store.Update(name, data, ver)
 	} else {
-		_, res := p.store.PutNewer(store.File{Name: name, Data: resp.Data, Version: resp.Version}, store.Inserted)
+		_, res := p.store.PutNewer(store.File{Name: name, Data: data, Version: ver}, store.Inserted)
 		applied = res == store.PutApplied
 	}
 	p.propMu.RUnlock()
 	if !applied {
 		return false // a concurrent update or deletion already superseded the pull
 	}
-	p.sums.put(name, resp.Version, len(resp.Data), pulled)
-	p.mergeClock(resp.Version)
+	p.sums.put(name, ver, len(data), crc{sum, true})
+	p.mergeClock(ver)
 	p.stats.RepairPulled.Add(1)
 	p.log.Info("repair: pulled newer copy", "name", name, "from", uint32(h))
 	return true

@@ -126,11 +126,40 @@ func TestRepairOnceHealsStaleCopy(t *testing.T) {
 	}
 }
 
+// TestRepairPullCountsNoAccess: a repair pull is anti-entropy, not a read.
+// It rides the chunk plane as a replica transfer, which the partner serves
+// from Peek, so the partner's §6 access count does not move.
+func TestRepairPullCountsNoAccess(t *testing.T) {
+	peers := startSystem(t, 4, 1, allPIDs(16), hashring.FNV{})
+	if err := NewClient(peers[0].Addr()).Insert("f", chunkPayload(4<<10, 60)); err != nil {
+		t.Fatal(err)
+	}
+	holders := holdersOf(peers, "f")
+	if len(holders) != 2 {
+		t.Fatalf("holders = %v", holders)
+	}
+	stale, fresh := holders[0], holders[1]
+	f, _ := peers[fresh].store.Peek("f")
+	v2 := chunkPayload(4<<10, 61)
+	peers[fresh].store.Update("f", v2, f.Version+1)
+	hits := peers[fresh].store.Hits("f")
+
+	if n := peers[stale].RepairOnce(&repair.Sampler{}, nil, -1); n != 1 {
+		t.Fatalf("stale holder pulled %d, want 1", n)
+	}
+	if got, _ := peers[stale].store.Peek("f"); !bytes.Equal(got.Data, v2) || got.Version != f.Version+1 {
+		t.Fatalf("pull did not heal: v%d, %d bytes", got.Version, len(got.Data))
+	}
+	if got := peers[fresh].store.Hits("f"); got != hits {
+		t.Fatalf("the repair pull counted %d accesses at the partner, want none", got-hits)
+	}
+}
+
 // Over-frame bodies cannot ride a whole-frame KindStore push or a
 // whole-frame get pull — both would fail response framing. Repair moves
 // them through the write plane instead: pushes as a direct payload-free
 // KindNotify the holder answers by pulling chunks, pulls through the
-// chunk fetcher after the whole-frame get's msg.OverFrameError refusal.
+// chunk fetcher like every repair pull.
 func TestRepairMovesOverFrameBodies(t *testing.T) {
 	if testing.Short() {
 		t.Skip("over-frame payloads in -short")

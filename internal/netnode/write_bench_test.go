@@ -11,10 +11,9 @@ package netnode
 //     payloads (above msg.MaxData only the chunked plane can write at
 //     all — the headline: the write ceiling moved from one frame to
 //     msg.MaxFileSize). Part two measures what the broadcast tree itself
-//     carries per update against replica count: with payload-push every
-//     remote leg repeats the payload, with notify/pull the tree carries
-//     only transfer facts — so relayed broadcast bytes stop scaling with
-//     the copy count.
+//     carries per update against replica count: the tree carries only
+//     transfer facts and every copy pulls, so broadcast bytes do not
+//     scale with the payload or the copy count.
 //
 // Every fabric RPC pays benchRTT (500µs) via injected transport faults,
 // the same propagation model the stream and locate comparisons use.
@@ -34,16 +33,15 @@ import (
 	"lesslog/internal/transport"
 )
 
-// startWriteFabric boots an n-peer fabric with B replication bits,
-// benchRTT on every outbound RPC, and the given notify threshold
-// (0 default, negative pins in-frame updates to the whole-frame push).
-func startWriteFabric(t testing.TB, m, b, n, notifyTh int, hasher hashring.Hasher) map[bitops.PID]*Peer {
+// startWriteFabric boots an n-peer fabric with B replication bits and
+// benchRTT on every outbound RPC.
+func startWriteFabric(t testing.TB, m, b, n int, hasher hashring.Hasher) map[bitops.PID]*Peer {
 	t.Helper()
 	peers := make(map[bitops.PID]*Peer, n)
 	addrs := make(map[bitops.PID]string, n)
 	for _, pid := range allPIDs(n) {
 		p, err := Listen(Config{
-			PID: pid, M: m, B: b, Hasher: hasher, NotifyThreshold: notifyTh,
+			PID: pid, M: m, B: b, Hasher: hasher,
 			Faults: transport.NewFaults().Add(transport.Rule{Delay: benchRTT}),
 		})
 		if err != nil {
@@ -106,7 +104,7 @@ func TestWriteBenchReport(t *testing.T) {
 // latency per payload size, and proves the write ceiling moved: the
 // 64 MiB row has no whole-frame number to report.
 func writeLatencyReport(t *testing.T) {
-	peers := startWriteFabric(t, 4, 0, 16, 0, hashring.Fixed(4))
+	peers := startWriteFabric(t, 4, 0, 16, hashring.Fixed(4))
 	entry := peers[8].Addr()
 	ctr := transport.New(transport.Config{},
 		transport.NewFaults().Add(transport.Rule{Delay: benchRTT}))
@@ -179,11 +177,9 @@ func writeLatencyReport(t *testing.T) {
 
 // writePropagationReport measures what the broadcast tree itself carries
 // per update — the sum of every peer's FanoutBytes, payload bytes put on
-// remote broadcast legs — against replica count, for the payload-push
-// form (notify disabled) and the notify/pull form. Push relays the
-// payload once per remote copy, so its tree bytes scale with the replica
-// count; notify legs carry only the transfer facts, so their tree bytes
-// stay flat no matter how many copies pull.
+// remote broadcast legs — against replica count. The legs carry only the
+// transfer facts and every copy pulls the body, so tree bytes stay under
+// one payload no matter how many copies there are.
 func writePropagationReport(t *testing.T) {
 	const payloadSize = 4 << 20
 	payload := benchPayload(payloadSize)
@@ -192,44 +188,31 @@ func writePropagationReport(t *testing.T) {
 	}
 	for _, b := range []int{0, 1, 2} {
 		replicas := 1 << b
-		var pushDelta, notifyDelta uint64
 		ok := t.Run(fmt.Sprintf("propagation/replicas=%d", replicas), func(t *testing.T) {
-			measure := func(notifyTh int) uint64 {
-				peers := startWriteFabric(t, 4, b, 16, notifyTh, hashring.Fixed(4))
-				cl := NewClient(peers[8].Addr())
-				if err := cl.Insert("bench/prop", payload); err != nil {
-					t.Fatal(err)
-				}
-				before := fanout(peers)
-				if _, err := cl.Update("bench/prop", payload); err != nil {
-					t.Fatal(err)
-				}
-				return fanout(peers) - before
+			peers := startWriteFabric(t, 4, b, 16, hashring.Fixed(4))
+			cl := NewClient(peers[8].Addr())
+			if err := cl.Insert("bench/prop", payload); err != nil {
+				t.Fatal(err)
 			}
-			pushDelta = measure(-1)  // payload rides every broadcast leg
-			notifyDelta = measure(0) // tree carries transfer facts only
-			// The notify tree's bytes must be independent of the payload —
-			// and thereby of how many copies pull it.
-			if notifyDelta >= payloadSize {
+			before := fanout(peers)
+			if _, err := cl.Update("bench/prop", payload); err != nil {
+				t.Fatal(err)
+			}
+			treeBytes := fanout(peers) - before
+			if treeBytes >= payloadSize {
 				t.Errorf("notify tree carried %d bytes for a %d-byte payload, want payload-free legs",
-					notifyDelta, payloadSize)
-			}
-			if replicas > 1 && pushDelta < uint64(replicas)*payloadSize {
-				t.Errorf("push tree carried %d bytes across %d copies, expected >= copies x payload = %d",
-					pushDelta, replicas, uint64(replicas)*payloadSize)
+					treeBytes, payloadSize)
 			}
 			if err := benchjson.Record("write", benchjson.Result{
 				Name: fmt.Sprintf("report/propagation/replicas=%d", replicas),
 				Extra: map[string]float64{
-					"push_tree_bytes":   float64(pushDelta),
-					"notify_tree_bytes": float64(notifyDelta),
+					"notify_tree_bytes": float64(treeBytes),
 					"payload_bytes":     payloadSize,
 				},
 			}); err != nil {
 				t.Fatal(err)
 			}
-			t.Logf("replicas=%d: push tree carried %d bytes, notify tree %d bytes (payload %d)",
-				replicas, pushDelta, notifyDelta, payloadSize)
+			t.Logf("replicas=%d: notify tree carried %d bytes (payload %d)", replicas, treeBytes, payloadSize)
 		})
 		if !ok {
 			t.Fatalf("replicas=%d configuration failed", replicas)
