@@ -24,14 +24,15 @@ bench:
 # One-iteration pass over every benchmark — catches bit-rotted bench code
 # without measuring anything — plus the data path's allocation budgets
 # (docs/PIPELINE.md "Buffer ownership": payload copies, and the exchange
-# envelopes that stay off the heap), a cold gateway read's (the body it
+# envelopes that stay off the heap, and an inline placement's one copy of a
+# lent body), a cold gateway read's (the body it
 # caches, no transfer, hint-set, cache-slot or flight allocation beside it)
 # and compaction's (docs/STORAGE.md), which do measure: a reintroduced
 # payload copy fails them — and the chunk
 # planes' checksum-pass count (docs/ROUTING.md "Checksums"), which a
 # reintroduced whole-body CRC pass fails. CI runs this on every push.
 bench-smoke:
-	$(GO) test -count 1 -run 'TestLargeFrameAllocBudget|TestSmallFrameAllocBudget|TestLyingPrefixAllocationBound|TestExchangeAllocBudget|TestChunkPlaneAllocBudget|TestBroadcastAllocBudget|TestLocateSetAllocBudget|TestBodyChecksummedOncePerHop|TestAppendAllocatesNothing|TestCompactionAllocBudget|TestColdGatewayReadAllocBudget|TestLRUPutAtCapacityAllocatesNothing|TestFlightWithoutFollowersAllocatesNothing' ./internal/msg/ ./internal/transport/ ./internal/netnode/ ./internal/wal/ ./internal/gateway/ ./internal/lru/
+	$(GO) test -count 1 -run 'TestLargeFrameAllocBudget|TestSmallFrameAllocBudget|TestLyingPrefixAllocationBound|TestExchangeAllocBudget|TestChunkPlaneAllocBudget|TestBroadcastAllocBudget|TestLocateSetAllocBudget|TestInlinePlacementAllocBudget|TestBodyChecksummedOncePerHop|TestAppendAllocatesNothing|TestCompactionAllocBudget|TestColdGatewayReadAllocBudget|TestLRUPutAtCapacityAllocatesNothing|TestFlightWithoutFollowersAllocatesNothing' ./internal/msg/ ./internal/transport/ ./internal/netnode/ ./internal/wal/ ./internal/gateway/ ./internal/lru/
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
 # The end-to-end perf ledger (bench/README.md): the four closed-loop

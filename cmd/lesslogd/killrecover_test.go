@@ -92,7 +92,7 @@ func TestLesslogdKillAndRecover(t *testing.T) {
 	daemon, addr := startDaemon(t, bin, dataDir, boot.Addr())
 	defer daemon.Process.Kill()
 
-	// Write burst straight at the daemon (KindStore places locally).
+	// Write burst straight at the daemon (a placement stores locally).
 	// Everything acked before the SIGKILL must survive it.
 	cl := netnode.NewClient(addr)
 	type acked struct {

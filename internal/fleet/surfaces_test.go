@@ -51,7 +51,7 @@ func surfaces(t *testing.T) (*netnode.Peer, *gateway.Gateway, Cluster) {
 	}
 	// The gateway enters each insert at the name's primary. A plain client
 	// enters where it is pointed: an insert at another peer reaches the
-	// primary by a KindStore, and a locate at P(0) walks on from there.
+	// primary by a placement, and a locate at P(0) walks on from there.
 	target := int(hashring.FNV{}.Target("s/g", 2))
 	entry := 1
 	if entry == target {

@@ -118,7 +118,7 @@ func TestRetentionSweep(t *testing.T) {
 	write(pick("upd/remote", false).Addr(), msg.KindUpdate, "upd/remote", bodySize)
 
 	// §6 replicas: make a name hot at one of its primaries, let maintenance
-	// place a replica on the children list (a KindStore push), and for the
+	// place a replica on the children list (an inline placement), and for the
 	// second name send an update after it, which reaches the replica as a
 	// propagated delivery one level further down the tree.
 	replicas := map[string]*netnode.Peer{}
@@ -147,11 +147,16 @@ func TestRetentionSweep(t *testing.T) {
 			t.Fatalf("repair round at P(%d) pushed nothing", holder.PID())
 		}
 	}
-	// A bare KindStore, as a leave handoff or a by-hand placement sends it.
+	// A bare inline placement, as a leave handoff or a by-hand placement
+	// sends it: the body follows the facts in the same lent frame.
 	{
-		name, data := "store/direct", body(bodySize)
+		name, data := "placed/direct", body(bodySize)
+		facts, err := msg.AppendNotifyReq(nil, &msg.NotifyReq{TotalSize: uint64(len(data)), Body: data})
+		if err != nil {
+			t.Fatal(err)
+		}
 		for pid := range primaries(name) {
-			do(addrs[pid], &msg.Request{Kind: msg.KindStore, Name: name, Data: data, Version: 3})
+			do(addrs[pid], &msg.Request{Kind: msg.KindNotify, Name: name, Data: facts, Tail: data, Version: 3})
 		}
 		want[name] = data
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -117,8 +118,8 @@ func TestBatchSizeLimits(t *testing.T) {
 	// Two half-MaxData sub-requests overflow the Data budget together.
 	big := bytes.Repeat([]byte{7}, MaxData/2+64)
 	if _, err := AppendBatchRequests(nil, []*Request{
-		{Kind: KindStore, Name: "a", Data: big},
-		{Kind: KindStore, Name: "b", Data: big},
+		{Kind: KindInsert, Name: "a", Data: big},
+		{Kind: KindInsert, Name: "b", Data: big},
 	}); err != ErrFrameTooLarge {
 		t.Fatalf("over-size batch: err = %v, want ErrFrameTooLarge", err)
 	}
@@ -173,11 +174,11 @@ func TestServeBatch(t *testing.T) {
 // TestKindStringsExhaustive pins that every declared kind names itself:
 // adding a kind without extending String() (and with it the switch arms
 // that key on the name) fails here instead of silently reporting
-// "kind(N)" in metrics and stat output. The one retired value is the one
-// gap.
+// "kind(N)" in metrics and stat output. The retired values are the only
+// gaps.
 func TestKindStringsExhaustive(t *testing.T) {
 	for k := 1; k < KindCount; k++ {
-		if k == retiredKind {
+		if slices.Contains(retiredKinds, Kind(k)) {
 			continue
 		}
 		s := Kind(k).String()

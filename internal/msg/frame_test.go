@@ -231,7 +231,7 @@ func TestKeepSurvivesRelease(t *testing.T) {
 		}
 		return req, lease
 	}
-	req, lease := lend(&Request{Kind: KindStore, Name: "kept", Data: body}, 3)
+	req, lease := lend(&Request{Kind: KindInsert, Name: "kept", Data: body}, 3)
 	if !req.lent {
 		t.Fatal("a small frame's Data is not lent")
 	}
@@ -265,14 +265,14 @@ func TestKeepSurvivesRelease(t *testing.T) {
 	}
 	// The next requests of the connection are read into the same pool.
 	for i := 0; i < 8; i++ {
-		_, l := lend(&Request{Kind: KindStore, Name: "next", Data: bytes.Repeat([]byte{byte(i)}, 4<<10)}, 4)
+		_, l := lend(&Request{Kind: KindInsert, Name: "next", Data: bytes.Repeat([]byte{byte(i)}, 4<<10)}, 4)
 		l.End()
 	}
 	if !bytes.Equal(kept.Data, body) {
 		t.Fatal("kept Data changed after the lease ended")
 	}
 
-	local := &Request{Kind: KindStore, Data: body}
+	local := &Request{Kind: KindInsert, Data: body}
 	local.Keep()
 	if &local.Data[0] != &body[0] {
 		t.Fatal("Keep copied the Data of a request that was never lent")

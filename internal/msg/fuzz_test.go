@@ -114,7 +114,7 @@ func TestReadFrameRejectsOversizedPrefix(t *testing.T) {
 		t.Fatal("lying prefix with truncated body was accepted")
 	}
 	// An honest maximal frame still round-trips.
-	big := &Request{Kind: KindStore, Name: "big", Data: bytes.Repeat([]byte{7}, 1<<20)}
+	big := &Request{Kind: KindInsert, Name: "big", Data: bytes.Repeat([]byte{7}, 1<<20)}
 	var buf bytes.Buffer
 	if err := WriteRequestID(&buf, big, 1); err != nil {
 		t.Fatal(err)

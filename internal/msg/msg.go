@@ -37,14 +37,13 @@ import (
 // Kind enumerates request types.
 type Kind uint8
 
-// Request kinds. KindStore places a copy directly (insert placement and
-// replica creation); KindGet and KindUpdate are forwarded per the lookup
-// tree; KindStat asks a node for its status snapshot.
+// Request kinds. KindGet and KindUpdate are forwarded per the lookup tree;
+// KindStat asks a node for its status snapshot.
 const (
 	KindInsert Kind = iota + 1
 	KindGet
 	KindUpdate
-	KindStore
+	_ // 4: retired whole-frame placement; never reuse
 	KindStat
 	// KindRegister announces a membership change (§5.1's register-live /
 	// register-dead broadcast): Origin carries the PID, Data its address
@@ -118,10 +117,10 @@ const (
 	// Version. It fans down the children-list broadcast tree like a
 	// delete, and each holder pulls the body via KindFetch from a listed
 	// source (an empty body needs no pull), so tree bytes stay O(legs),
-	// never O(legs × size). Without FlagPropagate it is the placement of one
-	// body over MaxData — KindStore's over-frame shape: the one listed
-	// source is the placing peer, and the receiver pulls, stores, and
-	// forwards nothing.
+	// never O(legs × size). Without FlagPropagate it places one copy: the
+	// body rides inline after facts listing no source when both fit one
+	// frame (NotifyInline), else the receiver pulls it from the one listed
+	// source, the placing peer. The receiver stores and forwards nothing.
 	KindNotify
 )
 
@@ -138,8 +137,6 @@ func (k Kind) String() string {
 		return "get"
 	case KindUpdate:
 		return "update"
-	case KindStore:
-		return "store"
 	case KindStat:
 		return "stat"
 	case KindRegister:
@@ -223,8 +220,8 @@ const (
 	// FlagFallback marks a get that already took the §3 second step; the
 	// receiving primary answers instead of forwarding further.
 	FlagFallback uint8 = 1 << iota
-	// FlagReplica marks a KindStore carrying a replica rather than an
-	// inserted copy.
+	// FlagReplica marks a placement carrying a replica rather than an
+	// inserted copy, and a KindFetch a peer pulls a body with.
 	FlagReplica
 	// FlagPropagate marks a KindNotify or KindDelete that is a leg of a
 	// top-down children-list broadcast rather than a client's request, or a
@@ -288,7 +285,7 @@ const (
 	// them, so the trace reconstructs the fan-out tree.
 	HopDeliver
 	// HopRepair: the anti-entropy loop at this stop initiated a traced
-	// exchange (a KindHas probe round, KindStore push, or KindDigest
+	// exchange (a KindHas probe round, a placement, or a KindDigest
 	// sync); the root of a repair trace.
 	HopRepair
 	// HopEdge: the gateway edge admitted the request and stamped the trace

@@ -2,8 +2,10 @@ package msg
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -160,7 +162,7 @@ func TestOversizeRejected(t *testing.T) {
 	if _, err := AppendRequest(nil, &Request{Kind: KindGet, Name: big}); err != ErrFrameTooLarge {
 		t.Fatalf("err = %v", err)
 	}
-	over := &Request{Kind: KindStore, Name: "n", Data: make([]byte, MaxData+1)}
+	over := &Request{Kind: KindInsert, Name: "n", Data: make([]byte, MaxData+1)}
 	if err := WriteRequestID(io.Discard, over, 1); err != ErrFrameTooLarge {
 		t.Fatalf("err = %v", err)
 	}
@@ -210,7 +212,7 @@ func TestCorruptResponse(t *testing.T) {
 func TestKindString(t *testing.T) {
 	for k, want := range map[Kind]string{
 		KindInsert: "insert", KindGet: "get", KindUpdate: "update",
-		KindStore: "store", KindStat: "stat",
+		KindStat: "stat", KindNotify: "notify", Kind(4): "kind(4)",
 		KindTraces: "traces", KindFetch: "fetch", KindLocateSet: "locate-set",
 		Kind(99): "kind(99)",
 	} {
@@ -220,27 +222,40 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-// retiredKind is the one unassigned value below KindCount: the
-// single-holder locate, folded into KindLocateSet.
-const retiredKind = 11
+// retiredKinds are the unassigned values below KindCount: the whole-frame
+// placement, folded into the direct KindNotify, and the single-holder
+// locate, folded into KindLocateSet.
+var retiredKinds = []Kind{4, 11}
 
 // TestKindWireNumbers pins every kind's value on the wire. Kinds are
 // compared between builds by number, so a renumbering breaks every fleet
 // that mixes builds; the encoders agree with each other whatever the
 // numbers, which is why the frame goldens cannot catch one.
 func TestKindWireNumbers(t *testing.T) {
-	for k, want := range map[Kind]uint8{
-		KindInsert: 1, KindGet: 2, KindUpdate: 3, KindStore: 4, KindStat: 5,
+	named := map[Kind]uint8{
+		KindInsert: 1, KindGet: 2, KindUpdate: 3, KindStat: 5,
 		KindRegister: 6, KindTable: 7, KindHas: 8, KindDelete: 9, KindBatch: 10,
 		KindDigest: 12, KindTraces: 13, KindFetch: 14, KindLocateSet: 15,
 		KindPut: 16, KindNotify: 17,
-	} {
+	}
+	if len(named) != 15 {
+		t.Errorf("%d named kinds, want 15", len(named))
+	}
+	for k, want := range named {
 		if uint8(k) != want {
 			t.Errorf("%v = %d on the wire, want %d", k, uint8(k), want)
 		}
 	}
-	if got := Kind(retiredKind).String(); got != "kind(11)" {
-		t.Errorf("Kind(11).String() = %q, want the unnamed form", got)
+	for k := 1; k < KindCount; k++ {
+		_, isNamed := named[Kind(k)]
+		if retired := slices.Contains(retiredKinds, Kind(k)); isNamed == retired {
+			t.Errorf("kind %d is named=%v retired=%v, want exactly one", k, isNamed, retired)
+		}
+	}
+	for _, k := range retiredKinds {
+		if got, want := k.String(), fmt.Sprintf("kind(%d)", k); got != want {
+			t.Errorf("Kind(%d).String() = %q, want the unnamed form %q: never reuse it", k, got, want)
+		}
 	}
 	if KindCount != 18 {
 		t.Errorf("KindCount = %d, want 18", KindCount)
@@ -253,8 +268,10 @@ func TestUnknownKindError(t *testing.T) {
 	if got := UnknownKindError(KindLocateSet); got != "netnode: unknown kind locate-set" {
 		t.Fatalf("UnknownKindError = %q", got)
 	}
-	if got := UnknownKindError(Kind(retiredKind)); got != "netnode: unknown kind kind(11)" {
-		t.Fatalf("UnknownKindError = %q", got)
+	for _, k := range retiredKinds {
+		if got, want := UnknownKindError(k), fmt.Sprintf("netnode: unknown kind kind(%d)", k); got != want {
+			t.Fatalf("UnknownKindError = %q, want %q", got, want)
+		}
 	}
 	if got := UnknownKindError(Kind(42)); got != "netnode: unknown kind kind(42)" {
 		t.Fatalf("UnknownKindError = %q", got)

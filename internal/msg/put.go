@@ -2,8 +2,8 @@ package msg
 
 // The chunked write-plane payloads (docs/ROUTING.md "write plane"): a
 // KindPut request's Data carries one staged chunk or a commit/abort
-// control frame, a KindNotify request's Data the transfer facts of a
-// pull-based propagation leg. Both follow the fetch/digest decoding
+// control frame, a KindNotify request's Data the transfer facts of an
+// update leg or a placement. Both follow the fetch/digest decoding
 // discipline — every nested length checked against its limit and against
 // the bytes actually present, a lying prefix is ErrCorrupt, never an
 // allocation.
@@ -133,33 +133,41 @@ func DecodePutReq(b []byte) (*PutReq, error) {
 	return r, nil
 }
 
-// NotifyReq is the payload-free body of a pull-based propagation leg
-// (KindNotify): the transfer shape of the new version — whose stamped
-// version number rides the request's Version field — plus the pull
-// sources already holding it, origin first. Each delivered holder pulls
+// NotifyReq is the body of a KindNotify: the transfer shape of the new
+// version — whose stamped version number rides the request's Version
+// field — and where the body comes from. An update leg lists the pull
+// sources already holding it, origin first: each delivered holder pulls
 // the body via KindFetch from a listed source, verifies FileCRC, and
-// appends itself to Sources before fanning out, so later deliveries
-// stripe across already-converged siblings.
+// appends itself to Sources before fanning out. A placement lists the
+// placing peer, or no source and the Body inline (NotifyInline).
 type NotifyReq struct {
 	TotalSize uint64
 	FileCRC   uint32
 	Sources   []Holder
+	Body      []byte // inline, unsummed; senders point Request.Tail at it
 }
 
-// notifyReqSane bounds a notify's shape. An empty body is a valid update —
-// applied without a pull — whose CRC-32C can only be 0.
+// notifyReqSane bounds a notify's shape: an empty body (a valid update,
+// applied without a pull) sums to 0, and without sources the body is inline.
 func notifyReqSane(r *NotifyReq) bool {
-	return r.TotalSize <= MaxFileSize && (r.TotalSize != 0 || r.FileCRC == 0) &&
-		len(r.Sources) != 0 && len(r.Sources) <= MaxHolders
+	return r.TotalSize <= MaxFileSize && (r.TotalSize != 0 || r.FileCRC == 0) && len(r.Sources) <= MaxHolders &&
+		((len(r.Sources) == 0 && uint64(len(r.Body)) == r.TotalSize) || (len(r.Sources) != 0 && r.Body == nil))
 }
 
-// AppendNotifyReq encodes a KindNotify request payload onto b.
+// NotifyInline reports whether a placement carries an n-byte body inline:
+// facts without sources, then the body, fit one request's data field.
+func NotifyInline(n int) bool { return n <= MaxData-notifySourcesAt-4 }
+
+// AppendNotifyReq encodes a KindNotify request payload, Body aside, onto b.
 func AppendNotifyReq(b []byte, r *NotifyReq) ([]byte, error) {
 	if !notifyReqSane(r) {
 		return nil, ErrFrameTooLarge
 	}
 	b = binary.BigEndian.AppendUint64(b, r.TotalSize)
 	b = binary.BigEndian.AppendUint32(b, r.FileCRC)
+	if len(r.Sources) == 0 {
+		return binary.BigEndian.AppendUint32(b, 0), nil
+	}
 	return AppendHolders(b, r.Sources)
 }
 
@@ -173,7 +181,9 @@ func DecodeNotifyReq(b []byte) (*NotifyReq, error) {
 	if r.FileCRC, b, err = takeUint32(b); err != nil {
 		return nil, err
 	}
-	if r.Sources, err = DecodeHolders(b); err != nil {
+	if len(b) >= 4 && binary.BigEndian.Uint32(b) == 0 {
+		r.Body = b[4:] // no sources: the body follows
+	} else if r.Sources, err = DecodeHolders(b); err != nil {
 		return nil, err
 	}
 	if !notifyReqSane(r) {
@@ -189,7 +199,7 @@ const notifySourcesAt = 8 + 4
 // AppendNotifySource returns a copy of the encoded notify b with h listed
 // after the sources already there: a holder that has just converged offers
 // itself to the legs below it, in one allocation and without decoding the
-// list. b must be an encoding DecodeNotifyReq accepts.
+// list. b must be an encoding DecodeNotifyReq accepts, with no inline body.
 func AppendNotifySource(b []byte, h Holder) ([]byte, error) {
 	if len(b) < notifySourcesAt+4 {
 		return nil, ErrCorrupt

@@ -133,6 +133,44 @@ func TestNotifyReqBounds(t *testing.T) {
 	}
 }
 
+// TestNotifyReqInline: a placement's body rides after facts that list no
+// source, exactly as long as the facts declare, and never beside sources;
+// NotifyInline splits where facts and body fill one data field.
+func TestNotifyReqInline(t *testing.T) {
+	body := []byte("hello")
+	facts, err := AppendNotifyReq(nil, &NotifyReq{TotalSize: uint64(len(body)), Body: body})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(facts) != notifySourcesAt+4 {
+		t.Fatalf("inline facts are %d bytes, want size, sum and an empty source count", len(facts))
+	}
+	got, err := DecodeNotifyReq(append(append([]byte(nil), facts...), body...))
+	if err != nil || !bytes.Equal(got.Body, body) || len(got.Sources) != 0 || got.FileCRC != 0 {
+		t.Fatalf("decoded inline placement %+v, %v", got, err)
+	}
+	src := []Holder{{PID: 1, Addr: "a", Version: 1}}
+	pulled, err := AppendNotifyReq(nil, &NotifyReq{TotalSize: uint64(len(body)), FileCRC: 1, Sources: src})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, b := range map[string][]byte{
+		"no body, no source": facts,
+		"short body":         append(append([]byte(nil), facts...), body[1:]...),
+		"body and sources":   append(append([]byte(nil), pulled...), body...),
+	} {
+		if r, err := DecodeNotifyReq(b); err == nil {
+			t.Errorf("decode accepted %s: %+v", name, r)
+		}
+	}
+	if _, err := AppendNotifyReq(nil, &NotifyReq{TotalSize: 5, Body: body, Sources: src}); err == nil {
+		t.Error("append accepted a body beside sources")
+	}
+	if n := MaxData - len(facts); !NotifyInline(n) || NotifyInline(n+1) {
+		t.Errorf("NotifyInline splits away from %d bytes", n)
+	}
+}
+
 // TestAppendNotifySource: listing one more source on an encoded notify is
 // the encoding of the notify with that source appended, and a full list is
 // refused rather than grown past MaxHolders.
@@ -192,13 +230,15 @@ func FuzzDecodePutReq(f *testing.F) {
 	})
 }
 
-// FuzzDecodeNotifyReq exercises the pull-propagation notify codec.
+// FuzzDecodeNotifyReq exercises the notify codec, inline bodies included.
 func FuzzDecodeNotifyReq(f *testing.F) {
 	seed, _ := AppendNotifyReq(nil, &NotifyReq{
 		TotalSize: 1 << 20, FileCRC: 3,
 		Sources: []Holder{{PID: 1, Addr: "127.0.0.1:7101", Version: 4}},
 	})
 	f.Add(seed)
+	inline, _ := AppendNotifyReq(nil, &NotifyReq{TotalSize: 3, Body: []byte("abc")})
+	f.Add(append(inline, "abc"...))
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xFF}, 16)) // absurd sizes and count prefix
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -210,7 +250,7 @@ func FuzzDecodeNotifyReq(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encode of decoded notify failed: %v", err)
 		}
-		if !bytes.Equal(re, data) {
+		if !bytes.Equal(append(re, r.Body...), data) {
 			t.Fatalf("notify req not canonical")
 		}
 	})

@@ -1,12 +1,16 @@
 package netnode
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
 	"hash/crc32"
+	"net"
 	"strings"
 	"testing"
+	"time"
 
+	"lesslog/internal/hashring"
 	"lesslog/internal/msg"
 )
 
@@ -75,7 +79,8 @@ func TestBatchRejectsCorruptPayload(t *testing.T) {
 // TestEveryKindHasHandler iterates the whole kind space: each declared
 // kind must reach a real handler arm — never the "unknown kind" default —
 // so adding a kind (as KindBatch was) cannot silently miss the dispatch
-// switch. One past the last kind must still be rejected.
+// switch. The retired numbers and one past the last kind must still be
+// rejected (TestRetiredKindsRefused).
 func TestEveryKindHasHandler(t *testing.T) {
 	peers := startSystem(t, 3, 0, allPIDs(8), nil)
 	addr := peers[0].Addr()
@@ -114,7 +119,6 @@ func TestEveryKindHasHandler(t *testing.T) {
 		msg.KindInsert: {Kind: msg.KindInsert, Name: "k/insert", Data: []byte("v")},
 		msg.KindGet:    {Kind: msg.KindGet, Name: "seed"},
 		msg.KindUpdate: {Kind: msg.KindUpdate, Name: "seed", Data: []byte("v2")},
-		msg.KindStore:  {Kind: msg.KindStore, Name: "k/store", Data: []byte("v"), Version: 1},
 		msg.KindStat:   {Kind: msg.KindStat},
 		// Propagated registration of a peer that is already live: applied
 		// locally, no relays, no membership change.
@@ -122,7 +126,7 @@ func TestEveryKindHasHandler(t *testing.T) {
 			Origin: 1, Data: []byte(peers[1].Addr())},
 		msg.KindTable:     {Kind: msg.KindTable},
 		msg.KindHas:       {Kind: msg.KindHas, Name: "seed"},
-		msg.KindDelete:    {Kind: msg.KindDelete, Name: "k/store"},
+		msg.KindDelete:    {Kind: msg.KindDelete, Name: "k/insert"},
 		msg.KindBatch:     {Kind: msg.KindBatch, Data: emptyBatch},
 		msg.KindDigest:    {Kind: msg.KindDigest, Origin: 1, Data: emptyDigest},
 		msg.KindTraces:    {Kind: msg.KindTraces},
@@ -130,12 +134,12 @@ func TestEveryKindHasHandler(t *testing.T) {
 		msg.KindLocateSet: {Kind: msg.KindLocateSet, Name: "seed"},
 		msg.KindPut:       {Kind: msg.KindPut, Name: "k/put", Data: putOpen},
 		msg.KindNotify:    {Kind: msg.KindNotify, Name: "seed", Version: 1, Data: notifyHeld},
-		// 11, the retired single-holder locate, is still answered while
-		// older builds send it (TestRetiredLocateKindAnswered).
-		msg.Kind(11): {Kind: msg.Kind(11), Name: "seed"},
 	}
 	for k := 1; k < msg.KindCount; k++ {
 		kind := msg.Kind(k)
+		if kind.String() == fmt.Sprintf("kind(%d)", k) {
+			continue // a retired number
+		}
 		req, covered := reqs[kind]
 		if !covered {
 			t.Errorf("kind %v (%d) has no probe request; extend this test with the new kind", kind, k)
@@ -155,5 +159,64 @@ func TestEveryKindHasHandler(t *testing.T) {
 	}
 	if resp.OK || !strings.Contains(resp.Err, "unknown kind") {
 		t.Fatalf("kind KindCount should be rejected, got %+v", resp)
+	}
+}
+
+// TestRetiredKindsRefused pins one policy for retired wire numbers: an
+// older build's whole-frame placement (kind 4) and its single-holder
+// locate (kind 11) each get the generic unknown-kind answer and change
+// nothing, and the request pipelined behind them on the same connection is
+// still served.
+func TestRetiredKindsRefused(t *testing.T) {
+	peers := startSystem(t, 4, 0, allPIDs(16), hashring.Fixed(4))
+	if err := NewClient(peers[9].Addr()).Insert("f", []byte("hello")); err != nil {
+		t.Fatal(err)
+	}
+	holder := peers[4]
+	stored, clock := holder.Stats().Stored.Load(), holder.clock.Load()
+	conn, err := net.Dial("tcp", holder.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	br := bufio.NewReader(conn)
+	for i, old := range []*msg.Request{
+		{Kind: msg.Kind(4), Name: "old/placed", Data: []byte("older build"), Version: clock + 10},
+		{Kind: msg.Kind(11), Name: "f"},
+	} {
+		id := uint64(2 * i)
+		if err := msg.WriteRequestID(conn, old, id+1); err != nil {
+			t.Fatal(err)
+		}
+		if err := msg.WriteRequestID(conn, &msg.Request{Kind: msg.KindLocateSet, Name: "f"}, id+2); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		answers := map[uint64]*msg.Response{}
+		for range 2 {
+			resp, rid, err := msg.ReadResponseID(br)
+			if err != nil {
+				t.Fatalf("kind %d: %v", old.Kind, err)
+			}
+			answers[rid] = resp
+		}
+		want := fmt.Sprintf("netnode: unknown kind kind(%d)", old.Kind)
+		if resp := answers[id+1]; resp == nil || resp.OK || resp.Err != want {
+			t.Fatalf("kind %d answered %+v, want %q", old.Kind, resp, want)
+		}
+		if resp := answers[id+2]; resp == nil || !resp.OK || resp.ServedBy != 4 {
+			t.Fatalf("the locate pipelined behind kind %d answered %+v, want P(4)'s", old.Kind, resp)
+		}
+	}
+	for pid, p := range peers {
+		if p.store.Has("old/placed") {
+			t.Errorf("P(%d) stored the refused placement", pid)
+		}
+	}
+	if got := holder.Stats().Stored.Load(); got != stored {
+		t.Errorf("P(4) stored %d copies after the refusals", got-stored)
+	}
+	if got := holder.clock.Load(); got != clock {
+		t.Errorf("P(4) clock moved %d -> %d: the refused placement's version was merged", clock, got)
 	}
 }

@@ -279,8 +279,16 @@ func TestBodyChecksummedOncePerHop(t *testing.T) {
 		t.Fatalf("readback after update: %d bytes, %v", len(res.Data), err)
 	}
 
-	if err := cl.Insert("sum/one", one); err != nil {
-		t.Fatal(err)
+	// A body that fits one frame rides each placement inline: no pull, so
+	// no pass at either end of it.
+	pulls := sumWriteStat(peers, func(s *Stats) uint64 { return s.NotifyPulls.Load() })
+	measure(cl, "one-chunk insert, placed inline", len(one), 0, func() {
+		if err := cl.Insert("sum/one", one); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got := sumWriteStat(peers, func(s *Stats) uint64 { return s.NotifyPulls.Load() }) - pulls; got != 0 {
+		t.Fatalf("%d pulls placing a one-chunk body, want 0", got)
 	}
 	if _, err := cl.Get("sum/one"); err != nil { // leaves the hint the update enters by
 		t.Fatal(err)

@@ -763,16 +763,18 @@ func (c *Client) purgeHint(name string) {
 	}
 }
 
-// Store places a copy directly on the contacted peer; test and tooling
-// hook for building replica layouts by hand.
+// Store places a copy on the contacted peer as a peer places one that fits
+// a frame; test and tooling hook for building replica layouts by hand.
 func (c *Client) Store(name string, data []byte, version uint64, replica bool) error {
-	var flags uint8
-	if replica {
-		flags |= msg.FlagReplica
+	facts, err := msg.AppendNotifyReq(nil, &msg.NotifyReq{TotalSize: uint64(len(data)), Body: data})
+	if err != nil {
+		return err
 	}
-	resp, err := c.Do(&msg.Request{
-		Kind: msg.KindStore, Flags: flags, Name: name, Data: data, Version: version,
-	}, false)
+	req := &msg.Request{Kind: msg.KindNotify, Name: name, Version: version, Data: facts, Tail: data}
+	if replica {
+		req.Flags = msg.FlagReplica
+	}
+	resp, err := c.Do(req, false)
 	c.purgeHint(name)
 	if err != nil {
 		return err

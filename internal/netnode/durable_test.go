@@ -15,7 +15,6 @@ import (
 
 	"lesslog/internal/bitops"
 	"lesslog/internal/hashring"
-	"lesslog/internal/msg"
 	"lesslog/internal/repair"
 	"lesslog/internal/store"
 	"lesslog/internal/wal"
@@ -100,7 +99,7 @@ func TestTombstoneSurvivesRestartAndBlocksResurrection(t *testing.T) {
 
 	// A stale push at the restarted peer is refused by the replayed
 	// tombstone, not applied.
-	resp, err := Call(p0.Addr(), &msg.Request{Kind: msg.KindStore, Name: "doomed", Data: []byte("data"), Version: 1})
+	resp, err := Call(p0.Addr(), inlinePlacement(t, "doomed", []byte("data"), 1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -233,9 +233,6 @@ func (p *Peer) handleLocateSet(req *msg.Request) *msg.Response {
 		hs = append(hs, msg.Holder{PID: uint32(h), Addr: addr})
 	}
 	data, err := msg.AppendHolders(nil, hs)
-	if req.Kind != msg.KindLocateSet {
-		data = []byte(p.Addr()) // retired kind 11 (older builds): its answer is the address alone
-	}
 	if err != nil {
 		return &msg.Response{Err: fmt.Sprintf("netnode: locate-set encode: %v", err)}
 	}

@@ -86,7 +86,7 @@ func TestInsertEntersAtPrimary(t *testing.T) {
 		const n = 16
 		for i := 0; i < n; i++ {
 			name := fmt.Sprintf("entry/%d", i)
-			stores := handled(peers, msg.KindStore)
+			placed := handled(peers, msg.KindNotify)
 			at := enteredAt(t, peers, func() {
 				if err := cl.Insert(name, chunkPayload(4<<10, int64(i))); err != nil {
 					t.Fatal(err)
@@ -96,8 +96,8 @@ func TestInsertEntersAtPrimary(t *testing.T) {
 			if !slices.Contains(prims, at) {
 				t.Fatalf("%s entered at P(%d), not at one of its primaries %v", name, at, prims)
 			}
-			if got := handled(peers, msg.KindStore) - stores; got != 1 {
-				t.Fatalf("%s: %d KindStore across the fabric, want 1 (the other primary's copy)", name, got)
+			if got := handled(peers, msg.KindNotify) - placed; got != 1 {
+				t.Fatalf("%s: %d placements across the fabric, want 1 (the other primary's copy)", name, got)
 			}
 			for _, h := range prims {
 				if !peers[h].store.Has(name) {
@@ -147,40 +147,85 @@ func TestInsertEntersAtPrimary(t *testing.T) {
 		}
 	})
 
-	t.Run("overframe", func(t *testing.T) {
-		if testing.Short() {
-			t.Skip("moves a 17 MiB body through the fabric")
-		}
-		peers, cl, _ := newFabric(t, allPIDs(8))
-		body := chunkPayload(msg.MaxData+1<<20, 91)
-		at := enteredAt(t, peers, func() {
-			if err := cl.Insert("entry/big", body); err != nil {
-				t.Fatal(err)
+	// The placement split: a body rides the other primary's placement
+	// inline while it and the facts fill at most one frame, so the largest
+	// whole-frame insert (MaxData) is already pulled; over one frame the
+	// insert is staged, and the staged buffer is the entry primary's copy.
+	facts, err := msg.AppendNotifyReq(nil, &msg.NotifyReq{TotalSize: 1, Body: []byte{0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inlineMax := msg.MaxData - len(facts)
+	if !msg.NotifyInline(inlineMax) || msg.NotifyInline(inlineMax+1) {
+		t.Fatalf("NotifyInline splits away from %d bytes", inlineMax)
+	}
+	for _, c := range []struct {
+		name  string
+		size  int
+		pulls uint64
+		// remote also inserts the body whole-frame through a peer that is
+		// no primary: both primaries pull it from that peer's outbox.
+		remote bool
+	}{
+		{"inline_max", inlineMax, 0, false},
+		{"maxdata", msg.MaxData, 1, true},
+		{"overframe", msg.MaxData + 1<<20, 1, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if testing.Short() {
+				t.Skip("moves a 16 MiB body through the fabric")
+			}
+			peers, cl, _ := newFabric(t, allPIDs(8))
+			body := chunkPayload(c.size, 91)
+			fetches := handled(peers, msg.KindFetch)
+			at := enteredAt(t, peers, func() {
+				if err := cl.Insert("entry/big", body); err != nil {
+					t.Fatal(err)
+				}
+			})
+			prims := primariesOf(peers[0], "entry/big")
+			if !slices.Contains(prims, at) {
+				t.Fatalf("entered at P(%d), not at one of the primaries %v", at, prims)
+			}
+			// The entry primary stores its own copy; only the other
+			// primary's may pull the body.
+			if got := sumWriteStat(peers, func(s *Stats) uint64 { return s.NotifyPulls.Load() }); got != c.pulls {
+				t.Fatalf("%d pulls of the body, want %d", got, c.pulls)
+			}
+			if got := handled(peers, msg.KindFetch) - fetches; (got == 0) != (c.pulls == 0) {
+				t.Fatalf("%d KindFetch served for %d pulls", got, c.pulls)
+			}
+			for _, h := range prims {
+				if f, ok := peers[h].store.Get("entry/big"); !ok || !bytes.Equal(f.Data, body) {
+					t.Fatalf("primary P(%d) holds no intact copy", h)
+				}
+			}
+			if c.remote {
+				name := nameWhere(t, "entry/remote", func(name string) bool {
+					return !slices.Contains(primariesOf(peers[0], name), 0)
+				})
+				if err := NewClient(peers[0].Addr()).Insert(name, body); err != nil {
+					t.Fatal(err)
+				}
+				if got := sumWriteStat(peers, func(s *Stats) uint64 { return s.NotifyPulls.Load() }); got != c.pulls+2 {
+					t.Fatalf("%d pulls after an insert entering at no primary, want %d", got, c.pulls+2)
+				}
+				for _, h := range primariesOf(peers[0], name) {
+					if f, ok := peers[h].store.Get(name); !ok || !bytes.Equal(f.Data, body) {
+						t.Fatalf("primary P(%d) holds no intact copy of %s", h, name)
+					}
+				}
+			}
+			for pid, p := range peers {
+				p.outbox.mu.Lock()
+				parked := len(p.outbox.entries)
+				p.outbox.mu.Unlock()
+				if parked != 0 {
+					t.Fatalf("P(%d) still parks %d outbox entries", pid, parked)
+				}
 			}
 		})
-		prims := primariesOf(peers[0], "entry/big")
-		if !slices.Contains(prims, at) {
-			t.Fatalf("staged at P(%d), not at one of the primaries %v", at, prims)
-		}
-		// The staged buffer is the entry primary's copy; only the other
-		// primary pulls the body.
-		if got := sumWriteStat(peers, func(s *Stats) uint64 { return s.NotifyPulls.Load() }); got != 1 {
-			t.Fatalf("%d pulls of the body, want 1", got)
-		}
-		for _, h := range prims {
-			if f, ok := peers[h].store.Get("entry/big"); !ok || !bytes.Equal(f.Data, body) {
-				t.Fatalf("primary P(%d) holds no intact copy", h)
-			}
-		}
-		for pid, p := range peers {
-			p.outbox.mu.Lock()
-			parked := len(p.outbox.entries)
-			p.outbox.mu.Unlock()
-			if parked != 0 {
-				t.Fatalf("P(%d) still parks %d outbox entries", pid, parked)
-			}
-		}
-	})
+	}
 
 	t.Run("stale_join", func(t *testing.T) {
 		// P(j) is absent when the snapshot is taken and joins before the

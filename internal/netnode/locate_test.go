@@ -68,40 +68,6 @@ func TestLocateResolvesHolder(t *testing.T) {
 	}
 }
 
-// TestRetiredLocateKindAnswered pins the transitional answer to kind 11,
-// the single-holder locate folded into KindLocateSet, which older builds
-// still send: an older peer as the version probe of a write it initiates
-// for a name it does not hold, an older client as its locate. Forwarded
-// through newer peers it must reach the holder and come back in its own
-// shape — OK, the holder's PID and copy version, its address as Data — or
-// an older peer stamps the write from its own clock and the holders
-// discard it as stale.
-func TestRetiredLocateKindAnswered(t *testing.T) {
-	peers := startSystem(t, 4, 0, allPIDs(16), hashring.Fixed(4))
-	if err := NewClient(peers[9].Addr()).Insert("f", []byte("hello")); err != nil {
-		t.Fatal(err)
-	}
-	f, ok := peers[4].store.Peek("f")
-	if !ok {
-		t.Fatal("P(4) holds no copy")
-	}
-	// From P(8): forwarded P(8) → P(0) → P(4) with its kind kept.
-	resp, err := Call(peers[8].Addr(), &msg.Request{Kind: msg.Kind(11), Flags: msg.FlagTrace, TraceID: 1, Name: "f"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resp.OK || resp.ServedBy != 4 || resp.Version != f.Version || string(resp.Data) != peers[4].Addr() || resp.Hops != 2 {
-		t.Fatalf("kind 11 from P(8) = %+v, want P(4) at %s with version %d after 2 hops",
-			resp, peers[4].Addr(), f.Version)
-	}
-	if len(resp.Path) != 3 || resp.Path[2].Action != msg.HopLocate || resp.Path[2].PID != 4 {
-		t.Fatalf("kind 11 path = %+v, want it to end in P(4)'s locate hop", resp.Path)
-	}
-	if got := peers[4].Stats().Located.Load(); got != 1 {
-		t.Fatalf("holder Located = %d, want 1", got)
-	}
-}
-
 func TestLocateClientWarmHintSingleRPC(t *testing.T) {
 	peers := startSystem(t, 4, 0, allPIDs(16), hashring.Fixed(4))
 	if err := NewClient(peers[9].Addr()).Insert("f", []byte("hello")); err != nil {

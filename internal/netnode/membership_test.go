@@ -309,7 +309,7 @@ func TestJoinDoesNotLoseRacingUpdate(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { joiner.Close() })
-	faults.Add(transport.Rule{Addr: joiner.Addr(), Kind: msg.KindStore, Delay: 200 * time.Millisecond})
+	faults.Add(transport.Rule{Addr: joiner.Addr(), Kind: msg.KindNotify, Delay: 200 * time.Millisecond})
 
 	// The writer stops once P(5) has let go of its copy: later updates
 	// would reach P(4) and overwrite whatever the handoff lost.

@@ -557,8 +557,6 @@ func (p *Peer) dispatch(req *msg.Request) *msg.Response {
 		}
 	}
 	switch req.Kind {
-	case msg.KindStore:
-		return p.handleStore(req)
 	case msg.KindGet:
 		return p.handleGet(req)
 	case msg.KindInsert:
@@ -581,7 +579,7 @@ func (p *Peer) dispatch(req *msg.Request) *msg.Response {
 		return p.handleTraces()
 	case msg.KindFetch:
 		return p.handleFetch(req)
-	case msg.KindLocateSet, msg.Kind(11): // 11: the retired locate, still sent by older builds
+	case msg.KindLocateSet:
 		return p.handleLocateSet(req)
 	case msg.KindPut:
 		return p.handlePut(req)
@@ -614,13 +612,13 @@ var ErrTombstoned = errors.New("netnode: name deleted (tombstoned)")
 // another (docs/ROUTING.md "Placement"): insert placement on the subtree
 // primaries (§2.2), hot-file replication (§6, flags = msg.FlagReplica),
 // join/leave handoff (§5.1/§5.2), restore after a death (§5.3) and the
-// repair push that re-establishes any of them. A body one frame carries
-// rides a KindStore; a larger one rides a payload-free direct KindNotify
-// naming this peer as the source, and target pulls it in chunks — from this
-// peer's store, or from the outbox when the caller is not a holder
-// (handleInsert parks it there); the notify declares the sum this peer
-// remembers for the body, never a fresh pass per leg. A placement on this
-// peer itself is applied without touching the wire. tr, when non-nil, stamps
+// repair push that re-establishes any of them. It is one direct KindNotify:
+// the body rides inline when it fits the frame (msg.NotifyInline), else the
+// facts name this peer as the source and target pulls the body in chunks —
+// from this peer's store, or from the outbox when the caller is not a
+// holder (handleInsert parks it there) — against the sum this peer
+// remembers for it, never a fresh pass per leg. A placement on this peer
+// itself is applied without touching the wire. tr, when non-nil, stamps
 // the exchange as a leg of the caller's trace.
 //
 // The answer is the version that survived at target: f.Version when the
@@ -628,23 +626,21 @@ var ErrTombstoned = errors.New("netnode: name deleted (tombstoned)")
 // when target kept what it had — still a success, the name is present at
 // least as new. ErrTombstoned carries the tombstone version instead.
 func (p *Peer) place(target bitops.PID, f store.File, flags uint8, reason *atomic.Uint64, tr *legTrace) (survived uint64, err error) {
-	req := &msg.Request{Kind: msg.KindStore, Flags: flags, Name: f.Name, Data: f.Data, Version: f.Version}
+	req := &msg.Request{Kind: msg.KindNotify, Flags: flags, Name: f.Name, Version: f.Version}
 	tr.stamp(req)
 	var resp msg.Response
-	switch {
-	case target == p.cfg.PID:
+	if target == p.cfg.PID {
 		resp = *p.applyStore(req, f.Data, crc{}, time.Now())
-	case len(f.Data) > msg.MaxData:
-		req.Kind = msg.KindNotify
-		req.Data, err = msg.AppendNotifyReq(nil, &msg.NotifyReq{
-			TotalSize: uint64(len(f.Data)), FileCRC: p.fileSum(f),
-			Sources: []msg.Holder{{PID: uint32(p.cfg.PID), Addr: p.Addr(), Version: f.Version}},
-		})
-		if err == nil {
-			resp, err = p.callTimeout(target, req, stream.PullDeadline(uint64(len(f.Data))))
+	} else {
+		nr, deadline := msg.NotifyReq{TotalSize: uint64(len(f.Data)), Body: f.Data}, time.Duration(0)
+		if !msg.NotifyInline(len(f.Data)) {
+			nr.Body, nr.FileCRC, deadline = nil, p.fileSum(f), stream.PullDeadline(nr.TotalSize)
+			nr.Sources = []msg.Holder{{PID: uint32(p.cfg.PID), Addr: p.Addr(), Version: f.Version}}
 		}
-	default:
-		resp, err = p.call(target, req)
+		if req.Data, err = msg.AppendNotifyReq(nil, &nr); err == nil {
+			req.Tail = nr.Body
+			resp, err = p.callTimeout(target, req, deadline)
+		}
 	}
 	if err != nil {
 		return 0, err
@@ -662,21 +658,15 @@ func (p *Peer) place(target bitops.PID, f store.File, flags uint8, reason *atomi
 	return 0, errors.New(resp.Err)
 }
 
-// handleStore receives a whole-frame placement.
-func (p *Peer) handleStore(req *msg.Request) *msg.Response {
-	req.Keep() // the store holds Data from here on
-	return p.applyStore(req, req.Data, crc{}, time.Now())
-}
-
-// applyStore is the receive side of place for both wire shapes (data is the
-// frame's payload, or the body handleNotify pulled): the copy goes through
-// the version- and tombstone-gated PutNewer, because a placement races
-// foreground updates and deletes — a stale push must neither clobber a copy
-// that went newer since the sender looked, nor resurrect a name a delete
-// broadcast erased. FlagReplica lands it as a §6 replica. The response
-// always carries the surviving version; a kept copy at least as new still
-// answers OK, a tombstone refusal answers ErrTombstoned. sum, when a pull
-// verified one, is remembered for the copy that landed.
+// applyStore is the receive side of place (data is the inline body, or the
+// one handleNotify pulled): the copy goes through the version- and
+// tombstone-gated PutNewer, because a placement races foreground updates and
+// deletes — a stale push must neither clobber a copy that went newer since
+// the sender looked, nor resurrect a name a delete broadcast erased.
+// FlagReplica lands it as a §6 replica. The response always carries the
+// surviving version; a kept copy at least as new still answers OK, a
+// tombstone refusal answers ErrTombstoned. sum, when a pull verified one, is
+// remembered for the copy that landed.
 func (p *Peer) applyStore(req *msg.Request, data []byte, sum crc, start time.Time) *msg.Response {
 	kind := store.Inserted
 	if req.Flags&msg.FlagReplica != 0 {
@@ -715,12 +705,12 @@ func (p *Peer) handleInsert(req *msg.Request, sum crc) *msg.Response {
 	start := time.Now()
 	target := p.hasher.Target(req.Name, p.cfg.M)
 	v := p.view(target)
-	// Holders of a body over one frame pull it from this peer — another
-	// primary when a locate client entered at one, else a peer holding no
-	// copy itself: it sits in the outbox while the legs run, its sum
-	// remembered so neither the notifies nor the pulls' head chunks pass
-	// over it.
-	parked := len(req.Data) > msg.MaxData
+	// Holders of a body too large to ride a placement inline pull it from
+	// this peer — another primary when a locate client entered at one, else
+	// a peer holding no copy itself: it sits in the outbox while the legs
+	// run, its sum remembered so neither the notifies nor the pulls' head
+	// chunks pass over it.
+	parked := !msg.NotifyInline(len(req.Data))
 	var buf [8]bitops.PID // a typical set fits on the stack
 	holders := v.AppendPrimaries(buf[:0])
 	// Entering at a primary is what a locate client's peer-table snapshot

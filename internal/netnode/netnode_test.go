@@ -41,6 +41,17 @@ func startSystemWith(t testing.TB, pids []bitops.PID, cfg Config) map[bitops.PID
 	return peers
 }
 
+// inlinePlacement is the placement a peer sends for a body that fits one
+// frame: a direct KindNotify, the body inline after the facts.
+func inlinePlacement(t testing.TB, name string, body []byte, version uint64) *msg.Request {
+	t.Helper()
+	facts, err := msg.AppendNotifyReq(nil, &msg.NotifyReq{TotalSize: uint64(len(body)), Body: body})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &msg.Request{Kind: msg.KindNotify, Name: name, Version: version, Data: facts, Tail: body}
+}
+
 func allPIDs(n int) []bitops.PID {
 	out := make([]bitops.PID, n)
 	for i := range out {

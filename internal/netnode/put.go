@@ -379,18 +379,22 @@ func (p *Peer) putCommit(req *msg.Request, pr *msg.PutReq) *msg.Response {
 	return p.initiate(inner, crc{sum, true})
 }
 
-// handleNotify serves the direct form of KindNotify — the placement of a
-// body over one frame (place); the propagate form is a broadcast delivery
-// (handleDelivery). It pulls the body from the placing peer, then applies
-// it exactly like a whole-frame store. A copy already at or past the
-// notified version answers OK with the surviving version without pulling
-// anything, like a stale push — the placement's goal (name present at least
-// as new) holds.
+// handleNotify serves the direct form of KindNotify — a placement (place);
+// the propagate form is a broadcast delivery (handleDelivery). It stores the
+// inline body, or pulls it from the placing peer, through applyStore. A
+// copy already at or past the notified version answers OK with the
+// surviving version without pulling anything, like a stale inline body —
+// the placement's goal (name present at least as new) holds.
 func (p *Peer) handleNotify(req *msg.Request) *msg.Response {
 	start := time.Now()
 	nr, err := msg.DecodeNotifyReq(req.Data)
 	if err != nil {
 		return &msg.Response{Err: fmt.Sprintf("netnode: notify decode: %v", err)}
+	}
+	if nr.Body != nil { // inline: stored unsummed, and kept past the frame
+		req.Data = nr.Body
+		req.Keep()
+		return p.applyStore(req, req.Data, crc{}, start)
 	}
 	if f, ok := p.store.Peek(req.Name); ok && f.Version >= req.Version {
 		// What applyStore does with a copy it keeps, without pulling a body

@@ -155,11 +155,11 @@ func TestRepairPullCountsNoAccess(t *testing.T) {
 	}
 }
 
-// Over-frame bodies cannot ride a whole-frame KindStore push or a
-// whole-frame get pull — both would fail response framing. Repair moves
-// them through the write plane instead: pushes as a direct payload-free
-// KindNotify the holder answers by pulling chunks, pulls through the
-// chunk fetcher like every repair pull.
+// Over-frame bodies cannot ride a placement inline or a whole-frame get
+// pull — both would fail framing. Repair moves them through the write
+// plane instead: pushes as a placement whose facts name the pusher, which
+// the holder answers by pulling chunks, pulls through the chunk fetcher
+// like every repair pull.
 func TestRepairMovesOverFrameBodies(t *testing.T) {
 	if testing.Short() {
 		t.Skip("over-frame payloads in -short")

@@ -7,7 +7,6 @@ import (
 
 	"lesslog/internal/bitops"
 	"lesslog/internal/hashring"
-	"lesslog/internal/msg"
 	"lesslog/internal/repair"
 	"lesslog/internal/store"
 )
@@ -91,7 +90,7 @@ func TestDigestSyncDoesNotResurrectDeletedName(t *testing.T) {
 }
 
 func TestStorePushIsVersionGated(t *testing.T) {
-	// A KindStore behind the current copy (the probe-then-push TOCTOU:
+	// A placement behind the current copy (the probe-then-push TOCTOU:
 	// repair probed, the copy went newer, the push lands late) must not
 	// clobber. The holder answers OK with the surviving version — the
 	// name is present at least as new, which is all the pusher wanted.
@@ -109,7 +108,7 @@ func TestStorePushIsVersionGated(t *testing.T) {
 		t.Fatalf("precondition: update did not advance the version (%d -> %d)", old.Version, cur.Version)
 	}
 
-	resp, err := Call(peers[4].Addr(), &msg.Request{Kind: msg.KindStore, Name: "f", Data: []byte("stale"), Version: old.Version})
+	resp, err := Call(peers[4].Addr(), inlinePlacement(t, "f", []byte("stale"), old.Version))
 	if err != nil || !resp.OK {
 		t.Fatalf("stale push: %+v, %v", resp, err)
 	}
@@ -121,7 +120,7 @@ func TestStorePushIsVersionGated(t *testing.T) {
 		t.Fatalf("stale push clobbered the newer copy: %+v", f)
 	}
 	// A strictly newer push still applies.
-	resp, err = Call(peers[4].Addr(), &msg.Request{Kind: msg.KindStore, Name: "f", Data: []byte("v3"), Version: cur.Version + 1})
+	resp, err = Call(peers[4].Addr(), inlinePlacement(t, "f", []byte("v3"), cur.Version+1))
 	if err != nil || !resp.OK || resp.Version != cur.Version+1 {
 		t.Fatalf("newer push: %+v, %v", resp, err)
 	}
@@ -142,7 +141,7 @@ func TestStorePushRefusedByTombstone(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	resp, err := Call(peers[4].Addr(), &msg.Request{Kind: msg.KindStore, Name: "f", Data: []byte("corpse"), Version: old.Version})
+	resp, err := Call(peers[4].Addr(), inlinePlacement(t, "f", []byte("corpse"), old.Version))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +155,7 @@ func TestStorePushRefusedByTombstone(t *testing.T) {
 		t.Fatal("refused push still landed")
 	}
 	// A push stamped above the tombstone supersedes the deletion.
-	resp, err = Call(peers[4].Addr(), &msg.Request{Kind: msg.KindStore, Name: "f", Data: []byte("reborn"), Version: resp.Version + 1})
+	resp, err = Call(peers[4].Addr(), inlinePlacement(t, "f", []byte("reborn"), resp.Version+1))
 	if err != nil || !resp.OK {
 		t.Fatalf("superseding push: %+v, %v", resp, err)
 	}

@@ -42,7 +42,7 @@ func TestFrameReadersHoldSmallFrame(t *testing.T) {
 			server.Close()
 		}()
 		for i := uint64(1); i <= exchanges; i++ {
-			if err := msg.WriteRequestID(client, &msg.Request{Kind: msg.KindStore, Name: "f", Data: body}, i); err != nil {
+			if err := msg.WriteRequestID(client, &msg.Request{Kind: msg.KindInsert, Name: "f", Data: body}, i); err != nil {
 				t.Fatal(err)
 			}
 			if _, _, err := msg.ReadResponseID(client); err != nil {

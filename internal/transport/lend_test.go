@@ -165,10 +165,10 @@ func TestLentDataPoisonedAfterResponse(t *testing.T) {
 	defer tr.Close()
 	lentBody := bytes.Repeat([]byte{0x11}, 4<<10)
 	keptBody := bytes.Repeat([]byte{0x33}, 4<<10)
-	if _, err := tr.Do(addr, &msg.Request{Kind: msg.KindStore, Name: "borrow", Data: lentBody}); err != nil {
+	if _, err := tr.Do(addr, &msg.Request{Kind: msg.KindInsert, Name: "borrow", Data: lentBody}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tr.Do(addr, &msg.Request{Kind: msg.KindStore, Name: "keep", Data: keptBody}); err != nil {
+	if _, err := tr.Do(addr, &msg.Request{Kind: msg.KindInsert, Name: "keep", Data: keptBody}); err != nil {
 		t.Fatal(err)
 	}
 	// A response is written before its request's lease ends, so the caller
@@ -176,7 +176,7 @@ func TestLentDataPoisonedAfterResponse(t *testing.T) {
 	// writer: by the time they are answered, both leases above have ended.
 	other := bytes.Repeat([]byte{0x22}, 4<<10)
 	for i := 0; i < 16; i++ {
-		if _, err := tr.Do(addr, &msg.Request{Kind: msg.KindStore, Name: "traffic", Data: other}); err != nil {
+		if _, err := tr.Do(addr, &msg.Request{Kind: msg.KindInsert, Name: "traffic", Data: other}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -212,7 +212,7 @@ func TestServedRequestPoisonedAfterResponse(t *testing.T) {
 	}, ServeLoopOptions{})
 	tr := New(Config{PoolSize: 1}, nil)
 	defer tr.Close()
-	sent := msg.Request{Kind: msg.KindStore, Name: "held", Version: 7, Data: bytes.Repeat([]byte{0x44}, 4<<10)}
+	sent := msg.Request{Kind: msg.KindInsert, Name: "held", Version: 7, Data: bytes.Repeat([]byte{0x44}, 4<<10)}
 	if _, err := tr.Do(addr, &sent); err != nil {
 		t.Fatal(err)
 	}

@@ -224,9 +224,9 @@ func (t *Transport) Close() error {
 }
 
 // Idempotent reports whether a request kind is safe to retry: pure reads
-// with no side effects beyond hit counters. Mutations (insert, store,
-// update, delete, register) get exactly one attempt so a slow-but-applied
-// exchange is never replayed.
+// with no side effects beyond hit counters. Mutations (insert, update,
+// delete, notify, put, register) get exactly one attempt so a
+// slow-but-applied exchange is never replayed.
 func Idempotent(k msg.Kind) bool {
 	switch k {
 	case msg.KindGet, msg.KindHas, msg.KindStat, msg.KindTable, msg.KindDigest, msg.KindTraces,
