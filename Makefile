@@ -32,7 +32,7 @@ bench:
 # planes' checksum-pass count (docs/ROUTING.md "Checksums"), which a
 # reintroduced whole-body CRC pass fails. CI runs this on every push.
 bench-smoke:
-	$(GO) test -count 1 -run 'TestLargeFrameAllocBudget|TestSmallFrameAllocBudget|TestLyingPrefixAllocationBound|TestExchangeAllocBudget|TestChunkPlaneAllocBudget|TestBroadcastAllocBudget|TestLocateSetAllocBudget|TestInlinePlacementAllocBudget|TestBodyChecksummedOncePerHop|TestAppendAllocatesNothing|TestCompactionAllocBudget|TestColdGatewayReadAllocBudget|TestLRUPutAtCapacityAllocatesNothing|TestFlightWithoutFollowersAllocatesNothing' ./internal/msg/ ./internal/transport/ ./internal/netnode/ ./internal/wal/ ./internal/gateway/ ./internal/lru/
+	$(GO) test -count 1 -run 'TestLargeFrameAllocBudget|TestSmallFrameAllocBudget|TestLyingPrefixAllocationBound|TestExchangeAllocBudget|TestChunkPlaneAllocBudget|TestBroadcastAllocBudget|TestUpdateReusesSupersededBody|TestLocateSetAllocBudget|TestInlinePlacementAllocBudget|TestBodyChecksummedOncePerHop|TestAppendAllocatesNothing|TestCompactionAllocBudget|TestColdGatewayReadAllocBudget|TestLRUPutAtCapacityAllocatesNothing|TestFlightWithoutFollowersAllocatesNothing' ./internal/msg/ ./internal/transport/ ./internal/netnode/ ./internal/wal/ ./internal/gateway/ ./internal/lru/
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
 # The end-to-end perf ledger (bench/README.md): the four closed-loop

@@ -104,7 +104,7 @@ func (s *Server) dispatch(req *msg.Request) *msg.Response {
 				traceID = s.g.traceIDs.Next()
 			}
 		}
-		req.Keep() // an acknowledged write's Data goes into the write-through cache
+		req.Keep() // an acknowledged write's Data goes into the write-through cache, for good: its reference, if any, is never ended
 		wr, hops, err := s.g.writeTraced(req.Kind, req.Name, req.Data, traceID, req.Path)
 		if err != nil {
 			return errResponse(err)

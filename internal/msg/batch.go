@@ -81,7 +81,9 @@ func DecodeBatchRequests(b []byte) ([]*Request, error) {
 // batch spreads its trace onto every sub-request — each sub walks its own
 // route under the shared TraceID and path — and the answer's Path is the
 // batch's own followed by what each sub-route added to it, capped at
-// MaxHops (a truncated trace beats a failed response). The error says which
+// MaxHops (a truncated trace beats a failed response). Each sub-response is
+// released once encoded, as the serve loop releases a written response
+// (Response.Release). The error says which
 // half failed ("batch decode: …", "batch encode: …"); the caller owns the
 // answer's ServedBy.
 func ServeBatch(req *Request, handle func(*Request) *Response) (*Response, error) {
@@ -109,7 +111,11 @@ func ServeBatch(req *Request, handle func(*Request) *Response) (*Response, error
 	if len(resp.Path) > MaxHops {
 		resp.Path = resp.Path[:MaxHops]
 	}
-	if resp.Data, err = AppendBatchResponses(nil, resps); err != nil {
+	resp.Data, err = AppendBatchResponses(nil, resps)
+	for _, r := range resps {
+		r.Release() // encoded, or failed to be: a stored copy's reference ends here
+	}
+	if err != nil {
 		return nil, fmt.Errorf("batch encode: %w", err)
 	}
 	return resp, nil

@@ -3,15 +3,20 @@ package msg
 // Buffer ownership of large frames (docs/PIPELINE.md "Buffer ownership"):
 // a frame longer than readChunk is read into one buffer of its own, the
 // decoded message's Data points into that buffer instead of being copied
-// out of it, and the message owns the buffer from then on. A consumer that
-// copies the payload to its destination and is done with it hands the
-// buffer back with Release; everyone else just drops the message and the
-// collector reclaims the buffer — which is what a handler that keeps Data
-// in the store relies on.
+// out of it, and the message holds the buffer through a Ref, a counted
+// reference. Whoever keeps Data past the message — the store, the outbox,
+// a response written later — takes a reference of its own (Keep) and ends
+// it when done (Ref.Release); the message's own ends with Release, or with
+// its serve loop's lease. The last reference to end lists the buffer for
+// the next frame of its size, so a stored body that is superseded becomes
+// the buffer its successor is read into. A reference that is never ended
+// only pins the buffer, and the collector reclaims it as it would any
+// other allocation.
 
 import (
 	"io"
 	"sync"
+	"sync/atomic"
 )
 
 // frameAlign rounds a frame buffer's capacity up, so frames that differ by
@@ -127,28 +132,84 @@ func readLargeFrame(r io.Reader, n int) ([]byte, error) {
 	return buf, nil
 }
 
-// Release hands the frame buffer r.Data aliases back for reuse and clears
-// Data. Only the consumer that is done with the payload — it copied the
-// bytes to their destination, or never wanted them — may call it, and
-// nothing that points into Data (a PutReq.Chunk decoded from it, a slice
-// of it) may be used afterwards. Never calling it is always safe: the
-// collector reclaims the buffer with the message. A no-op on a request
-// that owns no frame buffer: one built locally, or read off a frame of at
-// most readChunk bytes, whose Data is a private copy or on loan from the
-// serve loop (Frame.DecodeRequest), which takes its buffer back itself.
+// A Ref is a frame buffer shared by counted references: the message read
+// into it holds the first, and every holder of a view of it — a stored
+// copy, an outbox entry, a response being written — holds one more. The
+// buffer is listed for reuse when the last one ends. A nil *Ref holds
+// nothing, and its methods do nothing.
+type Ref struct {
+	buf  []byte
+	refs atomic.Int32
+}
+
+// newRef wraps a buffer readLargeFrame returned in a Ref holding one
+// reference.
+func newRef(buf []byte) *Ref {
+	r := &Ref{buf: buf}
+	r.refs.Store(1)
+	return r
+}
+
+// Retain takes one more reference for a new holder and returns r. Only a
+// holder of a live reference may take another, so the count never climbs
+// back from zero.
+func (r *Ref) Retain() *Ref {
+	if r != nil && r.refs.Add(1) <= 1 {
+		panic("msg: Ref retained after its last release")
+	}
+	return r
+}
+
+// Release ends one reference; ending the last lists the buffer (poisoned
+// under the race detector). Nothing that points into the buffer may be
+// used by the releasing holder afterwards.
+func (r *Ref) Release() {
+	if r == nil {
+		return
+	}
+	switch n := r.refs.Add(-1); {
+	case n == 0:
+		frames.put(r.buf)
+	case n < 0:
+		panic("msg: Ref released more often than retained")
+	}
+}
+
+// Release ends the request's own reference to the frame buffer r.Data
+// aliases and clears Data. Only the holder of that reference may call it:
+// whoever read the request with ReadRequestID, or a serve loop handler that
+// is done with the payload before its response is written (the lease would
+// end it otherwise) — never a struct copy. Nothing that points into Data (a
+// PutReq.Chunk decoded from it, a slice of it) may be used afterwards
+// unless a reference was kept for it. A no-op on a request that owns no
+// frame buffer: one built locally, or read off a frame of at most
+// readChunk bytes, whose Data is a private copy or on loan from the serve
+// loop (Frame.DecodeRequest), which takes its buffer back itself.
 func (r *Request) Release() {
-	if r.frame != nil {
-		frames.put(r.frame)
-		r.frame, r.Data = nil, nil
+	if r.ref != nil {
+		r.ref.Release()
+		r.ref, r.Data = nil, nil
 	}
 }
 
 // Release is Request.Release for a response: Data and Tail — a split
 // fetch answer's chunk views the same buffer — and the FetchResp.Chunk
-// decoded from them die with it.
+// decoded from them die with it. A response a handler attached a reference
+// to (Attach) ends that one; the serve loop calls it once the response is
+// written.
 func (resp *Response) Release() {
-	if resp.frame != nil {
-		frames.put(resp.frame)
-		resp.frame, resp.Data, resp.Tail = nil, nil, nil
+	if resp.ref != nil {
+		resp.ref.Release()
+		resp.ref, resp.Data, resp.Tail = nil, nil, nil
 	}
 }
+
+// Keep returns a new reference to the frame buffer Data and Tail point
+// into, for a holder that keeps them past the response; nil when the
+// response owns no frame buffer (its Data is then its own already).
+func (resp *Response) Keep() *Ref { return resp.ref.Retain() }
+
+// Attach hands resp a reference to the frame buffer its Data or Tail
+// point into — a stored copy's, taken by the read that found it — for
+// Release to end once the response has been written.
+func (resp *Response) Attach(ref *Ref) { resp.ref = ref }

@@ -169,7 +169,7 @@ func TestSmallFrameAllocBudget(t *testing.T) {
 		}, 2, 512 + 4<<10},
 		{"copied request", func() {
 			WriteRequestID(&wire, req, 1)
-			if r, _, err := ReadRequestID(br); err != nil || r.frame != nil || r.lent {
+			if r, _, err := ReadRequestID(br); err != nil || r.ref != nil || r.lent {
 				t.Fatalf("small request: err %v, still borrows a buffer: %v", err, r != nil)
 			}
 		}, 3, 512 + 4<<10},
@@ -179,13 +179,13 @@ func TestSmallFrameAllocBudget(t *testing.T) {
 			if err == nil {
 				err = f.DecodeResponse(&answer, 0)
 			}
-			if err != nil || answer.frame != nil || !bytes.Equal(answer.Data, body) {
-				t.Fatalf("small response: err %v, owns a frame: %v", err, answer.frame != nil)
+			if err != nil || answer.ref != nil || !bytes.Equal(answer.Data, body) {
+				t.Fatalf("small response: err %v, owns a frame: %v", err, answer.ref != nil)
 			}
 		}, 1, 512 + 4<<10},
 		{"response", func() {
 			WriteResponseID(&wire, resp, 1)
-			if r, _, err := ReadResponseID(br); err != nil || r.frame != nil {
+			if r, _, err := ReadResponseID(br); err != nil || r.ref != nil {
 				t.Fatalf("small response: err %v, owns a frame: %v", err, r != nil)
 			}
 		}, 2, 512 + 4<<10},
@@ -283,15 +283,23 @@ func TestKeepSurvivesRelease(t *testing.T) {
 	}
 	large, _ := chunkFrames(t, readChunk+1)
 	owned, l := lend(large, 6)
-	if owned.lent || l.bp != nil || owned.frame == nil {
+	if owned.lent || l.bp != nil || owned.ref == nil {
 		t.Fatal("a large frame owns its buffer and borrows nothing")
 	}
-	data := &owned.Data[0]
-	if owned.Keep(); &owned.Data[0] != data {
-		t.Fatal("Keep copied a large frame's Data")
+	data := owned.Data
+	ref := owned.Keep()
+	if &owned.Data[0] != &data[0] || ref == nil || ref != owned.ref {
+		t.Fatal("Keep of a large frame must hand out a reference to its buffer, not copy Data")
 	}
-	if l.End(); owned.frame != nil {
+	if l.End(); owned.ref != nil {
 		t.Fatal("an ended lease still pins the large frame's buffer")
+	}
+	if !bytes.Equal(data, append(large.Data, large.Tail...)) {
+		t.Fatal("the lease's end recycled a buffer a kept reference still holds")
+	}
+	ref.Release() // the last reference: the buffer is listed
+	if poisonReleased && data[0] != 0xDB {
+		t.Fatalf("a buffer whose last reference ended is not poisoned: %#x", data[0])
 	}
 }
 
@@ -345,7 +353,7 @@ func TestReleaseRecyclesAndPoisons(t *testing.T) {
 	}
 	first := read()
 	stale := first.Data
-	buf := &first.frame[:1][0]
+	buf := &first.ref.buf[:1][0]
 	first.Release()
 	if first.Data != nil {
 		t.Fatal("Release left Data set")
@@ -359,10 +367,10 @@ func TestReleaseRecyclesAndPoisons(t *testing.T) {
 		}
 	}
 	second := read()
-	if &second.frame[:1][0] != buf {
+	if &second.ref.buf[:1][0] != buf {
 		t.Error("a released buffer was not reused for the next frame of its size")
 	}
-	if third := read(); &third.frame[:1][0] == buf {
+	if third := read(); &third.ref.buf[:1][0] == buf {
 		t.Error("one buffer serves two live frames")
 	}
 	fr, err := DecodeFetchResp(second.Data)
@@ -548,7 +556,7 @@ func TestGoldenWireFramesOverTCP(t *testing.T) {
 func sameRequest(tb testing.TB, got, want *Request) {
 	tb.Helper()
 	g, w := *got, *want
-	g.frame, w.frame = nil, nil
+	g.ref, w.ref = nil, nil
 	if len(g.Data) == 0 && len(w.Data) == 0 {
 		g.Data, w.Data = nil, nil
 	}
@@ -560,7 +568,7 @@ func sameRequest(tb testing.TB, got, want *Request) {
 func sameResponse(tb testing.TB, got, want *Response) {
 	tb.Helper()
 	g, w := *got, *want
-	g.frame, w.frame = nil, nil
+	g.ref, w.ref = nil, nil
 	if len(g.Data) == 0 && len(w.Data) == 0 {
 		g.Data, w.Data = nil, nil
 	}

@@ -404,9 +404,9 @@ type Request struct {
 	// route history to the serving node.
 	Path []Hop
 
-	// frame is the read buffer Data aliases — set only on requests read off
-	// a frame longer than readChunk (see Release).
-	frame []byte
+	// ref is the request's reference to the read buffer Data aliases — set
+	// only on requests read off a frame longer than readChunk (see Release).
+	ref *Ref
 	// lent marks Data as pointing into a pooled read buffer the serve loop
 	// takes back once the response is written (see Frame.DecodeRequest, Keep).
 	// It is part of the value, so a struct copy of a lent request is lent.
@@ -433,9 +433,10 @@ type Response struct {
 	// peers relay it back unchanged.
 	Path []Hop
 
-	// frame is the read buffer Data aliases — set only on responses read
-	// off a frame longer than readChunk (see Release).
-	frame []byte
+	// ref is the response's reference to the read buffer Data aliases — set
+	// on responses read off a frame longer than readChunk, and on those a
+	// handler attached a stored copy's reference to (see Release, Attach).
+	ref *Ref
 }
 
 // Encoding errors.
@@ -940,7 +941,7 @@ func (f Frame) lend(req *Request) (*[]byte, error) {
 			frames.put(f.large)
 			return nil, err
 		}
-		req.frame = f.large
+		req.ref = newRef(f.large)
 		return nil, nil
 	}
 	if err := decodeRequest(req, *f.small, true); err != nil {
@@ -968,7 +969,7 @@ func (f Frame) DecodeResponse(resp *Response, to Kind) error {
 			frames.put(f.large)
 			return err
 		}
-		resp.frame = f.large
+		resp.ref = newRef(f.large)
 		return nil
 	}
 	defer putBuf(f.small)
@@ -989,7 +990,9 @@ func ReadRequestID(r io.Reader) (*Request, uint64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	req.Keep()
+	if bp != nil {
+		req.Keep() // the copy; a large frame's reference is the request's own
+	}
 	giveBack(bp)
 	return req, f.ID, nil
 }
@@ -1026,15 +1029,16 @@ var endedRequest = Request{
 }
 
 // End ends the loan, once the request's response has been written. The
-// request is cleared — so it pins no frame buffer, name or path while it
-// waits to be decoded into again — and the buffer goes back to the pool: the
-// request, and the Data of every struct copy of it that has not called
-// Keep, is invalid from here on. Under the race detector the request reads
-// as endedRequest and the buffer's bytes as 0xDB, like a released frame's,
-// so a handler that held either past its response reads garbage instead of
-// the next request.
+// request is cleared — so it pins no name or path while it waits to be
+// decoded into again — its reference to a large frame's buffer ends, and a
+// small frame's buffer goes back to the pool: the request, and the Data of
+// every struct copy of it that has not called Keep, is invalid from here
+// on. Under the race detector the request reads as endedRequest and the
+// buffer's bytes as 0xDB, like a released frame's, so a handler that held
+// either past its response reads garbage instead of the next request.
 func (l Lease) End() {
 	if l.req != nil {
+		l.req.ref.Release()
 		if poisonReleased {
 			*l.req = endedRequest
 		} else {
@@ -1058,16 +1062,20 @@ func giveBack(bp *[]byte) {
 	putBuf(bp)
 }
 
-// Keep makes r.Data safe to hold past the request's response: the Data of a
-// lent request (Frame.DecodeRequest) is replaced by a private copy of
-// exactly its size. Everything else — a request built locally, one read off
-// a large frame, one already kept — is left alone, so calling it at every
+// Keep makes r.Data safe to hold past the request's response. The Data of
+// a lent request (Frame.DecodeRequest) is replaced by a private copy of
+// exactly its size, and Keep returns nil. Data read off a large frame stays
+// where it is, and Keep returns a new reference to that frame's buffer: the
+// holder ends it (Ref.Release) once it is done with Data — or never, which
+// leaves the buffer to the collector. Anything else, a request built
+// locally or one already copied, is left alone, so calling it at every
 // point that stores Data costs nothing where nothing was lent. It writes to
 // r: keep a struct copy when other goroutines are reading the request.
-func (r *Request) Keep() {
+func (r *Request) Keep() *Ref {
 	if r.lent {
 		kept := make([]byte, len(r.Data))
 		copy(kept, r.Data)
 		r.Data, r.lent = kept, false
 	}
+	return r.ref.Retain()
 }

@@ -132,8 +132,9 @@ func (p *Peer) handleFetch(req *msg.Request) *msg.Response {
 	if replica && (!ok || (req.Version != 0 && f.Version != req.Version)) {
 		// Not stored, or the store moved past the pin: the pinned body may
 		// still sit in the outbox for exactly this pull.
-		if data, ver, boxed := p.outbox.get(req.Name, req.Version); boxed {
-			f, ok = store.File{Name: req.Name, Data: data, Version: ver}, true
+		if boxed, found := p.outbox.get(req.Name, req.Version); found {
+			f.Release()
+			f, ok = boxed, true
 		}
 	}
 	if !ok {
@@ -141,11 +142,13 @@ func (p *Peer) handleFetch(req *msg.Request) *msg.Response {
 		return &msg.Response{Hops: req.Hops, Err: ErrNotHolder}
 	}
 	if req.Version != 0 && f.Version != req.Version {
+		f.Release()
 		p.stats.ChunkRefusals.Add(1)
 		return &msg.Response{ServedBy: uint32(p.cfg.PID), Version: f.Version, Err: ErrWrongVersion}
 	}
 	total := uint64(len(f.Data))
 	if fr.Offset > total || (fr.Offset == total && total != 0) {
+		f.Release()
 		return &msg.Response{ServedBy: uint32(p.cfg.PID), Version: f.Version,
 			Err: fmt.Sprintf("netnode: fetch range at %d past total %d", fr.Offset, total)}
 	}
@@ -184,16 +187,21 @@ func (p *Peer) handleFetch(req *msg.Request) *msg.Response {
 	}
 	// Only the fixed header is encoded; the chunk rides as the response's
 	// Tail, a sub-slice of the stored body (stored bodies are replaced,
-	// never rewritten in place), so it reaches the socket without a copy.
+	// never rewritten in place, and the read's reference keeps a replaced
+	// one's buffer off the free list until the chunk is written), so it
+	// reaches the socket without a copy.
 	hdr, err := msg.AppendFetchRespHeader(nil, fresp)
 	if err != nil {
+		f.Release()
 		return &msg.Response{Err: fmt.Sprintf("netnode: fetch encode: %v", err)}
 	}
 	p.stats.ChunksServed.Add(1)
 	p.stats.ChunkBytes.Add(uint64(len(chunk)))
 	p.stats.DirectServed.Add(1)
-	return &msg.Response{OK: true, ServedBy: uint32(p.cfg.PID), Hops: req.Hops,
+	resp := &msg.Response{OK: true, ServedBy: uint32(p.cfg.PID), Hops: req.Hops,
 		Version: f.Version, Data: hdr, Tail: chunk}
+	resp.Attach(f.Ref) // the read's reference ends once the chunk is written
+	return resp
 }
 
 // handleLocateSet resolves a name to its replica set without moving the
@@ -207,12 +215,12 @@ func (p *Peer) handleFetch(req *msg.Request) *msg.Response {
 // exactly the set the repair plane probes), version 0 for the unprobed.
 // Clients stripe chunk fetches across the set; a listed holder that turns
 // out stale or missing just refuses its fetch and is purged client-side,
-// so the set is advisory like every route hint. Peek, not Get: a locate
+// so the set is advisory like every route hint. Version, not Get: a locate
 // must not count a store access, or locate-then-fetch would double-count a
 // file's popularity relative to one relay get.
 func (p *Peer) handleLocateSet(req *msg.Request) *msg.Response {
 	start := time.Now()
-	f, ok := p.store.Peek(req.Name)
+	version, ok := p.store.Version(req.Name)
 	if !ok {
 		return p.forwardLookup(req, start)
 	}
@@ -220,7 +228,7 @@ func (p *Peer) handleLocateSet(req *msg.Request) *msg.Response {
 	rt := p.rt()
 	v := p.view(p.hasher.Target(req.Name, p.cfg.M))
 	hs := make([]msg.Holder, 1, 8) // a typical set fits on the stack
-	hs[0] = msg.Holder{PID: uint32(p.cfg.PID), Addr: p.Addr(), Version: f.Version}
+	hs[0] = msg.Holder{PID: uint32(p.cfg.PID), Addr: p.Addr(), Version: version}
 	var prims [8]bitops.PID
 	for _, h := range v.AppendPrimaries(prims[:0]) {
 		if h == p.cfg.PID {
@@ -237,7 +245,7 @@ func (p *Peer) handleLocateSet(req *msg.Request) *msg.Response {
 		return &msg.Response{Err: fmt.Sprintf("netnode: locate-set encode: %v", err)}
 	}
 	resp := &msg.Response{OK: true, ServedBy: uint32(p.cfg.PID), Hops: req.Hops,
-		Version: f.Version, Data: data}
+		Version: version, Data: data}
 	if req.Flags&msg.FlagTrace != 0 {
 		resp.Path = appendHop(req.Path, uint32(p.cfg.PID), msg.HopLocate, time.Since(start))
 	}

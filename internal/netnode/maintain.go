@@ -44,7 +44,7 @@ func (c netCtx) ForwardedLoad(bitops.PID, bitops.PID) float64 { return 0 }
 func (c netCtx) Rand() *xrand.Rand                            { return c.rng }
 
 // handleHas answers copy-existence probes. The response carries the held
-// copy's version (Peek — a probe must not count as an access), so the
+// copy's version (Version — a probe must not count as an access), so the
 // anti-entropy repair loop distinguishes "missing" from "stale" with the
 // same frame REPLICATEFILE always used. A missing name that carries a
 // tombstone answers !OK with the tombstone's version — "deleted at v", not
@@ -52,8 +52,7 @@ func (c netCtx) Rand() *xrand.Rand                            { return c.rng }
 // the stale copy.
 func (p *Peer) handleHas(req *msg.Request) *msg.Response {
 	start := time.Now()
-	f, ok := p.store.Peek(req.Name)
-	version := f.Version
+	version, ok := p.store.Version(req.Name)
 	if !ok {
 		if tv, dead := p.store.TombVersion(req.Name); dead {
 			version = tv
@@ -79,6 +78,7 @@ func (p *Peer) MaintainOnce(threshold, evictBelow uint64) (placed bitops.PID, ok
 	if !have {
 		return 0, false
 	}
+	defer hot.Release()
 	v := p.view(p.hasher.Target(hot.Name, p.cfg.M))
 	target, found := (replication.LessLog{}).Place(netCtx{p: p, v: v, name: hot.Name, rng: p.rng}, p.cfg.PID)
 	if !found {

@@ -135,6 +135,7 @@ func (p *Peer) Leave() error {
 			skipped++
 			p.log.Warn("leave: handoff skipped, no successor took the copy", "name", f.Name, "err", err)
 		}
+		f.Release()
 	}
 	p.broadcastRegister(p.cfg.PID, nil, true)
 	// Local state retires with the peer: replicas are discarded (§5.2) and
@@ -286,6 +287,7 @@ func (p *Peer) handOff(k bitops.PID, name string) {
 	if !have {
 		return
 	}
+	defer f.Release()
 	if _, err := p.place(k, f, 0, &p.stats.PlacedHandoff, nil); err != nil {
 		p.log.Warn("join: handoff failed, copy kept here", "name", name, "to", uint32(k), "err", err)
 		return
@@ -315,6 +317,7 @@ func (p *Peer) restoreAfterDeath(k bitops.PID) {
 		if _, err := p.place(h, f, 0, &p.stats.PlacedRestore, nil); err != nil {
 			p.log.Warn("restore after death failed", "name", name, "on", uint32(h), "err", err)
 		}
+		f.Release()
 	}
 }
 

@@ -630,7 +630,7 @@ func (p *Peer) place(target bitops.PID, f store.File, flags uint8, reason *atomi
 	tr.stamp(req)
 	var resp msg.Response
 	if target == p.cfg.PID {
-		resp = *p.applyStore(req, f.Data, crc{}, time.Now())
+		resp = *p.applyStore(req, f.Data, f.Ref, crc{}, time.Now())
 	} else {
 		nr, deadline := msg.NotifyReq{TotalSize: uint64(len(f.Data)), Body: f.Data}, time.Duration(0)
 		if !msg.NotifyInline(len(f.Data)) {
@@ -659,7 +659,8 @@ func (p *Peer) place(target bitops.PID, f store.File, flags uint8, reason *atomi
 }
 
 // applyStore is the receive side of place (data is the inline body, or the
-// one handleNotify pulled): the copy goes through the version- and
+// one handleNotify pulled, ref the caller's reference to its buffer, which
+// the store retains if it keeps the copy): the copy goes through the version- and
 // tombstone-gated PutNewer, because a placement races foreground updates and
 // deletes — a stale push must neither clobber a copy that went newer since
 // the sender looked, nor resurrect a name a delete broadcast erased.
@@ -667,12 +668,12 @@ func (p *Peer) place(target bitops.PID, f store.File, flags uint8, reason *atomi
 // surviving version; a kept copy at least as new still answers OK, a
 // tombstone refusal answers ErrTombstoned. sum, when a pull verified one, is
 // remembered for the copy that landed.
-func (p *Peer) applyStore(req *msg.Request, data []byte, sum crc, start time.Time) *msg.Response {
+func (p *Peer) applyStore(req *msg.Request, data []byte, ref *msg.Ref, sum crc, start time.Time) *msg.Response {
 	kind := store.Inserted
 	if req.Flags&msg.FlagReplica != 0 {
 		kind = store.Replica
 	}
-	survived, res := p.store.PutNewer(store.File{Name: req.Name, Data: data, Version: req.Version}, kind)
+	survived, res := p.store.PutNewer(store.File{Name: req.Name, Data: data, Version: req.Version, Ref: ref}, kind)
 	p.mergeClock(req.Version)
 	resp := &msg.Response{OK: res != store.PutTombstoned, ServedBy: uint32(p.cfg.PID), Version: survived}
 	switch res {
@@ -722,8 +723,10 @@ func (p *Peer) handleInsert(req *msg.Request, sum crc) *msg.Response {
 	} else {
 		p.stats.WritesRemote.Add(1)
 	}
+	var ref *msg.Ref
 	if parked || atPrimary {
-		req.Keep() // the local store, or the outbox, holds Data from here on
+		ref = req.Keep() // the local store, or the outbox, holds Data from here on
+		defer ref.Release()
 	}
 	// A traced insert spreads its trace onto every placement leg: the
 	// fan-out root here, one HopServe per holder that took the copy.
@@ -731,7 +734,7 @@ func (p *Peer) handleInsert(req *msg.Request, sum crc) *msg.Response {
 	if req.Flags&msg.FlagTrace != 0 {
 		tr = &legTrace{id: req.TraceID, path: p.fanoutRoot(req, 0)}
 	}
-	f := store.File{Name: req.Name, Data: req.Data, Version: p.clock.Add(1)}
+	f := store.File{Name: req.Name, Data: req.Data, Version: p.clock.Add(1), Ref: ref}
 	stored := 0
 	// A tombstone refusal means the name was deleted at a version this
 	// peer's clock has never seen (the deleting peer may never have talked
@@ -742,7 +745,7 @@ func (p *Peer) handleInsert(req *msg.Request, sum crc) *msg.Response {
 	// landing an even newer tombstone mid-insert.
 	for attempt := 0; attempt < 3; attempt++ {
 		if parked {
-			p.outbox.put(f.Name, f.Version, f.Data)
+			p.outbox.put(f)
 		}
 		p.sums.put(f.Name, f.Version, len(f.Data), sum)
 		var (
@@ -807,6 +810,7 @@ func (p *Peer) handleGet(req *msg.Request) *msg.Response {
 		// refusal reaches only plain/relay gets (Client surfaces it as
 		// ErrOverFrame) and the repair pull, which retries through the
 		// chunk plane.
+		f.Release()
 		resp := &msg.Response{Hops: req.Hops, Version: f.Version, Err: msg.OverFrameError}
 		if req.Flags&msg.FlagTrace != 0 {
 			resp.Path = appendHop(req.Path, uint32(p.cfg.PID), msg.HopFault, time.Since(start))
@@ -822,6 +826,7 @@ func (p *Peer) handleGet(req *msg.Request) *msg.Response {
 			OK: true, ServedBy: uint32(p.cfg.PID), Hops: req.Hops,
 			Version: f.Version, Data: f.Data,
 		}
+		resp.Attach(f.Ref) // the read's reference ends once the answer is written
 		elapsed := time.Since(start)
 		p.obs.serve.ObserveDuration(elapsed)
 		if req.Flags&msg.FlagTrace != 0 {
@@ -971,6 +976,7 @@ func (p *Peer) initiate(req *msg.Request, sum crc) *msg.Response {
 	// carries the whole assembled tree.
 	prop.Path = p.fanoutRoot(req, 0)
 	fo := fanout{v: p.view(target), col: newHopCollector(req)}
+	touched := 0
 	if req.Kind == msg.KindUpdate {
 		// The tree carries only the transfer facts and every holder pulls
 		// the body from here, so it is kept (on the copy — req stays the
@@ -980,21 +986,31 @@ func (p *Peer) initiate(req *msg.Request, sum crc) *msg.Response {
 		// left when the entry goes; the remove is version-exact. The body's
 		// sum — the sender's one pass, unless a staged commit already
 		// verified it — goes into the notify and is remembered for the pulls.
-		prop.Keep()
-		p.outbox.put(prop.Name, prop.Version, prop.Data)
-		defer p.outbox.remove(prop.Name, prop.Version)
-		p.sums.put(prop.Name, prop.Version, len(prop.Data), sum)
-		size := uint64(len(prop.Data))
+		// A copy held here takes the body before any leg starts: the
+		// broadcast finds it applied when it reaches this peer (propagate).
+		ref := prop.Keep()
+		defer ref.Release()
+		f := store.File{Name: prop.Name, Data: prop.Data, Version: prop.Version, Ref: ref}
+		p.outbox.put(f)
+		defer p.outbox.remove(f.Name, f.Version)
+		p.sums.put(f.Name, f.Version, len(f.Data), sum)
+		size := uint64(len(f.Data))
 		body, err := msg.AppendNotifyReq(nil, &msg.NotifyReq{
-			TotalSize: size, FileCRC: p.fileSum(store.File{Name: prop.Name, Data: prop.Data, Version: prop.Version}),
-			Sources: []msg.Holder{{PID: uint32(p.cfg.PID), Addr: p.Addr(), Version: prop.Version}},
+			TotalSize: size, FileCRC: p.fileSum(f),
+			Sources: []msg.Holder{{PID: uint32(p.cfg.PID), Addr: p.Addr(), Version: f.Version}},
 		})
 		if err != nil {
 			return p.faultResponse(req, start, fmt.Sprintf("netnode: notify encode: %v", err))
 		}
-		prop.Kind, prop.Data, fo.rpcTO = msg.KindNotify, body, stream.PullDeadline(size)
+		prop.Kind, prop.Data, fo.rpcTO, fo.own = msg.KindNotify, body, stream.PullDeadline(size), true
+		p.propMu.RLock()
+		if p.store.UpdateFile(f) {
+			p.mergeClock(f.Version)
+			touched++
+		}
+		p.propMu.RUnlock()
 	}
-	touched := p.broadcast(fo, &prop)
+	touched += p.broadcast(fo, &prop)
 	if touched == 0 {
 		return p.faultResponse(req, start, fmt.Sprintf("netnode: %s found no copy", req.Kind))
 	}
@@ -1045,6 +1061,9 @@ type fanout struct {
 	sem   chan struct{}
 	col   *hopCollector
 	rpcTO time.Duration
+	// own marks the steps a broadcast's initiator runs itself, whose copy
+	// was updated before the legs started (initiate).
+	own bool
 }
 
 // broadcast starts the top-down children-list broadcast of a propagation
@@ -1153,14 +1172,16 @@ func (p *Peer) propagate(fo fanout, req *msg.Request) int {
 	start := time.Now()
 	var (
 		held, applied bool
-		fwd           = req
 		pullTO        time.Duration
 	)
-	if req.Kind == msg.KindDelete {
+	switch {
+	case req.Kind == msg.KindDelete:
 		held = p.applyErase(req.Name, req.Version)
 		applied = held
-	} else {
-		held, applied, fwd, pullTO = p.applyBody(req)
+	case fo.own:
+		held = p.store.Has(req.Name) // updated already, by initiate
+	default:
+		held, applied, pullTO = p.applyBody(req)
 	}
 	if !held {
 		return 0
@@ -1171,11 +1192,12 @@ func (p *Peer) propagate(fo fanout, req *msg.Request) int {
 		// with a semaphore sized to its own legs.
 		fo.sem, fo.rpcTO = p.fanoutSem(len(kids)), pullTO
 	}
+	fwd := req
 	if fo.col != nil {
 		// A traced holder contributes one HopDeliver record, parented on the
 		// upstream peer's hop (the tail of req.Path), and forwards with its
 		// own hop appended, so the collected records assemble into the tree.
-		hop := *fwd
+		hop := *req
 		hop.Path = appendHop(req.Path, uint32(p.cfg.PID), msg.HopDeliver, time.Since(start))
 		if len(hop.Path) > len(req.Path) {
 			fo.col.add(hop.Path[len(hop.Path)-1])
@@ -1192,54 +1214,48 @@ func (p *Peer) propagate(fo fanout, req *msg.Request) int {
 // applyBody is the local apply of an update delivery: a holder whose copy
 // is behind the stamped version pulls the body from the sources the notify
 // lists and rewrites its copy. A non-holder (most legs) finds that out from
-// the Peek, before the notify is decoded; a duplicate or stale delivery
-// before any body is pulled. A failed pull skips only this apply: the
-// branch below still gets the notify and pulls from the upstream sources,
-// while this replica converges via the repair plane instead of cutting its
-// whole subtree off the broadcast. fwd is what the children get: req, or —
-// after an apply — a copy listing this peer as one more source, so later
-// legs stripe across converged siblings. pullTO is the deadline the onward
-// legs need (fanout).
-func (p *Peer) applyBody(req *msg.Request) (held, applied bool, fwd *msg.Request, pullTO time.Duration) {
-	fwd = req
-	f, held := p.store.Peek(req.Name)
+// the store's version, before the notify is decoded; a duplicate or stale
+// delivery before any body is pulled. A failed pull skips only this apply:
+// the branch below still gets the notify and pulls from the upstream
+// sources, while this replica converges via the repair plane instead of
+// cutting its whole subtree off the broadcast. After an apply, req.Data
+// is rewritten to list this peer as one more source, so later legs stripe
+// across converged siblings — req is the delivery's own, a wire request
+// its handler holds (the initiator's steps do not come here). pullTO is
+// the deadline the onward legs need (fanout).
+func (p *Peer) applyBody(req *msg.Request) (held, applied bool, pullTO time.Duration) {
+	v, held := p.store.Version(req.Name)
 	if !held {
 		return
 	}
 	nr, err := msg.DecodeNotifyReq(req.Data)
 	if err != nil {
-		return false, false, fwd, 0 // discarded, like a delivery for a name not held
+		return false, false, 0 // discarded, like a delivery for a name not held
 	}
 	pullTO = stream.PullDeadline(nr.TotalSize)
-	if f.Version >= req.Version {
+	if v >= req.Version {
 		p.mergeClock(req.Version)
 		return
 	}
-	data, err := p.pullBody(req.Name, req.Version, nr)
+	body, err := p.pullBody(req.Name, req.Version, nr)
 	if err != nil {
 		return
 	}
 	p.propMu.RLock()
-	applied = p.store.Update(req.Name, data, req.Version)
+	applied = p.store.UpdateFile(body)
 	p.mergeClock(req.Version)
 	p.propMu.RUnlock()
+	body.Release() // the store holds its own reference if it kept the copy
 	if !applied {
 		return
 	}
 	// The pull verified the body against this sum: a sibling pulling from
 	// here, and every later get, is served without a whole-file pass.
-	p.sums.put(req.Name, req.Version, len(data), crc{nr.FileCRC, true})
-	for _, h := range nr.Sources {
-		if bitops.PID(h.PID) == p.cfg.PID {
-			return // listed already: the initiator applying its own broadcast
-		}
-	}
-	if body, err := msg.AppendNotifySource(req.Data, msg.Holder{
+	p.sums.put(req.Name, req.Version, len(body.Data), crc{nr.FileCRC, true})
+	if relisted, err := msg.AppendNotifySource(req.Data, msg.Holder{
 		PID: uint32(p.cfg.PID), Addr: p.Addr(), Version: req.Version,
 	}); err == nil { // a full list stays as it is
-		next := *req
-		next.Data = body
-		fwd = &next
+		req.Data = relisted
 	}
 	return
 }

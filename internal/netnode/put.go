@@ -228,10 +228,10 @@ func (t *uploadTable) take(token uint64) (*upload, uint64) {
 	return u, pruned
 }
 
-// outEntry is one committed payload parked for pull-based propagation.
+// outEntry is one committed payload parked for pull-based propagation,
+// with the outbox's own reference to its buffer (store.File.Ref).
 type outEntry struct {
-	version uint64
-	data    []byte
+	body    store.File
 	expires time.Time
 }
 
@@ -243,28 +243,27 @@ type outEntry struct {
 // failed; the TTL only bounds an entry whose initiator never got there.
 // Bounded by evicting the entries closest to expiry; a pull that misses
 // falls back to the other listed sources and, past those, to the repair
-// plane.
+// plane. An entry holds a reference to its body, ended when it leaves.
 type outbox struct {
 	mu      sync.Mutex
 	entries map[string]*outEntry
 	bytes   uint64
 }
 
-func (o *outbox) put(name string, version uint64, data []byte) {
+func (o *outbox) put(body store.File) {
 	now := time.Now()
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	if o.entries == nil {
 		o.entries = make(map[string]*outEntry)
 	}
-	if e, ok := o.entries[name]; ok {
-		if version < e.version {
+	if e, ok := o.entries[body.Name]; ok {
+		if body.Version < e.body.Version {
 			return
 		}
-		o.bytes -= uint64(len(e.data))
-		delete(o.entries, name)
+		o.drop(body.Name)
 	}
-	for o.bytes+uint64(len(data)) > maxOutboxBytes && len(o.entries) > 0 {
+	for o.bytes+uint64(len(body.Data)) > maxOutboxBytes && len(o.entries) > 0 {
 		var victim string
 		var soonest time.Time
 		for n, e := range o.entries {
@@ -272,36 +271,44 @@ func (o *outbox) put(name string, version uint64, data []byte) {
 				victim, soonest = n, e.expires
 			}
 		}
-		o.bytes -= uint64(len(o.entries[victim].data))
-		delete(o.entries, victim)
+		o.drop(victim)
 	}
-	o.entries[name] = &outEntry{version: version, data: data, expires: now.Add(outboxTTL)}
-	o.bytes += uint64(len(data))
+	body.Ref.Retain()
+	o.entries[body.Name] = &outEntry{body: body, expires: now.Add(outboxTTL)}
+	o.bytes += uint64(len(body.Data))
+}
+
+// drop removes name's entry and ends its reference. Caller holds mu.
+func (o *outbox) drop(name string) {
+	e := o.entries[name]
+	o.bytes -= uint64(len(e.body.Data))
+	e.body.Release()
+	delete(o.entries, name)
 }
 
 // remove drops name's entry if it still parks exactly this version — a
 // newer write of the same name has replaced it otherwise, and that entry
 // is its own initiator's to remove. A fetch handler already serving from
-// the entry keeps its slice; only later lookups miss.
+// the entry holds a reference of its own; only later lookups miss.
 func (o *outbox) remove(name string, version uint64) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if e, ok := o.entries[name]; ok && e.version == version {
-		o.bytes -= uint64(len(e.data))
-		delete(o.entries, name)
+	if e, ok := o.entries[name]; ok && e.body.Version == version {
+		o.drop(name)
 	}
 }
 
 // get answers name's parked payload when it matches the pin (0 accepts
-// any version).
-func (o *outbox) get(name string, pin uint64) ([]byte, uint64, bool) {
+// any version), with a reference the caller ends (store.File.Release).
+func (o *outbox) get(name string, pin uint64) (store.File, bool) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	e, ok := o.entries[name]
-	if !ok || time.Now().After(e.expires) || (pin != 0 && e.version != pin) {
-		return nil, 0, false
+	if !ok || time.Now().After(e.expires) || (pin != 0 && e.body.Version != pin) {
+		return store.File{}, false
 	}
-	return e.data, e.version, true
+	e.body.Ref.Retain()
+	return e.body, true
 }
 
 // handlePut is the staged-upload entry point: data frames stage, abort
@@ -393,71 +400,54 @@ func (p *Peer) handleNotify(req *msg.Request) *msg.Response {
 	}
 	if nr.Body != nil { // inline: stored unsummed, and kept past the frame
 		req.Data = nr.Body
-		req.Keep()
-		return p.applyStore(req, req.Data, crc{}, start)
+		ref := req.Keep()
+		defer ref.Release()
+		return p.applyStore(req, req.Data, ref, crc{}, start)
 	}
-	if f, ok := p.store.Peek(req.Name); ok && f.Version >= req.Version {
+	if v, ok := p.store.Version(req.Name); ok && v >= req.Version {
 		// What applyStore does with a copy it keeps, without pulling a body
 		// to refuse.
 		p.mergeClock(req.Version)
 		if req.Flags&msg.FlagReplica == 0 {
 			p.store.Promote(req.Name)
 		}
-		return &msg.Response{OK: true, ServedBy: uint32(p.cfg.PID), Version: f.Version}
+		return &msg.Response{OK: true, ServedBy: uint32(p.cfg.PID), Version: v}
 	}
-	data, err := p.pullBody(req.Name, req.Version, nr)
+	body, err := p.pullBody(req.Name, req.Version, nr)
 	if err != nil {
 		return &msg.Response{Err: fmt.Sprintf("netnode: notify pull: %v", err)}
 	}
-	return p.applyStore(req, data, crc{nr.FileCRC, true}, start)
+	defer body.Release()
+	return p.applyStore(req, body.Data, body.Ref, crc{nr.FileCRC, true}, start)
 }
 
 // pullBody fetches the body a notify describes: nothing for an empty body,
-// the local outbox/store first when this peer is itself listed (the origin
-// applying its own broadcast), then a striped chunked fetch across the
-// remote sources. The notify's size and whole-file CRC gate acceptance
-// either way — a pull can never apply bytes that do not match the
-// broadcast's declared shape — against the sum the body already has: the
-// one this peer remembers for its own copy, the one the fetch verified
-// every received byte against.
-func (p *Peer) pullBody(name string, version uint64, nr *msg.NotifyReq) ([]byte, error) {
+// else a striped chunked fetch across the sources it lists. This peer is
+// skipped when listed: an initiator rewrote its own copy before the legs
+// started, and a holder lists itself only once it has applied. The notify's
+// size and whole-file CRC gate acceptance — a pull can never apply bytes
+// that do not match the broadcast's declared shape — against the sum the
+// fetch verified every received byte against. The body comes back named and
+// versioned as asked, with a reference the caller ends (store.File.Release).
+func (p *Peer) pullBody(name string, version uint64, nr *msg.NotifyReq) (store.File, error) {
 	if nr.TotalSize == 0 {
-		return []byte{}, nil // its sum is 0, which the notify's sanity check holds it to
+		// Its sum is 0, which the notify's sanity check holds it to.
+		return store.File{Name: name, Data: []byte{}, Version: version}, nil
 	}
-	var srcs []stream.Source
+	srcs := make([]stream.Source, 0, len(nr.Sources))
 	for _, h := range nr.Sources {
-		if bitops.PID(h.PID) == p.cfg.PID {
-			if data, ver, ok := p.fetchLocal(name, version); ok && ver == version &&
-				uint64(len(data)) == nr.TotalSize &&
-				p.fileSum(store.File{Name: name, Data: data, Version: ver}) == nr.FileCRC {
-				return data, nil
-			}
-			continue
+		if bitops.PID(h.PID) != p.cfg.PID {
+			srcs = append(srcs, stream.Source{PID: h.PID, Addr: h.Addr})
 		}
-		if srcs == nil {
-			srcs = make([]stream.Source, 0, len(nr.Sources))
-		}
-		srcs = append(srcs, stream.Source{PID: h.PID, Addr: h.Addr})
 	}
-	data, _, sum, err := p.puller.FetchSummed(name, version, srcs)
+	b, err := p.puller.FetchBody(name, version, srcs)
 	if err != nil {
-		return nil, err
+		return store.File{}, err
 	}
-	if uint64(len(data)) != nr.TotalSize || sum != nr.FileCRC {
-		return nil, fmt.Errorf("netnode: pulled body does not match notify shape")
+	if uint64(len(b.Data)) != nr.TotalSize || b.Sum != nr.FileCRC {
+		b.Ref.Release()
+		return store.File{}, fmt.Errorf("netnode: pulled body does not match notify shape")
 	}
 	p.stats.NotifyPulls.Add(1)
-	return data, nil
-}
-
-// fetchLocal answers name's bytes from this peer itself: the write outbox
-// first (it can be ahead of the store mid-broadcast), then the store.
-func (p *Peer) fetchLocal(name string, pin uint64) ([]byte, uint64, bool) {
-	if data, ver, ok := p.outbox.get(name, pin); ok {
-		return data, ver, true
-	}
-	if f, ok := p.store.Peek(name); ok && (pin == 0 || f.Version == pin) {
-		return f.Data, f.Version, true
-	}
-	return nil, 0, false
+	return store.File{Name: name, Data: b.Data, Version: version, Ref: b.Ref}, nil
 }

@@ -98,6 +98,7 @@ func (p *Peer) RepairOnce(sampler *repair.Sampler, budget *repair.Budget, sample
 				}
 			}
 		}
+		f.Release() // the Peek's reference, held across the pushes
 	}
 	p.stats.RepairDeficit.Store(budget.Deficit())
 	// TTFR bookkeeping: a round that moved copies opens (or extends) a
@@ -139,25 +140,27 @@ func (p *Peer) pullCopy(name string, h bitops.PID, budget *repair.Budget) bool {
 	if !ok {
 		return false
 	}
-	data, ver, sum, err := p.puller.FetchSummed(name, 0, []stream.Source{{PID: uint32(h), Addr: addr}})
+	b, err := p.puller.FetchBody(name, 0, []stream.Source{{PID: uint32(h), Addr: addr}})
 	if err != nil {
 		return false
 	}
-	budget.Spend(len(data))
+	defer b.Ref.Release() // the store retains its own if it keeps the copy
+	budget.Spend(len(b.Data))
+	f := store.File{Name: name, Data: b.Data, Version: b.Version, Ref: b.Ref}
 	p.propMu.RLock() // local apply serializes against Leave, as on broadcast paths
 	applied := false
-	if _, have := p.store.Peek(name); have {
-		applied = p.store.Update(name, data, ver)
+	if p.store.Has(name) {
+		applied = p.store.UpdateFile(f)
 	} else {
-		_, res := p.store.PutNewer(store.File{Name: name, Data: data, Version: ver}, store.Inserted)
+		_, res := p.store.PutNewer(f, store.Inserted)
 		applied = res == store.PutApplied
 	}
 	p.propMu.RUnlock()
 	if !applied {
 		return false // a concurrent update or deletion already superseded the pull
 	}
-	p.sums.put(name, ver, len(data), crc{sum, true})
-	p.mergeClock(ver)
+	p.sums.put(name, f.Version, len(f.Data), crc{b.Sum, true})
+	p.mergeClock(f.Version)
 	p.stats.RepairPulled.Add(1)
 	p.log.Info("repair: pulled newer copy", "name", name, "from", uint32(h))
 	return true
@@ -174,8 +177,8 @@ func (p *Peer) DigestSync(partner bitops.PID, budget *repair.Budget, width int) 
 	tr := p.newRepairTrace()
 	digest := make([]uint64, width)
 	for _, name := range p.store.AllNames() {
-		if f, ok := p.store.Peek(name); ok {
-			repair.Fold(digest, name, f.Version)
+		if v, ok := p.store.Version(name); ok {
+			repair.Fold(digest, name, v)
 		}
 	}
 	data, err := msg.AppendDigest(nil, digest)
@@ -213,7 +216,7 @@ func (p *Peer) DigestSync(partner bitops.PID, budget *repair.Budget, width int) 
 		if !p.view(p.hasher.Target(e.Name, p.cfg.M)).IsPrimary(p.cfg.PID) {
 			continue
 		}
-		if f, have := p.store.Peek(e.Name); have && f.Version >= e.Version {
+		if v, have := p.store.Version(e.Name); have && v >= e.Version {
 			continue
 		}
 		// A tombstone at least as new as the offer means this peer saw the
@@ -259,15 +262,15 @@ func (p *Peer) handleDigest(req *msg.Request) *msg.Response {
 	local := make([]uint64, len(remote))
 	var candidates []held
 	for _, name := range p.store.AllNames() {
-		f, ok := p.store.Peek(name)
+		v, ok := p.store.Version(name)
 		if !ok {
 			continue
 		}
 		if !p.view(p.hasher.Target(name, p.cfg.M)).IsPrimary(requester) {
 			continue
 		}
-		repair.Fold(local, name, f.Version)
-		candidates = append(candidates, held{name: name, version: f.Version})
+		repair.Fold(local, name, v)
+		candidates = append(candidates, held{name: name, version: v})
 	}
 	diff := repair.DiffBuckets(local, remote)
 	if len(diff) == 0 {

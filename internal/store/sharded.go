@@ -56,6 +56,7 @@ func ShardedFrom(src *Store, n int) *Sharded {
 		f, _ := src.Peek(name)
 		kind, _ := src.KindOf(name)
 		s.Put(f, kind)
+		f.Release()
 	}
 	for _, t := range src.Tombstones() {
 		s.RestoreTombstone(t.Name, t.Version, t.At)
@@ -128,6 +129,15 @@ func (s *Sharded) Peek(name string) (File, bool) {
 	return f, ok
 }
 
+// Version returns the version of name's copy; see Store.Version.
+func (s *Sharded) Version(name string) (uint64, bool) {
+	sh := s.shardFor(name)
+	sh.mu.Lock()
+	v, ok := sh.s.Version(name)
+	sh.mu.Unlock()
+	return v, ok
+}
+
 // Has reports whether a copy of name exists.
 func (s *Sharded) Has(name string) bool {
 	sh := s.shardFor(name)
@@ -149,9 +159,15 @@ func (s *Sharded) KindOf(name string) (Kind, bool) {
 // Update overwrites an existing copy if newVersion is strictly newer; see
 // Store.Update.
 func (s *Sharded) Update(name string, data []byte, newVersion uint64) bool {
-	sh := s.shardFor(name)
+	return s.UpdateFile(File{Name: name, Data: data, Version: newVersion})
+}
+
+// UpdateFile is Update for a body that may live in a frame buffer; see
+// Store.UpdateFile.
+func (s *Sharded) UpdateFile(f File) bool {
+	sh := s.shardFor(f.Name)
 	sh.mu.Lock()
-	ok := sh.s.Update(name, data, newVersion)
+	ok := sh.s.UpdateFile(f)
 	sh.mu.Unlock()
 	return ok
 }
@@ -339,6 +355,7 @@ func (s *Sharded) Snapshot() *Store {
 			f, _ := sh.s.Peek(name)
 			kind, _ := sh.s.KindOf(name)
 			out.Put(f, kind)
+			f.Release()
 		}
 		for _, t := range sh.s.Tombstones() {
 			out.RestoreTombstone(t.Name, t.Version, t.At)

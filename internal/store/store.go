@@ -11,6 +11,8 @@ import (
 	"fmt"
 	"sort"
 	"time"
+
+	"lesslog/internal/msg"
 )
 
 // Kind distinguishes the two copy classes of §5.2.
@@ -36,6 +38,27 @@ type File struct {
 	Name    string
 	Data    []byte
 	Version uint64
+	// Ref, when Data lives in a large frame's read buffer, is a reference
+	// to that buffer (msg.Ref); nil for every other body. The store holds
+	// a reference of its own for as long as it keeps the copy, ending it
+	// when a write supersedes the copy or a delete removes it, and every
+	// read that returns the copy (Get, Peek, EndWindow's pick) hands the
+	// caller one more, which the caller ends with Release once it is done
+	// with Data. A reference never ended only leaves the buffer to the
+	// collector; ending one and then reading Data is the one way to go
+	// wrong. A mutator never takes over the caller's reference: it
+	// retains what it keeps.
+	Ref *msg.Ref
+}
+
+// Release ends the caller's reference to f's buffer, if it has one; f.Data
+// must not be read afterwards.
+func (f File) Release() { f.Ref.Release() }
+
+// held is f with one more reference taken, for a read handing f out.
+func (f File) held() File {
+	f.Ref.Retain()
+	return f
 }
 
 type entry struct {
@@ -108,6 +131,10 @@ func (s *Store) Put(f File, kind Kind) {
 		kind = Inserted
 	}
 	delete(s.tombs, f.Name)
+	f.Ref.Retain()
+	if old, ok := s.files[f.Name]; ok {
+		old.file.Release()
+	}
 	s.files[f.Name] = &entry{file: f, kind: kind}
 	if s.p != nil {
 		s.p.PersistPut(f, kind)
@@ -151,7 +178,7 @@ func (s *Store) Get(name string) (File, bool) {
 		return File{}, false
 	}
 	e.hits++
-	return e.file, true
+	return e.file.held(), true
 }
 
 // Peek returns the copy of name without counting an access.
@@ -160,7 +187,17 @@ func (s *Store) Peek(name string) (File, bool) {
 	if !ok {
 		return File{}, false
 	}
-	return e.file, true
+	return e.file.held(), true
+}
+
+// Version returns the version of name's copy without counting an access
+// or handing out its body: the read for a caller that compares versions.
+func (s *Store) Version(name string) (uint64, bool) {
+	e, ok := s.files[name]
+	if !ok {
+		return 0, false
+	}
+	return e.file.Version, true
 }
 
 // Has reports whether a copy of name exists, without counting an access.
@@ -182,12 +219,19 @@ func (s *Store) KindOf(name string) (Kind, bool) {
 // newer, preserving its kind and reporting whether an overwrite happened.
 // Stale or duplicate update deliveries are therefore idempotent.
 func (s *Store) Update(name string, data []byte, newVersion uint64) bool {
-	e, ok := s.files[name]
-	if !ok || newVersion <= e.file.Version {
+	return s.UpdateFile(File{Name: name, Data: data, Version: newVersion})
+}
+
+// UpdateFile is Update for a body that may live in a frame buffer: the
+// superseded copy's reference ends, and f's is retained.
+func (s *Store) UpdateFile(f File) bool {
+	e, ok := s.files[f.Name]
+	if !ok || f.Version <= e.file.Version {
 		return false
 	}
-	e.file.Data = data
-	e.file.Version = newVersion
+	f.Ref.Retain()
+	e.file.Release()
+	e.file.Data, e.file.Ref, e.file.Version = f.Data, f.Ref, f.Version
 	if s.p != nil {
 		s.p.PersistPut(e.file, e.kind)
 	}
@@ -200,9 +244,11 @@ func (s *Store) Update(name string, data []byte, newVersion uint64) bool {
 // still exists elsewhere and may legitimately be pushed back. Cluster
 // deletions go through Tombstone.
 func (s *Store) Delete(name string) bool {
-	if _, ok := s.files[name]; !ok {
+	e, ok := s.files[name]
+	if !ok {
 		return false
 	}
+	e.file.Release()
 	delete(s.files, name)
 	if s.p != nil {
 		s.p.PersistDelete(name)
@@ -225,6 +271,7 @@ func (s *Store) Tombstone(name string, version uint64, at time.Time) bool {
 		if e.file.Version > version {
 			version = e.file.Version
 		}
+		e.file.Release()
 		delete(s.files, name)
 	}
 	t, marked := s.tombs[name]
@@ -253,6 +300,7 @@ func (s *Store) RestoreTombstone(name string, version uint64, at time.Time) {
 		if e.file.Version > version {
 			version = e.file.Version
 		}
+		e.file.Release()
 		delete(s.files, name)
 	}
 	if t, ok := s.tombs[name]; ok && t.version > version {
@@ -265,7 +313,9 @@ func (s *Store) RestoreTombstone(name string, version uint64, at time.Time) {
 // persister, and returns how many copies were dropped. This is the
 // in-memory half of a graceful departure (netnode Leave): the durable
 // half is a single retire barrier record (wal.Engine.Retire), not one
-// delete record per name, so the persister must not see the discard.
+// delete record per name, so the persister must not see the discard. The
+// dropped copies' references are not ended: a departing peer's bodies go
+// to the collector, not to the free list.
 func (s *Store) DiscardAll() int {
 	n := len(s.files)
 	s.files = make(map[string]*entry)
@@ -338,7 +388,8 @@ func (s *Store) Hits(name string) uint64 {
 // evictBelow, which no caller configures. The kind check and the delete
 // happen in one call (on Sharded, under one shard lock), so a concurrent
 // Promote either lands first and the copy is kept, or finds it gone: an
-// authoritative copy is never evicted.
+// authoritative copy is never evicted. A returned hot copy holds a
+// reference, like a Peek's.
 func (s *Store) EndWindow(threshold, evictBelow uint64) (hot File, ok bool, evicted int) {
 	var w window
 	s.endWindow(evictBelow, &w)
@@ -346,7 +397,8 @@ func (s *Store) EndWindow(threshold, evictBelow uint64) (hot File, ok bool, evic
 }
 
 // window accumulates one EndWindow pass, possibly over several stores
-// (Sharded's shards): the hottest surviving copy so far and the evictions.
+// (Sharded's shards): the hottest surviving copy so far, with a reference
+// taken under its shard's lock, and the evictions.
 type window struct {
 	hot     File
 	hits    uint64
@@ -362,7 +414,8 @@ func (s *Store) endWindow(evictBelow uint64, w *window) {
 			continue
 		}
 		if e.hits > w.hits || e.hits == w.hits && name < w.hot.Name {
-			w.hot, w.hits = e.file, e.hits
+			w.hot.Release()
+			w.hot, w.hits = e.file.held(), e.hits
 		}
 		e.hits = 0
 	}
@@ -372,6 +425,7 @@ func (s *Store) endWindow(evictBelow uint64, w *window) {
 // gets, and the number of replicas evicted.
 func (w *window) result(threshold uint64) (File, bool, int) {
 	if w.hits <= threshold {
+		w.hot.Release()
 		return File{}, false, w.evicted
 	}
 	return w.hot, true, w.evicted

@@ -12,7 +12,7 @@ import (
 
 // TestFetchVerifiesWhereItLands: a replica that damages a body chunk in
 // flight (chunk CRC left as the holder computed it) is dropped for the
-// transfer and the range refetched elsewhere; the sum FetchSummed answers is
+// transfer and the range refetched elsewhere; the sum FetchBody answers is
 // the payload's, and every byte was passed over once plus the one bad range.
 func TestFetchVerifiesWhereItLands(t *testing.T) {
 	data := payload(40_000, 31)
@@ -34,7 +34,8 @@ func TestFetchVerifiesWhereItLands(t *testing.T) {
 	})
 	f := New(damaging, Config{ChunkSize: 8192, Window: 1,
 		Evict: func(name, addr string, hard bool) { evicted = append(evicted, addr) }})
-	got, ver, sum, err := f.FetchSummed("x", 0, srcs)
+	b, err := f.FetchBody("x", 0, srcs)
+	got, ver, sum := b.Data, b.Version, b.Sum
 	if err != nil || ver != 2 || !bytes.Equal(got, data) {
 		t.Fatalf("fetch: %d bytes v%d, %v", len(got), ver, err)
 	}

@@ -152,7 +152,7 @@ func (f *Fetcher) Stats() *Stats { return &f.stats }
 const maxSources = msg.MaxHolders
 
 // transfer is the per-fetch state shared by the chunk workers. A transfer
-// lives on FetchSummed's stack until its head chunk is in, and moves to the
+// lives on FetchBody's stack until its head chunk is in, and moves to the
 // heap (onHeap) only when body ranges are left for workers to share: a
 // single-chunk transfer allocates nothing of its own. Until then it does
 // not hold the caller's sources either — headChunk is handed them — so the
@@ -327,20 +327,33 @@ func (t *transfer) runRange(offset uint64, length uint32) (uint32, error) {
 // releases the chunk's frame buffer for the next one; a single-chunk
 // transfer hands the caller the chunk where it was read — the returned
 // slice is the chunk's own allocation, or points into the frame buffer of a
-// chunk over 64 KiB, which the caller now owns. Fetch keeps nothing of
+// chunk over 64 KiB, which the caller now owns (FetchBody hands over the
+// reference that lets it give the buffer back). Fetch keeps nothing of
 // sources once it returns.
 func (f *Fetcher) Fetch(name string, pin uint64, sources []Source) ([]byte, uint64, error) {
-	data, version, _, err := f.FetchSummed(name, pin, sources)
-	return data, version, err
+	b, err := f.FetchBody(name, pin, sources)
+	return b.Data, b.Version, err
 }
 
-// FetchSummed is Fetch that also answers the payload's CRC-32C — the sum
-// the transfer verified the bytes against, so a caller holding a sum of its
-// own (a notify's) compares two numbers instead of passing over the payload
-// again.
-func (f *Fetcher) FetchSummed(name string, pin uint64, sources []Source) ([]byte, uint64, uint32, error) {
+// A Body is what FetchBody returns: the payload, the version served, the
+// payload's CRC-32C — the sum the transfer verified the bytes against, so a
+// caller holding a sum of its own (a notify's) compares two numbers instead
+// of passing over the payload again — and, when Data is a single chunk read
+// off a frame over 64 KiB, the caller's reference to that frame's buffer
+// (msg.Ref; nil otherwise). A caller that keeps Data hands Ref on to the
+// keeper (store.File.Ref) and ends its own once done; one that never ends
+// it leaves the buffer to the collector.
+type Body struct {
+	Data    []byte
+	Version uint64
+	Sum     uint32
+	Ref     *msg.Ref
+}
+
+// FetchBody is Fetch returning a Body.
+func (f *Fetcher) FetchBody(name string, pin uint64, sources []Source) (Body, error) {
 	if len(sources) == 0 {
-		return nil, 0, 0, ErrNotFound
+		return Body{}, ErrNotFound
 	}
 	if len(sources) > maxSources {
 		sources = sources[:maxSources]
@@ -353,24 +366,26 @@ func (f *Fetcher) FetchSummed(name string, pin uint64, sources []Source) ([]byte
 	// whole-file CRC the rest of the transfer is verified against.
 	head, headResp, kept, err := t.headChunk(sources)
 	if err != nil {
-		return nil, 0, 0, err
+		return Body{}, err
 	}
 	if kept {
 		// Single-chunk transfer: the chunk CRC land verified covered every
 		// byte of the file, so the file CRC must simply equal it.
 		if head.ChunkCRC != head.FileCRC {
 			headResp.Release()
-			return nil, 0, 0, ErrChecksum
+			return Body{}, ErrChecksum
 		}
 		f.noteDone(&t)
-		return head.Chunk, t.version, head.FileCRC, nil
+		ref := headResp.Keep() // the caller's, where the response's ends
+		headResp.Release()
+		return Body{Data: head.Chunk, Version: t.version, Sum: head.FileCRC, Ref: ref}, nil
 	}
 	return t.onHeap(sources).body(head)
 }
 
 // body fetches every range after the head chunk into the reassembly
-// buffer and checks the whole-file sum; FetchSummed's multi-chunk half.
-func (t *transfer) body(head msg.FetchResp) ([]byte, uint64, uint32, error) {
+// buffer and checks the whole-file sum; FetchBody's multi-chunk half.
+func (t *transfer) body(head msg.FetchResp) (Body, error) {
 	f := t.f
 	total := head.TotalSize
 	chunk := uint64(f.cfg.ChunkSize)
@@ -427,9 +442,9 @@ func (t *transfer) body(head msg.FetchResp) ([]byte, uint64, uint32, error) {
 	wg.Wait()
 	if failErr != nil {
 		if t.gone.Load() && (failErr.Error() == msg.WrongVersionError || allDead(t)) {
-			return nil, 0, 0, ErrVersionGone
+			return Body{}, ErrVersionGone
 		}
-		return nil, 0, 0, failErr
+		return Body{}, failErr
 	}
 	// Every byte of buf was checksummed where it lies; the whole-file gate is
 	// the combination of those sums, in offset order, against the head's.
@@ -438,10 +453,10 @@ func (t *transfer) body(head msg.FetchResp) ([]byte, uint64, uint32, error) {
 		sum = crc32c.Combine(sum, r.sum, uint64(r.ln))
 	}
 	if sum != head.FileCRC {
-		return nil, 0, 0, ErrChecksum
+		return Body{}, ErrChecksum
 	}
 	f.noteDone(t)
-	return t.buf, t.version, sum, nil
+	return Body{Data: t.buf, Version: t.version, Sum: sum}, nil
 }
 
 // headChunk fetches offset 0 from the first willing source, pinning the

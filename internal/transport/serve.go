@@ -66,9 +66,14 @@ type ServeLoopOptions struct {
 // ServeLoop takes back once the response has been written — so the response
 // may point into it, and a handler that stores the bytes anywhere that
 // outlives the exchange calls msg.Request.Keep first. A request read off a
-// larger frame holds that frame's buffer (msg.Request.Release), which a
-// handler that has copied the payload out may release and ServeLoop never
-// does — nor may the response then point into it. A response whose Err is
+// larger frame holds a reference to that frame's buffer (msg.Ref), which
+// ServeLoop ends with the lease — so the same rule holds: Keep hands a
+// holder its own reference — and which a handler that has copied the
+// payload out may end early (msg.Request.Release), the response then not
+// pointing into it. The response is released once written
+// (msg.Response.Release), which ends the reference a handler attached to it
+// and that of an answer relayed off the wire, so a handler must not return
+// a response another goroutine still reads. A response whose Err is
 // longer than msg.MaxName goes out with it cut to that length: an error
 // that quotes a long name still reaches the caller, and the connection
 // survives. ServeLoop returns when the connection dies and every accepted
@@ -147,7 +152,10 @@ func (s *served) protoErr(err error) {
 }
 
 // work is one worker: it answers requests until the reader stops, handing
-// each request back to the reader once its lease has ended.
+// each request back to the reader once its lease has ended. A written
+// response is released: the reference to the frame buffer its Data or Tail
+// points into — a stored copy's the handler attached, or a relayed
+// answer's own — ends as soon as the bytes are on their way.
 func (s *served) work() {
 	defer s.workers.Done()
 	for j := range s.jobs {
@@ -159,6 +167,7 @@ func (s *served) work() {
 			s.opts.Depth.Add(-1)
 		}
 		s.write(resp, j)
+		resp.Release()
 		s.free <- j.req
 	}
 }
