@@ -8,16 +8,14 @@ package netnode
 // repair run must lose none and re-reach full replication inside a
 // bounded window after every disruption, including a correlated
 // same-parity double-crash with scripted repair-RPC loss driven through
-// transport.Churn. Measured time-to-full-replication and loss counts are
-// recorded to BENCH_repair.json when BENCH_JSON_DIR is set (make
-// repair-bench); plain `go test` still asserts the invariants.
+// transport.Churn. The test logs the measured time-to-full-replication
+// per disruption and the control run's loss count.
 
 import (
 	"fmt"
 	"testing"
 	"time"
 
-	"lesslog/internal/benchjson"
 	"lesslog/internal/bitops"
 	"lesslog/internal/hashring"
 	"lesslog/internal/msg"
@@ -154,9 +152,7 @@ func (h *churnHarness) repairTotals() map[string]float64 {
 	for _, p := range h.sys.peers {
 		out["repaired"] += float64(p.stats.Repaired.Load())
 		out["repair_pulled"] += float64(p.stats.RepairPulled.Load())
-		out["repair_probes"] += float64(p.stats.RepairProbes.Load())
 		out["digest_bytes"] += float64(p.stats.DigestBytes.Load())
-		out["repair_skipped"] += float64(p.stats.RepairSkipped.Load())
 	}
 	return out
 }
@@ -233,41 +229,6 @@ func TestChurnRepairE2E(t *testing.T) {
 		t.Fatal("no digest traffic; the run did not exercise the digest path")
 	}
 
-	maxTTFR := ttfr[0]
-	for _, d := range ttfr[1:] {
-		if d > maxTTFR {
-			maxTTFR = d
-		}
-	}
-	if err := benchjson.Record("repair",
-		benchjson.Result{
-			Name: "churn/control",
-			Extra: map[string]float64{
-				"files":            float64(len(control.names)),
-				"lost_names":       float64(len(controlLost)),
-				"loss_probability": float64(len(controlLost)) / float64(len(control.names)),
-			},
-		},
-		benchjson.Result{
-			Name: "churn/repair",
-			Extra: map[string]float64{
-				"files":            float64(len(h.names)),
-				"lost_names":       0,
-				"loss_probability": 0,
-				"ttfr_wipe1_ms":    float64(ttfr[0].Nanoseconds()) / 1e6,
-				"ttfr_wipe2_ms":    float64(ttfr[1].Nanoseconds()) / 1e6,
-				"ttfr_corr_ms":     float64(ttfr[2].Nanoseconds()) / 1e6,
-				"ttfr_max_ms":      float64(maxTTFR.Nanoseconds()) / 1e6,
-				"repaired":         totals["repaired"],
-				"repair_pulled":    totals["repair_pulled"],
-				"repair_probes":    totals["repair_probes"],
-				"repair_skipped":   totals["repair_skipped"],
-				"digest_bytes":     totals["digest_bytes"],
-			},
-		},
-	); err != nil {
-		t.Fatal(err)
-	}
 	t.Logf("control lost %d/%d names; repair lost 0, ttfr wipe1=%v wipe2=%v corr=%v",
 		len(controlLost), len(control.names), ttfr[0], ttfr[1], ttfr[2])
 }

@@ -474,6 +474,8 @@ func TestKillPeerMidRunRejoinNoLeaks(t *testing.T) {
 // table is what holds them to one behaviour:
 //
 //   - clean: every surviving copy touched exactly once;
+//   - every peer: a copy on each of the 15 survivors, so the legs run the
+//     whole tree, every level of it, and still touch each copy once;
 //   - dropped leg: P(5)'s delivery to P(7) fails at the transport, and the
 //     broadcast reaches the replica below it, P(3), through P(7)'s
 //     expanded children list (§3) instead of losing the branch;
@@ -588,6 +590,20 @@ func TestUpdateDeleteBroadcastSymmetry(t *testing.T) {
 				wantPulls = 1 // P(7); the initiator reads its own outbox
 			}
 			return run(t, kind, peers, []bitops.PID{5, 7}, wantPulls)
+		}},
+		{"every peer", shape{15, "[0 1 2 3 5 6 7 8 9 10 11 12 13 14 15]"}, func(t *testing.T, kind msg.Kind) shape {
+			var survivors []bitops.PID
+			for _, pid := range allPIDs(16) {
+				if pid != 4 {
+					survivors = append(survivors, pid)
+				}
+			}
+			peers := start(t, nil, survivors...)
+			wantPulls := uint64(0)
+			if kind == msg.KindNotify {
+				wantPulls = 14 // every survivor but the initiator
+			}
+			return run(t, kind, peers, survivors, wantPulls)
 		}},
 		{"dropped leg", shape{2, "[3 5]"}, func(t *testing.T, kind msg.Kind) shape {
 			faults := transport.NewFaults()

@@ -33,6 +33,24 @@ func markDeadEverywhere(peers map[bitops.PID]*Peer, victim bitops.PID) {
 	}
 }
 
+// sumRelayed totals the relayed payload bytes across the fabric.
+func sumRelayed(peers map[bitops.PID]*Peer) uint64 {
+	var n uint64
+	for _, p := range peers {
+		n += p.Stats().RelayedBytes.Load()
+	}
+	return n
+}
+
+// sumRequests totals requests handled across the fabric.
+func sumRequests(peers map[bitops.PID]*Peer) uint64 {
+	var n uint64
+	for _, p := range peers {
+		n += p.Stats().Requests.Load()
+	}
+	return n
+}
+
 func TestLocateResolvesHolder(t *testing.T) {
 	peers := startSystem(t, 4, 0, allPIDs(16), hashring.Fixed(4))
 	if err := NewClient(peers[9].Addr()).Insert("f", []byte("hello")); err != nil {

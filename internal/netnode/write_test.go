@@ -71,8 +71,8 @@ func TestChunkedInsertEndToEnd(t *testing.T) {
 	}
 }
 
-// TestNotifyUpdatePropagation drives an update past the notify threshold
-// across hand-placed replicas: every copy converges, the replicas pull
+// TestNotifyUpdatePropagation drives an update across hand-placed
+// replicas: every copy converges, the replicas pull
 // the body instead of receiving it, and the broadcast tree itself moves
 // payload-independent bytes — the O(copies × size) → O(copies) claim.
 func TestNotifyUpdatePropagation(t *testing.T) {

@@ -314,8 +314,7 @@ func TestBackoffDeterministic(t *testing.T) {
 	}
 }
 
-// The acceptance benchmark: pooled exchanges vs dial-per-call on the same
-// echo server. `make transport-bench` records the comparison in results/.
+// Pooled exchanges vs dial-per-call on the same echo server.
 
 func benchmarkDo(b *testing.B, poolSize int) {
 	srv := newEchoServer(b, false)

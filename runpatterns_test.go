@@ -8,8 +8,10 @@ package lesslog
 import (
 	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -127,5 +129,83 @@ func TestFrameSocketsOnlyInTransport(t *testing.T) {
 	}
 	if inTransport != 2 {
 		t.Errorf("internal/transport has %d socket-opening calls, want 2 (dial and Listen)", inTransport)
+	}
+}
+
+// A doc that cites `make X` or a file under results/ goes stale when the
+// target or the file is deleted, and nothing else notices: the reader
+// finds a dead command or a dead link. This check makes that a failure.
+var (
+	makeCmd     = regexp.MustCompile("`make ([^`\\s]+)[^`\\n]*`")
+	makeTarget  = regexp.MustCompile(`(?m)^([A-Za-z0-9_.-]+):`)
+	resultsLink = regexp.MustCompile(`\]\(([^)\s#]*results/[^)\s#]*)`)
+	resultsPath = regexp.MustCompile("`(results/[^`\\s]*)`")
+)
+
+// staleDocRefs returns what doc, the text of the file at docPath, names
+// that does not exist: a backquoted `make X` whose X (or glob) matches no
+// target in targets, or a link or backquoted path under results/ (a link
+// resolved against the doc's directory, a path against the repo root)
+// that matches no file.
+func staleDocRefs(docPath, doc string, targets []string) []string {
+	var stale []string
+	for _, m := range makeCmd.FindAllStringSubmatch(doc, -1) {
+		if !slices.ContainsFunc(targets, func(t string) bool { ok, _ := path.Match(m[1], t); return ok }) {
+			stale = append(stale, "make "+m[1])
+		}
+	}
+	var files []string
+	for _, m := range resultsLink.FindAllStringSubmatch(doc, -1) {
+		files = append(files, filepath.Join(filepath.Dir(docPath), m[1]))
+	}
+	for _, m := range resultsPath.FindAllStringSubmatch(doc, -1) {
+		files = append(files, m[1])
+	}
+	for _, f := range files {
+		if matches, _ := filepath.Glob(f); len(matches) == 0 {
+			stale = append(stale, f)
+		}
+	}
+	return stale
+}
+
+func TestDocsNameRealTargetsAndFiles(t *testing.T) {
+	mk, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var targets []string
+	for _, m := range makeTarget.FindAllStringSubmatch(string(mk), -1) {
+		targets = append(targets, m[1])
+	}
+	docs, err := filepath.Glob(filepath.Join("docs", "*.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs = append([]string{"README.md", "DESIGN.md", "EXPERIMENTS.md"}, docs...)
+	cited := 0
+	for _, doc := range docs {
+		src, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cited += len(makeCmd.FindAllString(string(src), -1)) + len(resultsPath.FindAllString(string(src), -1))
+		for _, ref := range staleDocRefs(doc, string(src), targets) {
+			t.Errorf("%s names %s, which does not exist", doc, ref)
+		}
+	}
+	if cited == 0 {
+		t.Fatal("found no `make` target or results/ path in any doc: the scan itself is broken")
+	}
+
+	// The check must bite: a dead target, a dead link and a dead path are
+	// reported, next to live ones and to prose that merely says "make".
+	doc := "To make the figures run `make figures` or `make no-such-target`; see " +
+		"[fig](../results/figure5.csv), [gone](../results/gone.json), " +
+		"`results/figure*.csv` and `results/gone.txt`."
+	got := staleDocRefs(filepath.Join("docs", "X.md"), doc, targets)
+	want := []string{"make no-such-target", filepath.Join("results", "gone.json"), "results/gone.txt"}
+	if strings.Join(got, "|") != strings.Join(want, "|") {
+		t.Fatalf("stale references in a doc with three dead ones = %q, want %q", got, want)
 	}
 }
