@@ -87,8 +87,8 @@ func TestGatewayOverFrameRead(t *testing.T) {
 
 // TestGatewayOverFrameIsNotAFault: a body over one frame that the gateway
 // can only be offered whole is reported as such, never as "not found" — a
-// miss whose chunk plane fails transiently re-resolves and serves it, and a
-// batched get (whole-frame sub-gets by construction) names the typed error.
+// miss whose chunk plane fails transiently re-resolves and serves it, and
+// one whose chunk plane stays down names the typed error.
 func TestGatewayOverFrameIsNotAFault(t *testing.T) {
 	if testing.Short() {
 		t.Skip("seeds a >16 MiB payload per holder")
@@ -126,15 +126,17 @@ func TestGatewayOverFrameIsNotAFault(t *testing.T) {
 			c.Relays.Value(), c.Locates.Value())
 	}
 
-	got, err := g.GetMany([]string{"g/huge", "g/absent"})
-	if err != nil {
-		t.Fatal(err)
+	// With the chunk plane down for good, the relay's typed refusal is the
+	// answer the caller sees; a name no peer holds is the fault.
+	down := newGateway(t, Config{
+		Peers: addrs[:2], CacheSize: -1, Transport: transport.Config{Retries: -1},
+		Faults: transport.NewFaults().Add(transport.Rule{Kind: msg.KindFetch, Drop: true}),
+	})
+	if _, err := down.Get("g/huge"); !errors.Is(err, ErrOverFrame) || errors.Is(err, ErrFault) {
+		t.Fatalf("over-frame get without a chunk plane: err = %v, want ErrOverFrame and not ErrFault", err)
 	}
-	if !errors.Is(got[0].Err, ErrOverFrame) || errors.Is(got[0].Err, ErrFault) {
-		t.Fatalf("batched over-frame get: err = %v, want ErrOverFrame and not ErrFault", got[0].Err)
-	}
-	if !errors.Is(got[1].Err, ErrFault) {
-		t.Fatalf("batched absent get: err = %v, want ErrFault", got[1].Err)
+	if _, err := down.Get("g/absent"); !errors.Is(err, ErrFault) {
+		t.Fatalf("absent get: err = %v, want ErrFault", err)
 	}
 }
 

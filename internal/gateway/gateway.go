@@ -22,10 +22,11 @@
 //     queueing; requests that cannot be admitted in time are shed with
 //     ErrOverloaded instead of queueing without bound.
 //
-// Batched reads (GetMany) pipeline cache misses to a peer in one
-// msg.KindBatch frame, decoded and served sub-request by sub-request on
-// the peer side. Everything is instrumented: hit/miss/coalesced/shed
-// counters, latency histograms, and a Prometheus admin endpoint.
+// A caller that wants many names makes concurrent Gets: they share the
+// cache, the coalescer and the read ladder, and ride the shared client's
+// pooled pipelined streams. Everything is instrumented: hit/miss/
+// coalesced/shed counters, latency histograms, and a Prometheus admin
+// endpoint.
 package gateway
 
 import (
@@ -59,8 +60,8 @@ var (
 	// ErrFault is the fabric's "file not found" outcome.
 	ErrFault = netnode.ErrFault
 	// ErrOverFrame reports a copy that exists but could only be offered as
-	// one whole frame it does not fit (a batched get, or a relay after the
-	// chunk plane failed) — never a fault.
+	// one whole frame it does not fit (a relay after the chunk plane
+	// failed) — never a fault.
 	ErrOverFrame = netnode.ErrOverFrame
 	// ErrTooLarge rejects a write whose payload exceeds the fabric's file
 	// size cap (msg.MaxFileSize) before any bytes move. Payloads between
@@ -184,13 +185,6 @@ type Result struct {
 type WriteResult struct {
 	Copies  int    // fabric copies touched
 	Version uint64 // version stamped on the write (0 for deletes)
-}
-
-// Lookup is one name's outcome in a batched read.
-type Lookup struct {
-	Name   string
-	Result Result
-	Err    error
 }
 
 // Gateway is the client edge. Safe for concurrent use.
@@ -359,27 +353,18 @@ func (g *Gateway) fetch(name string) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
-		out, err := g.admitFillData(name, res.Data, res.Version, res.ServedBy, uint32(res.Hops))
+		out, err := g.admitFill(name, res.Data, res.Version, res.ServedBy, uint32(res.Hops))
 		if !errors.Is(err, ErrStaleRead) || res.Version < floor || attempt == maxFillAttempts {
 			return out, err
 		}
 	}
 }
 
-// admitFill turns one batched get sub-response into a Result through the
-// same floor gate.
-func (g *Gateway) admitFill(name string, resp *msg.Response) (Result, error) {
-	if !resp.OK {
-		return Result{}, netnode.ReadError(name, resp)
-	}
-	return g.admitFillData(name, resp.Data, resp.Version, resp.ServedBy, uint32(resp.Hops))
-}
-
-// admitFillData enforces the version floor on a fill: one older than an
+// admitFill enforces the version floor on a fill: one older than an
 // acknowledged write is refused, and a retained cache entry that still
 // satisfies the floor is served in its place (counted as StaleServed — the
 // fabric, not the cache, was stale).
-func (g *Gateway) admitFillData(name string, data []byte, version uint64, servedBy, hops uint32) (Result, error) {
+func (g *Gateway) admitFill(name string, data []byte, version uint64, servedBy, hops uint32) (Result, error) {
 	if g.cache.put(name, data, version, servedBy, hops) {
 		return Result{
 			Data: data, Version: version,
@@ -391,81 +376,6 @@ func (g *Gateway) admitFillData(name string, data []byte, version uint64, served
 		return resultOf(e, SourceCache), nil
 	}
 	return Result{}, ErrStaleRead
-}
-
-// GetMany serves a batched read: fresh cache hits are answered locally
-// and the misses pipeline to one entry peer in a single msg.KindBatch
-// frame. Per-name outcomes land in the returned slice (order preserved);
-// the error is non-nil only when the batch as a whole could not run.
-// Batched misses bypass the coalescer — the batch frame itself is the
-// dedup unit.
-func (g *Gateway) GetMany(names []string) ([]Lookup, error) {
-	release, err := g.admit()
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	start := time.Now()
-	defer func() { g.obs.batch.ObserveDuration(time.Since(start)) }()
-
-	out := make([]Lookup, len(names))
-	var missIdx []int
-	for i, name := range names {
-		out[i].Name = name
-		if e, fresh, ok := g.cache.get(name); ok && fresh {
-			g.counters.Hits.Inc()
-			out[i].Result = resultOf(e, SourceCache)
-			continue
-		}
-		missIdx = append(missIdx, i)
-	}
-	if len(missIdx) == 0 {
-		return out, nil
-	}
-	if len(missIdx) > msg.MaxBatch {
-		return nil, fmt.Errorf("gateway: %d misses exceed the %d sub-request batch limit", len(missIdx), msg.MaxBatch)
-	}
-	subs := make([]*msg.Request, len(missIdx))
-	for j, i := range missIdx {
-		g.counters.Misses.Inc()
-		subs[j] = &msg.Request{Kind: msg.KindGet, Name: names[i]}
-	}
-	data, err := msg.AppendBatchRequests(nil, subs)
-	if err != nil {
-		return nil, fmt.Errorf("gateway: batch encode: %w", err)
-	}
-	g.counters.Batches.Inc()
-	g.obs.batchSize.Observe(uint64(len(missIdx)))
-
-	resps, err := g.sendBatch(data, len(missIdx))
-	if err != nil {
-		return nil, err
-	}
-	for j, i := range missIdx {
-		out[i].Result, out[i].Err = g.admitFill(names[i], resps[j])
-	}
-	return out, nil
-}
-
-// sendBatch performs one batch exchange, failing over across entry peers
-// on transport failure (batched gets are read-only, so repeating the frame
-// is safe even though KindBatch itself is not transport-idempotent).
-func (g *Gateway) sendBatch(data []byte, want int) ([]*msg.Response, error) {
-	resp, err := g.client.Do(&msg.Request{Kind: msg.KindBatch, Data: data}, true)
-	if err != nil {
-		return nil, err
-	}
-	if !resp.OK {
-		return nil, fmt.Errorf("gateway: batch rejected: %s", resp.Err)
-	}
-	resps, err := msg.DecodeBatchResponses(resp.Data)
-	if err != nil {
-		return nil, fmt.Errorf("gateway: batch decode: %w", err)
-	}
-	if len(resps) != want {
-		return nil, fmt.Errorf("gateway: batch answered %d of %d sub-requests", len(resps), want)
-	}
-	return resps, nil
 }
 
 // Insert stores a new file through the gateway. The acknowledged version
@@ -574,8 +484,6 @@ func (g *Gateway) Counters() *Counters { return &g.counters }
 
 // gwObs bundles the gateway's latency distributions.
 type gwObs struct {
-	get       metrics.Histogram // Get latency, hits and misses alike
-	write     metrics.Histogram // insert/update/delete latency
-	batch     metrics.Histogram // GetMany latency
-	batchSize metrics.Histogram // sub-requests per batch frame sent
+	get   metrics.Histogram // Get latency, hits and misses alike
+	write metrics.Histogram // insert/update/delete latency
 }

@@ -1,9 +1,12 @@
 package gateway
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
+	"net"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -319,55 +322,6 @@ func TestStaleFabricAnswersAreSuppressed(t *testing.T) {
 	}
 }
 
-func TestGetManyPipelinesMisses(t *testing.T) {
-	addrs := startFabric(t, 4, 16)
-	names := make([]string, 5)
-	for i := range names {
-		names[i] = fmt.Sprintf("b/%d", i)
-		if err := netnode.NewClient(addrs[i]).Insert(names[i], []byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	g := newGateway(t, Config{Peers: addrs[:3]})
-
-	got, err := g.GetMany(names)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, l := range got {
-		if l.Err != nil || !bytes.Equal(l.Result.Data, []byte{byte(i)}) || l.Result.Source != SourceFabric {
-			t.Fatalf("lookup[%d] = %+v, %v", i, l.Result, l.Err)
-		}
-	}
-	c := g.Counters()
-	if c.Batches.Value() != 1 || c.Misses.Value() != 5 {
-		t.Fatalf("batches = %d misses = %d, want 1 and 5", c.Batches.Value(), c.Misses.Value())
-	}
-
-	// Warm repeat: all hits, no new batch frame.
-	got, err = g.GetMany(names)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, l := range got {
-		if l.Err != nil || l.Result.Source != SourceCache {
-			t.Fatalf("warm lookup[%d] = %+v, %v", i, l.Result, l.Err)
-		}
-	}
-	if c.Batches.Value() != 1 || c.Hits.Value() != 5 {
-		t.Fatalf("warm batches = %d hits = %d", c.Batches.Value(), c.Hits.Value())
-	}
-
-	// A missing name fails alone; its neighbors still resolve.
-	got, err = g.GetMany([]string{"b/0", "b/ghost"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0].Err != nil || !errors.Is(got[1].Err, ErrFault) {
-		t.Fatalf("mixed lookups = %v, %v", got[0].Err, got[1].Err)
-	}
-}
-
 // TestLongMissingNameKeepsConnection: a get of a missing name close to
 // msg.MaxName is refused with an error that quotes the name — longer than
 // an error may be on the wire. The refusal must reach the client as a !OK
@@ -457,5 +411,77 @@ func TestServerSpeaksPeerProtocol(t *testing.T) {
 	}
 	if _, err := cl.Get("s/f"); !errors.Is(err, netnode.ErrFault) {
 		t.Fatalf("post-delete get err = %v", err)
+	}
+}
+
+// TestRetiredKindsRefusedAtGateway: the gateway interposes no retired wire
+// number. The whole-frame placement (kind 4), the sub-request batch (kind
+// 10) and the single-holder locate (kind 11) each pass through to a peer
+// and come back as its generic unknown-kind answer; the get pipelined
+// behind each on the same connection is still served, and no cache entry
+// or version floor moves.
+func TestRetiredKindsRefusedAtGateway(t *testing.T) {
+	addrs := startFabric(t, 4, 16)
+	g := newGateway(t, Config{Peers: addrs[:3], CacheTTL: time.Minute})
+	srv, err := g.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	wr, err := g.Insert("f", []byte("hello"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapshot := func() (floors map[string]uint64, cached int) {
+		g.cache.mu.Lock()
+		defer g.cache.mu.Unlock()
+		return maps.Clone(g.cache.floors), g.cache.entries.Len()
+	}
+	floors, cached := snapshot()
+
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	br := bufio.NewReader(conn)
+	retired := []*msg.Request{
+		{Kind: msg.Kind(4), Name: "old/placed", Data: []byte("older build"), Version: wr.Version + 10},
+		{Kind: msg.Kind(10), Data: []byte{0, 0, 0, 1, 0xFF}},
+		{Kind: msg.Kind(11), Name: "f"},
+	}
+	for i, old := range retired {
+		id := uint64(2 * i)
+		if err := msg.WriteRequestID(conn, old, id+1); err != nil {
+			t.Fatal(err)
+		}
+		if err := msg.WriteRequestID(conn, &msg.Request{Kind: msg.KindGet, Name: "f"}, id+2); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		answers := map[uint64]*msg.Response{}
+		for range 2 {
+			resp, rid, err := msg.ReadResponseID(br)
+			if err != nil {
+				t.Fatalf("kind %d: %v", old.Kind, err)
+			}
+			answers[rid] = resp
+		}
+		want := fmt.Sprintf("netnode: unknown kind kind(%d)", old.Kind)
+		if resp := answers[id+1]; resp == nil || resp.OK || resp.Err != want {
+			t.Fatalf("kind %d answered %+v, want %q", old.Kind, resp, want)
+		}
+		if resp := answers[id+2]; resp == nil || !resp.OK || string(resp.Data) != "hello" || resp.Version != wr.Version {
+			t.Fatalf("the get pipelined behind kind %d answered %+v", old.Kind, resp)
+		}
+	}
+	if got := g.Counters().Passthrough.Value(); got != uint64(len(retired)) {
+		t.Errorf("%d requests passed through, want the %d retired kinds", got, len(retired))
+	}
+	if gotFloors, gotCached := snapshot(); !maps.Equal(gotFloors, floors) || gotCached != cached {
+		t.Errorf("floors %v and %d cache entries after the refusals, want %v and %d", gotFloors, gotCached, floors, cached)
+	}
+	if res, err := g.Get("f"); err != nil || res.Source != SourceCache || res.Version != wr.Version {
+		t.Errorf("get after the refusals: %+v, %v; want the cached v%d", res, err, wr.Version)
 	}
 }

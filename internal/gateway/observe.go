@@ -35,7 +35,6 @@ type Counters struct {
 	Inserts     metrics.AtomicCounter // acknowledged inserts
 	Updates     metrics.AtomicCounter // acknowledged updates
 	Deletes     metrics.AtomicCounter // acknowledged deletes
-	Batches     metrics.AtomicCounter // KindBatch frames sent
 	Passthrough metrics.AtomicCounter // uninterposed requests forwarded
 	PeersDown   metrics.AtomicCounter // entry peers declared down
 	PeersUp     metrics.AtomicCounter // entry peers restored
@@ -56,7 +55,6 @@ type CountersSnapshot struct {
 	Inserts       uint64 `json:"inserts" prom:"lesslog_gateway_writes_total,kind=insert"`
 	Updates       uint64 `json:"updates" prom:"lesslog_gateway_writes_total,kind=update"`
 	Deletes       uint64 `json:"deletes" prom:"lesslog_gateway_writes_total,kind=delete"`
-	Batches       uint64 `json:"batches" prom:"lesslog_gateway_batches_total"`
 	Passthrough   uint64 `json:"passthrough" prom:"lesslog_gateway_passthrough_total"`
 	PeersDown     uint64 `json:"peers_down" prom:"lesslog_gateway_peer_flips_total,direction=down"`
 	PeersUp       uint64 `json:"peers_up" prom:"lesslog_gateway_peer_flips_total,direction=up"`
@@ -117,9 +115,7 @@ type StatSnapshot struct {
 
 	GetLatencyMS   metrics.DistStat `json:"get_latency_ms" prom:"lesslog_gateway_get_latency_seconds,scale=1e-9"`
 	WriteLatencyMS metrics.DistStat `json:"write_latency_ms" prom:"lesslog_gateway_write_latency_seconds,scale=1e-9"`
-	BatchLatencyMS metrics.DistStat `json:"batch_latency_ms" prom:"lesslog_gateway_batch_latency_seconds,scale=1e-9"`
 	QueueWaitMS    metrics.DistStat `json:"queue_wait_ms" prom:"lesslog_gateway_queue_wait_seconds,scale=1e-9"`
-	BatchSize      metrics.DistStat `json:"batch_size" prom:"lesslog_gateway_batch_size_subrequests"`
 
 	// The embedded transport's counters: in the JSON, off /metrics.
 	Transport transport.CountersSnapshot `json:"transport" prom:"-"`
@@ -164,8 +160,6 @@ func (g *Gateway) StatSnapshot() StatSnapshot {
 
 		GetLatencyMS:   g.obs.get.Snapshot().DistStat(metrics.NsToMS),
 		WriteLatencyMS: g.obs.write.Snapshot().DistStat(metrics.NsToMS),
-		BatchLatencyMS: g.obs.batch.Snapshot().DistStat(metrics.NsToMS),
-		BatchSize:      g.obs.batchSize.Snapshot().DistStat(1),
 		Transport:      g.tr.Counters().Snapshot(),
 	}
 	if g.adm != nil {
@@ -179,9 +173,9 @@ func (g *Gateway) StatSnapshot() StatSnapshot {
 func (g *Gateway) StatLine() string {
 	c := g.countersSnapshot()
 	return fmt.Sprintf(
-		"gateway peers=%d cache=%d/%d hits=%d misses=%d coalesced=%d stale-served=%d shed=%d fetch-errors=%d batches=%d %s",
+		"gateway peers=%d cache=%d/%d hits=%d misses=%d coalesced=%d stale-served=%d shed=%d fetch-errors=%d %s",
 		len(g.peers), g.cache.len(), g.cfg.CacheSize,
-		c.Hits, c.Misses, c.Coalesced, c.StaleServed, c.Shed, c.FetchErrors, c.Batches,
+		c.Hits, c.Misses, c.Coalesced, c.StaleServed, c.Shed, c.FetchErrors,
 		g.tr.Counters())
 }
 

@@ -178,32 +178,6 @@ func TestRetentionSweep(t *testing.T) {
 		want["gw/updated"] = data
 	}
 
-	// Batches of writes, at a peer and at the gateway.
-	write(peers[0].Addr(), msg.KindInsert, "batch/peer-updated", bodySize)
-	write(peers[0].Addr(), msg.KindInsert, "batch/gw-updated", bodySize)
-	for _, tc := range []struct{ addr, prefix string }{{peers[5].Addr(), "batch/peer"}, {srv.Addr(), "batch/gw"}} {
-		ins, upd := body(bodySize), body(bodySize)
-		subs := []*msg.Request{
-			{Kind: msg.KindInsert, Name: tc.prefix + "-inserted", Data: ins},
-			{Kind: msg.KindUpdate, Name: tc.prefix + "-updated", Data: upd},
-		}
-		frame, err := msg.AppendBatchRequests(nil, subs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp := do(tc.addr, &msg.Request{Kind: msg.KindBatch, Data: frame})
-		answers, err := msg.DecodeBatchResponses(resp.Data)
-		if err != nil || len(answers) != len(subs) {
-			t.Fatalf("batch at %s: %d answers, err %v", tc.addr, len(answers), err)
-		}
-		for i, a := range answers {
-			if !a.OK {
-				t.Fatalf("batch at %s: %v %q refused: %s", tc.addr, subs[i].Kind, subs[i].Name, a.Err)
-			}
-		}
-		want[tc.prefix+"-inserted"], want[tc.prefix+"-updated"] = ins, upd
-	}
-
 	// Unrelated traffic, enough to turn the read-buffer pool over many times:
 	// every exchange below reads a 4 KiB frame into a pooled buffer at one
 	// peer at least, and there are only a handful of buffers in the pool.
@@ -243,7 +217,7 @@ func TestRetentionSweep(t *testing.T) {
 			t.Errorf("%q: the replica on P(%d) is gone", name, r.PID())
 		}
 	}
-	for _, name := range []string{"gw/inserted", "gw/updated", "batch/gw-inserted", "batch/gw-updated"} {
+	for _, name := range []string{"gw/inserted", "gw/updated"} {
 		res, err := g.Get(name)
 		if err != nil || res.Source != SourceCache || !bytes.Equal(res.Data, want[name]) {
 			t.Errorf("%q from the gateway: source %v, err %v, %d bytes starting %q, want a cache hit starting %q",

@@ -4,10 +4,11 @@ package gateway
 // the peers speak, so any existing client (netnode.Client, netnode.Conn,
 // `lesslogd -connect`) points at a gateway instead of a peer and gets the
 // edge behaviors transparently. Gets go through the cache and coalescer;
-// writes pass through with floor bookkeeping; KindBatch frames are
-// unpacked and each sub-request served through the same edge logic (so a
-// batch of hot gets is answered from cache without touching the fabric);
-// KindStat reports the gateway's own status; everything else forwards.
+// writes pass through with floor bookkeeping; KindStat reports the
+// gateway's own status; everything else forwards — a retired kind
+// included, so the client gets the peer's unknown-kind answer.
+// Pipelined frames on one connection are served concurrently, so a client
+// that wants many names keeps many gets in flight.
 
 import (
 	"encoding/json"
@@ -110,8 +111,6 @@ func (s *Server) dispatch(req *msg.Request) *msg.Response {
 			return errResponse(err)
 		}
 		return &msg.Response{OK: true, Hops: uint32(wr.Copies), Version: wr.Version, Path: hops}
-	case msg.KindBatch:
-		return s.handleBatch(req)
 	case msg.KindTraces:
 		return s.g.handleTraces()
 	case msg.KindStat:
@@ -121,20 +120,6 @@ func (s *Server) dispatch(req *msg.Request) *msg.Response {
 		return &msg.Response{OK: true, Data: []byte(s.g.StatLine())}
 	}
 	return s.forward(req)
-}
-
-// handleBatch unpacks a client batch and serves every sub-request through
-// the gateway's own dispatch — a hot batched get is a cache hit here, not
-// a fabric round-trip. (Sub-gets currently resolve one coalesced fetch
-// each rather than re-packing the misses into one upstream frame; use
-// Gateway.GetMany for that.) A traced batch comes back as one trace tree
-// under the one edge root (msg.ServeBatch).
-func (s *Server) handleBatch(req *msg.Request) *msg.Response {
-	resp, err := msg.ServeBatch(req, s.dispatch)
-	if err != nil {
-		return &msg.Response{Err: fmt.Sprintf("gateway: %v", err)}
-	}
-	return resp
 }
 
 func (s *Server) statJSON() *msg.Response {

@@ -28,7 +28,7 @@ func isEdgeRequest(req *msg.Request) bool {
 		return false
 	}
 	switch req.Kind {
-	case msg.KindGet, msg.KindInsert, msg.KindUpdate, msg.KindDelete, msg.KindBatch:
+	case msg.KindGet, msg.KindInsert, msg.KindUpdate, msg.KindDelete:
 		return true
 	}
 	return false
@@ -51,7 +51,7 @@ func (g *Gateway) stampEdge(req *msg.Request) {
 // client-traced requests always are, and untraced ones are promoted when
 // the head sampler picks them. Promoted writes go out traced (FlagTrace +
 // fresh ID + edge hop) so the fabric assembles the broadcast tree for
-// them; promoted gets and batches record edge-only — tracing must not
+// them; promoted gets record edge-only — tracing must not
 // knock a get off the cache/coalescer path it would otherwise take.
 // promoted marks sampler picks — the caller strips the trace section off
 // the response, so sampling stays invisible to clients that never asked.

@@ -157,8 +157,8 @@ func (s *HistogramSnapshot) Quantile(q float64) float64 {
 const NsToMS = 1e-6
 
 // DistStat summarizes one distribution for a JSON stats snapshot. Latency
-// distributions report milliseconds; size distributions (fan-out legs,
-// batch sizes) report plain counts.
+// distributions report milliseconds; size distributions (fan-out legs)
+// report plain counts.
 type DistStat struct {
 	Count uint64  `json:"count"`
 	Mean  float64 `json:"mean"`

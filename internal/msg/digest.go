@@ -4,7 +4,7 @@ package msg
 // digest of the sender's name set (a count-prefixed vector of uint64
 // bucket folds), the response's Data the (name, version) entries the
 // responder holds in buckets whose folds differ. Both directions follow
-// the batch/trace decoding discipline — every nested length is checked
+// the trace decoding discipline — every nested length is checked
 // against its limit and against the bytes actually present, a lying
 // prefix is ErrCorrupt, never an allocation.
 

@@ -5,7 +5,7 @@ package msg
 // verified chunk plus the transfer-level facts every chunk restates; a
 // KindLocateSet response's Data carries the replica set of a name as
 // (PID, address, version) holder records. All three follow the
-// digest/batch decoding discipline — every nested length is checked
+// digest decoding discipline — every nested length is checked
 // against its limit and against the bytes actually present, a lying
 // prefix is ErrCorrupt, never an allocation.
 

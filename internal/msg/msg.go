@@ -37,8 +37,8 @@ import (
 // Kind enumerates request types.
 type Kind uint8
 
-// Request kinds. KindGet and KindUpdate are forwarded per the lookup tree;
-// KindStat asks a node for its status snapshot.
+// Request kinds. KindGet and KindLocateSet are forwarded per the lookup
+// tree; KindStat asks a node for its status snapshot.
 const (
 	KindInsert Kind = iota + 1
 	KindGet
@@ -61,10 +61,7 @@ const (
 	// children-list broadcast updates use (FlagPropagate marks the
 	// broadcast legs; an update's legs are KindNotify).
 	KindDelete
-	// KindBatch pipelines several sub-requests in one frame: Data carries
-	// a bounds-checked list of encoded Requests (AppendBatchRequests), the
-	// response's Data the matching Responses. Batches do not nest.
-	KindBatch
+	_ // 10: retired sub-request batch; never reuse
 	_ // 11: retired single-holder locate; never reuse
 	// KindDigest is the anti-entropy synchronization probe of the replica
 	// repair subsystem (docs/REPAIR.md): Data carries a bounds-checked
@@ -147,8 +144,6 @@ func (k Kind) String() string {
 		return "has"
 	case KindDelete:
 		return "delete"
-	case KindBatch:
-		return "batch"
 	case KindDigest:
 		return "digest"
 	case KindTraces:
@@ -193,7 +188,6 @@ const (
 	MaxName  = 4 << 10  // 4 KiB file names
 	MaxData  = 16 << 20 // 16 MiB file payloads
 	MaxHops  = 512      // trace hop records per frame
-	MaxBatch = 256      // sub-requests per KindBatch frame
 	MaxFrame = MaxData + MaxName + 64 + MaxHops*hopWire
 
 	// MaxDigestBuckets bounds the bucket-hash vector of a KindDigest

@@ -223,9 +223,10 @@ func TestKindString(t *testing.T) {
 }
 
 // retiredKinds are the unassigned values below KindCount: the whole-frame
-// placement, folded into the direct KindNotify, and the single-holder
-// locate, folded into KindLocateSet.
-var retiredKinds = []Kind{4, 11}
+// placement, folded into the direct KindNotify; the sub-request batch,
+// never sent by any build and replaced by pipelined streams; and the
+// single-holder locate, folded into KindLocateSet.
+var retiredKinds = []Kind{4, 10, 11}
 
 // TestKindWireNumbers pins every kind's value on the wire. Kinds are
 // compared between builds by number, so a renumbering breaks every fleet
@@ -234,12 +235,12 @@ var retiredKinds = []Kind{4, 11}
 func TestKindWireNumbers(t *testing.T) {
 	named := map[Kind]uint8{
 		KindInsert: 1, KindGet: 2, KindUpdate: 3, KindStat: 5,
-		KindRegister: 6, KindTable: 7, KindHas: 8, KindDelete: 9, KindBatch: 10,
+		KindRegister: 6, KindTable: 7, KindHas: 8, KindDelete: 9,
 		KindDigest: 12, KindTraces: 13, KindFetch: 14, KindLocateSet: 15,
 		KindPut: 16, KindNotify: 17,
 	}
-	if len(named) != 15 {
-		t.Errorf("%d named kinds, want 15", len(named))
+	if len(named) != 14 {
+		t.Errorf("%d named kinds, want 14", len(named))
 	}
 	for k, want := range named {
 		if uint8(k) != want {
@@ -259,6 +260,26 @@ func TestKindWireNumbers(t *testing.T) {
 	}
 	if KindCount != 18 {
 		t.Errorf("KindCount = %d, want 18", KindCount)
+	}
+}
+
+// TestKindStringsExhaustive pins that every declared kind names itself:
+// adding a kind without extending String() (and with it the switch arms
+// that key on the name) fails here instead of silently reporting
+// "kind(N)" in metrics and stat output. The retired values are the only
+// gaps.
+func TestKindStringsExhaustive(t *testing.T) {
+	for k := 1; k < KindCount; k++ {
+		if slices.Contains(retiredKinds, Kind(k)) {
+			continue
+		}
+		s := Kind(k).String()
+		if s == "" || strings.HasPrefix(s, "kind(") {
+			t.Errorf("Kind(%d) has default String %q; extend Kind.String", k, s)
+		}
+	}
+	if got := Kind(KindCount).String(); !strings.HasPrefix(got, "kind(") {
+		t.Errorf("Kind(KindCount) = %q; KindCount no longer points past the last kind", got)
 	}
 }
 

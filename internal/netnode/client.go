@@ -447,7 +447,7 @@ func (c *Client) relay(req *msg.Request) (GetResult, error) {
 		// A traced fault still carries the route walked so far — hand the
 		// partial path back with the error so the operator sees where
 		// routing died.
-		return GetResult{Hops: int(resp.Hops), Path: resp.Path}, ReadError(req.Name, &resp)
+		return GetResult{Hops: int(resp.Hops), Path: resp.Path}, readError(req.Name, &resp)
 	}
 	return getResult(&resp), nil
 }
@@ -459,9 +459,9 @@ func getResult(resp *msg.Response) GetResult {
 	}
 }
 
-// ReadError classifies a refused whole-frame get: ErrOverFrame when a
+// readError classifies a refused whole-frame get: ErrOverFrame when a
 // holder has the file but cannot frame it, ErrFault otherwise.
-func ReadError(name string, resp *msg.Response) error {
+func readError(name string, resp *msg.Response) error {
 	if strings.HasPrefix(resp.Err, msg.OverFrameError) {
 		return fmt.Errorf("%w: %s", ErrOverFrame, name)
 	}

@@ -512,32 +512,16 @@ func (p *Peer) view(target bitops.PID) ptree.View {
 // cooperates), and finished entry requests land in the trace ring —
 // sampled ones always, slow or errored ones regardless.
 func (p *Peer) handle(req *msg.Request) *msg.Response {
-	return p.handleTimed(req, true)
-}
-
-// handleSub is handle for batch sub-requests: same histograms, no entry
-// sampling or recording — the batch frame is the entry request; its subs
-// inherit whatever trace it carries.
-func (p *Peer) handleSub(req *msg.Request) *msg.Response {
-	return p.handleTimed(req, false)
-}
-
-func (p *Peer) handleTimed(req *msg.Request, entry bool) *msg.Response {
 	start := time.Now()
-	var sampled, promoted bool
-	if entry {
-		sampled, promoted = p.maybeSampleEntry(req)
-	}
+	sampled, promoted := p.maybeSampleEntry(req)
 	resp := p.dispatch(req)
 	elapsed := time.Since(start)
 	p.obs.handleHist(req.Kind).ObserveDuration(elapsed)
-	if entry {
-		p.recordEntryTrace(req, resp, start, elapsed, sampled)
-		if promoted {
-			// The client never asked for a trace; the stamped route was for
-			// the ring only.
-			resp.Path = nil
-		}
+	p.recordEntryTrace(req, resp, start, elapsed, sampled)
+	if promoted {
+		// The client never asked for a trace; the stamped route was for the
+		// ring only.
+		resp.Path = nil
 	}
 	return resp
 }
@@ -571,8 +555,6 @@ func (p *Peer) dispatch(req *msg.Request) *msg.Response {
 		return p.handleTable()
 	case msg.KindHas:
 		return p.handleHas(req)
-	case msg.KindBatch:
-		return p.handleBatch(req)
 	case msg.KindDigest:
 		return p.handleDigest(req)
 	case msg.KindTraces:
@@ -587,18 +569,6 @@ func (p *Peer) dispatch(req *msg.Request) *msg.Response {
 		return p.handleNotify(req)
 	}
 	return &msg.Response{Err: msg.UnknownKindError(req.Kind)}
-}
-
-// handleBatch serves a batch frame: every sub-request runs through the
-// ordinary handler, so forwarding, fan-out, stats and histograms all apply
-// per sub-request (msg.ServeBatch).
-func (p *Peer) handleBatch(req *msg.Request) *msg.Response {
-	resp, err := msg.ServeBatch(req, p.handleSub)
-	if err != nil {
-		return &msg.Response{Err: fmt.Sprintf("netnode: %v", err)}
-	}
-	resp.ServedBy = uint32(p.cfg.PID)
-	return resp
 }
 
 // ErrTombstoned is the answer to a placement of a name the target has seen

@@ -29,7 +29,7 @@ func isEntryRequest(req *msg.Request) bool {
 		return false
 	}
 	switch req.Kind {
-	case msg.KindGet, msg.KindLocateSet, msg.KindInsert, msg.KindUpdate, msg.KindDelete, msg.KindBatch:
+	case msg.KindGet, msg.KindLocateSet, msg.KindInsert, msg.KindUpdate, msg.KindDelete:
 		return true
 	}
 	return false

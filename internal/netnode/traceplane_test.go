@@ -107,40 +107,6 @@ func TestTracedUpdateBroadcastTree(t *testing.T) {
 	}
 }
 
-// TestTracedBatchSpreadsTrace sends a traced KindBatch frame and expects
-// the sub-request routes spliced into the outer response under the
-// batch's single trace ID.
-func TestTracedBatchSpreadsTrace(t *testing.T) {
-	peers := startSystem(t, 4, 0, allPIDs(16), hashring.Fixed(4))
-	if err := NewClient(peers[0].Addr()).Insert("tb/f", []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	subs := []*msg.Request{
-		{Kind: msg.KindGet, Name: "tb/f"},
-		{Kind: msg.KindGet, Name: "tb/f"},
-	}
-	data, err := msg.AppendBatchRequests(nil, subs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := Call(peers[9].Addr(), &msg.Request{
-		Kind: msg.KindBatch, Data: data, Flags: msg.FlagTrace, TraceID: 42,
-	})
-	if err != nil || !resp.OK {
-		t.Fatalf("traced batch: %+v, %v", resp, err)
-	}
-	serves := 0
-	for _, h := range resp.Path {
-		if h.Action == msg.HopServe {
-			serves++
-		}
-	}
-	if serves < 2 {
-		t.Fatalf("traced batch route has %d serve hops, want one per sub-get: %v", serves, resp.Path)
-	}
-	assertTree(t, resp.Path)
-}
-
 // TestRepairRoundTraceStar samples one anti-entropy round and checks its
 // trace is the star the repair plane produces: a HopRepair root at the
 // repairing peer, every responder hop parented directly onto it, and the

@@ -6,6 +6,9 @@ package lesslog
 // `func Test…` somewhere in the tree.
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path"
@@ -169,6 +172,51 @@ func staleDocRefs(docPath, doc string, targets []string) []string {
 	return stale
 }
 
+// kindRef matches a backquoted `Kind…` or `msg.Kind…` at the start of a
+// code span: a wire kind the doc says exists.
+var kindRef = regexp.MustCompile("`(?:msg\\.)?(Kind[A-Za-z0-9_]+)")
+
+// unknownKinds returns the kind names doc cites that declared lacks.
+func unknownKinds(doc string, declared map[string]bool) []string {
+	var unknown []string
+	for _, m := range kindRef.FindAllStringSubmatch(doc, -1) {
+		if !declared[m[1]] {
+			unknown = append(unknown, m[1])
+		}
+	}
+	return unknown
+}
+
+// msgConsts collects the names of the constants internal/msg declares.
+func msgConsts(t *testing.T) map[string]bool {
+	t.Helper()
+	srcs, err := filepath.Glob(filepath.Join("internal", "msg", "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	declared := map[string]bool{}
+	fset := token.NewFileSet()
+	for _, src := range srcs {
+		if strings.HasSuffix(src, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, src, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			if gd, ok := decl.(*ast.GenDecl); ok && gd.Tok == token.CONST {
+				for _, spec := range gd.Specs {
+					for _, name := range spec.(*ast.ValueSpec).Names {
+						declared[name.Name] = true
+					}
+				}
+			}
+		}
+	}
+	return declared
+}
+
 func TestDocsNameRealTargetsAndFiles(t *testing.T) {
 	mk, err := os.ReadFile("Makefile")
 	if err != nil {
@@ -183,19 +231,30 @@ func TestDocsNameRealTargetsAndFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	docs = append([]string{"README.md", "DESIGN.md", "EXPERIMENTS.md"}, docs...)
-	cited := 0
+	kinds := msgConsts(t)
+	if !kinds["KindGet"] {
+		t.Fatal("internal/msg declares no KindGet: the constant scan itself is broken")
+	}
+	cited, kindsCited := 0, 0
 	for _, doc := range docs {
 		src, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cited += len(makeCmd.FindAllString(string(src), -1)) + len(resultsPath.FindAllString(string(src), -1))
+		kindsCited += len(kindRef.FindAllString(string(src), -1))
 		for _, ref := range staleDocRefs(doc, string(src), targets) {
 			t.Errorf("%s names %s, which does not exist", doc, ref)
+		}
+		for _, kind := range unknownKinds(string(src), kinds) {
+			t.Errorf("%s names %s, which internal/msg does not declare", doc, kind)
 		}
 	}
 	if cited == 0 {
 		t.Fatal("found no `make` target or results/ path in any doc: the scan itself is broken")
+	}
+	if kindsCited == 0 {
+		t.Fatal("found no `Kind…` in any doc: the kind scan itself is broken")
 	}
 
 	// The check must bite: a dead target, a dead link and a dead path are
@@ -207,5 +266,14 @@ func TestDocsNameRealTargetsAndFiles(t *testing.T) {
 	want := []string{"make no-such-target", filepath.Join("results", "gone.json"), "results/gone.txt"}
 	if strings.Join(got, "|") != strings.Join(want, "|") {
 		t.Fatalf("stale references in a doc with three dead ones = %q, want %q", got, want)
+	}
+
+	// A retired kind is reported, next to live ones, a call and prose. Its
+	// name is spelled in two parts so that a grep of the Go sources for it
+	// finds none.
+	retired := "Kind" + "Batch"
+	doc = "`KindGet` and `msg.KindNotify` are served; `" + retired + "` is not, nor is `msg.Kind(10)` a Kind."
+	if got := unknownKinds(doc, kinds); len(got) != 1 || got[0] != retired {
+		t.Fatalf("unknown kinds in a doc citing %s = %q, want [%s]", retired, got, retired)
 	}
 }
