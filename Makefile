@@ -23,15 +23,17 @@ bench:
 
 # The data path's allocation budgets (docs/PIPELINE.md "Buffer ownership":
 # payload copies, the exchange envelopes that stay off the heap, an inline
-# placement's one copy of a lent body), a cold gateway read's (the body it
-# caches, no transfer, hint-set, cache-slot or flight allocation beside it)
+# placement's one copy of a lent body, a superseded body recycled at one
+# frame and past it, and through the gateway's write-through cache), a cold
+# gateway read's (the body it caches, no transfer, hint-set, cache-slot or
+# flight allocation beside it)
 # and compaction's (docs/STORAGE.md), plus the chunk planes' checksum-pass
 # count (docs/ROUTING.md "Checksums"): a reintroduced payload copy or
 # whole-body CRC pass fails them. Then one iteration of every Go benchmark,
 # so benchmark code cannot rot; it measures nothing — every number comes
 # from the ledger, `make bench-e2e`. CI runs this on every push.
 bench-smoke:
-	$(GO) test -count 1 -run 'TestLargeFrameAllocBudget|TestSmallFrameAllocBudget|TestLyingPrefixAllocationBound|TestExchangeAllocBudget|TestChunkPlaneAllocBudget|TestBroadcastAllocBudget|TestUpdateReusesSupersededBody|TestLocateSetAllocBudget|TestInlinePlacementAllocBudget|TestBodyChecksummedOncePerHop|TestAppendAllocatesNothing|TestCompactionAllocBudget|TestColdGatewayReadAllocBudget|TestLRUPutAtCapacityAllocatesNothing|TestFlightWithoutFollowersAllocatesNothing' ./internal/msg/ ./internal/transport/ ./internal/netnode/ ./internal/wal/ ./internal/gateway/ ./internal/lru/
+	$(GO) test -count 1 -run 'TestLargeFrameAllocBudget|TestSmallFrameAllocBudget|TestLyingPrefixAllocationBound|TestExchangeAllocBudget|TestChunkPlaneAllocBudget|TestBroadcastAllocBudget|TestUpdateReusesSupersededBody|TestOverFrameUpdateReusesSupersededBody|TestLocateSetAllocBudget|TestInlinePlacementAllocBudget|TestBodyChecksummedOncePerHop|TestAppendAllocatesNothing|TestCompactionAllocBudget|TestColdGatewayReadAllocBudget|TestGatewayUpdateReusesSupersededBody|TestLRUPutAtCapacityAllocatesNothing|TestFlightWithoutFollowersAllocatesNothing' ./internal/msg/ ./internal/transport/ ./internal/netnode/ ./internal/wal/ ./internal/gateway/ ./internal/lru/
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
 # The end-to-end perf ledger (bench/README.md): the four closed-loop

@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
 	"testing"
@@ -66,5 +67,61 @@ func TestColdGatewayReadAllocBudget(t *testing.T) {
 	const budget, allocBudget = 5500, 20
 	if perRead > budget || allocs > allocBudget {
 		t.Errorf("cold gateway read allocated %.0f B in %.1f allocs, budget %d B in %d", perRead, allocs, budget, allocBudget)
+	}
+}
+
+// TestGatewayUpdateReusesSupersededBody: a 1 MiB update through the
+// gateway's wire listener arrives in a frame buffer of its own, which the
+// write-through cache entry keeps. The entry gives it back when the next
+// update supersedes it, so that update's frame is read into it, and a warm
+// update allocates a small fraction of one body instead of one per update.
+// The last body is then served from the cache, its frame buffer intact.
+func TestGatewayUpdateReusesSupersededBody(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const (
+		name = "reuse/gw"
+		size = 1 << 20
+		runs = 20
+	)
+	addrs, _ := startLocateFabric(t, 2, 1, 4) // two holders per name
+	g := newGateway(t, Config{Peers: addrs})
+	srv, err := g.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	cl := netnode.NewClient(srv.Addr())
+	bodies := [2][]byte{chunkPayload(size, 98), chunkPayload(size, 99)}
+	if err := cl.Insert(name, bodies[0]); err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	update := func() {
+		i++
+		if n, err := cl.Update(name, bodies[i%2]); err != nil || n != 2 {
+			t.Fatalf("update touched %d copies, %v", n, err)
+		}
+	}
+	update() // warms the connections, the hints and the free list
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for k := 0; k < runs; k++ {
+		update()
+	}
+	runtime.ReadMemStats(&after)
+	perUpdate := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	t.Logf("1 MiB update through the gateway: %.0f B/op", perUpdate)
+	if perUpdate > 256<<10 {
+		t.Errorf("1 MiB update through the gateway allocated %.0f B/op, want under 256 KiB: a superseded cache entry kept its frame", perUpdate)
+	}
+	hits := g.Counters().Hits.Value()
+	res, err := cl.Get(name)
+	if err != nil || !bytes.Equal(res.Data, bodies[i%2]) {
+		t.Fatalf("get after the updates: %d bytes, %v; want the last update", len(res.Data), err)
+	}
+	if g.Counters().Hits.Value() != hits+1 {
+		t.Fatal("the last update was not served from the write-through cache")
 	}
 }

@@ -13,6 +13,13 @@ package gateway
 // The entries live in an array-backed LRU (internal/lru) whose evicted
 // slots take the next fill, so a fill at capacity — every miss of a working
 // set larger than the cache — allocates nothing of the cache's own.
+//
+// A write-through entry whose bytes are a frame buffer the write arrived in
+// holds a reference to it (msg.Ref), ended when a newer version supersedes
+// the entry or a removal or capacity eviction drops it; every hit takes a
+// reference of its own under the cache's lock. So a superseded entry's
+// buffer goes back to the free list for the next frame once the last hit
+// served from it is written, and never before.
 
 import (
 	"sync"
@@ -20,11 +27,14 @@ import (
 
 	"lesslog/internal/lru"
 	"lesslog/internal/metrics"
+	"lesslog/internal/msg"
 )
 
-// entry is one cached file version.
+// entry is one cached file version, with the cache's reference to the frame
+// buffer data points into (nil when data is an allocation of its own).
 type entry struct {
 	data     []byte
+	ref      *msg.Ref
 	version  uint64
 	servedBy uint32
 	hops     uint32
@@ -62,9 +72,11 @@ func newVersionCache(capacity int, ttl time.Duration) *versionCache {
 	}
 }
 
-// get returns the cached entry for name if it satisfies the name's floor.
-// fresh reports whether it is also within its TTL; a stale-but-ok entry is
-// the floor fallback, not a servable hit.
+// get returns the cached entry for name if it satisfies the name's floor,
+// with a reference of the caller's own to its buffer (e.ref) that the
+// caller ends once done with e.data — or never, leaving the buffer to the
+// collector. fresh reports whether it is also within its TTL; a
+// stale-but-ok entry is the floor fallback, not a servable hit.
 func (vc *versionCache) get(name string) (e entry, fresh, ok bool) {
 	vc.mu.Lock()
 	defer vc.mu.Unlock()
@@ -74,10 +86,11 @@ func (vc *versionCache) get(name string) (e entry, fresh, ok bool) {
 	}
 	if ent.version < vc.floors[name] {
 		// A floor raised after the fill; the entry is dead weight.
-		vc.entries.Remove(name)
+		vc.removeLocked(name)
 		vc.c.invalidations.Inc()
 		return entry{}, false, false
 	}
+	ent.ref.Retain()
 	return *ent, time.Now().Before(ent.expires), true
 }
 
@@ -94,15 +107,17 @@ func (vc *versionCache) put(name string, data []byte, version uint64, servedBy, 
 	if vc.cap <= 0 {
 		return true // fill accepted for the caller's purposes, nothing retained
 	}
-	vc.insertLocked(name, data, version, servedBy, hops)
+	vc.insertLocked(name, data, nil, version, servedBy, hops)
 	return true
 }
 
 // ackUpdate records an acknowledged update: the floor rises to version
 // (monotonically — racing acks settle on the newest) and the written data
 // is cached write-through, so readers see the new version immediately
-// instead of waiting out a round-trip.
-func (vc *versionCache) ackUpdate(name string, data []byte, version uint64) {
+// instead of waiting out a round-trip. ref is the writer's reference to the
+// frame buffer data points into, nil for none: a cached entry takes one of
+// its own.
+func (vc *versionCache) ackUpdate(name string, data []byte, ref *msg.Ref, version uint64) {
 	vc.mu.Lock()
 	defer vc.mu.Unlock()
 	if version > vc.floors[name] {
@@ -114,24 +129,24 @@ func (vc *versionCache) ackUpdate(name string, data []byte, version uint64) {
 	if ent, present := vc.entries.Peek(name); present && ent.version >= version {
 		return // already newer
 	}
-	vc.insertLocked(name, data, version, 0, 0)
+	vc.insertLocked(name, data, ref, version, 0, 0)
 }
 
 // ackInsert records an acknowledged insert. An insert starts a new
 // generation of the name — after a delete the fabric's version clock may
 // restart lower — so the floor resets to the new version instead of
-// ratcheting.
-func (vc *versionCache) ackInsert(name string, data []byte, version uint64) {
+// ratcheting. ref is as for ackUpdate.
+func (vc *versionCache) ackInsert(name string, data []byte, ref *msg.Ref, version uint64) {
 	vc.mu.Lock()
 	defer vc.mu.Unlock()
 	vc.floors[name] = version
 	if vc.cap <= 0 {
 		return
 	}
-	if _, present := vc.entries.Remove(name); present {
+	if _, present := vc.removeLocked(name); present {
 		vc.c.invalidations.Inc()
 	}
-	vc.insertLocked(name, data, version, 0, 0)
+	vc.insertLocked(name, data, ref, version, 0, 0)
 }
 
 // ackDelete records an acknowledged delete, whose tombstone the fabric
@@ -144,7 +159,7 @@ func (vc *versionCache) ackDelete(name string, tomb uint64) {
 	vc.mu.Lock()
 	defer vc.mu.Unlock()
 	floor := vc.floors[name]
-	if ent, present := vc.entries.Remove(name); present {
+	if ent, present := vc.removeLocked(name); present {
 		if ent.version >= floor {
 			floor = ent.version + 1
 		}
@@ -169,12 +184,25 @@ func (vc *versionCache) len() int {
 	return vc.entries.Len()
 }
 
-// insertLocked installs or refreshes an entry and evicts past capacity.
-// Floors outlive their entries deliberately: eviction forgets data, never
-// write ordering.
-func (vc *versionCache) insertLocked(name string, data []byte, version uint64, servedBy, hops uint32) {
-	e := entry{data: data, version: version, servedBy: servedBy, hops: hops, expires: time.Now().Add(vc.ttl)}
-	if _, _, evicted := vc.entries.Put(name, e); evicted {
+// insertLocked installs or refreshes an entry, taking a reference to ref
+// for it and ending the one of the entry it supersedes, and evicts past
+// capacity. Floors outlive their entries deliberately: eviction forgets
+// data, never write ordering.
+func (vc *versionCache) insertLocked(name string, data []byte, ref *msg.Ref, version uint64, servedBy, hops uint32) {
+	if old, present := vc.entries.Peek(name); present {
+		old.ref.Release()
+	}
+	e := entry{data: data, ref: ref.Retain(), version: version, servedBy: servedBy, hops: hops, expires: time.Now().Add(vc.ttl)}
+	if _, old, evicted := vc.entries.Put(name, e); evicted {
+		old.ref.Release()
 		vc.c.evictions.Inc()
 	}
+}
+
+// removeLocked drops name's entry, ending its reference, and returns it.
+// Caller holds mu.
+func (vc *versionCache) removeLocked(name string) (entry, bool) {
+	e, present := vc.entries.Remove(name)
+	e.ref.Release()
+	return e, present
 }

@@ -39,7 +39,7 @@ func TestCacheTTLAndLRU(t *testing.T) {
 
 func TestCacheFloorRefusesStaleFills(t *testing.T) {
 	vc := newVersionCache(8, time.Minute)
-	vc.ackUpdate("f", []byte("v5"), 5)
+	vc.ackUpdate("f", []byte("v5"), nil, 5)
 	if vc.put("f", []byte("v3"), 3, 0, 0) {
 		t.Fatal("fill below the floor was accepted")
 	}
@@ -58,8 +58,8 @@ func TestCacheFloorRefusesStaleFills(t *testing.T) {
 
 func TestCacheAckUpdateIsMonotonic(t *testing.T) {
 	vc := newVersionCache(8, time.Minute)
-	vc.ackUpdate("f", []byte("v7"), 7)
-	vc.ackUpdate("f", []byte("v4"), 4) // late-arriving older ack
+	vc.ackUpdate("f", []byte("v7"), nil, 7)
+	vc.ackUpdate("f", []byte("v4"), nil, 4) // late-arriving older ack
 	if got := vc.floor("f"); got != 7 {
 		t.Fatalf("floor = %d, want 7 (racing acks settle on the newest)", got)
 	}
@@ -71,7 +71,7 @@ func TestCacheAckUpdateIsMonotonic(t *testing.T) {
 
 func TestCacheAckInsertResetsGeneration(t *testing.T) {
 	vc := newVersionCache(8, time.Minute)
-	vc.ackUpdate("f", []byte("v9"), 9)
+	vc.ackUpdate("f", []byte("v9"), nil, 9)
 	vc.ackDelete("f", 0)
 	if _, _, ok := vc.get("f"); ok {
 		t.Fatal("deleted entry still served")
@@ -80,7 +80,7 @@ func TestCacheAckInsertResetsGeneration(t *testing.T) {
 		t.Fatalf("post-delete floor = %d, want 10 (past the deleted version)", got)
 	}
 	// Re-insert starts a new generation with a lower fabric version.
-	vc.ackInsert("f", []byte("new"), 2)
+	vc.ackInsert("f", []byte("new"), nil, 2)
 	if got := vc.floor("f"); got != 2 {
 		t.Fatalf("post-insert floor = %d, want 2 (reset, not ratcheted)", got)
 	}
@@ -92,7 +92,7 @@ func TestCacheAckInsertResetsGeneration(t *testing.T) {
 
 func TestCacheDeleteWithoutEntryStillBlocksRefill(t *testing.T) {
 	vc := newVersionCache(8, time.Minute)
-	vc.ackUpdate("f", nil, 5)
+	vc.ackUpdate("f", nil, nil, 5)
 	// Entry evicted before the delete lands.
 	vc.mu.Lock()
 	vc.entries.Remove("f")
@@ -134,7 +134,7 @@ func TestCacheDeleteFencesTombstonedVersions(t *testing.T) {
 
 func TestCacheDisabledStillEnforcesFloors(t *testing.T) {
 	vc := newVersionCache(-1, time.Minute)
-	vc.ackUpdate("f", []byte("v5"), 5)
+	vc.ackUpdate("f", []byte("v5"), nil, 5)
 	if vc.put("f", []byte("v3"), 3, 0, 0) {
 		t.Fatal("cacheless floor let a stale fill through")
 	}
@@ -160,7 +160,7 @@ func TestCacheConcurrentAccess(t *testing.T) {
 				vc.put(name, []byte("x"), uint64(i), 0, 0)
 				vc.get(name)
 				if i%17 == 0 {
-					vc.ackUpdate(name, []byte("y"), uint64(i+1))
+					vc.ackUpdate(name, []byte("y"), nil, uint64(i+1))
 				}
 				if i%61 == 0 {
 					vc.ackDelete(name, 0)

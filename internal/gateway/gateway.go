@@ -301,18 +301,30 @@ func (g *Gateway) admit() (func(), error) {
 }
 
 // Get serves one read: fresh cache hit, else one coalesced fabric fetch.
+// A hit's Data may be a frame buffer a write arrived in: Get's reference to
+// it is never ended, so the buffer stays the caller's and the collector's.
 func (g *Gateway) Get(name string) (Result, error) {
+	res, _, err := g.read(name)
+	return res, err
+}
+
+// read is Get answering, for a hit, its reference to the frame buffer Data
+// points into (nil for none), which the caller ends once done with Data.
+func (g *Gateway) read(name string) (Result, *msg.Ref, error) {
 	release, err := g.admit()
 	if err != nil {
-		return Result{}, err
+		return Result{}, nil, err
 	}
 	defer release()
 	start := time.Now()
 	defer func() { g.obs.get.ObserveDuration(time.Since(start)) }()
 
-	if e, fresh, ok := g.cache.get(name); ok && fresh {
-		g.counters.Hits.Inc()
-		return resultOf(e, SourceCache), nil
+	if e, fresh, ok := g.cache.get(name); ok {
+		if fresh {
+			g.counters.Hits.Inc()
+			return resultOf(e, SourceCache), e.ref, nil
+		}
+		e.ref.Release()
 	}
 	res, shared, err := g.flights.do(name, func() (Result, error) { return g.fetch(name) })
 	if shared {
@@ -323,14 +335,15 @@ func (g *Gateway) Get(name string) (Result, error) {
 				// gateway has since acknowledged; its result is older than
 				// the floor this Get must honor. One direct fetch resolves
 				// it — fetch itself enforces the floor on the way back in.
-				return g.fetch(name)
+				res, err = g.fetch(name)
+				return res, nil, err
 			}
 			if res.Source == SourceFabric {
 				res.Source = SourceCoalesced
 			}
 		}
 	}
-	return res, err
+	return res, nil, err
 }
 
 // maxFillAttempts bounds how often one miss re-reads because a write was
@@ -363,7 +376,8 @@ func (g *Gateway) fetch(name string) (Result, error) {
 // admitFill enforces the version floor on a fill: one older than an
 // acknowledged write is refused, and a retained cache entry that still
 // satisfies the floor is served in its place (counted as StaleServed — the
-// fabric, not the cache, was stale).
+// fabric, not the cache, was stale). The entry's reference is never ended:
+// a flight's followers share the result, so its buffer is the collector's.
 func (g *Gateway) admitFill(name string, data []byte, version uint64, servedBy, hops uint32) (Result, error) {
 	if g.cache.put(name, data, version, servedBy, hops) {
 		return Result{
@@ -404,7 +418,7 @@ func (g *Gateway) Delete(name string) (WriteResult, error) {
 // transport error means "outcome unknown", which the caller must resolve
 // (typically by reading back).
 func (g *Gateway) write(kind msg.Kind, name string, data []byte) (WriteResult, error) {
-	wr, _, err := g.writeTraced(kind, name, data, 0, nil)
+	wr, _, err := g.writeTraced(kind, name, data, nil, 0, nil)
 	return wr, err
 }
 
@@ -414,8 +428,9 @@ func (g *Gateway) write(kind msg.Kind, name string, data []byte) (WriteResult, e
 // assembled comes back as hops. The mutation runs the shared client's write
 // ladder (size cap, hint-guided entry, staged upload over one frame); the
 // edge adds admission, latency, and — once acknowledged — the write-through
-// cache and floor.
-func (g *Gateway) writeTraced(kind msg.Kind, name string, data []byte, traceID uint64, path []msg.Hop) (WriteResult, []msg.Hop, error) {
+// cache and floor. ref is the caller's reference to the frame buffer data
+// points into (nil for none); the cached entry takes one of its own.
+func (g *Gateway) writeTraced(kind msg.Kind, name string, data []byte, ref *msg.Ref, traceID uint64, path []msg.Hop) (WriteResult, []msg.Hop, error) {
 	release, err := g.admit()
 	if err != nil {
 		return WriteResult{}, nil, err
@@ -439,10 +454,10 @@ func (g *Gateway) writeTraced(kind msg.Kind, name string, data []byte, traceID u
 	}
 	switch kind {
 	case msg.KindInsert:
-		g.cache.ackInsert(name, data, resp.Version)
+		g.cache.ackInsert(name, data, ref, resp.Version)
 		g.counters.Inserts.Inc()
 	case msg.KindUpdate:
-		g.cache.ackUpdate(name, data, resp.Version)
+		g.cache.ackUpdate(name, data, ref, resp.Version)
 		g.counters.Updates.Inc()
 	case msg.KindDelete:
 		g.cache.ackDelete(name, resp.Version)

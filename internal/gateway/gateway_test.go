@@ -299,7 +299,7 @@ func TestStaleFabricAnswersAreSuppressed(t *testing.T) {
 	}
 	// Simulate an acknowledged write the fabric has "lost" (or not yet
 	// converged on): the floor rises far past anything the peers hold.
-	g.cache.ackUpdate("st/f", []byte("acked"), 999)
+	g.cache.ackUpdate("st/f", []byte("acked"), nil, 999)
 	time.Sleep(40 * time.Millisecond) // expire the write-through entry
 
 	res, err := g.Get("st/f")
@@ -316,7 +316,7 @@ func TestStaleFabricAnswersAreSuppressed(t *testing.T) {
 	// With the cache disabled there is no retained copy to bridge the gap:
 	// the read fails loudly rather than serving pre-ack data.
 	g2 := newGateway(t, Config{Peers: addrs[:2], CacheSize: -1})
-	g2.cache.ackUpdate("st/f", nil, 999)
+	g2.cache.ackUpdate("st/f", nil, nil, 999)
 	if _, err := g2.Get("st/f"); !errors.Is(err, ErrStaleRead) {
 		t.Fatalf("cacheless stale read err = %v, want ErrStaleRead", err)
 	}

@@ -104,7 +104,7 @@ func newLadderEnv(t *testing.T, b int, gatewayed bool, faults *transport.Faults)
 		env.c = &ladderConsumer{
 			get: func(name string, minVer uint64) (ladderRead, error) {
 				if minVer > 0 {
-					g.cache.ackUpdate(name, nil, minVer)
+					g.cache.ackUpdate(name, nil, nil, minVer)
 				}
 				res, err := g.Get(name)
 				return ladderRead{res.Data, res.Version, res.ServedBy}, err

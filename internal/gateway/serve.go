@@ -87,14 +87,16 @@ func (s *Server) dispatch(req *msg.Request) *msg.Response {
 			// hide it. Pass through untouched.
 			return s.forward(req)
 		}
-		res, err := s.g.Get(req.Name)
+		res, ref, err := s.g.read(req.Name)
 		if err != nil {
 			return errResponse(err)
 		}
-		return &msg.Response{
+		resp := &msg.Response{
 			OK: true, ServedBy: res.ServedBy, Hops: uint32(res.Hops),
 			Version: res.Version, Data: res.Data,
 		}
+		resp.Attach(ref) // a hit's reference ends once the answer is written
+		return resp
 	case msg.KindInsert, msg.KindUpdate, msg.KindDelete:
 		// Traced writes run the same floor-keeping path with the trace
 		// section riding along, so the broadcast fan-out tree the fabric
@@ -105,8 +107,11 @@ func (s *Server) dispatch(req *msg.Request) *msg.Response {
 				traceID = s.g.traceIDs.Next()
 			}
 		}
-		req.Keep() // an acknowledged write's Data goes into the write-through cache, for good: its reference, if any, is never ended
-		wr, hops, err := s.g.writeTraced(req.Kind, req.Name, req.Data, traceID, req.Path)
+		// An acknowledged write's Data goes into the write-through cache,
+		// which takes a reference of its own.
+		ref := req.Keep()
+		defer ref.Release()
+		wr, hops, err := s.g.writeTraced(req.Kind, req.Name, req.Data, ref, traceID, req.Path)
 		if err != nil {
 			return errResponse(err)
 		}

@@ -1,17 +1,20 @@
 package msg
 
-// Buffer ownership of large frames (docs/PIPELINE.md "Buffer ownership"):
-// a frame longer than readChunk is read into one buffer of its own, the
-// decoded message's Data points into that buffer instead of being copied
-// out of it, and the message holds the buffer through a Ref, a counted
-// reference. Whoever keeps Data past the message — the store, the outbox,
-// a response written later — takes a reference of its own (Keep) and ends
-// it when done (Ref.Release); the message's own ends with Release, or with
-// its serve loop's lease. The last reference to end lists the buffer for
-// the next frame of its size, so a stored body that is superseded becomes
-// the buffer its successor is read into. A reference that is never ended
-// only pins the buffer, and the collector reclaims it as it would any
-// other allocation.
+// Buffer ownership of large frames and bodies (docs/PIPELINE.md "Buffer
+// ownership"): a frame longer than readChunk is read into one buffer of its
+// own, the decoded message's Data points into that buffer instead of being
+// copied out of it, and the message holds the buffer through a Ref, a
+// counted reference. A body this process assembles itself — a staged
+// upload, a chunked fetch reassembled — is held the same way (NewBody).
+// Whoever keeps Data past the message — the store, the outbox, a response
+// written later — takes a reference of its own (Keep) and ends it when done
+// (Ref.Release); the message's own ends with Release, or with its serve
+// loop's lease. The last reference to end lists the buffer for the next
+// frame or body of its size — frames and bodies up to one frame in one
+// list, bodies past it in another — so a stored body that is superseded
+// becomes the buffer its successor is read or assembled into. A reference
+// that is never ended only pins the buffer, and the collector reclaims it
+// as it would any other allocation.
 
 import (
 	"io"
@@ -25,24 +28,53 @@ import (
 // whole pages anyway, so the slack costs nothing.
 const frameAlign = 8 << 10
 
-// maxFreeFrameBytes bounds the free list — enough for the chunks two
+// maxFreeFrameBytes bounds the frame list — enough for the chunks two
 // default-window transfers keep in flight, so a steady chunk stream
 // allocates nothing, and little enough that an idle process does not sit
-// on a second cache.
+// on a second cache. The body list has a budget of its own, MaxFileSize:
+// one body of the largest size a transfer carries, so a listed body never
+// evicts the chunk frames, and an idle process sits on at most that much
+// more.
 const maxFreeFrameBytes = 32 << 20
 
-// frameList is the bounded free list released frame buffers wait in. A
-// buffer serves a frame it fits with at most an eighth to spare, so a
+// maxFrameCap is the largest capacity a frame buffer is given: MaxFrame
+// rounded up to frameAlign. A buffer past it holds a body no frame carries.
+const maxFrameCap = (MaxFrame + frameAlign - 1) / frameAlign * frameAlign
+
+// frameList is a bounded free list released buffers wait in. A buffer
+// serves a frame or body it fits with at most an eighth to spare, so a
 // recycled buffer that ends up kept (Data retained in the store) wastes
 // little; when the list is full the oldest buffer makes room, so the list
-// follows a change of chunk size instead of filling up with the old one.
+// follows a change of chunk or body size instead of filling up with the
+// old one.
 type frameList struct {
+	max   int // byte budget
 	mu    sync.Mutex
 	bufs  [][]byte
 	bytes int
 }
 
-var frames frameList
+var (
+	// frames lists buffers of up to one frame: frames read, and bodies
+	// assembled at those sizes.
+	frames = frameList{max: maxFreeFrameBytes}
+	// bodies lists buffers past one frame: staged uploads and reassembled
+	// fetches of an over-frame body.
+	bodies = frameList{max: MaxFileSize}
+)
+
+// listFor is the list a buffer of capacity c goes back to and a body of c
+// bytes is drawn from; nil for one of at most readChunk bytes, which no
+// frame read would fit and which the collector reclaims.
+func listFor(c int) *frameList {
+	switch {
+	case c <= readChunk:
+		return nil
+	case c <= maxFrameCap:
+		return &frames
+	}
+	return &bodies
+}
 
 // get returns a listed buffer fit for an n-byte frame, newest first, or nil.
 func (l *frameList) get(n int) []byte {
@@ -72,7 +104,7 @@ func (l *frameList) take(i int) []byte {
 // frame's bytes.
 func (l *frameList) put(buf []byte) {
 	buf = buf[:cap(buf)]
-	if len(buf) > maxFreeFrameBytes {
+	if len(buf) > l.max {
 		return
 	}
 	if poisonReleased {
@@ -82,7 +114,7 @@ func (l *frameList) put(buf []byte) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for l.bytes+len(buf) > maxFreeFrameBytes {
+	for l.bytes+len(buf) > l.max {
 		l.take(0)
 	}
 	l.bufs = append(l.bufs, buf)
@@ -132,22 +164,38 @@ func readLargeFrame(r io.Reader, n int) ([]byte, error) {
 	return buf, nil
 }
 
-// A Ref is a frame buffer shared by counted references: the message read
-// into it holds the first, and every holder of a view of it — a stored
-// copy, an outbox entry, a response being written — holds one more. The
-// buffer is listed for reuse when the last one ends. A nil *Ref holds
-// nothing, and its methods do nothing.
+// A Ref is a frame or body buffer shared by counted references: the message
+// read into it, or the assembler NewBody handed it to, holds the first, and
+// every holder of a view of it — a stored copy, an outbox entry, a response
+// being written — holds one more. The buffer is listed for reuse when the
+// last one ends. A nil *Ref holds nothing, and its methods do nothing.
 type Ref struct {
 	buf  []byte
 	refs atomic.Int32
 }
 
-// newRef wraps a buffer readLargeFrame returned in a Ref holding one
-// reference.
+// newRef wraps a buffer readLargeFrame or NewBody returned in a Ref holding
+// one reference.
 func newRef(buf []byte) *Ref {
 	r := &Ref{buf: buf}
 	r.refs.Store(1)
 	return r
+}
+
+// NewBody returns an n-byte buffer for a body this process assembles
+// itself — a staged upload, a reassembled chunked fetch — and the one
+// reference to it: a listed buffer that fits, else a new one rounded up to
+// frameAlign. Its bytes are whatever the buffer held last (0xDB under the
+// race detector), for the holder to overwrite.
+func NewBody(n int) ([]byte, *Ref) {
+	var buf []byte
+	if l := listFor(n); l != nil {
+		buf = l.get(n)
+	}
+	if buf == nil {
+		buf = make([]byte, (n+frameAlign-1)/frameAlign*frameAlign)[:n]
+	}
+	return buf, newRef(buf)
 }
 
 // Retain takes one more reference for a new holder and returns r. Only a
@@ -160,16 +208,18 @@ func (r *Ref) Retain() *Ref {
 	return r
 }
 
-// Release ends one reference; ending the last lists the buffer (poisoned
-// under the race detector). Nothing that points into the buffer may be
-// used by the releasing holder afterwards.
+// Release ends one reference; ending the last lists the buffer in the list
+// its capacity belongs to (poisoned under the race detector). Nothing that
+// points into the buffer may be used by the releasing holder afterwards.
 func (r *Ref) Release() {
 	if r == nil {
 		return
 	}
 	switch n := r.refs.Add(-1); {
 	case n == 0:
-		frames.put(r.buf)
+		if l := listFor(cap(r.buf)); l != nil {
+			l.put(r.buf)
+		}
 	case n < 0:
 		panic("msg: Ref released more often than retained")
 	}
@@ -191,6 +241,12 @@ func (r *Request) Release() {
 		r.ref, r.Data = nil, nil
 	}
 }
+
+// Attach hands r the reference to the body r.Data is — one NewBody
+// returned, filled by its holder — so the request owns it as it would a
+// frame it was read off: every point that stores Data takes a reference of
+// its own (Keep), and Release ends this one.
+func (r *Request) Attach(ref *Ref) { r.ref = ref }
 
 // Release is Request.Release for a response: Data and Tail — a split
 // fetch answer's chunk views the same buffer — and the FetchResp.Chunk

@@ -39,12 +39,14 @@ func chunkFrames(tb testing.TB, n int) (*Request, *Response) {
 		&Response{OK: true, ServedBy: 3, Version: 9, Data: fh, Tail: chunk}
 }
 
-// drainFrameList empties the free list, so a test starts from "nothing to
+// drainFrameList empties the free lists, so a test starts from "nothing to
 // recycle" whatever ran before it.
 func drainFrameList() {
-	frames.mu.Lock()
-	frames.bufs, frames.bytes = nil, 0
-	frames.mu.Unlock()
+	for _, l := range []*frameList{&frames, &bodies} {
+		l.mu.Lock()
+		l.bufs, l.bytes = nil, 0
+		l.mu.Unlock()
+	}
 }
 
 // bytesPerRun is testing.AllocsPerRun for heap bytes.
@@ -399,6 +401,30 @@ func TestFrameListBounded(t *testing.T) {
 	}
 	if oldest := cap(frames.bufs[0]); oldest == each {
 		t.Fatal("the oldest buffer was kept over newer ones")
+	}
+}
+
+// TestBodyListKeepsFrames: a body past one frame goes back to a list of its
+// own when its last reference ends, so it leaves the frames listed beside
+// it alone, and the next body of its size is assembled in it.
+func TestBodyListKeepsFrames(t *testing.T) {
+	drainFrameList()
+	defer drainFrameList()
+	frame := make([]byte, 1<<20)
+	frames.put(frame)
+	const size = 32 << 20 // as large as the frame list's whole budget
+	buf, ref := NewBody(size)
+	ref.Release()
+	frames.mu.Lock()
+	kept := len(frames.bufs) == 1 && &frames.bufs[0][0] == &frame[0]
+	frames.mu.Unlock()
+	if !kept {
+		t.Fatal("a released body evicted the frame listed before it")
+	}
+	again, ref := NewBody(size - 100)
+	defer ref.Release()
+	if &again[0] != &buf[0] {
+		t.Fatal("the next body of its size was not assembled in the released one")
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"io"
 	"net"
@@ -33,10 +34,12 @@ import (
 
 // TestChunkPlaneAllocBudget is the end-to-end copy budget: a multi-chunk
 // striped fetch allocates its reassembly buffer and an over-frame staged
-// update its staging buffer plus the other holder's pull — the destination
-// buffers — and nothing per chunk, because both chunk consumers release
-// the frame they copied out of. A missed Release, or a reintroduced encode
-// or decode copy, adds the payload's size again and fails this.
+// update at most its staging buffer plus the other holder's pull — the
+// destination buffers, which a warm update draws from the free list
+// (TestOverFrameUpdateReusesSupersededBody pins that) — and nothing per
+// chunk, because both chunk consumers release the frame they copied out
+// of. A missed Release, or a reintroduced encode or decode copy, adds the
+// payload's size again and fails this.
 func TestChunkPlaneAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -200,15 +203,78 @@ func TestUpdateReusesSupersededBody(t *testing.T) {
 	}
 }
 
-// TestSupersededBodyNeverServedAfterRecycle: one writer updates a 1 MiB
-// name over and over through a peer that holds no copy, while readers take
+// TestOverFrameUpdateReusesSupersededBody: the bodies a peer assembles
+// itself go back to a free list too. An update of a body over one frame is
+// staged at the entry holder and pulled in chunks by the other; a 3 MiB
+// update arrives in one frame but is still a multi-chunk pull. Each
+// superseded copy — a staging or a reassembly buffer — becomes the next
+// update's staging or reassembly buffer, so a warm update allocates a small
+// fraction of one body, where it used to allocate two (17 MiB) or one
+// (3 MiB).
+func TestOverFrameUpdateReusesSupersededBody(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	for _, c := range []struct {
+		name   string
+		size   int
+		runs   int
+		budget float64
+	}{
+		{"staged_17MiB", 17 << 20, 6, 1 << 20},
+		{"pulled_3MiB", 3 << 20, 20, 256 << 10},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			peers := startTracedSystem(t, 2, 1, allPIDs(2), hashring.Fixed(0), -1) // both peers hold every name
+			bodies := [2][]byte{chunkPayload(c.size, 96), chunkPayload(c.size, 97)}
+			name := "own/reuse-" + c.name
+			if err := NewClient(peers[0].Addr()).Insert(name, bodies[0]); err != nil {
+				t.Fatal(err)
+			}
+			tr := transport.New(transport.Config{}, nil)
+			t.Cleanup(func() { tr.Close() })
+			cl := NewLocateClientWith(peers[0].Addr(), tr, LocateOptions{})
+			i := 0
+			update := perOp(c.runs, func() {
+				i++
+				if n, err := cl.Update(name, bodies[i%2]); err != nil || n != 2 {
+					t.Fatalf("update touched %d copies, %v", n, err)
+				}
+			})
+			t.Logf("%d MiB update %.0f B/op", c.size>>20, update)
+			if update > c.budget {
+				t.Errorf("%d MiB update allocated %.0f B/op, want under %.0f: a superseded body was not recycled",
+					c.size>>20, update, c.budget)
+			}
+			for pid, p := range peers {
+				f, ok := p.store.Peek(name)
+				if !ok || !bytes.Equal(f.Data, bodies[i%2]) || f.Ref == nil {
+					t.Fatalf("P(%d) holds %d bytes (listed buffer %v), not the last update", pid, len(f.Data), f.Ref != nil)
+				}
+				f.Release()
+			}
+		})
+	}
+}
+
+// TestSupersededBodyNeverServedAfterRecycle: one writer updates a name over
+// and over through a peer that holds no copy, while readers take
 // locate-client gets, version-pinned fetches from the holders and fetches
 // of the body parked in the writer's entry peer's outbox. Every body read
 // must have the checksum the writer's body of the version it came back
 // with has: a buffer listed while a reader still served from it would come
-// back as the next frame's bytes, or as 0xDB under the race detector.
+// back as the next frame's bytes, or as 0xDB under the race detector. At
+// 1 MiB every copy is a frame buffer; at 3 MiB the holders' pulls and the
+// locate client's gets reassemble three chunks, so every stored copy is a
+// reassembly buffer drawn from the free list and given back to it.
 func TestSupersededBodyNeverServedAfterRecycle(t *testing.T) {
-	const name, size = "own/recycle", 1 << 20
+	for _, size := range []int{1 << 20, 3 << 20} {
+		t.Run(fmt.Sprintf("%dMiB", size>>20), func(t *testing.T) { supersededNeverServed(t, size) })
+	}
+}
+
+func supersededNeverServed(t *testing.T, size int) {
+	const name = "own/recycle"
 	updates := 40
 	if raceEnabled {
 		updates = 15
@@ -257,7 +323,7 @@ func TestSupersededBodyNeverServedAfterRecycle(t *testing.T) {
 		seen = append(seen, read{version, crc32.Checksum(data, castagnoli)})
 		counts[kind]++
 	}
-	fetchReq, err := msg.AppendFetchReq(nil, msg.FetchReq{Length: size})
+	fetchReq, err := msg.AppendFetchReq(nil, msg.FetchReq{Length: uint32(size)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,6 +399,93 @@ func TestSupersededBodyNeverServedAfterRecycle(t *testing.T) {
 			t.Fatalf("a read of v%d summed %08x, the writer's body of that version %08x (written: %v)",
 				r.version, r.sum, sum, ok)
 		}
+	}
+}
+
+// TestDroppedSessionTakesNoChunk: a staging session that ends without a
+// commit — aborted, or pruned past its TTL — lists its buffer for the next
+// body, while chunks of it may still be landing. Each such chunk either
+// lands before the session closes or is refused as addressed to an unknown
+// session; none is written into the listed buffer. Under the race detector
+// a listed buffer is poisoned, so the next body drawn from the list must
+// come back poison from end to end.
+func TestDroppedSessionTakesNoChunk(t *testing.T) {
+	const (
+		name   = "own/dropped"
+		size   = msg.MaxData + 1<<20 // over one frame: the body list's
+		chunk  = 1 << 20
+		rounds = 8
+	)
+	peers := startSystem(t, 1, 0, allPIDs(2), hashring.Fixed(0))
+	p := peers[0]
+	data := chunkPayload(size, 98)
+	fileCRC := crc32.Checksum(data, castagnoli)
+	put := func(pr msg.PutReq) *msg.Response {
+		pr.TotalSize, pr.FileCRC = size, fileCRC
+		if pr.Op == msg.PutData {
+			pr.Chunk = data[pr.Offset : pr.Offset+chunk]
+			pr.ChunkCRC = crc32.Checksum(pr.Chunk, castagnoli)
+		}
+		body, err := msg.AppendPutReq(nil, &pr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p.handlePut(&msg.Request{Kind: msg.KindPut, Name: name, Data: body})
+	}
+	poison := bytes.Repeat([]byte{0xDB}, size)
+	var landed, refused atomic.Int64
+	for round := 0; round < rounds; round++ {
+		open := put(msg.PutReq{Op: msg.PutData})
+		if !open.OK {
+			t.Fatalf("round %d: open: %s", round, open.Err)
+		}
+		token := open.Version
+		first := landed.Load()
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for off := uint64(1+w) * chunk; off < size; off += 4 * chunk {
+					switch resp := put(msg.PutReq{Op: msg.PutData, Token: token, Offset: off}); {
+					case resp.OK:
+						landed.Add(1)
+					case resp.Err == errUnknownSession.Error():
+						refused.Add(1)
+					default:
+						t.Errorf("chunk at %d: %s", off, resp.Err)
+					}
+				}
+			}()
+		}
+		for landed.Load() < first+4 { // drop the session mid-upload
+			runtime.Gosched()
+		}
+		if round%2 == 0 {
+			put(msg.PutReq{Op: msg.PutAbort, Token: token})
+		} else {
+			// Expire the session, then let a commit of a session never
+			// opened prune it.
+			p.uploads.mu.Lock()
+			if u := p.uploads.m[token]; u != nil {
+				u.deadline = time.Now().Add(-time.Second)
+			}
+			p.uploads.mu.Unlock()
+			put(msg.PutReq{Op: msg.PutInsert, Token: token + 1<<32})
+		}
+		wg.Wait()
+		if n := len(p.uploads.m); n != 0 {
+			t.Fatalf("round %d: %d sessions left open", round, n)
+		}
+		buf, next := msg.NewBody(size)
+		if raceEnabled && !bytes.Equal(buf, poison) {
+			t.Fatalf("round %d: the next body's buffer is not the dropped session's, poisoned: a chunk landed in it after it was listed, or it was never listed", round)
+		}
+		next.Release()
+	}
+	t.Logf("%d chunks landed before their session closed, %d refused after", landed.Load(), refused.Load())
+	if got := p.Stats().StagedAborts.Load(); got != rounds {
+		t.Fatalf("staged_aborts = %d, want one per dropped session (%d)", got, rounds)
 	}
 }
 

@@ -41,15 +41,18 @@ const (
 )
 
 // upload is one staging session: the declared transfer shape and the
-// buffer being assembled. got records each staged range — offset to length
+// buffer being assembled, drawn from the free list (msg.NewBody) with the
+// session's reference to it. got records each staged range — offset to length
 // and the CRC-32C verified over the range where it lies in buf — so a
 // retransmitted chunk (same offset, same length) replaces its range's sum
 // with its bytes, a contradictory one kills the session rather than splice
 // payloads, and the commit knows the whole-file sum without a pass.
 //
-// The session's own lock covers the bytes of buf, got and closed, so chunks
-// of different uploads land and verify in parallel; the table's lock covers
-// the map, the byte budget and the deadlines.
+// The session's own lock covers the bytes of buf, got, closed and ref, so
+// chunks of different uploads land and verify in parallel; the table's lock
+// covers the map, the byte budget and the deadlines. A session that ends
+// without a commit lists its buffer only once it is closed (discard), so a
+// chunk still landing either lands first or finds it closed.
 type upload struct {
 	name     string
 	total    uint64
@@ -58,10 +61,22 @@ type upload struct {
 
 	mu  sync.Mutex
 	buf []byte
+	ref *msg.Ref
 	got map[uint64]staged
-	// closed: a commit took buf (it may be a stored body by now) or a
-	// contradiction killed the session; nothing more may land in it.
+	// closed: a commit took buf (it may be a stored body by now) or the
+	// session was dropped; nothing more may land in it.
 	closed bool
+}
+
+// discard closes a session that ended without a commit — aborted, pruned,
+// contradicted — and ends its reference, listing buf for the next body.
+func (u *upload) discard() {
+	u.mu.Lock()
+	u.closed = true
+	ref := u.ref
+	u.ref = nil
+	u.mu.Unlock()
+	ref.Release()
 }
 
 type staged struct {
@@ -80,56 +95,74 @@ type uploadTable struct {
 	bytes uint64
 }
 
-// prune drops expired sessions. Caller holds mu.
-func (t *uploadTable) prune(now time.Time) uint64 {
-	var n uint64
+// prune drops expired sessions, appending them to dropped for the caller
+// to discard once it lets go of mu. Caller holds mu.
+func (t *uploadTable) prune(now time.Time, dropped []*upload) []*upload {
 	for tok, u := range t.m {
 		if now.After(u.deadline) {
 			t.bytes -= u.total
 			delete(t.m, tok)
-			n++
+			dropped = append(dropped, u)
 		}
 	}
-	return n
+	return dropped
+}
+
+// discardAll discards the sessions prune or a contradiction dropped — outside
+// the table's lock, as discarding one waits out a chunk landing in it — and
+// counts them.
+func discardAll(dropped []*upload) uint64 {
+	for _, u := range dropped {
+		u.discard()
+	}
+	return uint64(len(dropped))
 }
 
 // session resolves the session one PutData frame belongs to: a new one on
 // token 0, otherwise the opened one, checked against the shape it was opened
 // with. The chunk itself lands outside the table's lock (upload.stage).
-func (t *uploadTable) session(name string, pr *msg.PutReq) (u *upload, token uint64, pruned uint64, err error) {
+// dropped counts the sessions it dropped: expired ones, or the one the frame
+// contradicts.
+func (t *uploadTable) session(name string, pr *msg.PutReq) (u *upload, token uint64, dropped uint64, err error) {
+	var gone []*upload
+	// Deferred ahead of the unlock, so it runs after it: discarding a
+	// session waits out a chunk landing in it, which must not hold the
+	// table.
+	defer func() { dropped = discardAll(gone) }()
 	now := time.Now()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	pruned = t.prune(now)
+	gone = t.prune(now, nil)
 	if pr.Token == 0 {
 		if pr.Offset != 0 {
-			return nil, 0, pruned, errors.New("netnode: upload must open at offset 0")
+			return nil, 0, 0, errors.New("netnode: upload must open at offset 0")
 		}
 		if len(t.m) >= maxUploadSessions || t.bytes+pr.TotalSize > maxStagedBytes {
-			return nil, 0, pruned, errors.New("netnode: upload staging full")
+			return nil, 0, 0, errors.New("netnode: upload staging full")
 		}
 		if t.m == nil {
 			t.m = make(map[uint64]*upload)
 		}
 		t.seq++
+		buf, ref := msg.NewBody(int(pr.TotalSize))
 		u = &upload{
 			name: name, total: pr.TotalSize, fileCRC: pr.FileCRC, deadline: now.Add(uploadTTL),
-			buf: make([]byte, pr.TotalSize), got: make(map[uint64]staged),
+			buf: buf, ref: ref, got: make(map[uint64]staged),
 		}
 		t.m[t.seq] = u
 		t.bytes += pr.TotalSize
-		return u, t.seq, pruned, nil
+		return u, t.seq, 0, nil
 	}
 	u, ok := t.m[pr.Token]
 	if !ok {
-		return nil, 0, pruned, errUnknownSession
+		return nil, 0, 0, errUnknownSession
 	}
 	if u.name != name || u.total != pr.TotalSize || u.fileCRC != pr.FileCRC {
-		t.dropLocked(pr.Token)
-		return nil, 0, pruned + 1, errContradiction
+		gone = append(gone, t.dropLocked(pr.Token))
+		return nil, 0, 0, errContradiction
 	}
 	u.deadline = now.Add(uploadTTL)
-	return u, pr.Token, pruned, nil
+	return u, pr.Token, 0, nil
 }
 
 var (
@@ -197,35 +230,38 @@ func (u *upload) seal() (sum uint32, complete bool) {
 	return sum, next == u.total
 }
 
-// dropLocked removes one session. Caller holds mu.
-func (t *uploadTable) dropLocked(token uint64) bool {
-	u, ok := t.m[token]
-	if !ok {
+// dropLocked removes one session and returns it, nil when there is none.
+// Caller holds mu.
+func (t *uploadTable) dropLocked(token uint64) *upload {
+	u := t.m[token]
+	if u != nil {
+		t.bytes -= u.total
+		delete(t.m, token)
+	}
+	return u
+}
+
+// drop removes and discards one session (PutAbort, or a contradiction),
+// reporting whether it existed.
+func (t *uploadTable) drop(token uint64) bool {
+	t.mu.Lock()
+	u := t.dropLocked(token)
+	t.mu.Unlock()
+	if u == nil {
 		return false
 	}
-	t.bytes -= u.total
-	delete(t.m, token)
+	u.discard()
 	return true
 }
 
-// drop removes one session (PutAbort, or a contradiction), reporting whether
-// it existed.
-func (t *uploadTable) drop(token uint64) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropLocked(token)
-}
-
-// take removes and returns the session a commit addresses.
+// take removes and returns the session a commit addresses, and the count
+// of expired sessions it discarded on the way.
 func (t *uploadTable) take(token uint64) (*upload, uint64) {
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	pruned := t.prune(time.Now())
-	u := t.m[token]
-	if u != nil {
-		t.dropLocked(token)
-	}
-	return u, pruned
+	gone := t.prune(time.Now(), nil)
+	u := t.dropLocked(token)
+	t.mu.Unlock()
+	return u, discardAll(gone)
 }
 
 // outEntry is one committed payload parked for pull-based propagation,
@@ -341,8 +377,8 @@ func (p *Peer) handlePut(req *msg.Request) *msg.Response {
 // read into.
 func (p *Peer) putStage(req *msg.Request, pr *msg.PutReq) *msg.Response {
 	defer req.Release()
-	u, token, pruned, err := p.uploads.session(req.Name, pr)
-	p.stats.StagedAborts.Add(pruned)
+	u, token, dropped, err := p.uploads.session(req.Name, pr)
+	p.stats.StagedAborts.Add(dropped)
 	if err == nil {
 		if err = u.stage(pr, p.sumBody); errors.Is(err, errContradiction) && p.uploads.drop(token) {
 			p.stats.StagedAborts.Add(1)
@@ -361,16 +397,20 @@ func (p *Peer) putStage(req *msg.Request, pr *msg.PutReq) *msg.Response {
 // CRC (an unfilled or doubly-filled range cannot), then the payload enters
 // the normal insert or update path with that sum beside it — which is where
 // versions are stamped and the store's Persister/WAL hook fires, making this
-// the first durable moment of the transfer.
+// the first durable moment of the transfer. The inner request owns the
+// session's reference: the store and the outbox take their own (Keep), and
+// ending it once the path returns leaves the buffer to them — or lists it
+// for the next body when nothing kept it, as a refused commit does at once.
 func (p *Peer) putCommit(req *msg.Request, pr *msg.PutReq) *msg.Response {
 	u, pruned := p.uploads.take(pr.Token)
 	p.stats.StagedAborts.Add(pruned)
 	if u == nil {
 		return &msg.Response{Err: errUnknownSession.Error()}
 	}
-	sum, complete := u.seal()
+	sum, complete := u.seal() // no chunk lands in buf from here on
 	if u.name != req.Name || u.total != pr.TotalSize || u.fileCRC != pr.FileCRC ||
 		!complete || sum != u.fileCRC {
+		u.ref.Release()
 		p.stats.StagedAborts.Add(1)
 		return &msg.Response{Err: "netnode: upload incomplete or corrupt"}
 	}
@@ -378,6 +418,8 @@ func (p *Peer) putCommit(req *msg.Request, pr *msg.PutReq) *msg.Response {
 		Origin: req.Origin, Flags: req.Flags &^ msg.FlagPropagate,
 		Name: req.Name, Data: u.buf, TraceID: req.TraceID, Path: req.Path,
 	}
+	inner.Attach(u.ref)
+	defer inner.Release()
 	if pr.Op == msg.PutInsert {
 		inner.Kind = msg.KindInsert
 		return p.handleInsert(inner, crc{sum, true})

@@ -3,6 +3,7 @@ package stream
 import (
 	"bytes"
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -80,5 +81,35 @@ func TestFetchSingleChunkFileCRCMismatch(t *testing.T) {
 	})
 	if _, _, err := New(lying, Config{}).Fetch("x", 0, srcs); !errors.Is(err, ErrChecksum) {
 		t.Fatalf("err = %v, want ErrChecksum", err)
+	}
+}
+
+// TestFailedTransferListsItsBuffer: a multi-chunk transfer whose pinned
+// version vanishes after the head chunk fails, and gives its reassembly
+// buffer back once its workers are done with it — so the next body of its
+// size is assembled in it. That buffer still holds the head chunk, or is
+// poison from end to end under the race detector.
+func TestFailedTransferListsItsBuffer(t *testing.T) {
+	const size, chunk = 1<<20 + 4321, 128 << 10
+	data := payload(size, 24)
+	net, srcs := replicaNet(data, 3, 1)
+	h := net.holders[srcs[0].Addr]
+	var calls atomic.Int32
+	superseding := doerFunc(func(addr string, req *msg.Request) (*msg.Response, error) {
+		resp, err := net.Do(addr, req)
+		if calls.Add(1) == 1 { // an update lands right after the head chunk is served
+			h.mu.Lock()
+			h.version++
+			h.mu.Unlock()
+		}
+		return resp, err
+	})
+	if _, err := New(superseding, Config{ChunkSize: chunk}).FetchBody("x", 0, srcs); !errors.Is(err, ErrVersionGone) {
+		t.Fatalf("err = %v, want ErrVersionGone", err)
+	}
+	buf, next := msg.NewBody(size)
+	defer next.Release()
+	if head := buf[:chunk]; !bytes.Equal(head, data[:chunk]) && !bytes.Equal(head, bytes.Repeat([]byte{0xDB}, chunk)) {
+		t.Fatal("the next body's buffer is not the failed transfer's: its reassembly buffer was not listed")
 	}
 }
