@@ -13,7 +13,7 @@
 //	lesslogd -connect 127.0.0.1:7100 -op insert -name hello -data "world"
 //	lesslogd -connect 127.0.0.1:7101 -op get -name hello
 //	lesslogd -connect 127.0.0.1:7101 -op get -name hello -locate  # locate-then-fetch data plane
-//	lesslogd -connect 127.0.0.1:7101 -op get -name hello -trace   # print the live route
+//	lesslogd -connect 127.0.0.1:7101 -op get -name hello -trace   # print the live route (a relay, with or without -locate)
 //	lesslogd -connect 127.0.0.1:7101 -op locate -name hello       # resolve the holder, no payload
 //	lesslogd -connect 127.0.0.1:7101 -op update -name hello -data "again"
 //	lesslogd -connect 127.0.0.1:7101 -op update -name hello -data "x" -trace  # print the fan-out tree
@@ -25,7 +25,9 @@
 // locate walk and fetch it in ranged chunks straight from the holders,
 // caching the route hint for later gets in the same process — the only
 // read that can carry a body over one frame (a plain get of one reports
-// the typed over-frame error). See docs/ROUTING.md.
+// the typed over-frame error). A -trace get relays through the lookup tree
+// in either mode, so the route it prints is the walk itself and the body
+// must fit one frame. See docs/ROUTING.md.
 //
 // Observability: `-admin addr` exposes /metrics (Prometheus text),
 // /healthz, /trees, /traces and /debug/pprof/* over HTTP, and
@@ -115,7 +117,7 @@ func main() {
 		name      = flag.String("name", "", "client: file name")
 		data      = flag.String("data", "", "client: file contents")
 		traced    = flag.Bool("trace", false, "client: with -op get, locate, update or delete, record and print the wire-level route")
-		locate    = flag.Bool("locate", false, "client: serve gets through the locate-then-fetch data plane")
+		locate    = flag.Bool("locate", false, "client: serve untraced gets through the locate-then-fetch data plane")
 		asJSON    = flag.Bool("json", false, "client: with -op stat, print the structured snapshot as JSON")
 	)
 	flag.Parse()

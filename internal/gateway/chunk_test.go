@@ -8,7 +8,9 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"errors"
+	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"lesslog/internal/msg"
@@ -137,6 +139,78 @@ func TestGatewayOverFrameIsNotAFault(t *testing.T) {
 	}
 	if _, err := down.Get("g/absent"); !errors.Is(err, ErrFault) {
 		t.Fatalf("absent get: err = %v, want ErrFault", err)
+	}
+}
+
+// TestGatewayWireOverFrameKeepsConnection: a client of the gateway's wire
+// listener asking for a body only the chunk plane can carry gets the typed
+// over-frame refusal — not a torn-down connection that fails every get
+// pipelined beside it and every request after it.
+func TestGatewayWireOverFrameKeepsConnection(t *testing.T) {
+	if testing.Short() {
+		t.Skip("seeds a >16 MiB payload per holder")
+	}
+	addrs, peers := startLocateFabric(t, 3, 0, 4)
+	g := newGateway(t, Config{Peers: addrs[:2], CacheSize: -1})
+	data := chunkPayload(msg.MaxData+(1<<20), 27) // 17 MiB
+	for _, p := range peers {
+		p.SeedLocal("g/huge", data, 1)
+	}
+	const small = 7
+	for i := 0; i < small; i++ {
+		if _, err := g.Insert(fmt.Sprintf("g/s%d", i), []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv, err := g.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	conn, err := netnode.DialConn(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	// One big get and seven small ones in flight together on one stream.
+	resps := make([]*msg.Response, small+1)
+	errs := make([]error, small+1)
+	var wg sync.WaitGroup
+	for i := range resps {
+		name := "g/huge"
+		if i > 0 {
+			name = fmt.Sprintf("g/s%d", i-1)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resps[i], errs[i] = conn.Do(&msg.Request{Kind: msg.KindGet, Name: name})
+		}()
+	}
+	wg.Wait()
+	if errs[0] != nil {
+		t.Fatalf("over-frame get: transport error %v, want the over-frame refusal", errs[0])
+	}
+	if resps[0].OK || resps[0].Err != msg.OverFrameError {
+		t.Fatalf("over-frame get answered %+v, want the over-frame refusal", resps[0])
+	}
+	for i := 1; i <= small; i++ {
+		if errs[i] != nil || !resps[i].OK || !bytes.Equal(resps[i].Data, []byte{byte(i - 1)}) {
+			t.Fatalf("small get g/s%d beside the big one: %+v, %v", i-1, resps[i], errs[i])
+		}
+	}
+	if res, err := conn.Get("g/s0"); err != nil || !bytes.Equal(res.Data, []byte{0}) {
+		t.Fatalf("get after the refusal on the same connection: %+v, %v", res, err)
+	}
+	if n := g.Counters().ProtoErrors.Value(); n != 0 {
+		t.Fatalf("gateway proto_errors = %d, want 0", n)
+	}
+	if _, err := conn.Get("g/huge"); !errors.Is(err, ErrOverFrame) {
+		t.Fatalf("Conn.Get of the big name: err = %v, want ErrOverFrame", err)
+	}
+	if _, err := netnode.NewClient(srv.Addr()).Get("g/huge"); !errors.Is(err, ErrOverFrame) {
+		t.Fatalf("plain client get through the gateway: err = %v, want ErrOverFrame", err)
 	}
 }
 

@@ -78,7 +78,7 @@ const (
 	// KindFetch is the ranged read of the chunked data plane
 	// (docs/ROUTING.md): a direct request for Length bytes at Offset of Name
 	// to a holder a KindLocateSet answer named — never forwarded,
-	// serve-or-refuse like a FlagLocalOnly get. The request's Data carries
+	// serve-or-refuse (NotHolderError). The request's Data carries
 	// the range (AppendFetchReq); its Version pins the copy's version (0
 	// accepts any), so a transfer striped across replicas can never splice
 	// bytes from two versions. The response's Data carries the chunk with
@@ -171,14 +171,15 @@ func UnknownKindError(k Kind) string {
 // them verbatim to classify a refused direct fetch or whole-frame get.
 // netnode re-exports them as ErrNotHolder / ErrWrongVersion / ErrOverFrame.
 const (
-	// NotHolderError answers a local-only get or ranged fetch at a peer not
-	// holding the file — the "your route hint is stale" signal.
+	// NotHolderError answers a ranged fetch at a peer not holding the file
+	// — the "your route hint is stale" signal.
 	NotHolderError = "netnode: not holding requested file"
 	// WrongVersionError answers a version-pinned fetch whose pin no longer
 	// matches the held copy — the splice guard of chunked transfers.
 	WrongVersionError = "netnode: version no longer held"
-	// OverFrameError answers a whole-frame get of a body larger than one
-	// wire frame (MaxData): the copy exists, but only ranged fetches can
+	// OverFrameError replaces an answer whose body is larger than one wire
+	// frame (MaxData) — the serve loop writes it, so a whole-frame get of
+	// such a body learns that the copy exists, but only ranged fetches can
 	// carry it.
 	OverFrameError = "netnode: body exceeds one frame; fetch it through the chunked plane"
 )
@@ -233,11 +234,10 @@ const (
 	// FlagJSON asks KindStat for the structured JSON stats snapshot
 	// instead of the legacy one-line text summary.
 	FlagJSON
-	// FlagLocalOnly marks a KindGet that must be answered from the local
-	// store or with not-found — never forwarded. It is the whole-frame fetch
-	// after a KindLocateSet walk (the traced read): the client already
-	// resolved the holder, so a stale route hint degrades into one cheap miss
-	// instead of re-amplifying into a relayed tree walk.
+	// FlagLocalOnly is retired: it once marked a KindGet that a non-holder
+	// refused instead of forwarding. Peers ignore it — a get is served if
+	// held and forwarded if not — and the bit stays reserved so no new flag
+	// reuses it.
 	FlagLocalOnly
 	// FlagInventory asks KindStat (with FlagJSON) to include the node's
 	// full per-name inventory — name, version, kind, §6 serve count — in

@@ -307,33 +307,14 @@ func (c *Client) GetAtLeast(name string, minVer uint64) (GetResult, error) {
 // visits appends a hop record, and the result's Path holds the actual
 // route — the live counterpart of internal/trace.Route's prediction. A
 // failed traced get returns the partial Path alongside the error, ending
-// in the fault hop. In locate mode it is a traced locate-set walk, then a
-// local-only get at the holder the walk reached that continues the same
-// path — whole-frame, so the hop path stays one coherent walk. An answer
-// that names no holder, or a holder that cannot serve (lost the file,
-// died, body over one frame), sends the get to the relay rung.
+// in the fault hop (in the holder's serve hop when the body is over one
+// frame). It is a traced relay in every mode: a locate walk takes the
+// same hops, so the relay's path is the route.
 func (c *Client) GetTraced(name string) (GetResult, error) {
-	req := &msg.Request{
+	return c.relay(&msg.Request{
 		Kind: msg.KindGet, Flags: msg.FlagTrace,
 		Name: name, TraceID: rand.Uint64(),
-	}
-	if c.hints == nil {
-		return c.relay(req)
-	}
-	loc, _, err := c.locate(name, req.TraceID)
-	switch {
-	case err == nil:
-		freq := *req
-		freq.Flags |= msg.FlagLocalOnly
-		freq.Path = loc.Path // the fetch trace continues where the locate ended
-		if resp, err := c.tr.Exchange(loc.Addr, freq, 0); err == nil && resp.OK {
-			return getResult(&resp), nil
-		}
-	case !errors.Is(err, errNextRung):
-		return GetResult{Hops: loc.Hops, Path: loc.Path}, err
-	}
-	c.stats.Relays.Inc()
-	return c.relay(req)
+	})
 }
 
 // read is the read ladder, top rung first:
@@ -437,35 +418,31 @@ func (c *Client) chunkFetch(name string, srcs []stream.Source, minVer uint64) (G
 }
 
 // relay is the whole-frame get through the lookup tree — a plain client's
-// only read, and the ladder's last rung.
+// only read, every traced get, and the ladder's last rung.
 func (c *Client) relay(req *msg.Request) (GetResult, error) {
 	resp, err := c.do(req, true)
 	if err != nil {
 		return GetResult{}, err
 	}
-	if !resp.OK {
-		// A traced fault still carries the route walked so far — hand the
-		// partial path back with the error so the operator sees where
-		// routing died.
-		return GetResult{Hops: int(resp.Hops), Path: resp.Path}, readError(req.Name, &resp)
-	}
-	return getResult(&resp), nil
+	return getAnswer(req.Name, &resp)
 }
 
-func getResult(resp *msg.Response) GetResult {
-	return GetResult{
-		Data: resp.Data, Version: resp.Version,
-		ServedBy: resp.ServedBy, Hops: int(resp.Hops), Path: resp.Path,
+// getAnswer reads a whole-frame get's answer. A refusal is ErrOverFrame
+// when a holder has the file but cannot frame it, ErrFault otherwise, and
+// still carries the hops and traced path walked so far, so the operator
+// sees where routing died.
+func getAnswer(name string, resp *msg.Response) (GetResult, error) {
+	if resp.OK {
+		return GetResult{
+			Data: resp.Data, Version: resp.Version,
+			ServedBy: resp.ServedBy, Hops: int(resp.Hops), Path: resp.Path,
+		}, nil
 	}
-}
-
-// readError classifies a refused whole-frame get: ErrOverFrame when a
-// holder has the file but cannot frame it, ErrFault otherwise.
-func readError(name string, resp *msg.Response) error {
+	err := ErrFault
 	if strings.HasPrefix(resp.Err, msg.OverFrameError) {
-		return fmt.Errorf("%w: %s", ErrOverFrame, name)
+		err = ErrOverFrame
 	}
-	return fmt.Errorf("%w: %s", ErrFault, name)
+	return GetResult{Hops: int(resp.Hops), Path: resp.Path}, fmt.Errorf("%w: %s", err, name)
 }
 
 // LocateResult reports where a file lives: the serving holder's identity

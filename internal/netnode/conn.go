@@ -48,19 +48,14 @@ func (c *Conn) Do(req *msg.Request) (*msg.Response, error) {
 	return c.cc.Do(req)
 }
 
-// Get fetches a file over the persistent stream.
+// Get fetches a file over the persistent stream; a refusal reads as it
+// does for Client.Get.
 func (c *Conn) Get(name string) (GetResult, error) {
 	resp, err := c.Do(&msg.Request{Kind: msg.KindGet, Name: name})
 	if err != nil {
 		return GetResult{}, err
 	}
-	if !resp.OK {
-		return GetResult{}, fmt.Errorf("%w: %s", ErrFault, name)
-	}
-	return GetResult{
-		Data: resp.Data, Version: resp.Version,
-		ServedBy: resp.ServedBy, Hops: int(resp.Hops),
-	}, nil
+	return getAnswer(name, resp)
 }
 
 // Insert stores a file over the persistent stream.

@@ -96,6 +96,11 @@ func (p *Peer) fileSum(f store.File) uint32 {
 	return sum.sum
 }
 
+// ErrNotHolder is the answer to a ranged fetch at a peer that does not hold
+// the file — the data plane's "your route hint is stale" signal. Clients
+// match it to purge the hint and fall back to a locate.
+const ErrNotHolder = msg.NotHolderError
+
 // ErrWrongVersion is the answer to a version-pinned fetch whose pin no
 // longer matches the held copy: the file moved on (or this replica lags)
 // between the transfer's head chunk and this range. The response carries
@@ -106,8 +111,8 @@ func (p *Peer) fileSum(f store.File) uint32 {
 const ErrWrongVersion = msg.WrongVersionError
 
 // handleFetch serves one ranged chunk of a local copy. Always local-only:
-// a fetch that misses answers ErrNotHolder exactly like a FlagLocalOnly
-// get, never forwards — the stale-hint miss must stay one cheap RPC. The
+// a fetch that misses answers ErrNotHolder and never forwards — the
+// stale-hint miss must stay one cheap RPC. The
 // head chunk (offset 0) counts the §6 store access so a chunked transfer
 // weighs one serve, like a whole-frame get; later ranges peek. A
 // FlagReplica fetch is a peer pulling a body for placement or notify

@@ -12,7 +12,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 	"unsafe"
 
 	"lesslog/internal/bitops"
@@ -132,25 +131,64 @@ func TestLocateClientWarmHintSingleRPC(t *testing.T) {
 	}
 }
 
-// TestLocateClientTracedGet is a locate-mode GetTraced: the locate-set
-// walk, then a whole-frame local-only get at the holder it reached that
-// continues the same path — and, when that holder has lost the copy by the
-// time the get arrives, the relay rung.
-func TestLocateClientTracedGet(t *testing.T) {
+// TestRetiredLocalOnlyFlagIsIgnored: a get carrying the retired
+// FlagLocalOnly — what an older build's locate client sends — is a plain
+// get. At a non-holder it is forwarded and served, never refused; at a
+// holder it counts one serve and no chunk-plane serve.
+func TestRetiredLocalOnlyFlagIsIgnored(t *testing.T) {
+	peers := startSystem(t, 4, 0, allPIDs(16), hashring.Fixed(4))
+	if err := NewClient(peers[9].Addr()).Insert("f", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	get := func(at bitops.PID) *msg.Response {
+		t.Helper()
+		resp, err := Call(peers[at].Addr(), &msg.Request{Kind: msg.KindGet, Flags: msg.FlagLocalOnly, Name: "f"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !resp.OK || resp.ServedBy != 4 || !bytes.Equal(resp.Data, []byte("x")) {
+			t.Fatalf("flagged get at P(%d) = %+v, want the payload from P(4)", at, resp)
+		}
+		return resp
+	}
+
+	fwd0, served0 := peers[8].Stats().Forwards.Load(), peers[4].Stats().Served.Load()
+	if resp := get(8); resp.Hops == 0 {
+		t.Fatalf("flagged get at a non-holder served in 0 hops: %+v", resp)
+	}
+	if d := peers[8].Stats().Forwards.Load() - fwd0; d != 1 {
+		t.Fatalf("non-holder forwarded the flagged get %d times, want 1", d)
+	}
+	if peers[8].Stats().DirectMisses.Load() != 0 {
+		t.Fatalf("non-holder counted %d direct misses, want 0", peers[8].Stats().DirectMisses.Load())
+	}
+	if d := peers[4].Stats().Served.Load() - served0; d != 1 {
+		t.Fatalf("holder served %d, want 1", d)
+	}
+
+	served0 = peers[4].Stats().Served.Load()
+	if resp := get(4); resp.Hops != 0 {
+		t.Fatalf("flagged get at the holder took %d hops", resp.Hops)
+	}
+	if d := peers[4].Stats().Served.Load() - served0; d != 1 {
+		t.Fatalf("holder served %d, want 1", d)
+	}
+	if n := peers[4].Stats().DirectServed.Load(); n != 0 {
+		t.Fatalf("holder DirectServed = %d, want 0: a whole-frame get is not a chunk serve", n)
+	}
+}
+
+// TestLocateClientTracedGetIsARelay: a locate client's traced get is the
+// traced relay — one get and no locate-set on the wire, the relay walk
+// P(8) → P(0) → P(4) as its path, and no relay fallback counted.
+func TestLocateClientTracedGetIsARelay(t *testing.T) {
 	peers := startSystem(t, 4, 0, allPIDs(16), hashring.Fixed(4))
 	if err := NewClient(peers[9].Addr()).Insert("f", []byte("hello")); err != nil {
 		t.Fatal(err)
 	}
-	faults := transport.NewFaults()
-	tr := transport.New(transport.Config{}, faults)
+	tr := transport.New(transport.Config{}, nil)
 	t.Cleanup(func() { tr.Close() })
 	cl := NewLocateClientWith(peers[8].Addr(), tr, LocateOptions{})
-	rpcs := func() [3]uint64 { // locate-set, get, fetch
-		return [3]uint64{tr.Latency(msg.KindLocateSet).Count(), tr.Latency(msg.KindGet).Count(), tr.Latency(msg.KindFetch).Count()}
-	}
-
-	// The P(8) → P(0) → P(4) locate walk, closed by P(4)'s locate hop, then
-	// P(4)'s serve hop.
 	res, err := cl.GetTraced("f")
 	if err != nil {
 		t.Fatal(err)
@@ -158,11 +196,10 @@ func TestLocateClientTracedGet(t *testing.T) {
 	if res.ServedBy != 4 || !bytes.Equal(res.Data, []byte("hello")) {
 		t.Fatalf("traced get = %+v, want the payload from P(4)", res)
 	}
-	if got := rpcs(); got != [3]uint64{1, 1, 0} {
-		t.Fatalf("locate-set/get/fetch RPCs = %v, want one locate-set and one get", got)
+	if ls, g := tr.Latency(msg.KindLocateSet).Count(), tr.Latency(msg.KindGet).Count(); ls != 0 || g != 1 {
+		t.Fatalf("locate-set/get RPCs = %d/%d, want 0/1", ls, g)
 	}
-	want := []msg.Hop{{PID: 8, Action: msg.HopForward}, {PID: 0, Action: msg.HopForward},
-		{PID: 4, Action: msg.HopLocate}, {PID: 4, Action: msg.HopServe}}
+	want := []msg.Hop{{PID: 8, Action: msg.HopForward}, {PID: 0, Action: msg.HopForward}, {PID: 4, Action: msg.HopServe}}
 	if len(res.Path) != len(want) {
 		t.Fatalf("traced get path = %+v, want %d hops", res.Path, len(want))
 	}
@@ -171,59 +208,21 @@ func TestLocateClientTracedGet(t *testing.T) {
 			t.Fatalf("hop %d = %+v, want %v at P(%d); path %+v", i, h, want[i].Action, want[i].PID, res.Path)
 		}
 	}
-
-	// The located holder loses the copy before the get reaches it: the
-	// local-only get is refused and the relay serves from the copy's new
-	// place, P(0), on the same walk.
-	faults.Add(transport.Rule{Addr: peers[4].Addr(), Kind: msg.KindGet, Delay: 500 * time.Millisecond, Times: 1})
-	located := peers[4].Stats().Located.Load()
-	moved := make(chan struct{})
-	go func() {
-		defer close(moved)
-		for deadline := time.Now().Add(5 * time.Second); peers[4].Stats().Located.Load() == located; {
-			if time.Now().After(deadline) {
-				t.Error("the locate-set never reached P(4)")
-				return
-			}
-			time.Sleep(time.Millisecond)
-		}
-		peers[4].store.Delete("f")
-		if err := NewClient(peers[0].Addr()).Store("f", []byte("hello"), 1, true); err != nil {
-			t.Error(err)
-		}
-	}()
-	r0 := rpcs()
-	res, err = cl.GetTraced("f")
-	<-moved
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.ServedBy != 0 || !bytes.Equal(res.Data, []byte("hello")) {
-		t.Fatalf("traced get after the copy moved = %+v, want the payload from P(0)", res)
-	}
-	if got := rpcs(); got != [3]uint64{r0[0] + 1, r0[1] + 2, r0[2]} {
-		t.Fatalf("locate-set/get/fetch RPCs %v -> %v, want one locate-set, the refused get and the relay", r0, got)
-	}
-	if peers[4].Stats().DirectMisses.Load() != 1 || cl.LocateStats().Relays.Load() != 1 {
-		t.Fatalf("direct misses at P(4) = %d, relays = %d; want 1/1",
-			peers[4].Stats().DirectMisses.Load(), cl.LocateStats().Relays.Load())
-	}
-	if last := res.Path[len(res.Path)-1]; last.Action != msg.HopServe || last.PID != 0 {
-		t.Fatalf("relayed path ends in %+v, want HopServe at P(0)", last)
+	if n := cl.LocateStats().Relays.Load(); n != 0 {
+		t.Fatalf("relays = %d, want 0: a traced get is not a fallback", n)
 	}
 }
 
-// TestTracedGetRelaysUndecodableLocate: a locate-set answer whose holder
-// set does not decode sends a locate-mode traced get to the relay rung, as
-// it does an untraced one — never back to the caller as an error.
-func TestTracedGetRelaysUndecodableLocate(t *testing.T) {
+// TestGetRelaysUndecodableLocate: a locate-set answer whose holder set
+// does not decode sends a locate client's get to the relay rung — never
+// back to the caller as an error.
+func TestGetRelaysUndecodableLocate(t *testing.T) {
 	srv, err := transport.Listen("127.0.0.1:0", func(req *msg.Request) *msg.Response {
-		switch {
-		case req.Kind == msg.KindLocateSet:
+		switch req.Kind {
+		case msg.KindLocateSet:
 			return &msg.Response{OK: true, ServedBy: 7, Data: []byte{0xff}}
-		case req.Kind == msg.KindGet && req.Flags&msg.FlagLocalOnly == 0:
-			return &msg.Response{OK: true, ServedBy: 7, Data: []byte("hello"),
-				Path: appendHop(req.Path, 7, msg.HopServe, 0)}
+		case msg.KindGet:
+			return &msg.Response{OK: true, ServedBy: 7, Data: []byte("hello")}
 		}
 		return &msg.Response{Err: "unexpected " + req.Kind.String()}
 	}, transport.ServeLoopOptions{})
@@ -234,48 +233,15 @@ func TestTracedGetRelaysUndecodableLocate(t *testing.T) {
 	tr := transport.New(transport.Config{}, nil)
 	t.Cleanup(func() { tr.Close() })
 	cl := NewLocateClientWith(srv.Addr(), tr, LocateOptions{})
-	res, err := cl.GetTraced("f")
+	res, err := cl.Get("f")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ServedBy != 7 || !bytes.Equal(res.Data, []byte("hello")) || len(res.Path) != 1 {
-		t.Fatalf("traced get = %+v, want the relayed payload from P(7)", res)
+	if res.ServedBy != 7 || !bytes.Equal(res.Data, []byte("hello")) {
+		t.Fatalf("get = %+v, want the relayed payload from P(7)", res)
 	}
 	if got := cl.LocateStats().Relays.Load(); got != 1 {
 		t.Fatalf("relays = %d, want 1", got)
-	}
-}
-
-func TestLocalOnlyGetNeverForwards(t *testing.T) {
-	peers := startSystem(t, 4, 0, allPIDs(16), hashring.Fixed(4))
-	if err := NewClient(peers[9].Addr()).Insert("f", []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	// At a non-holder a local-only get is refused, never relayed.
-	fwd0 := peers[8].Stats().Forwards.Load()
-	resp, err := Call(peers[8].Addr(), &msg.Request{Kind: msg.KindGet, Flags: msg.FlagLocalOnly, Name: "f"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.OK || resp.Err != ErrNotHolder {
-		t.Fatalf("local-only get at non-holder = %+v", resp)
-	}
-	if d := peers[8].Stats().Forwards.Load() - fwd0; d != 0 {
-		t.Fatalf("local-only get forwarded %d times", d)
-	}
-	if peers[8].Stats().DirectMisses.Load() != 1 {
-		t.Fatalf("DirectMisses = %d, want 1", peers[8].Stats().DirectMisses.Load())
-	}
-	// At the holder it serves.
-	resp, err = Call(peers[4].Addr(), &msg.Request{Kind: msg.KindGet, Flags: msg.FlagLocalOnly, Name: "f"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resp.OK || resp.ServedBy != 4 || !bytes.Equal(resp.Data, []byte("x")) {
-		t.Fatalf("local-only get at holder = %+v", resp)
-	}
-	if peers[4].Stats().DirectServed.Load() != 1 {
-		t.Fatalf("DirectServed = %d, want 1", peers[4].Stats().DirectServed.Load())
 	}
 }
 

@@ -123,8 +123,9 @@ type Stats struct {
 	RouteDivergence atomic.Uint64
 	// Locate-then-fetch data plane (docs/ROUTING.md). Located counts
 	// KindLocateSet walks this peer answered as the holder; DirectServed /
-	// DirectMisses count FlagLocalOnly gets served from the local store or
-	// refused (a miss is a stale route hint, deliberately never forwarded).
+	// DirectMisses count ranged KindFetch chunks served from the local
+	// store or refused (a miss is a stale route hint, deliberately never
+	// forwarded).
 	Located      atomic.Uint64
 	DirectServed atomic.Uint64
 	DirectMisses atomic.Uint64
@@ -765,33 +766,13 @@ func (p *Peer) handleInsert(req *msg.Request, sum crc) *msg.Response {
 	}
 }
 
-// ErrNotHolder is the answer to a local-only get at a peer that does not
-// hold the file — the direct-fetch path's "your route hint is stale"
-// signal. Clients match it to purge the hint and fall back to a locate.
-const ErrNotHolder = msg.NotHolderError
-
+// handleGet is §2.2's GETFILE step: serve the file if held, else forward
+// the get along the lookup tree. A body over one frame is served like any
+// other; the serve loop answers it with msg.OverFrameError.
 func (p *Peer) handleGet(req *msg.Request) *msg.Response {
 	start := time.Now()
-	f, ok := p.store.Get(req.Name)
-	if ok && len(f.Data) > msg.MaxData {
-		// Framing the body would fail response encoding and tear down the
-		// pipelined connection under every other request in flight on it.
-		// Chunk-capable readers never get here — they fetch ranged — so the
-		// refusal reaches only plain/relay gets (Client surfaces it as
-		// ErrOverFrame) and the repair pull, which retries through the
-		// chunk plane.
-		f.Release()
-		resp := &msg.Response{Hops: req.Hops, Version: f.Version, Err: msg.OverFrameError}
-		if req.Flags&msg.FlagTrace != 0 {
-			resp.Path = appendHop(req.Path, uint32(p.cfg.PID), msg.HopFault, time.Since(start))
-		}
-		return resp
-	}
-	if ok {
+	if f, ok := p.store.Get(req.Name); ok {
 		p.stats.Served.Add(1)
-		if req.Flags&msg.FlagLocalOnly != 0 {
-			p.stats.DirectServed.Add(1)
-		}
 		resp := &msg.Response{
 			OK: true, ServedBy: uint32(p.cfg.PID), Hops: req.Hops,
 			Version: f.Version, Data: f.Data,
@@ -801,18 +782,6 @@ func (p *Peer) handleGet(req *msg.Request) *msg.Response {
 		p.obs.serve.ObserveDuration(elapsed)
 		if req.Flags&msg.FlagTrace != 0 {
 			resp.Path = appendHop(req.Path, uint32(p.cfg.PID), msg.HopServe, elapsed)
-		}
-		return resp
-	}
-	if req.Flags&msg.FlagLocalOnly != 0 {
-		// Direct fetch against a route hint: the holder either has the
-		// file or the hint is stale. Forwarding here would silently turn
-		// a one-hop data-plane fetch back into a payload relay, so refuse
-		// and let the caller re-locate.
-		p.stats.DirectMisses.Add(1)
-		resp := &msg.Response{Hops: req.Hops, Err: ErrNotHolder}
-		if req.Flags&msg.FlagTrace != 0 {
-			resp.Path = appendHop(req.Path, uint32(p.cfg.PID), msg.HopFault, time.Since(start))
 		}
 		return resp
 	}

@@ -175,9 +175,17 @@ func (s *served) work() {
 // write frames j's response under the write lock. It is also where the
 // request's lease ends: once the response is encoded into the write buffer
 // (or the socket) nothing points into the request or its read buffer any
-// more. A failed write closes the connection, which stops the reader.
+// more. A failed write closes the connection, which stops the reader — so
+// an answer the frame cannot carry is rewritten here instead: a body over
+// msg.MaxData becomes the over-frame refusal, with the route it came
+// over, and an over-long Err is cut. The handler's own response is left as
+// it was; the worker releases it.
 func (s *served) write(resp *msg.Response, j job) {
-	if len(resp.Err) > msg.MaxName {
+	switch {
+	case len(resp.Data)+len(resp.Tail) > msg.MaxData:
+		resp = &msg.Response{Err: msg.OverFrameError, Version: resp.Version,
+			ServedBy: resp.ServedBy, Hops: resp.Hops, Path: resp.Path}
+	case len(resp.Err) > msg.MaxName:
 		cut := *resp // the handler's response may be shared
 		cut.Err = cut.Err[:msg.MaxName]
 		resp = &cut

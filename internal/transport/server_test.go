@@ -369,3 +369,70 @@ func TestServerClose(t *testing.T) {
 		t.Fatalf("second close: %v", err)
 	}
 }
+
+// TestOverFrameAnswerRefused: an answer whose Data and Tail together exceed
+// one frame is written as the over-frame refusal, carrying the route the
+// answer came over, and the connection — with every request pipelined
+// beside it — lives on.
+func TestOverFrameAnswerRefused(t *testing.T) {
+	release := make(chan struct{})
+	path := []msg.Hop{{PID: 5, Action: msg.HopForward}, {PID: 3, Action: msg.HopServe}}
+	body := make([]byte, msg.MaxData)
+	var protoErrs atomic.Int64
+	srv, err := Listen("127.0.0.1:0", func(req *msg.Request) *msg.Response {
+		if req.Name != "big" {
+			return echoHandler(req)
+		}
+		<-release
+		return &msg.Response{OK: true, ServedBy: 3, Hops: 2, Version: 7, Path: path,
+			Data: body, Tail: []byte{1}}
+	}, ServeLoopOptions{Workers: 8, OnProtoError: func(error) { protoErrs.Add(1) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cc, err := DialMuxConn(srv.Addr(), time.Second, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cc.Close()
+
+	type answer struct {
+		resp *msg.Response
+		err  error
+	}
+	big := make(chan answer, 1)
+	go func() {
+		resp, err := cc.Do(&msg.Request{Kind: msg.KindGet, Name: "big"})
+		big <- answer{resp, err}
+	}()
+	// Seven small requests pipelined while the big answer is in the works.
+	var wg sync.WaitGroup
+	for i := 0; i < 7; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			name := string(rune('a' + i))
+			if resp, err := cc.Do(&msg.Request{Kind: msg.KindGet, Name: name}); err != nil || !resp.OK || string(resp.Data) != name {
+				t.Errorf("small request %q beside the big one: %+v, %v", name, resp, err)
+			}
+		}()
+	}
+	wg.Wait()
+	close(release)
+
+	a := <-big
+	if a.err != nil {
+		t.Fatalf("over-frame answer: transport error %v, want the refusal", a.err)
+	}
+	if r := a.resp; r.OK || r.Err != msg.OverFrameError || len(r.Data) != 0 ||
+		r.ServedBy != 3 || r.Hops != 2 || r.Version != 7 || len(r.Path) != 2 || r.Path[1].PID != 3 {
+		t.Fatalf("over-frame answer = %+v, want the refusal with ServedBy, Hops, Version and Path kept", r)
+	}
+	if resp, err := cc.Do(&msg.Request{Kind: msg.KindGet, Name: "after"}); err != nil || string(resp.Data) != "after" {
+		t.Fatalf("request after the refusal on the same connection: %+v, %v", resp, err)
+	}
+	if n := protoErrs.Load(); n != 0 {
+		t.Fatalf("%d protocol errors, want none", n)
+	}
+}
