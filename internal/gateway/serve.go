@@ -35,6 +35,7 @@ func (g *Gateway) Listen(addr string) (*Server, error) {
 		Depth:   &g.pipelineDepth,
 		OnProtoError: func(err error) {
 			g.counters.ProtoErrors.Inc()
+			g.tr.Counters().CountRefusal(err)
 			g.log.Debug("client connection protocol error", "err", err)
 		},
 	})

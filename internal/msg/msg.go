@@ -4,7 +4,8 @@
 // flags the §3/§4 routing needs to terminate (the FINDLIVENODE fallback
 // and cross-subtree migration state travel with the request).
 //
-// Frame layout (big endian):
+// A connection opens with a hello in each direction (AppendHello: a magic
+// word, then Epoch), and then carries frames. Frame layout (big endian):
 //
 //	uint32  payload length, with the high bit (FrameIDBit) set
 //	uint64  request ID, echoed by the response
@@ -210,6 +211,11 @@ const (
 	MaxHolders = 64
 )
 
+// FitsFrame reports whether an n-byte body rides one frame's data field.
+// A serve loop answers a body that does not with OverFrameError, so a
+// handler counts such an answer as a refusal, not as a serve.
+func FitsFrame(n int) bool { return n <= MaxData }
+
 // Flag bits carried by requests.
 const (
 	// FlagFallback marks a get that already took the §3 second step; the
@@ -220,9 +226,7 @@ const (
 	FlagReplica
 	// FlagPropagate marks a KindNotify or KindDelete that is a leg of a
 	// top-down children-list broadcast rather than a client's request, or a
-	// KindRegister relayed by the bootstrap peer (no further relaying). A
-	// peer refuses a KindUpdate carrying it: older builds pushed the whole
-	// body down each leg that way.
+	// KindRegister relayed by the bootstrap peer (no further relaying).
 	FlagPropagate
 	// FlagDead marks a KindRegister announcing a departure or failure.
 	FlagDead

@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"lesslog/internal/bitops"
+	"lesslog/internal/msg"
 	"lesslog/internal/trace"
 )
 
@@ -110,6 +111,11 @@ type adminHealth struct {
 	LivePeers    int      `json:"live_peers"`
 	KnownPeers   int      `json:"known_peers"`
 	DetectorDown []uint32 `json:"detector_down"`
+	// Epoch is the wire protocol epoch this peer speaks; EpochRefused counts
+	// connections refused for theirs, dialed and accepted (docs/TRANSPORT.md
+	// "Connection hello").
+	Epoch        uint32 `json:"epoch"`
+	EpochRefused uint64 `json:"epoch_refused"`
 }
 
 func (a *Admin) healthz(w http.ResponseWriter, _ *http.Request) {
@@ -121,6 +127,7 @@ func (a *Admin) healthz(w http.ResponseWriter, _ *http.Request) {
 		Status: "ok", PID: uint32(p.cfg.PID), Addr: p.Addr(),
 		M: p.cfg.M, B: p.cfg.B, LivePeers: live, KnownPeers: known,
 		DetectorDown: p.det.DownIDs(),
+		Epoch:        msg.Epoch, EpochRefused: p.tr.Counters().EpochRefused.Value(),
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(h)

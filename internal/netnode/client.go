@@ -233,13 +233,8 @@ func (c *Client) report(idx int, err error) {
 	if err != nil {
 		c.stats.FetchErrors.Inc()
 	}
-	if c.det == nil {
-		return
-	}
-	if err != nil {
-		c.det.Fail(uint32(idx))
-	} else {
-		c.det.Ok(uint32(idx))
+	if c.det != nil {
+		c.det.Observe(uint32(idx), err)
 	}
 }
 
@@ -438,11 +433,21 @@ func getAnswer(name string, resp *msg.Response) (GetResult, error) {
 			ServedBy: resp.ServedBy, Hops: int(resp.Hops), Path: resp.Path,
 		}, nil
 	}
-	err := ErrFault
+	err := faultError(name, resp.Err)
 	if strings.HasPrefix(resp.Err, msg.OverFrameError) {
-		err = ErrOverFrame
+		err = fmt.Errorf("%w: %s", ErrOverFrame, name)
 	}
-	return GetResult{Hops: int(resp.Hops), Path: resp.Path}, fmt.Errorf("%w: %s", err, name)
+	return GetResult{Hops: int(resp.Hops), Path: resp.Path}, err
+}
+
+// faultError is ErrFault for name, with the peer's reason when it says more
+// than that: a forward that failed, naming the hop and why — a peer of
+// another epoch among them.
+func faultError(name, reason string) error {
+	if reason == "" || reason == ErrFault.Error() {
+		return fmt.Errorf("%w: %s", ErrFault, name)
+	}
+	return fmt.Errorf("%w: %s: %s", ErrFault, name, reason)
 }
 
 // LocateResult reports where a file lives: the serving holder's identity
@@ -489,7 +494,7 @@ func (c *Client) locate(name string, traceID uint64) (loc LocateResult, set []ro
 	}
 	loc = LocateResult{Hops: int(resp.Hops), Path: resp.Path}
 	if !resp.OK {
-		return loc, nil, fmt.Errorf("%w: %s", ErrFault, name)
+		return loc, nil, faultError(name, resp.Err)
 	}
 	if set, err = c.snap.Load().hintSet(resp.Data); err != nil {
 		c.stats.FetchErrors.Inc()

@@ -110,6 +110,9 @@ func TestRetiredKindsRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
+	if _, err := conn.Write(msg.AppendHello(nil, msg.Epoch)); err != nil {
+		t.Fatal(err)
+	}
 	br := bufio.NewReader(conn)
 	for i, old := range []*msg.Request{
 		{Kind: msg.Kind(4), Name: "old/placed", Data: []byte("older build"), Version: clock + 10},
@@ -124,6 +127,11 @@ func TestRetiredKindsRefused(t *testing.T) {
 			t.Fatal(err)
 		}
 		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if i == 0 {
+			if epoch, err := msg.ReadHello(br); err != nil || epoch != msg.Epoch {
+				t.Fatalf("hello: epoch %d, %v", epoch, err)
+			}
+		}
 		answers := map[uint64]*msg.Response{}
 		for range 2 {
 			resp, rid, err := msg.ReadResponseID(br)

@@ -51,6 +51,36 @@ func TestPlainGetOverFrameIsNotAFault(t *testing.T) {
 	}
 }
 
+// TestOverFrameGetIsNotAServe: the serve loop answers a whole-frame get of
+// a body past one frame with the over-frame refusal, so the holder counts
+// no serve for it; a get of a body that fits is one serve.
+func TestOverFrameGetIsNotAServe(t *testing.T) {
+	peers, _ := seedOverFrame(t)
+	served := func() (n uint64) {
+		for _, p := range peers {
+			n += p.Stats().Served.Load()
+		}
+		return n
+	}
+	before := served()
+	if _, err := NewClient(peers[2].Addr()).Get("huge"); !errors.Is(err, ErrOverFrame) {
+		t.Fatalf("plain get of a 17 MiB body: err = %v, want ErrOverFrame", err)
+	}
+	if d := served() - before; d != 0 {
+		t.Errorf("an over-frame refusal moved Served by %d, want 0", d)
+	}
+	if err := NewClient(peers[0].Addr()).Insert("mid", chunkPayload(1<<20, 72)); err != nil {
+		t.Fatal(err)
+	}
+	before = served()
+	if _, err := NewClient(peers[2].Addr()).Get("mid"); err != nil {
+		t.Fatal(err)
+	}
+	if d := served() - before; d != 1 {
+		t.Errorf("a 1 MiB get moved Served by %d, want 1", d)
+	}
+}
+
 // TestLocateGetOverFrameReResolves: the hinted set is dead and the chunk
 // plane fails transiently, so the read falls to the relay rung — which can
 // only answer over-frame. The client re-resolves through locate-set and

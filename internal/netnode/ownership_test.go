@@ -600,6 +600,9 @@ func dialRaw(t *testing.T, addr string) *rawConn {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { conn.Close() })
+	if _, err := conn.Write(msg.AppendHello(nil, msg.Epoch)); err != nil {
+		t.Fatal(err)
+	}
 	return &rawConn{t: t, conn: conn}
 }
 
@@ -614,6 +617,12 @@ func (c *rawConn) call(req *msg.Request) *msg.Response {
 	frame = binary.BigEndian.AppendUint64(frame, c.id)
 	if _, err := c.conn.Write(append(frame, payload...)); err != nil {
 		c.t.Fatal(err)
+	}
+	if c.id == 1 { // the peer's hello rides its first answer
+		hello := make([]byte, msg.HelloLen)
+		if _, err := io.ReadFull(c.conn, hello); err != nil || !bytes.Equal(hello, msg.AppendHello(nil, msg.Epoch)) {
+			c.t.Fatalf("hello %x, %v", hello, err)
+		}
 	}
 	var hdr [12]byte
 	if _, err := io.ReadFull(c.conn, hdr[:]); err != nil {

@@ -262,45 +262,6 @@ func TestNotifyPullLossConvergesViaRepair(t *testing.T) {
 	}
 }
 
-// TestPropagatedUpdateFrameRefused: an older build pushes an update down
-// its broadcast as a whole-frame KindUpdate with FlagPropagate. A holder
-// refuses it outright — it neither applies the body nor initiates a second
-// broadcast of its own — and converges later through repair.
-func TestPropagatedUpdateFrameRefused(t *testing.T) {
-	peers := startSystem(t, 4, 1, allPIDs(16), hashring.Fixed(4))
-	v1 := chunkPayload(4<<10, 50)
-	if err := NewClient(peers[2].Addr()).Insert("w/old", v1); err != nil {
-		t.Fatal(err)
-	}
-	holder := peers[holdersOf(peers, "w/old")[0]]
-	before, _ := holder.store.Peek("w/old")
-	clocks := map[bitops.PID]uint64{}
-	for pid, p := range peers {
-		clocks[pid] = p.clock.Load()
-	}
-	resp, err := Call(holder.Addr(), &msg.Request{
-		Kind: msg.KindUpdate, Flags: msg.FlagPropagate, Name: "w/old",
-		Version: before.Version + 10, Data: chunkPayload(4<<10, 51),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.OK {
-		t.Fatalf("propagated KindUpdate answered %+v, want a refusal", resp)
-	}
-	for pid, p := range peers {
-		if f, ok := p.store.Peek("w/old"); ok && (f.Version != before.Version || !bytes.Equal(f.Data, v1)) {
-			t.Errorf("P(%d) holds v%d (%d bytes), want v%d untouched", pid, f.Version, len(f.Data), before.Version)
-		}
-		if got := p.stats.Updated.Load(); got != 0 {
-			t.Errorf("P(%d) counted %d updates", pid, got)
-		}
-		if got := p.clock.Load(); got != clocks[pid] {
-			t.Errorf("P(%d) clock moved %d -> %d: a version was stamped or merged", pid, clocks[pid], got)
-		}
-	}
-}
-
 // TestTracedNotifyUpdateTree: a traced update assembles the broadcast-tree
 // shape — one HopFanout root at the entry peer, one HopDeliver per holder,
 // every hop parented inside the trace — while its holders pull the body.

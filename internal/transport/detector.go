@@ -10,6 +10,7 @@ package transport
 // re-registers).
 
 import (
+	"errors"
 	"sort"
 	"sync"
 )
@@ -67,6 +68,20 @@ func (d *Detector) Fail(id uint32) {
 	d.mu.Unlock()
 	if goesDown && d.onDown != nil {
 		d.onDown(id)
+	}
+}
+
+// Observe records one exchange's outcome with id: Ok on success, Fail on a
+// failure — except a refusal for the epoch (ErrEpoch), which is neither. A
+// peer of another epoch is up, not crashed, and §5's fallback must not
+// route around it as if it had failed: what reaches its slot fails, naming
+// both epochs.
+func (d *Detector) Observe(id uint32, err error) {
+	switch {
+	case err == nil:
+		d.Ok(id)
+	case !errors.Is(err, ErrEpoch):
+		d.Fail(id)
 	}
 }
 

@@ -1,9 +1,12 @@
 package transport
 
 import (
+	"bufio"
+	"bytes"
 	"net"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"lesslog/internal/msg"
 )
@@ -26,7 +29,8 @@ func (c *countingConn) Read(p []byte) (int, error) {
 // and the mux's — take a frame with a 4 KiB payload in with one read once
 // its bytes are there. Each frame is written whole with one Write on a
 // net.Pipe, which hands a reader at most what one Write carried, so a
-// reader whose buffer is smaller than the frame needs a second read.
+// reader whose buffer is smaller than the frame needs a second read. The
+// hello rides the first frame's Write, as the serve loop's answer does.
 func TestFrameReadersHoldSmallFrame(t *testing.T) {
 	const exchanges = 16
 	body := make([]byte, 4<<10)
@@ -41,11 +45,24 @@ func TestFrameReadersHoldSmallFrame(t *testing.T) {
 			ServeLoop(counted, func(*msg.Request) *msg.Response { return &msg.Response{OK: true} }, ServeLoopOptions{})
 			server.Close()
 		}()
+		br := bufio.NewReader(client)
 		for i := uint64(1); i <= exchanges; i++ {
-			if err := msg.WriteRequestID(client, &msg.Request{Kind: msg.KindInsert, Name: "f", Data: body}, i); err != nil {
+			var frame bytes.Buffer
+			if i == 1 {
+				frame.Write(msg.AppendHello(nil, msg.Epoch))
+			}
+			if err := msg.WriteRequestID(&frame, &msg.Request{Kind: msg.KindInsert, Name: "f", Data: body}, i); err != nil {
 				t.Fatal(err)
 			}
-			if _, _, err := msg.ReadResponseID(client); err != nil {
+			if _, err := client.Write(frame.Bytes()); err != nil {
+				t.Fatal(err)
+			}
+			if i == 1 {
+				if epoch, err := msg.ReadHello(br); err != nil || epoch != msg.Epoch {
+					t.Fatalf("serve loop's hello: epoch %d, %v", epoch, err)
+				}
+			}
+			if _, _, err := msg.ReadResponseID(br); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -60,18 +77,31 @@ func TestFrameReadersHoldSmallFrame(t *testing.T) {
 		client, server := net.Pipe()
 		defer server.Close()
 		go func() {
+			br := bufio.NewReader(server)
+			if _, err := msg.ReadHello(br); err != nil {
+				return
+			}
+			hello := msg.AppendHello(nil, msg.Epoch)
 			for {
-				_, id, err := msg.ReadRequestID(server)
+				_, id, err := msg.ReadRequestID(br)
 				if err != nil {
 					return
 				}
-				if msg.WriteResponseID(server, &msg.Response{OK: true, Data: body}, id) != nil {
+				frame := bytes.NewBuffer(hello)
+				hello = nil
+				if msg.WriteResponseID(frame, &msg.Response{OK: true, Data: body}, id) != nil {
+					return
+				}
+				if _, err := server.Write(frame.Bytes()); err != nil {
 					return
 				}
 			}
 		}()
 		counted := &countingConn{Conn: client}
-		m := newMux(counted)
+		m, err := newMux(counted, time.Second, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		defer m.close()
 		for i := 0; i < exchanges; i++ {
 			resp, err := m.do(&msg.Request{Kind: msg.KindGet, Name: "f"}, 0)

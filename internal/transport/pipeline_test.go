@@ -318,6 +318,9 @@ func TestServeLoopEndsWithParkedHandler(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer conn.Close()
+			if _, err := conn.Write(msg.AppendHello(nil, msg.Epoch)); err != nil {
+				t.Fatal(err)
+			}
 			if err := msg.WriteRequestID(conn, &msg.Request{Kind: msg.KindGet, Name: "f"}, 1); err != nil {
 				t.Fatal(err)
 			}

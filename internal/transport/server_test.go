@@ -187,15 +187,15 @@ func TestCorruptFrameStopsPipeline(t *testing.T) {
 	}
 	defer conn.Close()
 
-	var segment bytes.Buffer
-	if err := msg.WriteRequestID(&segment, &msg.Request{Kind: msg.KindGet, Name: "before"}, 1); err != nil {
+	segment := bytes.NewBuffer(msg.AppendHello(nil, msg.Epoch))
+	if err := msg.WriteRequestID(segment, &msg.Request{Kind: msg.KindGet, Name: "before"}, 1); err != nil {
 		t.Fatal(err)
 	}
 	// An ID'd frame whose one-byte payload is shorter than any request.
 	segment.Write(binary.BigEndian.AppendUint32(nil, 1|msg.FrameIDBit))
 	segment.Write(binary.BigEndian.AppendUint64(nil, 2))
 	segment.WriteByte(byte(msg.KindUpdate))
-	if err := msg.WriteRequestID(&segment, &msg.Request{Kind: msg.KindUpdate, Name: "after", Data: []byte("v2")}, 3); err != nil {
+	if err := msg.WriteRequestID(segment, &msg.Request{Kind: msg.KindUpdate, Name: "after", Data: []byte("v2")}, 3); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := conn.Write(segment.Bytes()); err != nil {
@@ -213,6 +213,9 @@ func TestCorruptFrameStopsPipeline(t *testing.T) {
 
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	br := bufio.NewReader(conn)
+	if _, err := msg.ReadHello(br); err != nil {
+		t.Fatalf("server hello: %v", err)
+	}
 	resp, id, err := msg.ReadResponseID(br)
 	if err != nil || id != 1 || !resp.OK {
 		t.Fatalf("answer to the request before the corrupt frame: id %d, %+v, %v", id, resp, err)

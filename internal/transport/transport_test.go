@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"errors"
 	"net"
 	"sync"
@@ -56,8 +57,12 @@ func (s *echoServer) acceptLoop() {
 				delete(s.open, conn)
 				s.mu.Unlock()
 			}()
+			br, err := handshake(conn)
+			if err != nil {
+				return
+			}
 			for {
-				req, id, err := msg.ReadRequestID(conn)
+				req, id, err := msg.ReadRequestID(br)
 				if err != nil {
 					return
 				}
@@ -71,6 +76,17 @@ func (s *echoServer) acceptLoop() {
 			}
 		}()
 	}
+}
+
+// handshake is a raw stand-in's half of the hello: it reads the dialer's
+// and answers with this build's, and returns the reader frames follow on.
+func handshake(conn net.Conn) (*bufio.Reader, error) {
+	br := bufio.NewReader(conn)
+	if _, err := msg.ReadHello(br); err != nil {
+		return nil, err
+	}
+	_, err := conn.Write(msg.AppendHello(nil, msg.Epoch))
+	return br, err
 }
 
 func (s *echoServer) Accepted() int {
