@@ -7,7 +7,9 @@ package main
 // fsynced ⇒ recovered; the torn tail is truncated, never served), and
 // the restarted daemon re-announces its recovered inventory through the
 // repair plane — the in-process bootstrap peer receives the copies it is
-// the required holder for without any client re-insert.
+// the required holder for without any client re-insert. A SIGTERM then
+// only closes the daemon: restarted against a fresh, empty bootstrap
+// peer, it still serves every acked name from its own log.
 
 import (
 	"bufio"
@@ -211,5 +213,30 @@ func TestLesslogdKillAndRecover(t *testing.T) {
 	}
 	if _, err := os.Stat(dataDir); err != nil {
 		t.Fatalf("data dir gone after graceful exit: %v", err)
+	}
+
+	// A stop is not a departure: the SIGTERM only closed the daemon, so
+	// its log still holds every acked copy. Replace the bootstrap peer with
+	// a fresh, empty one — nothing else in the fabric holds a copy now —
+	// and restart the daemon from the same directory: every acked name
+	// must read back from the daemon at its version.
+	boot.Close()
+	boot2, err := netnode.Listen(netnode.Config{PID: 1, M: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer boot2.Close()
+	boot2.SetAddrs(map[bitops.PID]string{1: boot2.Addr()})
+	daemon3, addr3 := startDaemon(t, bin, dataDir, boot2.Addr())
+	defer daemon3.Process.Kill()
+	cl3 := netnode.NewClient(addr3)
+	for _, a := range final {
+		res, err := cl3.Get(a.name)
+		if err != nil {
+			t.Fatalf("acked %s lost across SIGTERM and restart: %v", a.name, err)
+		}
+		if res.Version != a.version {
+			t.Fatalf("%s back at v%d after SIGTERM, acked v%d", a.name, res.Version, a.version)
+		}
 	}
 }

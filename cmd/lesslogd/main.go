@@ -58,8 +58,11 @@
 // recovered inventory through the repair plane. `-fsync` picks the
 // durability policy (always / interval / never), `-fsync-every` the
 // interval flush period, `-segment-size` the rotation threshold.
-// SIGTERM/SIGINT leaves gracefully and fsyncs the log before exit; a
-// second signal exits immediately.
+// SIGTERM/SIGINT only closes: the peer stops serving and fsyncs the log,
+// keeping its copies for the restart, as a SIGKILL does minus the flush;
+// a second signal exits immediately. A stop is not a departure — the
+// §5.2 voluntary leave is `POST /leave` on the -admin server (see
+// docs/STORAGE.md "The retire barrier").
 package main
 
 import (
@@ -214,24 +217,22 @@ func newLogger(level string) (*slog.Logger, error) {
 	return slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: l})), nil
 }
 
-// waitForSignal blocks until SIGINT/SIGTERM, then shuts down gracefully:
-// Leave hands inserted copies to their new primaries, Close drains the
-// listener and in-flight handlers and — with -data-dir — flushes and
-// fsyncs the open log segment, so a signalled exit never leaves an
-// unsynced tail for the next start to truncate. A second signal skips
-// the graceful path and exits immediately (the log stays crash-safe:
-// recovery replay handles whatever was not yet flushed).
+// waitForSignal blocks until SIGINT/SIGTERM, then closes the peer: Close
+// drains the listener and in-flight handlers and — with -data-dir —
+// flushes and fsyncs the open log segment, so a signalled exit never
+// leaves an unsynced tail for the next start to truncate. The peer keeps
+// its copies: a restart replays them and comes back through -bootstrap
+// or -peers, as after a crash. A second signal skips the flush and exits
+// immediately (the log stays crash-safe: recovery replay handles
+// whatever was not yet flushed).
 func waitForSignal(peer *netnode.Peer, log *slog.Logger) {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	s := <-sig
-	log.Info("signal received; leaving and shutting down", "signal", s.String())
+	log.Info("signal received; shutting down", "signal", s.String())
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		if err := peer.Leave(); err != nil {
-			log.Error("leave failed", "err", err)
-		}
 		if err := peer.Close(); err != nil {
 			log.Error("shutdown flush failed", "err", err)
 		}
@@ -240,7 +241,7 @@ func waitForSignal(peer *netnode.Peer, log *slog.Logger) {
 	case <-done:
 		log.Info("shutdown complete")
 	case s := <-sig:
-		log.Warn("second signal; exiting without graceful leave", "signal", s.String())
+		log.Warn("second signal; exiting without flush", "signal", s.String())
 		os.Exit(1)
 	}
 }

@@ -11,6 +11,9 @@ package netnode
 //	/traces         the sampled trace ring as JSON (docs/OBSERVABILITY.md)
 //	/checkpoint     POST: compact the durable log to its live state
 //	                (docs/STORAGE.md; 409 without -data-dir)
+//	/leave          POST: the §5.2 voluntary leave — hand the inserted
+//	                copies off, then report how many the peer still
+//	                holds (docs/STORAGE.md "The retire barrier")
 //	/debug/pprof/*  the standard Go profiler endpoints
 //
 // Everything read here is lock-free or briefly locked; scraping cannot
@@ -52,6 +55,7 @@ func (p *Peer) ServeAdmin(addr string) (*Admin, error) {
 	mux.HandleFunc("/trees", a.trees)
 	mux.HandleFunc("/traces", a.traces)
 	mux.HandleFunc("/checkpoint", a.checkpoint)
+	mux.HandleFunc("/leave", a.leave)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -99,6 +103,24 @@ func (a *Admin) checkpoint(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(map[string]any{
 		"checkpointed": true, "sealed_segments": sealed, "active_bytes": active,
 	})
+}
+
+// leave runs the §5.2 voluntary leave — a signal only closes the peer.
+// POST only (it moves copies and may retire the log). kept counts the
+// copies the peer still holds: 0 means every copy was placed and the log
+// is retired; above 0 the data directory must be kept. Stop the process
+// afterwards.
+func (a *Admin) leave(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodPost {
+		http.Error(w, "POST required", http.StatusMethodNotAllowed)
+		return
+	}
+	if err := a.p.Leave(); err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	json.NewEncoder(w).Encode(map[string]any{"left": true, "kept": a.p.store.Len()})
 }
 
 // adminHealth is the /healthz body.

@@ -121,10 +121,11 @@ func TestTombstoneSurvivesRestartAndBlocksResurrection(t *testing.T) {
 	}
 }
 
-// A durable peer's graceful Leave retires its log with one barrier
-// record — not one delete per handed-off name (the write-amplification
-// fix) — and a restart from the same directory replays to empty instead
-// of re-announcing copies the fabric already re-homed.
+// A durable peer's graceful Leave, asked for with POST /leave, retires
+// its log with one barrier record — not one delete per handed-off name
+// (the write-amplification fix) — and a restart from the same directory
+// replays to empty instead of re-announcing copies the fabric already
+// re-homed.
 func TestLeaveRetiresDurableStore(t *testing.T) {
 	dir := t.TempDir()
 	peers := startDurableSystem(t, 2, 0, 4, hashring.Fixed(0), dir)
@@ -137,9 +138,34 @@ func TestLeaveRetiresDurableStore(t *testing.T) {
 	if peers[0].store.Len() != 8 {
 		t.Fatalf("setup: durable peer holds %d copies, want 8", peers[0].store.Len())
 	}
-	appends := peers[0].eng.Stats().Appends.Load()
-	if err := peers[0].Leave(); err != nil {
+	adm, err := peers[0].ServeAdmin("127.0.0.1:0")
+	if err != nil {
 		t.Fatal(err)
+	}
+	defer adm.Close()
+	get, err := http.Get("http://" + adm.Addr() + "/leave")
+	if err != nil {
+		t.Fatal(err)
+	}
+	get.Body.Close()
+	if get.StatusCode != http.StatusMethodNotAllowed {
+		t.Fatalf("GET /leave = %d, want 405", get.StatusCode)
+	}
+	appends := peers[0].eng.Stats().Appends.Load()
+	resp, err := http.Post("http://"+adm.Addr()+"/leave", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body struct {
+		Left bool `json:"left"`
+		Kept int  `json:"kept"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || !body.Left || body.Kept != 0 {
+		t.Fatalf("POST /leave = %d %+v, want 200 left with nothing kept", resp.StatusCode, body)
 	}
 	if peers[0].store.Len() != 0 || peers[0].store.TombstoneCount() != 0 {
 		t.Fatalf("leave kept local state: %s", peers[0].store.String())

@@ -98,6 +98,12 @@ func (p *Peer) Join(bootstrapAddr string) error {
 // subtrees keep serving it, and the repair loop re-establishes the
 // missing placement. The old behavior (abort the leave) left the peer
 // half-departed: marked dead locally, never broadcast, copies stranded.
+// A copy whose subtree has no live peer left (the last leaver of a
+// subtree) is not placed either, so that peer keeps its store and log.
+//
+// Two peers leaving at once can still lose a copy: applyStore takes no
+// propMu, so a handoff can land at a peer in the middle of its own Leave,
+// after it listed its inserted copies.
 func (p *Peer) Leave() error {
 	p.propMu.Lock()
 	defer p.propMu.Unlock()
@@ -124,14 +130,14 @@ func (p *Peer) Leave() error {
 			// next live holder in the subtree (§3 over the wire).
 			h, ok := p.view(target).PrimaryOf(p.cfg.PID)
 			if !ok {
-				break // subtree dies with us; B > 0 siblings still serve
+				break // subtree dies with us; nobody takes the copy
 			}
 			tried = true
 			if _, err = p.place(h, f, 0, &p.stats.PlacedHandoff, nil); err == nil {
 				break
 			}
 		}
-		if tried && err != nil {
+		if !tried || err != nil {
 			skipped++
 			p.log.Warn("leave: handoff skipped, no successor took the copy", "name", f.Name, "err", err)
 		}
@@ -144,7 +150,7 @@ func (p *Peer) Leave() error {
 	// record per name, which is pure write amplification on a WAL-backed
 	// peer — so a later restart replays to empty instead of re-announcing
 	// copies the fabric already re-homed. A skipped copy keeps the whole
-	// store (and log) intact instead: the B > 0 siblings still serve it
+	// store (and log) intact instead: any B > 0 siblings still serve it
 	// live, and a warm restart re-announces the stranded placement rather
 	// than losing the only authoritative record of it.
 	if skipped == 0 {
