@@ -23,11 +23,11 @@
 //
 // With -locate, gets resolve the file's replica set through a payload-free
 // locate walk and fetch it in ranged chunks straight from the holders,
-// caching the route hint for later gets in the same process — the only
-// read that can carry a body over one frame (a plain get of one reports
-// the typed over-frame error). A -trace get relays through the lookup tree
-// in either mode, so the route it prints is the walk itself and the body
-// must fit one frame. See docs/ROUTING.md.
+// caching the route hint for later gets in the same process. Without it a
+// get relays through the lookup tree, a body past one frame as its head,
+// the rest fetched in ranges from the holders the head names. A -trace get
+// relays in either mode, so the route it prints is the walk itself. See
+// docs/ROUTING.md.
 //
 // Observability: `-admin addr` exposes /metrics (Prometheus text),
 // /healthz, /trees, /traces and /debug/pprof/* over HTTP, and

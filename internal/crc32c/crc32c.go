@@ -1,6 +1,7 @@
-// Package crc32c is the one CRC-32C (Castagnoli) the chunk planes share:
-// Sum passes over bytes, Combine joins the sums of two adjacent byte ranges
-// into the sum of their concatenation without touching either. Combine is
+// Package crc32c is the one CRC-32C (Castagnoli) the chunk planes and the
+// write-ahead log share: Sum passes over bytes, Update carries a sum across
+// bytes that arrive in pieces, Combine joins the sums of two adjacent byte
+// ranges into the sum of their concatenation without touching either. Combine is
 // what lets a peer that has checksummed a body chunk by chunk know the
 // whole-file sum for free (docs/ROUTING.md "Checksums").
 package crc32c
@@ -14,6 +15,10 @@ var table = crc32.MakeTable(crc32.Castagnoli)
 
 // Sum returns the CRC-32C of b.
 func Sum(b []byte) uint32 { return crc32.Checksum(b, table) }
+
+// Update returns the CRC-32C of A‖b given sum = Sum(A): a sum carried
+// across bytes that arrive in pieces.
+func Update(sum uint32, b []byte) uint32 { return crc32.Update(sum, table, b) }
 
 // operator is a 32×32 matrix over GF(2), one column per row of the slice:
 // applied to a CRC register it advances the register over a fixed number of

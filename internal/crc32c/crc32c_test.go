@@ -1,6 +1,7 @@
 package crc32c
 
 import (
+	"hash/crc32"
 	"math/rand"
 	"testing"
 )
@@ -116,5 +117,29 @@ func BenchmarkSum1MiB(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sink = Sum(buf)
+	}
+}
+
+// TestUpdateMatchesStdlib: Update carried across random splits of inputs of
+// every length 0–300, and of random longer ones, agrees with hash/crc32's
+// Castagnoli sum of the whole.
+func TestUpdateMatchesStdlib(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	tab := crc32.MakeTable(crc32.Castagnoli)
+	for n := 0; n < 400; n++ {
+		size := n
+		if n >= 300 {
+			size = rng.Intn(1 << 17)
+		}
+		buf := make([]byte, size)
+		rng.Read(buf)
+		sum, rest := Sum(nil), buf
+		for len(rest) > 0 {
+			cut := rng.Intn(len(rest) + 1)
+			sum, rest = Update(sum, rest[:cut]), rest[cut:]
+		}
+		if want := crc32.Checksum(buf, tab); sum != want || Sum(buf) != want {
+			t.Fatalf("%d bytes: Update %08x, Sum %08x, hash/crc32 %08x", size, sum, Sum(buf), want)
+		}
 	}
 }

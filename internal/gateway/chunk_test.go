@@ -1,7 +1,7 @@
 package gateway
 
 // Tests for the gateway's chunked data plane: multi-chunk miss fills
-// striped across replicas, the over-frame read ceiling, the oversize
+// striped across replicas, reads past one frame, the oversize
 // write guard, and floor safety of chunk-reassembled fills.
 
 import (
@@ -62,10 +62,29 @@ func TestGatewayChunkedMiss(t *testing.T) {
 	}
 }
 
+// fabricReads sums, over peers, the §6 accesses of name (each store's hit
+// count, read off its inventory) and the serves.
+func fabricReads(t *testing.T, peers []*netnode.Peer, name string) (hits, served uint64) {
+	t.Helper()
+	for _, p := range peers {
+		s, err := netnode.NewClient(p.Addr()).StatSnapshotFull()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range s.Inventory {
+			if r.Name == name {
+				hits += r.Hits
+			}
+		}
+		served += p.Stats().Served.Load()
+	}
+	return hits, served
+}
+
 // TestGatewayOverFrameRead proves the edge read ceiling is msg.MaxFileSize,
 // not one frame: a copy larger than msg.MaxData (seeded directly into the
 // holder stores, bypassing the write plane) is served through the gateway
-// by chunked reassembly.
+// by chunked reassembly, for one §6 access and one serve across the fabric.
 func TestGatewayOverFrameRead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("seeds a >16 MiB payload per holder")
@@ -78,6 +97,7 @@ func TestGatewayOverFrameRead(t *testing.T) {
 	for _, p := range peers {
 		p.SeedLocal("g/huge", data, 1)
 	}
+	hits, served := fabricReads(t, peers, "g/huge")
 	res, err := g.Get("g/huge")
 	if err != nil {
 		t.Fatal(err)
@@ -85,12 +105,16 @@ func TestGatewayOverFrameRead(t *testing.T) {
 	if !bytes.Equal(res.Data, data) {
 		t.Fatalf("over-frame read returned %d bytes, want %d intact", len(res.Data), len(data))
 	}
+	if h, s := fabricReads(t, peers, "g/huge"); h-hits != 1 || s-served != 1 {
+		t.Fatalf("one read moved store.Hits by %d and Served by %d, want 1 and 1", h-hits, s-served)
+	}
 }
 
-// TestGatewayOverFrameIsNotAFault: a body over one frame that the gateway
-// can only be offered whole is reported as such, never as "not found" — a
-// miss whose chunk plane fails transiently re-resolves and serves it, and
-// one whose chunk plane stays down names the typed error.
+// TestGatewayOverFrameIsNotAFault: a body over one frame is never "not
+// found" — a miss whose chunk plane fails transiently falls to the relay
+// rung, whose head answer names the holders the rest is fetched from, with
+// no second locate walk; one whose chunk plane stays down fails the
+// transfer, not as a fault.
 func TestGatewayOverFrameIsNotAFault(t *testing.T) {
 	if testing.Short() {
 		t.Skip("seeds a >16 MiB payload per holder")
@@ -108,9 +132,9 @@ func TestGatewayOverFrameIsNotAFault(t *testing.T) {
 			p.SeedLocal("g/huge", data, 1<<40)
 		}
 	}
-	// Both sources of the first locate-set's transfer are dropped (one
-	// attempt each): the miss reaches the relay rung, which answers
-	// over-frame, and resolves once more.
+	// Both sources of the locate-set's transfer are dropped (one attempt
+	// each): the miss reaches the relay rung, and its head's ranges go
+	// through.
 	faults := transport.NewFaults().Add(transport.Rule{Kind: msg.KindFetch, Drop: true, Times: 2})
 	g := newGateway(t, Config{
 		Peers: addrs[:2], CacheSize: -1,
@@ -123,19 +147,20 @@ func TestGatewayOverFrameIsNotAFault(t *testing.T) {
 	if !bytes.Equal(res.Data, data) {
 		t.Fatalf("served %d bytes, want the %d-byte body intact", len(res.Data), len(data))
 	}
-	if c := g.Counters(); c.Relays.Value() != 1 || c.Locates.Value() != 2 {
-		t.Fatalf("relays=%d locates=%d, want 1/2 (relay refused over-frame, re-resolved)",
+	if c := g.Counters(); c.Relays.Value() != 1 || c.Locates.Value() != 1 {
+		t.Fatalf("relays=%d locates=%d, want 1/1 (the relay's head carried the read)",
 			c.Relays.Value(), c.Locates.Value())
 	}
 
-	// With the chunk plane down for good, the relay's typed refusal is the
-	// answer the caller sees; a name no peer holds is the fault.
+	// With the chunk plane down for good, the relay's head arrives and the
+	// rest cannot: the read fails, and not as a fault; a name no peer holds
+	// is the fault.
 	down := newGateway(t, Config{
 		Peers: addrs[:2], CacheSize: -1, Transport: transport.Config{Retries: -1},
 		Faults: transport.NewFaults().Add(transport.Rule{Kind: msg.KindFetch, Drop: true}),
 	})
-	if _, err := down.Get("g/huge"); !errors.Is(err, ErrOverFrame) || errors.Is(err, ErrFault) {
-		t.Fatalf("over-frame get without a chunk plane: err = %v, want ErrOverFrame and not ErrFault", err)
+	if _, err := down.Get("g/huge"); err == nil || errors.Is(err, ErrFault) {
+		t.Fatalf("over-frame get without a chunk plane: err = %v, want a failed transfer and not ErrFault", err)
 	}
 	if _, err := down.Get("g/absent"); !errors.Is(err, ErrFault) {
 		t.Fatalf("absent get: err = %v, want ErrFault", err)
@@ -143,9 +168,12 @@ func TestGatewayOverFrameIsNotAFault(t *testing.T) {
 }
 
 // TestGatewayWireOverFrameKeepsConnection: a client of the gateway's wire
-// listener asking for a body only the chunk plane can carry gets the typed
-// over-frame refusal — not a torn-down connection that fails every get
-// pipelined beside it and every request after it.
+// listener reads a body only the chunk plane can carry. A raw get is
+// answered with the body's head, naming the gateway itself (no address) as
+// where the rest is fetched, while seven small gets pipelined beside it on
+// the same stream are served; Conn.Get and a plain client pointed at the
+// listener each read the exact body, every one of those reads one §6
+// access and one serve across the fabric.
 func TestGatewayWireOverFrameKeepsConnection(t *testing.T) {
 	if testing.Short() {
 		t.Skip("seeds a >16 MiB payload per holder")
@@ -190,27 +218,53 @@ func TestGatewayWireOverFrameKeepsConnection(t *testing.T) {
 	}
 	wg.Wait()
 	if errs[0] != nil {
-		t.Fatalf("over-frame get: transport error %v, want the over-frame refusal", errs[0])
+		t.Fatalf("over-frame get: transport error %v, want its head", errs[0])
 	}
-	if resps[0].OK || resps[0].Err != msg.OverFrameError {
-		t.Fatalf("over-frame get answered %+v, want the over-frame refusal", resps[0])
+	if !resps[0].OK || !resps[0].Head {
+		t.Fatalf("over-frame get answered OK=%v Head=%v (%s), want its head", resps[0].OK, resps[0].Head, resps[0].Err)
 	}
+	h, err := msg.DecodeGetHead(resps[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.First.TotalSize != uint64(len(data)) || !bytes.Equal(h.First.Chunk, data[:len(h.First.Chunk)]) ||
+		len(h.Holders) != 1 || h.Holders[0].Addr != "" {
+		t.Fatalf("head: total %d, holders %+v, want total %d, the body's first bytes and the gateway without an address",
+			h.First.TotalSize, h.Holders, len(data))
+	}
+	resps[0].Release()
 	for i := 1; i <= small; i++ {
 		if errs[i] != nil || !resps[i].OK || !bytes.Equal(resps[i].Data, []byte{byte(i - 1)}) {
 			t.Fatalf("small get g/s%d beside the big one: %+v, %v", i-1, resps[i], errs[i])
 		}
 	}
-	if res, err := conn.Get("g/s0"); err != nil || !bytes.Equal(res.Data, []byte{0}) {
-		t.Fatalf("get after the refusal on the same connection: %+v, %v", res, err)
-	}
 	if n := g.Counters().ProtoErrors.Value(); n != 0 {
 		t.Fatalf("gateway proto_errors = %d, want 0", n)
 	}
-	if _, err := conn.Get("g/huge"); !errors.Is(err, ErrOverFrame) {
-		t.Fatalf("Conn.Get of the big name: err = %v, want ErrOverFrame", err)
+	for _, read := range []struct {
+		how string
+		get func() (netnode.GetResult, error)
+	}{
+		{"Conn.Get", func() (netnode.GetResult, error) { return conn.Get("g/huge") }},
+		{"plain client", func() (netnode.GetResult, error) { return netnode.NewClient(srv.Addr()).Get("g/huge") }},
+	} {
+		hits, served := fabricReads(t, peers, "g/huge")
+		res, err := read.get()
+		if err != nil {
+			t.Fatalf("%s through the gateway: %v", read.how, err)
+		}
+		if !bytes.Equal(res.Data, data) {
+			t.Fatalf("%s through the gateway: %d bytes, want the %d-byte body intact", read.how, len(res.Data), len(data))
+		}
+		if h, s := fabricReads(t, peers, "g/huge"); h-hits != 1 || s-served != 1 {
+			t.Fatalf("%s: one read moved store.Hits by %d and Served by %d, want 1 and 1", read.how, h-hits, s-served)
+		}
 	}
-	if _, err := netnode.NewClient(srv.Addr()).Get("g/huge"); !errors.Is(err, ErrOverFrame) {
-		t.Fatalf("plain client get through the gateway: err = %v, want ErrOverFrame", err)
+	if res, err := conn.Get("g/s0"); err != nil || !bytes.Equal(res.Data, []byte{0}) {
+		t.Fatalf("small get after the big reads on the same connection: %+v, %v", res, err)
+	}
+	if n := g.Counters().ProtoErrors.Value(); n != 0 {
+		t.Fatalf("gateway proto_errors = %d, want 0", n)
 	}
 }
 

@@ -59,10 +59,6 @@ const (
 var (
 	// ErrFault is the fabric's "file not found" outcome.
 	ErrFault = netnode.ErrFault
-	// ErrOverFrame reports a copy that exists but could only be offered as
-	// one whole frame it does not fit (a relay after the chunk plane
-	// failed) — never a fault.
-	ErrOverFrame = netnode.ErrOverFrame
 	// ErrTooLarge rejects a write whose payload exceeds the fabric's file
 	// size cap (msg.MaxFileSize) before any bytes move. Payloads between
 	// msg.MaxData and the cap stream through the staged put plane.
@@ -478,6 +474,20 @@ func (g *Gateway) Forward(req *msg.Request) (*msg.Response, error) {
 	defer release()
 	g.counters.Passthrough.Inc()
 	return g.client.Do(req, transport.Idempotent(req.Kind))
+}
+
+// fetchRange passes a client's ranged fetch — the rest of a body past one
+// frame after the head this gateway answered — to a holder of the name
+// (netnode.Client.FetchRange), so the edge never reads the body again per
+// range.
+func (g *Gateway) fetchRange(req *msg.Request) (*msg.Response, error) {
+	release, err := g.admit()
+	if err != nil {
+		return nil, err
+	}
+	defer release()
+	g.counters.Passthrough.Inc()
+	return g.client.FetchRange(req)
 }
 
 // resultOf converts a cache entry.

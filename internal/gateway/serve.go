@@ -3,9 +3,10 @@ package gateway
 // The gateway's wire front end: it speaks the same internal/msg framing
 // the peers speak, so any existing client (netnode.Client, netnode.Conn,
 // `lesslogd -connect`) points at a gateway instead of a peer and gets the
-// edge behaviors transparently. Gets go through the cache and coalescer;
-// writes pass through with floor bookkeeping; KindStat reports the
-// gateway's own status; everything else forwards — a retired kind
+// edge behaviors transparently. Gets go through the cache and coalescer,
+// a body past one frame answered with its head and its ranges passed on to
+// a holder; writes pass through with floor bookkeeping; KindStat reports
+// the gateway's own status; everything else forwards — a retired kind
 // included, so the client gets the peer's unknown-kind answer.
 // Pipelined frames on one connection are served concurrently, so a client
 // that wants many names keeps many gets in flight.
@@ -15,7 +16,9 @@ import (
 	"fmt"
 	"time"
 
+	"lesslog/internal/crc32c"
 	"lesslog/internal/msg"
+	"lesslog/internal/stream"
 	"lesslog/internal/transport"
 )
 
@@ -96,7 +99,16 @@ func (s *Server) dispatch(req *msg.Request) *msg.Response {
 			OK: true, ServedBy: res.ServedBy, Hops: uint32(res.Hops),
 			Version: res.Version, Data: res.Data,
 		}
+		if len(res.Data) > msg.MaxData {
+			headAnswer(resp)
+		}
 		resp.Attach(ref) // a hit's reference ends once the answer is written
+		return resp
+	case msg.KindFetch:
+		resp, err := s.g.fetchRange(req)
+		if err != nil {
+			return errResponse(err)
+		}
 		return resp
 	case msg.KindInsert, msg.KindUpdate, msg.KindDelete:
 		// Traced writes run the same floor-keeping path with the trace
@@ -126,6 +138,25 @@ func (s *Server) dispatch(req *msg.Request) *msg.Response {
 		return &msg.Response{OK: true, Data: []byte(s.g.StatLine())}
 	}
 	return s.forward(req)
+}
+
+// headAnswer turns resp, a get's answer carrying a body past one frame,
+// into its head (msg.GetHead): the first chunk, with the sums one pass over
+// the body gives, and one holder without an address — this gateway, where
+// the client sent the get — so the client's ranges come back here and go
+// on to a holder of the version the head pins.
+func headAnswer(resp *msg.Response) {
+	body := resp.Data
+	chunk := body[:stream.DefaultChunkSize]
+	first := &msg.FetchResp{TotalSize: uint64(len(body)), ChunkCRC: crc32c.Sum(chunk), Chunk: chunk}
+	rest := body[len(chunk):]
+	first.FileCRC = crc32c.Combine(first.ChunkCRC, crc32c.Sum(rest), uint64(len(rest)))
+	hdr, err := msg.AppendGetHeadHeader(nil, []msg.Holder{{PID: msg.GatewayPID, Version: resp.Version}}, first)
+	if err != nil {
+		*resp = msg.Response{Err: fmt.Sprintf("gateway: get head encode: %v", err)}
+		return
+	}
+	resp.Head, resp.Data, resp.Tail = true, hdr, chunk
 }
 
 func (s *Server) statJSON() *msg.Response {

@@ -151,6 +151,53 @@ func decodeFetchResp(b, chunk []byte) (FetchResp, error) {
 	return r, nil
 }
 
+// A KindGet whose body is past one frame is answered with the body's head
+// (Response.Head) instead of the body: the holders the rest can be fetched
+// from — the serving holder first, as a KindLocateSet answer lists them —
+// then the first chunk as a KindFetch answer at offset 0 carries it, with
+// the body's total size and whole-file CRC-32C. The reader fetches every
+// later range with KindFetch requests pinned to the response's Version. A
+// holder whose Addr is empty is the address the get was sent to: a gateway
+// answering for the fabric behind it.
+
+// GetHead is a decoded head answer. First.Chunk points into the response
+// and lives exactly as long.
+type GetHead struct {
+	Holders []Holder
+	First   FetchResp
+}
+
+// AppendGetHeadHeader encodes a head answer's payload onto b up to the
+// first chunk's bytes: the holder set (AppendHolders) under a length
+// prefix, then the fetch header (AppendFetchRespHeader). The sender points
+// Response.Tail at first.Chunk where the bytes already live.
+func AppendGetHeadHeader(b []byte, holders []Holder, first *FetchResp) ([]byte, error) {
+	at := len(b)
+	b, err := AppendHolders(append(b, 0, 0, 0, 0), holders)
+	if err != nil {
+		return nil, err
+	}
+	binary.BigEndian.PutUint32(b[at:], uint32(len(b)-at-4))
+	return AppendFetchRespHeader(b, first)
+}
+
+// DecodeGetHead parses a head answer, its payload whole in Data or split
+// after the fetch header into Tail.
+func DecodeGetHead(resp *Response) (GetHead, error) {
+	set, rest, err := aliasBytes(resp.Data, MaxData)
+	if err != nil {
+		return GetHead{}, err
+	}
+	var h GetHead
+	if h.Holders, err = DecodeHolders(set); err != nil {
+		return GetHead{}, err
+	}
+	if h.First, err = decodeFetchResp(rest, resp.Tail); err != nil {
+		return GetHead{}, err
+	}
+	return h, nil
+}
+
 // Holder is one replica-set member of a KindLocateSet answer: the PID and
 // listen address of a peer expected to hold the name, and the version it
 // is known to hold (0 for a required holder whose copy was not probed).

@@ -3,6 +3,7 @@ package msg
 import (
 	"bufio"
 	"bytes"
+	"slices"
 	"testing"
 )
 
@@ -262,4 +263,55 @@ func FuzzFetchAnswerSplit(f *testing.F) {
 			t.Fatalf("split decode %+v differs from whole decode %+v", split, *want)
 		}
 	})
+}
+
+// TestGetHeadRoundTrip: a head answer read off the wire as the answer to a
+// KindGet — off a small frame and off a large one — decodes to the holders
+// and first chunk it was built from, is told from a whole body by Head
+// alone, and a status byte with an unknown bit is refused.
+func TestGetHeadRoundTrip(t *testing.T) {
+	holders := []Holder{{PID: 3, Addr: "127.0.0.1:7103", Version: 9}, {PID: 5, Addr: ""}}
+	for _, n := range []int{1, readChunk + 100} {
+		chunk := bytes.Repeat([]byte{0xA5}, n)
+		first := &FetchResp{TotalSize: uint64(n) + MaxData, FileCRC: 7, ChunkCRC: 8, Chunk: chunk}
+		hdr, err := AppendGetHeadHeader(nil, holders, first)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wire bytes.Buffer
+		if err := WriteResponseID(&wire, &Response{OK: true, Head: true, Version: 9, Data: hdr, Tail: chunk}, 1); err != nil {
+			t.Fatal(err)
+		}
+		f, err := ReadFrame(bufio.NewReader(&wire))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var resp Response
+		if err := f.DecodeResponse(&resp, KindGet); err != nil {
+			t.Fatal(err)
+		}
+		if !resp.OK || !resp.Head {
+			t.Fatalf("%d-byte chunk: answer reads OK=%v Head=%v, want both", n, resp.OK, resp.Head)
+		}
+		h, err := DecodeGetHead(&resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(h.Holders, holders) || h.First.TotalSize != first.TotalSize ||
+			h.First.FileCRC != 7 || h.First.ChunkCRC != 8 || !bytes.Equal(h.First.Chunk, chunk) {
+			t.Fatalf("%d-byte chunk: decoded %+v", n, h.Holders)
+		}
+		resp.Release()
+	}
+	b, err := AppendResponse(nil, &Response{OK: true, Data: []byte("body")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := DecodeResponse(b); err != nil || resp.Head {
+		t.Fatalf("whole answer decoded as %+v, %v", resp, err)
+	}
+	b[0] |= 1 << 2
+	if _, err := DecodeResponse(b); err != ErrCorrupt {
+		t.Fatalf("status byte 0x%02x: err = %v, want ErrCorrupt", b[0], err)
+	}
 }

@@ -169,8 +169,8 @@ func UnknownKindError(k Kind) string {
 }
 
 // These response strings are de-facto protocol: data-plane clients match
-// them verbatim to classify a refused direct fetch or whole-frame get.
-// netnode re-exports them as ErrNotHolder / ErrWrongVersion / ErrOverFrame.
+// them verbatim to classify a refused direct fetch. netnode re-exports them
+// as ErrNotHolder / ErrWrongVersion.
 const (
 	// NotHolderError answers a ranged fetch at a peer not holding the file
 	// — the "your route hint is stale" signal.
@@ -178,11 +178,6 @@ const (
 	// WrongVersionError answers a version-pinned fetch whose pin no longer
 	// matches the held copy — the splice guard of chunked transfers.
 	WrongVersionError = "netnode: version no longer held"
-	// OverFrameError replaces an answer whose body is larger than one wire
-	// frame (MaxData) — the serve loop writes it, so a whole-frame get of
-	// such a body learns that the copy exists, but only ranged fetches can
-	// carry it.
-	OverFrameError = "netnode: body exceeds one frame; fetch it through the chunked plane"
 )
 
 // Limits protecting decoders.
@@ -210,11 +205,6 @@ const (
 	// MaxHolders bounds the replica set a KindLocateSet answer may carry.
 	MaxHolders = 64
 )
-
-// FitsFrame reports whether an n-byte body rides one frame's data field.
-// A serve loop answers a body that does not with OverFrameError, so a
-// handler counts such an answer as a refusal, not as a serve.
-func FitsFrame(n int) bool { return n <= MaxData }
 
 // Flag bits carried by requests.
 const (
@@ -413,7 +403,12 @@ type Request struct {
 
 // Response answers a Request.
 type Response struct {
-	OK       bool
+	OK bool
+	// Head marks the answer to a KindGet whose body is past one frame: Data
+	// is not the body but its head (AppendGetHeadHeader, DecodeGetHead) —
+	// the first chunk and where to fetch the rest. It rides the status byte
+	// beside OK, so a get answered whole is encoded as it always was.
+	Head     bool
 	ServedBy uint32
 	Hops     uint32
 	Version  uint64
@@ -623,12 +618,22 @@ func (resp *Response) check() error {
 	return nil
 }
 
+// The status byte that opens a response: statusOK for OK, statusHead for
+// Head.
+const (
+	statusOK   = 1 << 0
+	statusHead = 1 << 1
+)
+
 func (resp *Response) appendHead(b []byte) []byte {
-	ok := byte(0)
+	status := byte(0)
 	if resp.OK {
-		ok = 1
+		status |= statusOK
 	}
-	b = append(b, ok)
+	if resp.Head {
+		status |= statusHead
+	}
+	b = append(b, status)
 	b = binary.BigEndian.AppendUint32(b, resp.ServedBy)
 	b = binary.BigEndian.AppendUint32(b, resp.Hops)
 	b = binary.BigEndian.AppendUint64(b, resp.Version)
@@ -665,7 +670,10 @@ func decodeResponse(resp *Response, b []byte, alias bool, to Kind) error {
 	if len(b) < 1 {
 		return ErrCorrupt
 	}
-	*resp = Response{OK: b[0] == 1}
+	if b[0]&^(statusOK|statusHead) != 0 {
+		return ErrCorrupt
+	}
+	*resp = Response{OK: b[0]&statusOK != 0, Head: b[0]&statusHead != 0}
 	b = b[1:]
 	var err error
 	if resp.ServedBy, b, err = takeUint32(b); err != nil {
@@ -838,9 +846,16 @@ func WriteResponseID(w io.Writer, resp *Response, id uint64) error {
 // frameStart empties a pooled buffer and reserves the frame header's bytes.
 func frameStart(bp *[]byte) []byte { return append((*bp)[:0], make([]byte, frameHdrLen)...) }
 
-// vectored reports whether a payload is written from where it lives
-// instead of being copied into the frame buffer.
-func vectored(data, tail []byte) bool { return len(data)+len(tail) > readChunk }
+// Vectored reports whether a frame whose data field holds n bytes is
+// written with its payload from where it lives — head, payload and trailer
+// as separate segments, one writev on a socket — instead of copied into the
+// frame buffer. A writer that keeps a buffer in front of a socket flushes it
+// and hands such a frame to the socket itself, so the payload is neither
+// copied nor split across several write calls.
+func Vectored(n int) bool { return n > readChunk }
+
+// vectored is Vectored for a data field of data‖tail.
+func vectored(data, tail []byte) bool { return Vectored(len(data) + len(tail)) }
 
 // appendPayload appends data‖tail to a frame's head unless it is vectored.
 func appendPayload(head, data, tail []byte) []byte {

@@ -90,6 +90,14 @@ func wireEntries(t *testing.T) [][2]string {
 	var resp bytes.Buffer
 	err := WriteResponseID(&resp, &Response{OK: true, ServedBy: 3, Hops: 2, Version: 9, Data: canonBody, Path: canonHops}, 77)
 	add("response", resp.Bytes(), err)
+	first := &FetchResp{TotalSize: 20, FileCRC: 0xaabbccdd, ChunkCRC: 0x01020304, Chunk: canonBody}
+	hh, err := AppendGetHeadHeader(nil, canonHolders, first)
+	if err != nil {
+		t.Fatalf("get head: %v", err)
+	}
+	var head bytes.Buffer
+	err = WriteResponseID(&head, &Response{OK: true, Head: true, ServedBy: 3, Hops: 2, Version: 9, Data: hh, Tail: canonBody}, 78)
+	add("response, get head", head.Bytes(), err)
 	b, err := AppendNotifyReq(nil, &NotifyReq{TotalSize: uint64(len(canonBody)), Body: canonBody})
 	add("notify facts, inline", b, err)
 	b, err = AppendNotifyReq(nil, &NotifyReq{TotalSize: 20, FileCRC: 0xaabbccdd, Sources: canonHolders})

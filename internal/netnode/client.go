@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -24,13 +23,6 @@ import (
 // ErrFault is returned by Client operations when no copy of the file could
 // be located — the paper's "fault".
 var ErrFault = errors.New("netnode: file not found (fault)")
-
-// ErrOverFrame is returned by a read that found the file but had only a
-// whole-frame get to carry it, and the body exceeds one wire frame
-// (msg.MaxData): a plain client's get, or a locate client's relay rung when
-// the chunk plane could not be reached. The copy exists — it is not a
-// fault — and a locate-mode read (ranged fetches) can serve it.
-var ErrOverFrame = errors.New(msg.OverFrameError)
 
 // ErrTooLarge rejects a write whose payload exceeds the system-wide file
 // size cap (msg.MaxFileSize, 64 MiB). Caught at the client edge so the
@@ -61,8 +53,10 @@ type Client struct {
 	det    *transport.Detector
 	cursor atomic.Uint64
 
-	// Locate mode: hints caches name → replica set, fetcher stripes ranged
-	// chunk fetches across a set. Both nil for a plain (relay-only) client.
+	// hints caches name → replica set in locate mode (nil for a plain,
+	// relay-only client); fetcher stripes ranged chunk fetches across a set:
+	// every read of a locate client, and the rest of a body past one frame
+	// after a get's head.
 	hints   *routehint.Cache
 	fetcher *stream.Fetcher
 	// uploader streams payloads over one frame to a peer as a staged
@@ -125,7 +119,8 @@ func NewClient(addr string) *Client { return NewClientWith(addr, defaultTranspor
 // tr — e.g. a pooled transport shared across many clients, or one with a
 // fault-injection table for tests.
 func NewClientWith(addr string, tr *transport.Transport) *Client {
-	return &Client{tr: tr, peers: []string{addr}, uploader: stream.NewUploader(tr, stream.Config{})}
+	return &Client{tr: tr, peers: []string{addr},
+		fetcher: stream.New(tr, stream.Config{}), uploader: stream.NewUploader(tr, stream.Config{})}
 }
 
 // NewLocateClient returns a client whose gets use the locate-then-fetch
@@ -172,14 +167,8 @@ func NewLocateClientOver(peers []string, det *transport.Detector, tr *transport.
 // static) unless the client is in locate mode.
 func (c *Client) LocateStats() *LocateStats { return &c.stats }
 
-// StreamStats exposes the chunk plane's transfer counters; nil when the
-// client is not in locate mode.
-func (c *Client) StreamStats() *stream.Stats {
-	if c.fetcher == nil {
-		return nil
-	}
-	return c.fetcher.Stats()
-}
+// StreamStats exposes the chunk plane's transfer counters.
+func (c *Client) StreamStats() *stream.Stats { return c.fetcher.Stats() }
 
 // UploadStats exposes the staged put plane's counters.
 func (c *Client) UploadStats() *stream.UploadStats { return c.uploader.Stats() }
@@ -243,7 +232,7 @@ func (c *Client) report(idx int, err error) {
 // interpose. With failover a transport failure moves on to the next entry
 // peer; set it only for requests that are safe to repeat.
 func (c *Client) Do(req *msg.Request, failover bool) (*msg.Response, error) {
-	resp, err := c.do(req, failover)
+	resp, _, err := c.do(req, failover)
 	if err != nil {
 		return nil, err
 	}
@@ -251,8 +240,8 @@ func (c *Client) Do(req *msg.Request, failover bool) (*msg.Response, error) {
 }
 
 // do is Do by value, for the ladder's rungs that read the answer and move
-// on (transport.Exchange).
-func (c *Client) do(req *msg.Request, failover bool) (msg.Response, error) {
+// on (transport.Exchange); it also names the entry peer that answered.
+func (c *Client) do(req *msg.Request, failover bool) (msg.Response, string, error) {
 	attempts := 1
 	if failover {
 		attempts = min(len(c.peers), maxEntryAttempts)
@@ -263,11 +252,11 @@ func (c *Client) do(req *msg.Request, failover bool) (msg.Response, error) {
 		resp, err := c.tr.Exchange(c.peers[idx], *req, 0)
 		c.report(idx, err)
 		if err == nil {
-			return resp, nil
+			return resp, c.peers[idx], nil
 		}
 		lastErr = err
 	}
-	return msg.Response{}, lastErr
+	return msg.Response{}, "", lastErr
 }
 
 // GetResult reports how a networked get was served.
@@ -284,7 +273,8 @@ type GetResult struct {
 // Get fetches a file, reporting which peer served it and the hop count.
 // In locate mode the payload travels direct hops from the holders whenever
 // a hint or locate-set resolves them; otherwise it relays back through the
-// lookup path.
+// lookup path — a body past one frame as its head, the rest fetched from
+// the holders the head names.
 func (c *Client) Get(name string) (GetResult, error) { return c.GetAtLeast(name, 0) }
 
 // GetAtLeast is Get for a caller that has seen version minVer
@@ -302,9 +292,8 @@ func (c *Client) GetAtLeast(name string, minVer uint64) (GetResult, error) {
 // visits appends a hop record, and the result's Path holds the actual
 // route — the live counterpart of internal/trace.Route's prediction. A
 // failed traced get returns the partial Path alongside the error, ending
-// in the fault hop (in the holder's serve hop when the body is over one
-// frame). It is a traced relay in every mode: a locate walk takes the
-// same hops, so the relay's path is the route.
+// in the fault hop. It is a traced relay in every mode: a locate walk takes
+// the same hops, so the relay's path is the route.
 func (c *Client) GetTraced(name string) (GetResult, error) {
 	return c.relay(&msg.Request{
 		Kind: msg.KindGet, Flags: msg.FlagTrace,
@@ -337,16 +326,7 @@ func (c *Client) read(name string, minVer uint64) (GetResult, error) {
 	// The set resolved but no replica could serve the transfer (churn,
 	// faults mid-stripe): relay this get and let the next one re-locate.
 	c.stats.Relays.Inc()
-	res, err = c.relay(&msg.Request{Kind: msg.KindGet, Name: name})
-	if errors.Is(err, ErrOverFrame) {
-		// Only ranged fetches can carry this body, and the chunk plane's
-		// failure above may have been transient: resolve once more rather
-		// than report a copy that exists as unreadable.
-		if again, aerr := c.locateFetch(name, minVer); aerr == nil {
-			return again, nil
-		}
-	}
-	return res, err
+	return c.relay(&msg.Request{Kind: msg.KindGet, Name: name})
 }
 
 // locateFetch is the ladder's cold rung: one locate-set walk resolves the
@@ -412,32 +392,112 @@ func (c *Client) chunkFetch(name string, srcs []stream.Source, minVer uint64) (G
 	return GetResult{Data: data, Version: ver, ServedBy: srcs[0].PID}, nil
 }
 
-// relay is the whole-frame get through the lookup tree — a plain client's
-// only read, every traced get, and the ladder's last rung.
+// relay is the get through the lookup tree — a plain client's only read,
+// every traced get, and the ladder's last rung.
 func (c *Client) relay(req *msg.Request) (GetResult, error) {
-	resp, err := c.do(req, true)
-	if err != nil {
-		return GetResult{}, err
-	}
-	return getAnswer(req.Name, &resp)
+	return readGet(req.Name, c.fetcher, func() (msg.Response, string, error) { return c.do(req, true) })
 }
 
-// getAnswer reads a whole-frame get's answer. A refusal is ErrOverFrame
-// when a holder has the file but cannot frame it, ErrFault otherwise, and
+// maxGetAttempts bounds how often one get is sent again because a write
+// moved the body on between its head and the rest.
+const maxGetAttempts = 2
+
+// readGet sends a get with send, which answers with the address the get
+// went to, and reads the answer (getAnswer), the rest of a body past one
+// frame fetched by f.
+func readGet(name string, f *stream.Fetcher, send func() (msg.Response, string, error)) (GetResult, error) {
+	for attempt := 1; ; attempt++ {
+		resp, entry, err := send()
+		if err != nil {
+			return GetResult{}, err
+		}
+		res, err := getAnswer(name, &resp, f, entry)
+		if !errors.Is(err, stream.ErrVersionGone) || attempt == maxGetAttempts {
+			return res, err
+		}
+	}
+}
+
+// getAnswer reads a get's answer, sent to entry: the body whole, or — for a
+// body past one frame — its head (msg.GetHead), the rest fetched by f with
+// ranges pinned to the head's version, striped over the holders it names
+// (one named without an address is entry). A refusal is ErrFault, and
 // still carries the hops and traced path walked so far, so the operator
 // sees where routing died.
-func getAnswer(name string, resp *msg.Response) (GetResult, error) {
-	if resp.OK {
-		return GetResult{
-			Data: resp.Data, Version: resp.Version,
-			ServedBy: resp.ServedBy, Hops: int(resp.Hops), Path: resp.Path,
-		}, nil
+func getAnswer(name string, resp *msg.Response, f *stream.Fetcher, entry string) (GetResult, error) {
+	res := GetResult{Hops: int(resp.Hops), Path: resp.Path}
+	if !resp.OK {
+		return res, faultError(name, resp.Err)
 	}
-	err := faultError(name, resp.Err)
-	if strings.HasPrefix(resp.Err, msg.OverFrameError) {
-		err = fmt.Errorf("%w: %s", ErrOverFrame, name)
+	res.Version, res.ServedBy = resp.Version, resp.ServedBy
+	if !resp.Head {
+		res.Data = resp.Data
+		return res, nil
 	}
-	return GetResult{Hops: int(resp.Hops), Path: resp.Path}, err
+	h, err := msg.DecodeGetHead(resp)
+	if err != nil {
+		resp.Release()
+		return res, fmt.Errorf("netnode: get %q: head answer: %w", name, err)
+	}
+	var buf [stripeSources]stream.Source
+	srcs := buf[:0]
+	for _, hd := range h.Holders {
+		addr := hd.Addr
+		if addr == "" {
+			addr = entry
+		}
+		srcs = append(srcs, stream.Source{PID: hd.PID, Addr: addr})
+	}
+	body, err := f.FetchRest(name, resp.Version, h.First, resp, srcs)
+	if err != nil {
+		return res, fmt.Errorf("netnode: get %q past its head: %w", name, err)
+	}
+	res.Data = body.Data
+	return res, nil
+}
+
+// FetchRange passes a ranged fetch on to a holder of its name, for an edge
+// that answered a get with a body's head and now serves the rest: the
+// holders of the cached hint set — else of one locate walk, cached — are
+// asked in turn until one serves the range. A holder that cannot be
+// reached, or no longer holds the name, leaves the hint set; when none
+// serves the range, the last one's refusal or transport error is the
+// answer. A plain client keeps no hint set and names no holder: it answers
+// ErrNotHolder.
+func (c *Client) FetchRange(req *msg.Request) (*msg.Response, error) {
+	notHolder := &msg.Response{Err: ErrNotHolder}
+	if c.hints == nil {
+		return notHolder, nil
+	}
+	set, ok := c.hints.GetSet(req.Name)
+	if !ok {
+		_, fresh, err := c.locate(req.Name, 0)
+		if err != nil {
+			return notHolder, nil
+		}
+		set = fresh
+		c.hints.PutSet(req.Name, set)
+	}
+	var lastErr error
+	for _, h := range set {
+		resp, err := c.tr.Exchange(h.Addr, *req, 0)
+		switch {
+		case err != nil:
+			c.PurgeHolder(h.Addr)
+			lastErr = err
+		case resp.OK:
+			return &resp, nil
+		default:
+			if resp.Err == ErrNotHolder {
+				c.hints.PurgeFrom(req.Name, h.Addr)
+			}
+			notHolder, lastErr = &resp, nil
+		}
+	}
+	if lastErr != nil {
+		return nil, lastErr
+	}
+	return notHolder, nil
 }
 
 // faultError is ErrFault for name, with the peer's reason when it says more
@@ -488,7 +548,7 @@ func (c *Client) locate(name string, traceID uint64) (loc LocateResult, set []ro
 		req.Flags = msg.FlagTrace
 	}
 	c.stats.Locates.Inc()
-	resp, err := c.do(req, true)
+	resp, _, err := c.do(req, true)
 	if err != nil {
 		return loc, nil, err
 	}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"lesslog/internal/msg"
+	"lesslog/internal/stream"
 	"lesslog/internal/transport"
 )
 
@@ -19,7 +20,12 @@ import (
 // each other. Every exchange is bounded by an RPC deadline, so a hung
 // peer cannot wedge the caller.
 type Conn struct {
-	cc *transport.ClientConn
+	cc   *transport.ClientConn
+	addr string
+	// rest fetches the rest of a body past one frame after a get's head:
+	// ranges for the peer or gateway this Conn is connected to ride its
+	// stream (Exchange), others the package's default transport.
+	rest *stream.Fetcher
 }
 
 // DialConn opens a persistent connection to the peer at addr with the
@@ -36,7 +42,9 @@ func DialConnTimeout(addr string, dial, rpc time.Duration) (*Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Conn{cc: cc}, nil
+	c := &Conn{cc: cc, addr: addr}
+	c.rest = stream.New(connRanges{c}, stream.Config{})
+	return c, nil
 }
 
 // Close shuts the connection; in-flight exchanges fail.
@@ -48,14 +56,33 @@ func (c *Conn) Do(req *msg.Request) (*msg.Response, error) {
 	return c.cc.Do(req)
 }
 
-// Get fetches a file over the persistent stream; a refusal reads as it
-// does for Client.Get.
+// Get fetches a file over the persistent stream, a body past one frame as
+// its head and the rest in ranges; a refusal reads as it does for
+// Client.Get.
 func (c *Conn) Get(name string) (GetResult, error) {
-	resp, err := c.Do(&msg.Request{Kind: msg.KindGet, Name: name})
-	if err != nil {
-		return GetResult{}, err
+	return readGet(name, c.rest, func() (msg.Response, string, error) {
+		resp, err := c.Do(&msg.Request{Kind: msg.KindGet, Name: name})
+		if err != nil {
+			return msg.Response{}, "", err
+		}
+		return *resp, c.addr, nil
+	})
+}
+
+// connRanges is a Conn as the continuation's stream.Doer.
+type connRanges struct{ c *Conn }
+
+// Exchange sends a range to the Conn's own peer over its stream, under its
+// RPC deadline, and one to any other holder through the default transport.
+func (r connRanges) Exchange(addr string, req msg.Request, rpcTO time.Duration) (msg.Response, error) {
+	if addr != r.c.addr {
+		return defaultTransport().Exchange(addr, req, rpcTO)
 	}
-	return getAnswer(name, resp)
+	resp, err := r.c.Do(&req)
+	if err != nil {
+		return msg.Response{}, err
+	}
+	return *resp, nil
 }
 
 // Insert stores a file over the persistent stream.

@@ -112,10 +112,11 @@ const ErrWrongVersion = msg.WrongVersionError
 
 // handleFetch serves one ranged chunk of a local copy. Always local-only:
 // a fetch that misses answers ErrNotHolder and never forwards — the
-// stale-hint miss must stay one cheap RPC. The
-// head chunk (offset 0) counts the §6 store access so a chunked transfer
-// weighs one serve, like a whole-frame get; later ranges peek. A
-// FlagReplica fetch is a peer pulling a body for placement or notify
+// stale-hint miss must stay one cheap RPC. The head chunk (offset 0) of a
+// client's transfer counts the §6 store access and one Served, so a
+// chunked read weighs one serve, like a get; later ranges peek, and so do
+// the ranges after a get's head (docs/ROUTING.md "One read at every size").
+// A FlagReplica fetch is a peer pulling a body for placement or notify
 // propagation: it peeks even at offset 0 (replication is not popularity),
 // and on a store miss or pin mismatch it may be served from the write
 // outbox — the origin of a pull-based broadcast keeps the new version
@@ -127,9 +128,10 @@ func (p *Peer) handleFetch(req *msg.Request) *msg.Response {
 		return &msg.Response{Err: fmt.Sprintf("netnode: fetch decode: %v", err)}
 	}
 	replica := req.Flags&msg.FlagReplica != 0
+	access := fr.Offset == 0 && !replica
 	var f store.File
 	var ok bool
-	if fr.Offset == 0 && !replica {
+	if access {
 		f, ok = p.store.Get(req.Name)
 	} else {
 		f, ok = p.store.Peek(req.Name)
@@ -157,56 +159,65 @@ func (p *Peer) handleFetch(req *msg.Request) *msg.Response {
 		return &msg.Response{ServedBy: uint32(p.cfg.PID), Version: f.Version,
 			Err: fmt.Sprintf("netnode: fetch range at %d past total %d", fr.Offset, total)}
 	}
-	end := fr.Offset + uint64(fr.Length)
-	if end > total {
-		end = total // final chunk truncates at EOF
-	}
-	chunk := f.Data[fr.Offset:end]
-	fresp := &msg.FetchResp{TotalSize: total, Chunk: chunk}
-	// The head chunk declares the whole-file sum; one the peer remembers
-	// costs no pass, and covers the chunk too when the chunk is the body.
-	var whole crc
+	var fresp msg.FetchResp
 	if fr.Offset == 0 {
-		whole = p.sums.get(f.Name, f.Version, len(f.Data))
-	}
-	if whole.known && end == total {
-		fresp.ChunkCRC = whole.sum
+		fresp = p.firstChunk(f, uint64(fr.Length))
 	} else {
-		fresp.ChunkCRC = p.sumBody(chunk)
-	}
-	switch {
-	case fr.Offset != 0:
 		// The whole-file CRC is O(total); computing it per chunk would make
 		// an N-chunk transfer O(N·total). Only the head chunk carries it,
 		// and the client always requests the head first to pin the shape.
-	case whole.known:
-		fresp.FileCRC = whole.sum
-	case end == total:
-		fresp.FileCRC = fresp.ChunkCRC // one chunk is the whole file: one pass
-	default:
-		// The one whole-file pass a body nobody summed yet costs, paid over
-		// the bytes the chunk pass did not cover and remembered.
-		rest := f.Data[end:]
-		fresp.FileCRC = crc32c.Combine(fresp.ChunkCRC, p.sumBody(rest), uint64(len(rest)))
-		p.sums.put(f.Name, f.Version, len(f.Data), crc{fresp.FileCRC, true})
+		end := min(fr.Offset+uint64(fr.Length), total) // the final chunk truncates at EOF
+		chunk := f.Data[fr.Offset:end]
+		fresp = msg.FetchResp{TotalSize: total, ChunkCRC: p.sumBody(chunk), Chunk: chunk}
 	}
 	// Only the fixed header is encoded; the chunk rides as the response's
 	// Tail, a sub-slice of the stored body (stored bodies are replaced,
 	// never rewritten in place, and the read's reference keeps a replaced
 	// one's buffer off the free list until the chunk is written), so it
 	// reaches the socket without a copy.
-	hdr, err := msg.AppendFetchRespHeader(nil, fresp)
+	hdr, err := msg.AppendFetchRespHeader(nil, &fresp)
 	if err != nil {
 		f.Release()
 		return &msg.Response{Err: fmt.Sprintf("netnode: fetch encode: %v", err)}
 	}
+	if access {
+		p.stats.Served.Add(1)
+	}
 	p.stats.ChunksServed.Add(1)
-	p.stats.ChunkBytes.Add(uint64(len(chunk)))
+	p.stats.ChunkBytes.Add(uint64(len(fresp.Chunk)))
 	p.stats.DirectServed.Add(1)
 	resp := &msg.Response{OK: true, ServedBy: uint32(p.cfg.PID), Hops: req.Hops,
-		Version: f.Version, Data: hdr, Tail: chunk}
+		Version: f.Version, Data: hdr, Tail: fresp.Chunk}
 	resp.Attach(f.Ref) // the read's reference ends once the chunk is written
 	return resp
+}
+
+// firstChunk is f's first n bytes (all of a shorter body) as the head of a
+// transfer: the chunk with its CRC-32C and the body's total size and
+// whole-file CRC-32C, at most one pass over the body — a remembered sum
+// costs none and covers the chunk too when the chunk is the body, and the
+// one whole-file pass a body nobody summed yet costs is the chunk's pass
+// combined with one over the rest, remembered.
+func (p *Peer) firstChunk(f store.File, n uint64) msg.FetchResp {
+	total := uint64(len(f.Data))
+	end := min(n, total)
+	r := msg.FetchResp{TotalSize: total, Chunk: f.Data[:end]}
+	whole := p.sums.get(f.Name, f.Version, len(f.Data))
+	switch {
+	case whole.known && end == total:
+		r.ChunkCRC, r.FileCRC = whole.sum, whole.sum
+	case whole.known:
+		r.ChunkCRC, r.FileCRC = p.sumBody(r.Chunk), whole.sum
+	case end == total:
+		r.ChunkCRC = p.sumBody(r.Chunk)
+		r.FileCRC = r.ChunkCRC // one chunk is the whole file: one pass
+	default:
+		r.ChunkCRC = p.sumBody(r.Chunk)
+		rest := f.Data[end:]
+		r.FileCRC = crc32c.Combine(r.ChunkCRC, p.sumBody(rest), uint64(len(rest)))
+		p.sums.put(f.Name, f.Version, len(f.Data), crc{r.FileCRC, true})
+	}
+	return r
 }
 
 // handleLocateSet resolves a name to its replica set without moving the
@@ -230,10 +241,27 @@ func (p *Peer) handleLocateSet(req *msg.Request) *msg.Response {
 		return p.forwardLookup(req, start)
 	}
 	p.stats.Located.Add(1)
+	var buf [8]msg.Holder // a typical set fits on the stack
+	data, err := msg.AppendHolders(nil, p.appendHolders(buf[:0], req.Name, version))
+	if err != nil {
+		return &msg.Response{Err: fmt.Sprintf("netnode: locate-set encode: %v", err)}
+	}
+	resp := &msg.Response{OK: true, ServedBy: uint32(p.cfg.PID), Hops: req.Hops,
+		Version: version, Data: data}
+	if req.Flags&msg.FlagTrace != 0 {
+		resp.Path = appendHop(req.Path, uint32(p.cfg.PID), msg.HopLocate, time.Since(start))
+	}
+	return resp
+}
+
+// appendHolders appends to hs the replica set this holder of name at
+// version answers with: itself first with that version, then the live
+// primary holder of each subtree placement at version 0 (unprobed) — a
+// locate-set's answer, and where a get's head says the rest can be fetched.
+func (p *Peer) appendHolders(hs []msg.Holder, name string, version uint64) []msg.Holder {
 	rt := p.rt()
-	v := p.view(p.hasher.Target(req.Name, p.cfg.M))
-	hs := make([]msg.Holder, 1, 8) // a typical set fits on the stack
-	hs[0] = msg.Holder{PID: uint32(p.cfg.PID), Addr: p.Addr(), Version: version}
+	v := p.view(p.hasher.Target(name, p.cfg.M))
+	hs = append(hs, msg.Holder{PID: uint32(p.cfg.PID), Addr: p.Addr(), Version: version})
 	var prims [8]bitops.PID
 	for _, h := range v.AppendPrimaries(prims[:0]) {
 		if h == p.cfg.PID {
@@ -245,14 +273,5 @@ func (p *Peer) handleLocateSet(req *msg.Request) *msg.Response {
 		}
 		hs = append(hs, msg.Holder{PID: uint32(h), Addr: addr})
 	}
-	data, err := msg.AppendHolders(nil, hs)
-	if err != nil {
-		return &msg.Response{Err: fmt.Sprintf("netnode: locate-set encode: %v", err)}
-	}
-	resp := &msg.Response{OK: true, ServedBy: uint32(p.cfg.PID), Hops: req.Hops,
-		Version: version, Data: data}
-	if req.Flags&msg.FlagTrace != 0 {
-		resp.Path = appendHop(req.Path, uint32(p.cfg.PID), msg.HopLocate, time.Since(start))
-	}
-	return resp
+	return hs
 }

@@ -765,8 +765,8 @@ func (p *Peer) handleInsert(req *msg.Request, sum crc) *msg.Response {
 }
 
 // handleGet is §2.2's GETFILE step: serve the file if held, else forward
-// the get along the lookup tree. A body over one frame is served like any
-// other; the serve loop answers it with msg.OverFrameError.
+// the get along the lookup tree. A body past one frame is answered with its
+// head (headAnswer); the get counts the §6 access and one serve either way.
 func (p *Peer) handleGet(req *msg.Request) *msg.Response {
 	start := time.Now()
 	if f, ok := p.store.Get(req.Name); ok {
@@ -774,14 +774,13 @@ func (p *Peer) handleGet(req *msg.Request) *msg.Response {
 			OK: true, ServedBy: uint32(p.cfg.PID), Hops: req.Hops,
 			Version: f.Version, Data: f.Data,
 		}
+		if len(f.Data) > msg.MaxData {
+			p.headAnswer(resp, f)
+		}
 		resp.Attach(f.Ref) // the read's reference ends once the answer is written
 		elapsed := time.Since(start)
-		// A body past one frame goes out as the serve loop's over-frame
-		// refusal: not a serve.
-		if msg.FitsFrame(len(f.Data)) {
-			p.stats.Served.Add(1)
-			p.obs.serve.ObserveDuration(elapsed)
-		}
+		p.stats.Served.Add(1)
+		p.obs.serve.ObserveDuration(elapsed)
 		if req.Flags&msg.FlagTrace != 0 {
 			resp.Path = appendHop(req.Path, uint32(p.cfg.PID), msg.HopServe, elapsed)
 		}
@@ -789,6 +788,22 @@ func (p *Peer) handleGet(req *msg.Request) *msg.Response {
 	}
 	defer func() { p.obs.forward.ObserveDuration(time.Since(start)) }()
 	return p.forwardLookup(req, start)
+}
+
+// headAnswer turns resp, the answer to a get of f, into the answer to a get
+// of a body past one frame (msg.GetHead): the holders the rest can be
+// fetched from, this one first, and the body's first chunk, a sub-slice of
+// the stored body written from where it lives, as a fetch at offset 0 would
+// answer it. The reader fetches the rest with ranges pinned to f.Version.
+func (p *Peer) headAnswer(resp *msg.Response, f store.File) {
+	first := p.firstChunk(f, stream.DefaultChunkSize)
+	var buf [8]msg.Holder
+	hdr, err := msg.AppendGetHeadHeader(nil, p.appendHolders(buf[:0], f.Name, f.Version), &first)
+	if err != nil {
+		*resp = msg.Response{Err: fmt.Sprintf("netnode: get head encode: %v", err)}
+		return
+	}
+	resp.Head, resp.Data, resp.Tail = true, hdr, first.Chunk
 }
 
 // forwardLookup relays an unserved lookup along the lookup tree — shared

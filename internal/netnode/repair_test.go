@@ -156,7 +156,7 @@ func TestRepairPullCountsNoAccess(t *testing.T) {
 }
 
 // Over-frame bodies cannot ride a placement inline or a whole-frame get
-// pull — both would fail framing. Repair moves them through the write
+// answer — both would fail framing. Repair moves them through the write
 // plane instead: pushes as a placement whose facts name the pusher, which
 // the holder answers by pulling chunks, pulls through the chunk fetcher
 // like every repair pull.
@@ -178,15 +178,16 @@ func TestRepairMovesOverFrameBodies(t *testing.T) {
 	}
 	lost, intact := holders[0], holders[1]
 
-	// A whole-frame get of the body is refused with the typed error — not
-	// served into a response the framing layer would reject.
+	// A get of the body is answered with its head — not served into a
+	// response the framing layer would reject.
 	resp, err := Call(peers[intact].Addr(), &msg.Request{Kind: msg.KindGet, Name: "huge"})
 	if err != nil {
 		t.Fatalf("over-frame get: transport error %v (connection torn down?)", err)
 	}
-	if resp.OK || resp.Err != msg.OverFrameError {
-		t.Fatalf("over-frame get answered %+v, want the over-frame refusal", resp)
+	if !resp.OK || !resp.Head {
+		t.Fatalf("over-frame get answered OK=%v Head=%v (%s), want its head", resp.OK, resp.Head, resp.Err)
 	}
+	resp.Release()
 
 	// Push direction: the copy silently lost at one holder comes back via
 	// the direct-notify push (the holder pulls the chunks from the pusher).

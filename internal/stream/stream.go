@@ -362,9 +362,7 @@ func (f *Fetcher) FetchBody(name string, pin uint64, sources []Source) (Body, er
 	if len(sources) == 0 {
 		return Body{}, ErrNotFound
 	}
-	if len(sources) > maxSources {
-		sources = sources[:maxSources]
-	}
+	sources = sources[:min(len(sources), maxSources)]
 	f.stats.InFlight.Add(1)
 	defer f.stats.InFlight.Add(-1)
 	t := transfer{f: f, name: name, version: pin}
@@ -376,19 +374,50 @@ func (f *Fetcher) FetchBody(name string, pin uint64, sources []Source) (Body, er
 		t.ref.Release() // a head that opened the reassembly buffer failed its CRC
 		return Body{}, err
 	}
-	if kept {
-		// Single-chunk transfer: the chunk CRC land verified covered every
-		// byte of the file, so the file CRC must simply equal it.
-		if head.ChunkCRC != head.FileCRC {
-			headResp.Release()
-			return Body{}, ErrChecksum
-		}
-		f.noteDone(&t)
-		ref := headResp.Keep() // the caller's, where the response's ends
-		headResp.Release()
-		return Body{Data: head.Chunk, Version: t.version, Sum: head.FileCRC, Ref: ref}, nil
+	return t.finish(head, &headResp, kept, sources)
+}
+
+// FetchRest completes a transfer whose head chunk arrived another way: the
+// first chunk of a get's head answer (msg.GetHead), at version, which
+// resp owns. The chunk is landed and verified as a fetched head is, resp
+// released once it no longer holds the returned bytes, and every later
+// range fetched pinned to version and striped over sources, as FetchBody
+// fetches them. Only the first msg.MaxHolders sources are tried.
+func (f *Fetcher) FetchRest(name string, version uint64, head msg.FetchResp, resp *msg.Response, sources []Source) (Body, error) {
+	if len(sources) == 0 {
+		resp.Release()
+		return Body{}, ErrNotFound
 	}
-	return t.onHeap(sources).body(head)
+	sources = sources[:min(len(sources), maxSources)]
+	f.stats.InFlight.Add(1)
+	defer f.stats.InFlight.Add(-1)
+	t := transfer{f: f, name: name, version: version}
+	kept, err := t.land(true, 0, &head, resp)
+	if err != nil {
+		t.ref.Release()
+		return Body{}, err
+	}
+	return t.finish(head, resp, kept, sources)
+}
+
+// finish completes a transfer whose head is landed and verified: a head
+// that is the whole body (kept) must carry the whole-file sum and is handed
+// to the caller with headResp's reference to it; otherwise the body ranges
+// are fetched into the reassembly buffer the head opened.
+func (t *transfer) finish(head msg.FetchResp, headResp *msg.Response, kept bool, sources []Source) (Body, error) {
+	if !kept {
+		return t.onHeap(sources).body(head)
+	}
+	// Single-chunk transfer: the chunk CRC land verified covered every
+	// byte of the file, so the file CRC must simply equal it.
+	if head.ChunkCRC != head.FileCRC {
+		headResp.Release()
+		return Body{}, ErrChecksum
+	}
+	t.f.noteDone(t)
+	ref := headResp.Keep() // the caller's, where the response's ends
+	headResp.Release()
+	return Body{Data: head.Chunk, Version: t.version, Sum: head.FileCRC, Ref: ref}, nil
 }
 
 // body fetches every range after the head chunk into the reassembly

@@ -204,3 +204,53 @@ func TestPreEpochPeerRefused(t *testing.T) {
 		}
 	})
 }
+
+// TestEpochRefusalRemembered: a transport remembers an address's refusal
+// for the epoch. Fifty exchanges inside one backoff window cost one dial
+// and one counted refusal, and each fails at once naming both epochs; the
+// first exchange after the window dials again. No handler runs.
+func TestEpochRefusalRemembered(t *testing.T) {
+	var handled, refused atomic.Int64
+	srv, err := Listen("127.0.0.1:0", func(req *msg.Request) *msg.Response {
+		handled.Add(1)
+		return echoHandler(req)
+	}, ServeLoopOptions{OnProtoError: func(error) { refused.Add(1) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	other := uint32(msg.Epoch + 1)
+	announceDial(t, other)
+
+	tr := New(Config{Retries: 3, RetryBase: time.Millisecond}, nil)
+	defer tr.Close()
+	get := &msg.Request{Kind: msg.KindGet, Name: "f"}
+	start := time.Now()
+	for i := 0; i < 50; i++ {
+		_, err := tr.Do(srv.Addr(), get)
+		wantEpochError(t, fmt.Sprintf("exchange %d", i), err, other, msg.Epoch)
+	}
+	if d := time.Since(start); d >= epochBackoff {
+		t.Fatalf("50 exchanges took %v, past the %v window they were to fall in", d, epochBackoff)
+	}
+	c := tr.Counters()
+	if c.Dials.Value() != 1 || c.EpochRefused.Value() != 1 {
+		t.Fatalf("inside one window: dials=%d epoch_refused=%d, want 1 and 1", c.Dials.Value(), c.EpochRefused.Value())
+	}
+	time.Sleep(epochBackoff - time.Since(start) + 10*time.Millisecond)
+	_, err = tr.Do(srv.Addr(), get)
+	wantEpochError(t, "exchange after the window", err, other, msg.Epoch)
+	if c.Dials.Value() != 2 || c.EpochRefused.Value() != 2 {
+		t.Fatalf("after the window: dials=%d epoch_refused=%d, want 2 and 2", c.Dials.Value(), c.EpochRefused.Value())
+	}
+	if n := handled.Load(); n != 0 {
+		t.Fatalf("%d requests reached the handler, want none", n)
+	}
+	// The server reports each refusal as it makes it.
+	for deadline := time.Now().Add(5 * time.Second); refused.Load() < 2 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if n := refused.Load(); n != 2 {
+		t.Fatalf("the server refused %d connections, want 2", n)
+	}
+}

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"lesslog/internal/metrics"
 	"lesslog/internal/msg"
 )
 
@@ -42,16 +41,17 @@ type mux struct {
 	// ephemeral marks an overflow stream dialed past the pool cap: used
 	// for one exchange and closed on release, never pooled.
 	ephemeral bool
-	// refused, when non-nil, counts the stream's refusal for its epoch.
-	refused *metrics.AtomicCounter
+	// refused, when non-nil, is told the stream was refused for its epoch,
+	// before any exchange on it fails.
+	refused func(error)
 }
 
 // newMux opens the dialed side of a stream: it writes this side's hello,
 // under the dial deadline, and starts the reader, which reads the other
 // side's before the first response. Nothing waits for that hello — the
 // first request goes out right behind this one — so it adds no round
-// trip. refused (nil: none) counts a refusal for the epoch.
-func newMux(conn net.Conn, dialTO time.Duration, refused *metrics.AtomicCounter) (*mux, error) {
+// trip. refused (nil: none) is told of a refusal for the epoch.
+func newMux(conn net.Conn, dialTO time.Duration, refused func(error)) (*mux, error) {
 	conn.SetWriteDeadline(time.Now().Add(dialTO))
 	hello := msg.AppendHello(make([]byte, 0, msg.HelloLen), dialEpoch)
 	if _, err := conn.Write(hello); err != nil {
@@ -76,7 +76,7 @@ func (m *mux) readLoop() {
 	if err == nil && epoch != dialEpoch {
 		err = epochError(dialEpoch, epoch)
 		if m.refused != nil {
-			m.refused.Inc()
+			m.refused(err)
 		}
 	}
 	if err != nil {

@@ -218,16 +218,14 @@ func (s *served) work() {
 // request's lease ends: once the response is encoded into the write buffer
 // (or the socket) nothing points into the request or its read buffer any
 // more. A failed write closes the connection, which stops the reader — so
-// an answer the frame cannot carry is rewritten here instead: a body over
-// msg.MaxData becomes the over-frame refusal, with the route it came
-// over, and an over-long Err is cut. The handler's own response is left as
-// it was; the worker releases it.
+// an over-long Err is cut here instead; the handler's own response is left
+// as it was, and the worker releases it. A response whose payload is
+// written from where it lives (msg.Vectored) goes to the socket itself,
+// behind whatever the buffer holds, as one writev of head, payload and
+// trailer: through the buffer it would cost three writes (the buffer's
+// fill, the rest of the payload, the trailer).
 func (s *served) write(resp *msg.Response, j job) {
-	switch {
-	case !msg.FitsFrame(len(resp.Data) + len(resp.Tail)):
-		resp = &msg.Response{Err: msg.OverFrameError, Version: resp.Version,
-			ServedBy: resp.ServedBy, Hops: resp.Hops, Path: resp.Path}
-	case len(resp.Err) > msg.MaxName:
+	if len(resp.Err) > msg.MaxName {
 		cut := *resp // the handler's response may be shared
 		cut.Err = cut.Err[:msg.MaxName]
 		resp = &cut
@@ -235,7 +233,14 @@ func (s *served) write(resp *msg.Response, j job) {
 	s.waiting.Add(1)
 	s.wmu.Lock()
 	s.waiting.Add(-1)
-	err := msg.WriteResponseID(s.bw, resp, j.id)
+	var err error
+	if msg.Vectored(len(resp.Data) + len(resp.Tail)) {
+		if err = s.bw.Flush(); err == nil {
+			err = msg.WriteResponseID(s.conn, resp, j.id)
+		}
+	} else {
+		err = msg.WriteResponseID(s.bw, resp, j.id)
+	}
 	j.lease.End()
 	// Idle before the flush, which is what a client with one request in
 	// flight waits for: its next request finds this worker, not a new one.

@@ -373,68 +373,107 @@ func TestServerClose(t *testing.T) {
 	}
 }
 
-// TestOverFrameAnswerRefused: an answer whose Data and Tail together exceed
-// one frame is written as the over-frame refusal, carrying the route the
-// answer came over, and the connection — with every request pipelined
-// beside it — lives on.
-func TestOverFrameAnswerRefused(t *testing.T) {
-	release := make(chan struct{})
-	path := []msg.Hop{{PID: 5, Action: msg.HopForward}, {PID: 3, Action: msg.HopServe}}
-	body := make([]byte, msg.MaxData)
-	var protoErrs atomic.Int64
-	srv, err := Listen("127.0.0.1:0", func(req *msg.Request) *msg.Response {
-		if req.Name != "big" {
-			return echoHandler(req)
-		}
-		<-release
-		return &msg.Response{OK: true, ServedBy: 3, Hops: 2, Version: 7, Path: path,
-			Data: body, Tail: []byte{1}}
-	}, ServeLoopOptions{Workers: 8, OnProtoError: func(error) { protoErrs.Add(1) }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	cc, err := DialMuxConn(srv.Addr(), time.Second, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cc.Close()
+// plainWrites is a served connection that counts the plain Write calls
+// made on it. A vectored write (net.Buffers) reaches the socket through the
+// embedded TCP connection's writev and is not counted.
+type plainWrites struct {
+	*net.TCPConn
+	n atomic.Int64
+}
 
-	type answer struct {
-		resp *msg.Response
-		err  error
+func (c *plainWrites) Write(p []byte) (int, error) {
+	c.n.Add(1)
+	return c.TCPConn.Write(p)
+}
+
+// TestLargeAnswerIsOneVectoredWrite: an answer whose payload is past one
+// read chunk goes to the socket as one vectored write of head, payload and
+// trailer — no plain write, where the write buffer spent three on it (its
+// fill, the rest of the payload, the trailer) — and arrives intact, before
+// and beside small answers that still go through the buffer.
+func TestLargeAnswerIsOneVectoredWrite(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	big := make(chan answer, 1)
+	defer ln.Close()
+	head := []byte("fetch header")
+	body := make([]byte, 1<<20)
+	for i := range body {
+		body[i] = byte(i * 7)
+	}
+	var protoErrs atomic.Int64
+	served := make(chan *plainWrites, 1)
+	done := make(chan struct{})
 	go func() {
-		resp, err := cc.Do(&msg.Request{Kind: msg.KindGet, Name: "big"})
-		big <- answer{resp, err}
+		defer close(done)
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		pw := &plainWrites{TCPConn: conn.(*net.TCPConn)}
+		served <- pw
+		ServeLoop(pw, func(req *msg.Request) *msg.Response {
+			if req.Name == "big" {
+				return &msg.Response{OK: true, Version: 7, Data: head, Tail: body}
+			}
+			return echoHandler(req)
+		}, ServeLoopOptions{OnProtoError: func(error) { protoErrs.Add(1) }})
 	}()
-	// Seven small requests pipelined while the big answer is in the works.
+	cc, err := DialMuxConn(ln.Addr().String(), time.Second, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pw := <-served
+	get := func(name string) *msg.Response {
+		t.Helper()
+		resp, err := cc.Do(&msg.Request{Kind: msg.KindGet, Name: name})
+		if err != nil {
+			t.Fatalf("get %q: %v", name, err)
+		}
+		return resp
+	}
+	if resp := get("small"); string(resp.Data) != "small" {
+		t.Fatalf("small answer = %q", resp.Data)
+	}
+	before := pw.n.Load()
+	resp := get("big")
+	if n := pw.n.Load() - before; n != 0 {
+		t.Errorf("the 1 MiB answer took %d plain writes, want 0 (one writev)", n)
+	}
+	if !resp.OK || resp.Version != 7 || !bytes.Equal(resp.Data, append(append([]byte{}, head...), body...)) {
+		t.Fatalf("big answer: OK=%v version=%d, %d bytes, want the head and body intact", resp.OK, resp.Version, len(resp.Data))
+	}
+	resp.Release()
+	before = pw.n.Load()
+	if resp := get("after"); string(resp.Data) != "after" {
+		t.Fatalf("answer after the big one = %q", resp.Data)
+	}
+	if n := pw.n.Load() - before; n != 1 {
+		t.Errorf("a small answer took %d plain writes, want 1", n)
+	}
+
+	// Seven small requests pipelined beside big ones are all answered.
 	var wg sync.WaitGroup
-	for i := 0; i < 7; i++ {
+	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			name := string(rune('a' + i))
-			if resp, err := cc.Do(&msg.Request{Kind: msg.KindGet, Name: name}); err != nil || !resp.OK || string(resp.Data) != name {
-				t.Errorf("small request %q beside the big one: %+v, %v", name, resp, err)
+			if i%4 == 0 {
+				name = "big"
+			}
+			resp, err := cc.Do(&msg.Request{Kind: msg.KindGet, Name: name})
+			if err != nil || !resp.OK || (name != "big" && string(resp.Data) != name) ||
+				(name == "big" && len(resp.Data) != len(head)+len(body)) {
+				t.Errorf("pipelined %q: %v", name, err)
 			}
 		}()
 	}
 	wg.Wait()
-	close(release)
-
-	a := <-big
-	if a.err != nil {
-		t.Fatalf("over-frame answer: transport error %v, want the refusal", a.err)
-	}
-	if r := a.resp; r.OK || r.Err != msg.OverFrameError || len(r.Data) != 0 ||
-		r.ServedBy != 3 || r.Hops != 2 || r.Version != 7 || len(r.Path) != 2 || r.Path[1].PID != 3 {
-		t.Fatalf("over-frame answer = %+v, want the refusal with ServedBy, Hops, Version and Path kept", r)
-	}
-	if resp, err := cc.Do(&msg.Request{Kind: msg.KindGet, Name: "after"}); err != nil || string(resp.Data) != "after" {
-		t.Fatalf("request after the refusal on the same connection: %+v, %v", resp, err)
-	}
+	cc.Close()
+	<-done
 	if n := protoErrs.Load(); n != 0 {
 		t.Fatalf("%d protocol errors, want none", n)
 	}

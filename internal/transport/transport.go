@@ -104,7 +104,9 @@ type Counters struct {
 	Faults     metrics.AtomicCounter // injected faults that aborted an attempt
 	// EpochRefused counts connections refused for their epoch (ErrEpoch):
 	// each stream this transport dialed, and each connection its owner's
-	// server refused, which the owner adds (CountRefusal).
+	// server refused, which the owner adds (CountRefusal). An exchange
+	// failed at once on a remembered refusal (epochBackoff) dialed nothing
+	// and is not counted again.
 	EpochRefused metrics.AtomicCounter
 }
 
@@ -163,6 +165,13 @@ func epochError(local, remote uint32) error {
 // mismatch refused. The serving side always speaks msg.Epoch.
 var dialEpoch uint32 = msg.Epoch
 
+// epochBackoff is how long a transport remembers that an address refused
+// its epoch: within it every exchange that would dial the address fails at
+// once with the refusal, so a peer of another build costs one dial per
+// window instead of one per exchange — what a rolling upgrade's mixed fleet
+// would otherwise pay on every forward and broadcast leg.
+const epochBackoff = time.Second
+
 // kindIndex maps a request kind into the per-kind histogram array; unknown
 // kinds share slot 0.
 func kindIndex(k msg.Kind) int {
@@ -185,6 +194,9 @@ type Transport struct {
 	muxes  map[string][]*mux // per-address multiplexed streams, ≤ PoolSize each
 	rng    *xrand.Rand       // backoff jitter; guarded by mu
 	closed bool
+	// refusals remembers, per address, the last refusal for the epoch and
+	// when it was met (epochBackoff); guarded by mu.
+	refusals map[string]refusal
 
 	// inflight gauges client-side exchanges currently multiplexed onto
 	// pooled streams — the pipeline depth the /metrics endpoints surface.
@@ -409,6 +421,39 @@ func (t *Transport) acquireMux(addr string) (m *mux, reused bool, err error) {
 	return m, false, err
 }
 
+// refusal is an address's remembered refusal for the epoch.
+type refusal struct {
+	err error
+	at  time.Time
+}
+
+// refused returns addr's refusal for the epoch if it was met within
+// epochBackoff, nil otherwise (and forgets an older one).
+func (t *Transport) refused(addr string) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	r, ok := t.refusals[addr]
+	if !ok {
+		return nil
+	}
+	if time.Since(r.at) >= epochBackoff {
+		delete(t.refusals, addr)
+		return nil
+	}
+	return r.err
+}
+
+// refuse counts a stream to addr refused for the epoch and remembers it.
+func (t *Transport) refuse(addr string, err error) {
+	t.counters.EpochRefused.Inc()
+	t.mu.Lock()
+	if t.refusals == nil {
+		t.refusals = map[string]refusal{}
+	}
+	t.refusals[addr] = refusal{err: err, at: time.Now()}
+	t.mu.Unlock()
+}
+
 // dial is the one place a fabric stream is opened.
 func dial(addr string, timeout time.Duration) (net.Conn, error) {
 	return net.DialTimeout("tcp", addr, timeout)
@@ -417,14 +462,18 @@ func dial(addr string, timeout time.Duration) (net.Conn, error) {
 // dialMux establishes a fresh multiplexed stream under the dial deadline
 // and pools it, unless the pool has no room for it (it filled meanwhile,
 // PoolSize < 0 gives it none, or the transport is closed) — then the stream
-// is ephemeral: one exchange and closed.
+// is ephemeral: one exchange and closed. An address that refused the epoch
+// within epochBackoff is not dialed: the refusal is the answer.
 func (t *Transport) dialMux(addr string) (*mux, error) {
+	if err := t.refused(addr); err != nil {
+		return nil, err
+	}
 	conn, err := dial(addr, t.cfg.DialTimeout)
 	if err != nil {
 		return nil, err
 	}
 	t.counters.Dials.Inc()
-	m, err := newMux(conn, t.cfg.DialTimeout, &t.counters.EpochRefused)
+	m, err := newMux(conn, t.cfg.DialTimeout, func(err error) { t.refuse(addr, err) })
 	if err != nil {
 		return nil, err
 	}

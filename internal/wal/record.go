@@ -22,9 +22,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"time"
 
+	"lesslog/internal/crc32c"
 	"lesslog/internal/store"
 )
 
@@ -71,9 +71,6 @@ const maxHead = bodyHeader + maxName + 4
 // maxBody bounds a plausible record body; replay treats anything larger
 // as corruption rather than attempting the allocation.
 const maxBody = maxHead + maxData
-
-// castagnoli is the CRC32C table; hardware-accelerated on amd64/arm64.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // record is one decoded log entry.
 type record struct {
@@ -130,7 +127,7 @@ func appendRecordHead(b []byte, r record) []byte {
 	if r.op == opPut {
 		b = binary.BigEndian.AppendUint32(b, uint32(len(r.data)))
 	}
-	crc := crc32.Update(crc32.Checksum(b[bodyStart:], castagnoli), castagnoli, r.payload())
+	crc := crc32c.Update(crc32c.Sum(b[bodyStart:]), r.payload())
 	binary.BigEndian.PutUint32(b[start+4:], crc)
 	return b
 }

@@ -24,7 +24,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"log/slog"
 	"os"
@@ -36,6 +35,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"lesslog/internal/crc32c"
 	"lesslog/internal/store"
 )
 
@@ -460,12 +460,12 @@ func readRecord(br *bufio.Reader, load bool) (record, int64, error) {
 	if err != nil {
 		return record{}, 0, errCorrupt
 	}
-	sum := crc32.Checksum(head[recHeader:recHeader+length-dataLen], castagnoli)
+	sum := crc32c.Sum(head[recHeader : recHeader+length-dataLen])
 	br.Discard(recHeader + length - dataLen) // buffered: cannot fail
 	if load && r.op == opPut {
 		r.data = make([]byte, dataLen)
 		_, err = io.ReadFull(br, r.data)
-		sum = crc32.Update(sum, castagnoli, r.data)
+		sum = crc32c.Update(sum, r.data)
 	} else {
 		sum, err = discardSum(br, sum, dataLen)
 	}
@@ -485,7 +485,7 @@ func discardSum(br *bufio.Reader, sum uint32, n int) (uint32, error) {
 			}
 		}
 		chunk, _ := br.Peek(min(n, br.Buffered()))
-		sum = crc32.Update(sum, castagnoli, chunk)
+		sum = crc32c.Update(sum, chunk)
 		br.Discard(len(chunk))
 		n -= len(chunk)
 	}
