@@ -40,8 +40,8 @@
 //
 // Peer-to-peer RPC behavior is tunable with -dial-timeout (default 2s),
 // -rpc-timeout (default 5s), -retries (default 2, idempotent ops only,
-// -1 disables) and -pool (idle connections kept per peer, default 4, -1
-// dials per call); see docs/TRANSPORT.md.
+// -1 disables) and -pool (streams kept per peer, default 4; 0 or below
+// selects the default); see docs/TRANSPORT.md.
 //
 // Background replica repair (the anti-entropy loop of docs/REPAIR.md) is
 // enabled with -repair-interval; -repair-budget bounds its bandwidth in
@@ -107,7 +107,7 @@ func main() {
 		dialTO    = flag.Duration("dial-timeout", transport.DefaultDialTimeout, "server: peer connection establishment deadline")
 		rpcTO     = flag.Duration("rpc-timeout", transport.DefaultRPCTimeout, "server: per-RPC write+read deadline")
 		retries   = flag.Int("retries", transport.DefaultRetries, "server: extra attempts for idempotent peer RPCs (-1 disables)")
-		pool      = flag.Int("pool", transport.DefaultPoolSize, "server: idle connections kept per peer (-1 keeps none: every exchange dials a one-exchange stream)")
+		pool      = flag.Int("pool", transport.DefaultPoolSize, "server: streams kept per peer (0 or below selects the default)")
 		pipeWk    = flag.Int("pipeline-workers", transport.DefaultPipelineWorkers, "server: concurrent pipelined requests handled per connection")
 		fanWk     = flag.Int("fanout-workers", netnode.DefaultFanoutWorkers, "server: concurrent broadcast RPC legs per update/delete")
 		admin     = flag.String("admin", "", "server: admin HTTP address for /metrics, /healthz, /trees, /debug/pprof ('' disables)")

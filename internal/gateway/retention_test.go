@@ -89,7 +89,7 @@ func TestRetentionSweep(t *testing.T) {
 	// do sends one request to addr and fails the test unless it is accepted.
 	do := func(addr string, req *msg.Request) *msg.Response {
 		t.Helper()
-		resp, err := netnode.Call(addr, req)
+		resp, err := netnode.NewClient(addr).Do(req, false)
 		if err != nil || !resp.OK {
 			t.Fatalf("%v %q at %s: err %v resp %+v", req.Kind, req.Name, addr, err, resp)
 		}

@@ -80,14 +80,14 @@ func TestGatewayPromotionInvisible(t *testing.T) {
 	}
 	t.Cleanup(func() { srv.Close() })
 
-	resp, err := netnode.Call(srv.Addr(), &msg.Request{Kind: msg.KindInsert, Name: "pi/f", Data: []byte("x")})
+	resp, err := netnode.NewClient(srv.Addr()).Do(&msg.Request{Kind: msg.KindInsert, Name: "pi/f", Data: []byte("x")}, false)
 	if err != nil || !resp.OK {
 		t.Fatalf("insert through gateway: %+v, %v", resp, err)
 	}
 	if resp.Path != nil {
 		t.Fatalf("promoted insert leaked its route to the client: %v", resp.Path)
 	}
-	got, err := netnode.Call(srv.Addr(), &msg.Request{Kind: msg.KindGet, Name: "pi/f"})
+	got, err := netnode.NewClient(srv.Addr()).Do(&msg.Request{Kind: msg.KindGet, Name: "pi/f"}, false)
 	if err != nil || !got.OK {
 		t.Fatalf("get through gateway: %+v, %v", got, err)
 	}

@@ -95,7 +95,7 @@ func TestPutCommitCompleteness(t *testing.T) {
 			pr := msg.PutReq{Op: msg.PutData, TotalSize: uint64(len(tc.declared)),
 				FileCRC: crc32.Checksum(tc.declared, castagnoli)}
 			put := func(pr msg.PutReq) *msg.Response {
-				resp, err := Call(entry.Addr(), &msg.Request{Kind: msg.KindPut, Name: name, Data: rawPut(&pr)})
+				resp, err := NewClient(entry.Addr()).Do(&msg.Request{Kind: msg.KindPut, Name: name, Data: rawPut(&pr)}, false)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -166,7 +166,7 @@ func TestPutCommitCompleteness(t *testing.T) {
 				defer uploads.Done()
 				pr := msg.PutReq{Op: msg.PutData, TotalSize: uint64(len(b)), FileCRC: crc32.Checksum(b, castagnoli)}
 				send := func(pr msg.PutReq) *msg.Response {
-					resp, err := Call(entry.Addr(), &msg.Request{Kind: msg.KindPut, Name: name, Data: rawPut(&pr)})
+					resp, err := NewClient(entry.Addr()).Do(&msg.Request{Kind: msg.KindPut, Name: name, Data: rawPut(&pr)}, false)
 					if err != nil || !resp.OK {
 						t.Errorf("%s: frame at %d: %+v, %v", name, pr.Offset, resp, err)
 						return &msg.Response{}

@@ -215,9 +215,9 @@ func TestFetchWireSemantics(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp, err := Call(peers[1].Addr(), &msg.Request{
+		resp, err := NewClient(peers[1].Addr()).Do(&msg.Request{
 			Kind: msg.KindFetch, Name: "f", Version: pin, Data: raw,
-		})
+		}, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -254,7 +254,7 @@ func TestFetchWireSemantics(t *testing.T) {
 	// Serve-or-refuse: a fetch for an unheld name answers not-holder, no
 	// forwarding (hops stay zero).
 	raw, _ := msg.AppendFetchReq(nil, msg.FetchReq{Offset: 0, Length: 64})
-	resp, err := Call(peers[1].Addr(), &msg.Request{Kind: msg.KindFetch, Name: "absent", Data: raw})
+	resp, err := NewClient(peers[1].Addr()).Do(&msg.Request{Kind: msg.KindFetch, Name: "absent", Data: raw}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestLocateSetAnswer(t *testing.T) {
 	}
 	// Ask a non-holder: the walk must forward to a holder, whose answer
 	// lists every live replica.
-	resp, err := Call(peers[8].Addr(), &msg.Request{Kind: msg.KindLocateSet, Name: "f"})
+	resp, err := NewClient(peers[8].Addr()).Do(&msg.Request{Kind: msg.KindLocateSet, Name: "f"}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +302,7 @@ func TestLocateSetAnswer(t *testing.T) {
 	// Every listed holder actually serves the head chunk.
 	raw, _ := msg.AppendFetchReq(nil, msg.FetchReq{Offset: 0, Length: 1 << 10})
 	for _, h := range hs {
-		r, err := Call(h.Addr, &msg.Request{Kind: msg.KindFetch, Name: "f", Data: raw})
+		r, err := NewClient(h.Addr).Do(&msg.Request{Kind: msg.KindFetch, Name: "f", Data: raw}, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -311,7 +311,7 @@ func TestLocateSetAnswer(t *testing.T) {
 		}
 	}
 	// Unknown name faults through the walk like any locate.
-	resp, err = Call(peers[8].Addr(), &msg.Request{Kind: msg.KindLocateSet, Name: "nope"})
+	resp, err = NewClient(peers[8].Addr()).Do(&msg.Request{Kind: msg.KindLocateSet, Name: "nope"}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +335,7 @@ func TestChunkedGetSurvivesHolderDeath(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Find a hinted holder that is NOT the entry peer and kill it.
-	res, err := Call(peers[8].Addr(), &msg.Request{Kind: msg.KindLocateSet, Name: "f"})
+	res, err := NewClient(peers[8].Addr()).Do(&msg.Request{Kind: msg.KindLocateSet, Name: "f"}, false)
 	if err != nil || !res.OK {
 		t.Fatalf("locate-set: %v %s", err, res.Err)
 	}

@@ -193,7 +193,7 @@ func TestUpdatesConvergeAtEverySize(t *testing.T) {
 		entry, victim := prim[0], prim[1]
 		cancel := fab.faults[victim].AddCancel(transport.Rule{Kind: msg.KindFetch, Drop: true})
 		data := chunkPayload(4<<10, 371)
-		resp, err := Call(fab.peers[entry].Addr(), &msg.Request{Kind: msg.KindUpdate, Name: n.name, Data: data})
+		resp, err := NewClient(fab.peers[entry].Addr()).Do(&msg.Request{Kind: msg.KindUpdate, Name: n.name, Data: data}, false)
 		if err != nil || !resp.OK {
 			t.Fatalf("update: %+v, %v", resp, err)
 		}

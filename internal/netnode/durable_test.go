@@ -99,7 +99,7 @@ func TestTombstoneSurvivesRestartAndBlocksResurrection(t *testing.T) {
 
 	// A stale push at the restarted peer is refused by the replayed
 	// tombstone, not applied.
-	resp, err := Call(p0.Addr(), inlinePlacement(t, "doomed", []byte("data"), 1))
+	resp, err := NewClient(p0.Addr()).Do(inlinePlacement(t, "doomed", []byte("data"), 1), false)
 	if err != nil {
 		t.Fatal(err)
 	}

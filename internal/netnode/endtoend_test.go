@@ -647,7 +647,7 @@ func TestUpdateDeleteBroadcastSymmetry(t *testing.T) {
 			stale.Version--
 			var first shape
 			for i, f := range []*msg.Request{frame, frame, &stale} {
-				resp, err := Call(peers[7].Addr(), f)
+				resp, err := NewClient(peers[7].Addr()).Do(f, false)
 				if err != nil || !resp.OK {
 					t.Fatalf("delivery %d: %+v, %v", i, resp, err)
 				}

@@ -76,7 +76,7 @@ func TestEveryKindHasHandler(t *testing.T) {
 			t.Errorf("kind %v (%d) has no probe request; extend this test with the new kind", kind, k)
 			continue
 		}
-		resp, err := Call(addr, req)
+		resp, err := NewClient(addr).Do(req, false)
 		if err != nil {
 			t.Fatalf("kind %v: %v", kind, err)
 		}
@@ -84,7 +84,7 @@ func TestEveryKindHasHandler(t *testing.T) {
 			t.Errorf("kind %v fell through to the unknown-kind default; extend dispatch", kind)
 		}
 	}
-	resp, err := Call(addr, &msg.Request{Kind: msg.Kind(msg.KindCount), Name: "x"})
+	resp, err := NewClient(addr).Do(&msg.Request{Kind: msg.Kind(msg.KindCount), Name: "x"}, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -142,7 +142,7 @@ func TestRetiredLocalOnlyFlagIsIgnored(t *testing.T) {
 	}
 	get := func(at bitops.PID) *msg.Response {
 		t.Helper()
-		resp, err := Call(peers[at].Addr(), &msg.Request{Kind: msg.KindGet, Flags: msg.FlagLocalOnly, Name: "f"})
+		resp, err := NewClient(peers[at].Addr()).Do(&msg.Request{Kind: msg.KindGet, Flags: msg.FlagLocalOnly, Name: "f"}, false)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -80,11 +80,11 @@ func TestMaintainEvictsColdReplicas(t *testing.T) {
 func TestKindHasProbe(t *testing.T) {
 	peers := startSystem(t, 3, 0, allPIDs(8), nil)
 	NewClient(peers[0].Addr()).Store("x", []byte("1"), 1, false)
-	resp, err := Call(peers[0].Addr(), &msg.Request{Kind: msg.KindHas, Name: "x"})
+	resp, err := NewClient(peers[0].Addr()).Do(&msg.Request{Kind: msg.KindHas, Name: "x"}, false)
 	if err != nil || !resp.OK {
 		t.Fatalf("has(x) = %+v, %v", resp, err)
 	}
-	resp, err = Call(peers[0].Addr(), &msg.Request{Kind: msg.KindHas, Name: "y"})
+	resp, err = NewClient(peers[0].Addr()).Do(&msg.Request{Kind: msg.KindHas, Name: "y"}, false)
 	if err != nil || resp.OK {
 		t.Fatalf("has(y) = %+v, %v", resp, err)
 	}

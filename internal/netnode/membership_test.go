@@ -413,7 +413,7 @@ func TestParseTable(t *testing.T) {
 func TestTableRoundTrip(t *testing.T) {
 	peers := startSystem(t, 3, 1, []bitops.PID{0, 2, 5}, nil)
 	peers[2].peerDown(5) // the detector's verdict travels as a down mark
-	resp, err := Call(peers[2].Addr(), &msg.Request{Kind: msg.KindTable})
+	resp, err := NewClient(peers[2].Addr()).Do(&msg.Request{Kind: msg.KindTable}, false)
 	if err != nil || !resp.OK {
 		t.Fatalf("table call: %+v, %v", resp, err)
 	}
@@ -432,7 +432,7 @@ func TestTableRoundTrip(t *testing.T) {
 		t.Fatalf("re-encoded table = %+v, %v; want %+v", again, err, table)
 	}
 	fixed := startSystem(t, 3, 0, []bitops.PID{1}, hashring.Fixed(1))
-	if resp, err := Call(fixed[1].Addr(), &msg.Request{Kind: msg.KindTable}); err != nil {
+	if resp, err := NewClient(fixed[1].Addr()).Do(&msg.Request{Kind: msg.KindTable}, false); err != nil {
 		t.Fatal(err)
 	} else if table, err := parseTable(resp.Data); err != nil || table.defaultHash {
 		t.Fatalf("Fixed-hashed peer's table = %+v, %v; want defaultHash false", table, err)

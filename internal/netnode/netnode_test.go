@@ -264,7 +264,7 @@ func TestStatAndStats(t *testing.T) {
 
 func TestUnknownKindRejected(t *testing.T) {
 	peers := startSystem(t, 3, 0, allPIDs(8), nil)
-	resp, err := Call(peers[0].Addr(), &msg.Request{Kind: msg.Kind(42), Name: "x"})
+	resp, err := NewClient(peers[0].Addr()).Do(&msg.Request{Kind: msg.Kind(42), Name: "x"}, false)
 	if err != nil {
 		t.Fatal(err)
 	}

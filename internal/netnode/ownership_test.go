@@ -851,7 +851,7 @@ func TestFetchWholeFileHeadChecksummedOnce(t *testing.T) {
 	data := chunkPayload(100_000, 94)
 	peers[2].SeedLocal("own/one", data, 3)
 	rng, _ := msg.AppendFetchReq(nil, msg.FetchReq{Length: stream.DefaultChunkSize})
-	resp, err := Call(peers[2].Addr(), &msg.Request{Kind: msg.KindFetch, Name: "own/one", Data: rng})
+	resp, err := NewClient(peers[2].Addr()).Do(&msg.Request{Kind: msg.KindFetch, Name: "own/one", Data: rng}, false)
 	if err != nil || !resp.OK {
 		t.Fatalf("fetch: %+v, %v", resp, err)
 	}

@@ -33,7 +33,7 @@ func TestHasCarriesVersion(t *testing.T) {
 	if !ok {
 		t.Fatal("precondition: no copy at P(4)")
 	}
-	resp, err := Call(peers[4].Addr(), &msg.Request{Kind: msg.KindHas, Name: "f"})
+	resp, err := NewClient(peers[4].Addr()).Do(&msg.Request{Kind: msg.KindHas, Name: "f"}, false)
 	if err != nil || !resp.OK {
 		t.Fatalf("has: %+v, %v", resp, err)
 	}
@@ -45,7 +45,7 @@ func TestHasCarriesVersion(t *testing.T) {
 		t.Fatalf("has probe counted %d accesses", h)
 	}
 	// Missing name: not OK, version zero.
-	resp, err = Call(peers[4].Addr(), &msg.Request{Kind: msg.KindHas, Name: "nope"})
+	resp, err = NewClient(peers[4].Addr()).Do(&msg.Request{Kind: msg.KindHas, Name: "nope"}, false)
 	if err != nil || resp.OK || resp.Version != 0 {
 		t.Fatalf("has miss: %+v, %v", resp, err)
 	}
@@ -180,7 +180,7 @@ func TestRepairMovesOverFrameBodies(t *testing.T) {
 
 	// A get of the body is answered with its head — not served into a
 	// response the framing layer would reject.
-	resp, err := Call(peers[intact].Addr(), &msg.Request{Kind: msg.KindGet, Name: "huge"})
+	resp, err := NewClient(peers[intact].Addr()).Do(&msg.Request{Kind: msg.KindGet, Name: "huge"}, false)
 	if err != nil {
 		t.Fatalf("over-frame get: transport error %v (connection torn down?)", err)
 	}
@@ -363,7 +363,7 @@ func TestDigestRestrictsToRequesterNames(t *testing.T) {
 
 func TestDigestRejectsCorruptPayload(t *testing.T) {
 	peers := startSystem(t, 3, 0, allPIDs(8), nil)
-	resp, err := Call(peers[0].Addr(), &msg.Request{Kind: msg.KindDigest, Data: []byte{0xFF, 0xFF}})
+	resp, err := NewClient(peers[0].Addr()).Do(&msg.Request{Kind: msg.KindDigest, Data: []byte{0xFF, 0xFF}}, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -108,7 +108,7 @@ func TestStorePushIsVersionGated(t *testing.T) {
 		t.Fatalf("precondition: update did not advance the version (%d -> %d)", old.Version, cur.Version)
 	}
 
-	resp, err := Call(peers[4].Addr(), inlinePlacement(t, "f", []byte("stale"), old.Version))
+	resp, err := NewClient(peers[4].Addr()).Do(inlinePlacement(t, "f", []byte("stale"), old.Version), false)
 	if err != nil || !resp.OK {
 		t.Fatalf("stale push: %+v, %v", resp, err)
 	}
@@ -120,7 +120,7 @@ func TestStorePushIsVersionGated(t *testing.T) {
 		t.Fatalf("stale push clobbered the newer copy: %+v", f)
 	}
 	// A strictly newer push still applies.
-	resp, err = Call(peers[4].Addr(), inlinePlacement(t, "f", []byte("v3"), cur.Version+1))
+	resp, err = NewClient(peers[4].Addr()).Do(inlinePlacement(t, "f", []byte("v3"), cur.Version+1), false)
 	if err != nil || !resp.OK || resp.Version != cur.Version+1 {
 		t.Fatalf("newer push: %+v, %v", resp, err)
 	}
@@ -141,7 +141,7 @@ func TestStorePushRefusedByTombstone(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	resp, err := Call(peers[4].Addr(), inlinePlacement(t, "f", []byte("corpse"), old.Version))
+	resp, err := NewClient(peers[4].Addr()).Do(inlinePlacement(t, "f", []byte("corpse"), old.Version), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestStorePushRefusedByTombstone(t *testing.T) {
 		t.Fatal("refused push still landed")
 	}
 	// A push stamped above the tombstone supersedes the deletion.
-	resp, err = Call(peers[4].Addr(), inlinePlacement(t, "f", []byte("reborn"), resp.Version+1))
+	resp, err = NewClient(peers[4].Addr()).Do(inlinePlacement(t, "f", []byte("reborn"), resp.Version+1), false)
 	if err != nil || !resp.OK {
 		t.Fatalf("superseding push: %+v, %v", resp, err)
 	}

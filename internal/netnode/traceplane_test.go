@@ -98,7 +98,7 @@ func TestTracedUpdateBroadcastTree(t *testing.T) {
 	if err := NewClient(peers[2].Addr()).Insert("f", []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := Call(peers[3].Addr(), &msg.Request{Kind: msg.KindUpdate, Name: "f", Data: []byte("v3")})
+	resp, err := NewClient(peers[3].Addr()).Do(&msg.Request{Kind: msg.KindUpdate, Name: "f", Data: []byte("v3")}, false)
 	if err != nil || !resp.OK {
 		t.Fatalf("untraced update: %+v, %v", resp, err)
 	}
@@ -211,7 +211,7 @@ func TestTraceSamplingAndTailRetention(t *testing.T) {
 	// A client-traced request is always recorded: under the ID it brought,
 	// or under a fresh one when it brought none — never under 0.
 	for _, id := range []uint64{0, 77} {
-		resp, err := Call(peers[0].Addr(), &msg.Request{Kind: msg.KindGet, Name: "s/f", Flags: msg.FlagTrace, TraceID: id})
+		resp, err := NewClient(peers[0].Addr()).Do(&msg.Request{Kind: msg.KindGet, Name: "s/f", Flags: msg.FlagTrace, TraceID: id}, false)
 		if err != nil || !resp.OK || len(resp.Path) == 0 {
 			t.Fatalf("client-traced get (id %d): %+v, %v", id, resp, err)
 		}

@@ -129,7 +129,7 @@ func TestCrashMidUploadLeavesNoPartial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := Call(peers[0].Addr(), &msg.Request{Kind: msg.KindPut, Name: "w/partial", Data: open})
+	resp, err := NewClient(peers[0].Addr()).Do(&msg.Request{Kind: msg.KindPut, Name: "w/partial", Data: open}, false)
 	if err != nil || !resp.OK || resp.Version == 0 {
 		t.Fatalf("open frame: %+v, %v", resp, err)
 	}

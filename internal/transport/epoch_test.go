@@ -86,10 +86,7 @@ func TestEpochMismatchRefusedAtConnect(t *testing.T) {
 
 	// Seven requests on one stream, written behind the hello before any
 	// answer can have come back.
-	cc, err := DialMuxConn(srv.Addr(), time.Second, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cc := New(Config{PoolSize: 1}, nil)
 	defer cc.Close()
 	var wg sync.WaitGroup
 	failed := make([]error, 7)
@@ -97,7 +94,7 @@ func TestEpochMismatchRefusedAtConnect(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, failed[i] = cc.Do(&msg.Request{Kind: msg.KindUpdate, Name: fmt.Sprintf("p%d", i), Data: []byte("x")})
+			_, failed[i] = cc.Do(srv.Addr(), &msg.Request{Kind: msg.KindUpdate, Name: fmt.Sprintf("p%d", i), Data: []byte("x")})
 		}()
 	}
 	wg.Wait()

@@ -252,12 +252,10 @@ func TestCallSlotNotReusedAfterTimeout(t *testing.T) {
 	}, ServeLoopOptions{})
 	defer close(release)
 
+	cfg := Config{PoolSize: 1, RPCTimeout: 20 * time.Millisecond, Retries: -1}
 	for round := 0; round < 8; round++ {
-		c, err := DialMuxConn(addr, time.Second, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := c.m.do(&msg.Request{Kind: msg.KindGet, Name: "slow"}, 20*time.Millisecond); !isTimeout(err) {
+		c := New(cfg, nil)
+		if _, err := c.Exchange(addr, msg.Request{Kind: msg.KindGet, Name: "slow"}, 0); !isTimeout(err) {
 			t.Fatalf("slow exchange: %v, want a timeout", err)
 		}
 		c.Close()
@@ -284,42 +282,13 @@ func TestCallSlotNotReusedAfterTimeout(t *testing.T) {
 		}
 		// And timed exchanges on recycled slots behave: a short deadline after
 		// a long one does not inherit it, nor the reverse.
-		fresh, err := DialMuxConn(addr, time.Second, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		fresh := New(cfg, nil)
 		for i := 0; i < 32; i++ {
-			resp, err := fresh.m.do(&msg.Request{Kind: msg.KindGet, Name: "fast"}, time.Duration(1+i%3)*time.Second)
+			resp, err := fresh.Exchange(addr, msg.Request{Kind: msg.KindGet, Name: "fast"}, time.Duration(1+i%3)*time.Second)
 			if err != nil || string(resp.Data) != "fast" {
 				t.Fatalf("round %d exchange %d on a recycled slot: %v %+v", round, i, err, resp)
 			}
 		}
 		fresh.Close()
-	}
-}
-
-// TestUntimedCallClearsWriteDeadline: the write deadline belongs to the
-// connection, so an untimed call after a timed one must clear it — under
-// the parent's "only ever set" rule the second write ran under the first
-// call's long-expired deadline and killed the stream.
-func TestUntimedCallClearsWriteDeadline(t *testing.T) {
-	addr := pipelinedServer(t, func(req *msg.Request) *msg.Response {
-		return &msg.Response{OK: true, Data: []byte(req.Name)}
-	}, ServeLoopOptions{})
-	c, err := DialMuxConn(addr, time.Second, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	// The deadline has to outlast a loopback exchange on a busy machine; one
-	// exchange far shorter than it is retried rather than trusted to fit.
-	const deadline = 50 * time.Millisecond
-	if _, err := c.m.do(&msg.Request{Kind: msg.KindGet, Name: "timed"}, deadline); err != nil {
-		t.Skipf("timed exchange did not fit its deadline on this machine: %v", err)
-	}
-	time.Sleep(2 * deadline)
-	resp, err := c.Do(&msg.Request{Kind: msg.KindGet, Name: "untimed"})
-	if err != nil || string(resp.Data) != "untimed" {
-		t.Fatalf("untimed call after an expired timed one: %v %+v", err, resp)
 	}
 }

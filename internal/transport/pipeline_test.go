@@ -82,7 +82,9 @@ func TestMuxOverlapsSlowExchange(t *testing.T) {
 }
 
 // TestMuxConcurrentCallersOneStream hammers one pooled stream from many
-// goroutines and checks every response lands on its own request.
+// goroutines and checks every response lands on its own request. The
+// callers start together with no stream to the address: they dial one, the
+// others waiting for it, not one each.
 func TestMuxConcurrentCallersOneStream(t *testing.T) {
 	addr := pipelinedServer(t, func(req *msg.Request) *msg.Response {
 		return &msg.Response{OK: true, Data: []byte(req.Name)}
@@ -110,6 +112,9 @@ func TestMuxConcurrentCallersOneStream(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+	if c := tr.Counters(); c.Dials.Value() != 1 {
+		t.Fatalf("8 concurrent callers dialed %d streams, want 1: %s", c.Dials.Value(), c)
+	}
 }
 
 // TestServeLoopDepthGauge checks the pipeline-depth gauge rises while

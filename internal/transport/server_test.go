@@ -34,20 +34,22 @@ func settleGoroutines(t *testing.T, want int) {
 	}
 }
 
-// TestUnpooledRidesEphemeralStream: PoolSize < 0 has no path of its own. An
-// exchange dials a stream, uses it for one ID'd exchange and closes it —
-// concurrent callers included — with the accounting of any other dial, and
-// the RPC deadline bounds it like any other exchange.
-func TestUnpooledRidesEphemeralStream(t *testing.T) {
+// TestClosedTransportRidesEphemeralStream: a closed transport pools
+// nothing, and has no path of its own for that. An exchange dials a stream,
+// uses it for one ID'd exchange and closes it — concurrent callers included
+// — with the accounting of any other dial, and the RPC deadline bounds it
+// like any other exchange.
+func TestClosedTransportRidesEphemeralStream(t *testing.T) {
 	srv := newEchoServer(t, false)
 	hung := newEchoServer(t, true)
 	baseline := runtime.NumGoroutine()
 
-	tr := New(Config{PoolSize: -1}, nil)
+	tr := New(Config{}, nil)
+	tr.Close()
 	call := func() {
 		resp, err := tr.Do(srv.Addr(), &msg.Request{Kind: msg.KindGet, Name: "f"})
 		if err != nil || !resp.OK || string(resp.Data) != "f" {
-			t.Errorf("unpooled exchange: %+v, %v", resp, err)
+			t.Errorf("exchange after Close: %+v, %v", resp, err)
 		}
 	}
 	for i := 0; i < 40; i++ {
@@ -71,22 +73,21 @@ func TestUnpooledRidesEphemeralStream(t *testing.T) {
 	if tr.InFlight() != 0 {
 		t.Fatalf("in-flight gauge = %d after every exchange returned", tr.InFlight())
 	}
-	tr.Close()
 	settleGoroutines(t, baseline)
 
-	slow := New(Config{PoolSize: -1, RPCTimeout: 40 * time.Millisecond, Retries: -1}, nil)
+	slow := New(Config{RPCTimeout: 40 * time.Millisecond, Retries: -1}, nil)
+	slow.Close()
 	start := time.Now()
 	_, err := slow.Do(hung.Addr(), &msg.Request{Kind: msg.KindGet, Name: "f"})
 	if !isTimeout(err) {
 		t.Fatalf("exchange with a mute peer: err = %v, want a timeout", err)
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("RPCTimeout did not bound the unpooled exchange: %v", elapsed)
+		t.Fatalf("RPCTimeout did not bound the exchange after Close: %v", elapsed)
 	}
 	if c := slow.Counters(); c.Timeouts.Value() != 1 || c.Failures.Value() != 1 || c.Dials.Value() != 1 {
 		t.Fatalf("counters: %s", c)
 	}
-	slow.Close()
 	hung.Close() // its connection goroutine is parked reading a stream nobody closes
 	settleGoroutines(t, baseline-1)
 }
@@ -322,14 +323,11 @@ func TestServerClose(t *testing.T) {
 		return echoHandler(req)
 	}, ServeLoopOptions{})
 
-	cc, err := DialMuxConn(srv.Addr(), time.Second, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cc := New(Config{PoolSize: 1, Retries: -1}, nil)
 	defer cc.Close()
+	go cc.Do(srv.Addr(), &msg.Request{Kind: msg.KindGet, Name: "parked"})
 	<-held.accepted
 	held.pass <- struct{}{}
-	go cc.Do(&msg.Request{Kind: msg.KindGet, Name: "parked"})
 	<-started
 
 	// The second connection is off the socket but not yet in the accept
@@ -421,14 +419,10 @@ func TestLargeAnswerIsOneVectoredWrite(t *testing.T) {
 			return echoHandler(req)
 		}, ServeLoopOptions{OnProtoError: func(error) { protoErrs.Add(1) }})
 	}()
-	cc, err := DialMuxConn(ln.Addr().String(), time.Second, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pw := <-served
+	cc := New(Config{PoolSize: 1}, nil)
 	get := func(name string) *msg.Response {
 		t.Helper()
-		resp, err := cc.Do(&msg.Request{Kind: msg.KindGet, Name: name})
+		resp, err := cc.Do(ln.Addr().String(), &msg.Request{Kind: msg.KindGet, Name: name})
 		if err != nil {
 			t.Fatalf("get %q: %v", name, err)
 		}
@@ -437,6 +431,7 @@ func TestLargeAnswerIsOneVectoredWrite(t *testing.T) {
 	if resp := get("small"); string(resp.Data) != "small" {
 		t.Fatalf("small answer = %q", resp.Data)
 	}
+	pw := <-served
 	before := pw.n.Load()
 	resp := get("big")
 	if n := pw.n.Load() - before; n != 0 {
@@ -464,7 +459,7 @@ func TestLargeAnswerIsOneVectoredWrite(t *testing.T) {
 			if i%4 == 0 {
 				name = "big"
 			}
-			resp, err := cc.Do(&msg.Request{Kind: msg.KindGet, Name: name})
+			resp, err := cc.Do(ln.Addr().String(), &msg.Request{Kind: msg.KindGet, Name: name})
 			if err != nil || !resp.OK || (name != "big" && string(resp.Data) != name) ||
 				(name == "big" && len(resp.Data) != len(head)+len(body)) {
 				t.Errorf("pipelined %q: %v", name, err)

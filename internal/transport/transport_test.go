@@ -129,17 +129,25 @@ func TestExchangeAndPoolReuse(t *testing.T) {
 	}
 }
 
-func TestPoolDisabledDialsPerCall(t *testing.T) {
+// TestNonPositivePoolSizeSelectsDefault: there is no unpooled mode — a
+// PoolSize of 0 or below selects the default pool, whose one stream serves
+// every sequential exchange.
+func TestNonPositivePoolSizeSelectsDefault(t *testing.T) {
 	srv := newEchoServer(t, false)
-	tr := New(Config{PoolSize: -1}, nil)
-	defer tr.Close()
-	for i := 0; i < 5; i++ {
-		if _, err := tr.Do(srv.Addr(), &msg.Request{Kind: msg.KindGet, Name: "f"}); err != nil {
-			t.Fatal(err)
+	for _, size := range []int{0, -1} {
+		tr := New(Config{PoolSize: size}, nil)
+		if got := tr.Config().PoolSize; got != DefaultPoolSize {
+			t.Fatalf("PoolSize %d resolved to %d, want %d", size, got, DefaultPoolSize)
 		}
+		for i := 0; i < 5; i++ {
+			if _, err := tr.Do(srv.Addr(), &msg.Request{Kind: msg.KindGet, Name: "f"}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tr.Close()
 	}
-	if got := srv.Accepted(); got != 5 {
-		t.Fatalf("server accepted %d connections, want 5 (no pooling)", got)
+	if got := srv.Accepted(); got != 2 {
+		t.Fatalf("server accepted %d connections, want 2 (one per transport)", got)
 	}
 }
 
@@ -330,12 +338,16 @@ func TestBackoffDeterministic(t *testing.T) {
 	}
 }
 
-// Pooled exchanges vs dial-per-call on the same echo server.
+// Pooled exchanges vs dial-per-call on the same echo server: a closed
+// transport pools nothing, so each of its exchanges dials a stream.
 
-func benchmarkDo(b *testing.B, poolSize int) {
+func benchmarkDo(b *testing.B, pooled bool) {
 	srv := newEchoServer(b, false)
-	tr := New(Config{PoolSize: poolSize}, nil)
+	tr := New(Config{}, nil)
 	defer tr.Close()
+	if !pooled {
+		tr.Close()
+	}
 	req := &msg.Request{Kind: msg.KindGet, Name: "bench"}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -345,5 +357,5 @@ func benchmarkDo(b *testing.B, poolSize int) {
 	}
 }
 
-func BenchmarkTransportPooled(b *testing.B)      { benchmarkDo(b, 4) }
-func BenchmarkTransportDialPerCall(b *testing.B) { benchmarkDo(b, -1) }
+func BenchmarkTransportPooled(b *testing.B)      { benchmarkDo(b, true) }
+func BenchmarkTransportDialPerCall(b *testing.B) { benchmarkDo(b, false) }
