@@ -8,6 +8,7 @@ import (
 
 	"lesslog/internal/bitops"
 	"lesslog/internal/hashring"
+	"lesslog/internal/msg"
 )
 
 func TestConnPipelinesRequests(t *testing.T) {
@@ -81,6 +82,39 @@ func TestConnClosedPeer(t *testing.T) {
 		t.Fatal("request over a dead peer's connection succeeded")
 	}
 	conn.Close()
+}
+
+// TestConnFailsAfterClose: every exchange on a closed Conn fails with
+// errConnClosed and dials nothing, although its peer is alive and a closed
+// transport would still serve exchanges on one-off streams.
+func TestConnFailsAfterClose(t *testing.T) {
+	peers := startSystem(t, 3, 0, allPIDs(8), nil)
+	conn, err := DialConn(peers[1].Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.Insert("x", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	conn.Close()
+	dials := conn.cl.tr.Counters().Dials.Value()
+	if _, err := conn.Get("x"); !errors.Is(err, errConnClosed) {
+		t.Errorf("get after Close: %v, want errConnClosed", err)
+	}
+	if err := conn.Insert("y", []byte("v")); !errors.Is(err, errConnClosed) {
+		t.Errorf("insert after Close: %v, want errConnClosed", err)
+	}
+	if _, err := conn.Do(&msg.Request{Kind: msg.KindGet, Name: "x"}); !errors.Is(err, errConnClosed) {
+		t.Errorf("exchange after Close: %v, want errConnClosed", err)
+	}
+	if n := conn.cl.tr.Counters().Dials.Value() - dials; n != 0 {
+		t.Errorf("a closed Conn dialed %d streams", n)
+	}
+	for pid, p := range peers {
+		if p.HasFile("y") {
+			t.Errorf("an insert after Close was stored at P(%d)", pid)
+		}
+	}
 }
 
 // TestForwardFailureSelfHeals injects a mid-path failure without a
